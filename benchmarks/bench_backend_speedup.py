@@ -1,10 +1,11 @@
 """Backend speedup harness: python vs numpy across the stack.
 
 Times (a) the golden reference-NTT kernel, (b) an end-to-end functional
-``run_ntt`` (mapping + timing engine + functional bank + golden verify)
-at N in {1024, 4096} on both compute backends, and (c) the repro.api
-facade vs the direct driver path (the envelope overhead budget is <5%),
-and writes the measurements to ``BENCH_kernels.json`` at the repo root.
+NTT through ``Simulator.run`` (mapping + timing engine + functional
+bank + golden verify) at N in {1024, 4096} on both compute backends,
+and (c) the repro.api facade vs the single-bank executor behind it (the
+envelope overhead budget is <5%), and writes the measurements to
+``BENCH_kernels.json`` at the repo root.
 
 Non-gating: run directly —
 
@@ -27,7 +28,7 @@ from repro.api import NttRequest, Simulator
 from repro.arith import NttParams, bit_reverse_permute, find_ntt_prime, use_backend
 from repro.mapping import clear_program_cache
 from repro.ntt.reference import ntt_dit_bitrev_input
-from repro.sim.driver import NttPimDriver
+from repro.sim.driver import SimConfig, TransformSpec, _run_transform
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_kernels.json"
@@ -81,22 +82,23 @@ def run(ns=(1024, 4096), kernel_repeats: int = 5, e2e_repeats: int = 3,
         entry["speedup"] = entry["python"] / entry["numpy"]
         results["kernel_reference_ntt"][str(n)] = entry
 
+        simulator = Simulator()
+        request = NttRequest(params=params, values=tuple(data))
         entry = {}
         for backend in ("python", "numpy"):
             clear_program_cache()  # same cold/warm treatment per backend
             with use_backend(backend):
-                driver = NttPimDriver()
-                entry[backend] = _best_of(lambda: driver._run_ntt(data, params),
+                entry[backend] = _best_of(lambda: simulator.run(request),
                                           e2e_repeats)
         entry["speedup"] = entry["python"] / entry["numpy"]
         results["end_to_end_run_ntt"][str(n)] = entry
 
         # Facade overhead guard: the repro.api envelope (validation,
         # registry dispatch, cache provenance, response building) must
-        # stay in the noise vs the direct driver path — budget < 5%.
-        driver = NttPimDriver()
-        simulator = Simulator(driver.config)
-        request = NttRequest(params=params, values=tuple(data))
+        # stay in the noise vs the single-bank executor it wraps —
+        # budget < 5%.
+        spec = TransformSpec(params=params)
+        config = SimConfig()
         # The two paths differ by well under 1 ms, and the stream-fused
         # runs are short enough that machine-state drift between two
         # separate best-of blocks spans several percent — so the guard
@@ -104,12 +106,12 @@ def run(ns=(1024, 4096), kernel_repeats: int = 5, e2e_repeats: int = 3,
         # round) and takes best-of over many rounds.
         guard_repeats = max(e2e_repeats, 15)
         for _ in range(3):
-            driver._run_ntt(data, params)
+            _run_transform(spec, data, config)
             simulator.run(request)
         direct_s = facade_s = float("inf")
         for _ in range(guard_repeats):
             start = time.perf_counter()
-            driver._run_ntt(data, params)
+            _run_transform(spec, data, config)
             direct_s = min(direct_s, time.perf_counter() - start)
             start = time.perf_counter()
             simulator.run(request)

@@ -4,9 +4,7 @@ scheduler, on the skewed same-shape mix, at three offered arrival rates
 
 Per rate and scheduler it records simulated throughput (req/s) and
 p50/p99 latency, plus the host-side wall clock of the functional
-simulation; a ``pipeline`` section measures the inline vs thread worker
-backends (how much compile/execute overlap buys under the GIL — see
-:mod:`repro.serve.workers`), and a ``shards`` section sweeps shard
+simulation; a ``shards`` section sweeps shard
 counts under the shared-bus vs independent-channel contention models
 (bus utilization included — the README's shard-scaling table), and a
 ``resilience`` section sweeps injected fault rates x {policies off,
@@ -159,12 +157,11 @@ def _load(rate: float, scenario: str = SCENARIO,
                          count=count, seed=SEED)
 
 
-def _serve(scheduler: str, rate: float, workers: str = "inline",
-           scenario: str = SCENARIO, num_shards: int = 1,
-           bus: str = "shared"):
+def _serve(scheduler: str, rate: float, scenario: str = SCENARIO,
+           num_shards: int = 1, bus: str = "shared"):
     server = SimServer(CONFIG, scheduler=scheduler, window_us=WINDOW_US,
-                       max_banks=MAX_BANKS, workers=workers,
-                       num_shards=num_shards, bus=bus, max_depth=4096)
+                       max_banks=MAX_BANKS, num_shards=num_shards, bus=bus,
+                       max_depth=4096)
     start = time.perf_counter()
     results = server.serve(_load(rate, scenario).requests())
     wall_s = time.perf_counter() - start
@@ -308,18 +305,6 @@ def run(out_path: Path = DEFAULT_OUT) -> dict:
             / entry["sequential"]["throughput_rps"])
         section["rates"][str(rate)] = entry
 
-    # Host-side pipelining: thread backend overlaps group k+1's compile
-    # with group k's execution; measured, not assumed (GIL).
-    top = RATES[-1]
-    _, _, inline_wall = _serve("batching", top, workers="inline")
-    _, _, thread_wall = _serve("batching", top, workers="thread")
-    section["pipeline"] = {
-        "rate": top,
-        "inline_wall_s": inline_wall,
-        "thread_wall_s": thread_wall,
-        "thread_over_inline": thread_wall / inline_wall,
-    }
-
     # Shard scaling under the two cross-shard bus models: the shared
     # command bus charges every dispatch its compiled stream's command
     # count, so the curve bends as utilization climbs; the independent
@@ -434,11 +419,6 @@ def _format(results: dict) -> str:
             f"p99={bat['latency_p99_us']:6.1f}us "
             f"occ={bat['mean_batch_occupancy']:.1f} | "
             f"x{entry['throughput_speedup']:.2f}")
-    pipe = section["pipeline"]
-    lines.append(
-        f"  pipeline wall: inline {pipe['inline_wall_s'] * 1e3:.0f} ms, "
-        f"thread {pipe['thread_wall_s'] * 1e3:.0f} ms "
-        f"(thread/inline {pipe['thread_over_inline']:.2f})")
     shards = section["shards"]
     lines.append(f"shard scaling ({SHARD_SCENARIO} mix, overload), "
                  f"independent vs shared bus:")

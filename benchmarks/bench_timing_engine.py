@@ -37,7 +37,7 @@ from repro.dram import (
 )
 from repro.pim.bank_pim import PimBank
 from repro.pim.params import PimParams
-from repro.sim.driver import NttPimDriver, SimConfig
+from repro.sim.driver import SimConfig, TransformSpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_kernels.json"
@@ -50,10 +50,10 @@ def run(ns=(1024, 4096), repeats: int = 5,
     for n in ns:
         q = find_ntt_prime(n, 32)
         params = NttParams(n, q)
-        driver = NttPimDriver()
-        commands = driver.map_commands(params)
+        config = SimConfig()
+        commands = TransformSpec(params=params).program(config, 0).commands
         engine = TimingEngine(HBM2E_TIMING, HBM2E_ARCH,
-                              compute=driver.config.pim.compute_timing())
+                              compute=config.pim.compute_timing())
 
         # Cold compile = full IR pipeline every call (compile_stream
         # never caches); warm = structural stream-cache hit.
@@ -80,7 +80,7 @@ def run(ns=(1024, 4096), repeats: int = 5,
         data = bit_reverse_permute([rng.randrange(q) for _ in range(n)])
 
         def run_bank(use_stream: bool):
-            bank = PimBank(driver.config.arch, driver.config.pim)
+            bank = PimBank(config.arch, config.pim)
             bank.set_parameters(q)
             bank.load_polynomial(0, list(data))
             if use_stream:
@@ -115,7 +115,8 @@ def _bench_nb1(repeats: int, n: int = 256) -> dict:
     behavior, reproduced by toggling the ``lane_fuse`` pass off)."""
     q = find_ntt_prime(n, 32)
     config = SimConfig(pim=PimParams(nb_buffers=1))
-    commands = NttPimDriver(config).map_commands(NttParams(n, q))
+    spec = TransformSpec(params=NttParams(n, q))
+    commands = spec.program(config, 0).commands
     fused = compile_stream(commands, HBM2E_ARCH)
     fallback = compile_stream(commands, HBM2E_ARCH,
                               passes={"rename", "group", "pool"})
@@ -175,10 +176,11 @@ def test_stream_engine_smoke(show, tmp_path):
     threshold — the measured speedup is several-fold)."""
     n = 512
     q = find_ntt_prime(n, 32)
-    driver = NttPimDriver()
-    commands = driver.map_commands(NttParams(n, q))
+    config = SimConfig()
+    spec = TransformSpec(params=NttParams(n, q))
+    commands = spec.program(config, 0).commands
     engine = TimingEngine(HBM2E_TIMING, HBM2E_ARCH,
-                          compute=driver.config.pim.compute_timing())
+                          compute=config.pim.compute_timing())
     stream = compile_stream(commands, HBM2E_ARCH)
     legacy = engine.simulate(commands)
     streamed = engine.simulate_stream(stream)

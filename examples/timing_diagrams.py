@@ -7,13 +7,13 @@ pipelining.
 
 from repro import (
     NttParams,
-    NttPimDriver,
     PimParams,
     ProgramRequest,
     SimConfig,
     Simulator,
     find_ntt_prime,
 )
+from repro.sim import TransformSpec
 from repro.visual import render_timing_diagram
 
 
@@ -21,7 +21,8 @@ def regime_window(n: int, nb: int, start: int, end: int, title: str) -> None:
     q = find_ntt_prime(n, 32)
     config = SimConfig(pim=PimParams(nb_buffers=nb),
                        functional=False, verify=False)
-    commands = NttPimDriver(config).map_commands(NttParams(n, q))
+    spec = TransformSpec(params=NttParams(n, q))
+    commands = spec.program(config, 0).commands
     response = Simulator(config).run(ProgramRequest(commands=commands,
                                                     label=title))
     print(f"\n--- {title} (N={n}, Nb={nb}) ---")

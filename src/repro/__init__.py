@@ -37,7 +37,7 @@ from .errors import (
 )
 from .ntt import NegacyclicParams, Polynomial, intt, ntt
 from .pim import PimParams
-from .sim import NttPimDriver, SimConfig
+from .sim import SimConfig
 from .api import (
     BatchRequest,
     FheOpRequest,
@@ -72,7 +72,6 @@ __all__ = [
     "intt",
     "ntt",
     "PimParams",
-    "NttPimDriver",
     "SimConfig",
     "SimRequest",
     "NttRequest",

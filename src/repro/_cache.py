@@ -10,8 +10,8 @@ The contract every consumer relies on:
 
 * Lookups, hit/miss counters, eviction and insertion run under the
   cache's lock; artifact *generation* runs outside it (generation is
-  pure and may be slow — holding the lock would serialize the very
-  parallelism the serving layer's worker pool exists for).
+  pure and may be slow — holding the lock would serialize concurrent
+  callers).
 * Two threads missing on the same key may both generate, but the first
   published entry wins and every caller observes that one canonical
   object (``get_or_create`` returns it), so identity-based sharing

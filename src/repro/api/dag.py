@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Mapping, Sequence, Tuple
 
 from ..errors import RequestValidationError
 from ..sim.driver import SimConfig

@@ -24,7 +24,6 @@ banks (the Sec. VI.A deployment) before running the rest individually.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -47,7 +46,6 @@ from .requests import (
     SimRequest,
 )
 from .response import SimResponse
-from .workloads import precompile_request
 
 __all__ = ["Simulator", "merge_key"]
 
@@ -109,8 +107,7 @@ class Simulator:
     # -- bulk path --------------------------------------------------------------
     def run_many(self, requests: Iterable[SimRequest], *,
                  max_banks: int = 8,
-                 group: bool = True,
-                 pipeline: bool = False) -> List[SimResponse]:
+                 group: bool = True) -> List[SimResponse]:
         """Run every request; responses come back in input order.
 
         With ``group=True`` (default), mergeable requests of the same
@@ -123,75 +120,45 @@ class Simulator:
         are the request's own per-bank share — so totals summed over
         ``run_many`` responses stay physical.
         (``metrics["group_banks"]``/``metrics["bank"]`` tell the story;
-        ``raw`` holds the full group result.)
-
-        ``pipeline=True`` overlaps the next dispatch group's compile
-        (program + stream + schedule warm-up on the thread-safe caches)
-        with the current group's execution — see :meth:`run_many_iter`,
-        the streaming form this method drains.  Off by default: the
-        overlap measures GIL-bound (see :mod:`repro.serve.workers`),
-        roughly break-even on cold caches and a small net cost warm.
+        ``raw`` holds the full group result.)  This drains
+        :meth:`run_many_iter`, the streaming form.
         """
         reqs = list(requests)
         responses: List[Optional[SimResponse]] = [None] * len(reqs)
         for i, response in self.run_many_iter(reqs, max_banks=max_banks,
-                                              group=group, pipeline=pipeline):
+                                              group=group):
             responses[i] = response
         return responses
 
     def run_many_iter(self, requests: Iterable[SimRequest], *,
                       max_banks: int = 8,
-                      group: bool = True,
-                      pipeline: bool = False
+                      group: bool = True
                       ) -> Iterator[Tuple[int, SimResponse]]:
         """Streaming :meth:`run_many`: yield ``(index, response)`` pairs
         as each dispatch unit completes instead of barriering on the
         whole list.
 
         Requests are first partitioned into *dispatch units* — bank
-        groups of same-shape forward NTTs (up to ``max_banks`` each) and
-        pass-through singles.  Units execute in order; opting into
-        ``pipeline=True`` warms the compile side of unit *k+1* (command
-        program, compiled stream, timing schedule — all deterministic,
-        thread-safe caches) on a background thread while unit *k* runs
-        (measured roughly break-even under the GIL — see
-        :mod:`repro.serve.workers`).  Responses are identical to
-        :meth:`run` of each request alone (values bit for bit; grouped
-        units report group timing and per-bank shares, as in
-        :meth:`run_many`).
+        groups of same-shape transforms (up to ``max_banks`` each) and
+        pass-through singles — which then execute in order.  Responses
+        are identical to :meth:`run` of each request alone (values bit
+        for bit; grouped units report group timing and per-bank shares,
+        as in :meth:`run_many`).
         """
         reqs = list(requests)
         # Validate up front so a malformed request fails with its own
         # message instead of surfacing as a synthetic group's error.
         for req in reqs:
             req.validate()
-        units = self._dispatch_units(reqs, max_banks=max_banks, group=group)
-
-        compile_thread: Optional[threading.Thread] = None
-        for k, (indices, merged) in enumerate(units):
-            if compile_thread is not None:
-                compile_thread.join()
-                compile_thread = None
-            if pipeline and k + 1 < len(units):
-                compile_thread = threading.Thread(
-                    target=precompile_request,
-                    args=(self.config, units[k + 1][1]),
-                    name="repro-pipelined-compile", daemon=True)
-                compile_thread.start()
-            try:
-                if len(indices) == 1:
-                    yield indices[0], self.run(merged)
-                else:
-                    grouped = self.run(merged)
-                    for slot, i in enumerate(indices):
-                        yield i, self._split_group(grouped, reqs[i], slot,
-                                                   len(indices))
-            except BaseException:
-                if compile_thread is not None:
-                    compile_thread.join()
-                raise
-        if compile_thread is not None:
-            compile_thread.join()
+        for indices, merged in self._dispatch_units(reqs, max_banks=max_banks,
+                                                    group=group):
+            if len(indices) == 1:
+                yield indices[0], self.run(merged)
+            else:
+                grouped = self.run(merged)
+                for slot, i in enumerate(indices):
+                    yield i, self._split_group(grouped, reqs[i], slot,
+                                               len(indices))
 
     @staticmethod
     def merge_requests(requests: List[SimRequest]) -> MultiBankRequest:
@@ -213,11 +180,6 @@ class Simulator:
                        for r in requests)
         return MultiBankRequest(ring=head.ring, inputs=inputs,
                                 inverse=head.inverse)
-
-    @staticmethod
-    def merge_forward_ntts(requests: List[NttRequest]) -> MultiBankRequest:
-        """Pre-generalization name of :meth:`merge_requests`."""
-        return Simulator.merge_requests(requests)
 
     @staticmethod
     def _dispatch_units(reqs: List[SimRequest], *, max_banks: int,

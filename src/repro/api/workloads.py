@@ -15,16 +15,10 @@ from typing import List, Optional
 
 from ..dram.engine import ScheduleResult
 from ..dram.stream import cached_stream
-from ..errors import ReproError
-from ..mapping.program_cache import cyclic_program, negacyclic_program
-from ..sim.batch import BatchResult, _run_batch, compile_batch
-from ..sim.driver import NttPimDriver, SimConfig, cached_schedule
-from ..sim.multibank import (
-    MultiBankResult,
-    TransformSpec,
-    _run_multibank,
-    compile_multibank,
-)
+from ..sim.batch import BatchResult, _run_batch
+from ..sim.driver import SimConfig, TransformSpec, _run_transform, \
+    cached_schedule
+from ..sim.multibank import MultiBankResult, _run_multibank
 from ..sim.results import NttRunResult
 from .registry import register_workload
 from .requests import (
@@ -32,87 +26,31 @@ from .requests import (
     FheOpRequest,
     KyberKemRequest,
     MultiBankRequest,
-    NegacyclicRequest,
-    NttRequest,
     ProgramRequest,
 )
 from .response import SimResponse
 
-__all__ = ["response_from_run", "response_from_schedule",
-           "precompile_request", "multibank_specs"]
+__all__ = ["response_from_run", "response_from_schedule", "transform_spec",
+           "multibank_specs"]
+
+
+def transform_spec(request) -> TransformSpec:
+    """The engine-room :class:`TransformSpec` of one transform — an
+    :class:`NttRequest`, a :class:`NegacyclicRequest` or one bank of a
+    :class:`MultiBankRequest` — the one place a request's kind fields
+    lower into the engine room."""
+    ring = getattr(request, "ring", None)
+    if ring is not None:
+        return TransformSpec(kind="negacyclic", inverse=request.inverse,
+                             ring=ring)
+    return TransformSpec(kind="ntt", inverse=request.inverse,
+                         params=request.params)
 
 
 def multibank_specs(request: "MultiBankRequest") -> List[TransformSpec]:
     """The per-bank :class:`TransformSpec` list of a multi-bank request
-    — the one place the request's kind fields lower into the engine
-    room.  Mixed-kind requests (``specs``) map one entry per bank."""
-    return [TransformSpec(
-        kind="negacyclic" if spec.ring is not None else "ntt",
-        inverse=spec.inverse,
-        params=spec.params,
-        ring=spec.ring) for spec in request.bank_specs()]
-
-
-def precompile_request(config: SimConfig, request) -> bool:
-    """Warm every deterministic artifact a request will need — command
-    program, compiled stream, timing schedule — without touching
-    functional state.
-
-    This is the *pipelined compile* step: the streaming
-    :meth:`repro.api.Simulator.run_many_iter` and the serving layer's
-    worker pool run it for dispatch group *k+1* while group *k*
-    executes, so the real run is pure cache hits on the compile side.
-    All three caches are thread-safe, and every artifact is a pure
-    function of ``(request shape, config)``, so warming from another
-    thread cannot change any result.
-
-    Returns ``True`` if artifacts were warmed; ``False`` for workloads
-    with nothing to precompile.  Mapping errors are swallowed — the
-    real run raises them with its own context.
-    """
-    compute = config.pim.compute_timing()
-
-    def warm(commands_or_stream, key):
-        cached_schedule(commands_or_stream, config.timing, config.arch,
-                        compute, config.energy, key=key)
-
-    try:
-        if type(request) is NttRequest:
-            ntt = request.params.inverse() if request.inverse else request.params
-            program = cyclic_program(ntt, config.arch, config.pim,
-                                     config.base_row, 0,
-                                     config.mapper_options)
-            warm(cached_stream(program.commands, config.arch,
-                               key=program.key), program.key)
-            return True
-        if type(request) is NegacyclicRequest:
-            program = negacyclic_program(request.ring, config.arch,
-                                         config.pim, config.base_row,
-                                         inverse=request.inverse)
-            warm(cached_stream(program.commands, config.arch,
-                               key=program.key), program.key)
-            return True
-        if type(request) is MultiBankRequest:
-            programs, stream, key = compile_multibank(
-                multibank_specs(request), len(request.inputs), config)
-            warm(stream, key)
-            warm(programs[0].commands, programs[0].key)
-            # Functional execution replays every bank's own stream.
-            for program in programs[1:]:
-                cached_stream(program.commands, config.arch, key=program.key)
-            return True
-        if type(request) is BatchRequest:
-            programs, stream, key, _ = compile_batch(
-                request.params, len(request.inputs), config)
-            warm(stream, key)
-            warm(programs[0].commands, programs[0].key)
-            return True
-        if type(request) is ProgramRequest:
-            warm(cached_stream(request.commands, config.arch), None)
-            return True
-    except ReproError:
-        pass
-    return False
+    (mixed-kind requests map one ``specs`` entry per bank)."""
+    return [transform_spec(spec) for spec in request.bank_specs()]
 
 
 def _counters(schedule: ScheduleResult, bu_ops: int = 0) -> dict:
@@ -155,29 +93,16 @@ def _values_or_zeros(values: Optional[tuple], n: int) -> List[int]:
     return list(values) if values is not None else [0] * n
 
 
-@register_workload("ntt")
-def run_ntt_workload(config: SimConfig, request: NttRequest) -> SimResponse:
-    """Cyclic (I)NTT — Sec. IV.A protocol, the Fig. 7/8 run shape."""
-    driver = NttPimDriver(config)
-    values = _values_or_zeros(request.values, request.params.n)
-    if request.inverse:
-        run = driver._run_intt(values, request.params)
-    else:
-        run = driver._run_ntt(values, request.params)
-    return response_from_run("ntt", run)
-
-
 @register_workload("negacyclic")
-def run_negacyclic_workload(config: SimConfig,
-                            request: NegacyclicRequest) -> SimResponse:
-    """Native merged negacyclic transform (C1N mapping extension)."""
-    driver = NttPimDriver(config)
-    values = _values_or_zeros(request.values, request.ring.n)
-    if request.inverse:
-        run = driver._run_negacyclic_intt(values, request.ring)
-    else:
-        run = driver._run_negacyclic_ntt(values, request.ring)
-    return response_from_run("negacyclic", run)
+@register_workload("ntt")
+def run_transform_workload(config: SimConfig, request) -> SimResponse:
+    """One transform on one bank: the cyclic (I)NTT (Sec. IV.A
+    protocol, the Fig. 7/8 run shape) or the native merged negacyclic
+    transform (C1N mapping extension)."""
+    spec = transform_spec(request)
+    run = _run_transform(spec, _values_or_zeros(request.values, spec.n),
+                         config)
+    return response_from_run(request.workload, run)
 
 
 @register_workload("batch")
@@ -250,14 +175,9 @@ def run_fhe_workload(config: SimConfig, request: FheOpRequest) -> SimResponse:
                 raise FunctionalMismatch(
                     f"FHE ring product wrong for N={request.ring.n}")
             verified = True
-    elif request.op == "forward":
-        out = acc.forward(a)
-        verified = config.functional and config.verify
     else:
-        out = acc.inverse(a)
-        # Only the native inverse runs the golden check; the hosted
-        # path's cyclic INTT is unverified (verify_against=None).
-        verified = config.functional and config.verify and request.native
+        out = acc.forward(a) if request.op == "forward" else acc.inverse(a)
+        verified = config.functional and config.verify
     stats = acc.stats
     return SimResponse(
         workload="fhe",

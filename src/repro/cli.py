@@ -10,8 +10,8 @@ Subcommands::
                      pass pipeline without running it (--dump-ir
                      prints the SoA IR, --passes selects passes)
     serve            drive synthetic open-loop traffic through the
-                     repro.serve layer (batching scheduler, shards,
-                     worker pool) and print the telemetry rollup;
+                     repro.serve layer (batching scheduler, shards)
+                     and print the telemetry rollup;
                      --cluster N serves through the repro.cluster
                      multi-replica front-end (routing, tenant quotas,
                      --watch live operator console)
@@ -52,7 +52,7 @@ from .experiments import (
 from .experiments.runner import run_all
 from .ntt.negacyclic import NegacyclicParams
 from .pim.params import PimParams
-from .sim.driver import NttPimDriver, SimConfig
+from .sim.driver import SimConfig, TransformSpec
 from .sim.trace import format_trace, trace_summary
 
 __all__ = ["main"]
@@ -208,8 +208,6 @@ def _cmd_serve(args) -> int:
                            window_us=args.window_us,
                            max_banks=args.max_banks,
                            num_shards=args.shards, max_depth=args.depth,
-                           workers=args.workers,
-                           pipeline=not args.no_pipeline,
                            bus=args.bus, faults=args.faults,
                            fault_seed=args.fault_seed, policy=args.policy)
     except ValueError as exc:
@@ -237,7 +235,7 @@ def _cmd_serve(args) -> int:
           f"{args.requests} requests, seed {args.seed}")
     print(f"server         : scheduler={args.scheduler} "
           f"window={args.window_us:.0f}us max_banks={args.max_banks} "
-          f"shards={args.shards} bus={args.bus} workers={args.workers}"
+          f"shards={args.shards} bus={args.bus}"
           f"{' [live submit/poll]' if args.live else ''}")
     if args.burst is not None:
         peak, start_us, duration_us = args.burst
@@ -260,7 +258,7 @@ def _serve_cluster(args, scenario, config, load) -> int:
     """The ``--cluster N`` branch of ``repro serve``: the same offered
     stream through a ClusterFrontend (optionally under the live
     operator console)."""
-    from .cluster import ClusterFrontend, TenantQuota, have_textual, watch
+    from .cluster import ClusterFrontend, TenantQuota, watch
     from .errors import ReproError
 
     try:
@@ -272,8 +270,7 @@ def _serve_cluster(args, scenario, config, load) -> int:
             args.cluster, config, router=args.router, quotas=quotas,
             scheduler=args.scheduler, window_us=args.window_us,
             max_banks=args.max_banks, num_shards=args.shards,
-            max_depth=args.depth, workers=args.workers,
-            pipeline=not args.no_pipeline, bus=args.bus,
+            max_depth=args.depth, bus=args.bus,
             faults=args.faults, fault_seed=args.fault_seed,
             policy=args.policy,
             replica_faults=args.replica_faults,
@@ -285,12 +282,9 @@ def _serve_cluster(args, scenario, config, load) -> int:
     import time as _time
     start = _time.perf_counter()
     if args.watch:
-        mode = args.watch_mode
-        if mode == "auto":
-            mode = "textual" if have_textual() else "plain"
         results = watch(frontend, load.requests(),
                         every_us=args.watch_every_us,
-                        mode=mode, max_frames=args.watch_frames)
+                        max_frames=args.watch_frames)
     else:
         results = frontend.serve(load.requests())
     wall_s = _time.perf_counter() - start
@@ -329,8 +323,8 @@ def _serve_cluster(args, scenario, config, load) -> int:
 
 def _cmd_trace(args) -> int:
     q = find_ntt_prime(args.n, 32)
-    driver = NttPimDriver(_make_config(args))
-    commands = driver.map_commands(NttParams(args.n, q))
+    spec = TransformSpec(params=NttParams(args.n, q))
+    commands = spec.program(_make_config(args), 0).commands
     print(trace_summary(commands))
     print(format_trace(commands[:args.head]))
     if len(commands) > args.head:
@@ -427,15 +421,10 @@ def main(argv=None) -> int:
                               "shared: dispatches contend for bus slots)")
     serve_p.add_argument("--depth", type=int, default=256,
                          help="admission-control queue depth (default 256)")
-    serve_p.add_argument("--workers", choices=("inline", "thread"),
-                         default="inline",
-                         help="execution backend (default inline)")
     serve_p.add_argument("--high-priority", type=float, default=0.0,
                          help="fraction of requests at priority 1")
     serve_p.add_argument("--deadline-us", type=float, default=None,
                          help="per-request deadline in simulated us")
-    serve_p.add_argument("--no-pipeline", action="store_true",
-                         help="disable compile/execute pipelining")
     serve_p.add_argument("--no-verify", action="store_true",
                          help="skip golden-model verification per NTT")
     serve_p.add_argument("--faults", default=None,
@@ -489,17 +478,11 @@ def main(argv=None) -> int:
     serve_p.add_argument("--watch", action="store_true",
                          help="drive the cluster through the live "
                               "operator console (virtual-time frames)")
-    serve_p.add_argument("--watch-mode",
-                         choices=("auto", "plain", "textual"),
-                         default="auto",
-                         help="console renderer: auto = Textual "
-                              "DataTable when installed, else plain "
-                              "fixed-width frames (default auto)")
     serve_p.add_argument("--watch-every-us", type=float, default=200.0,
                          help="virtual time between console frames "
                               "(default 200us)")
     serve_p.add_argument("--watch-frames", type=int, default=3,
-                         help="cap on plain frames printed (default 3; "
+                         help="cap on console frames printed (default 3; "
                               "the loop always runs to completion)")
 
     trace_p = subs.add_parser("trace", help="dump a command trace")

@@ -33,7 +33,7 @@ to a bare server, and seeded chaos runs — failovers, restarts and
 scale events included — replay bit-for-bit at any replica count.
 """
 
-from .console import have_textual, render_plain, watch
+from .console import render_plain, watch
 from .frontend import ClusterFrontend, derive_fault_plans
 from .messages import MESSAGE_TYPES
 from .quotas import QuotaManager, TenantQuota
@@ -68,7 +68,6 @@ __all__ = [
     "derive_fault_plans",
     "render_plain",
     "watch",
-    "have_textual",
     "MESSAGE_TYPES",
     "WatchdogPolicy",
     "AutoscalePolicy",

@@ -9,34 +9,24 @@ of the same stream — watching a run does not change it.  The
 submit-before-advance order inside a frame is what preserves that
 bit-identity: advancing first would clamp same-frame arrivals forward.
 
-Two render paths share the frame loop: :func:`render_plain` formats a
-fixed-width table any terminal (and the CI log) can show, and — when
-the optional `textual <https://textual.textualize.io>`_ package is
-installed — :func:`watch` upgrades to a Textual ``DataTable`` app that
-repaints in place.  Textual is strictly optional: nothing here imports
-it at module scope, and ``plain`` mode is always available.
+Each frame renders through :func:`render_plain`, a fixed-width table
+any terminal (and the CI log) can show.
 """
 
 from __future__ import annotations
 
-import importlib.util
 from typing import Callable, Iterable, List, Optional
 
 from ..serve.queueing import ServeRequest
 from ..serve.server import ServeResult
 from .frontend import ClusterFrontend
 
-__all__ = ["render_plain", "watch", "have_textual"]
+__all__ = ["render_plain", "watch"]
 
 #: Columns of the per-replica table, with formatting widths.
 _COLUMNS = (("replica", 7), ("state", 7), ("queue", 5), ("live", 5),
             ("backlog", 7), ("brk", 4), ("done", 6), ("thr", 5),
             ("p50_us", 9), ("p99_us", 9), ("goodput", 8))
-
-
-def have_textual() -> bool:
-    """Whether the optional Textual console can run here."""
-    return importlib.util.find_spec("textual") is not None
 
 
 def _state_cell(hb) -> str:
@@ -98,15 +88,24 @@ def render_plain(frontend: ClusterFrontend) -> str:
     return "\n".join(lines)
 
 
-def _frames(frontend: ClusterFrontend,
-            requests: Iterable[ServeRequest], *,
-            every_us: float):
-    """The shared frame loop: yield after each virtual-time tick, then
-    drain.  Arrivals are session-relative, like ``submit()``."""
-    pending = sorted((s for s in requests),
-                     key=lambda s: (s.arrival_us, s.request_id))
+def watch(frontend: ClusterFrontend,
+          requests: Iterable[ServeRequest], *,
+          every_us: float = 200.0,
+          emit: Optional[Callable[[str], None]] = print,
+          max_frames: Optional[int] = None) -> List[ServeResult]:
+    """Run the watch loop: feed ``requests`` (arrivals session-relative,
+    like ``submit()``) into ``frontend`` on the virtual-time cadence
+    ``every_us``, rendering one frame per tick, and return the drained
+    results (cluster submission order).
+
+    Frames go through ``emit``; ``max_frames`` caps emitted frames so
+    long runs don't flood a log — the loop itself always runs to
+    completion.
+    """
+    pending = sorted(requests, key=lambda s: (s.arrival_us, s.request_id))
     cursor = 0
     tick = 0
+    emitted = 0
     while True:
         tick += 1
         now = tick * every_us
@@ -115,86 +114,13 @@ def _frames(frontend: ClusterFrontend,
             frontend.submit(pending[cursor])
             cursor += 1
         frontend.advance(now)
-        done = cursor >= len(pending)
-        yield now, done
-        if done:
-            break
-
-
-def watch(frontend: ClusterFrontend,
-          requests: Iterable[ServeRequest], *,
-          every_us: float = 200.0,
-          mode: str = "plain",
-          emit: Optional[Callable[[str], None]] = print,
-          max_frames: Optional[int] = None) -> List[ServeResult]:
-    """Run the watch loop: feed ``requests`` into ``frontend`` on the
-    virtual-time cadence ``every_us``, rendering one frame per tick,
-    and return the drained results (cluster submission order).
-
-    ``mode`` is ``"plain"`` (fixed-width frames through ``emit``) or
-    ``"textual"`` (requires the optional package; falls back to plain
-    with a notice when it is missing).  ``max_frames`` caps emitted
-    frames so long runs don't flood a log — the loop itself always
-    runs to completion.
-    """
-    if mode == "textual" and not have_textual():
-        if emit is not None:
-            emit("textual is not installed; falling back to plain "
-                 "(pip install textual enables the DataTable console)")
-        mode = "plain"
-    if mode == "textual":
-        return _watch_textual(frontend, requests, every_us=every_us)
-    if mode != "plain":
-        raise ValueError(f"unknown console mode {mode!r}; "
-                         "choose 'plain' or 'textual'")
-    emitted = 0
-    for _now, _done in _frames(frontend, requests, every_us=every_us):
         if emit is not None and (max_frames is None
                                  or emitted < max_frames):
             emit(render_plain(frontend))
             emitted += 1
+        if cursor >= len(pending):
+            break
     results = frontend.drain()
     if emit is not None:
         emit(render_plain(frontend))
-    return results
-
-
-def _watch_textual(frontend: ClusterFrontend,
-                   requests: Iterable[ServeRequest], *,
-                   every_us: float) -> List[ServeResult]:
-    """The Textual ``DataTable`` console (import guarded by
-    :func:`have_textual`): same frame loop, repainted in place."""
-    from textual.app import App, ComposeResult
-    from textual.widgets import DataTable, Footer, Header
-
-    results: List[ServeResult] = []
-
-    class _Console(App):
-        TITLE = "repro cluster"
-        BINDINGS = [("q", "quit", "Quit")]
-
-        def compose(self) -> ComposeResult:
-            yield Header()
-            yield DataTable()
-            yield Footer()
-
-        def on_mount(self) -> None:
-            table = self.query_one(DataTable)
-            table.add_columns(*(name for name, _ in _COLUMNS))
-            self._loop = _frames(frontend, requests, every_us=every_us)
-            self.set_interval(0.1, self._tick)
-
-        def _tick(self) -> None:
-            try:
-                _now, _done = next(self._loop)
-            except StopIteration:
-                results.extend(frontend.drain())
-                self.exit()
-                return
-            table = self.query_one(DataTable)
-            table.clear()
-            for row in _rows(frontend):
-                table.add_row(*row)
-
-    _Console().run()
     return results

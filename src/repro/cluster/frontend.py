@@ -39,8 +39,9 @@ faults are pure functions of ``(seed, replica, virtual_time)`` — so a
 chaos run with failovers, restarts and scale events replays
 bit-for-bit, and a **one-replica cluster is bit-identical to a bare
 server** (same ids, same records, same telemetry): the front-end
-assigns ids with the server's own algorithm, admission is pass-through
-without quotas, and routing is trivial.
+assigns ids, normalises requests and folds its clock through the
+server's own :class:`~repro.serve.session.SessionBook`, admission is
+pass-through without quotas, and routing is trivial.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from ..serve.faults import (
 )
 from ..serve.queueing import ServeRequest
 from ..serve.server import ServeResult
+from ..serve.session import SessionBook, submission
 from ..serve.telemetry import (
     STATUS_ORPHANED,
     STATUS_THROTTLED,
@@ -128,24 +130,20 @@ def derive_fault_plans(base: Optional[FaultPlan], replicas: int
             for i in range(replicas)]
 
 
-class _ClusterSession:
+class _ClusterSession(SessionBook):
     """Front-end state of one open serving session (the cluster analog
-    of the server-side ``_Session``): id bookkeeping, the owner map,
-    and the front-door drop results."""
+    of the server-side ``_Session``): the owner map on top of the
+    shared session bookkeeping.  ``results`` collects front-door drops
+    (throttled requests settle immediately) and, at close, everything
+    the replicas drained — which is what makes a failed ``drain()``
+    retryable."""
 
-    def __init__(self, offset_us: float):
-        self.offset = offset_us
-        self.order: List[int] = []
-        self.seen: set = set()
+    def __init__(self, frontend: "ClusterFrontend"):
+        super().__init__(frontend._clock_us, frontend._ids.__next__)
         #: request id -> owning replica id (throttled drops never own).
         self.owner: Dict[int, int] = {}
-        #: Front-door results (throttled drops settle immediately; the
-        #: supervised path also accumulates settled results here, which
-        #: is what makes a failed ``drain()`` retryable).
-        self.results: Dict[int, ServeResult] = {}
-        self.max_arrival_us = offset_us
         #: Latest absolute event time — the cluster's ``planner.now_us``.
-        self.now_us = offset_us
+        self.now_us = self.offset
         # -- supervised-only bookkeeping (inert otherwise) -----------------------
         #: Original absolute-time submissions, for failover re-submits.
         self.inflight: Dict[int, ServeRequest] = {}
@@ -257,14 +255,10 @@ class ClusterFrontend:
         """Whether the watchdog/failover/autoscale tier is engaged."""
         return self._supervised
 
-    # -- id assignment (the server's own rule, lifted cluster-wide) --------------
-    def _assign_id(self, session: _ClusterSession, request_id: int) -> int:
-        if request_id == 0 or request_id in session.seen:
-            request_id = next(self._ids)
-            while request_id in session.seen:
-                request_id = next(self._ids)
-        session.seen.add(request_id)
-        return request_id
+    def _open(self) -> _ClusterSession:
+        if self._live is None:
+            self._live = _ClusterSession(self)
+        return self._live
 
     # -- offline entry point ------------------------------------------------------
     def serve(self, requests: Iterable[Union[ServeRequest, SimRequest]]
@@ -275,24 +269,9 @@ class ClusterFrontend:
         if self._live is not None:
             raise RuntimeError("an open submit() session is active; "
                                "drain() it before calling serve()")
-        session = _ClusterSession(self._clock_us)
+        session = _ClusterSession(self)
+        sreqs = session.intake(requests)
         self._live = session
-        offset = session.offset
-        sreqs: List[ServeRequest] = []
-        for item in requests:
-            if not isinstance(item, ServeRequest):
-                item = ServeRequest(request=item)
-            item.request.validate()
-            changes = {}
-            if offset:
-                changes["arrival_us"] = item.arrival_us + offset
-                if item.deadline_us is not None:
-                    changes["deadline_us"] = item.deadline_us + offset
-            request_id = self._assign_id(session, item.request_id)
-            if request_id != item.request_id:
-                changes["request_id"] = request_id
-            sreqs.append(dataclasses.replace(item, **changes)
-                         if changes else item)
         for sreq in sorted(sreqs, key=lambda s: (s.arrival_us,
                                                  s.request_id)):
             self._admit(session, sreq)
@@ -309,43 +288,20 @@ class ClusterFrontend:
                tenant: str = "") -> int:
         """Admit, route and submit one request; returns its id (also
         for throttled drops, whose result is immediately pollable)."""
-        if isinstance(request, ServeRequest):
-            if (priority, deadline_us, config, request_id,
-                    tenant) != (0, None, None, 0, ""):
-                raise ValueError(
-                    "pass scheduling fields on the ServeRequest itself, "
-                    "not as submit() keywords")
-            if arrival_us is None and request.arrival_us:
-                arrival_us = request.arrival_us
-            priority = request.priority
-            deadline_us = request.deadline_us
-            config = request.config
-            request_id = request.request_id
-            tenant = request.tenant
-            request = request.request
-        request.validate()
-        if self._live is None:
-            self._live = _ClusterSession(self._clock_us)
-        session = self._live
-        arrival = (session.offset + arrival_us if arrival_us is not None
-                   else session.now_us)
-        arrival = max(arrival, session.now_us, session.offset)
-        deadline = (session.offset + deadline_us
-                    if deadline_us is not None else None)
-        request_id = self._assign_id(session, request_id)
-        self._admit(session, ServeRequest(
-            request=request, arrival_us=arrival, priority=priority,
-            deadline_us=deadline, request_id=request_id, config=config,
-            tenant=tenant))
-        return request_id
+        sreq, arrival_us = submission(
+            request, arrival_us=arrival_us, priority=priority,
+            deadline_us=deadline_us, config=config, request_id=request_id,
+            tenant=tenant)
+        session = self._open()
+        sreq = session.place(sreq, arrival_us, session.now_us)
+        self._admit(session, sreq)
+        return sreq.request_id
 
     def advance(self, now_us: float) -> None:
         """Idle-tick every replica to session-relative ``now_us`` —
         the cluster form of :meth:`SimServer.advance` (the operator
         console's clock source)."""
-        if self._live is None:
-            self._live = _ClusterSession(self._clock_us)
-        session = self._live
+        session = self._open()
         session.now_us = max(session.now_us, session.offset + now_us)
         if self._supervised:
             self._run_watchdog(session, session.now_us)
@@ -393,8 +349,7 @@ class ClusterFrontend:
     def _admit(self, session: _ClusterSession, sreq: ServeRequest) -> None:
         """Quota -> health -> route -> dispatch for one absolute-time
         request (id already assigned)."""
-        session.order.append(sreq.request_id)
-        session.max_arrival_us = max(session.max_arrival_us, sreq.arrival_us)
+        session.admit(sreq)
         session.now_us = max(session.now_us, sreq.arrival_us)
         if self._supervised:
             self._run_watchdog(session, session.now_us)
@@ -722,24 +677,18 @@ class ClusterFrontend:
 
     def _close(self, session: _ClusterSession) -> Dict[int, ServeResult]:
         """Drain every replica, fold the cluster clock forward (the
-        server's own rule: past every arrival and completion), and
-        return the merged result map."""
+        server's own rule), and return the merged result map."""
         if self._supervised:
-            return self._close_supervised(session)
-        merged = dict(session.results)
-        for replica in self.replicas:
-            for result in replica.send(Drain()).results:
-                merged[result.record.request_id] = result
-        clock = session.max_arrival_us
-        clock = max([clock] + [r.record.completion_us
-                               for r in merged.values()
-                               if r.record.completion_us > 0])
-        self._clock_us = max(self._clock_us, clock)
+            self._close_supervised(session)
+        else:
+            for replica in self.replicas:
+                for result in replica.send(Drain()).results:
+                    session.results[result.record.request_id] = result
+        self._clock_us = session.fold_clock(self._clock_us)
         self._live = None
-        return merged
+        return session.results
 
-    def _close_supervised(self, session: _ClusterSession
-                          ) -> Dict[int, ServeResult]:
+    def _close_supervised(self, session: _ClusterSession) -> None:
         """Supervised close: escalate crashes the watchdog has not
         reached yet, recover every orphan, drain everything reachable
         (transient outages are waited out in virtual time — the link is
@@ -815,14 +764,6 @@ class ClusterFrontend:
                     record.status = STATUS_ORPHANED
                     if served is not None:
                         self.health.duplicates_dropped += 1
-        merged = session.results
-        clock = session.max_arrival_us
-        clock = max([clock] + [r.record.completion_us
-                               for r in merged.values()
-                               if r.record.completion_us > 0])
-        self._clock_us = max(self._clock_us, clock)
-        self._live = None
-        return merged
 
     # -- observability ------------------------------------------------------------
     @property

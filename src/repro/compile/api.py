@@ -5,10 +5,7 @@ facade request — command-program mapping, the IR pass pipeline, stream
 lowering — and hands back a :class:`CompiledProgram` bundling the
 :class:`~repro.compile.ir.StreamIR`, the pass statistics and the
 executable :class:`~repro.dram.stream.CommandStream`.  No functional or
-timing state is touched, so callers can compile on one thread and run
-on another (this is the same artifact set
-:func:`repro.api.workloads.precompile_request` warms, minus the timing
-schedule).
+timing state is touched.
 
 Callers who previously reached into ``repro.dram.stream`` for
 ``cached_stream`` should come through here (or through
@@ -19,8 +16,8 @@ engine-room modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 __all__ = ["CompiledProgram", "compile_request"]
 
@@ -99,7 +96,6 @@ def compile_request(request, config=None, *, passes=None) -> CompiledProgram:
     )
     from ..dram.stream import cached_stream
     from ..errors import RequestValidationError
-    from ..mapping.program_cache import cyclic_program, negacyclic_program
     from ..sim.driver import SimConfig
     from .passes import normalize_passes
 
@@ -108,19 +104,10 @@ def compile_request(request, config=None, *, passes=None) -> CompiledProgram:
     request.validate()
     pass_tag = tuple(sorted(normalize_passes(passes)))
 
-    if type(request) is NttRequest:
-        ntt = request.params.inverse() if request.inverse else request.params
-        program = cyclic_program(ntt, config.arch, config.pim,
-                                 config.base_row, 0, config.mapper_options)
-        stream = cached_stream(program.commands, config.arch,
-                               key=program.key, passes=pass_tag)
-        return CompiledProgram(request, stream, key=program.key,
-                               passes=pass_tag)
-    if type(request) is NegacyclicRequest:
-        program = negacyclic_program(request.ring, config.arch, config.pim,
-                                     config.base_row, inverse=request.inverse)
-        stream = cached_stream(program.commands, config.arch,
-                               key=program.key, passes=pass_tag)
+    if type(request) in (NttRequest, NegacyclicRequest):
+        from ..api.workloads import transform_spec
+        program, stream = transform_spec(request).compile(config,
+                                                          passes=pass_tag)
         return CompiledProgram(request, stream, key=program.key,
                                passes=pass_tag)
     if type(request) is MultiBankRequest:

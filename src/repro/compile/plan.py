@@ -20,7 +20,7 @@ for the ``pool`` pass toggle).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 __all__ = ["FunctionalPlan"]

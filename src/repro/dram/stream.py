@@ -37,29 +37,15 @@ pass set, so merged batch/multibank programs compile once per shape.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Optional, Tuple
 
 from .._cache import ArtifactCache
 from ..compile.plan import FunctionalPlan
-from .commands import CODE_CTYPES, CTYPE_CODES, Command, CommandType
+from .commands import Command
 from .timing import ArchParams
 
 __all__ = ["CommandStream", "FunctionalPlan", "compile_stream",
            "cached_stream", "stream_cache_info", "clear_stream_cache"]
-
-
-# The canonical integer code per command type lives in
-# repro.dram.commands (CODE_CTYPES / CTYPE_CODES); the engine's
-# bincount stats and latency tables index by the same codes.
-CTYPES: Tuple[CommandType, ...] = CODE_CTYPES
-CTYPE_CODE: Dict[CommandType, int] = CTYPE_CODES
-
-# Dispatch categories for the timing loop's branch ladder, ordered by
-# frequency in real programs: 2 = column, 3 = compute/PARAM, 0 = ACT,
-# 1 = PRE.
-CAT_ACT, CAT_PRE, CAT_COLUMN, CAT_COMPUTE = 0, 1, 2, 3
 
 
 class CommandStream:

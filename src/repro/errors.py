@@ -30,9 +30,10 @@ class FunctionalMismatch(ReproError):
 class ServeError(ReproError):
     """The serving layer (:mod:`repro.serve`) failed an operation —
     queue bookkeeping went inconsistent, or a dispatch's execution
-    raised.  Worker-pool exceptions surface as a :class:`ServeError`
-    (with the original exception as ``__cause__``) so serving callers
-    catch one hierarchy instead of arbitrary executor leaks."""
+    raised.  Arbitrary execution failures surface as a
+    :class:`ServeError` (with the original exception as ``__cause__``)
+    so serving callers catch one hierarchy instead of arbitrary
+    leaks."""
 
 
 class ShardFailure(ServeError):

@@ -13,13 +13,12 @@ homomorphic workload.  The facade's ``fhe`` workload
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Sequence
 
-from ..arith.modmath import mod_mul_vec, mod_scale_vec
-from ..arith.roots import NttParams
+from ..arith.modmath import mod_mul_vec
 from ..ntt.negacyclic import NegacyclicParams, psi_power_table
-from ..sim.driver import NttPimDriver, SimConfig
+from ..sim.driver import SimConfig, TransformSpec, _run_transform
 
 __all__ = ["PimTransformStats", "PimFheAccelerator"]
 
@@ -54,19 +53,22 @@ class PimFheAccelerator:
     def __init__(self, ring: NegacyclicParams, config: SimConfig | None = None,
                  native: bool = False):
         self.ring = ring
-        self.driver = NttPimDriver(config or SimConfig())
-        self.cyclic = ring.cyclic  # NttParams of the underlying cyclic NTT
+        self.config = config or SimConfig()
         self.native = native
         self.stats = PimTransformStats()
-        q, n = ring.q, ring.n
+        if native:
+            self._forward = TransformSpec(kind="negacyclic", ring=ring)
+        else:
+            self._forward = TransformSpec(kind="ntt", params=ring.cyclic)
+        # The inverse spec applies 1/N host-side, like every inverse.
+        self._inverse = replace(self._forward, inverse=True)
         # Shared per-(psi, n, q) tables — deterministic artifacts, memoized.
-        self._psi_powers = psi_power_table(ring.psi, n, q)
-        self._psi_inv_powers = psi_power_table(ring.psi_inv, n, q)
-        # 1/N folded into the inverse post-scaling: one element-wise pass.
-        self._inv_scale = mod_scale_vec(self._psi_inv_powers,
-                                        self.cyclic.n_inv, q)
+        self._psi_powers = psi_power_table(ring.psi, ring.n, ring.q)
+        self._psi_inv_powers = psi_power_table(ring.psi_inv, ring.n, ring.q)
 
-    def _record(self, result) -> None:
+    def _transform(self, spec: TransformSpec,
+                   values: Sequence[int]) -> List[int]:
+        result = _run_transform(spec, values, self.config)
         self.stats.transforms += 1
         self.stats.total_cycles += result.cycles
         self.stats.total_latency_us += result.latency_us
@@ -74,32 +76,22 @@ class PimFheAccelerator:
         self.stats.total_activations += result.activations
         self.stats.total_commands += result.command_count
         self.stats.per_call_us.append(result.latency_us)
+        return result.output
 
     def forward(self, coefficients: Sequence[int]) -> List[int]:
         """Negacyclic forward transform on the PIM."""
         if self.native:
-            result = self.driver._run_negacyclic_ntt(coefficients, self.ring)
-            self._record(result)
-            return result.output
-        q = self.ring.q
-        scaled = mod_mul_vec(coefficients, self._psi_powers, q)
-        result = self.driver._run_ntt(scaled, self.cyclic)
-        self._record(result)
-        return result.output
+            return self._transform(self._forward, coefficients)
+        scaled = mod_mul_vec(coefficients, self._psi_powers, self.ring.q)
+        return self._transform(self._forward, scaled)
 
     def inverse(self, values: Sequence[int]) -> List[int]:
         """Negacyclic inverse transform (PIM transform; 1/N — and in the
         paper-faithful mode psi^-i — applied host-side)."""
+        out = self._transform(self._inverse, values)
         if self.native:
-            result = self.driver._run_negacyclic_intt(values, self.ring)
-            self._record(result)
-            return result.output
-        q = self.ring.q
-        inv_params = NttParams(self.cyclic.n, q, self.cyclic.omega_inv)
-        result = self.driver._run_ntt_with_params(values, inv_params,
-                                                  verify_against=None)
-        self._record(result)
-        return mod_mul_vec(result.output, self._inv_scale, q)
+            return out
+        return mod_mul_vec(out, self._psi_inv_powers, self.ring.q)
 
     def multiply(self, a: Sequence[int], b: Sequence[int]) -> List[int]:
         """Full ring product: 2 forward NTTs, pointwise, 1 inverse."""

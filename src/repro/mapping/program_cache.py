@@ -16,9 +16,8 @@ mutate commands obtained from this cache.
 
 The cache is thread-safe via the shared :class:`repro._cache.ArtifactCache`
 (locked lookup/statistics/eviction, generation outside the lock, one
-canonical entry per key), so the serving layer's worker pool
-(:mod:`repro.serve.workers`) and the facade's pipelined compile thread
-cannot corrupt statistics or race the eviction scan.
+canonical entry per key), so concurrent callers cannot corrupt
+statistics or race the eviction scan.
 """
 
 from __future__ import annotations

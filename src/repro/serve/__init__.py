@@ -19,8 +19,9 @@ Pieces (each its own module):
 * :mod:`~repro.serve.scheduler` — the batching scheduler: window
   coalescing of same-shape NTTs into multi-bank dispatches, sharding of
   distinct shapes across simulated channels.
-* :mod:`~repro.serve.workers` — inline/thread worker pool pipelining
-  group *k+1*'s compile under group *k*'s execution.
+* :mod:`~repro.serve.session` — the session bookkeeping
+  :class:`SimServer` shares with the cluster front end: request-id
+  assignment, ``serve()``/``submit()`` normalisation, the clock fold.
 * :mod:`~repro.serve.telemetry` — per-request records and session
   rollups (throughput, p50/p99 latency, occupancy, energy).
 * :mod:`~repro.serve.loadgen` — deterministic Poisson load over named
@@ -86,13 +87,6 @@ from .telemetry import (
     merge_snapshots,
     percentile,
 )
-from .workers import (
-    WORKER_BACKENDS,
-    InlineWorkerPool,
-    ThreadWorkerPool,
-    WorkerPool,
-    make_pool,
-)
 
 __all__ = [
     "ServeRequest",
@@ -103,11 +97,6 @@ __all__ = [
     "sequential_policy",
     "shape_key",
     "BUS_MODELS",
-    "WorkerPool",
-    "InlineWorkerPool",
-    "ThreadWorkerPool",
-    "WORKER_BACKENDS",
-    "make_pool",
     "RequestRecord",
     "Telemetry",
     "merge_snapshots",

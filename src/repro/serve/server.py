@@ -6,25 +6,20 @@
                  (admission,      (window coalescing,   shard 1 ─┼─> shared
                   priorities,      multi-bank merge,      ...    │   command
                   deadlines)       shape→shard routing) shard S ─┘   bus
-                                                            │
-                        WorkerPool (inline | thread) ───────┘
-                        pipelines group k+1's compile
-                        under group k's execution
 
 Two clocks run side by side.  *Virtual* (simulated-device) time drives
 everything a client would measure: arrivals, batching windows, shard
 backlogs, bus contention, latencies, throughput — a deterministic
 discrete-event model whose service times are the timing engine's
 schedule latencies.  *Host* wall-clock time is how long the functional
-simulation takes to chew through the plan; the worker pool only
-optimizes the latter and can never change the former.
+simulation takes to chew through the plan, one dispatch at a time on
+the calling thread.
 
 Planning (group membership, dispatch times, drops) depends only on
 arrivals and the window — never on service times — so the plan is fixed
-before execution begins and execution can be pipelined freely.  That
-same property is what makes the server *live-drivable*: the
-two-phase model replans per window as requests arrive, so
-:meth:`SimServer.submit` / :meth:`SimServer.poll` /
+before execution begins.  That property is what makes the server
+*live-drivable*: the two-phase model replans per window as requests
+arrive, so :meth:`SimServer.submit` / :meth:`SimServer.poll` /
 :meth:`SimServer.drain` expose the identical machinery incrementally —
 an offline :meth:`SimServer.serve` call is literally a submit loop plus
 a drain, and the two produce bit-identical results and records.
@@ -67,10 +62,9 @@ from ..api.dag import DagRequest
 from ..api.requests import SimRequest
 from ..api.response import SimResponse
 from ..api.simulator import Simulator
-from ..api.workloads import precompile_request
+from ..api.workloads import transform_spec
 from ..errors import FunctionalMismatch, ReproError, ServeError, ShardFailure
 from ..sim.driver import SimConfig
-from ..sim.multibank import TransformSpec
 from .faults import (
     NO_FAULT,
     FaultPlan,
@@ -82,8 +76,8 @@ from .faults import (
 from .queueing import RequestQueue, ServeRequest
 from .scheduler import BatchingScheduler, DispatchUnit, PlanSession, \
     sequential_policy
+from .session import SessionBook, submission
 from .telemetry import STATUS_FAILED, STATUS_OK, RequestRecord, Telemetry
-from .workers import make_pool
 
 __all__ = ["ServeResult", "SimServer", "BUS_MODELS"]
 
@@ -176,7 +170,7 @@ class _DagState:
     done: bool = False
 
 
-class _Session:
+class _Session(SessionBook):
     """One serving session: a planning walk plus its execution state.
 
     Both entry styles build on it — :meth:`SimServer.serve` feeds a
@@ -186,20 +180,13 @@ class _Session:
     """
 
     def __init__(self, server: "SimServer"):
+        super().__init__(server._clock_us, server.queue.next_id)
         self.planner: PlanSession = server.scheduler.begin(
             server.queue, server.config, server.telemetry, server.policy)
-        #: Session clock offset: arrivals are relative to serve()/first
-        #: submit() and shifted onto the server's monotonic clock.
-        self.offset = server._clock_us
-        #: Request ids in submission order (drain()'s result order).
-        self.order: List[int] = []
-        self.results: Dict[int, ServeResult] = {}
-        self.seen_ids: set = set()
         self.cache_before = Simulator(server.config).cache_info()
         self.shards: Dict[int, _ShardState] = {}
         #: Virtual time the shared command bus frees up.
         self.bus_free_us = 0.0
-        self.max_arrival_us = self.offset
         #: Per-shard circuit breakers (created on a shard's first
         #: failure — a fault-free session never allocates one).
         self.breakers: Dict[int, _Breaker] = {}
@@ -213,19 +200,6 @@ class _Session:
         self._next_stage_id = 0
         self._unit_cursor = 0
         self._drop_cursor = 0
-        self._queue = server.queue
-
-    def assign_id(self, request_id: int) -> int:
-        """Keep ``request_id`` if it is set and unseen in this session;
-        otherwise allocate a fresh unique one.  The single id rule both
-        entry styles share — part of the submit-loop == serve()
-        equivalence."""
-        if request_id == 0 or request_id in self.seen_ids:
-            request_id = self._queue.next_id()
-            while request_id in self.seen_ids:
-                request_id = self._queue.next_id()
-        self.seen_ids.add(request_id)
-        return request_id
 
     def stage_id(self) -> int:
         """A fresh id for one DAG *stage* — negative, its own
@@ -243,11 +217,9 @@ class SimServer:
 
     ``scheduler`` is ``"batching"`` (default), ``"sequential"`` (the
     naive baseline: no coalescing) or a :class:`BatchingScheduler`
-    instance.  ``workers`` picks the execution backend (``"inline"`` or
-    ``"thread"``); ``pipeline`` overlaps the next dispatch group's
-    compile with the current group's execution when the backend is
-    concurrent.  ``bus`` picks the cross-shard contention model
+    instance.  ``bus`` picks the cross-shard contention model
     (``"shared"`` — the default, realistic one — or ``"independent"``).
+    Dispatches execute inline, one at a time on the calling thread.
 
     ``faults`` turns on deterministic fault injection: a profile name
     (``"transient"``/``"degraded"``/``"chaos"``), a ``"rate:<r>"``
@@ -265,9 +237,6 @@ class SimServer:
                  max_banks: int = 8,
                  num_shards: int = 1,
                  max_depth: int = 256,
-                 workers: str = "inline",
-                 worker_threads: int = 2,
-                 pipeline: bool = True,
                  bus: str = "shared",
                  faults: Union[None, str, FaultProfile, FaultPlan] = None,
                  fault_seed: int = 0,
@@ -296,9 +265,6 @@ class SimServer:
         self.policy = make_policy(policy)
         self.queue = RequestQueue(max_depth=max_depth)
         self.telemetry = Telemetry()
-        self.workers = workers
-        self.worker_threads = worker_threads
-        self.pipeline = pipeline
         self.bus = bus
         # Session virtual clock: monotonic across serve() calls and
         # submit() sessions, so a sequence of calls reads as serial
@@ -327,23 +293,7 @@ class SimServer:
             raise RuntimeError("an open submit() session is active; "
                                "drain() it before calling serve()")
         session = _Session(self)
-        offset = session.offset
-        sreqs: List[ServeRequest] = []
-        for item in requests:
-            if not isinstance(item, ServeRequest):
-                item = ServeRequest(request=item)
-            item.request.validate()
-            changes = {}
-            if offset:
-                changes["arrival_us"] = item.arrival_us + offset
-                if item.deadline_us is not None:
-                    changes["deadline_us"] = item.deadline_us + offset
-            request_id = session.assign_id(item.request_id)
-            if request_id != item.request_id:
-                changes["request_id"] = request_id
-            # Copy-on-write keeps the caller's ServeRequest untouched.
-            sreqs.append(dataclasses.replace(item, **changes)
-                         if changes else item)
+        sreqs = session.intake(requests)
         for sreq in sorted(sreqs, key=lambda s: (s.arrival_us,
                                                  s.request_id)):
             self._ingest(session, sreq)
@@ -385,36 +335,16 @@ class SimServer:
         a ``ServeRequest`` carries its own priority/deadline/config/id,
         so combining it with those keywords raises.
         """
-        if isinstance(request, ServeRequest):
-            if (priority, deadline_us, config, request_id,
-                    tenant) != (0, None, None, 0, ""):
-                raise ValueError(
-                    "pass scheduling fields on the ServeRequest itself, "
-                    "not as submit() keywords")
-            if arrival_us is None and request.arrival_us:
-                arrival_us = request.arrival_us
-            priority = request.priority
-            deadline_us = request.deadline_us
-            config = request.config
-            request_id = request.request_id
-            tenant = request.tenant
-            request = request.request
-        request.validate()
+        sreq, arrival_us = submission(
+            request, arrival_us=arrival_us, priority=priority,
+            deadline_us=deadline_us, config=config, request_id=request_id,
+            tenant=tenant)
         if self._live is None:
             self._live = _Session(self)
         session = self._live
-        arrival = (session.offset + arrival_us if arrival_us is not None
-                   else session.planner.now_us)
-        # Live clients cannot arrive before already-processed events.
-        arrival = max(arrival, session.planner.now_us, session.offset)
-        deadline = (session.offset + deadline_us
-                    if deadline_us is not None else None)
-        request_id = session.assign_id(request_id)
-        self._ingest(session, ServeRequest(
-            request=request, arrival_us=arrival, priority=priority,
-            deadline_us=deadline, request_id=request_id, config=config,
-            tenant=tenant))
-        return request_id
+        sreq = session.place(sreq, arrival_us, session.planner.now_us)
+        self._ingest(session, sreq)
+        return sreq.request_id
 
     def advance(self, now_us: float) -> None:
         """Idle tick: move the live session's virtual clock to
@@ -435,9 +365,7 @@ class SimServer:
         session.planner.advance(max(session.offset + now_us,
                                     session.planner.now_us))
         self._absorb(session)
-        with make_pool("inline") as pool:
-            self._settle_loop(session, pool,
-                              horizon_us=session.planner.now_us)
+        self._settle_loop(session, horizon_us=session.planner.now_us)
 
     def session_offset_us(self) -> float:
         """Virtual-time offset of the live session — or of the session
@@ -483,9 +411,7 @@ class SimServer:
         session = self._live
         if session is None:
             return None
-        with make_pool("inline") as pool:
-            self._settle_loop(session, pool,
-                              horizon_us=session.planner.now_us)
+        self._settle_loop(session, horizon_us=session.planner.now_us)
         return session.results.get(request_id)
 
     def drain(self) -> List[ServeResult]:
@@ -511,8 +437,7 @@ class SimServer:
         if isinstance(sreq.request, DagRequest):
             self._ingest_dag(session, sreq)
             return
-        session.order.append(sreq.request_id)
-        session.max_arrival_us = max(session.max_arrival_us, sreq.arrival_us)
+        session.admit(sreq)
         session.planner.offer(sreq)
         self._absorb(session)
 
@@ -525,8 +450,7 @@ class SimServer:
         settle.  Stages from different graphs are just shaped arrivals
         to the planner, so ready stages coalesce into shared multi-bank
         dispatches exactly like independent requests."""
-        session.order.append(sreq.request_id)
-        session.max_arrival_us = max(session.max_arrival_us, sreq.arrival_us)
+        session.admit(sreq)
         state = _DagState(sreq=sreq, request=sreq.request)
         session.dags[sreq.request_id] = state
         for name in state.request.topological_order():
@@ -739,7 +663,7 @@ class SimServer:
         session.results[sreq.request_id] = ServeResult(
             record=record, response=response, stages=stage_results)
 
-    def _settle_loop(self, session: _Session, pool,
+    def _settle_loop(self, session: _Session,
                      horizon_us: Optional[float]) -> None:
         """Settle-then-release fixpoint: each settle pass can finalize
         parent stages, each release pass can hand the planner newly
@@ -748,7 +672,7 @@ class SimServer:
         the next settle pass executes.  Terminates because every
         iteration strictly shrinks the set of unreleased stages."""
         while True:
-            self._settle(session, pool, horizon_us=horizon_us)
+            self._settle(session, horizon_us=horizon_us)
             if not self._release_ready(session):
                 return
             if horizon_us is None:
@@ -779,15 +703,8 @@ class SimServer:
         picks its own ordering out of ``session.results``."""
         session.planner.flush()
         self._absorb(session)
-        with make_pool(self.workers, self.worker_threads) as pool:
-            self._settle_loop(session, pool, horizon_us=None)
-
-        # Advance the session clock past everything this session touched.
-        clock = session.max_arrival_us
-        clock = max([clock] + [r.record.completion_us
-                               for r in session.results.values()
-                               if r.record.completion_us > 0])
-        self._clock_us = max(self._clock_us, clock)
+        self._settle_loop(session, horizon_us=None)
+        self._clock_us = session.fold_clock(self._clock_us)
 
         # Session-wide cache rollup: accumulate this session's deltas
         # onto the running totals (entries is a point-in-time gauge).
@@ -802,19 +719,13 @@ class SimServer:
             entry["entries"] = cache_after[name]["entries"]
 
     # -- execution ---------------------------------------------------------------
-    def _effective_config(self, unit: DispatchUnit) -> SimConfig:
-        return unit.members[0].effective_config(self.config)
-
-    def _merged_request(self, unit: DispatchUnit) -> SimRequest:
-        if unit.banks == 1:
-            return unit.members[0].request
-        return Simulator.merge_requests([m.request for m in unit.members])
-
     def _execute(self, unit: DispatchUnit):
-        return Simulator(self._effective_config(unit)).run(
-            self._merged_request(unit))
+        head = unit.members[0]
+        request = (head.request if unit.banks == 1 else
+                   Simulator.merge_requests([m.request for m in unit.members]))
+        return Simulator(head.effective_config(self.config)).run(request)
 
-    def _settle(self, session: _Session, pool,
+    def _settle(self, session: _Session,
                 horizon_us: Optional[float]) -> None:
         """Run shard backlogs forward in global virtual-time order.
 
@@ -829,8 +740,7 @@ class SimServer:
         horizon).
 
         Among ready units the most urgent (priority, then FIFO) serves
-        first; the pipelined compile warms the unit most likely to
-        serve next on the concurrent pool backend.
+        first.
 
         Faults enter here: each selection draws the unit's
         :class:`FaultDecision` for its attempt number.  A ``fail`` draw
@@ -891,18 +801,7 @@ class SimServer:
                                kind="transient"))
                 continue
             try:
-                execution = pool.submit(self._execute, unit)
-                if self.pipeline and pool.concurrent and state.backlog:
-                    # Warm the compile caches for the likely-next unit
-                    # while this one executes (thread backend only) —
-                    # service order is priority-first, so mirror it.
-                    nxt = min(state.backlog,
-                              key=lambda a: (-a.priority, a.ready_us,
-                                             a.seq))
-                    pool.submit(precompile_request,
-                                self._effective_config(nxt.unit),
-                                self._merged_request(nxt.unit))
-                grouped = execution.result()
+                grouped = self._execute(unit)
             except BaseException as exc:
                 # Put the unit back so a retried drain() can serve it
                 # (selection keys on (priority, seq), not list order).
@@ -910,12 +809,11 @@ class SimServer:
                 if isinstance(exc, ReproError) or \
                         not isinstance(exc, Exception):
                     raise
-                # Arbitrary executor leaks surface as the serving
+                # Arbitrary execution failures surface as the serving
                 # hierarchy; the original failure rides as __cause__.
                 raise ServeError(
                     f"dispatch {unit.seq} ({unit.banks} bank(s), shard "
-                    f"{shard_id}) failed in the worker pool: {exc}"
-                ) from exc
+                    f"{shard_id}) failed: {exc}") from exc
             self._complete(session, state, shard_id, attempt, grouped,
                            fault)
 
@@ -1163,14 +1061,6 @@ class SimServer:
     @staticmethod
     def _expected_values(request) -> Optional[List[int]]:
         values = getattr(request, "values", None)
-        if values is None:
+        if values is None or request.workload not in ("ntt", "negacyclic"):
             return None
-        if request.workload == "ntt":
-            spec = TransformSpec(kind="ntt", params=request.params,
-                                 inverse=request.inverse)
-        elif request.workload == "negacyclic":
-            spec = TransformSpec(kind="negacyclic", ring=request.ring,
-                                 inverse=request.inverse)
-        else:
-            return None
-        return spec.expected(list(values))
+        return transform_spec(request).expected(list(values))

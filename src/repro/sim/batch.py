@@ -83,8 +83,8 @@ def compile_batch(params: NttParams, count: int, config: SimConfig,
     """Compile the ``count``-deep back-to-back program for one shape.
 
     Returns ``(programs, merged_stream, merged_key, rows_each)``.
-    Memoized end to end, so it doubles as the warm-up step pipelined
-    compile paths run ahead of execution.  With the ``interleave``
+    Memoized end to end, so repeated batches of one shape compile
+    once.  With the ``interleave``
     (merge) pass enabled the concat runs vectorized over IR columns
     (:func:`repro.compile.concat_irs`); toggled off, the legacy
     per-command :func:`concat_programs` runs — both bit-identical.

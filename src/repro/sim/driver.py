@@ -1,55 +1,52 @@
-"""Front-end driver: the paper's Python MC model + functional checker.
+"""One simulated PIM bank: the paper's Python MC model + functional checker.
 
-Mirrors Sec. VI.A: the driver (a) lowers the NTT invocation into DRAM
-commands via the mapping algorithm and (b) runs them through both the
-functional bank model and the timing engine, verifying the data result
-against the golden NTT while collecting cycles/energy.
+Mirrors Sec. VI.A: every NTT invocation is (a) lowered into DRAM
+commands via the mapping algorithm and (b) run through both the timing
+engine and the functional bank model, verifying the data result against
+the golden transform while collecting cycles/energy.
 
 Host protocol (Sec. IV.A): the input polynomial is already in memory in
 bit-reversed order (bit reversal is the host's job, as in MeNTT and
 CryptoPIM); the NTT request passes only (N, q, omega, address); the
 result overwrites the input, in natural order.
+
+A :class:`TransformSpec` names one transform kind — forward or inverse
+cyclic NTT, or the merged negacyclic transform — and owns its program,
+input layout, host-side 1/N epilogue and golden model.  :func:`_run_bank`
+is the one functional checker: single transforms, every bank of a
+multi-bank dispatch and the FHE accelerator all go through it.  The
+supported entry point is :meth:`repro.api.Simulator.run`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .._cache import ArtifactCache
 from ..arith.bitrev import bit_reverse_permute
 from ..arith.roots import NttParams
-from ..dram.commands import Command
 from ..dram.energy import EnergyParams, HBM2E_ENERGY
 from ..dram.engine import TimingEngine
 from ..dram.stream import CommandStream, cached_stream
 from ..dram.timing import HBM2E_ARCH, HBM2E_TIMING, ArchParams, TimingParams
 from ..errors import FunctionalMismatch
-from ..mapping.mapper import MapperOptions, NttMapper
-from ..mapping.program_cache import cyclic_program, negacyclic_program
-from ..mapping.single_buffer import SingleBufferMapper
+from ..mapping.mapper import MapperOptions
+from ..mapping.program_cache import (
+    CachedProgram,
+    cyclic_program,
+    negacyclic_program,
+)
 from ..ntt.merged import merged_negacyclic_intt, merged_negacyclic_ntt
 from ..ntt.negacyclic import NegacyclicParams
+from ..ntt.reference import intt as reference_intt
 from ..ntt.reference import ntt as reference_ntt
 from ..pim.bank_pim import PimBank
 from ..pim.params import PimParams
 from .results import NttRunResult
 
-__all__ = ["SimConfig", "NttPimDriver", "VERIFY_DEFAULT", "cached_schedule",
+__all__ = ["SimConfig", "TransformSpec", "cached_schedule",
            "schedule_cache_info", "clear_schedule_cache"]
-
-
-class _VerifyDefault:
-    """Sentinel for :meth:`NttPimDriver.run_ntt_with_params`: verify the
-    output against the golden reference NTT (the :meth:`run_ntt` path)."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<verify against reference NTT>"
-
-
-#: Default for ``verify_against``: check against the golden reference NTT.
-#: Pass ``None`` to skip verification, or an explicit expected output list.
-VERIFY_DEFAULT = _VerifyDefault()
 
 
 # -- schedule cache ------------------------------------------------------------
@@ -102,10 +99,6 @@ def cached_schedule(commands, timing, arch, compute, energy, key=None):
     return _schedule_cache.get_or_create(cache_key, simulate)
 
 
-# Backwards-compatible internal alias (pre-facade name).
-_cached_schedule = cached_schedule
-
-
 def schedule_cache_info() -> dict:
     """Schedule-cache statistics (mirrors
     :func:`repro.mapping.program_cache.program_cache_info`)."""
@@ -139,181 +132,131 @@ class SimConfig:
                          mapper_options=self.mapper_options)
 
 
-class NttPimDriver:
-    """Runs NTT invocations against a simulated PIM bank.
+@dataclass(frozen=True)
+class TransformSpec:
+    """One transform kind a bank runs.
 
-    This is the engine room of the facade layer: :class:`repro.api.Simulator`
-    is the supported public entry point, and dispatches into the private
-    ``_run_*`` implementations here (the PR 2 ``run_*`` deprecation
-    shims are gone).
+    ``kind`` is ``"ntt"`` (cyclic, ``params``) or ``"negacyclic"``
+    (merged C1N mapping, ``ring``); ``inverse`` selects the inverse
+    transform, whose final 1/N scale runs host-side — the same epilogue
+    whether the transform runs alone or as one bank of a multi-bank
+    dispatch, so the two stay bit-identical.
     """
 
-    def __init__(self, config: Optional[SimConfig] = None):
-        self.config = config or SimConfig()
+    kind: str = "ntt"
+    inverse: bool = False
+    params: Optional[NttParams] = None
+    ring: Optional[NegacyclicParams] = None
 
-    def make_mapper(self, ntt: NttParams, bank: int = 0):
-        """The mapper matching this configuration."""
-        cfg = self.config
-        if cfg.pim.nb_buffers == 1:
-            return SingleBufferMapper(ntt, cfg.arch, cfg.pim,
-                                      cfg.base_row, bank)
-        return NttMapper(ntt, cfg.arch, cfg.pim, cfg.base_row, bank,
-                         options=cfg.mapper_options)
+    @classmethod
+    def of(cls, params_or_spec) -> "TransformSpec":
+        """Normalize the legacy ``NttParams`` calling convention."""
+        if isinstance(params_or_spec, TransformSpec):
+            return params_or_spec
+        return cls(kind="ntt", params=params_or_spec)
 
-    def _program(self, ntt: NttParams, bank: int = 0):
-        """The (memoized) command program for this configuration."""
-        cfg = self.config
-        return cyclic_program(ntt, cfg.arch, cfg.pim, cfg.base_row, bank,
-                              cfg.mapper_options)
+    @property
+    def n(self) -> int:
+        return self.ring.n if self.kind == "negacyclic" else self.params.n
 
-    def map_commands(self, ntt: NttParams, bank: int = 0) -> List[Command]:
-        """Lower one NTT invocation to a command program (cached — the
-        program is a pure function of the parameters and configuration)."""
-        return list(self._program(ntt, bank).commands)
+    @property
+    def q(self) -> int:
+        return self.ring.q if self.kind == "negacyclic" else self.params.q
 
-    def _run_ntt(self, values: Sequence[int], ntt: NttParams) -> NttRunResult:
-        """Simulate one forward NTT of ``values`` (natural order).
+    # -- per-bank artifacts ------------------------------------------------------
+    def program(self, config: SimConfig, bank: int) -> CachedProgram:
+        """The (memoized) command program one bank runs."""
+        if self.kind == "negacyclic":
+            return negacyclic_program(self.ring, config.arch, config.pim,
+                                      config.base_row, bank,
+                                      inverse=self.inverse)
+        ntt = self.params.inverse() if self.inverse else self.params
+        return cyclic_program(ntt, config.arch, config.pim, config.base_row,
+                              bank, config.mapper_options)
 
-        Returns timing, energy and the transformed data; raises
-        :class:`FunctionalMismatch` if the PIM result disagrees with the
-        golden model (when ``verify`` is on).
-        """
-        cfg = self.config
-        if len(values) != ntt.n:
-            raise ValueError(f"expected {ntt.n} values, got {len(values)}")
-        program = self._program(ntt)
-        commands = program.commands
-        stream = cached_stream(commands, cfg.arch, key=program.key)
+    def compile(self, config: SimConfig, passes=None
+                ) -> Tuple[CachedProgram, CommandStream]:
+        """Bank 0's program and its compiled stream, memoized under the
+        program's own key — a lone transform never pays for a one-bank
+        interleave."""
+        program = self.program(config, 0)
+        return program, cached_stream(program.commands, config.arch,
+                                      key=program.key, passes=passes)
 
-        schedule = cached_schedule(stream, cfg.timing, cfg.arch,
-                                   cfg.pim.compute_timing(), cfg.energy,
-                                   key=program.key)
+    def load_layout(self, values: Sequence[int]) -> List[int]:
+        """Bank-resident input image (the Sec. IV.A host protocol leaves
+        cyclic inputs bit-reversed; the merged negacyclic mapping takes
+        natural order)."""
+        if self.kind == "negacyclic":
+            return [v % self.q for v in values]
+        return bit_reverse_permute(list(values))
 
-        output: List[int] = []
-        verified = False
-        bu_ops = 0
-        if cfg.functional:
-            bank = PimBank(cfg.arch, cfg.pim)
-            bank.set_parameters(ntt.q)
-            # Host-side bit reversal, then data is "already in memory".
-            bank.load_polynomial(cfg.base_row, bit_reverse_permute(list(values)))
-            bank.run_stream(stream)
-            output = bank.read_polynomial(program.result_base_row, ntt.n)
-            bu_ops = bank.cu.bu_ops
-            if cfg.verify:
-                expected = reference_ntt(values, ntt)
-                if output != expected:
-                    raise FunctionalMismatch(
-                        f"PIM NTT result wrong for N={ntt.n}, "
-                        f"Nb={cfg.pim.nb_buffers}")
-                verified = True
-
-        return NttRunResult(
-            n=ntt.n, q=ntt.q, nb_buffers=cfg.pim.nb_buffers,
-            output=output, schedule=schedule, verified=verified,
-            command_count=len(commands), bu_ops=bu_ops)
-
-    def _run_negacyclic_ntt(self, values: Sequence[int],
-                            ring: NegacyclicParams,
-                            inverse: bool = False) -> NttRunResult:
-        """Native merged negacyclic transform (extension; see
-        :mod:`repro.mapping.negacyclic_mapper`).
-
-        Natural-order input, NTT-domain output (forward); the inverse
-        returns natural order *before* the 1/N scale, which the caller
-        (or :meth:`run_negacyclic_intt`) applies host-side.
-        """
-        cfg = self.config
-        if len(values) != ring.n:
-            raise ValueError(f"expected {ring.n} values, got {len(values)}")
-        program = negacyclic_program(ring, cfg.arch, cfg.pim, cfg.base_row,
-                                     inverse=inverse)
-        commands = program.commands
-        stream = cached_stream(commands, cfg.arch, key=program.key)
-        schedule = cached_schedule(stream, cfg.timing, cfg.arch,
-                                   cfg.pim.compute_timing(), cfg.energy,
-                                   key=program.key)
-        output: List[int] = []
-        verified = False
-        bu_ops = 0
-        if cfg.functional:
-            bank = PimBank(cfg.arch, cfg.pim)
-            bank.set_parameters(ring.q)
-            bank.load_polynomial(cfg.base_row, [v % ring.q for v in values])
-            bank.run_stream(stream)
-            output = bank.read_polynomial(program.result_base_row, ring.n)
-            bu_ops = bank.cu.bu_ops
-            if cfg.verify:
-                if inverse:
-                    expected = [(v * ring.n) % ring.q for v in
-                                merged_negacyclic_intt(values, ring)]
-                else:
-                    expected = merged_negacyclic_ntt(values, ring)
-                if output != expected:
-                    raise FunctionalMismatch(
-                        f"PIM negacyclic NTT wrong for N={ring.n}")
-                verified = True
-        return NttRunResult(
-            n=ring.n, q=ring.q, nb_buffers=cfg.pim.nb_buffers,
-            output=output, schedule=schedule, verified=verified,
-            command_count=len(commands), bu_ops=bu_ops)
-
-    def _run_negacyclic_intt(self, values: Sequence[int],
-                             ring: NegacyclicParams) -> NttRunResult:
-        """Inverse merged transform including the host-side 1/N scale."""
-        from ..arith.modmath import mod_inverse, mod_scale_vec
-        result = self._run_negacyclic_ntt(values, ring, inverse=True)
-        n_inv = mod_inverse(ring.n, ring.q)
-        result.output = mod_scale_vec(result.output, n_inv, ring.q)
-        return result
-
-    def _run_intt(self, values: Sequence[int], ntt: NttParams) -> NttRunResult:
-        """Inverse transform: same machine, inverse twiddles; the final
-        1/N scaling is an element-wise pass the host (or an FHE pipeline's
-        next element-wise stage) absorbs — as in the compared works."""
+    def finalize(self, output: List[int]) -> List[int]:
+        """Host-side epilogue: the inverse transforms' 1/N scale."""
+        if not self.inverse:
+            return output
         from ..arith.modmath import mod_scale_vec
-        result = self._run_ntt_with_params(values, ntt.inverse(),
-                                           verify_against=None)
-        result.output = mod_scale_vec(result.output, ntt.n_inv, ntt.q)
-        return result
+        return mod_scale_vec(output, self.cyclic_params.n_inv, self.q)
 
-    def _run_ntt_with_params(
-            self, values: Sequence[int], ntt: NttParams,
-            verify_against: Optional[List[int]] | _VerifyDefault = VERIFY_DEFAULT,
-    ) -> NttRunResult:
-        """Like :meth:`_run_ntt` but with custom verification data.
+    @property
+    def cyclic_params(self) -> NttParams:
+        """The cyclic parameter view (negacyclic rings embed one)."""
+        return self.ring.cyclic if self.kind == "negacyclic" else self.params
 
-        ``verify_against`` is :data:`VERIFY_DEFAULT` (check against the
-        golden reference NTT), ``None`` (skip verification), or the
-        explicit expected output.
-        """
-        cfg = self.config
-        if verify_against is VERIFY_DEFAULT or (
-                isinstance(verify_against, str) and verify_against == "default"):
-            # The string is the legacy spelling of the sentinel; honour it
-            # rather than treating it as expected-output data.
-            return self._run_ntt(values, ntt)
-        program = self._program(ntt)
-        commands = program.commands
-        stream = cached_stream(commands, cfg.arch, key=program.key)
-        schedule = cached_schedule(stream, cfg.timing, cfg.arch,
-                                   cfg.pim.compute_timing(), cfg.energy,
-                                   key=program.key)
-        output: List[int] = []
-        bu_ops = 0
-        verified = False
-        if cfg.functional:
-            bank = PimBank(cfg.arch, cfg.pim)
-            bank.set_parameters(ntt.q)
-            bank.load_polynomial(cfg.base_row, bit_reverse_permute(list(values)))
-            bank.run_stream(stream)
-            output = bank.read_polynomial(program.result_base_row, ntt.n)
-            bu_ops = bank.cu.bu_ops
-            if verify_against is not None:
-                if output != verify_against:
-                    raise FunctionalMismatch("PIM result mismatch")
-                verified = True
-        return NttRunResult(
-            n=ntt.n, q=ntt.q, nb_buffers=cfg.pim.nb_buffers,
-            output=output, schedule=schedule, verified=verified,
-            command_count=len(commands), bu_ops=bu_ops)
+    def expected(self, values: Sequence[int]) -> List[int]:
+        """Golden model of one bank's *finalized* output."""
+        if self.kind == "negacyclic":
+            golden = (merged_negacyclic_intt if self.inverse
+                      else merged_negacyclic_ntt)
+            return golden(values, self.ring)
+        if self.inverse:
+            return reference_intt(values, self.params)
+        return reference_ntt(values, self.params)
+
+    def describe(self) -> str:
+        return f"{'inverse ' if self.inverse else ''}{self.kind}"
+
+
+def _run_bank(spec: TransformSpec, values: Sequence[int], config: SimConfig,
+              program: CachedProgram, stream: CommandStream
+              ) -> Tuple[List[int], int]:
+    """Functional half of one bank's transform: load the host layout,
+    replay the compiled stream, read back and finalize, then (with
+    ``config.verify``) check against the golden model.  Returns the
+    finalized output and the executed butterfly µ-op count."""
+    bank = PimBank(config.arch, config.pim)
+    bank.set_parameters(spec.q)
+    bank.load_polynomial(config.base_row, spec.load_layout(values))
+    bank.run_stream(stream)
+    output = spec.finalize(
+        bank.read_polynomial(program.result_base_row, spec.n))
+    if config.verify and output != spec.expected(values):
+        raise FunctionalMismatch(
+            f"PIM {spec.describe()} result wrong for N={spec.n}, "
+            f"Nb={config.pim.nb_buffers}")
+    return output, bank.cu.bu_ops
+
+
+def _run_transform(spec: TransformSpec, values: Sequence[int],
+                   config: SimConfig) -> NttRunResult:
+    """Simulate one transform of ``values`` (natural order) on one bank.
+
+    Returns timing, energy and the finalized data; raises
+    :class:`FunctionalMismatch` if the PIM result disagrees with the
+    golden model (when ``verify`` is on).
+    """
+    if len(values) != spec.n:
+        raise ValueError(f"expected {spec.n} values, got {len(values)}")
+    program, stream = spec.compile(config)
+    schedule = cached_schedule(stream, config.timing, config.arch,
+                               config.pim.compute_timing(), config.energy,
+                               key=program.key)
+    output: List[int] = []
+    bu_ops = 0
+    if config.functional:
+        output, bu_ops = _run_bank(spec, values, config, program, stream)
+    return NttRunResult(
+        n=spec.n, q=spec.q, nb_buffers=config.pim.nb_buffers,
+        output=output, schedule=schedule,
+        verified=config.functional and config.verify,
+        command_count=len(program.commands), bu_ops=bu_ops)

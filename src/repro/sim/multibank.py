@@ -6,123 +6,31 @@ share the command bus (one command per cycle) while row/column timing
 and the CUs are per-bank, so speedup is near-linear until the command
 bus saturates — which this module lets us measure.
 
-The merge is *kind-generic*: a :class:`TransformSpec` names which
-per-bank program every bank runs — forward or inverse cyclic NTT, or
-the merged negacyclic transform — plus how its functional I/O is
-staged (input permutation, host-side 1/N scale, golden reference).
-That one abstraction is what lets the serving layer's batching
-scheduler coalesce negacyclic and inverse traffic exactly like forward
-cyclic NTTs.
+The merge is *kind-generic*: a :class:`~repro.sim.driver.TransformSpec`
+names which per-bank program every bank runs — forward or inverse
+cyclic NTT, or the merged negacyclic transform — and every bank's
+functional run goes through the same single-bank checker a lone
+transform uses.  That one abstraction is what lets the serving layer's
+batching scheduler coalesce negacyclic and inverse traffic exactly like
+forward cyclic NTTs.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from ..arith.bitrev import bit_reverse_permute
-from ..arith.roots import NttParams
 from ..dram.commands import Command
 from ..dram.engine import ScheduleResult
 from ..dram.stream import cached_stream
-from ..errors import FunctionalMismatch
-from ..mapping.program_cache import (
-    CachedProgram,
-    cyclic_program,
-    negacyclic_program,
-    programs_recipe_key,
-)
-from ..ntt.negacyclic import NegacyclicParams
-from ..ntt.reference import intt as reference_intt
-from ..ntt.reference import ntt as reference_ntt
-from ..pim.bank_pim import PimBank
-from .driver import SimConfig, cached_schedule
+from ..mapping.program_cache import programs_recipe_key
+# Unused here, but bound on purpose: perfbench/smoke.py asserts the
+# benchmark tracer finds this alias.
+from ..ntt.reference import intt as reference_intt  # noqa: F401
+from .driver import SimConfig, TransformSpec, _run_bank, cached_schedule
 
 __all__ = ["TransformSpec", "interleave_programs", "compile_multibank",
            "MultiBankResult"]
-
-
-@dataclasses.dataclass(frozen=True)
-class TransformSpec:
-    """One per-bank transform kind of a multi-bank dispatch.
-
-    ``kind`` is ``"ntt"`` (cyclic, ``params``) or ``"negacyclic"``
-    (merged C1N mapping, ``ring``); ``inverse`` selects the inverse
-    transform, whose final 1/N scale runs host-side exactly as in the
-    standalone driver paths — so a merged dispatch stays bit-identical
-    to per-request ``Simulator.run`` calls.
-    """
-
-    kind: str = "ntt"
-    inverse: bool = False
-    params: Optional[NttParams] = None
-    ring: Optional[NegacyclicParams] = None
-
-    @classmethod
-    def of(cls, params_or_spec) -> "TransformSpec":
-        """Normalize the legacy ``NttParams`` calling convention."""
-        if isinstance(params_or_spec, TransformSpec):
-            return params_or_spec
-        return cls(kind="ntt", params=params_or_spec)
-
-    @property
-    def n(self) -> int:
-        return self.ring.n if self.kind == "negacyclic" else self.params.n
-
-    @property
-    def q(self) -> int:
-        return self.ring.q if self.kind == "negacyclic" else self.params.q
-
-    # -- per-bank artifacts ------------------------------------------------------
-    def program(self, config: SimConfig, bank: int) -> CachedProgram:
-        """The (memoized) command program one bank runs."""
-        if self.kind == "negacyclic":
-            return negacyclic_program(self.ring, config.arch, config.pim,
-                                      config.base_row, bank,
-                                      inverse=self.inverse)
-        ntt = self.params.inverse() if self.inverse else self.params
-        return cyclic_program(ntt, config.arch, config.pim, config.base_row,
-                              bank, config.mapper_options)
-
-    def load_layout(self, values: Sequence[int]) -> List[int]:
-        """Bank-resident input image (the Sec. IV.A host protocol leaves
-        cyclic inputs bit-reversed; the merged negacyclic mapping takes
-        natural order)."""
-        if self.kind == "negacyclic":
-            return [v % self.q for v in values]
-        return bit_reverse_permute(list(values))
-
-    def finalize(self, output: List[int]) -> List[int]:
-        """Host-side epilogue: the inverse transforms' 1/N scale (the
-        same pass the standalone driver paths apply)."""
-        if not self.inverse:
-            return output
-        from ..arith.modmath import mod_scale_vec
-        n_inv = (self.params.n_inv if self.kind == "ntt"
-                 else self.cyclic_params.n_inv)
-        return mod_scale_vec(output, n_inv, self.q)
-
-    @property
-    def cyclic_params(self) -> NttParams:
-        """The cyclic parameter view (negacyclic rings embed one)."""
-        return self.ring.cyclic if self.kind == "negacyclic" else self.params
-
-    def expected(self, values: Sequence[int]) -> List[int]:
-        """Golden model of one bank's *finalized* output."""
-        if self.kind == "negacyclic":
-            from ..ntt.merged import (
-                merged_negacyclic_intt,
-                merged_negacyclic_ntt,
-            )
-            golden = (merged_negacyclic_intt if self.inverse
-                      else merged_negacyclic_ntt)
-            return golden(values, self.ring)
-        if self.inverse:
-            return reference_intt(values, self.params)
-        return reference_ntt(values, self.params)
-
-    def describe(self) -> str:
-        return f"{'inverse ' if self.inverse else ''}{self.kind}"
 
 
 def interleave_programs(programs: Sequence[List[Command]]) -> List[Command]:
@@ -207,9 +115,7 @@ def compile_multibank(spec, banks: int, config: SimConfig, passes=None):
     legacy forward-cyclic spelling), or a per-bank spec sequence for
     mixed-kind dispatches.  Returns ``(programs, merged_stream,
     merged_key)``.  Everything is memoized (program / stream caches),
-    so this doubles as the *warm-up* step the streaming ``run_many``
-    and the serving layer's worker pool run for group *k+1* while group
-    *k* executes.
+    so repeated dispatches of one shape compile once.
 
     With the ``interleave`` pass enabled (the default) the merge runs
     as a vectorized index permutation over the per-bank IR columns
@@ -260,7 +166,6 @@ def _run_multibank(inputs: Sequence[Sequence[int]], spec,
     single = cached_schedule(programs[0].commands, config.timing, config.arch,
                              compute, config.energy, key=programs[0].key)
 
-    verified = False
     outputs: List[List[int]] = []
     bu_ops = 0
     if config.functional:
@@ -268,24 +173,13 @@ def _run_multibank(inputs: Sequence[Sequence[int]], spec,
         # per-bank compiled stream (cached per (spec, config, bank))
         # — equivalent to replaying the round-robin merge command by
         # command, minus the interleaving overhead.
-        bank_models = []
         for values, program, bspec in zip(inputs, programs, specs):
-            bank = PimBank(config.arch, config.pim)
-            bank.set_parameters(bspec.q)
-            bank.load_polynomial(config.base_row, bspec.load_layout(values))
-            bank.run_stream(cached_stream(program.commands, config.arch,
-                                          key=program.key))
-            bank_models.append(bank)
-        bu_ops = sum(bank.cu.bu_ops for bank in bank_models)
-        outputs = [bspec.finalize(
-            bank.read_polynomial(program.result_base_row, bspec.n))
-            for bank, program, bspec in zip(bank_models, programs, specs)]
-        if config.verify:
-            for values, got, bspec in zip(inputs, outputs, specs):
-                if got != bspec.expected(values):
-                    raise FunctionalMismatch(
-                        f"multi-bank {bspec.describe()} result wrong")
-            verified = True
+            stream = cached_stream(program.commands, config.arch,
+                                   key=program.key)
+            output, ops = _run_bank(bspec, values, config, program, stream)
+            outputs.append(output)
+            bu_ops += ops
+    verified = config.functional and config.verify
 
     return MultiBankResult(banks=banks, schedule=schedule,
                            single_bank_cycles=single.total_cycles,

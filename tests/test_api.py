@@ -28,8 +28,9 @@ from repro.arith import NttParams, find_ntt_prime
 from repro.errors import RequestValidationError
 from repro.ntt import NegacyclicParams
 from repro.pim import PimParams
-from repro.sim import NttPimDriver, SimConfig, schedule_cache_info
+from repro.sim import SimConfig, TransformSpec, schedule_cache_info
 from repro.sim.batch import _run_batch
+from repro.sim.driver import _run_transform
 from repro.sim.multibank import _run_multibank
 
 N = 256
@@ -158,7 +159,8 @@ class TestLegacyEquivalence:
 
     def test_ntt_matches_driver(self):
         x = _data(1)
-        legacy = _legacy(NttPimDriver()._run_ntt, x, PARAMS)
+        legacy = _legacy(_run_transform, TransformSpec(params=PARAMS), x,
+                         SimConfig())
         response = Simulator().run(NttRequest(params=PARAMS, values=x))
         assert response.values == legacy.output
         assert response.cycles == legacy.cycles
@@ -170,7 +172,9 @@ class TestLegacyEquivalence:
 
     def test_intt_matches_driver(self):
         x = _data(2)
-        legacy = _legacy(NttPimDriver()._run_intt, x, PARAMS)
+        legacy = _legacy(_run_transform,
+                         TransformSpec(params=PARAMS, inverse=True), x,
+                         SimConfig())
         response = Simulator().run(NttRequest(params=PARAMS, values=x,
                                               inverse=True))
         assert response.values == legacy.output
@@ -178,7 +182,9 @@ class TestLegacyEquivalence:
 
     def test_negacyclic_matches_driver(self):
         x = _data(3, q=QN)
-        legacy = _legacy(NttPimDriver()._run_negacyclic_ntt, x, RING)
+        legacy = _legacy(_run_transform,
+                         TransformSpec(kind="negacyclic", ring=RING), x,
+                         SimConfig())
         response = Simulator().run(NegacyclicRequest(ring=RING, values=x))
         assert response.values == legacy.output
         assert response.cycles == legacy.cycles
@@ -203,10 +209,10 @@ class TestLegacyEquivalence:
         assert response.metrics["speedup"] == legacy.speedup
         assert response.metrics["efficiency"] == legacy.efficiency
         assert response.outputs == legacy.outputs
-        # Per-bank outputs match individual driver runs.
+        # Per-bank outputs match individual single-transform runs.
         for values, out in zip(inputs, response.outputs):
-            single = _legacy(NttPimDriver()._run_ntt, values, PARAMS)
-            assert out == single.output
+            single = Simulator().run(NttRequest(params=PARAMS, values=values))
+            assert out == single.values
 
 
 class TestScheduleCache:
@@ -355,21 +361,6 @@ class TestMultiBankKinds:
             MultiBankRequest(params=PARAMS, ring=RING,
                              inputs=[[0] * N]).validate()
 
-    def test_negacyclic_multibank_precompiles(self):
-        from repro.api.workloads import precompile_request
-        request = MultiBankRequest(ring=RING,
-                                   inputs=[_data(90, q=QN)] * 2,
-                                   inverse=True)
-        config = SimConfig()
-        Simulator.clear_caches()
-        assert precompile_request(config, request)
-        before = Simulator(config).cache_info()
-        Simulator(config).run(request)
-        after = Simulator(config).cache_info()
-        # The real run's compile side was pure cache hits.
-        assert after["program"]["misses"] == before["program"]["misses"]
-        assert after["stream"]["misses"] == before["stream"]["misses"]
-
 
 class TestFheWorkload:
     def test_multiply_verified_against_software(self):
@@ -434,13 +425,6 @@ class TestStreamingRunMany:
             assert collected[i].metrics.get("group_banks") == \
                 expected.metrics.get("group_banks")
 
-    def test_pipeline_off_is_equivalent(self):
-        simulator = Simulator(SimConfig(verify=False))
-        requests = self._requests(4)
-        plain = simulator.run_many(requests, pipeline=False)
-        piped = simulator.run_many(requests, pipeline=True)
-        assert [r.values for r in plain] == [r.values for r in piped]
-
     def test_groups_stream_before_later_units_run(self):
         """The first dispatch unit's responses arrive from the iterator
         before later units execute — no whole-list barrier."""
@@ -464,7 +448,7 @@ class TestStreamingRunMany:
 
 class TestProgramFunctional:
     def _program(self):
-        return NttPimDriver()._program(PARAMS)
+        return TransformSpec(params=PARAMS).program(SimConfig(), 0)
 
     def test_functional_program_transforms_bank_data(self):
         from repro.arith import bit_reverse_permute

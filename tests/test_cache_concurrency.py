@@ -1,8 +1,7 @@
 """Concurrent-access regression tests for the shared artifact caches.
 
-The serving layer's worker pool and the facade's pipelined-compile
-thread hit the program/stream/schedule caches from multiple threads.
-These tests hammer each cache from a thread pool and assert that (a)
+The program/stream/schedule caches are shared process-wide, so any
+caller may hit them from multiple threads.  These tests hammer each cache from a thread pool and assert that (a)
 statistics stay consistent (hits + misses == lookups, no lost updates),
 (b) every thread observes one canonical object per key, and (c) results
 are bit-identical to a single-threaded pass.

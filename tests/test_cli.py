@@ -141,7 +141,7 @@ class TestCliServe:
     def test_serve_cluster_watch_plain(self, capsys):
         assert main(["serve", "--cluster", "2", "--requests", "12",
                      "--rate", "30000", "--no-verify", "--watch",
-                     "--watch-mode", "plain", "--watch-every-us", "300",
+                     "--watch-every-us", "300",
                      "--watch-frames", "2"]) == 0
         out = capsys.readouterr().out
         assert "[watch]" in out

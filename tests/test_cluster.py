@@ -10,7 +10,11 @@ included — replays bit-for-bit from its seeds.
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.api import NttRequest
+from repro.arith import NttParams, find_ntt_prime
 from repro.cluster import (
     ClusterFrontend,
     ConsistentHashRouter,
@@ -33,6 +37,7 @@ from repro.serve.telemetry import STATUS_OK, STATUS_THROTTLED
 from repro.sim.driver import SimConfig
 
 NOVERIFY = SimConfig(verify=False)
+N256 = NttParams(256, find_ntt_prime(256, 32))
 
 
 def _records(results):
@@ -44,6 +49,29 @@ def _snap(telemetry):
     up across comparison runs, everything else must match exactly."""
     return {k: v for k, v in telemetry.snapshot().items()
             if "cache" not in k}
+
+
+@st.composite
+def _id_stream(draw):
+    """N=256 submissions with zero, duplicate and explicit ids, arrivals
+    in any order, and either ``submit()`` calling form (``True`` = bare
+    request plus keywords, arriving "now")."""
+    count = draw(st.integers(min_value=1, max_value=6))
+    stream = []
+    for _ in range(count):
+        arrival = draw(st.integers(min_value=0, max_value=300))
+        deadline = draw(st.one_of(st.none(),
+                                  st.integers(min_value=0, max_value=400)))
+        sreq = ServeRequest(
+            request=NttRequest(params=N256,
+                               inverse=draw(st.booleans())),
+            arrival_us=float(arrival),
+            priority=draw(st.integers(min_value=0, max_value=1)),
+            deadline_us=(None if deadline is None
+                         else float(arrival + deadline)),
+            request_id=draw(st.sampled_from([0, 0, 1, 2, 3, 7])))
+        stream.append((sreq, draw(st.booleans())))
+    return stream
 
 
 def _stream(count=40, seed=7, scenario="mixed", rate=30000,
@@ -88,6 +116,27 @@ class TestBitIdentity:
         ids = [live.submit(sreq) for sreq in reqs]
         assert ids == [sreq.request_id for sreq in reqs]
         assert _records(live.drain()) == _records(offline)
+
+    @given(stream=_id_stream())
+    @settings(max_examples=60, deadline=None)
+    def test_random_id_streams_match_bare_server(self, stream):
+        """The shared session rules (ids, normalisation, clock fold) hold
+        by construction: an offline session then a live one on the
+        continued clock leave a 1-replica cluster equal to a server."""
+        bare = SimServer(NOVERIFY, num_shards=2)
+        cluster = ClusterFrontend(1, NOVERIFY, num_shards=2)
+        sreqs = [sreq for sreq, _ in stream]
+        assert _records(bare.serve(sreqs)) == _records(cluster.serve(sreqs))
+        live_ids = []
+        for front in (bare, cluster):
+            live_ids.append([
+                front.submit(sreq.request, priority=sreq.priority,
+                             request_id=sreq.request_id)
+                if keywords else front.submit(sreq)
+                for sreq, keywords in stream])
+        assert live_ids[0] == live_ids[1]
+        assert _records(bare.drain()) == _records(cluster.drain())
+        assert _snap(bare.telemetry) == _snap(cluster.cluster_telemetry())
 
     def test_second_session_continues_the_clock(self):
         # The cluster folds its virtual clock forward across sessions
@@ -475,21 +524,6 @@ class TestConsole:
         # max_frames caps the stream (plus the one post-drain frame).
         assert len(frames) == 3
         assert all("replica" in f for f in frames)
-
-    def test_watch_textual_falls_back_when_missing(self, monkeypatch):
-        import repro.cluster.console as console
-        monkeypatch.setattr(console, "have_textual", lambda: False)
-        notices = []
-        fe = ClusterFrontend(1, NOVERIFY)
-        results = watch(fe, _stream(count=5), every_us=500.0,
-                        mode="textual", emit=notices.append,
-                        max_frames=0)
-        assert len(results) == 5
-        assert "textual is not installed" in notices[0]
-
-    def test_watch_unknown_mode_raises(self):
-        with pytest.raises(ValueError):
-            watch(ClusterFrontend(1, NOVERIFY), [], mode="curses")
 
 
 class TestClusterTelemetry:

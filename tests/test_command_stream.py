@@ -20,7 +20,7 @@ from repro.mapping.program_cache import cyclic_program, negacyclic_program
 from repro.ntt import NegacyclicParams
 from repro.pim.bank_pim import PimBank
 from repro.pim.params import PimParams
-from repro.sim.driver import NttPimDriver, SimConfig
+from repro.sim.driver import SimConfig
 
 
 def _fresh_banks(config, q):
@@ -40,7 +40,8 @@ class TestCompilation:
     def test_soa_columns_mirror_commands(self):
         n = 256
         q = find_ntt_prime(n, 32)
-        cmds = NttPimDriver().map_commands(NttParams(n, q))
+        cmds = cyclic_program(NttParams(n, q), HBM2E_ARCH,
+                              PimParams()).commands
         stream = compile_stream(cmds, HBM2E_ARCH)
         assert stream.n == len(cmds)
         assert stream.commands == tuple(cmds)
@@ -58,7 +59,8 @@ class TestCompilation:
     def test_mapper_program_gets_fused_plan(self):
         n = 1024
         q = find_ntt_prime(n, 32)
-        cmds = NttPimDriver().map_commands(NttParams(n, q))
+        cmds = cyclic_program(NttParams(n, q), HBM2E_ARCH,
+                              PimParams()).commands
         stream = compile_stream(cmds, HBM2E_ARCH)
         assert stream.plan is not None, stream.fallback_reason
         # The whole point: thousands of commands collapse into a handful
@@ -71,7 +73,8 @@ class TestCompilation:
         n = 64
         q = find_ntt_prime(n, 32)
         config = SimConfig(pim=PimParams(nb_buffers=1))
-        cmds = NttPimDriver(config).map_commands(NttParams(n, q))
+        cmds = cyclic_program(NttParams(n, q), config.arch,
+                              config.pim).commands
         stream = compile_stream(cmds, HBM2E_ARCH)
         assert stream.plan is not None, stream.fallback_reason
         assert stream.plan.mode == "lane"

@@ -31,7 +31,7 @@ from repro.ntt import NegacyclicParams
 from repro.pim.bank_pim import PimBank
 from repro.pim.params import PimParams
 from repro.sim.batch import concat_programs
-from repro.sim.driver import NttPimDriver, SimConfig
+from repro.sim.driver import SimConfig
 from repro.sim.multibank import (
     TransformSpec,
     interleave_programs,
@@ -148,7 +148,8 @@ class TestLaneFusion:
         n = 64
         q = find_ntt_prime(n, 32)
         config = SimConfig(pim=PimParams(nb_buffers=1))
-        cmds = NttPimDriver(config).map_commands(NttParams(n, q))
+        cmds = cyclic_program(NttParams(n, q), config.arch,
+                              config.pim).commands
         off = compile_stream(cmds, HBM2E_ARCH,
                              passes=set(PASS_NAMES) - {"lane_fuse"})
         assert off.plan is None
@@ -326,7 +327,8 @@ class TestIrConstruction:
     def test_ir_row_matches_columns(self):
         n = 128
         q = find_ntt_prime(n, 32)
-        cmds = NttPimDriver().map_commands(NttParams(n, q))
+        cmds = cyclic_program(NttParams(n, q), HBM2E_ARCH,
+                              PimParams()).commands
         ir = StreamIR.from_commands(cmds)
         assert ir.n == len(cmds)
         for i in (0, 1, len(cmds) // 2, len(cmds) - 1):

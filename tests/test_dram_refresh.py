@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.api import NttRequest, Simulator
 from repro.arith import NttParams, find_ntt_prime
 from repro.dram import HBM2E_TIMING, RefreshParams, refresh_overhead
-from repro.sim import NttPimDriver, SimConfig
+from repro.sim import SimConfig
 
 Q = find_ntt_prime(8192, 32)
 
@@ -53,13 +54,13 @@ class TestRefreshOnNttRuns:
     @pytest.mark.parametrize("n", [256, 2048, 8192])
     def test_ntt_refresh_overhead_small(self, n):
         config = SimConfig(functional=False, verify=False)
-        run = NttPimDriver(config)._run_ntt([0] * n, NttParams(n, Q))
+        run = Simulator(config).run(NttRequest(params=NttParams(n, Q)))
         o = refresh_overhead(run.cycles, config.timing)
         assert o.overhead_fraction < 0.09
 
     def test_large_n_still_under_ten_percent(self):
         config = SimConfig(functional=False, verify=False)
-        run = NttPimDriver(config)._run_ntt([0] * 8192, NttParams(8192, Q))
+        run = Simulator(config).run(NttRequest(params=NttParams(8192, Q)))
         o = refresh_overhead(run.cycles, config.timing)
         assert o.refresh_windows > 0  # long enough to actually refresh
         assert o.overhead_fraction < 0.09

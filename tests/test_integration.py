@@ -13,9 +13,15 @@ from repro.dram import CommandType
 from repro.mapping.mapper import MapperOptions
 from repro.ntt import cyclic_convolution, intt, ntt
 from repro.pim import PimParams
-from repro.sim import NttPimDriver, SimConfig
+from repro.api import NttRequest, Simulator
+from repro.sim import SimConfig, TransformSpec
 
 Q32 = find_ntt_prime(8192, 32)
+
+
+def run(values, params, config=None, inverse=False):
+    return Simulator(config).run(NttRequest(params=params, values=values,
+                                            inverse=inverse))
 
 
 class TestEndToEndAgreement:
@@ -28,8 +34,7 @@ class TestEndToEndAgreement:
         x = [rng.randrange(Q32) for _ in range(n)]
         golden = ntt(x, params)
         assert numpy_ntt(x, params) == golden
-        result = NttPimDriver()._run_ntt(x, params)
-        assert result.output == golden
+        assert run(x, params).values == golden
 
     def test_pim_convolution_pipeline(self):
         """Polynomial product via two PIM NTTs + host pointwise + PIM INTT."""
@@ -38,11 +43,10 @@ class TestEndToEndAgreement:
         rng = random.Random(42)
         a = [rng.randrange(Q32) for _ in range(n)]
         b = [rng.randrange(Q32) for _ in range(n)]
-        driver = NttPimDriver()
-        fa = driver._run_ntt(a, params).output
-        fb = driver._run_ntt(b, params).output
+        fa = run(a, params).values
+        fb = run(b, params).values
         prod = [(x * y) % Q32 for x, y in zip(fa, fb)]
-        got = driver._run_intt(prod, params).output
+        got = run(prod, params, inverse=True).values
         assert got == cyclic_convolution(a, b, params)
 
     @pytest.mark.parametrize("bits", [14, 16, 30, 32])
@@ -53,19 +57,17 @@ class TestEndToEndAgreement:
         params = NttParams(n, q)
         rng = random.Random(bits)
         x = [rng.randrange(q) for _ in range(n)]
-        result = NttPimDriver()._run_ntt(x, params)
-        assert result.verified
+        assert run(x, params).verified
 
     def test_multiple_moduli_same_machine(self):
         """FHE runs many NTTs with different q (RNS limbs) — the PARAM
         mechanism must isolate them."""
         n = 128
-        driver = NttPimDriver()
         for q in ntt_prime_candidates(n, 30, 3):
             params = NttParams(n, q)
             rng = random.Random(q)
             x = [rng.randrange(q) for _ in range(n)]
-            assert driver._run_ntt(x, params).verified
+            assert run(x, params).verified
 
 
 class TestSchedulePropertiesAcrossConfigs:
@@ -73,16 +75,16 @@ class TestSchedulePropertiesAcrossConfigs:
     def test_commands_and_cycles_consistent(self, nb):
         config = SimConfig(pim=PimParams(nb_buffers=nb),
                            functional=False, verify=False)
-        run = NttPimDriver(config)._run_ntt([0] * 1024, NttParams(1024, Q32))
+        result = run([0] * 1024, NttParams(1024, Q32), config)
         # Bus occupies one cycle per command: makespan >= command count.
-        assert run.cycles >= run.command_count
+        assert result.cycles >= result.command_count
         # All issues strictly ordered (in-order bus).
-        issues = [t.issue for t in run.schedule.timings]
+        issues = [t.issue for t in result.schedule.timings]
         assert all(b > a for a, b in zip(issues, issues[1:]))
 
     def test_energy_scales_with_work(self):
         config = SimConfig(functional=False, verify=False)
-        runs = [NttPimDriver(config)._run_ntt([0] * n, NttParams(n, Q32))
+        runs = [run([0] * n, NttParams(n, Q32), config)
                 for n in (256, 1024, 4096)]
         energies = [r.energy_nj for r in runs]
         assert energies == sorted(energies)
@@ -90,8 +92,8 @@ class TestSchedulePropertiesAcrossConfigs:
     def test_every_column_access_under_open_row(self):
         """Protocol invariant re-checked structurally on the command list."""
         config = SimConfig(functional=False, verify=False)
-        driver = NttPimDriver(config)
-        cmds = driver.map_commands(NttParams(2048, Q32))
+        cmds = TransformSpec(params=NttParams(2048, Q32)).program(
+            config, 0).commands
         open_row = None
         for c in cmds:
             if c.ctype is CommandType.ACT:
@@ -118,8 +120,7 @@ def test_property_pim_matches_golden(log_n, nb, seed):
     rng = random.Random(seed)
     x = [rng.randrange(Q32) for _ in range(n)]
     config = SimConfig(pim=PimParams(nb_buffers=nb))
-    result = NttPimDriver(config)._run_ntt(x, params)
-    assert result.verified
+    assert run(x, params, config).verified
 
 
 @given(
@@ -133,10 +134,9 @@ def test_property_pim_roundtrip(log_n, seed):
     params = NttParams(n, Q32)
     rng = random.Random(seed)
     x = [rng.randrange(Q32) for _ in range(n)]
-    driver = NttPimDriver()
-    fwd = driver._run_ntt(x, params)
-    back = driver._run_intt(fwd.output, params)
-    assert back.output == x
+    fwd = run(x, params)
+    back = run(fwd.values, params, inverse=True)
+    assert back.values == x
 
 
 @given(nb=st.sampled_from([2, 4, 6]),
@@ -153,4 +153,4 @@ def test_property_ablations_preserve_function(nb, options):
     rng = random.Random(nb)
     x = [rng.randrange(Q32) for _ in range(n)]
     config = SimConfig(pim=PimParams(nb_buffers=nb), mapper_options=options)
-    assert NttPimDriver(config)._run_ntt(x, params).verified
+    assert run(x, params, config).verified

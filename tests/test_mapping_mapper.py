@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.api import NttRequest, Simulator
 from repro.arith import NttParams, find_ntt_prime
 from repro.dram import CommandType, HBM2E_ARCH
 from repro.errors import MappingError
@@ -12,7 +13,7 @@ from repro.mapping import NttMapper, SingleBufferMapper, c1_root
 from repro.mapping.mapper import MapperOptions
 from repro.ntt import ntt as reference_ntt
 from repro.pim import PimParams
-from repro.sim import NttPimDriver, SimConfig
+from repro.sim import SimConfig
 
 Q = find_ntt_prime(8192, 32)
 
@@ -91,16 +92,18 @@ class TestProtocolLegality:
         rng = random.Random(n * 100 + nb)
         x = [rng.randrange(Q) for _ in range(n)]
         config = SimConfig(pim=PimParams(nb_buffers=nb))
-        result = NttPimDriver(config)._run_ntt(x, NttParams(n, Q))
+        result = Simulator(config).run(NttRequest(params=NttParams(n, Q),
+                                                  values=x))
         assert result.verified
-        assert result.output == reference_ntt(x, NttParams(n, Q))
+        assert result.values == reference_ntt(x, NttParams(n, Q))
 
     @pytest.mark.parametrize("n", [8, 64, 256, 512])
     def test_single_buffer_functional(self, n):
         rng = random.Random(n)
         x = [rng.randrange(Q) for _ in range(n)]
         config = SimConfig(pim=PimParams(nb_buffers=1))
-        result = NttPimDriver(config)._run_ntt(x, NttParams(n, Q))
+        result = Simulator(config).run(NttRequest(params=NttParams(n, Q),
+                                                  values=x))
         assert result.verified
 
     def test_nonzero_base_row(self):
@@ -108,7 +111,8 @@ class TestProtocolLegality:
         n = 512
         x = [rng.randrange(Q) for _ in range(n)]
         config = SimConfig(pim=PimParams(nb_buffers=2), base_row=100)
-        result = NttPimDriver(config)._run_ntt(x, NttParams(n, Q))
+        result = Simulator(config).run(NttRequest(params=NttParams(n, Q),
+                                                  values=x))
         assert result.verified
 
 
@@ -119,7 +123,8 @@ class TestAblationVariants:
         x = [rng.randrange(Q) for _ in range(n)]
         config = SimConfig(pim=PimParams(nb_buffers=2),
                            mapper_options=MapperOptions(in_place_update=False))
-        result = NttPimDriver(config)._run_ntt(x, NttParams(n, Q))
+        result = Simulator(config).run(NttRequest(params=NttParams(n, Q),
+                                                  values=x))
         assert result.verified
 
     def test_out_of_place_result_row_parity(self):
@@ -144,7 +149,8 @@ class TestAblationVariants:
         x = [rng.randrange(Q) for _ in range(n)]
         config = SimConfig(pim=PimParams(nb_buffers=6),
                            mapper_options=MapperOptions(group_same_row=False))
-        result = NttPimDriver(config)._run_ntt(x, NttParams(n, Q))
+        result = Simulator(config).run(NttRequest(params=NttParams(n, Q),
+                                                  values=x))
         assert result.verified
 
     def test_out_of_place_requires_space(self):
@@ -183,7 +189,8 @@ class TestLatencyShape:
         for nb in (2, 4, 6):
             config = SimConfig(pim=PimParams(nb_buffers=nb),
                                functional=False, verify=False)
-            run = NttPimDriver(config)._run_ntt([0] * 2048, NttParams(2048, Q))
+            run = Simulator(config).run(
+                NttRequest(params=NttParams(2048, Q)))
             latencies.append(run.cycles)
         assert latencies == sorted(latencies, reverse=True)
 
@@ -192,14 +199,15 @@ class TestLatencyShape:
         for nb in (1, 2):
             config = SimConfig(pim=PimParams(nb_buffers=nb),
                                functional=False, verify=False)
-            runs[nb] = NttPimDriver(config)._run_ntt(
-                [0] * 512, NttParams(512, Q)).cycles
+            runs[nb] = Simulator(config).run(
+                NttRequest(params=NttParams(512, Q))).cycles
         assert runs[1] > 7 * runs[2]
 
     def test_latency_grows_superlinearly_past_row(self):
         """The Fig. 7 kink: N=512 costs >2x N=256 (inter-row onset)."""
         config = SimConfig(pim=PimParams(nb_buffers=2),
                            functional=False, verify=False)
-        t256 = NttPimDriver(config)._run_ntt([0] * 256, NttParams(256, Q)).cycles
-        t512 = NttPimDriver(config)._run_ntt([0] * 512, NttParams(512, Q)).cycles
+        sim = Simulator(config)
+        t256 = sim.run(NttRequest(params=NttParams(256, Q))).cycles
+        t512 = sim.run(NttRequest(params=NttParams(512, Q))).cycles
         assert t512 > 2.2 * t256

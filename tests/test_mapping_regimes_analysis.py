@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import NttRequest, Simulator
 from repro.arith import NttParams, find_ntt_prime
 from repro.dram import HBM2E_ARCH
 from repro.mapping import (
@@ -12,7 +13,7 @@ from repro.mapping import (
     regime_of_stage,
 )
 from repro.pim import PimParams
-from repro.sim import NttPimDriver, SimConfig
+from repro.sim import SimConfig
 
 Q = find_ntt_prime(8192, 32)
 
@@ -69,7 +70,7 @@ class TestMultiBufferForecast:
         pim = PimParams(nb_buffers=nb)
         forecast = forecast_multi_buffer(n, HBM2E_ARCH, pim)
         config = SimConfig(pim=pim, functional=False, verify=False)
-        run = NttPimDriver(config)._run_ntt([0] * n, NttParams(n, Q))
+        run = Simulator(config).run(NttRequest(params=NttParams(n, Q)))
         counts = run.schedule.stats.command_counts
         assert counts.get("ACT", 0) == forecast.activations
         assert counts.get("CU_READ", 0) == forecast.cu_reads
@@ -84,7 +85,7 @@ class TestSingleBufferForecast:
         forecast = forecast_single_buffer(n, HBM2E_ARCH)
         config = SimConfig(pim=PimParams(nb_buffers=1),
                            functional=False, verify=False)
-        run = NttPimDriver(config)._run_ntt([0] * n, NttParams(n, Q))
+        run = Simulator(config).run(NttRequest(params=NttParams(n, Q)))
         counts = run.schedule.stats.command_counts
         scalar = sum(counts.get(k, 0) for k in
                      ("LOAD_SCALAR", "BU_SCALAR", "STORE_SCALAR"))

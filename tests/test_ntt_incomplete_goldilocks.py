@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.api import NttRequest, Simulator
 from repro.arith import NttParams, is_prime
 from repro.ntt import naive_negacyclic_convolution
 from repro.ntt.incomplete import (
@@ -13,7 +14,7 @@ from repro.ntt.incomplete import (
     incomplete_ntt,
 )
 from repro.pim import PimParams
-from repro.sim import NttPimDriver, SimConfig
+from repro.sim import SimConfig
 
 KYBER_Q = 3329  # q - 1 = 2^8 * 13: only 2-adicity 8
 
@@ -82,9 +83,8 @@ class TestGoldilocksModulus:
         params = NttParams(n, self.GOLDILOCKS)
         rng = random.Random(0)
         x = [rng.randrange(self.GOLDILOCKS) for _ in range(n)]
-        drv = NttPimDriver(SimConfig(pim=PimParams(nb_buffers=2)))
-        result = drv._run_ntt(x, params)
-        assert result.verified
+        sim = Simulator(SimConfig(pim=PimParams(nb_buffers=2)))
+        assert sim.run(NttRequest(params=params, values=x)).verified
 
     def test_montgomery_radix_widens(self):
         from repro.arith import MontgomeryContext

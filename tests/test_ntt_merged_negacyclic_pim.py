@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import NegacyclicRequest, NttRequest, Simulator
 from repro.arith import bit_reverse, find_ntt_prime
 from repro.dram import CommandType, HBM2E_ARCH
 from repro.errors import MappingError
@@ -22,11 +23,15 @@ from repro.ntt import (
     negacyclic_ntt,
 )
 from repro.pim import ComputeUnit, PimParams
-from repro.sim import NttPimDriver, SimConfig
+from repro.sim import SimConfig
 
 
 def ring(n):
     return NegacyclicParams(n, find_ntt_prime(n, 30, negacyclic=True))
+
+
+def run(sim, values, p, inverse=False):
+    return sim.run(NegacyclicRequest(ring=p, values=values, inverse=inverse))
 
 
 class TestMergedKernels:
@@ -127,19 +132,19 @@ class TestNegacyclicMapping:
         p = ring(n)
         rng = random.Random(n + nb)
         x = [rng.randrange(p.q) for _ in range(n)]
-        drv = NttPimDriver(SimConfig(pim=PimParams(nb_buffers=nb)))
-        assert drv._run_negacyclic_ntt(x, p).verified
+        sim = Simulator(SimConfig(pim=PimParams(nb_buffers=nb)))
+        assert run(sim, x, p).verified
 
     @pytest.mark.parametrize("n", [64, 512])
     def test_inverse_roundtrip_on_pim(self, n):
         p = ring(n)
         rng = random.Random(n)
         x = [rng.randrange(p.q) for _ in range(n)]
-        drv = NttPimDriver(SimConfig())
-        fwd = drv._run_negacyclic_ntt(x, p)
-        back = drv._run_negacyclic_intt(fwd.output, p)
+        sim = Simulator(SimConfig())
+        fwd = run(sim, x, p)
+        back = run(sim, fwd.values, p, inverse=True)
         assert back.verified
-        assert back.output == x
+        assert back.values == x
 
     def test_full_ring_product_on_pim(self):
         n = 256
@@ -147,11 +152,11 @@ class TestNegacyclicMapping:
         rng = random.Random(9)
         a = [rng.randrange(p.q) for _ in range(n)]
         b = [rng.randrange(p.q) for _ in range(n)]
-        drv = NttPimDriver(SimConfig(pim=PimParams(nb_buffers=4)))
-        fa = drv._run_negacyclic_ntt(a, p).output
-        fb = drv._run_negacyclic_ntt(b, p).output
+        sim = Simulator(SimConfig(pim=PimParams(nb_buffers=4)))
+        fa = run(sim, a, p).values
+        fb = run(sim, b, p).values
         prod = [(x * y) % p.q for x, y in zip(fa, fb)]
-        got = drv._run_negacyclic_intt(prod, p).output
+        got = run(sim, prod, p, inverse=True).values
         assert got == naive_negacyclic_convolution(a, b, p.q)
 
     def test_uses_c1n_and_constant_zeta_c2(self):
@@ -182,9 +187,9 @@ class TestNegacyclicMapping:
         n = 1024
         p = ring(n)
         from repro.arith import NttParams
-        drv = NttPimDriver(SimConfig(functional=False, verify=False))
-        nega = drv._run_negacyclic_ntt([0] * n, p)
-        cyc = drv._run_ntt([0] * n, NttParams(n, p.q))
+        sim = Simulator(SimConfig(functional=False, verify=False))
+        nega = sim.run(NegacyclicRequest(ring=p))
+        cyc = sim.run(NttRequest(params=NttParams(n, p.q)))
         assert 0.9 <= nega.cycles / cyc.cycles <= 1.2
 
 
@@ -219,5 +224,5 @@ def test_property_native_negacyclic_verified(log_n, seed):
     p = ring(n)
     rng = random.Random(seed)
     x = [rng.randrange(p.q) for _ in range(n)]
-    drv = NttPimDriver(SimConfig(pim=PimParams(nb_buffers=4)))
-    assert drv._run_negacyclic_ntt(x, p).verified
+    sim = Simulator(SimConfig(pim=PimParams(nb_buffers=4)))
+    assert run(sim, x, p).verified

@@ -1,5 +1,5 @@
-"""Tests for the repro.serve subsystem: queue, scheduler, workers,
-telemetry, load generation and the end-to-end server.
+"""Tests for the repro.serve subsystem: queue, scheduler, telemetry,
+load generation and the end-to-end server.
 
 The load-bearing property throughout: scheduling changes *when* work
 runs, never *what it computes* — every served response must be bit-
@@ -241,17 +241,6 @@ class TestSimServer:
         s = sequential.telemetry.snapshot()
         assert b["throughput_rps"] >= 2.0 * s["throughput_rps"]
         assert b["latency_p99_us"] < s["latency_p99_us"]
-
-    def test_thread_workers_match_inline(self):
-        sreqs = self._load(count=30)
-        inline = SimServer(NOVERIFY, workers="inline")
-        threaded = SimServer(NOVERIFY, workers="thread")
-        res_i = inline.serve(sreqs)
-        res_t = threaded.serve(self._load(count=30))
-        for a, b in zip(res_i, res_t):
-            assert a.response.values == b.response.values
-            assert a.record.completion_us == b.record.completion_us
-            assert a.record.start_us == b.record.start_us
 
     def test_priority_served_first_under_backlog(self):
         # Three unbatchable requests on one shard: the shard is busy

@@ -1,16 +1,35 @@
-"""Tests for the front-end driver and result records."""
+"""Tests for the single-bank driver path and its response records."""
 
 import random
 
 import pytest
 
+from repro.api import NttRequest, Simulator
 from repro.arith import NttParams, find_ntt_prime
 from repro.errors import FunctionalMismatch
 from repro.ntt import intt, ntt
 from repro.pim import PimParams
-from repro.sim import NttPimDriver, SimConfig
+from repro.pim.bank_pim import PimBank
+from repro.sim import SimConfig
 
 Q = find_ntt_prime(4096, 32)
+
+
+def run(values, params, config=None, inverse=False):
+    return Simulator(config).run(NttRequest(params=params, values=values,
+                                            inverse=inverse))
+
+
+def flip_one_word(monkeypatch):
+    """Corrupt the next bank read-back: one output word off by one bit."""
+    real_read = PimBank.read_polynomial
+
+    def corrupted(self, base_row, n):
+        words = real_read(self, base_row, n)
+        words[n // 2] ^= 1
+        return words
+
+    monkeypatch.setattr(PimBank, "read_polynomial", corrupted)
 
 
 class TestRunNtt:
@@ -18,17 +37,17 @@ class TestRunNtt:
         rng = random.Random(1)
         n = 256
         x = [rng.randrange(Q) for _ in range(n)]
-        result = NttPimDriver()._run_ntt(x, NttParams(n, Q))
+        result = run(x, NttParams(n, Q))
         assert result.verified
-        assert result.n == n
-        assert result.output == ntt(x, NttParams(n, Q))
+        assert len(result.values) == n
+        assert result.values == ntt(x, NttParams(n, Q))
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
-            NttPimDriver()._run_ntt([1, 2, 3], NttParams(256, Q))
+            run([1, 2, 3], NttParams(256, Q))
 
     def test_result_metrics_consistent(self):
-        result = NttPimDriver()._run_ntt([0] * 256, NttParams(256, Q))
+        result = run([0] * 256, NttParams(256, Q))
         assert result.cycles > 0
         assert result.latency_us == pytest.approx(result.latency_ns / 1000)
         assert result.energy_nj > 0
@@ -38,31 +57,31 @@ class TestRunNtt:
 
     def test_functional_off_skips_data(self):
         config = SimConfig(functional=False, verify=False)
-        result = NttPimDriver(config)._run_ntt([0] * 256, NttParams(256, Q))
-        assert result.output == []
+        result = run([0] * 256, NttParams(256, Q), config)
+        assert result.values == []
         assert not result.verified
         assert result.cycles > 0
 
     def test_timing_identical_with_and_without_functional(self):
-        on = NttPimDriver(SimConfig())._run_ntt([0] * 512, NttParams(512, Q))
-        off = NttPimDriver(SimConfig(functional=False, verify=False))._run_ntt(
-            [0] * 512, NttParams(512, Q))
+        on = run([0] * 512, NttParams(512, Q), SimConfig())
+        off = run([0] * 512, NttParams(512, Q),
+                  SimConfig(functional=False, verify=False))
         assert on.cycles == off.cycles
 
     def test_bu_op_count_matches_theory(self):
         n = 512
-        result = NttPimDriver()._run_ntt([0] * n, NttParams(n, Q))
+        result = run([0] * n, NttParams(n, Q))
         # N/2 * log N butterflies exactly — full data reuse, no recompute.
-        assert result.bu_ops == (n // 2) * 9
+        assert result.counters["bu_ops"] == (n // 2) * 9
 
-    def test_verification_catches_corruption(self):
-        """A wrong omega (mismatched verify target) must raise."""
+    def test_verification_catches_corruption(self, monkeypatch):
+        """A flipped output word must fail the golden check."""
         n = 256
-        params = NttParams(n, Q)
-        driver = NttPimDriver()
+        rng = random.Random(4)
+        x = [rng.randrange(Q) for _ in range(n)]
+        flip_one_word(monkeypatch)
         with pytest.raises(FunctionalMismatch):
-            driver._run_ntt_with_params([0] * n + [], params,
-                                       verify_against=[1] * n)
+            run(x, NttParams(n, Q))
 
 
 class TestInverse:
@@ -71,18 +90,28 @@ class TestInverse:
         n = 256
         params = NttParams(n, Q)
         x = [rng.randrange(Q) for _ in range(n)]
-        driver = NttPimDriver()
-        fwd = driver._run_ntt(x, params)
-        inv = driver._run_intt(fwd.output, params)
-        assert inv.output == x
+        fwd = run(x, params)
+        inv = run(fwd.values, params, inverse=True)
+        assert inv.values == x
 
     def test_intt_matches_reference(self):
         rng = random.Random(3)
         n = 512
         params = NttParams(n, Q)
         y = [rng.randrange(Q) for _ in range(n)]
-        inv = NttPimDriver()._run_intt(y, params)
-        assert inv.output == intt(y, params)
+        inv = run(y, params, inverse=True)
+        assert inv.values == intt(y, params)
+
+    def test_lone_inverse_is_golden_checked(self, monkeypatch):
+        """A lone inverse NTT is verified exactly like its batched twin:
+        it reports ``verified`` and a corrupted result raises."""
+        n = 256
+        rng = random.Random(5)
+        y = [rng.randrange(Q) for _ in range(n)]
+        assert run(y, NttParams(n, Q), inverse=True).verified
+        flip_one_word(monkeypatch)
+        with pytest.raises(FunctionalMismatch):
+            run(y, NttParams(n, Q), inverse=True)
 
 
 class TestFrequencyScaling:
@@ -90,8 +119,8 @@ class TestFrequencyScaling:
         base = SimConfig(pim=PimParams(nb_buffers=2),
                          functional=False, verify=False)
         n, params = 2048, NttParams(2048, Q)
-        t1200 = NttPimDriver(base)._run_ntt([0] * n, params)
-        t300 = NttPimDriver(base.at_frequency(300.0))._run_ntt([0] * n, params)
+        t1200 = run([0] * n, params, base)
+        t300 = run([0] * n, params, base.at_frequency(300.0))
         slowdown = t300.latency_ns / t1200.latency_ns
         assert 1.0 < slowdown < 2.5  # paper: ~1.65x for a 4x clock drop
 

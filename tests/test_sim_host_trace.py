@@ -9,10 +9,10 @@ from repro.dram import HBM2E_ARCH
 from repro.ntt import ntt
 from repro.sim import (
     MemoryRequest,
-    NttPimDriver,
     PimMemoryController,
     RequestType,
     SimConfig,
+    TransformSpec,
     format_trace,
     parse_trace_line,
     trace_summary,
@@ -104,8 +104,8 @@ class TestHostProtocol:
 
 class TestTrace:
     def _program(self):
-        driver = NttPimDriver(SimConfig(functional=False, verify=False))
-        return driver.map_commands(NttParams(256, Q))
+        return TransformSpec(params=NttParams(256, Q)).program(
+            SimConfig(), 0).commands
 
     def test_format_untimed(self):
         cmds = self._program()

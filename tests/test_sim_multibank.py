@@ -7,7 +7,7 @@ import pytest
 from repro.arith import NttParams, find_ntt_prime
 from repro.dram import Command, CommandType
 from repro.pim import PimParams
-from repro.sim import NttPimDriver, SimConfig, interleave_programs
+from repro.sim import SimConfig, interleave_programs
 from repro.sim.multibank import _run_multibank
 
 Q = find_ntt_prime(1024, 32)

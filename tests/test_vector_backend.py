@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import NegacyclicRequest, NttRequest, Simulator
 from repro.arith import (
     NttParams,
     find_ntt_prime,
@@ -32,7 +33,6 @@ from repro.ntt import (
     ntt_dit_bitrev_input,
 )
 from repro.pim import ComputeUnit
-from repro.sim.driver import NttPimDriver, VERIFY_DEFAULT
 
 # Moduli spanning the four lane regimes: direct uint64 products,
 # Montgomery splitting (products overflow 64 bits), near the 63-bit
@@ -258,7 +258,7 @@ class TestDriverBothBackends:
         rng = random.Random(5)
         x = [rng.randrange(Q_SMALL) for _ in range(n)]
         with use_backend(backend):
-            result = NttPimDriver()._run_ntt(x, params)
+            result = Simulator().run(NttRequest(params=params, values=x))
         assert result.verified
 
     def test_run_ntt_outputs_identical(self):
@@ -266,10 +266,11 @@ class TestDriverBothBackends:
         params = NttParams(n, Q_SMALL)
         rng = random.Random(6)
         x = [rng.randrange(Q_SMALL) for _ in range(n)]
-        py, np_ = both_backends(lambda: NttPimDriver()._run_ntt(x, params))
-        assert py.output == np_.output
-        assert py.bu_ops == np_.bu_ops
-        assert py.schedule.total_cycles == np_.schedule.total_cycles
+        py, np_ = both_backends(
+            lambda: Simulator().run(NttRequest(params=params, values=x)))
+        assert py.values == np_.values
+        assert py.counters["bu_ops"] == np_.counters["bu_ops"]
+        assert py.cycles == np_.cycles
 
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_negacyclic_driver_verifies(self, backend):
@@ -279,19 +280,5 @@ class TestDriverBothBackends:
         rng = random.Random(8)
         x = [rng.randrange(q) for _ in range(n)]
         with use_backend(backend):
-            result = NttPimDriver()._run_negacyclic_ntt(x, ring)
+            result = Simulator().run(NegacyclicRequest(ring=ring, values=x))
         assert result.verified
-
-    def test_verify_default_sentinel(self):
-        n = 256
-        params = NttParams(n, Q_SMALL)
-        rng = random.Random(9)
-        x = [rng.randrange(Q_SMALL) for _ in range(n)]
-        driver = NttPimDriver()
-        implicit = driver._run_ntt_with_params(x, params)
-        explicit = driver._run_ntt_with_params(x, params,
-                                              verify_against=VERIFY_DEFAULT)
-        unverified = driver._run_ntt_with_params(x, params, verify_against=None)
-        assert implicit.verified and explicit.verified
-        assert not unverified.verified
-        assert implicit.output == explicit.output == unverified.output
