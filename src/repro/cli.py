@@ -7,8 +7,8 @@ Subcommands::
                      --backend picks the compute backend, --cache-info
                      prints program/schedule cache statistics)
     compile          compile one workload through the repro.compile
-                     pass pipeline without running it (--dump-ir
-                     prints the SoA IR, --passes selects passes)
+                     pass pipeline without running it (prints the SoA
+                     IR summary and the fused plan or fallback reason)
     serve            drive synthetic open-loop traffic through the
                      repro.serve layer (batching scheduler, shards)
                      and print the telemetry rollup;
@@ -141,32 +141,8 @@ def _cmd_compile(args) -> int:
               "ntt, negacyclic, batch, multibank", file=sys.stderr)
         return 2
     from .api import compile_request
-    from .compile.passes import PASS_NAMES
 
-    passes = None
-    if args.passes is not None:
-        passes = frozenset(p for p in args.passes.split(",") if p)
-        unknown = passes - set(PASS_NAMES)
-        if unknown:
-            print(f"unknown passes: {', '.join(sorted(unknown))} "
-                  f"(available: {', '.join(PASS_NAMES)})", file=sys.stderr)
-            return 2
-    compiled = compile_request(_build_request(args), _make_config(args),
-                               passes=passes)
-    if args.dump_ir:
-        print(compiled.ir.describe())
-        print(f"passes: {', '.join(compiled.passes) or '(none)'}")
-        if compiled.fused:
-            stats = compiled.pass_stats
-            print(f"plan: mode={stats.get('mode')} "
-                  f"ops={len(compiled.stream.plan.ops)} "
-                  f"groups={stats.get('groups')} "
-                  f"depth={stats.get('depth')} "
-                  f"virtual={stats.get('n_virtual')}")
-        else:
-            print(f"fallback: {compiled.stream.fallback_reason}")
-    else:
-        print(compiled.describe())
+    print(compile_request(_build_request(args), _make_config(args)).describe())
     return 0
 
 
@@ -385,11 +361,6 @@ def main(argv=None) -> int:
     compile_p.add_argument("--count", type=int, default=4,
                            help="polynomials for batch/multibank "
                                 "(default 4)")
-    compile_p.add_argument("--dump-ir", action="store_true",
-                           help="print the SoA IR column summary")
-    compile_p.add_argument("--passes", default=None,
-                           help="comma-separated pass subset (default: "
-                                "all; empty string = none)")
 
     serve_p = subs.add_parser(
         "serve", help="drive synthetic traffic through the serving layer")

@@ -802,7 +802,7 @@ class ClusterFrontend:
         return replies
 
     def cluster_telemetry(self) -> Telemetry:
-        """Exact pooled telemetry: front-door drops plus every
+        """Exact combined telemetry: front-door drops plus every
         replica's records (:meth:`Telemetry.merge`) — dead
         incarnations' retired telemetry included under supervision."""
         parts = [self.telemetry]

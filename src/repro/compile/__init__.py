@@ -6,9 +6,8 @@ Command programs compile through a real (small) compiler pipeline:
 
 * :class:`StreamIR` (:mod:`repro.compile.ir`) — the SoA columnar IR.
 * :mod:`repro.compile.passes` — buffer renaming, dependency-depth
-  grouping, lane-granular (Nb=1) renaming, group-result pooling; each
-  independently toggleable via the ``passes`` argument and
-  bit-identical to the per-command ground truth in every combination.
+  grouping, lane-granular (Nb=1) renaming, group-result pooling: one
+  fixed pipeline, bit-identical to the per-command ground truth.
 * :mod:`repro.compile.lower` — IR -> executable
   :class:`~repro.dram.stream.CommandStream` lowering plus the
   vectorized program merges (:func:`interleave_irs`,
@@ -27,9 +26,6 @@ from __future__ import annotations
 __all__ = [
     "StreamIR",
     "FunctionalPlan",
-    "PASS_NAMES",
-    "DEFAULT_PASSES",
-    "normalize_passes",
     "build_plan",
     "compile_ir",
     "interleave_irs",
@@ -41,9 +37,6 @@ __all__ = [
 _EXPORTS = {
     "StreamIR": ("ir", "StreamIR"),
     "FunctionalPlan": ("plan", "FunctionalPlan"),
-    "PASS_NAMES": ("passes", "PASS_NAMES"),
-    "DEFAULT_PASSES": ("passes", "DEFAULT_PASSES"),
-    "normalize_passes": ("passes", "normalize_passes"),
     "build_plan": ("passes", "build_plan"),
     "compile_ir": ("lower", "compile_ir"),
     "interleave_irs": ("lower", "interleave_irs"),

@@ -10,8 +10,7 @@ timing state is touched.
 Callers who previously reached into ``repro.dram.stream`` for
 ``cached_stream`` should come through here (or through
 ``repro.api.Simulator``): the request objects carry the workload shape,
-and ``passes`` selects the optimization pipeline without touching
-engine-room modules.
+so no engine-room module needs touching.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ class CompiledProgram:
     stream: object
     key: object = None
     parts: Tuple = ()
-    passes: Tuple[str, ...] = ()
 
     @property
     def ir(self):
@@ -58,7 +56,6 @@ class CompiledProgram:
     def describe(self) -> str:
         """Human-readable dump (the ``repro compile`` CLI body)."""
         lines = [self.ir.describe()]
-        lines.append(f"passes: {', '.join(self.passes) or '(none)'}")
         if self.fused:
             stats = self.pass_stats
             lines.append(
@@ -73,14 +70,12 @@ class CompiledProgram:
         return "\n".join(lines)
 
 
-def compile_request(request, config=None, *, passes=None) -> CompiledProgram:
+def compile_request(request, config=None) -> CompiledProgram:
     """Compile a facade request into its executable stream.
 
     ``request`` is any stream-backed :class:`~repro.api.requests.SimRequest`
     (``ntt``, ``negacyclic``, ``batch``, ``multibank``, ``program``);
-    ``config`` defaults to ``SimConfig()``.  ``passes`` selects the
-    optimization passes (``None`` = all; see :data:`PASS_NAMES`) —
-    every subset executes bit-identically.
+    ``config`` defaults to ``SimConfig()``.
 
     All compile artifacts land in the shared program/stream caches, so
     a subsequent ``Simulator.run`` of the same request is a cache hit.
@@ -97,37 +92,31 @@ def compile_request(request, config=None, *, passes=None) -> CompiledProgram:
     from ..dram.stream import cached_stream
     from ..errors import RequestValidationError
     from ..sim.driver import SimConfig
-    from .passes import normalize_passes
 
     if config is None:
         config = SimConfig()
     request.validate()
-    pass_tag = tuple(sorted(normalize_passes(passes)))
 
     if type(request) in (NttRequest, NegacyclicRequest):
         from ..api.workloads import transform_spec
-        program, stream = transform_spec(request).compile(config,
-                                                          passes=pass_tag)
-        return CompiledProgram(request, stream, key=program.key,
-                               passes=pass_tag)
+        program, stream = transform_spec(request).compile(config)
+        return CompiledProgram(request, stream, key=program.key)
     if type(request) is MultiBankRequest:
         from ..api.workloads import multibank_specs
         from ..sim.multibank import compile_multibank
         programs, stream, key = compile_multibank(
-            multibank_specs(request), len(request.inputs), config,
-            passes=pass_tag)
+            multibank_specs(request), len(request.inputs), config)
         return CompiledProgram(request, stream, key=key,
-                               parts=tuple(programs), passes=pass_tag)
+                               parts=tuple(programs))
     if type(request) is BatchRequest:
         from ..sim.batch import compile_batch
         programs, stream, key, _ = compile_batch(
-            request.params, len(request.inputs), config, passes=pass_tag)
+            request.params, len(request.inputs), config)
         return CompiledProgram(request, stream, key=key,
-                               parts=tuple(programs), passes=pass_tag)
+                               parts=tuple(programs))
     if type(request) is ProgramRequest:
-        stream = cached_stream(request.commands, config.arch,
-                               passes=pass_tag)
-        return CompiledProgram(request, stream, passes=pass_tag)
+        return CompiledProgram(request,
+                               cached_stream(request.commands, config.arch))
     raise RequestValidationError(
         f"{type(request).__name__} has no stream to compile "
         "(supported: ntt, negacyclic, batch, multibank, program)")

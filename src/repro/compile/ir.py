@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..dram.commands import CODE_CTYPES, CTYPE_CODES, Command, CommandType
+from ..dram.commands import CODE_CTYPES, Command
 
 __all__ = ["StreamIR"]
 
@@ -129,10 +129,6 @@ class StreamIR:
         )
 
     # -- command materialization ----------------------------------------------
-    @property
-    def has_commands(self) -> bool:
-        return self._commands is not None
-
     def materialize_commands(self) -> Tuple[Command, ...]:
         """The equivalent :class:`Command` tuple.
 
@@ -170,7 +166,7 @@ class StreamIR:
                 for ct, c in zip(CODE_CTYPES, counts) if c}
 
     def describe(self) -> str:
-        """Human-readable IR dump (the ``repro compile --dump-ir`` body)."""
+        """Human-readable IR dump (the head of ``repro compile``'s output)."""
         lines = [f"StreamIR: {self.n} commands, "
                  f"{len(np.unique(self.banks))} bank(s)"]
         for name, count in sorted(self.counts_by_type().items(),
@@ -181,8 +177,3 @@ class StreamIR:
             for key, value in sorted(self.meta.items()):
                 lines.append(f"  meta {key} = {value}")
         return "\n".join(lines)
-
-
-# Re-exported for passes that need the code constants without reaching
-# into repro.dram.stream.
-CODE = {ct: CTYPE_CODES[ct] for ct in CommandType}

@@ -37,7 +37,7 @@ class PimBank:
         self.pending_q: int | None = None
         self._arrays_key: tuple | None = None
         self._arrays_flag = False
-        # Per-type handlers: execute() runs once per command, and a dict
+        # Per-type handlers: run() looks one up per command, and a dict
         # dispatch beats re-evaluating an if-chain of enum membership tests.
         self._dispatch = {
             CommandType.ACT: self._exec_act,
@@ -149,13 +149,6 @@ class PimBank:
     def _exec_store_scalar(self, cmd: Command) -> None:
         self.buffers.write_lane(cmd.buf, cmd.lane, self.cu.store_scalar())
 
-    def execute(self, cmd: Command) -> None:
-        """Apply one command's data effect."""
-        handler = self._dispatch.get(cmd.ctype)
-        if handler is None:  # pragma: no cover - enum exhaustive
-            raise MappingError(f"unknown command {cmd.ctype}")
-        handler(cmd)
-
     def run(self, commands: Sequence[Command]) -> None:
         """Apply a whole program in order (the ground-truth path)."""
         dispatch = self._dispatch
@@ -200,21 +193,17 @@ class PimBank:
         ``stream.commands``; programs without a plan (or moduli outside
         the lane kernels) fall back to that loop.
         """
-        plan = stream.plan
         if not self._stream_fusable(stream):
             self.run(stream.commands)
-            return
-        if plan.mode == "lane":
+        elif stream.plan.mode == "lane":
             self._run_lane_plan(stream)
-        elif plan.pooled:
-            self._run_pooled_plan(stream)
         else:
-            self._run_unpooled_plan(stream)
+            self._run_atom_plan(stream)
 
-    def _run_pooled_plan(self, stream: CommandStream) -> None:
-        """Atom-mode plan with the pooling pass on: all virtual buffer
-        versions live in one ``(n_virtual, Na)`` array, so group results
-        scatter straight into the pool — no per-row ``np.stack``."""
+    def _run_atom_plan(self, stream: CommandStream) -> None:
+        """Atom-mode plan: all virtual buffer versions live in one
+        ``(n_virtual, Na)`` pool, so group results scatter straight into
+        it — no per-row ``np.stack``."""
         plan = stream.plan
         cells = self.storage.atoms_view()
         buffers = self.buffers
@@ -270,7 +259,7 @@ class PimBank:
 
     def _run_lane_plan(self, stream: CommandStream) -> None:
         """Lane-mode plan (Nb=1 scalar-µ-op programs): versions are
-        single lanes plus the CU register, pooled in one 1-D array;
+        single lanes plus the CU register, held in one 1-D pool;
         LOAD/BU/STORE runs execute as stacked scalar ops with the exact
         per-µ-op counter semantics of the dispatch loop."""
         plan = stream.plan
@@ -332,77 +321,6 @@ class PimBank:
             buffers.write_array(buf, pool[vid_arr])
         if plan.reg_final is not None:
             cu.reg_a = int(pool[plan.reg_final])
-
-    def _run_unpooled_plan(self, stream: CommandStream) -> None:
-        """Atom-mode plan with the pooling pass off: virtual versions
-        are separate arrays stacked per group (the pre-pooling executor,
-        kept as the toggled-off ground truth)."""
-        plan = stream.plan
-        cells = self.storage.atoms_view()
-        buffers = self.buffers
-        cu = self.cu
-        fuse_cache = stream.fuse_cache
-        na = self.arch.words_per_atom
-        vals: List = [None] * plan.n_virtual
-        for buf, vid in plan.init_versions:
-            vals[vid] = buffers.peek_array(buf)
-
-        for index, op in enumerate(plan.ops):
-            kind = op[0]
-            if kind == "read":
-                _, rows_a, cols_a, vouts = op
-                atoms = cells[rows_a, cols_a]  # (k, Na) gather copy
-                for j, vid in enumerate(vouts):
-                    vals[vid] = atoms[j]
-            elif kind == "write":
-                _, rows_a, cols_a, vins = op
-                cells[rows_a, cols_a] = np.stack([vals[v] for v in vins])
-            elif kind == "c2":
-                _, pins, sins, pouts, souts, omega0s, r_omegas, gs = op
-                cache_key = (index, cu._require_modulus())
-                w2d = fuse_cache.get(cache_key)
-                if w2d is None:
-                    w2d = fuse_cache[cache_key] = vector.c2_stack_wpack(
-                        cache_key[1], omega0s, r_omegas, na)
-                p_out, s_out = cu.execute_c2_stack(
-                    np.stack([vals[v] for v in pins]),
-                    np.stack([vals[v] for v in sins]), w2d, gs=gs)
-                for j, vid in enumerate(pouts):
-                    vals[vid] = p_out[j]
-                for j, vid in enumerate(souts):
-                    vals[vid] = s_out[j]
-            elif kind == "c1":
-                _, vins, vouts, omegas = op
-                cache_key = (index, cu._require_modulus())
-                wpack = fuse_cache.get(cache_key)
-                if wpack is None:
-                    wpack = fuse_cache[cache_key] = vector.c1_stack_wpack(
-                        cache_key[1], omegas, na)
-                out = cu.execute_c1_stack(np.stack([vals[v] for v in vins]),
-                                          wpack)
-                for j, vid in enumerate(vouts):
-                    vals[vid] = out[j]
-            elif kind == "c1n":
-                _, vins, vouts, zetas_rows, gs = op
-                cache_key = (index, cu._require_modulus())
-                z2d = fuse_cache.get(cache_key)
-                if z2d is None:
-                    z2d = fuse_cache[cache_key] = vector.c1n_stack_zpack(
-                        cache_key[1], zetas_rows)
-                out = cu.execute_c1n_stack(np.stack([vals[v] for v in vins]),
-                                           z2d, gs=gs)
-                for j, vid in enumerate(vouts):
-                    vals[vid] = out[j]
-            else:  # param
-                if self.pending_q is None:
-                    raise MappingError("PARAM_WRITE with no staged parameters")
-                cu.set_modulus(self.pending_q)
-
-        # Restore the physical buffer file to its end-of-program state
-        # (copies: the winning versions are views into shared group
-        # results, and write_array takes ownership).
-        for buf, vid in plan.final_versions:
-            buffers.write_array(buf, vals[vid].copy())
 
     # -- host data path -------------------------------------------------------
     def load_polynomial(self, base_row: int, values: List[int]) -> None:

@@ -196,7 +196,7 @@ class PlanSession:
                 arrival_us=now_us, deadline_us=sreq.deadline_us,
                 tenant=sreq.tenant))
             if self.telemetry is not None:
-                self.telemetry.note_shed()
+                self.telemetry.note("shed")
             return
         if not self.queue.offer(sreq):
             self.dropped.append(RequestRecord(
@@ -230,7 +230,7 @@ class PlanSession:
                 # occupancy for queue drain and latency.
                 window_us *= policy.shrink_factor
                 if self.telemetry is not None:
-                    self.telemetry.note_shrunk_window()
+                    self.telemetry.note("shrunk_windows")
             group = _OpenGroup(shape=shape, close_at=now_us + window_us)
             self._open[shape] = group
         group.members.append(sreq)
@@ -267,7 +267,7 @@ class PlanSession:
                 arrival_us=now_us, deadline_us=sreq.deadline_us,
                 tenant=sreq.tenant))
             if self.telemetry is not None:
-                self.telemetry.note_shed()
+                self.telemetry.note("shed")
             return
         if not self.queue.offer(sreq):
             self.dropped.append(RequestRecord(
@@ -297,7 +297,7 @@ class PlanSession:
                     and self.queue.depth() >= policy.shrink_depth):
                 window_us *= policy.shrink_factor
                 if self.telemetry is not None:
-                    self.telemetry.note_shrunk_window()
+                    self.telemetry.note("shrunk_windows")
             group = _OpenGroup(shape=shape, close_at=now_us + window_us)
             self._open[shape] = group
         group.members.append(sreq)

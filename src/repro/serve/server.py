@@ -851,7 +851,7 @@ class SimServer:
             # The dispatch would outlive its service timeout: abort at
             # the deadline (commands already issued stay charged to the
             # bus) and let the retry policy re-dispatch it.
-            self.telemetry.note_timeout()
+            self.telemetry.note("timeouts")
             self._fail(session, state, shard_id, attempt,
                        start_us=start_us,
                        fail_us=bus_begin + policy.timeout_us,
@@ -869,7 +869,7 @@ class SimServer:
                 self.telemetry.note_fault("corrupt")
                 grouped = corrupted
                 if policy.detect and self._mismatch(unit, grouped):
-                    self.telemetry.note_detected()
+                    self.telemetry.note("detected_mismatches")
                     self._fail(session, state, shard_id, attempt,
                                start_us=start_us, fail_us=completion_us,
                                error=FunctionalMismatch(
@@ -930,7 +930,7 @@ class SimServer:
                      or session.retry_budget > 0)):
             if session.retry_budget is not None:
                 session.retry_budget -= 1
-            self.telemetry.note_retry()
+            self.telemetry.note("retries")
             backoff_us = policy.backoff_us(attempt.attempt)
             attempt.attempt += 1
             attempt.ready_us = fail_us + backoff_us
@@ -979,7 +979,7 @@ class SimServer:
             # breaker opens at K consecutive failures.
             breaker.state = "open"
             breaker.open_until_us = now_us + breaker.cooldown_us
-            self.telemetry.note_breaker_trip()
+            self.telemetry.note("breaker_trips")
 
     def _route_around(self, session: _Session) -> None:
         """Detour backlog off open-breaker shards when a healthy shard
@@ -1014,7 +1014,7 @@ class SimServer:
                     state.backlog.remove(attempt)
                     shards.setdefault(best[1], _ShardState()) \
                         .backlog.append(attempt)
-                    self.telemetry.note_reroute()
+                    self.telemetry.note("reroutes")
 
     def _corrupt(self, grouped, unit: DispatchUnit, shard_id: int,
                  attempt_no: int):

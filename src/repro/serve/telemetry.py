@@ -15,10 +15,12 @@ Thread-safe: records may be appended from worker threads.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 __all__ = ["RequestRecord", "Telemetry", "percentile", "merge_snapshots",
+           "RESILIENCE_EVENTS",
            "STATUS_OK", "STATUS_REJECTED", "STATUS_EXPIRED",
            "STATUS_FAILED", "STATUS_SHED", "STATUS_THROTTLED",
            "STATUS_ORPHANED"]
@@ -35,6 +37,14 @@ STATUS_THROTTLED = "throttled"  # per-tenant quota turned it away
 #: excluded from request counts and completion-weighted percentiles
 #: (the cluster must never double-count a recovered request).
 STATUS_ORPHANED = "orphaned"
+
+#: Resilience events a session counts, in snapshot order: retries,
+#: timeouts, breaker trips, dispatches rerouted around an open breaker,
+#: corrupted responses the online golden check caught, shed arrivals and
+#: shrunk batching windows.  All zero on a fault-free, policy-neutral
+#: session.
+RESILIENCE_EVENTS = ("retries", "timeouts", "breaker_trips", "reroutes",
+                     "detected_mismatches", "shed", "shrunk_windows")
 
 
 def percentile(values: List[float], p: float) -> float:
@@ -172,18 +182,10 @@ class Telemetry:
         #: ``{"program": {...}, "stream": {...}, "schedule": {...}}``
         #: hit/miss deltas over the session (set by the server).
         self.cache: Dict[str, Dict[str, int]] = {}
-        #: Resilience counters: injected faults per kind, retries,
-        #: timeouts, breaker trips, reroutes, detected mismatches,
-        #: shed arrivals, shrunk windows.  All zero on a fault-free,
-        #: policy-neutral session.
-        self.faults_injected: Dict[str, int] = {}
-        self.retries: int = 0
-        self.timeouts: int = 0
-        self.breaker_trips: int = 0
-        self.reroutes: int = 0
-        self.detected_mismatches: int = 0
-        self.shed: int = 0
-        self.shrunk_windows: int = 0
+        #: Resilience counters: :data:`RESILIENCE_EVENTS` by name, and
+        #: injected faults by kind.
+        self.events: Counter = Counter()
+        self.faults_injected: Counter = Counter()
 
     def add(self, record: RequestRecord) -> None:
         with self._lock:
@@ -191,42 +193,18 @@ class Telemetry:
             self.records.append(record)
 
     # -- resilience events -------------------------------------------------------
+    def note(self, event: str) -> None:
+        """Count one resilience event (a :data:`RESILIENCE_EVENTS` name)."""
+        if event not in RESILIENCE_EVENTS:
+            raise ValueError(f"unknown resilience event {event!r}")
+        with self._lock:
+            self.events[event] += 1
+
     def note_fault(self, kind: str) -> None:
         """Count one injected fault (``fail``/``stall``/``slowdown``/
         ``corrupt``)."""
         with self._lock:
-            self.faults_injected[kind] = self.faults_injected.get(kind, 0) + 1
-
-    def note_retry(self) -> None:
-        with self._lock:
-            self.retries += 1
-
-    def note_timeout(self) -> None:
-        with self._lock:
-            self.timeouts += 1
-
-    def note_breaker_trip(self) -> None:
-        """One circuit breaker transitioned to open."""
-        with self._lock:
-            self.breaker_trips += 1
-
-    def note_reroute(self) -> None:
-        """One dispatch routed around an open-breaker shard."""
-        with self._lock:
-            self.reroutes += 1
-
-    def note_detected(self) -> None:
-        """Online golden-model check caught a corrupted response."""
-        with self._lock:
-            self.detected_mismatches += 1
-
-    def note_shed(self) -> None:
-        with self._lock:
-            self.shed += 1
-
-    def note_shrunk_window(self) -> None:
-        with self._lock:
-            self.shrunk_windows += 1
+            self.faults_injected[kind] += 1
 
     def sample_depth(self, now_us: float, depth: int) -> None:
         with self._lock:
@@ -249,20 +227,14 @@ class Telemetry:
             self.occupancies.clear()
             self.bus_busy_us = 0.0
             self.cache = {}
-            self.faults_injected = {}
-            self.retries = 0
-            self.timeouts = 0
-            self.breaker_trips = 0
-            self.reroutes = 0
-            self.detected_mismatches = 0
-            self.shed = 0
-            self.shrunk_windows = 0
+            self.events.clear()
+            self.faults_injected.clear()
 
     # -- merging -----------------------------------------------------------------
     @classmethod
     def merge(cls, parts: Iterable["Telemetry"]) -> "Telemetry":
         """One telemetry holding every part's records and counters —
-        the *exact* cluster rollup (percentiles come out of the pooled
+        the *exact* cluster rollup (percentiles come out of the combined
         records, not a weighted approximation; contrast
         :func:`merge_snapshots`).
 
@@ -281,16 +253,8 @@ class Telemetry:
                 merged.depth_samples.extend(part.depth_samples)
                 merged.occupancies.extend(part.occupancies)
                 merged.bus_busy_us += part.bus_busy_us
-                for kind, count in part.faults_injected.items():
-                    merged.faults_injected[kind] = \
-                        merged.faults_injected.get(kind, 0) + count
-                merged.retries += part.retries
-                merged.timeouts += part.timeouts
-                merged.breaker_trips += part.breaker_trips
-                merged.reroutes += part.reroutes
-                merged.detected_mismatches += part.detected_mismatches
-                merged.shed += part.shed
-                merged.shrunk_windows += part.shrunk_windows
+                merged.events.update(part.events)
+                merged.faults_injected.update(part.faults_injected)
                 for name, stats in part.cache.items():
                     entry = merged.cache.setdefault(
                         name, {"hits": 0, "misses": 0, "entries": 0})
@@ -312,16 +276,7 @@ class Telemetry:
             occupancies = list(self.occupancies)
             bus_busy_us = self.bus_busy_us
             cache = {k: dict(v) for k, v in self.cache.items()}
-            resilience = {
-                "faults_injected": dict(self.faults_injected),
-                "retries": self.retries,
-                "timeouts": self.timeouts,
-                "breaker_trips": self.breaker_trips,
-                "reroutes": self.reroutes,
-                "detected_mismatches": self.detected_mismatches,
-                "shed": self.shed,
-                "shrunk_windows": self.shrunk_windows,
-            }
+            resilience = _resilience(self.faults_injected, self.events)
         # DAG stage records are internal work units of a graph request:
         # the headline counts/latencies cover the *graph* (whose record
         # carries the summed cycles/energy), while the stages feed the
@@ -425,9 +380,7 @@ class Telemetry:
                          f"wait p99={s['bus_wait_p99_us']:.2f} us")
         res = s["resilience"]
         if any(res["faults_injected"].values()) or any(
-                res[k] for k in ("retries", "timeouts", "breaker_trips",
-                                 "reroutes", "detected_mismatches", "shed",
-                                 "shrunk_windows")):
+                res[k] for k in RESILIENCE_EVENTS):
             injected = sum(res["faults_injected"].values())
             kinds = ", ".join(f"{k}={v}" for k, v in
                               sorted(res["faults_injected"].items()))
@@ -448,6 +401,14 @@ class Telemetry:
         return "\n".join(lines)
 
 
+def _resilience(faults, events) -> Dict[str, object]:
+    """A snapshot's ``resilience`` section: injected faults by kind, then
+    every :data:`RESILIENCE_EVENTS` count (zeros included)."""
+    section: Dict[str, object] = {"faults_injected": dict(faults)}
+    section.update((name, events[name]) for name in RESILIENCE_EVENTS)
+    return section
+
+
 #: Snapshot keys that add across replicas.  ``orphaned`` attempts add
 #: too, but are already excluded from each part's ``requests`` count,
 #: so a failed-over request is counted exactly once cluster-wide.
@@ -466,7 +427,7 @@ def merge_snapshots(snapshots: List[Dict[str, object]]) -> Dict[str, object]:
 
     This is the combiner for when only snapshots cross a boundary (e.g.
     replica heartbeats): counters add, latency/wait percentiles combine
-    as completed-count-weighted means (an approximation — exact pooled
+    as completed-count-weighted means (an approximation — exact combined
     percentiles need the records; use :meth:`Telemetry.merge` when they
     are available), availability and goodput are recomputed over the
     cluster totals, and rates are re-derived against the widest
@@ -514,16 +475,13 @@ def merge_snapshots(snapshots: List[Dict[str, object]]) -> Dict[str, object]:
                                     for snap in snapshots)
     merged["bus_utilization"] = (merged["bus_busy_us"] / makespan_us
                                  if makespan_us > 0 else 0.0)
-    resilience: Dict[str, object] = {"faults_injected": {}}
+    faults: Counter = Counter()
+    events: Counter = Counter()
     for snap in snapshots:
         res = snap.get("resilience", {})
-        for kind, count in res.get("faults_injected", {}).items():
-            resilience["faults_injected"][kind] = \
-                resilience["faults_injected"].get(kind, 0) + count
-        for key in ("retries", "timeouts", "breaker_trips", "reroutes",
-                    "detected_mismatches", "shed", "shrunk_windows"):
-            resilience[key] = resilience.get(key, 0) + res.get(key, 0)
-    merged["resilience"] = resilience
+        faults.update(res.get("faults_injected", {}))
+        events.update({key: res.get(key, 0) for key in RESILIENCE_EVENTS})
+    merged["resilience"] = _resilience(faults, events)
     # DAG sub-rollup: counts add; stage percentiles combine weighted by
     # stage counts, critical-path/makespan means weighted by completed
     # graphs; the stretch re-derives from the combined means so it stays

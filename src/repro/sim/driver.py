@@ -20,7 +20,7 @@ supported entry point is :meth:`repro.api.Simulator.run`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .._cache import ArtifactCache
@@ -125,11 +125,7 @@ class SimConfig:
 
     def at_frequency(self, freq_mhz: float) -> "SimConfig":
         """Fig. 8 helper: same machine at a different clock."""
-        return SimConfig(arch=self.arch, timing=self.timing.retimed(freq_mhz),
-                         pim=self.pim, energy=self.energy,
-                         base_row=self.base_row, verify=self.verify,
-                         functional=self.functional,
-                         mapper_options=self.mapper_options)
+        return replace(self, timing=self.timing.retimed(freq_mhz))
 
 
 @dataclass(frozen=True)
@@ -174,14 +170,14 @@ class TransformSpec:
         return cyclic_program(ntt, config.arch, config.pim, config.base_row,
                               bank, config.mapper_options)
 
-    def compile(self, config: SimConfig, passes=None
+    def compile(self, config: SimConfig
                 ) -> Tuple[CachedProgram, CommandStream]:
         """Bank 0's program and its compiled stream, memoized under the
         program's own key — a lone transform never pays for a one-bank
         interleave."""
         program = self.program(config, 0)
         return program, cached_stream(program.commands, config.arch,
-                                      key=program.key, passes=passes)
+                                      key=program.key)
 
     def load_layout(self, values: Sequence[int]) -> List[int]:
         """Bank-resident input image (the Sec. IV.A host protocol leaves

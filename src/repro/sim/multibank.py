@@ -108,7 +108,7 @@ def normalize_specs(spec, banks: int) -> List[TransformSpec]:
     return [TransformSpec.of(spec)] * banks
 
 
-def compile_multibank(spec, banks: int, config: SimConfig, passes=None):
+def compile_multibank(spec, banks: int, config: SimConfig):
     """Compile the ``banks``-way interleaved program for one shape.
 
     ``spec`` is a :class:`TransformSpec` (or bare ``NttParams``, the
@@ -117,11 +117,9 @@ def compile_multibank(spec, banks: int, config: SimConfig, passes=None):
     merged_key)``.  Everything is memoized (program / stream caches),
     so repeated dispatches of one shape compile once.
 
-    With the ``interleave`` pass enabled (the default) the merge runs
-    as a vectorized index permutation over the per-bank IR columns
-    (:func:`repro.compile.interleave_irs`); toggled off, the legacy
-    per-command :func:`interleave_programs` ground truth runs.  Both
-    produce bit-identical merged programs.
+    The merge runs as a vectorized index permutation over the per-bank
+    IR columns (:func:`repro.compile.interleave_irs`), bit-identical to
+    the per-command :func:`interleave_programs` reference.
     """
     if banks < 1:
         raise ValueError("need at least one bank's worth of input")
@@ -134,17 +132,11 @@ def compile_multibank(spec, banks: int, config: SimConfig, passes=None):
     # cheap) shared-cache key — and the merge itself runs lazily, only
     # when the stream cache misses on that key.
     from ..compile.lower import interleave_irs
-    from ..compile.passes import normalize_passes
 
     merged_key = programs_recipe_key("interleave", programs)
-    if "interleave" in normalize_passes(passes):
-        def merge():
-            return interleave_irs([p.commands for p in programs])
-    else:
-        def merge():
-            return interleave_programs([p.commands for p in programs])
-    merged_stream = cached_stream(merge, config.arch, key=merged_key,
-                                  passes=passes)
+    merged_stream = cached_stream(
+        lambda: interleave_irs([p.commands for p in programs]),
+        config.arch, key=merged_key)
     return programs, merged_stream, merged_key
 
 

@@ -68,8 +68,7 @@ class TestCompilation:
         assert len(stream.plan.ops) < len(cmds) // 50
 
     def test_scalar_programs_fuse_through_lane_renaming(self):
-        # Nb=1 µ-op programs fuse via the lane-granular renaming pass;
-        # with that pass toggled off they fall back per-command.
+        # Nb=1 µ-op programs fuse via the lane-granular renaming pass.
         n = 64
         q = find_ntt_prime(n, 32)
         config = SimConfig(pim=PimParams(nb_buffers=1))
@@ -79,10 +78,30 @@ class TestCompilation:
         assert stream.plan is not None, stream.fallback_reason
         assert stream.plan.mode == "lane"
         assert len(stream.plan.ops) < len(cmds) // 2
-        off = compile_stream(cmds, HBM2E_ARCH,
-                             passes={"rename", "group", "pool"})
-        assert off.plan is None
-        assert "per-command" in off.fallback_reason
+
+    def test_scalar_program_with_c2_runs_per_command(self):
+        # Lane fusion covers pure scalar-µ-op programs: one C2 appended
+        # to an Nb=1 program sends it down the per-command fallback,
+        # which must leave the bank exactly as the legacy loop does.
+        n = 64
+        q = find_ntt_prime(n, 32)
+        config = SimConfig(pim=PimParams(nb_buffers=1))
+        program = cyclic_program(NttParams(n, q), config.arch, config.pim)
+        cmds = list(program.commands) + [
+            Command(CommandType.C2, buf=0, buf2=0, omega0=3, r_omega=1)]
+        stream = compile_stream(cmds, HBM2E_ARCH)
+        assert stream.plan is None
+        assert "runs per-command" in stream.fallback_reason
+        legacy, fused = _fresh_banks(config, q)
+        data = bit_reverse_permute([(7 * i + 3) % q for i in range(n)])
+        for bank in (legacy, fused):
+            bank.load_polynomial(0, list(data))
+        legacy.run(cmds)
+        fused.run_stream(stream)
+        assert (fused.read_polynomial(program.result_base_row, n)
+                == legacy.read_polynomial(program.result_base_row, n))
+        assert fused.buffers.read(0) == legacy.buffers.read(0)
+        assert _counters(fused) == _counters(legacy)
 
     def test_protocol_violations_fall_back(self):
         bad = [Command(CommandType.ACT, row=3),

@@ -1,8 +1,7 @@
-"""The pass-based IR compiler: per-pass bit-identity against the legacy
+"""The pass-based IR compiler: pipeline bit-identity against the legacy
 per-command engine, the merge passes against the legacy mergers, Nb=1
 lane fusion, and the public ``repro.compile`` API surface."""
 
-import itertools
 import random
 
 import numpy as np
@@ -21,7 +20,6 @@ from repro.api import (
 )
 from repro.arith import NttParams, find_ntt_prime
 from repro.arith.bitrev import bit_reverse_permute
-from repro.compile import DEFAULT_PASSES, PASS_NAMES, normalize_passes
 from repro.compile.ir import StreamIR
 from repro.compile.lower import concat_irs, interleave_irs
 from repro.dram import HBM2E_ARCH, HBM2E_TIMING, TimingEngine, compile_stream
@@ -67,31 +65,16 @@ def _run_stream(config, q, stream, data, base_row, n):
     return _bank_state(bank, base_row, n)
 
 
-class TestPassNormalization:
-    def test_default_is_every_pass(self):
-        assert normalize_passes(None) == set(PASS_NAMES)
-        assert DEFAULT_PASSES == frozenset(PASS_NAMES)
+class TestPipelineBitIdentity:
+    """The compiled pipeline must execute and time bit-identically to
+    the legacy per-command engine."""
 
-    def test_string_means_singleton(self):
-        assert normalize_passes("rename") == {"rename"}
-
-    def test_unknown_pass_rejected(self):
-        with pytest.raises(ValueError, match="unknown compiler pass"):
-            normalize_passes({"rename", "bogus"})
-
-
-class TestPerPassBitIdentity:
-    """Every subset of the optimization pipeline must execute and time
-    bit-identically to the legacy per-command engine."""
-
-    @pytest.mark.parametrize("off", [()] + [(p,) for p in PASS_NAMES])
-    def test_each_pass_toggled_off(self, off):
+    def test_default_pipeline_matches_legacy(self):
         n = 256
         q = find_ntt_prime(n, 32)
         config = SimConfig()
         program = cyclic_program(NttParams(n, q), config.arch, config.pim)
-        passes = set(PASS_NAMES) - set(off)
-        stream = compile_stream(program.commands, config.arch, passes=passes)
+        stream = compile_stream(program.commands, config.arch)
         data = bit_reverse_permute([(7 * i + 3) % q for i in range(n)])
         legacy = _run_legacy(config, q, program.commands, data,
                              program.result_base_row, n)
@@ -106,22 +89,6 @@ class TestPerPassBitIdentity:
         assert by_stream.total_cycles == by_cmd.total_cycles
         assert by_stream.energy_nj == by_cmd.energy_nj
         assert by_stream.stats == by_cmd.stats
-
-    def test_all_subsets_on_a_small_program(self):
-        n = 64
-        q = find_ntt_prime(n, 32)
-        config = SimConfig()
-        program = cyclic_program(NttParams(n, q), config.arch, config.pim)
-        data = bit_reverse_permute([(5 * i + 1) % q for i in range(n)])
-        legacy = _run_legacy(config, q, program.commands, data,
-                             program.result_base_row, n)
-        for r in range(len(PASS_NAMES) + 1):
-            for subset in itertools.combinations(PASS_NAMES, r):
-                stream = compile_stream(program.commands, config.arch,
-                                        passes=set(subset))
-                fused = _run_stream(config, q, stream, data,
-                                    program.result_base_row, n)
-                assert fused == legacy, f"passes={subset}"
 
 
 class TestLaneFusion:
@@ -143,16 +110,6 @@ class TestLaneFusion:
             fused = _run_stream(config, q, stream, data,
                                 program.result_base_row, n)
             assert fused == legacy
-
-    def test_lane_pass_off_falls_back(self):
-        n = 64
-        q = find_ntt_prime(n, 32)
-        config = SimConfig(pim=PimParams(nb_buffers=1))
-        cmds = cyclic_program(NttParams(n, q), config.arch,
-                              config.pim).commands
-        off = compile_stream(cmds, HBM2E_ARCH,
-                             passes=set(PASS_NAMES) - {"lane_fuse"})
-        assert off.plan is None
 
 
 class TestMergePasses:
@@ -214,19 +171,7 @@ class TestCompileRequestApi:
         assert cp.fused
         assert cp.ir.n == len(cp.stream.commands)
         assert cp.key is not None
-        assert set(cp.passes) == set(PASS_NAMES)
         assert "StreamIR" in cp.describe()
-
-    def test_pass_subset_round_trips(self):
-        n = 256
-        req = NttRequest(params=NttParams(n, find_ntt_prime(n, 32)))
-        cp = compile_request(req, passes={"rename"})
-        assert cp.passes == ("rename",)
-        assert cp.pass_stats["passes"] == ("rename",)
-        # Without the grouping pass every op is its own group.
-        assert cp.pass_stats["groups"] == cp.pass_stats["depth"]
-        with pytest.raises(ValueError, match="unknown compiler pass"):
-            compile_request(req, passes={"bogus"})
 
     def test_compiled_stream_is_the_one_the_simulator_runs(self):
         Simulator.clear_caches()

@@ -333,7 +333,7 @@ class TestClusterDags:
             assert res.ok
             assert list(res.response.values) == list(golden.run(dag).values)
         assert cluster.health.failovers >= 1
-        # Exactly once: pooled records contain one live (non-orphaned)
+        # Exactly once: merged records contain one live (non-orphaned)
         # whole-graph record per submitted graph.
         records = cluster.cluster_telemetry().records
         live = [r for r in records

@@ -764,6 +764,14 @@ class TestTelemetry:
         snapshot = Telemetry().snapshot()
         assert snapshot["requests"] == 0
         assert snapshot["throughput_rps"] == 0.0
+        assert snapshot["resilience"] == {
+            "faults_injected": {}, "retries": 0, "timeouts": 0,
+            "breaker_trips": 0, "reroutes": 0, "detected_mismatches": 0,
+            "shed": 0, "shrunk_windows": 0}
+
+    def test_unknown_resilience_event_rejected(self):
+        with pytest.raises(ValueError, match="unknown resilience event"):
+            Telemetry().note("retry")
 
     @staticmethod
     def _part(replica, latencies, start_us=0.0):
@@ -773,15 +781,15 @@ class TestTelemetry:
             telemetry.add(RequestRecord(
                 request_id=i + 1, arrival_us=start_us,
                 start_us=start_us, completion_us=start_us + latency))
-        telemetry.retries = 1
-        telemetry.faults_injected = {"fail": 2}
+        telemetry.note("retries")
+        telemetry.faults_injected["fail"] = 2
         return telemetry
 
     def test_merge_single_part_is_identity(self):
         part = self._part(0, [10.0, 20.0])
         merged = Telemetry.merge([part])
         assert merged.records == part.records
-        assert merged.retries == part.retries
+        assert merged.events == part.events
         assert merged.faults_injected == part.faults_injected
         assert {k: v for k, v in merged.snapshot().items()} == \
             {k: v for k, v in part.snapshot().items()}
@@ -793,9 +801,9 @@ class TestTelemetry:
         assert len(merged.records) == 4
         # Per-replica attribution survives the pooling.
         assert [r.replica for r in merged.records] == [0, 0, 1, 1]
-        assert merged.retries == 2
+        assert merged.events["retries"] == 2
         assert merged.faults_injected == {"fail": 4}
-        # Exact pooled percentile over all four latencies.
+        # Exact percentile over all four latencies.
         assert merged.snapshot()["latency_p50_us"] == pytest.approx(25.0)
 
     def test_merge_snapshots_weighted_combining(self):
@@ -821,6 +829,7 @@ class TestTelemetry:
     def test_merge_snapshots_unequal_weights_and_empty(self):
         empty = merge_snapshots([])
         assert empty["requests"] == 0 and empty["replicas"] == 0
+        assert empty["resilience"] == {"faults_injected": {}}
         heavy = self._part(0, [10.0] * 9).snapshot()
         light = self._part(1, [100.0]).snapshot()
         merged = merge_snapshots([heavy, light])

@@ -240,7 +240,7 @@ class TestRetryPolicy:
         result = server.serve([ServeRequest(request=ntt_request(0))])[0]
         assert result.ok
         assert result.record.attempts == 3
-        assert server.telemetry.retries == 2
+        assert server.telemetry.events["retries"] == 2
         assert server.telemetry.faults_injected["fail"] == 2
         # Two backoffs (25, 50) plus two failure costs pushed completion.
         solo = SimServer(NOVERIFY).serve(
@@ -265,7 +265,7 @@ class TestRetryPolicy:
         server = SimServer(NOVERIFY, faults=plan)  # policy "none"
         result = server.serve([ServeRequest(request=ntt_request(0))])[0]
         assert not result.ok and result.record.status == STATUS_FAILED
-        assert server.telemetry.retries == 0
+        assert server.telemetry.events["retries"] == 0
 
     def test_retry_budget_exhaustion_fails_fast(self):
         plan = ScriptedPlan({}, default=FAIL)
@@ -275,7 +275,8 @@ class TestRetryPolicy:
         results = server.serve([ServeRequest(request=ntt_request(i),
                                              arrival_us=float(i))
                                 for i in range(4)])
-        assert server.telemetry.retries == 3  # the whole session's budget
+        # The whole session's budget.
+        assert server.telemetry.events["retries"] == 3
         assert all(r.record.status == STATUS_FAILED for r in results)
 
     def test_timeout_aborts_and_redispatches(self):
@@ -286,7 +287,7 @@ class TestRetryPolicy:
                                                    timeout_us=1000.0))
         result = server.serve([ServeRequest(request=ntt_request(0))])[0]
         assert result.ok and result.record.attempts == 2
-        assert server.telemetry.timeouts == 1
+        assert server.telemetry.events["timeouts"] == 1
         # The abort happened at the timeout, not after the full stall.
         assert result.record.completion_us < 5000.0
 
@@ -303,7 +304,7 @@ class TestCircuitBreaker:
         server.serve([ServeRequest(request=ntt_request(i),
                                    arrival_us=float(i * 200))
                       for i in range(4)])
-        assert server.telemetry.breaker_trips >= 1
+        assert server.telemetry.events["breaker_trips"] >= 1
 
     def test_half_open_probe_closes_breaker(self):
         # Three failures trip shard 0; later dispatches are clean, so
@@ -317,7 +318,7 @@ class TestCircuitBreaker:
         results = server.serve([ServeRequest(request=ntt_request(i),
                                              arrival_us=float(i * 100))
                                 for i in range(6)])
-        assert server.telemetry.breaker_trips == 1
+        assert server.telemetry.events["breaker_trips"] == 1
         assert sum(r.ok for r in results) == 3
         probe = results[3]  # first dispatch after the trip
         assert probe.ok
@@ -352,7 +353,7 @@ class TestCircuitBreaker:
                                breaker_cooldown_us=5000.0))
         results = server.serve(arrivals)
         assert all(r.ok for r in results)
-        assert server.telemetry.reroutes > 0
+        assert server.telemetry.events["reroutes"] > 0
         # The detoured dispatches really served on the healthy shard.
         assert {r.record.shard for r in results} == {1}
 
@@ -372,7 +373,7 @@ class TestCorruptionDetection:
                                                  golden)) if a != b]
         assert len(diff) == 1  # exactly one flipped word
         assert server.telemetry.faults_injected["corrupt"] == 1
-        assert server.telemetry.detected_mismatches == 0
+        assert server.telemetry.events["detected_mismatches"] == 0
 
     def test_detection_catches_and_retry_recovers(self):
         plan = ScriptedPlan({(0, 0, 1): FaultDecision(corrupt=True)})
@@ -382,7 +383,7 @@ class TestCorruptionDetection:
         request = ntt_request(0)
         result = server.serve([ServeRequest(request=request)])[0]
         assert result.ok and result.record.attempts == 2
-        assert server.telemetry.detected_mismatches == 1
+        assert server.telemetry.events["detected_mismatches"] == 1
         assert result.response.values == Simulator(NOVERIFY).run(
             request).values
 
@@ -405,7 +406,7 @@ class TestCorruptionDetection:
             ServeRequest(request=ntt_request(1), arrival_us=0.0),
             ServeRequest(request=ntt_request(2), arrival_us=10.0)])
         assert all(r.ok for r in results)
-        assert server.telemetry.detected_mismatches == 1
+        assert server.telemetry.events["detected_mismatches"] == 1
         for seed, result in zip((1, 2), results):
             assert result.response.values == Simulator(NOVERIFY).run(
                 ntt_request(seed)).values
@@ -426,7 +427,7 @@ class TestDegradation:
         assert len(shed) == 3  # depth hits 2 after two admissions
         assert all(r.record.priority == 0 for r in shed)
         assert results[5].ok  # urgent traffic landed past the threshold
-        assert server.telemetry.shed == 3
+        assert server.telemetry.events["shed"] == 3
 
     def test_window_shrinking_under_depth(self):
         arrivals = [ServeRequest(request=ntt_request(i),
@@ -438,7 +439,7 @@ class TestDegradation:
                                                    shrink_factor=0.25))
         slow = relaxed.serve(list(arrivals))
         fast = shrunk.serve(list(arrivals))
-        assert shrunk.telemetry.shrunk_windows > 0
+        assert shrunk.telemetry.events["shrunk_windows"] > 0
         assert fast[0].record.dispatch_us < slow[0].record.dispatch_us
         # Same responses, earlier service: degradation trades occupancy.
         assert [r.response.values for r in fast] == \
@@ -491,7 +492,7 @@ class TestBurstLoad:
         bursty.serve(LoadGenerator(make_scenario("skewed"),
                                    rate_rps=30_000.0, count=60, seed=2,
                                    rate_profile=profile).requests())
-        assert bursty.telemetry.shed > flat.telemetry.shed
+        assert bursty.telemetry.events["shed"] > flat.telemetry.events["shed"]
 
 
 # ---------------------------------------------------------------------------
