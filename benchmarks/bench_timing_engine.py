@@ -5,7 +5,11 @@ per-command loop) against ``TimingEngine.simulate_stream`` (the SoA
 compiled-stream loop) on fixed NTT command programs, plus the one-time
 stream compile cost and the end-to-end functional ``run_ntt`` speedup of
 the stream-routed driver over the legacy per-command bank — and merges
-the measurements into ``BENCH_kernels.json`` at the repo root.
+the measurements into ``BENCH_kernels.json`` at the repo root.  Each
+compiler entry also records the host slowdown
+(``perfbench/perf_clock.slowdown``) measured around its compile
+timings, so ``check_trajectory`` can gate the compile rate at the
+reference machine's speed.
 
 Non-gating when run directly —
 
@@ -25,6 +29,11 @@ from pathlib import Path
 
 from bench_backend_speedup import _best_of, merge_sections
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+
+import perf_clock  # noqa: E402
+
 from repro.arith import NttParams, bit_reverse_permute, find_ntt_prime
 from repro.dram import (
     HBM2E_ARCH,
@@ -38,7 +47,6 @@ from repro.pim.bank_pim import PimBank
 from repro.pim.params import PimParams
 from repro.sim.driver import SimConfig, TransformSpec
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_kernels.json"
 
 
@@ -55,9 +63,12 @@ def run(ns=(1024, 4096), repeats: int = 5,
                               compute=config.pim.compute_timing())
 
         # Cold compile = full IR pipeline every call (compile_stream
-        # never caches); warm = structural stream-cache hit.
+        # never caches); warm = structural stream-cache hit.  The host
+        # slowdown is probed on both sides of the cold timing.
+        slowdown = perf_clock.slowdown()
         compile_s = _best_of(lambda: compile_stream(commands, HBM2E_ARCH),
                              repeats)
+        slowdown = (slowdown + perf_clock.slowdown()) / 2
         stream = compile_stream(commands, HBM2E_ARCH)
         clear_stream_cache()
         warm_s = _best_of(
@@ -67,6 +78,7 @@ def run(ns=(1024, 4096), repeats: int = 5,
             "commands": len(commands),
             "cold_compile_s": compile_s,
             "cold_us_per_cmd": compile_s / len(commands) * 1e6,
+            "slowdown": slowdown,
             "warm_hit_s": warm_s,
         }
 
@@ -159,7 +171,8 @@ def _format(results: dict) -> str:
             continue
         lines.append(
             f"  N={n:>5s}  cold {entry['cold_compile_s'] * 1e3:6.2f} ms "
-            f"({entry['cold_us_per_cmd']:.2f} us/cmd)  "
+            f"({entry['cold_us_per_cmd']:.2f} us/cmd, host slowdown "
+            f"{entry['slowdown']:.2f}x)  "
             f"warm {entry['warm_hit_s'] * 1e6:6.1f} us")
     nb1 = results["compiler"]["nb1"]
     lines.append(
@@ -199,6 +212,7 @@ def test_stream_engine_smoke(show, tmp_path):
                   out_path=tmp_path / "BENCH_kernels.json")
     assert results["timing_engine"]["256"]["engine_speedup"] > 0
     assert results["compiler"]["256"]["cold_us_per_cmd"] > 0
+    assert results["compiler"]["256"]["slowdown"] > 0
     assert results["compiler"]["nb1"]["fused_speedup"] > 0
 
 

@@ -9,9 +9,11 @@ committed floor:
 * stream engine: the compiled-stream timing loop and the fused
   functional bank must not be slower than the legacy per-command loops
   (measured ~4x / ~7x; the floor is 1.0 with headroom for CI noise);
-* compiler: the pass-based IR pipeline's cold compile must stay below
-  the retired monolith's ~2.3 us/command rate, and the Nb=1 lane-fused
-  run must not be slower than the per-command fallback it replaced;
+* compiler: the pass-based IR pipeline's cold compile, scaled to the
+  reference machine's speed by the host slowdown recorded next to it,
+  must stay below the retired monolith's ~2.3 us/command rate, and the
+  Nb=1 lane-fused run must not be slower than the per-command fallback
+  it replaced;
 * shared bus: the contention model must report real utilization and
   never beat the independent-channel upper bound;
 * resilience: under injected faults the recovery policies must keep
@@ -55,7 +57,10 @@ BANK_SPEEDUP_FLOOR = 1.0
 #: The retired monolithic ``compile_stream`` measured ~2.3 us/command
 #: cold (39.8 ms on the 17k-command N=4096 program); the pass-based IR
 #: pipeline measures ~1.2 us/command and must never creep back above
-#: the monolith's rate.
+#: the monolith's rate.  The gate divides the measured rate by the host
+#: slowdown the bench recorded around it (``perfbench/perf_clock``; a
+#: file without the key counts as 1.0), so a slow shared machine does
+#: not read as a compiler regression.
 COMPILE_US_PER_CMD_CEILING = 2.3
 #: Nb=1 µ-op programs fuse through the lane-renaming pass; the fused
 #: run must not be slower than the per-command fallback it replaced
@@ -221,15 +226,19 @@ def check(kernels_path: Path = REPO_ROOT / "BENCH_kernels.json",
     for n, entry in compiler.items():
         if n == "nb1":
             continue
+        slowdown = entry.get("slowdown", 1.0)
+        us_per_cmd = entry["cold_us_per_cmd"] / slowdown
         print(f"compiler: N={n} cold {entry['cold_compile_s'] * 1e3:.2f} ms "
-              f"({entry['cold_us_per_cmd']:.2f} us/cmd, ceiling "
-              f"{COMPILE_US_PER_CMD_CEILING}), warm "
+              f"({entry['cold_us_per_cmd']:.2f} us/cmd at host slowdown "
+              f"{slowdown:.2f}x = {us_per_cmd:.2f} us/cmd at reference "
+              f"speed, ceiling {COMPILE_US_PER_CMD_CEILING}), warm "
               f"{entry['warm_hit_s'] * 1e6:.1f} us")
-        if entry["cold_us_per_cmd"] > COMPILE_US_PER_CMD_CEILING:
+        if us_per_cmd > COMPILE_US_PER_CMD_CEILING:
             failures.append(
-                f"compiler N={n}: cold compile {entry['cold_us_per_cmd']:.2f} "
-                f"us/cmd exceeds the {COMPILE_US_PER_CMD_CEILING} us/cmd "
-                f"monolith-rate ceiling")
+                f"compiler N={n}: cold compile {us_per_cmd:.2f} us/cmd at "
+                f"reference speed ({entry['cold_us_per_cmd']:.2f} raw / "
+                f"{slowdown:.2f}x slowdown) exceeds the "
+                f"{COMPILE_US_PER_CMD_CEILING} us/cmd monolith-rate ceiling")
     if "nb1" in compiler:
         nb1 = compiler["nb1"]
         print(f"compiler: Nb=1 N={nb1['n']} lane-fused speedup "

@@ -16,8 +16,8 @@ One entry point for every run shape of the paper's evaluation::
   cache provenance, backend and wall-clock metadata;
 * a string-keyed workload registry (:mod:`repro.api.registry`) lets
   third-party scenarios plug in without touching core code;
-* :meth:`Simulator.run_many` dispatches bulk request streams across
-  banks automatically;
+* :meth:`Simulator.run_many` validates a bulk request list, then
+  groups its same-shape transforms across banks automatically;
 * :func:`repro.compile.compile_request` (re-exported here) runs just
   the deterministic compile side of a request — mapping, IR passes,
   stream lowering — returning a

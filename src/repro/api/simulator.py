@@ -17,15 +17,15 @@ structurally keyed cache in :mod:`repro.sim.driver` — shared by single,
 batch and multi-bank paths alike.  The response's ``cache`` field
 reports the hit/miss deltas of the run.
 
-:meth:`Simulator.run_many` is the bulk path: it takes an iterable of
-requests and automatically groups same-shape forward NTTs onto parallel
-banks (the Sec. VI.A deployment) before running the rest individually.
+:meth:`Simulator.run_many` is the bulk path: it validates an iterable
+of requests, then groups same-shape transforms onto parallel banks (the
+Sec. VI.A deployment) before running the rest individually.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..arith.vector import get_backend
 from ..dram.stream import clear_stream_cache, stream_cache_info
@@ -106,59 +106,38 @@ class Simulator:
 
     # -- bulk path --------------------------------------------------------------
     def run_many(self, requests: Iterable[SimRequest], *,
-                 max_banks: int = 8,
-                 group: bool = True) -> List[SimResponse]:
+                 max_banks: int = 8) -> List[SimResponse]:
         """Run every request; responses come back in input order.
 
-        With ``group=True`` (default), mergeable requests of the same
-        transform shape (:func:`merge_key`: forward/inverse cyclic
-        NTTs, forward/inverse negacyclic transforms) are dispatched
-        together, one per bank, in chunks of up to ``max_banks``.  Each grouped response carries
-        that request's own output values; cycles/latency are the group's
-        completion time under the shared command bus (what the request
-        actually experienced), while energy, command and µ-op counters
-        are the request's own per-bank share — so totals summed over
-        ``run_many`` responses stay physical.
-        (``metrics["group_banks"]``/``metrics["bank"]`` tell the story;
-        ``raw`` holds the full group result.)  This drains
-        :meth:`run_many_iter`, the streaming form.
+        Every request is validated first, so a malformed one fails with
+        its own message before any unit runs (not as a synthetic
+        group's error).  Mergeable requests of the same transform shape
+        (:func:`merge_key`: forward/inverse cyclic NTTs,
+        forward/inverse negacyclic transforms) are then dispatched
+        together, one per bank, in chunks of up to ``max_banks``.  Each
+        grouped response carries that request's own output values
+        (bit-identical to :meth:`run` of the request alone);
+        cycles/latency are the group's completion time under the shared
+        command bus (what the request actually experienced), while
+        energy, command and µ-op counters are the request's own
+        per-bank share — so totals summed over ``run_many`` responses
+        stay physical.  (``metrics["group_banks"]``/``metrics["bank"]``
+        tell the story; ``raw`` holds the full group result.)
         """
         reqs = list(requests)
-        responses: List[Optional[SimResponse]] = [None] * len(reqs)
-        for i, response in self.run_many_iter(reqs, max_banks=max_banks,
-                                              group=group):
-            responses[i] = response
-        return responses
-
-    def run_many_iter(self, requests: Iterable[SimRequest], *,
-                      max_banks: int = 8,
-                      group: bool = True
-                      ) -> Iterator[Tuple[int, SimResponse]]:
-        """Streaming :meth:`run_many`: yield ``(index, response)`` pairs
-        as each dispatch unit completes instead of barriering on the
-        whole list.
-
-        Requests are first partitioned into *dispatch units* — bank
-        groups of same-shape transforms (up to ``max_banks`` each) and
-        pass-through singles — which then execute in order.  Responses
-        are identical to :meth:`run` of each request alone (values bit
-        for bit; grouped units report group timing and per-bank shares,
-        as in :meth:`run_many`).
-        """
-        reqs = list(requests)
-        # Validate up front so a malformed request fails with its own
-        # message instead of surfacing as a synthetic group's error.
         for req in reqs:
             req.validate()
-        for indices, merged in self._dispatch_units(reqs, max_banks=max_banks,
-                                                    group=group):
+        responses: List[Optional[SimResponse]] = [None] * len(reqs)
+        for indices, merged in self._dispatch_units(reqs,
+                                                    max_banks=max_banks):
+            response = self.run(merged)
             if len(indices) == 1:
-                yield indices[0], self.run(merged)
-            else:
-                grouped = self.run(merged)
-                for slot, i in enumerate(indices):
-                    yield i, self._split_group(grouped, reqs[i], slot,
-                                               len(indices))
+                responses[indices[0]] = response
+                continue
+            for slot, i in enumerate(indices):
+                responses[i] = self._split_group(response, reqs[i], slot,
+                                                 len(indices))
+        return responses
 
     @staticmethod
     def merge_requests(requests: List[SimRequest]) -> MultiBankRequest:
@@ -182,9 +161,8 @@ class Simulator:
                                 inverse=head.inverse)
 
     @staticmethod
-    def _dispatch_units(reqs: List[SimRequest], *, max_banks: int,
-                        group: bool) -> List[Tuple[Tuple[int, ...],
-                                                   SimRequest]]:
+    def _dispatch_units(reqs: List[SimRequest], *, max_banks: int
+                        ) -> List[Tuple[Tuple[int, ...], SimRequest]]:
         """Partition requests into dispatch units: ``(indices, request)``
         where a multi-index unit is a merged :class:`MultiBankRequest`
         over same-shape transforms (grouped by :func:`merge_key`) and
@@ -194,7 +172,7 @@ class Simulator:
         ``run_many`` always had."""
         units: List[Tuple[Tuple[int, ...], SimRequest]] = []
         grouped_indices = set()
-        if group and max_banks > 1:
+        if max_banks > 1:
             groups: Dict[tuple, List[int]] = {}
             for i, req in enumerate(reqs):
                 key = merge_key(req)

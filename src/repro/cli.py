@@ -275,17 +275,16 @@ def _serve_cluster(args, scenario, config, load) -> int:
     if args.faults is not None or args.policy != "none":
         print(f"resilience     : faults={args.faults or 'none'} "
               f"policy={args.policy} (per-replica derived fault seeds)")
-    if frontend.supervised:
-        health = frontend.health.snapshot()
-        print(f"self-healing   : replica-faults="
-              f"{args.replica_faults or 'none'}"
-              f"{', autoscale=' + args.autoscale if args.autoscale else ''}"
-              f" | failovers={health['failovers']} "
-              f"restarts={health['restarts']} "
-              f"orphans={health['orphans_recovered']} "
-              f"dups={health['duplicates_dropped']} "
-              f"scale=+{health['scale_out']}/-{health['scale_in']} "
-              f"mttr={health['mttr_us']:.0f}us")
+    health = frontend.health.snapshot()
+    print(f"self-healing   : replica-faults="
+          f"{args.replica_faults or 'none'}"
+          f"{', autoscale=' + args.autoscale if args.autoscale else ''}"
+          f" | failovers={health['failovers']} "
+          f"restarts={health['restarts']} "
+          f"orphans={health['orphans_recovered']} "
+          f"dups={health['duplicates_dropped']} "
+          f"scale=+{health['scale_out']}/-{health['scale_in']} "
+          f"mttr={health['mttr_us']:.0f}us")
     stats = frontend.quota_stats()
     if stats:
         print("tenants        : " + "  ".join(

@@ -30,8 +30,9 @@ _COLUMNS = (("replica", 7), ("state", 7), ("queue", 5), ("live", 5),
 
 
 def _state_cell(hb) -> str:
-    """The watchdog's lifecycle verdict when it has one; the breaker
-    view otherwise.  Dark states render uppercase so they jump out."""
+    """The watchdog's lifecycle verdict unless it is ``up``; the
+    breaker view then.  Dark states render uppercase so they jump
+    out."""
     if hb.lifecycle != "up":
         return (hb.lifecycle.upper()
                 if hb.lifecycle in ("down", "suspect") else hb.lifecycle)
@@ -62,7 +63,8 @@ def _rows(frontend: ClusterFrontend) -> List[List[str]]:
 
 def render_plain(frontend: ClusterFrontend) -> str:
     """One fixed-width console frame: the replica table, then tenant
-    quota counters (skipped while no tenant is metered)."""
+    quota counters (skipped while no tenant is metered), then the
+    self-healing counters."""
     header = " ".join(name.rjust(width) for name, width in _COLUMNS)
     lines = [f"cluster @ {frontend.now_us:.1f}us "
              f"({len(frontend.replicas)} replicas)",
@@ -76,15 +78,14 @@ def render_plain(frontend: ClusterFrontend) -> str:
             f"{tenant or '(none)'}: {int(s['admitted'])} ok"
             f"/{int(s['throttled'])} throttled"
             for tenant, s in stats.items()))
-    if frontend.supervised:
-        health = frontend.health.snapshot()
-        lines.append(
-            f"health: failovers={health['failovers']} "
-            f"restarts={health['restarts']} "
-            f"orphans={health['orphans_recovered']} "
-            f"dups={health['duplicates_dropped']} "
-            f"scale=+{health['scale_out']}/-{health['scale_in']} "
-            f"mttr={health['mttr_us']:.0f}us")
+    health = frontend.health.snapshot()
+    lines.append(
+        f"health: failovers={health['failovers']} "
+        f"restarts={health['restarts']} "
+        f"orphans={health['orphans_recovered']} "
+        f"dups={health['duplicates_dropped']} "
+        f"scale=+{health['scale_out']}/-{health['scale_in']} "
+        f"mttr={health['mttr_us']:.0f}us")
     return "\n".join(lines)
 
 

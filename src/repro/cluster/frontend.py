@@ -9,27 +9,29 @@ no shards itself.  Each call runs the front-end pipeline:
    Throttled requests drop at the front door with a ``throttled``
    record and a virtual-time retry-after hint; they never reach a
    replica.
-2. **Health** — replicas answer :class:`~repro.cluster.messages.BreakerQuery`;
-   a replica whose every shard breaker is open (cooldowns pending) is
-   routed around until a cooldown expires.
+2. **Health** — every routable replica answers one
+   :class:`~repro.cluster.messages.Heartbeat`, whose reply carries both
+   its load and its breaker-lifted ``up`` verdict; a replica whose
+   every shard breaker is open (cooldowns pending) is routed around
+   until a cooldown expires.
 3. **Routing** — the :mod:`~repro.cluster.router` policy places the
    request by its batching merge key among the healthy replicas, so
    coalescible traffic stays coalescible.
 4. **Dispatch** — a typed :class:`~repro.cluster.messages.Submit` to
    the owning replica, recorded in the owner map for ``poll()``.
 
-**Self-healing** (``replica_faults`` / ``autoscale``): each replica
-slot gets a :class:`~repro.cluster.watchdog.ReplicaSupervisor`, every
-message goes through its fault-aware link, and a virtual-time watchdog
-turns missed heartbeats into the UP/SUSPECT/DOWN lifecycle — failing
-over orphaned in-flight requests to healthy replicas (deduped, so a
+**Self-healing**: each replica slot has a
+:class:`~repro.cluster.watchdog.ReplicaSupervisor`, every message goes
+through its fault-aware link, and a virtual-time watchdog turns missed
+heartbeats into the UP/SUSPECT/DOWN lifecycle — failing over orphaned
+in-flight requests to healthy replicas (deduped, so a
 slow-then-recovered replica can never double-serve) and scheduling
 deterministic supervised restarts.  An optional
 :class:`~repro.cluster.watchdog.AutoscalePolicy` grows and shrinks the
-fleet from the same heartbeat rollups with minimal ring remaps.  The
-supervised machinery only engages when a replica-fault plan or an
-autoscale policy is configured; otherwise every code path below is the
-plain unsupervised pipeline.
+fleet from the same heartbeat rollups with minimal ring remaps.  With
+no replica-fault plan a link never drops, so no heartbeat can be
+missed; with no autoscale policy too, every watchdog tick would be a
+no-op, and the watchdog skips them.
 
 Time is one cluster-wide virtual clock; replicas translate into their
 session coordinates.  Determinism is end-to-end: routing hashes are
@@ -53,7 +55,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from ..api import merge_key
 from ..api.dag import DagRequest
 from ..api.requests import SimRequest
-from ..errors import ClusterError, ReproError
+from ..errors import ClusterError
 from ..serve.faults import (
     FaultPlan,
     ResiliencePolicy,
@@ -73,12 +75,10 @@ from ..serve.telemetry import (
 from ..sim.driver import SimConfig
 from .messages import (
     Advance,
-    BreakerQuery,
     Drain,
     Heartbeat,
     HeartbeatReply,
     Poll,
-    Quiesce,
     Submit,
 )
 from .quotas import QuotaManager, TenantQuota
@@ -120,14 +120,18 @@ def _route_key(request: SimRequest):
     return merge_key(request)
 
 
+def _derived_plan(base: Optional[FaultPlan],
+                  index: int) -> Optional[FaultPlan]:
+    if base is None:
+        return None
+    return FaultPlan(base.profile, base.seed + FAULT_SEED_STRIDE * index)
+
+
 def derive_fault_plans(base: Optional[FaultPlan], replicas: int
                        ) -> List[Optional[FaultPlan]]:
     """Independent per-replica plans off one base plan (see
     :data:`FAULT_SEED_STRIDE`)."""
-    if base is None:
-        return [None] * replicas
-    return [FaultPlan(base.profile, base.seed + FAULT_SEED_STRIDE * i)
-            for i in range(replicas)]
+    return [_derived_plan(base, i) for i in range(replicas)]
 
 
 class _ClusterSession(SessionBook):
@@ -144,7 +148,7 @@ class _ClusterSession(SessionBook):
         self.owner: Dict[int, int] = {}
         #: Latest absolute event time — the cluster's ``planner.now_us``.
         self.now_us = self.offset
-        # -- supervised-only bookkeeping (inert otherwise) -----------------------
+        # -- failover bookkeeping ------------------------------------------------
         #: Original absolute-time submissions, for failover re-submits.
         self.inflight: Dict[int, ServeRequest] = {}
         #: Owning supervisor incarnation at assignment time (a restarted
@@ -178,7 +182,7 @@ class ClusterFrontend:
     ``replica_faults``/``replica_fault_seed`` resolve through
     :func:`repro.serve.faults.make_replica_fault_plan` into the
     replica-scoped crash/hang/partition timeline (zero-rate specs drop
-    to ``None`` and leave the cluster unsupervised); ``watchdog``
+    to ``None``: no link ever drops); ``watchdog``
     tunes missed-heartbeat detection and restarts
     (:class:`WatchdogPolicy`); ``autoscale`` is an
     :class:`AutoscalePolicy`, a ``(min, max)`` pair or a ``"min:max"``
@@ -214,9 +218,6 @@ class ClusterFrontend:
         self._server_kwargs = dict(server_kwargs)
         self._base_fault = base
         self._plans: List[Optional[FaultPlan]] = list(plans)
-        self.replicas = [Replica(i, config, fault_plan=plans[i],
-                                 policy=policy, **server_kwargs)
-                         for i in range(replicas)]
         self.router = make_router(router, replicas)
         self.quotas = QuotaManager(quotas)
         #: Front-door telemetry: only records the cluster itself drops
@@ -237,23 +238,31 @@ class ClusterFrontend:
             autoscale = AutoscalePolicy(min_replicas=int(lo),
                                         max_replicas=int(hi))
         self._autoscale = autoscale
-        self._supervised = (self.replica_faults is not None
-                            or autoscale is not None
-                            or watchdog is not None)
         self.watchdog = watchdog if watchdog is not None else WatchdogPolicy()
         self.health = ClusterHealth()
-        self._supervisors: List[ReplicaSupervisor] = (
-            [ReplicaSupervisor(i, self.replicas[i], plan=self.replica_faults)
-             for i in range(replicas)] if self._supervised else [])
+        self._supervisors = [
+            ReplicaSupervisor(i, self._new_replica(i),
+                              plan=self.replica_faults)
+            for i in range(replicas)]
         self._tick = 0
         self._hi_ticks = 0
         self._lo_ticks = 0
         self._last_scale_us = float("-inf")
 
     @property
-    def supervised(self) -> bool:
-        """Whether the watchdog/failover/autoscale tier is engaged."""
-        return self._supervised
+    def replicas(self) -> List[Replica]:
+        """The current incarnation of every slot, retired ones included."""
+        return [sup.replica for sup in self._supervisors]
+
+    def _new_replica(self, slot: int) -> Replica:
+        """A fresh replica on ``slot`` under the slot's derived
+        dispatch-fault plan — construction, restart (which reuses the
+        original plan) and scale-out (which extends the
+        :data:`FAULT_SEED_STRIDE` derivation) all build here."""
+        if slot == len(self._plans):
+            self._plans.append(_derived_plan(self._base_fault, slot))
+        return Replica(slot, self._config, fault_plan=self._plans[slot],
+                       policy=self._policy, **self._server_kwargs)
 
     def _open(self) -> _ClusterSession:
         if self._live is None:
@@ -303,16 +312,10 @@ class ClusterFrontend:
         console's clock source)."""
         session = self._open()
         session.now_us = max(session.now_us, session.offset + now_us)
-        if self._supervised:
-            self._run_watchdog(session, session.now_us)
-            for sup in self._supervisors:
-                if sup.state == RETIRED:
-                    continue
-                self._deliver(sup, Advance(now_us=session.now_us),
-                              session.now_us)
-            return
-        for replica in self.replicas:
-            replica.send(Advance(now_us=session.now_us))
+        self._run_watchdog(session, session.now_us)
+        for sup in self._supervisors:
+            self._deliver(sup, Advance(now_us=session.now_us),
+                          session.now_us)
 
     def poll(self, request_id: int) -> Optional[ServeResult]:
         """The live session's result for ``request_id`` (front-door
@@ -326,15 +329,13 @@ class ClusterFrontend:
         owner = session.owner.get(request_id)
         if owner is None:
             return None
-        if self._supervised:
-            sup = self._supervisors[owner]
-            sid = session.alias.get(request_id, request_id)
-            reply = self._deliver(sup, Poll(sid), session.now_us)
-            if reply is None or reply.result is None:
-                return None
-            self._accept(session, request_id, reply.result)
-            return session.results[request_id]
-        return self.replicas[owner].send(Poll(request_id)).result
+        sid = session.alias.get(request_id, request_id)
+        reply = self._deliver(self._supervisors[owner], Poll(sid),
+                              session.now_us)
+        if reply is None or reply.result is None:
+            return None
+        self._accept(session, request_id, reply.result)
+        return session.results[request_id]
 
     def drain(self) -> List[ServeResult]:
         """Close the session on every replica and return every
@@ -348,11 +349,12 @@ class ClusterFrontend:
     # -- the front-end pipeline ---------------------------------------------------
     def _admit(self, session: _ClusterSession, sreq: ServeRequest) -> None:
         """Quota -> health -> route -> dispatch for one absolute-time
-        request (id already assigned)."""
+        request (id already assigned).  Routes among live-lifecycle
+        replicas only, falls back along the ring when a link drops the
+        Submit itself, and parks when the whole fleet is dark."""
         session.admit(sreq)
-        session.now_us = max(session.now_us, sreq.arrival_us)
-        if self._supervised:
-            self._run_watchdog(session, session.now_us)
+        now = session.now_us = max(session.now_us, sreq.arrival_us)
+        self._run_watchdog(session, now)
         ok, retry_after = self.quotas.admit(sreq.tenant, sreq.arrival_us,
                                             priority=sreq.priority)
         if not ok:
@@ -369,52 +371,27 @@ class ClusterFrontend:
             self.telemetry.add(record)
             session.results[sreq.request_id] = ServeResult(record=record)
             return
-        if self._supervised:
-            self._admit_supervised(session, sreq)
-            return
-        up = [r.replica_id for r in self.replicas
-              if r.send(BreakerQuery(now_us=session.now_us)).up]
-        # All dark: route over everyone rather than fail the front door
-        # (the soonest-cooling-down replica recovers it on dispatch).
-        candidates = up or [r.replica_id for r in self.replicas]
-        loads = {reply.replica: reply.outstanding + reply.backlog
-                 for reply in (r.send(Heartbeat(now_us=session.now_us))
-                               for r in self.replicas)}
-        chosen = self.router.route(
-            _route_key(sreq.request), sreq.request_id,
-            now_us=session.now_us, candidates=candidates, loads=loads)
-        reply = self.replicas[chosen].send(Submit(sreq=sreq))
-        session.owner[sreq.request_id] = reply.replica
-
-    def _admit_supervised(self, session: _ClusterSession,
-                          sreq: ServeRequest) -> None:
-        """The supervised dispatch tail: route among live-lifecycle
-        replicas only, fall back along the ring when a link drops the
-        Submit itself, park when the whole fleet is dark."""
-        now = session.now_us
         session.inflight[sreq.request_id] = sreq
         routable = [sup for sup in self._supervisors
                     if sup.state == UP and sup.link_outage(now) is None]
-        if not routable:
-            session.parked.append(sreq.request_id)
-            return
-        up, loads = [], {}
-        for sup in routable:
-            breakers = self._deliver(sup, BreakerQuery(now_us=now), now)
-            hb = self._deliver(sup, Heartbeat(now_us=now), now)
-            if breakers is None or hb is None:
-                continue
-            if breakers.up:
-                up.append(sup.slot)
-            loads[sup.slot] = hb.outstanding + hb.backlog
-        candidates = up or [sup.slot for sup in routable]
-        chosen = self.router.route(
-            _route_key(sreq.request), sreq.request_id,
-            now_us=now, candidates=candidates, loads=loads)
-        pivot = candidates.index(chosen)
-        for slot in candidates[pivot:] + candidates[:pivot]:
-            if self._place(session, sreq.request_id, sreq, slot, now):
-                return
+        # A clean link always answers, so every routable replica replies.
+        beats = [self._deliver(sup, Heartbeat(now_us=now), now)
+                 for sup in routable]
+        # All breakers dark: route over every routable replica rather
+        # than fail the front door (the soonest-cooling-down replica
+        # recovers it on dispatch).
+        candidates = ([hb.replica for hb in beats if hb.up]
+                      or [sup.slot for sup in routable])
+        if candidates:
+            chosen = self.router.route(
+                _route_key(sreq.request), sreq.request_id, now_us=now,
+                candidates=candidates,
+                loads={hb.replica: hb.outstanding + hb.backlog
+                       for hb in beats})
+            pivot = candidates.index(chosen)
+            for slot in candidates[pivot:] + candidates[:pivot]:
+                if self._place(session, sreq.request_id, sreq, slot, now):
+                    return
         session.parked.append(sreq.request_id)
 
     def _place(self, session: _ClusterSession, rid: int,
@@ -444,23 +421,18 @@ class ClusterFrontend:
             self.health.note_fault(kind)
         return reply
 
-    def _direct(self, sup: ReplicaSupervisor, message):
-        """Bypass the link (close-time semantics: virtual-time close
-        waits out transient outages), keeping the contextful-error
-        wrap."""
-        try:
-            return sup.replica.send(message)
-        except ReproError as exc:
-            raise ClusterError(
-                f"replica {sup.slot} ({sup.state}) failed handling "
-                f"{type(message).__name__}: {exc}",
-                replica=sup.slot, state=sup.state) from exc
-
     def _run_watchdog(self, session: _ClusterSession,
                       now_us: float) -> None:
         """Process every heartbeat tick in ``(last, now_us]``.  Ticks
         live on the integer grid ``(index + 1) * heartbeat_us`` so a
-        replayed run probes at bit-identical times."""
+        replayed run probes at bit-identical times.
+
+        With no replica-fault plan and no autoscale policy a tick can
+        miss no heartbeat, park nothing and scale nothing, so the ticks
+        are skipped outright (they would only cost host time in
+        proportion to idle virtual time)."""
+        if self.replica_faults is None and self._autoscale is None:
+            return
         heartbeat = self.watchdog.heartbeat_us
         while (self._tick + 1) * heartbeat <= now_us:
             self._tick += 1
@@ -495,27 +467,9 @@ class ClusterFrontend:
         """Supervised deterministic restart: fresh incarnation on the
         same slot with the same derived fault seed; the dead
         incarnation's telemetry is retired for the cluster rollup."""
-        replica = Replica(sup.slot, self._config,
-                          fault_plan=self._plan_for_slot(sup.slot),
-                          policy=self._policy, **self._server_kwargs)
-        mttr = sup.reborn(replica, t)
-        self.replicas[sup.slot] = replica
+        mttr = sup.reborn(self._new_replica(sup.slot), t)
         self.health.restarts += 1
         self.health.mttr_samples_us.append(mttr)
-
-    def _plan_for_slot(self, slot: int) -> Optional[FaultPlan]:
-        """The slot's derived dispatch-fault plan — restart reuses the
-        original, scale-out extends the :data:`FAULT_SEED_STRIDE`
-        derivation."""
-        while len(self._plans) <= slot:
-            index = len(self._plans)
-            if self._base_fault is not None:
-                self._plans.append(FaultPlan(
-                    self._base_fault.profile,
-                    self._base_fault.seed + FAULT_SEED_STRIDE * index))
-            else:
-                self._plans.append(None)
-        return self._plans[slot]
 
     def _failover(self, session: _ClusterSession,
                   sup: ReplicaSupervisor, t: float) -> None:
@@ -616,26 +570,22 @@ class ClusterFrontend:
         """Add one replica on a fresh slot: derived fault seed, born at
         ``t`` (pre-birth fault events never fire), minimal ring remap."""
         slot = len(self._supervisors)
-        replica = Replica(slot, self._config,
-                          fault_plan=self._plan_for_slot(slot),
-                          policy=self._policy, **self._server_kwargs)
-        sup = ReplicaSupervisor(slot, replica, plan=self.replica_faults,
-                                born_us=t)
-        self._supervisors.append(sup)
-        self.replicas.append(replica)
+        self._supervisors.append(ReplicaSupervisor(
+            slot, self._new_replica(slot), plan=self.replica_faults,
+            born_us=t))
         self.router.add_replica(slot)
         self.health.scale_out += 1
 
     def _scale_in(self, t: float) -> bool:
-        """Retire the newest UP replica, but only after it confirms the
-        Quiesce handshake (nothing queued or in flight — its settled
+        """Retire the newest UP replica, but only once its heartbeat
+        shows it idle (nothing queued or in flight — its settled
         results stay drainable)."""
         ups = [sup for sup in self._supervisors if sup.state == UP]
         if not ups:
             return False
         sup = ups[-1]
-        reply = self._deliver(sup, Quiesce(now_us=t), t)
-        if reply is None or not reply.idle:
+        reply = self._deliver(sup, Heartbeat(now_us=t), t)
+        if reply is None or reply.outstanding or reply.queue_depth:
             return False
         sup.retire()
         self.router.remove_replica(sup.slot)
@@ -676,24 +626,12 @@ class ClusterFrontend:
         self._accept(session, rid, result)
 
     def _close(self, session: _ClusterSession) -> Dict[int, ServeResult]:
-        """Drain every replica, fold the cluster clock forward (the
-        server's own rule), and return the merged result map."""
-        if self._supervised:
-            self._close_supervised(session)
-        else:
-            for replica in self.replicas:
-                for result in replica.send(Drain()).results:
-                    session.results[result.record.request_id] = result
-        self._clock_us = session.fold_clock(self._clock_us)
-        self._live = None
-        return session.results
-
-    def _close_supervised(self, session: _ClusterSession) -> None:
-        """Supervised close: escalate crashes the watchdog has not
+        """Close the session: escalate crashes the watchdog has not
         reached yet, recover every orphan, drain everything reachable
         (transient outages are waited out in virtual time — the link is
-        bypassed), dedup duplicates, and orphan-mark the lost copies in
-        dead incarnations' telemetry."""
+        bypassed), dedup duplicates, orphan-mark the lost copies in
+        dead incarnations' telemetry, fold the cluster clock forward
+        (the server's own rule), and return the merged result map."""
         now = session.now_us
         self._run_watchdog(session, now)
         for sup in self._supervisors:
@@ -717,7 +655,7 @@ class ClusterFrontend:
             if sup.state != RETIRED and sup.crashed(now):
                 lost.append(sup.replica.server.telemetry)
                 continue
-            for result in self._direct(sup, Drain()).results:
+            for result in sup.send(Drain()).results:
                 self._collect(session, sup.slot, result)
         # Backstop: a re-submit can itself land on a replica that dies
         # before close, or the whole fleet can be dark.  Bounded loop:
@@ -740,7 +678,7 @@ class ClusterFrontend:
             for rid in missing:
                 self._reassign(session, rid, now)
             for sup in healthy:
-                for result in self._direct(sup, Drain()).results:
+                for result in sup.send(Drain()).results:
                     self._collect(session, sup.slot, result)
         missing = [rid for rid in session.order
                    if rid not in session.results]
@@ -764,6 +702,9 @@ class ClusterFrontend:
                     record.status = STATUS_ORPHANED
                     if served is not None:
                         self.health.duplicates_dropped += 1
+        self._clock_us = session.fold_clock(self._clock_us)
+        self._live = None
+        return session.results
 
     # -- observability ------------------------------------------------------------
     @property
@@ -775,22 +716,15 @@ class ClusterFrontend:
     def heartbeats(self, *, want_snapshot: bool = False
                    ) -> List[HeartbeatReply]:
         """One probe per replica at the cluster's current time — the
-        operator console's data source.  Under supervision each reply
-        carries the watchdog's lifecycle verdict, and a dark replica
-        gets a synthesized not-up row (a real probe would get no
-        answer either)."""
+        operator console's data source.  Each reply carries the
+        watchdog's lifecycle verdict, and a dark replica gets a
+        synthesized not-up row (a real probe would get no answer
+        either)."""
         now = self.now_us
-        if not self._supervised:
-            return [replica.send(Heartbeat(now_us=now,
-                                           want_snapshot=want_snapshot))
-                    for replica in self.replicas]
         replies = []
         for sup in self._supervisors:
-            reply = None
-            if sup.state != RETIRED:
-                reply = self._deliver(
-                    sup, Heartbeat(now_us=now,
-                                   want_snapshot=want_snapshot), now)
+            reply = self._deliver(
+                sup, Heartbeat(now_us=now, want_snapshot=want_snapshot), now)
             if reply is None:
                 replies.append(HeartbeatReply(
                     replica=sup.slot, now_us=now, queue_depth=0,
@@ -801,35 +735,31 @@ class ClusterFrontend:
                                                    lifecycle=sup.state))
         return replies
 
+    def _telemetries(self) -> List[Telemetry]:
+        """Front-door drops, then every slot's dead incarnations and its
+        current one."""
+        parts = [self.telemetry]
+        for sup in self._supervisors:
+            parts.extend(sup.retired_telemetries)
+            parts.append(sup.replica.server.telemetry)
+        return parts
+
     def cluster_telemetry(self) -> Telemetry:
         """Exact combined telemetry: front-door drops plus every
-        replica's records (:meth:`Telemetry.merge`) — dead
-        incarnations' retired telemetry included under supervision."""
-        parts = [self.telemetry]
-        if self._supervised:
-            for sup in self._supervisors:
-                parts.extend(sup.retired_telemetries)
-                parts.append(sup.replica.server.telemetry)
-        else:
-            parts += [r.server.telemetry for r in self.replicas]
-        return Telemetry.merge(parts)
+        replica's records (:meth:`Telemetry.merge`), dead incarnations'
+        retired telemetry included."""
+        return Telemetry.merge(self._telemetries())
 
     def cluster_snapshot(self) -> Dict[str, object]:
         """The cluster rollup a dashboard plots: per-replica snapshots
         combined by :func:`repro.serve.telemetry.merge_snapshots`,
-        front-door throttles included.  Under supervision the rollup
-        gains a ``"cluster"`` key with the self-healing counters
-        (failovers, restarts, orphans, MTTR, scale events)."""
-        parts = [self.telemetry.snapshot()]
-        if self._supervised:
-            for sup in self._supervisors:
-                parts.extend(t.snapshot() for t in sup.retired_telemetries)
-                parts.append(sup.replica.server.telemetry.snapshot())
-            snapshot = merge_snapshots(parts)
-            snapshot["cluster"] = self.health.snapshot()
-            return snapshot
-        parts += [r.server.telemetry.snapshot() for r in self.replicas]
-        return merge_snapshots(parts)
+        front-door throttles included, plus a ``"cluster"`` key with
+        the self-healing counters (failovers, restarts, orphans, MTTR,
+        scale events)."""
+        snapshot = merge_snapshots([t.snapshot()
+                                    for t in self._telemetries()])
+        snapshot["cluster"] = self.health.snapshot()
+        return snapshot
 
     def quota_stats(self) -> Dict[str, Dict[str, float]]:
         """Per-tenant admitted/throttled/tokens counters."""

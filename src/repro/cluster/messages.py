@@ -17,14 +17,11 @@ The verbs:
   virtual clock (close aged batching windows, settle execution).
 * :class:`Drain` -> :class:`Drained` — close the live session and
   collect every result.
-* :class:`Heartbeat` -> :class:`HeartbeatReply` — liveness + load +
-  per-shard breaker states (the health the router routes around), and
-  optionally a full telemetry snapshot for consoles.
-* :class:`BreakerQuery` -> :class:`BreakerStates` — just the breaker
-  map, for supervisors that only health-check.
-* :class:`Quiesce` -> :class:`Quiesced` — the scale-in handshake: ask
-  a replica whether it is idle enough to retire (no outstanding work,
-  empty queue); the autoscaler only removes replicas that confirm.
+* :class:`Heartbeat` -> :class:`HeartbeatReply` — the one health
+  probe: liveness, load (queue depth, outstanding work, backlog) and
+  per-shard breaker states lifted to an ``up`` verdict (the health the
+  router routes around, and the idleness the autoscaler retires on),
+  plus optionally a full telemetry snapshot for consoles.
 
 All times are *absolute* cluster virtual time; the replica translates
 into its own session-relative coordinates
@@ -47,7 +44,6 @@ from ..serve.server import ServeResult
 
 __all__ = ["Submit", "Submitted", "Poll", "PollReply", "Advance",
            "Advanced", "Drain", "Drained", "Heartbeat", "HeartbeatReply",
-           "BreakerQuery", "BreakerStates", "Quiesce", "Quiesced",
            "MESSAGE_TYPES"]
 
 
@@ -128,42 +124,10 @@ class HeartbeatReply:
     #: ``Telemetry.snapshot()`` when the probe asked for one.
     snapshot: Optional[Dict[str, object]] = None
     #: Supervisor-side lifecycle (``up``/``suspect``/``down``/
-    #: ``restarting``); a replica always reports ``up`` for itself —
-    #: only the watchdog can stamp anything else.
+    #: ``retired``); a replica always reports ``up`` for itself — only
+    #: the watchdog can stamp anything else.
     lifecycle: str = "up"
 
 
-@dataclass(frozen=True)
-class BreakerQuery:
-    now_us: float
-
-
-@dataclass(frozen=True)
-class BreakerStates:
-    replica: int
-    #: ``{shard: (state, open_until_us)}`` for every tripped breaker.
-    breakers: Dict[int, Tuple[str, float]] = field(default_factory=dict)
-    up: bool = True
-
-
-@dataclass(frozen=True)
-class Quiesce:
-    """Scale-in probe at absolute time ``now_us``: is the replica idle
-    enough to retire?"""
-
-    now_us: float
-
-
-@dataclass(frozen=True)
-class Quiesced:
-    replica: int
-    #: Requests submitted to the live session but not yet settled.
-    outstanding: int
-    queue_depth: int
-    #: The replica confirms it can retire (nothing queued or in flight).
-    idle: bool = False
-
-
 #: Every message a :class:`~repro.cluster.replica.Replica` accepts.
-MESSAGE_TYPES = (Submit, Poll, Advance, Drain, Heartbeat, BreakerQuery,
-                 Quiesce)
+MESSAGE_TYPES = (Submit, Poll, Advance, Drain, Heartbeat)

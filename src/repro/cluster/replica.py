@@ -15,10 +15,12 @@ one replica the offset is identical to a bare server's, which is one
 of the links in the cluster's single-replica bit-identity proof.
 
 Health is the per-shard circuit-breaker machinery lifted to replica
-granularity: a replica reports itself ``up`` while at least one shard
-could serve a dispatch *now* — every shard's breaker open (and still
-inside its cooldown) means the whole replica is effectively dark, and
-the router routes around it until a cooldown expires.  Recovery is
+granularity, and the heartbeat is its one probe: the reply reports the
+replica ``up`` while at least one shard could serve a dispatch *now* —
+every shard's breaker open (and still inside its cooldown) means the
+whole replica is effectively dark, and the router routes around it
+until a cooldown expires.  The same reply carries the load the router
+balances and the idleness the autoscaler retires on.  Recovery is
 catch-up by construction: the replica's backlog keeps settling on
 every :class:`~repro.cluster.messages.Advance` tick, open breakers
 half-open and re-close through the server's own probe machinery, and
@@ -27,7 +29,7 @@ the heartbeat flips back to ``up``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Union
 
 from ..errors import ClusterError
 from ..serve.faults import FaultPlan, ResiliencePolicy
@@ -36,16 +38,12 @@ from ..sim.driver import SimConfig
 from .messages import (
     Advance,
     Advanced,
-    BreakerQuery,
-    BreakerStates,
     Drain,
     Drained,
     Heartbeat,
     HeartbeatReply,
     Poll,
     PollReply,
-    Quiesce,
-    Quiesced,
     Submit,
     Submitted,
 )
@@ -79,8 +77,6 @@ class Replica:
             Advance: self._advance,
             Drain: self._drain,
             Heartbeat: self._heartbeat,
-            BreakerQuery: self._breakers,
-            Quiesce: self._quiesce,
         }
 
     # -- the protocol ------------------------------------------------------------
@@ -91,8 +87,8 @@ class Replica:
             raise ClusterError(
                 f"replica {self.replica_id} has no handler for "
                 f"{type(message).__name__!r}; the protocol accepts "
-                f"Submit, Poll, Advance, Drain, Heartbeat, BreakerQuery, "
-                f"Quiesce", replica=self.replica_id)
+                f"Submit, Poll, Advance, Drain, Heartbeat",
+                replica=self.replica_id)
         return handler(message)
 
     # -- handlers ----------------------------------------------------------------
@@ -123,20 +119,15 @@ class Replica:
         return Drained(replica=self.replica_id,
                        results=self.server.drain())
 
-    def _health(self, now_us: float, stats: Dict[str, object]
-                ) -> Tuple[Dict[int, Tuple[str, float]], bool]:
-        """The replica-granular lift of the per-shard breakers: the
-        breaker map, plus ``up`` = some shard can serve at ``now_us``
-        (an open breaker whose cooldown already expired counts as
-        servable — its next dispatch is the half-open probe)."""
+    def _heartbeat(self, message: Heartbeat) -> HeartbeatReply:
+        """Load plus the replica-granular lift of the per-shard
+        breakers: ``up`` = some shard can serve at ``now_us`` (an open
+        breaker whose cooldown already expired counts as servable — its
+        next dispatch is the half-open probe)."""
+        stats = self.server.live_stats()
         breakers = dict(stats["breakers"])
         dark = sum(1 for state, open_until in breakers.values()
-                   if state == "open" and open_until > now_us)
-        return breakers, dark < int(stats["num_shards"])
-
-    def _heartbeat(self, message: Heartbeat) -> HeartbeatReply:
-        stats = self.server.live_stats()
-        breakers, up = self._health(message.now_us, stats)
+                   if state == "open" and open_until > message.now_us)
         snapshot = (self.server.telemetry.snapshot()
                     if message.want_snapshot else None)
         return HeartbeatReply(
@@ -145,18 +136,5 @@ class Replica:
             outstanding=int(stats["submitted"]) - int(stats["settled"]),
             backlog=int(stats["backlog"]),
             num_shards=int(stats["num_shards"]),
-            breakers=breakers, up=up, snapshot=snapshot)
-
-    def _breakers(self, message: BreakerQuery) -> BreakerStates:
-        breakers, up = self._health(message.now_us,
-                                    self.server.live_stats())
-        return BreakerStates(replica=self.replica_id, breakers=breakers,
-                             up=up)
-
-    def _quiesce(self, message: Quiesce) -> Quiesced:
-        stats = self.server.live_stats()
-        outstanding = int(stats["submitted"]) - int(stats["settled"])
-        queue_depth = int(stats["queue_depth"])
-        return Quiesced(replica=self.replica_id, outstanding=outstanding,
-                        queue_depth=queue_depth,
-                        idle=(outstanding == 0 and queue_depth == 0))
+            breakers=breakers, up=dark < int(stats["num_shards"]),
+            snapshot=snapshot)

@@ -13,7 +13,7 @@ machine::
        --missed >= down_after----> DOWN   (failover + restart scheduled)
     DOWN --link heals before restart--> UP   (slow-then-recovered)
     DOWN --restart_delay elapses------> UP   (fresh incarnation)
-    UP --autoscaler Quiesce----------> RETIRED (scale-in)
+    UP --idle heartbeat, scale-in----> RETIRED
 
 Everything runs on the deterministic virtual clock: probe ticks land on
 a fixed ``heartbeat_us`` grid, restarts fire at ``down + restart_delay``
@@ -24,8 +24,9 @@ bit-for-bit.
 :class:`AutoscalePolicy` drives membership from the same heartbeat
 rollups: sustained mean load above ``scale_out_load`` grows the fleet
 (up to ``max_replicas``), sustained idleness shrinks it (down to
-``min_replicas``, only retiring replicas that confirm ``Quiesced.idle``),
-with a cooldown between scale events to prevent flapping.
+``min_replicas``, only retiring a replica whose heartbeat shows nothing
+queued or in flight), with a cooldown between scale events to prevent
+flapping.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from ..errors import ClusterError, ReproError
 from ..serve.faults import CRASH, ReplicaFaultEvent, ReplicaFaultPlan
 from ..serve.telemetry import Telemetry
 
-__all__ = ["UP", "SUSPECT", "DOWN", "RESTARTING", "RETIRED",
+__all__ = ["UP", "SUSPECT", "DOWN", "RETIRED",
            "LIFECYCLE_STATES", "WatchdogPolicy", "AutoscalePolicy",
            "ClusterHealth", "ReplicaSupervisor"]
 
@@ -45,10 +46,9 @@ __all__ = ["UP", "SUSPECT", "DOWN", "RESTARTING", "RETIRED",
 UP = "up"                # answering heartbeats, routable
 SUSPECT = "suspect"      # missed probes; routed around, not failed over
 DOWN = "down"            # declared dead; failed over, restart scheduled
-RESTARTING = "restarting"  # rebuild in progress this tick
 RETIRED = "retired"      # scaled in; state kept for telemetry only
 
-LIFECYCLE_STATES = (UP, SUSPECT, DOWN, RESTARTING, RETIRED)
+LIFECYCLE_STATES = (UP, SUSPECT, DOWN, RETIRED)
 
 
 @dataclass(frozen=True)
@@ -182,6 +182,8 @@ class ReplicaSupervisor:
         self.retired_telemetries: List[Telemetry] = []
         #: Fault events already counted (one count per distinct event).
         self._seen_events: set = set()
+        #: How many of them :meth:`pop_seen_kinds` already handed out.
+        self._counted = 0
 
     # -- the fault-aware link ----------------------------------------------------
     def link_outage(self, now_us: float) -> Optional[ReplicaFaultEvent]:
@@ -202,6 +204,13 @@ class ReplicaSupervisor:
         if event is not None:
             self._note_event(event)
             return None
+        return self.send(message)
+
+    def send(self, message):
+        """Deliver ``message`` straight to the replica, bypassing the
+        link (close-time delivery: a virtual-time close waits out
+        transient outages), with the same contextful error wrap as
+        :meth:`deliver`."""
         try:
             return self.replica.send(message)
         except ReproError as exc:
@@ -211,16 +220,12 @@ class ReplicaSupervisor:
                 replica=self.slot, state=self.state) from exc
 
     def _note_event(self, event: ReplicaFaultEvent):
-        key = (event.interval, event.kind)
-        if key not in self._seen_events:
-            self._seen_events.add(key)
-            self._last_event = event
+        self._seen_events.add((event.interval, event.kind))
 
     def pop_seen_kinds(self) -> List[str]:
         """Kinds of fault events newly observed since the last call
         (for health counters; each event counts once)."""
         kinds = [kind for _, kind in sorted(self._seen_events)]
-        self._counted = getattr(self, "_counted", 0)
         fresh = kinds[self._counted:]
         self._counted = len(kinds)
         return fresh

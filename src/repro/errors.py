@@ -63,10 +63,11 @@ class ClusterError(ServeError):
 
     Carries the failing replica's id and lifecycle state when the
     supervisor knows them (``None``/``""`` otherwise), so operators see
-    *which* replica in *what* state failed.  Watchdog-path wrappers
-    keep the original exception as ``__cause__`` — like the worker
-    pool's :class:`ServeError` wrap — so retryable failures (e.g. a
-    recoverable drain) stay recognizable under the wrap.
+    *which* replica in *what* state failed.  The supervisor's message
+    wrap keeps the original exception as ``__cause__`` — like the
+    server's :class:`ServeError` wrap of a failed dispatch — so
+    retryable failures (e.g. a recoverable drain) stay recognizable
+    under the wrap.
     """
 
     def __init__(self, message: str, *, replica=None, state: str = ""):
@@ -74,7 +75,7 @@ class ClusterError(ServeError):
         #: Replica the failure is attributed to (``None`` = cluster-wide).
         self.replica = replica
         #: The replica's lifecycle state at failure time (``up`` /
-        #: ``suspect`` / ``down`` / ``restarting`` / ``retired``; ``""``
-        #: when unsupervised or not replica-scoped).
+        #: ``suspect`` / ``down`` / ``retired``; ``""`` when the failure
+        #: is not replica-scoped).
         self.state = state
 

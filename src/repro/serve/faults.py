@@ -12,10 +12,10 @@ recovery machinery is measured against:
   output words).
 * :class:`FaultPlan` — the seeded, *virtual-time* injector.  Every
   decision is a pure function of ``(seed, dispatch seq, shard,
-  attempt)``, so runs are bit-reproducible regardless of host timing,
-  worker backend, or live-vs-offline entry style, and a re-dispatch of
-  the same unit (new attempt) draws a fresh decision — exactly how a
-  transient fault behaves.  A zero-rate plan never draws at all
+  attempt)``, so runs are bit-reproducible regardless of host timing
+  or live-vs-offline entry style, and a re-dispatch of the same unit
+  (new attempt) draws a fresh decision — exactly how a transient fault
+  behaves.  A zero-rate plan never draws at all
   (:attr:`FaultPlan.active` is false), so it is provably identical to
   serving with no plan.
 * :class:`ResiliencePolicy` — the recovery knobs the server/scheduler

@@ -9,9 +9,9 @@ priority and an optional deadline) is admitted or rejected at arrival
 front-end gives), waits in priority order, and leaves when the
 batching scheduler dispatches it.
 
-The queue is thread-safe (one lock around every mutation) so several
-threads can share it; the deterministic discrete-event planner in
-:mod:`repro.serve.scheduler` drives it single-threaded.
+Every mutation holds one lock; the deterministic discrete-event planner
+in :mod:`repro.serve.scheduler` drives the queue inline on the server's
+calling thread.
 """
 
 from __future__ import annotations

@@ -174,13 +174,37 @@ class PlanSession:
 
     def offer(self, sreq: ServeRequest) -> None:
         """Process one arrival (arrivals must be fed in virtual-time
-        order): admission control, then window coalescing or immediate
-        dispatch for unbatchable requests."""
+        order): close every window that elapses first, then admit it."""
         if sreq.arrival_us < self.now_us:
             raise ValueError(
                 f"arrival at {sreq.arrival_us}us precedes the plan clock "
                 f"({self.now_us}us); feed arrivals in order")
         self.advance(sreq.arrival_us)
+        self._admit(sreq)
+
+    def release(self, sreq: ServeRequest) -> None:
+        """Admit one *dependency-released* arrival — a DAG stage whose
+        parents just settled (``sreq.arrival_us`` is the release time:
+        the latest parent completion).
+
+        Releases at or past the clock are plain offers.  Settlement can
+        run ahead of planning (the live path's finality horizon), so a
+        stage's release time may also lie behind ``now_us``: such a
+        past release is admitted without touching the clock.  It joins
+        its shape's open window if one is open (every open window's
+        close time is still ahead of the clock, hence ahead of the
+        release), or opens a new one at its own release time — closed
+        by the caller's next ``advance()``/``flush()`` like any other
+        window.
+        """
+        if sreq.arrival_us >= self.now_us:
+            self.offer(sreq)
+        else:
+            self._admit(sreq)
+
+    def _admit(self, sreq: ServeRequest) -> None:
+        """Admission control at ``sreq.arrival_us``, then window
+        coalescing — or immediate dispatch for unbatchable requests."""
         now_us = sreq.arrival_us
         policy = self.policy
         if (policy is not None and policy.shed_depth is not None
@@ -189,22 +213,12 @@ class PlanSession:
             # Graceful degradation: past the shedding threshold the
             # queue's remaining headroom is reserved for urgent traffic;
             # best-effort arrivals are turned away *before* admission.
-            self.dropped.append(RequestRecord(
-                request_id=sreq.request_id,
-                workload=sreq.request.workload,
-                status=STATUS_SHED, priority=sreq.priority,
-                arrival_us=now_us, deadline_us=sreq.deadline_us,
-                tenant=sreq.tenant))
+            self._drop(sreq, STATUS_SHED)
             if self.telemetry is not None:
                 self.telemetry.note("shed")
             return
         if not self.queue.offer(sreq):
-            self.dropped.append(RequestRecord(
-                request_id=sreq.request_id,
-                workload=sreq.request.workload,
-                status=STATUS_REJECTED, priority=sreq.priority,
-                arrival_us=now_us, deadline_us=sreq.deadline_us,
-                tenant=sreq.tenant))
+            self._drop(sreq, STATUS_REJECTED)
             return
         if self.telemetry is not None:
             self.telemetry.sample_depth(now_us, self.queue.depth())
@@ -235,79 +249,20 @@ class PlanSession:
             self._open[shape] = group
         group.members.append(sreq)
         if len(group.members) >= self.scheduler.max_banks:
-            self._close_group(group, now_us)
-
-    def release(self, sreq: ServeRequest) -> None:
-        """Admit one *dependency-released* arrival — a DAG stage whose
-        parents just settled (``sreq.arrival_us`` is the release time:
-        the latest parent completion).
-
-        Identical to :meth:`offer` except the plan clock does not gate
-        it: settlement can run ahead of planning (the live path's
-        finality horizon), so a stage's release time may lie behind
-        ``now_us``.  A past release never advances the clock; it joins
-        its shape's open window if one is open (every open window's
-        close time is still ahead of the clock, hence ahead of the
-        release), or opens a new one at its own release time — closed
-        by the caller's next ``advance()``/``flush()`` like any other
-        window.  Releases at or past the clock are plain offers.
-        """
-        if sreq.arrival_us >= self.now_us:
-            self.offer(sreq)
-            return
-        now_us = sreq.arrival_us
-        policy = self.policy
-        if (policy is not None and policy.shed_depth is not None
-                and self.queue.depth() >= policy.shed_depth
-                and sreq.priority < policy.shed_min_priority):
-            self.dropped.append(RequestRecord(
-                request_id=sreq.request_id,
-                workload=sreq.request.workload,
-                status=STATUS_SHED, priority=sreq.priority,
-                arrival_us=now_us, deadline_us=sreq.deadline_us,
-                tenant=sreq.tenant))
-            if self.telemetry is not None:
-                self.telemetry.note("shed")
-            return
-        if not self.queue.offer(sreq):
-            self.dropped.append(RequestRecord(
-                request_id=sreq.request_id,
-                workload=sreq.request.workload,
-                status=STATUS_REJECTED, priority=sreq.priority,
-                arrival_us=now_us, deadline_us=sreq.deadline_us,
-                tenant=sreq.tenant))
-            return
-        if self.telemetry is not None:
-            self.telemetry.sample_depth(now_us, self.queue.depth())
-        shape = shape_key(sreq, self.default_config)
-        if shape is None or self.scheduler.max_banks == 1:
-            self.queue.remove(sreq)
-            self.units.append(DispatchUnit(
-                seq=len(self.units), members=[sreq], ready_us=now_us,
-                shard=self.scheduler._route(None, sreq.request_id),
-                priority=sreq.priority))
-            if self.telemetry is not None:
-                self.telemetry.note_group(1)
-                self.telemetry.sample_depth(now_us, self.queue.depth())
-            return
-        group = self._open.get(shape)
-        if group is None:
-            window_us = self.scheduler.window_us
-            if (policy is not None and policy.shrink_depth is not None
-                    and self.queue.depth() >= policy.shrink_depth):
-                window_us *= policy.shrink_factor
-                if self.telemetry is not None:
-                    self.telemetry.note("shrunk_windows")
-            group = _OpenGroup(shape=shape, close_at=now_us + window_us)
-            self._open[shape] = group
-        group.members.append(sreq)
-        if len(group.members) >= self.scheduler.max_banks:
-            # A full group closes at its *latest* member's ready time —
-            # offer()'s now_us is exactly that for in-order arrivals; a
-            # past release joining an already-open window must not pull
-            # the close time before members that arrived after it.
+            # A full group closes at its *latest* member's arrival — an
+            # in-order offer's own arrival; a past release joining an
+            # already-open window must not pull the close time before
+            # members that arrived after it.
             self._close_group(group, max(m.arrival_us
                                          for m in group.members))
+
+    def _drop(self, sreq: ServeRequest, status: str) -> None:
+        """Turn ``sreq`` away at its arrival (``shed`` or ``rejected``)."""
+        self.dropped.append(RequestRecord(
+            request_id=sreq.request_id, workload=sreq.request.workload,
+            status=status, priority=sreq.priority,
+            arrival_us=sreq.arrival_us, deadline_us=sreq.deadline_us,
+            tenant=sreq.tenant))
 
     def flush(self) -> None:
         """End of stream: close every remaining window at its close

@@ -567,11 +567,8 @@ class SimServer:
             start_us=fail_us,
             completion_us=fail_us,
             tenant=state.sreq.tenant,
-            dag_id=state.sreq.request_id,
-            stage=name,
             error=error)
-        self.telemetry.add(record)
-        session.results[sid] = ServeResult(record=record)
+        self._record(session, record)
 
     def _maybe_assemble(self, session: _Session, state: _DagState) -> None:
         if state.done or len(state.stage_ids) < len(state.request.nodes):
@@ -686,11 +683,7 @@ class SimServer:
         newly dropped requests into results/telemetry."""
         planner = session.planner
         for record in planner.dropped[session._drop_cursor:]:
-            stage = session.stages.get(record.request_id)
-            if stage is not None:
-                record.dag_id, record.stage = stage
-            self.telemetry.add(record)
-            session.results[record.request_id] = ServeResult(record=record)
+            self._record(session, record)
         session._drop_cursor = len(planner.dropped)
         for unit in planner.units[session._unit_cursor:]:
             session.shards.setdefault(unit.shard, _ShardState()).backlog \
@@ -883,37 +876,56 @@ class SimServer:
             # Any success closes the breaker and resets its count.
             breaker.consecutive = 0
             breaker.state = "closed"
+        self._settle_unit(session, unit, shard_id, attempt.attempt,
+                          start_us, completion_us, grouped=grouped,
+                          bus_wait_us=bus_wait_us)
+
+    def _settle_unit(self, session: _Session, unit: DispatchUnit,
+                     shard: int, attempts: int, start_us: float,
+                     end_us: float, grouped=None, bus_wait_us: float = 0.0,
+                     error: str = "") -> None:
+        """Settle every member of ``unit`` at ``end_us``: served with
+        its bank's share of ``grouped``, or failed with ``error`` when
+        ``grouped`` is ``None``."""
         banks = unit.banks
         for slot, member in enumerate(unit.members):
-            if banks == 1:
-                response = grouped
-            else:
-                response = Simulator._split_group(
-                    grouped, member.request, slot, banks)
             record = RequestRecord(
                 request_id=member.request_id,
                 workload=member.request.workload,
+                status=STATUS_FAILED if grouped is None else STATUS_OK,
                 priority=member.priority,
                 arrival_us=member.arrival_us,
                 dispatch_us=unit.ready_us,
                 start_us=start_us,
-                completion_us=completion_us,
+                completion_us=end_us,
                 deadline_us=member.deadline_us,
                 deadline_missed=(member.deadline_us is not None
-                                 and completion_us > member.deadline_us),
+                                 and end_us > member.deadline_us),
                 group_banks=banks,
-                shard=shard_id,
+                shard=shard,
                 tenant=member.tenant,
                 bus_wait_us=bus_wait_us,
-                cycles=grouped.cycles // banks,
-                energy_nj=grouped.energy_nj / banks,
-                attempts=attempt.attempt)
-            stage = session.stages.get(member.request_id)
-            if stage is not None:
-                record.dag_id, record.stage = stage
-            self.telemetry.add(record)
-            session.results[member.request_id] = ServeResult(
-                record=record, response=response)
+                attempts=attempts,
+                error=error)
+            response = None
+            if grouped is not None:
+                record.cycles = grouped.cycles // banks
+                record.energy_nj = grouped.energy_nj / banks
+                response = (grouped if banks == 1 else
+                            Simulator._split_group(grouped, member.request,
+                                                   slot, banks))
+            self._record(session, record, response)
+
+    def _record(self, session: _Session, record: RequestRecord,
+                response=None) -> None:
+        """Tag a DAG stage's record with its graph, count it in
+        telemetry and store it as the request's result."""
+        stage = session.stages.get(record.request_id)
+        if stage is not None:
+            record.dag_id, record.stage = stage
+        self.telemetry.add(record)
+        session.results[record.request_id] = ServeResult(
+            record=record, response=response)
 
     # -- resilience machinery ----------------------------------------------------
     def _fail(self, session: _Session, state: _ShardState, shard_id: int,
@@ -936,30 +948,8 @@ class SimServer:
             attempt.ready_us = fail_us + backoff_us
             state.backlog.append(attempt)
             return
-        unit = attempt.unit
-        for member in unit.members:
-            record = RequestRecord(
-                request_id=member.request_id,
-                workload=member.request.workload,
-                status=STATUS_FAILED,
-                priority=member.priority,
-                arrival_us=member.arrival_us,
-                dispatch_us=unit.ready_us,
-                start_us=start_us,
-                completion_us=fail_us,
-                deadline_us=member.deadline_us,
-                deadline_missed=(member.deadline_us is not None
-                                 and fail_us > member.deadline_us),
-                group_banks=unit.banks,
-                shard=shard_id,
-                tenant=member.tenant,
-                attempts=attempt.attempt,
-                error=str(error))
-            stage = session.stages.get(member.request_id)
-            if stage is not None:
-                record.dag_id, record.stage = stage
-            self.telemetry.add(record)
-            session.results[member.request_id] = ServeResult(record=record)
+        self._settle_unit(session, attempt.unit, shard_id, attempt.attempt,
+                          start_us, fail_us, error=str(error))
 
     def _note_failure(self, session: _Session, shard_id: int,
                       now_us: float) -> None:

@@ -9,7 +9,9 @@ the numbers a serving dashboard would plot: throughput (requests per
 simulated second), p50/p99 latency, mean batch occupancy, admission
 and deadline counts, cycle/energy totals and cache hit rates.
 
-Thread-safe: records may be appended from worker threads.
+Every mutation holds one lock, so a :class:`Telemetry` may be shared
+between threads; the server itself records inline on its calling
+thread.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ data results.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 from ..arith.bitrev import bit_reverse_permute
@@ -137,12 +137,7 @@ class PimMemoryController:
         # repro.sim).
         from ..api import NttRequest, Simulator
 
-        config = SimConfig(
-            arch=self.config.arch, timing=self.config.timing,
-            pim=self.config.pim, energy=self.config.energy,
-            base_row=base_row, verify=self.config.verify,
-            functional=self.config.functional,
-            mapper_options=self.config.mapper_options)
+        config = replace(self.config, base_row=base_row)
         ntt_request = NttRequest(params=params, values=tuple(values))
         try:
             if self.server is not None:

@@ -299,11 +299,16 @@ class TestRunMany:
         # 5 = 2 + 2 + 1: two pairs grouped, the leftover runs alone.
         assert banks.count(2) == 4 and banks.count(None) == 1
 
-    def test_group_disabled(self):
-        simulator = Simulator(SimConfig(functional=False, verify=False))
-        responses = simulator.run_many(
-            [NttRequest(params=PARAMS)] * 3, group=False)
-        assert all("group_banks" not in r.metrics for r in responses)
+    def test_validates_everything_up_front(self, monkeypatch):
+        simulator = Simulator(SimConfig(verify=False))
+        ran = []
+        monkeypatch.setattr(simulator, "run", ran.append)
+        requests = [NttRequest(params=PARAMS, values=_data(60 + i))
+                    for i in range(2)]
+        requests.append(NttRequest(params=PARAMS, values=(1, 2, 3)))
+        with pytest.raises(RequestValidationError):
+            simulator.run_many(requests)
+        assert ran == []  # the malformed tail stopped every unit
 
     def test_inverse_and_negacyclic_group_bit_identically(self):
         simulator = Simulator()
@@ -399,51 +404,6 @@ class TestResponseEnvelope:
         assert f"N={N:>5}" in line
         assert "[ntt]" in line
         assert "verified=yes" in line
-
-
-class TestStreamingRunMany:
-    def _requests(self, count=5):
-        return [NttRequest(params=PARAMS, values=_data(60 + i))
-                for i in range(count)]
-
-    def test_iter_yields_every_index_once(self):
-        simulator = Simulator(SimConfig(verify=False))
-        requests = self._requests()
-        pairs = list(simulator.run_many_iter(requests, max_banks=2))
-        assert sorted(i for i, _ in pairs) == list(range(len(requests)))
-
-    def test_iter_matches_run_many(self):
-        simulator = Simulator(SimConfig(verify=False))
-        requests = self._requests()
-        collected = {}
-        for i, response in simulator.run_many_iter(requests, max_banks=2):
-            collected[i] = response
-        barriered = simulator.run_many(requests, max_banks=2)
-        for i, expected in enumerate(barriered):
-            assert collected[i].values == expected.values
-            assert collected[i].cycles == expected.cycles
-            assert collected[i].metrics.get("group_banks") == \
-                expected.metrics.get("group_banks")
-
-    def test_groups_stream_before_later_units_run(self):
-        """The first dispatch unit's responses arrive from the iterator
-        before later units execute — no whole-list barrier."""
-        simulator = Simulator(SimConfig(verify=False))
-        requests = self._requests(4) + [
-            NegacyclicRequest(ring=RING, values=_data(70, q=QN))]
-        iterator = simulator.run_many_iter(requests, max_banks=4)
-        first_indices = [next(iterator)[0] for _ in range(4)]
-        assert sorted(first_indices) == [0, 1, 2, 3]  # the bank group
-        index, response = next(iterator)
-        assert index == 4 and response.workload == "negacyclic"
-
-    def test_iter_validates_everything_up_front(self):
-        simulator = Simulator(SimConfig(verify=False))
-        requests = self._requests(2) + [
-            NttRequest(params=PARAMS, values=(1, 2, 3))]
-        with pytest.raises(RequestValidationError):
-            # Error surfaces at the first next(), before any run.
-            next(simulator.run_many_iter(requests))
 
 
 class TestProgramFunctional:

@@ -126,6 +126,13 @@ class TestCliServe:
         assert "cluster        : 2 replicas, router=least-loaded" in out
         assert "requests       : 15" in out
 
+    def test_serve_plain_cluster_reports_self_healing(self, capsys):
+        assert main(["serve", "--cluster", "1", "--requests", "10",
+                     "--rate", "30000", "--no-verify"]) == 0
+        out = capsys.readouterr().out
+        assert ("self-healing   : replica-faults=none | failovers=0 "
+                "restarts=0 orphans=0 dups=0 scale=+0/-0 mttr=0us") in out
+
     def test_serve_cluster_watch_plain(self, capsys):
         assert main(["serve", "--cluster", "2", "--requests", "12",
                      "--rate", "30000", "--no-verify", "--watch",

@@ -8,10 +8,17 @@ included — replays bit-for-bit from its seeds.
 """
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    precondition,
+    rule,
+)
 
 from repro.api import NttRequest
 from repro.arith import NttParams, find_ntt_prime
@@ -28,7 +35,7 @@ from repro.cluster import (
     render_plain,
     watch,
 )
-from repro.cluster.messages import BreakerQuery, Heartbeat, Submit
+from repro.cluster.messages import Heartbeat, Submit
 from repro.errors import ClusterError
 from repro.serve import LoadGenerator, SimServer, make_scenario
 from repro.serve.faults import make_fault_plan
@@ -456,7 +463,7 @@ class TestFailureHandling:
             fe.submit(sreq)
             fe.advance(sreq.arrival_us + 3000.0)
             saw_down = saw_down or not \
-                fe.replicas[home].send(BreakerQuery(fe.now_us)).up
+                fe.replicas[home].send(Heartbeat(fe.now_us)).up
         results = fe.drain()
         assert saw_down  # the breaker lift took the replica dark
         done = [r for r in results if r.record.status == STATUS_OK]
@@ -502,6 +509,13 @@ class TestConsole:
         assert [ln.split()[0] for ln in lines[3:6]] == ["r0", "r1", "r2"]
         assert all("up" in ln for ln in lines[3:6])
 
+    def test_render_plain_shows_health_of_a_plain_cluster(self):
+        fe = ClusterFrontend(2, NOVERIFY)
+        fe.serve(_stream(count=6))
+        assert render_plain(fe).splitlines()[-1] == (
+            "health: failovers=0 restarts=0 orphans=0 dups=0 "
+            "scale=+0/-0 mttr=0us")
+
     def test_render_plain_shows_tenant_counters(self):
         fe = ClusterFrontend(1, NOVERIFY,
                              quotas={"*": TenantQuota(rate_rps=100.0,
@@ -544,6 +558,15 @@ class TestClusterTelemetry:
         assert snap["replicas"] == 3
         assert snap["requests"] == 10
 
+    def test_plain_cluster_snapshot_has_zero_health(self):
+        fe = ClusterFrontend(2, NOVERIFY, num_shards=2)
+        fe.serve(_stream(count=10))
+        health = fe.cluster_snapshot()["cluster"]
+        assert health == {
+            "faults_seen": {}, "suspects": 0, "downs": 0, "failovers": 0,
+            "restarts": 0, "orphans_recovered": 0, "duplicates_dropped": 0,
+            "scale_out": 0, "scale_in": 0, "recoveries": 0, "mttr_us": 0.0}
+
     def test_heartbeats_cover_every_replica(self):
         fe = ClusterFrontend(3, NOVERIFY)
         fe.serve(_stream(count=6))
@@ -551,3 +574,89 @@ class TestClusterTelemetry:
         assert [hb.replica for hb in replies] == [0, 1, 2]
         assert all(hb.snapshot is not None for hb in replies)
         assert sum(hb.snapshot["completed"] for hb in replies) <= 6
+
+
+#: Operand pool for the live-session state machine (N=256 transforms).
+_OPERANDS = [tuple(random.Random(seed).randrange(N256.q)
+                   for _ in range(N256.n)) for seed in range(4)]
+
+
+class LiveClusterMachine(RuleBasedStateMachine):
+    """Random interleavings of ``submit``/``poll``/``advance`` on a live
+    cluster session, closed by ``drain``: the drained run must equal an
+    offline ``serve()`` of the same stream, every id must come back
+    exactly once in submission order, and every early poll must have
+    seen its request's final result."""
+
+    @initialize(replicas=st.integers(min_value=1, max_value=3),
+                gaps=st.lists(st.integers(min_value=0, max_value=120),
+                              min_size=12, max_size=12),
+                kinds=st.lists(st.integers(min_value=0, max_value=7),
+                               min_size=12, max_size=12))
+    def setup(self, replicas, gaps, kinds):
+        self.replicas = replicas
+        arrivals = [float(sum(gaps[:i + 1])) for i in range(len(gaps))]
+        # A kind picks the operands (kind % 4) and the direction
+        # (kind >= 4); kind 3 carries a tight deadline, so a window
+        # close can expire it.
+        self.stream = [
+            ServeRequest(
+                request=NttRequest(params=N256,
+                                   values=_OPERANDS[kind % 4],
+                                   inverse=kind >= 4),
+                arrival_us=arrival,
+                deadline_us=arrival + 30.0 if kind == 3 else None)
+            for arrival, kind in zip(arrivals, kinds)]
+        self.frontend = ClusterFrontend(replicas, NOVERIFY, num_shards=2)
+        self.submitted = []
+        self.polled = {}
+
+    def _pending_arrival(self):
+        if len(self.submitted) < len(self.stream):
+            return self.stream[len(self.submitted)].arrival_us
+        return None
+
+    @precondition(lambda self: self._pending_arrival() is not None)
+    @rule()
+    def submit(self):
+        sreq = self.stream[len(self.submitted)]
+        self.submitted.append(self.frontend.submit(sreq))
+
+    @precondition(lambda self: self.submitted)
+    @rule(pick=st.integers(min_value=0, max_value=11))
+    def poll(self, pick):
+        rid = self.submitted[pick % len(self.submitted)]
+        result = self.frontend.poll(rid)
+        if result is not None:
+            self.polled[rid] = (dataclasses.asdict(result.record),
+                                result.response.values if result.ok
+                                else None)
+
+    @rule(share=st.floats(min_value=0.0, max_value=1.0))
+    def advance(self, share):
+        # A fresh frontend's session starts at 0, so its absolute
+        # clock is already session-relative.
+        now = self.frontend.now_us
+        upcoming = self._pending_arrival()
+        limit = upcoming if upcoming is not None else now + 500.0
+        self.frontend.advance(min(limit, now + share * (limit - now)))
+
+    def teardown(self):
+        drained = self.frontend.drain()
+        prefix = self.stream[:len(self.submitted)]
+        offline = ClusterFrontend(self.replicas, NOVERIFY, num_shards=2) \
+            .serve(list(prefix))
+        assert _records(drained) == _records(offline)
+        assert [r.response.values if r.ok else None for r in drained] == \
+            [r.response.values if r.ok else None for r in offline]
+        assert [r.record.request_id for r in drained] == self.submitted
+        final = {r.record.request_id: r for r in drained}
+        for rid, (record, values) in self.polled.items():
+            assert record == dataclasses.asdict(final[rid].record)
+            assert values == (final[rid].response.values
+                              if final[rid].ok else None)
+
+
+LiveClusterMachine.TestCase.settings = settings(
+    max_examples=20, stateful_step_count=40, deadline=None)
+TestLiveClusterMachine = LiveClusterMachine.TestCase

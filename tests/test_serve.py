@@ -27,6 +27,7 @@ from repro.serve import (
     sequential_policy,
     shape_key,
 )
+from repro.serve.faults import ResiliencePolicy
 from repro.serve.telemetry import RequestRecord
 from repro.sim.driver import SimConfig
 
@@ -659,6 +660,95 @@ class TestPlanSession:
         with pytest.raises(ValueError, match="precedes"):
             session.offer(ServeRequest(request=ntt_request(1),
                                        arrival_us=10.0, request_id=2))
+
+
+class TestPlanSessionRelease:
+    """``release`` admits dependency-released arrivals: at or past the
+    clock it is ``offer``; behind the clock it joins the planning walk
+    without moving the clock."""
+
+    @staticmethod
+    def _sreq(i, arrival, priority=0):
+        return ServeRequest(request=ntt_request(i), arrival_us=arrival,
+                            priority=priority, request_id=i + 1)
+
+    @staticmethod
+    def _units(session):
+        return [(u.ready_us, [m.request_id for m in u.members], u.shard)
+                for u in session.units]
+
+    def test_release_at_or_after_clock_plans_like_offer(self):
+        arrivals = [0.0, 5.0, 5.0, 40.0, 41.0, 90.0, 90.0]
+        sessions = []
+        for admit in ("offer", "release"):
+            session = BatchingScheduler(window_us=20.0, max_banks=3) \
+                .begin(RequestQueue(max_depth=4), NOVERIFY)
+            for i, arrival in enumerate(arrivals):
+                getattr(session, admit)(self._sreq(i, arrival))
+                assert session.now_us == arrival
+            session.flush()
+            sessions.append(session)
+        offered, released = sessions
+        assert self._units(released) == self._units(offered)
+        assert released.dropped == offered.dropped
+        assert released.now_us == offered.now_us
+
+    def test_past_release_joins_open_window_without_moving_clock(self):
+        session = BatchingScheduler(window_us=100.0, max_banks=8) \
+            .begin(RequestQueue(), NOVERIFY)
+        session.offer(self._sreq(0, 0.0))
+        session.advance(50.0)
+        session.release(self._sreq(1, 20.0))
+        assert session.now_us == 50.0 and not session.units
+        session.flush()
+        assert self._units(session) == [(100.0, [1, 2], 0)]
+
+    def test_past_release_opens_a_window_at_its_release_time(self):
+        session = BatchingScheduler(window_us=30.0, max_banks=8) \
+            .begin(RequestQueue(), NOVERIFY)
+        session.offer(self._sreq(0, 0.0))
+        session.advance(40.0)
+        session.release(self._sreq(1, 20.0))
+        assert session.now_us == 40.0
+        session.advance(45.0)
+        assert [u.ready_us for u in session.units] == [30.0]
+        session.advance(50.0)
+        assert [u.ready_us for u in session.units] == [30.0, 50.0]
+
+    def test_past_release_filling_the_group_closes_at_latest_arrival(self):
+        session = BatchingScheduler(window_us=100.0, max_banks=3) \
+            .begin(RequestQueue(), NOVERIFY)
+        session.offer(self._sreq(0, 0.0))
+        session.offer(self._sreq(1, 30.0))
+        session.advance(40.0)
+        session.release(self._sreq(2, 10.0))
+        assert self._units(session) == [(30.0, [1, 2, 3], 0)]
+        assert session.now_us == 40.0
+
+    def test_past_release_into_a_full_queue_is_rejected(self):
+        session = BatchingScheduler(window_us=100.0, max_banks=8) \
+            .begin(RequestQueue(max_depth=1), NOVERIFY)
+        session.offer(self._sreq(0, 0.0))
+        session.advance(20.0)
+        session.release(self._sreq(1, 10.0))
+        assert [(r.request_id, r.status, r.arrival_us)
+                for r in session.dropped] == [(2, "rejected", 10.0)]
+        assert session.now_us == 20.0
+
+    def test_past_release_past_shed_depth_is_shed(self):
+        telemetry = Telemetry()
+        policy = ResiliencePolicy(shed_depth=1, shed_min_priority=1)
+        session = BatchingScheduler(window_us=100.0, max_banks=8) \
+            .begin(RequestQueue(), NOVERIFY, telemetry, policy)
+        session.offer(self._sreq(0, 0.0))
+        session.advance(20.0)
+        session.release(self._sreq(1, 10.0))
+        session.release(self._sreq(2, 12.0, priority=1))
+        assert [(r.request_id, r.status, r.arrival_us)
+                for r in session.dropped] == [(2, "shed", 10.0)]
+        session.flush()
+        assert self._units(session) == [(100.0, [1, 3], 0)]
+        assert telemetry.snapshot()["resilience"]["shed"] == 1
 
 
 class TestLoadGenerator:
