@@ -33,7 +33,6 @@ from .errors import (
     MappingError,
     ReproError,
     RequestValidationError,
-    TimingViolation,
 )
 from .ntt import NegacyclicParams, Polynomial, intt, ntt
 from .pim import PimParams
@@ -66,7 +65,6 @@ __all__ = [
     "MappingError",
     "ReproError",
     "RequestValidationError",
-    "TimingViolation",
     "NegacyclicParams",
     "Polynomial",
     "intt",

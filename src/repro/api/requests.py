@@ -11,7 +11,7 @@ request                paper section it reproduces
 :class:`NegacyclicRequest`
                        merged negacyclic transform extension of Sec. III
                        (the C1N/zeta mapping in
-                       :mod:`repro.mapping.negacyclic_mapper`).
+                       :class:`repro.mapping.NegacyclicNttMapper`).
 :class:`BatchRequest`  back-to-back transforms in one bank — the batching
                        side of the Sec. VI.A FHE deployment story.
 :class:`MultiBankRequest`

@@ -104,13 +104,13 @@ def compile_request(request, config=None) -> CompiledProgram:
     if type(request) is MultiBankRequest:
         from ..api.workloads import multibank_specs
         from ..sim.multibank import compile_multibank
-        programs, stream, key = compile_multibank(
-            multibank_specs(request), len(request.inputs), config)
+        programs, stream, key = compile_multibank(multibank_specs(request),
+                                                  config)
         return CompiledProgram(request, stream, key=key,
                                parts=tuple(programs))
     if type(request) is BatchRequest:
         from ..sim.batch import compile_batch
-        programs, stream, key, _ = compile_batch(
+        programs, stream, key = compile_batch(
             request.params, len(request.inputs), config)
         return CompiledProgram(request, stream, key=key,
                                parts=tuple(programs))

@@ -4,7 +4,7 @@ energy accounting."""
 from .addressing import AddressMap, WordLocation
 from .bank import BankStorage
 from .commands import Command, CommandType
-from .energy import EnergyAccount, EnergyParams, HBM2E_ENERGY
+from .energy import EnergyParams, HBM2E_ENERGY
 from .engine import CommandTiming, ComputeTiming, ScheduleResult, TimingEngine
 from .refresh import RefreshOverhead, RefreshParams, refresh_overhead
 from .stats import SimStats
@@ -24,7 +24,6 @@ __all__ = [
     "BankStorage",
     "Command",
     "CommandType",
-    "EnergyAccount",
     "EnergyParams",
     "HBM2E_ENERGY",
     "CommandTiming",

@@ -40,7 +40,7 @@ class CommandType(enum.Enum):
     # Extension: intra-atom stages of the *merged negacyclic* transform
     # (decreasing stride, one constant zeta per butterfly block — seven
     # zetas per atom, carried as command parameters).  See
-    # repro.ntt.merged and repro.mapping.negacyclic_mapper.
+    # repro.ntt.merged and repro.mapping.mapper.NegacyclicNttMapper.
     C1N = "C1N"
     # Scalar micro-ops, normally internal to C1/C2.  The MC sequences them
     # explicitly only in the single-buffer (Nb=1) degenerate mapping, where

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from typing import Dict
 
 from .commands import CommandType
-from .stats import SimStats
 from .timing import TimingParams
 
-__all__ = ["EnergyParams", "EnergyAccount", "HBM2E_ENERGY"]
+__all__ = ["EnergyParams", "HBM2E_ENERGY"]
 
 
 @dataclass(frozen=True)
@@ -38,8 +37,8 @@ class EnergyParams:
     static_mw: float = 0.05       # PIM-bank background power
 
     def __post_init__(self):
-        # command_energy sits on the engine's per-command hot path; build
-        # the lookup table once (frozen dataclass, hence object.__setattr__).
+        # Build the per-type lookup table once (frozen dataclass, hence
+        # object.__setattr__).
         object.__setattr__(self, "_energy_table", {
             CommandType.ACT: self.act_pj,
             CommandType.PRE: 0.0,  # folded into act_pj
@@ -55,9 +54,6 @@ class EnergyParams:
             CommandType.BU_SCALAR: self.scalar_pj,
             CommandType.STORE_SCALAR: self.scalar_pj,
         })
-
-    def command_energy(self, ctype: CommandType) -> float:
-        return self._energy_table[ctype]
 
     def counts_energy_pj(self, command_counts: Dict[str, int]) -> float:
         """Dynamic energy of a run from its per-type command counts.
@@ -90,35 +86,5 @@ class EnergyParams:
                                   total_cycles, timing)
 
 
-class EnergyAccount:
-    """Per-command energy accumulator.
-
-    The engines now account energy from command counts
-    (:meth:`EnergyParams.total_nj`); this incremental form remains for
-    external consumers tallying ad-hoc command sequences.
-    """
-
-    def __init__(self, params: EnergyParams):
-        self.params = params
-        self.dynamic_pj = 0.0
-
-    def add_command(self, ctype: CommandType) -> None:
-        self.dynamic_pj += self.params.command_energy(ctype)
-
-    def total_nj(self, total_cycles: int, timing: TimingParams) -> float:
-        """Dynamic + static energy for a run of ``total_cycles``."""
-        return self.params.run_energy_nj(self.dynamic_pj, total_cycles, timing)
-
-
 #: Calibrated defaults (see EXPERIMENTS.md for the calibration run).
 HBM2E_ENERGY = EnergyParams()
-
-
-def stats_energy_nj(stats: SimStats, energy: EnergyParams,
-                    timing: TimingParams) -> float:
-    """Energy of a run reconstructed from its command counts alone.
-
-    Uses the same canonical-order accumulation as the engines, so this
-    reconstruction matches a run's ``energy_nj`` bit for bit.
-    """
-    return energy.total_nj(stats.command_counts, stats.total_cycles, timing)

@@ -29,30 +29,10 @@ class SimStats:
         return self.command_counts.get("ACT", 0)
 
     @property
-    def precharges(self) -> int:
-        return self.command_counts.get("PRE", 0)
-
-    @property
     def column_accesses(self) -> int:
         return sum(self.command_counts.get(k, 0)
                    for k in ("RD", "WR", "CU_READ", "CU_WRITE"))
 
     @property
-    def compute_ops(self) -> int:
-        return sum(self.command_counts.get(k, 0) for k in ("C1", "C2"))
-
-    @property
     def total_commands(self) -> int:
         return sum(self.command_counts.values())
-
-    def merged(self, other: "SimStats") -> "SimStats":
-        """Combine two runs (used by the multi-bank simulator)."""
-        counts = dict(self.command_counts)
-        for k, v in other.command_counts.items():
-            counts[k] = counts.get(k, 0) + v
-        return SimStats(
-            command_counts=counts,
-            total_cycles=max(self.total_cycles, other.total_cycles),
-            bus_busy_cycles=self.bus_busy_cycles + other.bus_busy_cycles,
-            cu_busy_cycles=self.cu_busy_cycles + other.cu_busy_cycles,
-        )

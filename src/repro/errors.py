@@ -1,8 +1,8 @@
 """Library-wide exception types."""
 
-__all__ = ["ReproError", "MappingError", "TimingViolation",
-           "FunctionalMismatch", "RequestValidationError",
-           "ServeError", "ShardFailure", "ClusterError"]
+__all__ = ["ReproError", "MappingError", "FunctionalMismatch",
+           "RequestValidationError", "ServeError", "ShardFailure",
+           "ClusterError"]
 
 
 class ReproError(Exception):
@@ -17,10 +17,6 @@ class RequestValidationError(ReproError, ValueError):
 class MappingError(ReproError):
     """A command sequence violates the DRAM/PIM protocol (e.g. a column
     access to a row that is not open, or a buffer index out of range)."""
-
-
-class TimingViolation(ReproError):
-    """The timing engine detected an internally inconsistent schedule."""
 
 
 class FunctionalMismatch(ReproError):

@@ -47,7 +47,7 @@ class PimFheAccelerator:
       reversal, cyclic NTT on the PIM;
     * ``native=True`` (extension): the merged negacyclic transform runs
       entirely on the PIM via the C1N/zeta mapping — no host scaling or
-      permutation passes (see :mod:`repro.mapping.negacyclic_mapper`).
+      permutation passes (see :class:`repro.mapping.NegacyclicNttMapper`).
     """
 
     def __init__(self, ring: NegacyclicParams, config: SimConfig | None = None,

@@ -22,7 +22,7 @@ from ..arith.modmath import mod_add_vec, mod_inverse, mod_mul_vec, mod_sub_vec
 from ..arith.primes import ntt_prime_candidates
 from ..ntt.negacyclic import NegacyclicParams, negacyclic_intt, negacyclic_ntt
 from ..pim.params import PimParams
-from ..sim.driver import SimConfig
+from ..sim.driver import SimConfig, TransformSpec
 from ..sim.multibank import _run_multibank
 
 __all__ = ["RnsBasis", "RnsPolynomial", "PimRnsMultiplier"]
@@ -149,7 +149,8 @@ class PimRnsMultiplier:
             arch=self.config.arch, timing=self.config.timing,
             pim=self.config.pim, energy=self.config.energy,
             functional=False, verify=False)
-        mb = _run_multibank(rep_inputs, rep_ring, timing_cfg)
+        rep_specs = [TransformSpec(params=rep_ring)] * self.basis.limbs
+        mb = _run_multibank(rep_inputs, rep_specs, timing_cfg)
         self.total_cycles += mb.cycles
         self.rounds += 1
         # Function: exact per-limb software transforms (the functional

@@ -5,8 +5,7 @@ from .analysis import (
     forecast_multi_buffer,
     forecast_single_buffer,
 )
-from .mapper import MapperOptions, NttMapper
-from .negacyclic_mapper import NegacyclicNttMapper
+from .mapper import MapperOptions, NegacyclicNttMapper, NttMapper
 from .program import ProgramBuilder
 from .program_cache import (
     CachedProgram,

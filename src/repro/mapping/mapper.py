@@ -1,8 +1,10 @@
 """The row-centric NTT mapping algorithm (paper Secs. III-V).
 
-:class:`NttMapper` lowers one size-N NTT into a DRAM/PIM command
-program, requiring at least one auxiliary buffer (Nb >= 2; for Nb = 1
-see :mod:`repro.mapping.single_buffer`).
+One schedule lowers a size-N transform into a DRAM/PIM command program,
+requiring at least one auxiliary buffer (Nb >= 2; for Nb = 1 see
+:mod:`repro.mapping.single_buffer`).  :class:`NttMapper` runs it for the
+paper's cyclic NTT and :class:`NegacyclicNttMapper` for the merged
+negacyclic extension; they differ only in twiddles and stage order.
 
 Structure (Sec. IV.B):
 
@@ -20,6 +22,26 @@ atoms in intra-atom, ``Nb // 2`` pairs otherwise), reads of a whole
 group are emitted before its computes and writes, and in the inter-row
 regime same-row accesses of a group share one activation pair — the
 Fig. 6c effect that cuts activations by the group factor.
+
+Merged negacyclic transform (an extension beyond the paper).  The paper
+leaves the negacyclic psi-scaling and bit reversal to the host;
+production lattice crypto merges the psi powers into the twiddles
+(:mod:`repro.ntt.merged`), which fits this PIM even better:
+
+* input arrives in **natural order** — the host bit-reversal pass
+  disappears;
+* every butterfly block has a **constant** zeta, which the TFG realizes
+  as the degenerate geometric sequence ``(omega0 = zeta, r_omega = 1)``;
+* the forward network runs the same three regimes in *reverse* order
+  (largest stride first: inter-row stages, then the row blocks), so the
+  same row-activation arithmetic applies;
+* the intra-atom stages need per-block zetas that are not derivable by
+  squaring, so they ride a ``C1N`` command carrying its Na-1 zetas as
+  parameters (see ``ComputeTiming.c1n_cycles``).
+
+The inverse is the mirror image with Gentleman-Sande butterflies (an
+output-side mux on the BU multiplier) and inverse zetas; the final 1/N
+scale stays on the host, as in the paper's protocol.
 """
 
 from __future__ import annotations
@@ -27,15 +49,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from ..arith.modmath import mod_pow
 from ..arith.roots import NttParams
 from ..dram.commands import Command, CommandType
 from ..dram.timing import ArchParams
 from ..errors import MappingError
+from ..ntt.merged import block_zeta_exponent
+from ..ntt.negacyclic import NegacyclicParams
 from ..pim.params import PimParams
 from .program import ProgramBuilder
 from .twiddle_params import c1_root, c2_twiddles
 
-__all__ = ["NttMapper", "MapperOptions"]
+__all__ = ["NttMapper", "NegacyclicNttMapper", "MapperOptions"]
 
 
 def _chunks(seq: Sequence, size: int):
@@ -61,26 +86,37 @@ class MapperOptions:
     group_same_row: bool = True
 
 
-class NttMapper:
-    """Generates the command program for one NTT on one bank."""
+class _RowCentricSchedule:
+    """The Nb >= 2 row-centric schedule both transform kinds share.
 
-    def __init__(self, ntt: NttParams, arch: ArchParams, pim: PimParams,
-                 base_row: int = 0, bank: int = 0,
-                 options: MapperOptions = MapperOptions()):
+    Stages are indexed by butterfly stride ``length`` (DIT stage ``s``
+    has ``length = 1 << (s - 1)``).  Subclasses supply the intra-atom
+    command (:meth:`_atom_command`) and the C2 twiddle pair
+    (:meth:`_c2_pair`), and set two flags derived from the transform:
+    ``gs`` (Gentleman-Sande butterflies) and ``reverse`` (largest stride
+    first, inter-row stages before the row blocks).
+    """
+
+    gs = False
+    reverse = False
+
+    def __init__(self, n: int, arch: ArchParams, pim: PimParams,
+                 base_row: int, bank: int, options: MapperOptions):
         if pim.nb_buffers < 2:
             raise MappingError(
-                "NttMapper needs an auxiliary buffer; use SingleBufferMapper "
-                "for Nb=1")
+                "the row-centric mapping needs an auxiliary buffer; use "
+                "SingleBufferMapper for Nb=1")
         na = arch.words_per_atom
-        if ntt.n < na:
-            raise MappingError(f"N={ntt.n} below one atom ({na} words)")
-        rows_needed = (ntt.n + arch.words_per_row - 1) // arch.words_per_row
-        self.inter_row_stages = max(0, ntt.log_n - arch.log_words_per_row)
+        if n < na:
+            raise MappingError(f"N={n} below one atom ({na} words)")
+        rows_needed = (n + arch.words_per_row - 1) // arch.words_per_row
+        self.log_n = n.bit_length() - 1
+        self.inter_row_stages = max(0, self.log_n - arch.log_words_per_row)
         regions = 1 if options.in_place_update or not self.inter_row_stages else 2
         if base_row + regions * rows_needed > arch.rows_per_bank:
             raise MappingError("polynomial (plus ping-pong region) does not "
                                "fit in the bank")
-        self.ntt = ntt
+        self.n = n
         self.arch = arch
         self.pim = pim
         self.base_row = base_row
@@ -94,6 +130,14 @@ class NttMapper:
         else:
             self.result_base_row = base_row + rows_needed
 
+    # -- per-kind hooks -----------------------------------------------------------
+    def _atom_command(self, b: ProgramBuilder, buf: int,
+                      atom_index: int) -> None:
+        raise NotImplementedError
+
+    def _c2_pair(self, length: int, word_a: int) -> Tuple[int, int]:
+        raise NotImplementedError
+
     # -- public API -------------------------------------------------------------
     def generate(self) -> List[Command]:
         """The full command program, PARAM_WRITE through final PRE."""
@@ -101,132 +145,187 @@ class NttMapper:
         # q plus Montgomery constants travel over the global buffer as
         # 16-bit chunks; 6 words covers a 32-bit q, q' and R^2 mod q.
         b.emit(CommandType.PARAM_WRITE, payload_words=6)
-        for block in range(self.rows_used):
-            self._row_block(b, block)
-        log_n = self.ntt.log_n
-        log_r = self.arch.log_words_per_row
-        src_base = self.base_row
-        for stage in range(log_r + 1, log_n + 1):
-            if self.options.in_place_update:
-                dst_base = src_base
-            else:
-                dst_base = (self.base_row + self.rows_used
-                            if src_base == self.base_row else self.base_row)
-            self._inter_row_stage(b, stage, src_base, dst_base)
-            src_base = dst_base
+        inter_row = [1 << s for s in range(self.arch.log_words_per_row,
+                                           self.log_n)]
+        if self.reverse:
+            # Only the forward negacyclic transform runs reversed, and it
+            # always maps in place, so its row blocks stay at base_row.
+            self._inter_row_stages(b, inter_row[::-1])
+            for block in range(self.rows_used):
+                self._row_block(b, block)
+        else:
+            for block in range(self.rows_used):
+                self._row_block(b, block)
+            self._inter_row_stages(b, inter_row)
         b.close_row()
         return b.build()
 
     # -- phase A: one row-sized vertical block ------------------------------------
     def _row_block(self, b: ProgramBuilder, block: int) -> None:
         arch = self.arch
-        na = arch.words_per_atom
         row = self.base_row + block
-        words_here = min(self.ntt.n - block * arch.words_per_row,
+        words_here = min(self.n - block * arch.words_per_row,
                          arch.words_per_row)
-        atoms_here = words_here // na
+        atoms_here = words_here // arch.words_per_atom
         b.goto_row(row)
-        self._intra_atom(b, row, atoms_here)
-        log_top = min(self.ntt.log_n, arch.log_words_per_row)
-        for stage in range(arch.log_words_per_atom + 1, log_top + 1):
-            self._intra_row_stage(b, row, block, atoms_here, stage)
+        intra_row = [1 << s for s in range(
+            arch.log_words_per_atom, min(self.log_n, arch.log_words_per_row))]
+        if self.reverse:
+            for length in reversed(intra_row):
+                self._intra_row_stage(b, row, block, atoms_here, length)
+            self._intra_atom(b, row, block, atoms_here)
+        else:
+            self._intra_atom(b, row, block, atoms_here)
+            for length in intra_row:
+                self._intra_row_stage(b, row, block, atoms_here, length)
 
-    def _intra_atom(self, b: ProgramBuilder, row: int, atoms_here: int) -> None:
-        """C1 per atom, group-pipelined over the whole buffer pool."""
-        root = c1_root(self.ntt, self.arch.words_per_atom)
+    def _intra_atom(self, b: ProgramBuilder, row: int, block: int,
+                    atoms_here: int) -> None:
+        """One intra-atom command per atom, group-pipelined over the
+        whole buffer pool."""
+        first_atom = block * self.arch.columns_per_row
         for group in _chunks(range(atoms_here), self.pim.nb_buffers):
             for buf, col in enumerate(group):
                 b.cu_read(row, col, buf)
             for buf, col in enumerate(group):
-                b.c1(buf, root)
+                self._atom_command(b, buf, first_atom + col)
             for buf, col in enumerate(group):
                 b.cu_write(row, col, buf)
 
     def _intra_row_stage(self, b: ProgramBuilder, row: int, block: int,
-                         atoms_here: int, stage: int) -> None:
+                         atoms_here: int, length: int) -> None:
         """C2 per atom pair inside one open row (all buffer hits)."""
         na = self.arch.words_per_atom
-        m_words = 1 << (stage - 1)
-        stride_atoms = m_words // na
+        stride_atoms = length // na
         pairs: List[Tuple[int, int]] = []
         for block_start in range(0, atoms_here, 2 * stride_atoms):
             for i in range(stride_atoms):
                 pairs.append((block_start + i, block_start + i + stride_atoms))
         word_base = block * self.arch.words_per_row
+        gs = self.gs
         for group in _chunks(pairs, self.pim.pair_slots):
-            reads = []
             for slot, (col_a, col_b) in enumerate(group):
-                buf_p, buf_s = 2 * slot, 2 * slot + 1
-                b.cu_read(row, col_a, buf_p)
-                b.cu_read(row, col_b, buf_s)
-                reads.append((buf_p, buf_s))
+                b.cu_read(row, col_a, 2 * slot)
+                b.cu_read(row, col_b, 2 * slot + 1)
             for slot, (col_a, col_b) in enumerate(group):
-                word_a = word_base + col_a * na
-                omega0, r_omega = c2_twiddles(self.ntt, stage, word_a)
-                buf_p, buf_s = reads[slot]
-                b.c2(buf_p, buf_s, omega0, r_omega)
+                omega0, r_omega = self._c2_pair(length, word_base + col_a * na)
+                b.c2(2 * slot, 2 * slot + 1, omega0, r_omega, gs=gs)
             for slot, (col_a, col_b) in enumerate(group):
-                buf_p, buf_s = reads[slot]
-                b.cu_write(row, col_a, buf_p)
-                b.cu_write(row, col_b, buf_s)
+                b.cu_write(row, col_a, 2 * slot)
+                b.cu_write(row, col_b, 2 * slot + 1)
 
-    # -- phase B: one inter-row stage ----------------------------------------------
-    def _inter_row_stage(self, b: ProgramBuilder, stage: int,
+    # -- phase B: the inter-row stages ---------------------------------------------
+    def _inter_row_stages(self, b: ProgramBuilder,
+                          lengths: Sequence[int]) -> None:
+        """Run each stride in turn; with ``in_place_update`` off, every
+        stage writes the other of two ping-pong regions."""
+        src_base = self.base_row
+        for length in lengths:
+            if self.options.in_place_update:
+                dst_base = src_base
+            else:
+                dst_base = (self.base_row + self.rows_used
+                            if src_base == self.base_row else self.base_row)
+            self._inter_row_stage(b, length, src_base, dst_base)
+            src_base = dst_base
+
+    def _inter_row_stage(self, b: ProgramBuilder, length: int,
                          src_base: int, dst_base: int) -> None:
         """C2 per atom pair straddling two rows, group-batched so a group
         shares one (ACT A, ACT B, ACT A) sweep — the pipelining payoff.
 
-        With ``in_place_update`` off, ``dst_base`` points at the mirror
-        region: writes open two *additional* rows per group.
+        In place, the '-'-leg writes hit the still-open row B (the
+        paper's in-place update) and one activation back to row A serves
+        the '+'-leg writes and the next group's reads.  With ``dst_base``
+        at the mirror region, both writes open an *additional* row.
         """
         arch = self.arch
         na = arch.words_per_atom
         r_words = arch.words_per_row
-        m_words = 1 << (stage - 1)
-        row_dist = m_words // r_words
+        row_dist = length // r_words
         if row_dist < 1:
-            raise MappingError(f"stage {stage} is not inter-row")
-        cols = arch.columns_per_row
+            raise MappingError(f"stride {length} is not inter-row")
         group_size = self.pim.pair_slots if self.options.group_same_row else 1
-        in_place = (dst_base == src_base)
+        gs = self.gs
         for rel_row in range(self.rows_used):
-            if (rel_row * r_words) % (2 * m_words) >= m_words:
+            if (rel_row * r_words) % (2 * length) >= length:
                 continue  # this row is a '-'-leg row; handled with its partner
             row_a = src_base + rel_row
             row_b = row_a + row_dist
             out_a = dst_base + rel_row
             out_b = out_a + row_dist
-            for group in _chunks(range(cols), group_size):
+            for group in _chunks(range(arch.columns_per_row), group_size):
                 # Reads of all '+'-legs (row A open once per group).
                 b.goto_row(row_a)
-                slots = []
                 for slot, col in enumerate(group):
-                    buf_p, buf_s = 2 * slot, 2 * slot + 1
-                    b.cu_read(row_a, col, buf_p)
-                    slots.append((buf_p, buf_s))
+                    b.cu_read(row_a, col, 2 * slot)
                 # Reads of all '-'-legs.
                 b.goto_row(row_b)
                 for slot, col in enumerate(group):
-                    b.cu_read(row_b, col, slots[slot][1])
+                    b.cu_read(row_b, col, 2 * slot + 1)
                 # Vectorized butterflies (no row involvement).
                 for slot, col in enumerate(group):
-                    word_a = rel_row * r_words + col * na
-                    omega0, r_omega = c2_twiddles(self.ntt, stage, word_a)
-                    b.c2(slots[slot][0], slots[slot][1], omega0, r_omega)
-                if in_place:
-                    # '-'-leg writes hit the still-open row B (the paper's
-                    # in-place update); one activation back to row A for
-                    # the '+'-legs, which the next group's reads reuse.
-                    for slot, col in enumerate(group):
-                        b.cu_write(row_b, col, slots[slot][1])
-                    b.goto_row(row_a)
-                    for slot, col in enumerate(group):
-                        b.cu_write(row_a, col, slots[slot][0])
-                else:
-                    # Naive out-of-place: both writes miss.
-                    b.goto_row(out_b)
-                    for slot, col in enumerate(group):
-                        b.cu_write(out_b, col, slots[slot][1])
-                    b.goto_row(out_a)
-                    for slot, col in enumerate(group):
-                        b.cu_write(out_a, col, slots[slot][0])
+                    omega0, r_omega = self._c2_pair(
+                        length, rel_row * r_words + col * na)
+                    b.c2(2 * slot, 2 * slot + 1, omega0, r_omega, gs=gs)
+                b.goto_row(out_b)
+                for slot, col in enumerate(group):
+                    b.cu_write(out_b, col, 2 * slot + 1)
+                b.goto_row(out_a)
+                for slot, col in enumerate(group):
+                    b.cu_write(out_a, col, 2 * slot)
+
+
+class NttMapper(_RowCentricSchedule):
+    """Generates the command program for one cyclic NTT on one bank."""
+
+    def __init__(self, ntt: NttParams, arch: ArchParams, pim: PimParams,
+                 base_row: int = 0, bank: int = 0,
+                 options: MapperOptions = MapperOptions()):
+        super().__init__(ntt.n, arch, pim, base_row, bank, options)
+        self.ntt = ntt
+        self._c1_root = c1_root(ntt, arch.words_per_atom)
+
+    def _atom_command(self, b: ProgramBuilder, buf: int,
+                      atom_index: int) -> None:
+        b.c1(buf, self._c1_root)
+
+    def _c2_pair(self, length: int, word_a: int) -> Tuple[int, int]:
+        return c2_twiddles(self.ntt, length.bit_length(), word_a)
+
+
+class NegacyclicNttMapper(_RowCentricSchedule):
+    """Command generation for the merged negacyclic transform."""
+
+    def __init__(self, ring: NegacyclicParams, arch: ArchParams,
+                 pim: PimParams, base_row: int = 0, bank: int = 0,
+                 inverse: bool = False):
+        super().__init__(ring.n, arch, pim, base_row, bank, MapperOptions())
+        self.ring = ring
+        self.gs = inverse
+        self.reverse = not inverse
+        # Twiddle base: psi forward, psi^-1 inverse.
+        self._root = ring.psi_inv if inverse else ring.psi
+
+    def _zeta(self, length: int, start: int) -> int:
+        exp = block_zeta_exponent(self.ring.n, length, start)
+        return mod_pow(self._root, exp, self.ring.q)
+
+    def _atom_zetas(self, atom_index: int) -> Tuple[int, ...]:
+        """The Na-1 per-block zetas one C1N consumes, in consumption
+        order (forward: strides Na/2 down; inverse: strides 1 up)."""
+        na = self.arch.words_per_atom
+        base = atom_index * na
+        strides = [1 << s for s in range(self.arch.log_words_per_atom)]
+        if self.reverse:
+            strides.reverse()
+        return tuple(self._zeta(length, base + start)
+                     for length in strides
+                     for start in range(0, na, 2 * length))
+
+    def _atom_command(self, b: ProgramBuilder, buf: int,
+                      atom_index: int) -> None:
+        b.c1n(buf, self._atom_zetas(atom_index), gs=self.gs)
+
+    def _c2_pair(self, length: int, word_a: int) -> Tuple[int, int]:
+        return self._zeta(length, word_a - word_a % (2 * length)), 1

@@ -32,8 +32,7 @@ from ..dram.commands import Command
 from ..dram.timing import ArchParams
 from ..ntt.negacyclic import NegacyclicParams
 from ..pim.params import PimParams
-from .mapper import MapperOptions, NttMapper
-from .negacyclic_mapper import NegacyclicNttMapper
+from .mapper import MapperOptions, NegacyclicNttMapper, NttMapper
 from .single_buffer import SingleBufferMapper
 
 __all__ = ["CachedProgram", "cyclic_program", "negacyclic_program",
@@ -47,6 +46,8 @@ _MAX_ENTRIES = 512
 class CachedProgram:
     """One lowered NTT invocation, plus the mapper facts the driver needs.
 
+    ``base_row`` is the row the host lays the input out from;
+    ``result_base_row`` is where the natural-order result lands.
     ``key`` is the program-cache key the program was generated under — a
     compact, exact stand-in for the command tuple's content (the program
     is a deterministic function of the key), which downstream caches
@@ -57,6 +58,7 @@ class CachedProgram:
     """
 
     commands: Tuple[Command, ...]
+    base_row: int
     result_base_row: int
     key: Optional[tuple] = None
 
@@ -94,7 +96,7 @@ def cyclic_program(ntt: NttParams, arch: ArchParams, pim: PimParams,
         else:
             mapper = NttMapper(ntt, arch, pim, base_row, bank,
                                options=options)
-        return CachedProgram(tuple(mapper.generate()),
+        return CachedProgram(tuple(mapper.generate()), base_row,
                              mapper.result_base_row, key)
 
     return _cache.get_or_create(key, generate)
@@ -110,7 +112,7 @@ def negacyclic_program(ring: NegacyclicParams, arch: ArchParams,
     def generate() -> CachedProgram:
         mapper = NegacyclicNttMapper(ring, arch, pim, base_row, bank,
                                      inverse=inverse)
-        return CachedProgram(tuple(mapper.generate()),
+        return CachedProgram(tuple(mapper.generate()), base_row,
                              mapper.result_base_row, key)
 
     return _cache.get_or_create(key, generate)

@@ -15,7 +15,8 @@ implies.  Production lattice crypto (NewHope, Kyber, SEAL) instead
 The forward network runs Cooley-Tukey butterflies with *decreasing*
 stride; the inverse runs Gentleman-Sande butterflies with increasing
 stride and a final 1/N scale.  These kernels are the golden model for
-the native negacyclic PIM mapping (:mod:`repro.mapping.negacyclic_mapper`).
+the native negacyclic PIM mapping
+(:class:`repro.mapping.NegacyclicNttMapper`).
 """
 
 from __future__ import annotations

@@ -32,11 +32,6 @@ class PimParams:
             raise ValueError("compute latencies must be positive")
 
     @property
-    def aux_buffers(self) -> int:
-        """Number of secondary (auxiliary) atom buffers."""
-        return self.nb_buffers - 1
-
-    @property
     def pair_slots(self) -> int:
         """How many (P, S) operand pairs fit in the buffer pool — the
         pipelining depth of inter-atom mapping (Fig. 6b/c)."""

@@ -5,8 +5,10 @@ banks (:mod:`repro.sim.multibank`), a single bank can run them
 back-to-back.  Batching amortizes the parameter write and lets the MC
 overlap the tail of one transform with the head of the next (the final
 PRE of polynomial *i* and the first reads of polynomial *i+1* pipeline
-on the bus).  :func:`run_batch` measures steady-state throughput per
-transform vs the single-shot latency.
+on the bus).  :func:`_run_batch` measures steady-state throughput per
+transform vs the single-shot latency; the one merged stream runs through
+the same single-bank checker a lone transform uses, which lays out,
+reads back and golden-checks every polynomial of the batch.
 """
 
 from __future__ import annotations
@@ -15,16 +17,12 @@ import dataclasses
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from ..arith.bitrev import bit_reverse_permute
 from ..arith.roots import NttParams
 from ..dram.commands import Command, CommandType
 from ..dram.engine import ScheduleResult
 from ..dram.stream import cached_stream
-from ..errors import FunctionalMismatch
 from ..mapping.program_cache import cyclic_program, programs_recipe_key
-from ..ntt.reference import ntt as reference_ntt
-from ..pim.bank_pim import PimBank
-from .driver import SimConfig, cached_schedule
+from .driver import SimConfig, TransformSpec, _run_bank, cached_schedule
 
 __all__ = ["BatchResult", "compile_batch", "concat_programs"]
 
@@ -81,15 +79,17 @@ class BatchResult:
 def compile_batch(params: NttParams, count: int, config: SimConfig):
     """Compile the ``count``-deep back-to-back program for one shape.
 
-    Returns ``(programs, merged_stream, merged_key, rows_each)``.
-    Memoized end to end, so repeated batches of one shape compile
-    once.  The concat runs vectorized over IR columns
-    (:func:`repro.compile.concat_irs`), bit-identical to the
-    per-command :func:`concat_programs` reference.
+    Returns ``(programs, merged_stream, merged_key)``.  Memoized end to
+    end, so repeated batches of one shape compile once.  The concat runs
+    vectorized over IR columns (:func:`repro.compile.concat_irs`),
+    bit-identical to the per-command :func:`concat_programs` reference.
     """
     if count < 1:
         raise ValueError("need at least one polynomial")
-    rows_each = max(1, params.n // config.arch.words_per_row)
+    # Each slot owns its rows plus, under the out-of-place ablation, the
+    # mirror region its inter-row stages ping-pong through.
+    regions = 1 if config.mapper_options.in_place_update else 2
+    rows_each = regions * max(1, params.n // config.arch.words_per_row)
     # Per-slot programs differ only in base row; each is memoized, so a
     # repeated batch (or a bigger batch reusing earlier slots) maps for free.
     programs = [
@@ -109,7 +109,7 @@ def compile_batch(params: NttParams, count: int, config: SimConfig):
     merged_stream = cached_stream(
         lambda: concat_irs([p.commands for p in programs]),
         config.arch, key=merged_key)
-    return programs, merged_stream, merged_key, rows_each
+    return programs, merged_stream, merged_key
 
 
 def _run_batch(inputs: Sequence[Sequence[int]], params: NttParams,
@@ -120,34 +120,20 @@ def _run_batch(inputs: Sequence[Sequence[int]], params: NttParams,
     (an FHE pipeline reads them later).
     """
     config = config or SimConfig()
-    count = len(inputs)
-    programs, merged_stream, merged_key, rows_each = compile_batch(
-        params, count, config)
+    programs, merged_stream, merged_key = compile_batch(
+        params, len(inputs), config)
     compute = config.pim.compute_timing()
     schedule = cached_schedule(merged_stream, config.timing, config.arch,
                                compute, config.energy, key=merged_key)
     single = cached_schedule(programs[0].commands, config.timing, config.arch,
                              compute, config.energy, key=programs[0].key)
 
-    verified = False
     outputs: List[List[int]] = []
     bu_ops = 0
     if config.functional:
-        bank = PimBank(config.arch, config.pim)
-        bank.set_parameters(params.q)
-        for i, values in enumerate(inputs):
-            bank.load_polynomial(config.base_row + i * rows_each,
-                                 bit_reverse_permute(list(values)))
-        bank.run_stream(merged_stream)
-        bu_ops = bank.cu.bu_ops
-        outputs = [bank.read_polynomial(config.base_row + i * rows_each,
-                                        params.n)
-                   for i in range(count)]
-        if config.verify:
-            for i, values in enumerate(inputs):
-                if outputs[i] != reference_ntt(values, params):
-                    raise FunctionalMismatch(f"batch element {i} wrong")
-            verified = True
-    return BatchResult(count=count, schedule=schedule,
-                       single_cycles=single.total_cycles, verified=verified,
+        outputs, bu_ops = _run_bank(TransformSpec(params=params), inputs,
+                                    config, programs, merged_stream)
+    return BatchResult(count=len(inputs), schedule=schedule,
+                       single_cycles=single.total_cycles,
+                       verified=config.functional and config.verify,
                        outputs=outputs, bu_ops=bu_ops)

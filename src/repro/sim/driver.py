@@ -14,8 +14,9 @@ A :class:`TransformSpec` names one transform kind — forward or inverse
 cyclic NTT, or the merged negacyclic transform — and owns its program,
 input layout, host-side 1/N epilogue and golden model.  :func:`_run_bank`
 is the one functional checker: single transforms, every bank of a
-multi-bank dispatch and the FHE accelerator all go through it.  The
-supported entry point is :meth:`repro.api.Simulator.run`.
+multi-bank dispatch, the transforms of a one-bank batch and the FHE
+accelerator all go through it.  The supported entry point is
+:meth:`repro.api.Simulator.run`.
 """
 
 from __future__ import annotations
@@ -144,13 +145,6 @@ class TransformSpec:
     params: Optional[NttParams] = None
     ring: Optional[NegacyclicParams] = None
 
-    @classmethod
-    def of(cls, params_or_spec) -> "TransformSpec":
-        """Normalize the legacy ``NttParams`` calling convention."""
-        if isinstance(params_or_spec, TransformSpec):
-            return params_or_spec
-        return cls(kind="ntt", params=params_or_spec)
-
     @property
     def n(self) -> int:
         return self.ring.n if self.kind == "negacyclic" else self.params.n
@@ -213,24 +207,30 @@ class TransformSpec:
         return f"{'inverse ' if self.inverse else ''}{self.kind}"
 
 
-def _run_bank(spec: TransformSpec, values: Sequence[int], config: SimConfig,
-              program: CachedProgram, stream: CommandStream
-              ) -> Tuple[List[int], int]:
-    """Functional half of one bank's transform: load the host layout,
-    replay the compiled stream, read back and finalize, then (with
-    ``config.verify``) check against the golden model.  Returns the
-    finalized output and the executed butterfly µ-op count."""
+def _run_bank(spec: TransformSpec, inputs: Sequence[Sequence[int]],
+              config: SimConfig, programs: Sequence[CachedProgram],
+              stream: CommandStream) -> Tuple[List[List[int]], int]:
+    """Functional half of one bank holding one or more ``spec``
+    transforms: lay each input out at its program's ``base_row``,
+    replay the compiled stream once, read each result back at its
+    program's ``result_base_row`` and finalize it, then (with
+    ``config.verify``) check it against the golden model.  Returns the
+    finalized outputs and the executed butterfly µ-op count."""
     bank = PimBank(config.arch, config.pim)
     bank.set_parameters(spec.q)
-    bank.load_polynomial(config.base_row, spec.load_layout(values))
+    for values, program in zip(inputs, programs):
+        bank.load_polynomial(program.base_row, spec.load_layout(values))
     bank.run_stream(stream)
-    output = spec.finalize(
-        bank.read_polynomial(program.result_base_row, spec.n))
-    if config.verify and output != spec.expected(values):
-        raise FunctionalMismatch(
-            f"PIM {spec.describe()} result wrong for N={spec.n}, "
-            f"Nb={config.pim.nb_buffers}")
-    return output, bank.cu.bu_ops
+    outputs = []
+    for values, program in zip(inputs, programs):
+        output = spec.finalize(
+            bank.read_polynomial(program.result_base_row, spec.n))
+        if config.verify and output != spec.expected(values):
+            raise FunctionalMismatch(
+                f"PIM {spec.describe()} result wrong for N={spec.n}, "
+                f"Nb={config.pim.nb_buffers}")
+        outputs.append(output)
+    return outputs, bank.cu.bu_ops
 
 
 def _run_transform(spec: TransformSpec, values: Sequence[int],
@@ -250,7 +250,8 @@ def _run_transform(spec: TransformSpec, values: Sequence[int],
     output: List[int] = []
     bu_ops = 0
     if config.functional:
-        output, bu_ops = _run_bank(spec, values, config, program, stream)
+        (output,), bu_ops = _run_bank(spec, [values], config, [program],
+                                      stream)
     return NttRunResult(
         n=spec.n, q=spec.q, nb_buffers=config.pim.nb_buffers,
         output=output, schedule=schedule,

@@ -91,39 +91,21 @@ class MultiBankResult:
         return self.speedup / self.banks
 
 
-def normalize_specs(spec, banks: int) -> List[TransformSpec]:
-    """Per-bank spec list from either calling convention.
+def compile_multibank(specs: Sequence[TransformSpec], config: SimConfig):
+    """Compile the interleaved program of one transform per bank.
 
-    ``spec`` is one :class:`TransformSpec` (or bare ``NttParams``) every
-    bank shares, or a sequence of per-bank specs — the mixed-kind
-    dispatch shape (e.g. forward and inverse limbs of one shape
-    interleaved in a single bus program).
-    """
-    if isinstance(spec, (list, tuple)):
-        specs = [TransformSpec.of(s) for s in spec]
-        if len(specs) != banks:
-            raise ValueError(
-                f"got {len(specs)} per-bank specs for {banks} banks")
-        return specs
-    return [TransformSpec.of(spec)] * banks
-
-
-def compile_multibank(spec, banks: int, config: SimConfig):
-    """Compile the ``banks``-way interleaved program for one shape.
-
-    ``spec`` is a :class:`TransformSpec` (or bare ``NttParams``, the
-    legacy forward-cyclic spelling), or a per-bank spec sequence for
-    mixed-kind dispatches.  Returns ``(programs, merged_stream,
-    merged_key)``.  Everything is memoized (program / stream caches),
-    so repeated dispatches of one shape compile once.
+    ``specs`` names each bank's transform; mixed kinds (e.g. forward and
+    inverse limbs of one shape) interleave in a single bus program.
+    Returns ``(programs, merged_stream, merged_key)``.  Everything is
+    memoized (program / stream caches), so repeated dispatches of one
+    shape compile once.
 
     The merge runs as a vectorized index permutation over the per-bank
     IR columns (:func:`repro.compile.interleave_irs`), bit-identical to
     the per-command :func:`interleave_programs` reference.
     """
-    if banks < 1:
+    if not specs:
         raise ValueError("need at least one bank's worth of input")
-    specs = normalize_specs(spec, banks)
     # Programs are memoized per (spec, config, bank): repeated rounds
     # over the same shape (e.g. every RNS limb round) reuse the programs.
     programs = [s.program(config, k) for k, s in enumerate(specs)]
@@ -140,18 +122,19 @@ def compile_multibank(spec, banks: int, config: SimConfig):
     return programs, merged_stream, merged_key
 
 
-def _run_multibank(inputs: Sequence[Sequence[int]], spec,
+def _run_multibank(inputs: Sequence[Sequence[int]],
+                   specs: Sequence[TransformSpec],
                    config: SimConfig | None = None) -> MultiBankResult:
     """Run ``len(inputs)`` independent transforms, one per bank.
 
-    ``spec`` may be a per-bank sequence (mixed kinds/inverse per bank);
+    ``specs`` holds one spec per bank (kinds and directions may mix);
     every bank's output stays bit-identical to its standalone run.
     """
     config = config or SimConfig()
     banks = len(inputs)
-    specs = normalize_specs(spec, banks)
-    programs, merged_stream, merged_key = compile_multibank(specs, banks,
-                                                            config)
+    if len(specs) != banks:
+        raise ValueError(f"got {len(specs)} per-bank specs for {banks} banks")
+    programs, merged_stream, merged_key = compile_multibank(specs, config)
     compute = config.pim.compute_timing()
     schedule = cached_schedule(merged_stream, config.timing, config.arch,
                                compute, config.energy, key=merged_key)
@@ -165,10 +148,11 @@ def _run_multibank(inputs: Sequence[Sequence[int]], spec,
         # per-bank compiled stream (cached per (spec, config, bank))
         # — equivalent to replaying the round-robin merge command by
         # command, minus the interleaving overhead.
-        for values, program, bspec in zip(inputs, programs, specs):
+        for values, program, spec in zip(inputs, programs, specs):
             stream = cached_stream(program.commands, config.arch,
                                    key=program.key)
-            output, ops = _run_bank(bspec, values, config, program, stream)
+            (output,), ops = _run_bank(spec, [values], config, [program],
+                                       stream)
             outputs.append(output)
             bu_ops += ops
     verified = config.functional and config.verify

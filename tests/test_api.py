@@ -202,7 +202,8 @@ class TestLegacyEquivalence:
 
     def test_multibank_matches_run_multibank(self):
         inputs = [_data(6), _data(7), _data(8)]
-        legacy = _legacy(_run_multibank, inputs, PARAMS)
+        legacy = _legacy(_run_multibank, inputs,
+                         [TransformSpec(params=PARAMS)] * 3)
         response = Simulator().run(MultiBankRequest(params=PARAMS,
                                                     inputs=inputs))
         assert response.cycles == legacy.cycles

@@ -30,11 +30,7 @@ from repro.pim.bank_pim import PimBank
 from repro.pim.params import PimParams
 from repro.sim.batch import concat_programs
 from repro.sim.driver import SimConfig
-from repro.sim.multibank import (
-    TransformSpec,
-    interleave_programs,
-    normalize_specs,
-)
+from repro.sim.multibank import TransformSpec, interleave_programs
 
 
 def _bank_state(bank, base_row, n):
@@ -119,13 +115,11 @@ class TestMergePasses:
     def test_interleave_matches_legacy(self):
         n = 256
         config = SimConfig()
-        specs = normalize_specs(
-            [TransformSpec(kind="ntt",
-                           params=NttParams(n, find_ntt_prime(n, 32))),
-             TransformSpec(kind="negacyclic",
-                           ring=NegacyclicParams(
-                               n, find_ntt_prime(n, 32, negacyclic=True)))],
-            banks=2)
+        specs = [TransformSpec(kind="ntt",
+                               params=NttParams(n, find_ntt_prime(n, 32))),
+                 TransformSpec(kind="negacyclic",
+                               ring=NegacyclicParams(
+                                   n, find_ntt_prime(n, 32, negacyclic=True)))]
         programs = [s.program(config, k) for k, s in enumerate(specs)]
         merged_legacy = interleave_programs([p.commands for p in programs])
         ir = interleave_irs([StreamIR.from_commands(p.commands)

@@ -5,10 +5,12 @@ import random
 
 import pytest
 
+from repro.api import BatchRequest, NttRequest, Simulator
 from repro.arith import NttParams, find_ntt_prime
 from repro.dram import Command, CommandType, HBM2E_ARCH, HBM2E_TIMING, TimingEngine
 from repro.experiments.dse import run_atom_size_sweep, run_row_size_sweep
 from repro.fhe import RlweParams, RlweScheme
+from repro.mapping import MapperOptions
 from repro.ntt import naive_negacyclic_convolution
 from repro.pim import PimParams
 from repro.sim import SimConfig
@@ -69,6 +71,23 @@ class TestBatch:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             _run_batch([], NttParams(256, Q))
+
+    @pytest.mark.parametrize("verify", [True, False])
+    @pytest.mark.parametrize("n", [512, 1024, 2048])
+    def test_out_of_place_batch_matches_standalone(self, n, verify):
+        # The out-of-place ablation writes every other inter-row stage to
+        # a mirror region: slots must not overlap it, and each result is
+        # read where its program leaves it.
+        params = NttParams(n, Q)
+        config = SimConfig(verify=verify, mapper_options=MapperOptions(
+            in_place_update=False))
+        rng = random.Random(n)
+        inputs = [[rng.randrange(Q) for _ in range(n)] for _ in range(3)]
+        sim = Simulator(config)
+        batch = sim.run(BatchRequest(params=params, inputs=inputs))
+        assert batch.outputs == [
+            sim.run(NttRequest(params=params, values=x)).values
+            for x in inputs]
 
     def test_concat_skips_duplicate_params(self):
         prog = [Command(CommandType.PARAM_WRITE, payload_words=6),

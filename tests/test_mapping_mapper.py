@@ -1,6 +1,7 @@
 """Tests for command generation: protocol legality, regime structure,
 ablation variants, and functional correctness through the driver."""
 
+import hashlib
 import random
 
 import pytest
@@ -9,8 +10,14 @@ from repro.api import NttRequest, Simulator
 from repro.arith import NttParams, find_ntt_prime
 from repro.dram import CommandType, HBM2E_ARCH
 from repro.errors import MappingError
-from repro.mapping import NttMapper, SingleBufferMapper, c1_root
+from repro.mapping import (
+    NegacyclicNttMapper,
+    NttMapper,
+    SingleBufferMapper,
+    c1_root,
+)
 from repro.mapping.mapper import MapperOptions
+from repro.ntt import NegacyclicParams
 from repro.ntt import ntt as reference_ntt
 from repro.pim import PimParams
 from repro.sim import SimConfig
@@ -211,3 +218,47 @@ class TestLatencyShape:
         t256 = sim.run(NttRequest(params=NttParams(256, Q))).cycles
         t512 = sim.run(NttRequest(params=NttParams(512, Q))).cycles
         assert t512 > 2.2 * t256
+
+
+class TestPinnedPrograms:
+    """The exact mapped programs, pinned by digest.
+
+    Every Nb >= 2 mapping (cyclic under each ablation, merged negacyclic
+    forward and inverse) comes out of one row-centric schedule; a change
+    to any command field, dependency or result row changes the digest.
+    A deliberate change to the mapping updates ``DIGEST`` with it.
+    """
+
+    DIGEST = ("61e134d3add3324a542120f13d8a9464"
+              "c5a8c52255ba45a8f01f09c8ca0d33a3")
+
+    @staticmethod
+    def _programs():
+        q_neg = find_ntt_prime(2048, 32, negacyclic=True)
+        options = (MapperOptions(), MapperOptions(in_place_update=False),
+                   MapperOptions(group_same_row=False))
+        for n in (64, 512, 2048):
+            ring = NegacyclicParams(n, q_neg)
+            for nb in (2, 4, 6):
+                pim = PimParams(nb_buffers=nb)
+                for opts in options:
+                    yield NttMapper(NttParams(n, Q), HBM2E_ARCH, pim,
+                                    base_row=7, bank=3, options=opts)
+                for inverse in (False, True):
+                    yield NegacyclicNttMapper(ring, HBM2E_ARCH, pim,
+                                              base_row=7, bank=3,
+                                              inverse=inverse)
+
+    def test_program_digest(self):
+        h = hashlib.sha256()
+        count = 0
+        for mapper in self._programs():
+            for c in mapper.generate():
+                h.update(repr((c.ctype.value, c.bank, c.row, c.col, c.buf,
+                               c.buf2, c.lane, c.omega0, c.r_omega,
+                               c.payload_words, c.gs, c.zetas,
+                               c.deps)).encode())
+            h.update(f"result_base_row={mapper.result_base_row};".encode())
+            count += 1
+        assert count == 45
+        assert h.hexdigest() == self.DIGEST

@@ -8,7 +8,7 @@ from repro.arith import NttParams, find_ntt_prime
 from repro.dram import Command, CommandType
 from repro.pim import PimParams
 from repro.sim import SimConfig, interleave_programs
-from repro.sim.multibank import _run_multibank
+from repro.sim.multibank import TransformSpec, _run_multibank
 
 Q = find_ntt_prime(1024, 32)
 
@@ -47,7 +47,8 @@ class TestMultiBankRuns:
         n = 256
         params = NttParams(n, Q)
         inputs = [[rng.randrange(Q) for _ in range(n)] for _ in range(2)]
-        result = _run_multibank(inputs, params)
+        result = _run_multibank(
+            inputs, [TransformSpec(params=params)] * len(inputs))
         assert result.verified
         assert result.banks == 2
 
@@ -56,7 +57,8 @@ class TestMultiBankRuns:
         params = NttParams(n, Q)
         config = SimConfig(pim=PimParams(nb_buffers=2),
                            functional=False, verify=False)
-        result = _run_multibank([[0] * n] * 4, params, config)
+        result = _run_multibank([[0] * n] * 4,
+                                [TransformSpec(params=params)] * 4, config)
         assert result.speedup > 3.0
         assert 0.75 <= result.efficiency <= 1.01
 
@@ -64,24 +66,27 @@ class TestMultiBankRuns:
         n = 256
         params = NttParams(n, Q)
         config = SimConfig(functional=False, verify=False)
-        result = _run_multibank([[0] * n], params, config)
+        result = _run_multibank([[0] * n], [TransformSpec(params=params)],
+                                config)
         assert result.speedup == pytest.approx(1.0)
 
     def test_parallel_not_slower_than_serial(self):
         n = 256
         params = NttParams(n, Q)
         config = SimConfig(functional=False, verify=False)
-        parallel = _run_multibank([[0] * n] * 8, params, config)
+        parallel = _run_multibank([[0] * n] * 8,
+                                  [TransformSpec(params=params)] * 8, config)
         assert parallel.cycles < 8 * parallel.single_bank_cycles
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            _run_multibank([], NttParams(256, Q))
+            _run_multibank([], [])
 
     def test_different_data_per_bank(self):
         rng = random.Random(2)
         n = 256
         params = NttParams(n, Q)
         inputs = [[rng.randrange(Q) for _ in range(n)] for _ in range(3)]
-        result = _run_multibank(inputs, params)
+        result = _run_multibank(
+            inputs, [TransformSpec(params=params)] * len(inputs))
         assert result.verified  # each bank independently checked
