@@ -3,13 +3,13 @@
 Measures commands/sec of ``TimingEngine.simulate`` (the ground-truth
 per-command loop) against ``TimingEngine.simulate_stream`` (the SoA
 compiled-stream loop) on fixed NTT command programs, plus the one-time
-stream compile cost and the end-to-end functional ``run_ntt`` speedup of
-the stream-routed driver over the legacy per-command bank — and merges
-the measurements into ``BENCH_kernels.json`` at the repo root.  Each
-compiler entry also records the host slowdown
-(``perfbench/perf_clock.slowdown``) measured around its compile
-timings, so ``check_trajectory`` can gate the compile rate at the
-reference machine's speed.
+cold map (program-cache miss to IR) and stream compile costs and the
+end-to-end functional ``run_ntt`` speedup of the stream-routed driver
+over the legacy per-command bank — and merges the measurements into
+``BENCH_kernels.json`` at the repo root.  Each mapper and compiler
+entry also records the host slowdown (``perfbench/perf_clock.slowdown``)
+measured around its timings, so ``check_trajectory`` can gate the map
+and compile rates at the reference machine's speed.
 
 Non-gating when run directly —
 
@@ -43,6 +43,7 @@ from repro.dram import (
     clear_stream_cache,
     compile_stream,
 )
+from repro.mapping import clear_program_cache
 from repro.pim.bank_pim import PimBank
 from repro.pim.params import PimParams
 from repro.sim.driver import SimConfig, TransformSpec
@@ -115,9 +116,36 @@ def run(ns=(1024, 4096), repeats: int = 5,
             "bank_speedup": bank_legacy_s / bank_stream_s,
         }
     compiler["nb1"] = _bench_nb1(repeats)
-    results = {"timing_engine": section, "compiler": compiler}
+    mapper = {str(n): _bench_map(n, 2, repeats) for n in ns}
+    mapper["nb1"] = _bench_map(256, 1, repeats)
+    results = {"timing_engine": section, "compiler": compiler,
+               "mapper": mapper}
     merge_sections(out_path, results)
     return results
+
+
+def _bench_map(n: int, nb: int, repeats: int) -> dict:
+    """Cold map: program-cache miss to the program's IR, with the host
+    slowdown probed on both sides of the timing."""
+    config = SimConfig(pim=PimParams(nb_buffers=nb))
+    spec = TransformSpec(params=NttParams(n, find_ntt_prime(n, 32)))
+
+    def cold_map():
+        clear_program_cache()
+        return spec.program(config, 0)
+
+    slowdown = perf_clock.slowdown()
+    map_s = _best_of(cold_map, repeats)
+    slowdown = (slowdown + perf_clock.slowdown()) / 2
+    commands = cold_map().ir.n
+    return {
+        "n": n,
+        "nb": nb,
+        "commands": commands,
+        "cold_map_s": map_s,
+        "cold_us_per_cmd": map_s / commands * 1e6,
+        "slowdown": slowdown,
+    }
 
 
 def _bench_nb1(repeats: int, n: int = 256) -> dict:
@@ -174,6 +202,13 @@ def _format(results: dict) -> str:
             f"({entry['cold_us_per_cmd']:.2f} us/cmd, host slowdown "
             f"{entry['slowdown']:.2f}x)  "
             f"warm {entry['warm_hit_s'] * 1e6:6.1f} us")
+    lines.append("mapper: cold map, program-cache miss to IR:")
+    for entry in results["mapper"].values():
+        lines.append(
+            f"  N={entry['n']:>5d} Nb={entry['nb']}  "
+            f"{entry['cold_map_s'] * 1e3:6.2f} ms ({entry['commands']} cmds, "
+            f"{entry['cold_us_per_cmd']:.2f} us/cmd, host slowdown "
+            f"{entry['slowdown']:.2f}x)")
     nb1 = results["compiler"]["nb1"]
     lines.append(
         f"  Nb=1 N={nb1['n']} ({nb1['commands']} u-op cmds): lane-fused "
@@ -214,6 +249,8 @@ def test_stream_engine_smoke(show, tmp_path):
     assert results["compiler"]["256"]["cold_us_per_cmd"] > 0
     assert results["compiler"]["256"]["slowdown"] > 0
     assert results["compiler"]["nb1"]["fused_speedup"] > 0
+    assert results["mapper"]["256"]["cold_us_per_cmd"] > 0
+    assert results["mapper"]["nb1"]["slowdown"] > 0
 
 
 def main(argv=None) -> int:

@@ -14,6 +14,9 @@ committed floor:
   must stay below the retired monolith's ~2.3 us/command rate, and the
   Nb=1 lane-fused run must not be slower than the per-command fallback
   it replaced;
+* mapper: the cold map (program-cache miss to IR), scaled the same
+  way, must stay below ``MAP_US_PER_CMD_CEILING`` — far under the
+  ~9 us/command of per-command ``Command`` emission;
 * shared bus: the contention model must report real utilization and
   never beat the independent-channel upper bound;
 * resilience: under injected faults the recovery policies must keep
@@ -62,6 +65,12 @@ BANK_SPEEDUP_FLOOR = 1.0
 #: file without the key counts as 1.0), so a slow shared machine does
 #: not read as a compiler regression.
 COMPILE_US_PER_CMD_CEILING = 2.3
+#: The mappers emit IR columns straight from the closed-form schedule;
+#: a cold map (program-cache miss to IR) measures 0.4-0.65 us/command
+#: at reference speed (N=4096 / N=1024 and Nb=1 N=256), against ~9
+#: us/command when every command was built as a validated ``Command``.
+#: Same slowdown scaling and ~2x headroom as the compile ceiling.
+MAP_US_PER_CMD_CEILING = 1.3
 #: Nb=1 µ-op programs fuse through the lane-renaming pass; the fused
 #: run must not be slower than the per-command fallback it replaced
 #: (measured ~4x faster).
@@ -248,6 +257,20 @@ def check(kernels_path: Path = REPO_ROOT / "BENCH_kernels.json",
             failures.append(
                 f"compiler Nb=1: lane-fused run slower than the "
                 f"per-command fallback ({nb1['fused_speedup']:.2f}x)")
+
+    for name, entry in kernels.get("mapper", {}).items():
+        us_per_cmd = entry["cold_us_per_cmd"] / entry["slowdown"]
+        print(f"mapper: N={entry['n']} Nb={entry['nb']} cold map "
+              f"{entry['cold_map_s'] * 1e3:.2f} ms "
+              f"({entry['cold_us_per_cmd']:.2f} us/cmd at host slowdown "
+              f"{entry['slowdown']:.2f}x = {us_per_cmd:.2f} us/cmd at "
+              f"reference speed, ceiling {MAP_US_PER_CMD_CEILING})")
+        if us_per_cmd > MAP_US_PER_CMD_CEILING:
+            failures.append(
+                f"mapper {name}: cold map {us_per_cmd:.2f} us/cmd at "
+                f"reference speed ({entry['cold_us_per_cmd']:.2f} raw / "
+                f"{entry['slowdown']:.2f}x slowdown) exceeds the "
+                f"{MAP_US_PER_CMD_CEILING} us/cmd ceiling")
 
     engine = kernels["timing_engine"]
     for n, entry in engine.items():

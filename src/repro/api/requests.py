@@ -52,6 +52,19 @@ def _freeze_nested(rows) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
+def _check_values(label: str, values: Tuple[int, ...], n: Optional[int],
+                  q: int) -> None:
+    """The one input rule for a coefficient vector: ``n`` values (when
+    given), every one a residue ``0 <= v < q``.  ``min``/``max`` over
+    the frozen tuple run at C speed, so admission stays cheap."""
+    if n is not None and len(values) != n:
+        raise RequestValidationError(
+            f"{label}: expected {n} values, got {len(values)}")
+    if values and (min(values) < 0 or max(values) >= q):
+        raise RequestValidationError(
+            f"{label}: coefficients must lie in [0, q) for q={q}")
+
+
 @dataclass(frozen=True)
 class SimRequest:
     """Base class of every facade request.
@@ -69,6 +82,14 @@ class SimRequest:
         if not self.workload:
             raise RequestValidationError(
                 f"{type(self).__name__} does not name a workload")
+
+    def admit(self) -> None:
+        """:meth:`validate`, once per instance: a request is immutable, so
+        a passed validation stands (serving admits a request at the
+        cluster frontend, at its replica and at dispatch)."""
+        if "_admitted" not in self.__dict__:
+            self.validate()
+            self.__dict__["_admitted"] = True
 
 
 @dataclass(frozen=True)
@@ -93,9 +114,8 @@ class NttRequest(SimRequest):
     def validate(self) -> None:
         if not isinstance(self.params, NttParams):
             raise RequestValidationError("params must be an NttParams")
-        if self.values is not None and len(self.values) != self.params.n:
-            raise RequestValidationError(
-                f"expected {self.params.n} values, got {len(self.values)}")
+        if self.values is not None:
+            _check_values("values", self.values, self.params.n, self.params.q)
 
 
 @dataclass(frozen=True)
@@ -114,9 +134,8 @@ class NegacyclicRequest(SimRequest):
     def validate(self) -> None:
         if not isinstance(self.ring, NegacyclicParams):
             raise RequestValidationError("ring must be a NegacyclicParams")
-        if self.values is not None and len(self.values) != self.ring.n:
-            raise RequestValidationError(
-                f"expected {self.ring.n} values, got {len(self.values)}")
+        if self.values is not None:
+            _check_values("values", self.values, self.ring.n, self.ring.q)
 
 
 @dataclass(frozen=True)
@@ -136,10 +155,8 @@ class BatchRequest(SimRequest):
         if len(self.inputs) < 1:
             raise RequestValidationError("need at least one polynomial")
         for i, row in enumerate(self.inputs):
-            if len(row) != self.params.n:
-                raise RequestValidationError(
-                    f"batch element {i}: expected {self.params.n} values, "
-                    f"got {len(row)}")
+            _check_values(f"batch element {i}", row, self.params.n,
+                          self.params.q)
 
 
 @dataclass(frozen=True)
@@ -237,10 +254,8 @@ class MultiBankRequest(SimRequest):
                     raise RequestValidationError(
                         f"bank {i}: specs entries must be BankSpec")
                 spec.validate(label=f"bank {i}")
-                if len(row) != spec.n:
-                    raise RequestValidationError(
-                        f"bank {i}: expected {spec.n} values, "
-                        f"got {len(row)}")
+                _check_values(f"bank {i}", row, spec.n,
+                              (spec.ring or spec.params).q)
             return
         if (self.params is None) == (self.ring is None):
             raise RequestValidationError(
@@ -251,10 +266,8 @@ class MultiBankRequest(SimRequest):
         if self.params is not None and not isinstance(self.params, NttParams):
             raise RequestValidationError("params must be an NttParams")
         for i, row in enumerate(self.inputs):
-            if len(row) != self.n:
-                raise RequestValidationError(
-                    f"bank {i}: expected {self.n} values, "
-                    f"got {len(row)}")
+            _check_values(f"bank {i}", row, self.n,
+                          (self.ring or self.params).q)
 
 
 @dataclass(frozen=True)
@@ -286,13 +299,12 @@ class FheOpRequest(SimRequest):
         if self.op not in self.OPS:
             raise RequestValidationError(
                 f"unknown FHE op {self.op!r}; choose from {self.OPS}")
-        if len(self.a) != self.ring.n:
-            raise RequestValidationError(
-                f"operand a: expected {self.ring.n} values, got {len(self.a)}")
+        _check_values("operand a", self.a, self.ring.n, self.ring.q)
         if self.op == "multiply":
             if self.b is None or len(self.b) != self.ring.n:
                 raise RequestValidationError(
                     "multiply needs a second operand b of length n")
+            _check_values("operand b", self.b, None, self.ring.q)
         elif self.b is not None:
             raise RequestValidationError(f"op {self.op!r} takes one operand")
 
@@ -332,10 +344,7 @@ class KyberKemRequest(SimRequest):
         except ValueError as exc:
             raise RequestValidationError(str(exc)) from None
         for label, operand in (("a", self.a), ("b", self.b)):
-            if len(operand) != self.n:
-                raise RequestValidationError(
-                    f"operand {label}: expected {self.n} values, "
-                    f"got {len(operand)}")
+            _check_values(f"operand {label}", operand, self.n, self.q)
 
 
 @dataclass(frozen=True)
@@ -391,6 +400,9 @@ class ProgramRequest(SimRequest):
             if not words:
                 raise RequestValidationError(
                     f"memory row {row}: need at least one word")
+            # Without a modulus the words are raw 64-bit bank words.
+            _check_values(f"memory row {row}", words, None,
+                          self.modulus or 1 << 64)
         if self.read_rows is not None:
             base, length = self.read_rows
             if base < 0 or length < 1:

@@ -87,7 +87,7 @@ class Simulator:
         """Validate ``request``, dispatch it through the workload
         registry, and stamp the uniform envelope metadata (backend,
         cache provenance, wall clock)."""
-        request.validate()
+        request.admit()
         handler = get_workload(request.workload)
         prog_before = program_cache_info()
         stream_before = stream_cache_info()
@@ -126,7 +126,7 @@ class Simulator:
         """
         reqs = list(requests)
         for req in reqs:
-            req.validate()
+            req.admit()
         responses: List[Optional[SimResponse]] = [None] * len(reqs)
         for indices, merged in self._dispatch_units(reqs,
                                                     max_banks=max_banks):
@@ -148,17 +148,16 @@ class Simulator:
         :meth:`run_many` grouping and the serve layer's batching
         scheduler, so the two can never drift apart."""
         head = requests[0]
-        if type(head) is NttRequest:
-            n = head.params.n
-            inputs = tuple(r.values if r.values is not None else (0,) * n
-                           for r in requests)
-            return MultiBankRequest(params=head.params, inputs=inputs,
-                                    inverse=head.inverse)
-        n = head.ring.n
+        cyclic = type(head) is NttRequest
+        n = head.params.n if cyclic else head.ring.n
         inputs = tuple(r.values if r.values is not None else (0,) * n
                        for r in requests)
-        return MultiBankRequest(ring=head.ring, inputs=inputs,
-                                inverse=head.inverse)
+        merged = MultiBankRequest(params=head.params if cyclic else None,
+                                  ring=None if cyclic else head.ring,
+                                  inputs=inputs, inverse=head.inverse)
+        if all("_admitted" in r.__dict__ for r in requests):
+            merged.__dict__["_admitted"] = True  # valid members, one shape
+        return merged
 
     @staticmethod
     def _dispatch_units(reqs: List[SimRequest], *, max_banks: int

@@ -1,6 +1,6 @@
 """The compiler's structure-of-arrays intermediate representation.
 
-A :class:`StreamIR` is the columnar view of one command program: every
+A :class:`StreamIR` is the columnar form of one command program: every
 per-command integer field becomes one int64 NumPy column (``-1`` encodes
 "field unused by this command"), the twiddle payloads stay Python-object
 side tables (moduli above 2**63 overflow int64 on the pure-Python
@@ -10,30 +10,34 @@ backend), and dependencies flatten into a CSR-style
 columns — the per-command Python loop of the old monolithic compile
 survives only as the ground-truth executor.
 
-An IR built by :meth:`StreamIR.from_commands` keeps the source command
-tuple.  IRs built by the merge passes (interleave / concat) instead
-carry a *recipe* over their source programs and materialize merged
-:class:`~repro.dram.commands.Command` objects only on demand — the
-fused executor and the timing engine's stream loop never need them.
+The mappers emit their programs as StreamIRs directly
+(:func:`repro.mapping.program.assemble`), and the merge passes
+(interleave / concat) build merged IRs from those columns.  Neither
+builds :class:`~repro.dram.commands.Command` objects: they materialize
+from the columns only when a per-command reference asks for them
+(:meth:`StreamIR.materialize_commands`, or a :class:`CommandView`).
+An IR built by :meth:`StreamIR.from_commands` keeps its source tuple.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-from operator import attrgetter
+from collections.abc import Sequence as SequenceABC
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..dram.commands import CODE_CTYPES, Command
+from ..dram.commands import CODE_CTYPES, CTYPE_CODES, Command
 
-__all__ = ["StreamIR"]
+__all__ = ["StreamIR", "CommandView", "as_ir"]
 
-_OMEGA0 = attrgetter("omega0")
-_R_OMEGA = attrgetter("r_omega")
-_ZETAS = attrgetter("zetas")
-_DEPS = attrgetter("deps")
+
+def _field(value: Optional[int]) -> int:
+    return -1 if value is None else value
+
+
+def _optional(column: np.ndarray) -> list:
+    return [None if v < 0 else v for v in column.tolist()]
 
 
 class StreamIR:
@@ -41,16 +45,15 @@ class StreamIR:
 
     __slots__ = (
         "n", "codes", "banks", "rows", "cols", "bufs", "buf2s", "lanes",
-        "gs", "dep_start", "dep_end", "dep_flat", "omega0s", "r_omegas",
-        "zetas", "has_omega0", "has_r_omega", "zeta_lens", "meta",
-        "_commands", "_merge_sources", "_merge_prog", "_merge_pos",
+        "payloads", "gs", "dep_start", "dep_end", "dep_flat", "omega0s",
+        "r_omegas", "zetas", "has_omega0", "has_r_omega", "zeta_lens",
+        "meta", "_commands",
     )
 
     def __init__(self, *, n, codes, banks, rows, cols, bufs, buf2s, lanes,
-                 gs, dep_start, dep_end, dep_flat, omega0s, r_omegas,
-                 zetas, has_omega0, has_r_omega, zeta_lens,
-                 commands: Optional[Tuple[Command, ...]] = None,
-                 merge_sources=None, merge_prog=None, merge_pos=None):
+                 payloads, gs, dep_start, dep_end, dep_flat, omega0s,
+                 r_omegas, zetas, has_omega0, has_r_omega, zeta_lens,
+                 commands: Optional[Tuple[Command, ...]] = None):
         self.n = n
         self.codes = codes
         self.banks = banks
@@ -59,6 +62,7 @@ class StreamIR:
         self.bufs = bufs
         self.buf2s = buf2s
         self.lanes = lanes
+        self.payloads = payloads
         self.gs = gs
         self.dep_start = dep_start
         self.dep_end = dep_end
@@ -71,88 +75,59 @@ class StreamIR:
         self.zeta_lens = zeta_lens
         self.meta: dict = {}
         self._commands = commands
-        # Merge recipe (interleave/concat built IRs): source command
-        # tuples plus each merged row's (program, position) provenance.
-        self._merge_sources = merge_sources
-        self._merge_prog = merge_prog
-        self._merge_pos = merge_pos
 
     # -- construction ---------------------------------------------------------
     @classmethod
     def from_commands(cls, commands: Sequence[Command]) -> "StreamIR":
-        """Columnarize a command program (one attribute pass, then
-        C-level per-column conversions — the cold-compile hot path)."""
+        """Columnarize a hand-built command program (the mappers and the
+        merge passes build their IRs from columns instead)."""
         commands = tuple(commands)
         n = len(commands)
-        if n == 0:
-            z = np.zeros(0, dtype=np.int64)
-            zb = np.zeros(0, dtype=np.bool_)
-            return cls(n=0, codes=z, banks=z, rows=z, cols=z, bufs=z,
-                       buf2s=z, lanes=z, gs=zb, dep_start=z, dep_end=z,
-                       dep_flat=z, omega0s=(), r_omegas=(), zetas=(),
-                       has_omega0=zb, has_r_omega=zb, zeta_lens=z,
-                       commands=commands)
-        # The integer columns come precomputed: every Command carries
-        # its ``ir_row`` tuple (built once at map time), so the whole
-        # SoA table is one C-level np.array plus cheap column views.
-        table = np.fromiter(
-            itertools.chain.from_iterable(c.ir_row for c in commands),
-            dtype=np.int64, count=n * 11).reshape(n, 11)
-        omega0s = tuple(map(_OMEGA0, commands))
-        r_omegas = tuple(map(_R_OMEGA, commands))
-        zetas = tuple(map(_ZETAS, commands))
-        deps = tuple(map(_DEPS, commands))
+        (codes, banks, rows, cols, bufs, buf2s, lanes, payloads, gs,
+         has_omega0, has_r_omega, zeta_lens) = np.ascontiguousarray(np.array(
+            [(CTYPE_CODES[c.ctype], c.bank, _field(c.row), _field(c.col),
+              _field(c.buf), _field(c.buf2), _field(c.lane), c.payload_words,
+              c.gs, c.omega0 is not None, c.r_omega is not None,
+              len(c.zetas)) for c in commands],
+            dtype=np.int64).reshape(n, 12).T)
+        deps = [c.deps for c in commands]
         dep_lens = np.fromiter(map(len, deps), dtype=np.int64, count=n)
         dep_end = np.cumsum(dep_lens, dtype=np.int64)
-        dep_flat = np.fromiter(itertools.chain.from_iterable(deps),
-                               dtype=np.int64, count=int(dep_end[-1]))
         return cls(
-            n=n,
-            codes=np.ascontiguousarray(table[:, 0]),
-            banks=np.ascontiguousarray(table[:, 1]),
-            rows=np.ascontiguousarray(table[:, 2]),
-            cols=np.ascontiguousarray(table[:, 3]),
-            bufs=np.ascontiguousarray(table[:, 4]),
-            buf2s=np.ascontiguousarray(table[:, 5]),
-            lanes=np.ascontiguousarray(table[:, 6]),
-            gs=table[:, 7].astype(np.bool_),
+            n=n, codes=codes, banks=banks, rows=rows, cols=cols, bufs=bufs,
+            buf2s=buf2s, lanes=lanes, payloads=payloads,
+            gs=gs.astype(np.bool_),
             dep_start=dep_end - dep_lens,
             dep_end=dep_end,
-            dep_flat=dep_flat,
-            omega0s=omega0s,
-            r_omegas=r_omegas,
-            zetas=zetas,
-            has_omega0=table[:, 8].astype(np.bool_),
-            has_r_omega=table[:, 9].astype(np.bool_),
-            zeta_lens=np.ascontiguousarray(table[:, 10]),
+            dep_flat=np.fromiter(itertools.chain.from_iterable(deps),
+                                 dtype=np.int64),
+            omega0s=tuple(c.omega0 for c in commands),
+            r_omegas=tuple(c.r_omega for c in commands),
+            zetas=tuple(c.zetas for c in commands),
+            has_omega0=has_omega0.astype(np.bool_),
+            has_r_omega=has_r_omega.astype(np.bool_),
+            zeta_lens=zeta_lens,
             commands=commands,
         )
 
     # -- command materialization ----------------------------------------------
     def materialize_commands(self) -> Tuple[Command, ...]:
-        """The equivalent :class:`Command` tuple.
-
-        Free for IRs built from commands; merged IRs rebuild commands
-        from their recipe (only the legacy per-command fallback paths
-        ever need this — the fused executor and the timing engine run
-        on the columns alone)."""
+        """The equivalent :class:`Command` tuple, built from the columns
+        once and kept (only the per-command reference paths ever ask —
+        the fused executor and the timing engine run on the columns)."""
         if self._commands is None:
-            sources = self._merge_sources
-            prog = self._merge_prog.tolist()
-            pos = self._merge_pos.tolist()
-            starts = self.dep_start.tolist()
-            ends = self.dep_end.tolist()
-            flat = self.dep_flat.tolist()
-            replace = dataclasses.replace
-            self._commands = tuple(
-                replace(sources[p][i], deps=tuple(flat[s:e]))
-                for p, i, s, e in zip(prog, pos, starts, ends))
+            self._commands = tuple(itertools.starmap(Command, zip(
+                map(CODE_CTYPES.__getitem__, self.codes.tolist()),
+                self.banks.tolist(),
+                _optional(self.rows), _optional(self.cols),
+                _optional(self.bufs), _optional(self.buf2s),
+                _optional(self.lanes),
+                self.omega0s, self.r_omegas, self.payloads.tolist(),
+                self.gs.tolist(), self.zetas, self.deps_list())))
         return self._commands
 
     def deps_list(self):
         """Per-command dependency tuples (the timing loop's mirror)."""
-        if self._commands is not None:
-            return [c.deps for c in self._commands]
         starts = self.dep_start.tolist()
         ends = self.dep_end.tolist()
         flat = self.dep_flat.tolist()
@@ -177,3 +152,29 @@ class StreamIR:
             for key, value in sorted(self.meta.items()):
                 lines.append(f"  meta {key} = {value}")
         return "\n".join(lines)
+
+
+class CommandView(SequenceABC):
+    """A read-only :class:`Command` sequence over a :class:`StreamIR`:
+    ``len`` is free, the commands materialize on first element access."""
+
+    __slots__ = ("ir",)
+
+    def __init__(self, ir: StreamIR):
+        self.ir = ir
+
+    def __len__(self) -> int:
+        return self.ir.n
+
+    def __getitem__(self, index):
+        return self.ir.materialize_commands()[index]
+
+
+def as_ir(program) -> StreamIR:
+    """The IR of a command program: a :class:`StreamIR` itself, the IR
+    behind a :class:`CommandView`, or a columnarized command sequence."""
+    if isinstance(program, StreamIR):
+        return program
+    if isinstance(program, CommandView):
+        return program.ir
+    return StreamIR.from_commands(program)

@@ -14,22 +14,22 @@ reimplemented as index permutations over the concatenated columns (the
 per-command list merges
 :func:`repro.sim.multibank.interleave_programs` and
 :func:`repro.sim.batch.concat_programs` remain as the test
-references).  Merged IRs carry a provenance recipe instead of
-materialized ``Command`` objects; only the legacy fallback paths ever
-rebuild those.
+references).  Merged IRs, like the mappers' IRs they merge, hold no
+``Command`` objects; only the per-command reference paths materialize
+them from the columns.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..dram.commands import CODE_CTYPES, CTYPE_CODES, CommandType
 from ..dram.stream import CommandStream
 from ..dram.timing import ArchParams
-from .ir import StreamIR
+from .ir import StreamIR, as_ir
 from .passes import build_plan
 
 __all__ = ["compile_ir", "interleave_irs", "concat_irs"]
@@ -95,11 +95,6 @@ def compile_ir(ir: StreamIR, arch: ArchParams) -> CommandStream:
 
 # -- merge passes --------------------------------------------------------------
 
-def _as_irs(programs) -> List[StreamIR]:
-    return [p if isinstance(p, StreamIR) else StreamIR.from_commands(p)
-            for p in programs]
-
-
 def _ragged_take(starts, counts):
     """Flat indices gathering ``counts[i]`` elements from ``starts[i]``
     onward, for every row in order."""
@@ -126,7 +121,7 @@ def interleave_irs(programs) -> StreamIR:
     Round-robin models an MC draining per-bank queues fairly, which is
     what gives each bank steady command-bus share.
     """
-    irs = _as_irs(programs)
+    irs = [as_ir(p) for p in programs]
     if len(irs) == 1:
         return irs[0]
     lens = np.array([ir.n for ir in irs], dtype=np.int64)
@@ -170,6 +165,7 @@ def interleave_irs(programs) -> StreamIR:
         bufs=col("bufs"),
         buf2s=col("buf2s"),
         lanes=col("lanes"),
+        payloads=col("payloads"),
         gs=col("gs"),
         dep_start=dep_start,
         dep_end=dep_end,
@@ -180,9 +176,6 @@ def interleave_irs(programs) -> StreamIR:
         has_omega0=col("has_omega0"),
         has_r_omega=col("has_r_omega"),
         zeta_lens=col("zeta_lens"),
-        merge_sources=tuple(ir.materialize_commands() for ir in irs),
-        merge_prog=prog[order],
-        merge_pos=pos[order],
     )
     merged.meta["merge"] = "interleave"
     merged.meta["programs"] = len(irs)
@@ -197,7 +190,7 @@ def concat_irs(programs, skip_leading_param: bool = True) -> StreamIR:
     loaded) — bit-identical to
     :func:`repro.sim.batch.concat_programs`.
     """
-    irs = _as_irs(programs)
+    irs = [as_ir(p) for p in programs]
     if len(irs) == 1:
         return irs[0]
     lens = np.array([ir.n for ir in irs], dtype=np.int64)
@@ -233,10 +226,6 @@ def concat_irs(programs, skip_leading_param: bool = True) -> StreamIR:
     dep_end = np.cumsum(counts, dtype=np.int64)
 
     kept_list = kept.tolist()
-    prog = np.repeat(np.arange(len(irs), dtype=np.int64), lens)
-    pos = np.concatenate([np.arange(l, dtype=np.int64)
-                          for l in lens.tolist()]) if total else \
-        np.zeros(0, dtype=np.int64)
     merged = StreamIR(
         n=len(kept_list),
         codes=col("codes"),
@@ -246,6 +235,7 @@ def concat_irs(programs, skip_leading_param: bool = True) -> StreamIR:
         bufs=col("bufs"),
         buf2s=col("buf2s"),
         lanes=col("lanes"),
+        payloads=col("payloads"),
         gs=col("gs"),
         dep_start=dep_end - counts,
         dep_end=dep_end,
@@ -256,9 +246,6 @@ def concat_irs(programs, skip_leading_param: bool = True) -> StreamIR:
         has_omega0=col("has_omega0"),
         has_r_omega=col("has_r_omega"),
         zeta_lens=col("zeta_lens"),
-        merge_sources=tuple(ir.materialize_commands() for ir in irs),
-        merge_prog=prog[kept],
-        merge_pos=pos[kept],
     )
     merged.meta["merge"] = "concat"
     merged.meta["programs"] = len(irs)

@@ -72,6 +72,13 @@ _COMPUTE_TYPES = frozenset((CommandType.C1, CommandType.C2, CommandType.C1N,
                             CommandType.LOAD_SCALAR, CommandType.BU_SCALAR,
                             CommandType.STORE_SCALAR))
 _WRITE_LIKE_TYPES = frozenset((CommandType.WR, CommandType.CU_WRITE))
+# Field requirements checked by Command.__post_init__.
+_ROW_TYPES = frozenset((CommandType.ACT, CommandType.RD, CommandType.WR,
+                        CommandType.CU_READ, CommandType.CU_WRITE))
+_BUF_TYPES = frozenset((CommandType.CU_READ, CommandType.CU_WRITE,
+                        CommandType.C1, CommandType.C1N))
+_SCALAR_TYPES = frozenset((CommandType.LOAD_SCALAR, CommandType.BU_SCALAR,
+                           CommandType.STORE_SCALAR))
 
 #: Canonical integer encoding of the command vocabulary — the single
 #: source of truth shared by the compiled stream's SoA ctype column,
@@ -123,40 +130,19 @@ class Command:
     label: str = ""
 
     def __post_init__(self):
-        needs_row = {CommandType.ACT, CommandType.RD, CommandType.WR,
-                     CommandType.CU_READ, CommandType.CU_WRITE}
-        if self.ctype in needs_row and self.row is None:
-            raise ValueError(f"{self.ctype.value} requires a row")
-        if self.ctype.is_column and self.col is None:
-            raise ValueError(f"{self.ctype.value} requires a column")
-        if self.ctype in (CommandType.CU_READ, CommandType.CU_WRITE,
-                          CommandType.C1, CommandType.C1N) and self.buf is None:
-            raise ValueError(f"{self.ctype.value} requires a buffer index")
-        if self.ctype is CommandType.C1N and not self.zetas:
+        ctype = self.ctype
+        if ctype in _ROW_TYPES and self.row is None:
+            raise ValueError(f"{ctype.value} requires a row")
+        if ctype in _COLUMN_TYPES and self.col is None:
+            raise ValueError(f"{ctype.value} requires a column")
+        if ctype in _BUF_TYPES and self.buf is None:
+            raise ValueError(f"{ctype.value} requires a buffer index")
+        if ctype is CommandType.C1N and not self.zetas:
             raise ValueError("C1N requires its per-block zetas")
-        if self.ctype is CommandType.C2 and (self.buf is None or self.buf2 is None):
+        if ctype is CommandType.C2 and (self.buf is None or self.buf2 is None):
             raise ValueError("C2 requires two buffer indices")
-        scalar = {CommandType.LOAD_SCALAR, CommandType.BU_SCALAR,
-                  CommandType.STORE_SCALAR}
-        if self.ctype in scalar and (self.buf is None or self.lane is None):
-            raise ValueError(f"{self.ctype.value} requires a buffer and a lane")
-        # Precomputed integer row for the compiler's SoA IR (``-1`` =
-        # field unused).  Commands are built once at map time and the
-        # program cache shares them, so paying the tuple here keeps
-        # StreamIR.from_commands — the cold-compile hot path — a single
-        # C-level np.array over these rows.
-        object.__setattr__(self, "ir_row", (
-            CTYPE_CODES[self.ctype],
-            self.bank,
-            -1 if self.row is None else self.row,
-            -1 if self.col is None else self.col,
-            -1 if self.buf is None else self.buf,
-            -1 if self.buf2 is None else self.buf2,
-            -1 if self.lane is None else self.lane,
-            self.gs,
-            self.omega0 is not None,
-            self.r_omega is not None,
-            len(self.zetas)))
+        if ctype in _SCALAR_TYPES and (self.buf is None or self.lane is None):
+            raise ValueError(f"{ctype.value} requires a buffer and a lane")
 
     def describe(self) -> str:
         """Short human-readable form for traces and timing diagrams."""
@@ -174,7 +160,6 @@ class Command:
             return f"C1N b{self.buf}" + ("i" if self.gs else "")
         if t is CommandType.C2:
             return f"C2 b{self.buf},b{self.buf2}" + (" gs" if self.gs else "")
-        if t in (CommandType.LOAD_SCALAR, CommandType.BU_SCALAR,
-                 CommandType.STORE_SCALAR):
+        if t in _SCALAR_TYPES:
             return f"{t.value} b{self.buf}[{self.lane}]"
         return f"PARAM x{self.payload_words}"

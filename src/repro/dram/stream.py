@@ -51,10 +51,9 @@ __all__ = ["CommandStream", "FunctionalPlan", "compile_stream",
 class CommandStream:
     """One compiled program: SoA columns + optional functional plan.
 
-    ``commands`` is lazy: streams built by the vectorized merge passes
-    (interleave/concat) carry a provenance recipe in their ``ir`` and
-    only materialize :class:`Command` objects if a legacy fallback path
-    asks for them.
+    ``commands`` is lazy: mapper- and merge-built IRs hold columns only
+    and materialize :class:`Command` objects if a per-command fallback
+    path asks for them.
     """
 
     __slots__ = (
@@ -107,8 +106,8 @@ class CommandStream:
 
     @property
     def commands(self) -> Tuple[Command, ...]:
-        """The program as :class:`Command` objects (materialized lazily
-        for merge-built streams)."""
+        """The program as :class:`Command` objects (materialized from
+        the IR columns on first access)."""
         return self.ir.materialize_commands()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -118,16 +117,14 @@ class CommandStream:
 
 
 def compile_stream(commands, arch: ArchParams) -> CommandStream:
-    """Compile a command program (or a prebuilt
-    :class:`~repro.compile.ir.StreamIR`) into an executable stream."""
+    """Compile a command program (a command sequence or view, or a
+    prebuilt :class:`~repro.compile.ir.StreamIR`) into a stream."""
     # Lazy import: repro.compile sits above this module (it imports
     # CommandStream from here); the cycle resolves at call time.
-    from ..compile.ir import StreamIR
+    from ..compile.ir import as_ir
     from ..compile.lower import compile_ir
 
-    ir = (commands if isinstance(commands, StreamIR)
-          else StreamIR.from_commands(commands))
-    return compile_ir(ir, arch)
+    return compile_ir(as_ir(commands), arch)
 
 
 # -- stream cache --------------------------------------------------------------
@@ -149,12 +146,11 @@ def cached_stream(commands, arch: ArchParams, key=None) -> CommandStream:
     :func:`repro.sim.driver.cached_schedule`); merged batch/multibank
     programs hit the same entries via their merge-recipe keys.
 
-    ``commands`` may be a command sequence, a prebuilt
-    :class:`~repro.compile.ir.StreamIR`, or a zero-argument callable
-    producing either.  With a callable *and* a ``key``, a cache hit
-    never materializes the program at all — the batch/multi-bank
-    mergers pass their merge as the callable, so warm shapes skip the
-    merge work entirely.
+    ``commands`` may be anything :func:`compile_stream` takes, or a
+    zero-argument callable producing one.  With a callable *and* a
+    ``key``, a cache hit never builds the program at all — the
+    batch/multi-bank mergers pass their merge as the callable, so warm
+    shapes skip the merge work entirely.
     """
     if callable(commands) and key is None:
         commands = commands()

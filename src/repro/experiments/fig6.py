@@ -11,9 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+import numpy as np
+
 from ..api import ProgramRequest, Simulator
 from ..dram.commands import CommandType
-from ..mapping.program import ProgramBuilder
+from ..mapping.program import assemble, grouped, ops
 from ..pim.params import PimParams
 from ..sim.driver import SimConfig
 from .report import format_table
@@ -60,74 +62,51 @@ class Fig6Result:
             rows, title="Fig. 6 — pipelining micro-study per regime")
 
 
-def _simulate(builder: ProgramBuilder, nb: int):
+#: The windows' twiddles are powers of 3 (C1: omega0 = r_omega = 3^1;
+#: C2: omega0 = 3^0, r_omega = 3^1), modulo a prime that fits a word.
+_ROOT, _Q = 3, 12289
+CU_READ, CU_WRITE = CommandType.CU_READ, CommandType.CU_WRITE
+
+
+def _simulate(body: np.ndarray, nb: int):
     simulator = Simulator(SimConfig(pim=PimParams(nb_buffers=max(nb, 1)),
                                     functional=False, verify=False))
-    response = simulator.run(ProgramRequest(commands=builder.build()))
+    program = assemble(body, 0, _ROOT, _Q).materialize_commands()
+    response = simulator.run(ProgramRequest(commands=program))
     return response.raw  # the ScheduleResult of the micro-study window
 
 
-def _intra_atom_window(nb: int) -> ProgramBuilder:
+def _intra_atom_window(nb: int) -> np.ndarray:
     """RD / C1 / WR over _ATOMS atoms with an nb-deep buffer pool."""
-    b = ProgramBuilder(0, nb)
-    b.emit(CommandType.PARAM_WRITE, payload_words=6)
-    b.goto_row(0)
-    for start in range(0, _ATOMS, nb):
-        group = list(range(start, min(start + nb, _ATOMS)))
-        for i, col in enumerate(group):
-            b.cu_read(0, col, i)
-        for i, col in enumerate(group):
-            b.c1(i, 3)
-        for i, col in enumerate(group):
-            b.cu_write(0, col, i)
-    b.close_row()
-    return b
+    col = np.arange(_ATOMS)
+    buf = col % nb
+    return grouped([ops(CU_READ, row=0, col=col, buf=buf),
+                    ops(CommandType.C1, buf=buf, omega0=1, r_omega=1),
+                    ops(CU_WRITE, row=0, col=col, buf=buf)], nb)
 
 
-def _intra_row_window(nb: int) -> ProgramBuilder:
+def _intra_row_window(nb: int) -> np.ndarray:
     """C2 over _PAIRS same-row atom pairs with nb buffers."""
-    b = ProgramBuilder(0, nb)
-    b.emit(CommandType.PARAM_WRITE, payload_words=6)
-    b.goto_row(0)
-    slots = nb // 2
-    pairs = [(i, i + _PAIRS) for i in range(_PAIRS)]
-    for start in range(0, len(pairs), slots):
-        group = pairs[start:start + slots]
-        for s, (ca, cb) in enumerate(group):
-            b.cu_read(0, ca, 2 * s)
-            b.cu_read(0, cb, 2 * s + 1)
-        for s, _ in enumerate(group):
-            b.c2(2 * s, 2 * s + 1, 1, 3)
-        for s, (ca, cb) in enumerate(group):
-            b.cu_write(0, ca, 2 * s)
-            b.cu_write(0, cb, 2 * s + 1)
-    b.close_row()
-    return b
+    col = np.arange(_PAIRS)
+    buf = 2 * (col % (nb // 2))
+    return grouped([
+        (ops(CU_READ, row=0, col=col, buf=buf),
+         ops(CU_READ, row=0, col=col + _PAIRS, buf=buf + 1)),
+        ops(CommandType.C2, buf=buf, buf2=buf + 1, omega0=0, r_omega=1),
+        (ops(CU_WRITE, row=0, col=col, buf=buf),
+         ops(CU_WRITE, row=0, col=col + _PAIRS, buf=buf + 1))], nb // 2)
 
 
-def _inter_row_window(nb: int) -> ProgramBuilder:
+def _inter_row_window(nb: int) -> np.ndarray:
     """C2 over _PAIRS pairs straddling rows 0 and 1 with nb buffers."""
-    b = ProgramBuilder(0, nb)
-    b.emit(CommandType.PARAM_WRITE, payload_words=6)
-    slots = nb // 2
-    pairs = list(range(_PAIRS))
-    for start in range(0, len(pairs), slots):
-        group = pairs[start:start + slots]
-        b.goto_row(0)
-        for s, col in enumerate(group):
-            b.cu_read(0, col, 2 * s)
-        b.goto_row(1)
-        for s, col in enumerate(group):
-            b.cu_read(1, col, 2 * s + 1)
-        for s, _ in enumerate(group):
-            b.c2(2 * s, 2 * s + 1, 1, 3)
-        for s, col in enumerate(group):
-            b.cu_write(1, col, 2 * s + 1)
-        b.goto_row(0)
-        for s, col in enumerate(group):
-            b.cu_write(0, col, 2 * s)
-    b.close_row()
-    return b
+    col = np.arange(_PAIRS)
+    buf = 2 * (col % (nb // 2))
+    return grouped([
+        ops(CU_READ, row=0, col=col, buf=buf),
+        ops(CU_READ, row=1, col=col, buf=buf + 1),
+        ops(CommandType.C2, buf=buf, buf2=buf + 1, omega0=0, r_omega=1),
+        ops(CU_WRITE, row=1, col=col, buf=buf + 1),
+        ops(CU_WRITE, row=0, col=col, buf=buf)], nb // 2)
 
 
 def run_fig6() -> Fig6Result:

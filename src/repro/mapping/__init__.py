@@ -6,7 +6,6 @@ from .analysis import (
     forecast_single_buffer,
 )
 from .mapper import MapperOptions, NegacyclicNttMapper, NttMapper
-from .program import ProgramBuilder
 from .program_cache import (
     CachedProgram,
     clear_program_cache,
@@ -25,7 +24,6 @@ __all__ = [
     "MapperOptions",
     "NttMapper",
     "NegacyclicNttMapper",
-    "ProgramBuilder",
     "Regime",
     "RegimeProfile",
     "profile_regimes",

@@ -5,6 +5,10 @@ requiring at least one auxiliary buffer (Nb >= 2; for Nb = 1 see
 :mod:`repro.mapping.single_buffer`).  :class:`NttMapper` runs it for the
 paper's cyclic NTT and :class:`NegacyclicNttMapper` for the merged
 negacyclic extension; they differ only in twiddles and stage order.
+The schedule is closed-form, so each phase is emitted as whole NumPy
+columns (:mod:`repro.mapping.program`) straight into the compiler's
+:class:`~repro.compile.ir.StreamIR`; ``generate()`` materializes the
+equivalent :class:`~repro.dram.commands.Command` list for reference.
 
 Structure (Sec. IV.B):
 
@@ -47,25 +51,30 @@ scale stays on the host, as in the paper's protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
-from ..arith.modmath import mod_pow
+import numpy as np
+
 from ..arith.roots import NttParams
+from ..compile.ir import StreamIR
 from ..dram.commands import Command, CommandType
 from ..dram.timing import ArchParams
 from ..errors import MappingError
-from ..ntt.merged import block_zeta_exponent
 from ..ntt.negacyclic import NegacyclicParams
 from ..pim.params import PimParams
-from .program import ProgramBuilder
-from .twiddle_params import c1_root, c2_twiddles
+from .program import FIELDS, assemble, grouped, ops
 
 __all__ = ["NttMapper", "NegacyclicNttMapper", "MapperOptions"]
 
+CU_READ, CU_WRITE, C2 = (CommandType.CU_READ, CommandType.CU_WRITE,
+                         CommandType.C2)
 
-def _chunks(seq: Sequence, size: int):
-    for start in range(0, len(seq), size):
-        yield seq[start:start + size]
+
+def _bit_reverse(values: np.ndarray, bits: int) -> np.ndarray:
+    out = np.zeros_like(values)
+    for bit in range(bits):
+        out |= ((values >> bit) & 1) << (bits - 1 - bit)
+    return out
 
 
 @dataclass(frozen=True)
@@ -90,18 +99,22 @@ class _RowCentricSchedule:
     """The Nb >= 2 row-centric schedule both transform kinds share.
 
     Stages are indexed by butterfly stride ``length`` (DIT stage ``s``
-    has ``length = 1 << (s - 1)``).  Subclasses supply the intra-atom
-    command (:meth:`_atom_command`) and the C2 twiddle pair
-    (:meth:`_c2_pair`), and set two flags derived from the transform:
-    ``gs`` (Gentleman-Sande butterflies) and ``reverse`` (largest stride
+    has ``length = 1 << (s - 1)``); op-table fields are index arithmetic
+    over rows, atoms and pairs, twiddles are exponents of ``root``.
+    Subclasses supply the intra-atom ops (:meth:`_atom_ops`) and the C2
+    twiddle exponents (:meth:`_c2_twiddles`), and set ``gs``
+    (Gentleman-Sande butterflies) and ``reverse`` (largest stride
     first, inter-row stages before the row blocks).
     """
 
     gs = False
     reverse = False
+    #: C1N zeta exponents, one row per atom (negacyclic only).
+    _zetas = None
 
-    def __init__(self, n: int, arch: ArchParams, pim: PimParams,
-                 base_row: int, bank: int, options: MapperOptions):
+    def __init__(self, n: int, q: int, root: int, arch: ArchParams,
+                 pim: PimParams, base_row: int, bank: int,
+                 options: MapperOptions):
         if pim.nb_buffers < 2:
             raise MappingError(
                 "the row-centric mapping needs an auxiliary buffer; use "
@@ -117,6 +130,8 @@ class _RowCentricSchedule:
             raise MappingError("polynomial (plus ping-pong region) does not "
                                "fit in the bank")
         self.n = n
+        self.q = q
+        self.root = root
         self.arch = arch
         self.pim = pim
         self.base_row = base_row
@@ -131,94 +146,84 @@ class _RowCentricSchedule:
             self.result_base_row = base_row + rows_needed
 
     # -- per-kind hooks -----------------------------------------------------------
-    def _atom_command(self, b: ProgramBuilder, buf: int,
-                      atom_index: int) -> None:
+    def _atom_ops(self, bufs: np.ndarray, atoms: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _c2_pair(self, length: int, word_a: int) -> Tuple[int, int]:
+    def _c2_twiddles(self, length: int, word_a: np.ndarray):
         raise NotImplementedError
 
     # -- public API -------------------------------------------------------------
-    def generate(self) -> List[Command]:
-        """The full command program, PARAM_WRITE through final PRE."""
-        b = ProgramBuilder(self.bank, self.pim.nb_buffers)
-        # q plus Montgomery constants travel over the global buffer as
-        # 16-bit chunks; 6 words covers a 32-bit q, q' and R^2 mod q.
-        b.emit(CommandType.PARAM_WRITE, payload_words=6)
+    def build(self) -> StreamIR:
+        """The full program, PARAM_WRITE through final PRE, as IR."""
         inter_row = [1 << s for s in range(self.arch.log_words_per_row,
                                            self.log_n)]
         if self.reverse:
             # Only the forward negacyclic transform runs reversed, and it
             # always maps in place, so its row blocks stay at base_row.
-            self._inter_row_stages(b, inter_row[::-1])
-            for block in range(self.rows_used):
-                self._row_block(b, block)
+            body = self._inter_row_stages(inter_row[::-1]) + [self._row_blocks()]
         else:
-            for block in range(self.rows_used):
-                self._row_block(b, block)
-            self._inter_row_stages(b, inter_row)
-        b.close_row()
-        return b.build()
+            body = [self._row_blocks()] + self._inter_row_stages(inter_row)
+        return assemble(np.concatenate(body), self.bank, self.root, self.q,
+                        self._zetas)
 
-    # -- phase A: one row-sized vertical block ------------------------------------
-    def _row_block(self, b: ProgramBuilder, block: int) -> None:
+    def generate(self) -> List[Command]:
+        """The program as :class:`Command` objects (the reference form)."""
+        return list(self.build().materialize_commands())
+
+    # -- phase A: the row-sized vertical blocks -----------------------------------
+    def _row_blocks(self) -> np.ndarray:
+        """Every block's intra-atom sweep and intra-row stages; block
+        ``b`` owns row ``base_row + b`` (one activation each)."""
         arch = self.arch
-        row = self.base_row + block
-        words_here = min(self.n - block * arch.words_per_row,
-                         arch.words_per_row)
-        atoms_here = words_here // arch.words_per_atom
-        b.goto_row(row)
-        intra_row = [1 << s for s in range(
-            arch.log_words_per_atom, min(self.log_n, arch.log_words_per_row))]
+        blocks = np.arange(self.rows_used)[:, None]
+        atoms = min(self.n, arch.words_per_row) // arch.words_per_atom
+        stages = [self._intra_atom(blocks, atoms)] + [
+            self._intra_row_stage(blocks, atoms, 1 << s)
+            for s in range(arch.log_words_per_atom,
+                           min(self.log_n, arch.log_words_per_row))]
         if self.reverse:
-            for length in reversed(intra_row):
-                self._intra_row_stage(b, row, block, atoms_here, length)
-            self._intra_atom(b, row, block, atoms_here)
-        else:
-            self._intra_atom(b, row, block, atoms_here)
-            for length in intra_row:
-                self._intra_row_stage(b, row, block, atoms_here, length)
+            stages.reverse()
+        return np.concatenate(stages, axis=-2).reshape(-1, FIELDS)
 
-    def _intra_atom(self, b: ProgramBuilder, row: int, block: int,
-                    atoms_here: int) -> None:
-        """One intra-atom command per atom, group-pipelined over the
-        whole buffer pool."""
-        first_atom = block * self.arch.columns_per_row
-        for group in _chunks(range(atoms_here), self.pim.nb_buffers):
-            for buf, col in enumerate(group):
-                b.cu_read(row, col, buf)
-            for buf, col in enumerate(group):
-                self._atom_command(b, buf, first_atom + col)
-            for buf, col in enumerate(group):
-                b.cu_write(row, col, buf)
+    def _intra_atom(self, blocks: np.ndarray, atoms: int) -> np.ndarray:
+        """One intra-atom op per atom, group-pipelined over the whole
+        buffer pool."""
+        row = self.base_row + blocks
+        col = np.arange(atoms)
+        buf = col % self.pim.nb_buffers
+        read = ops(CU_READ, row=row, col=col, buf=buf)
+        compute = np.broadcast_to(
+            self._atom_ops(buf, blocks * self.arch.columns_per_row + col),
+            read.shape)
+        write = ops(CU_WRITE, row=row, col=col, buf=buf)
+        return grouped([read, compute, write], self.pim.nb_buffers)
 
-    def _intra_row_stage(self, b: ProgramBuilder, row: int, block: int,
-                         atoms_here: int, length: int) -> None:
+    def _intra_row_stage(self, blocks: np.ndarray, atoms: int,
+                         length: int) -> np.ndarray:
         """C2 per atom pair inside one open row (all buffer hits)."""
         na = self.arch.words_per_atom
-        stride_atoms = length // na
-        pairs: List[Tuple[int, int]] = []
-        for block_start in range(0, atoms_here, 2 * stride_atoms):
-            for i in range(stride_atoms):
-                pairs.append((block_start + i, block_start + i + stride_atoms))
-        word_base = block * self.arch.words_per_row
-        gs = self.gs
-        for group in _chunks(pairs, self.pim.pair_slots):
-            for slot, (col_a, col_b) in enumerate(group):
-                b.cu_read(row, col_a, 2 * slot)
-                b.cu_read(row, col_b, 2 * slot + 1)
-            for slot, (col_a, col_b) in enumerate(group):
-                omega0, r_omega = self._c2_pair(length, word_base + col_a * na)
-                b.c2(2 * slot, 2 * slot + 1, omega0, r_omega, gs=gs)
-            for slot, (col_a, col_b) in enumerate(group):
-                b.cu_write(row, col_a, 2 * slot)
-                b.cu_write(row, col_b, 2 * slot + 1)
+        stride = length // na
+        pair = np.arange(atoms // 2)
+        col_a = pair // stride * 2 * stride + pair % stride
+        col_b = col_a + stride
+        buf = 2 * (pair % self.pim.pair_slots)
+        row = self.base_row + blocks
+        omega0, r_omega = self._c2_twiddles(
+            length, blocks * self.arch.words_per_row + col_a * na)
+        return grouped([
+            (ops(CU_READ, row=row, col=col_a, buf=buf),
+             ops(CU_READ, row=row, col=col_b, buf=buf + 1)),
+            ops(C2, buf=buf, buf2=buf + 1, gs=self.gs, omega0=omega0,
+                r_omega=r_omega),
+            (ops(CU_WRITE, row=row, col=col_a, buf=buf),
+             ops(CU_WRITE, row=row, col=col_b, buf=buf + 1))],
+            self.pim.pair_slots)
 
     # -- phase B: the inter-row stages ---------------------------------------------
-    def _inter_row_stages(self, b: ProgramBuilder,
-                          lengths: Sequence[int]) -> None:
+    def _inter_row_stages(self, lengths: List[int]) -> List[np.ndarray]:
         """Run each stride in turn; with ``in_place_update`` off, every
         stage writes the other of two ping-pong regions."""
+        stages = []
         src_base = self.base_row
         for length in lengths:
             if self.options.in_place_update:
@@ -226,54 +231,45 @@ class _RowCentricSchedule:
             else:
                 dst_base = (self.base_row + self.rows_used
                             if src_base == self.base_row else self.base_row)
-            self._inter_row_stage(b, length, src_base, dst_base)
+            stages.append(self._inter_row_stage(length, src_base, dst_base))
             src_base = dst_base
+        return stages
 
-    def _inter_row_stage(self, b: ProgramBuilder, length: int,
-                         src_base: int, dst_base: int) -> None:
+    def _inter_row_stage(self, length: int, src_base: int,
+                         dst_base: int) -> np.ndarray:
         """C2 per atom pair straddling two rows, group-batched so a group
         shares one (ACT A, ACT B, ACT A) sweep — the pipelining payoff.
 
-        In place, the '-'-leg writes hit the still-open row B (the
-        paper's in-place update) and one activation back to row A serves
-        the '+'-leg writes and the next group's reads.  With ``dst_base``
-        at the mirror region, both writes open an *additional* row.
+        Each group reads all its '+'-legs from row A and all its
+        '-'-legs from row B, runs its butterflies, then writes the
+        '-'-legs to ``out_b`` and the '+'-legs to ``out_a``.  In place,
+        the '-'-leg writes hit the still-open row B (the paper's in-place
+        update) and one activation back to row A serves the '+'-leg
+        writes and the next group's reads.  With ``dst_base`` at the
+        mirror region, both writes open an *additional* row.
         """
         arch = self.arch
-        na = arch.words_per_atom
         r_words = arch.words_per_row
         row_dist = length // r_words
         if row_dist < 1:
             raise MappingError(f"stride {length} is not inter-row")
         group_size = self.pim.pair_slots if self.options.group_same_row else 1
-        gs = self.gs
-        for rel_row in range(self.rows_used):
-            if (rel_row * r_words) % (2 * length) >= length:
-                continue  # this row is a '-'-leg row; handled with its partner
-            row_a = src_base + rel_row
-            row_b = row_a + row_dist
-            out_a = dst_base + rel_row
-            out_b = out_a + row_dist
-            for group in _chunks(range(arch.columns_per_row), group_size):
-                # Reads of all '+'-legs (row A open once per group).
-                b.goto_row(row_a)
-                for slot, col in enumerate(group):
-                    b.cu_read(row_a, col, 2 * slot)
-                # Reads of all '-'-legs.
-                b.goto_row(row_b)
-                for slot, col in enumerate(group):
-                    b.cu_read(row_b, col, 2 * slot + 1)
-                # Vectorized butterflies (no row involvement).
-                for slot, col in enumerate(group):
-                    omega0, r_omega = self._c2_pair(
-                        length, rel_row * r_words + col * na)
-                    b.c2(2 * slot, 2 * slot + 1, omega0, r_omega, gs=gs)
-                b.goto_row(out_b)
-                for slot, col in enumerate(group):
-                    b.cu_write(out_b, col, 2 * slot + 1)
-                b.goto_row(out_a)
-                for slot, col in enumerate(group):
-                    b.cu_write(out_a, col, 2 * slot)
+        rel = np.arange(self.rows_used)
+        # '+'-leg rows only; each handles its '-'-leg partner row_dist on.
+        rel = rel[rel * r_words % (2 * length) < length][:, None]
+        col = np.arange(arch.columns_per_row)
+        buf = 2 * (col % group_size)
+        omega0, r_omega = self._c2_twiddles(
+            length, rel * r_words + col * arch.words_per_atom)
+        out_a = dst_base + rel
+        stage = grouped([
+            ops(CU_READ, row=src_base + rel, col=col, buf=buf),
+            ops(CU_READ, row=src_base + rel + row_dist, col=col, buf=buf + 1),
+            ops(C2, buf=buf, buf2=buf + 1, gs=self.gs, omega0=omega0,
+                r_omega=r_omega),
+            ops(CU_WRITE, row=out_a + row_dist, col=col, buf=buf + 1),
+            ops(CU_WRITE, row=out_a, col=col, buf=buf)], group_size)
+        return stage.reshape(-1, FIELDS)
 
 
 class NttMapper(_RowCentricSchedule):
@@ -282,16 +278,20 @@ class NttMapper(_RowCentricSchedule):
     def __init__(self, ntt: NttParams, arch: ArchParams, pim: PimParams,
                  base_row: int = 0, bank: int = 0,
                  options: MapperOptions = MapperOptions()):
-        super().__init__(ntt.n, arch, pim, base_row, bank, options)
+        super().__init__(ntt.n, ntt.q, ntt.omega, arch, pim, base_row, bank,
+                         options)
         self.ntt = ntt
-        self._c1_root = c1_root(ntt, arch.words_per_atom)
 
-    def _atom_command(self, b: ProgramBuilder, buf: int,
-                      atom_index: int) -> None:
-        b.c1(buf, self._c1_root)
+    def _atom_ops(self, bufs, atoms):
+        # C1's root omega^(N/Na) seeds every atom's sub-NTT (c1_root).
+        root = self.n // self.arch.words_per_atom
+        return ops(CommandType.C1, buf=bufs, omega0=root, r_omega=root)
 
-    def _c2_pair(self, length: int, word_a: int) -> Tuple[int, int]:
-        return c2_twiddles(self.ntt, length.bit_length(), word_a)
+    def _c2_twiddles(self, length, word_a):
+        # c2_twiddles: omega0 = omega^(step * (word_a mod m)) with
+        # ratio omega^step, step = N >> stage = N / (2 * length).
+        step = self.n // (2 * length)
+        return step * (word_a % length), step
 
 
 class NegacyclicNttMapper(_RowCentricSchedule):
@@ -300,32 +300,41 @@ class NegacyclicNttMapper(_RowCentricSchedule):
     def __init__(self, ring: NegacyclicParams, arch: ArchParams,
                  pim: PimParams, base_row: int = 0, bank: int = 0,
                  inverse: bool = False):
-        super().__init__(ring.n, arch, pim, base_row, bank, MapperOptions())
+        # Twiddle base: psi forward, psi^-1 inverse.
+        super().__init__(ring.n, ring.q, ring.psi_inv if inverse else ring.psi,
+                         arch, pim, base_row, bank, MapperOptions())
         self.ring = ring
         self.gs = inverse
         self.reverse = not inverse
-        # Twiddle base: psi forward, psi^-1 inverse.
-        self._root = ring.psi_inv if inverse else ring.psi
+        self._zetas = self._zeta_exponents(
+            np.arange(ring.n // arch.words_per_atom))
 
-    def _zeta(self, length: int, start: int) -> int:
-        exp = block_zeta_exponent(self.ring.n, length, start)
-        return mod_pow(self._root, exp, self.ring.q)
+    def _zeta_exponent(self, length: int, word) -> np.ndarray:
+        """block_zeta_exponent of the block holding ``word`` at stride
+        ``length``: brev(N/2L + word // 2L) over log N bits."""
+        return _bit_reverse(self.n // (2 * length) + word // (2 * length),
+                            self.log_n)
 
-    def _atom_zetas(self, atom_index: int) -> Tuple[int, ...]:
-        """The Na-1 per-block zetas one C1N consumes, in consumption
-        order (forward: strides Na/2 down; inverse: strides 1 up)."""
+    def _zeta_exponents(self, atoms: np.ndarray) -> np.ndarray:
+        """Per atom, the exponents of the Na-1 per-block zetas one C1N
+        consumes, in consumption order (forward: strides Na/2 down;
+        inverse: strides 1 up)."""
         na = self.arch.words_per_atom
-        base = atom_index * na
         strides = [1 << s for s in range(self.arch.log_words_per_atom)]
         if self.reverse:
             strides.reverse()
-        return tuple(self._zeta(length, base + start)
-                     for length in strides
-                     for start in range(0, na, 2 * length))
+        base = atoms[:, None] * na
+        return np.concatenate(
+            [self._zeta_exponent(length, base + np.arange(0, na, 2 * length))
+             for length in strides], axis=1)
 
-    def _atom_command(self, b: ProgramBuilder, buf: int,
-                      atom_index: int) -> None:
-        b.c1n(buf, self._atom_zetas(atom_index), gs=self.gs)
+    def _atom_zetas(self, atom_index: int) -> Tuple[int, ...]:
+        """The zetas of one atom's C1N."""
+        return tuple(pow(self.root, e, self.q)
+                     for e in self._zetas[atom_index].tolist())
 
-    def _c2_pair(self, length: int, word_a: int) -> Tuple[int, int]:
-        return self._zeta(length, word_a - word_a % (2 * length)), 1
+    def _atom_ops(self, bufs, atoms):
+        return ops(CommandType.C1N, buf=bufs, gs=self.gs, zeta=atoms)
+
+    def _c2_twiddles(self, length, word_a):
+        return self._zeta_exponent(length, word_a), 0  # (zeta, 1)

@@ -1,136 +1,166 @@
-"""Incremental builder for MC command programs, with buffer-hazard and
-open-row bookkeeping shared by the mappers."""
+"""Columnar command-program assembly shared by the mappers.
+
+A mapper describes its program as an *op table*: one int64 row per
+column or compute command (:data:`FIELDS` columns, ``-1`` = unused),
+built with :func:`ops` and :func:`grouped` from ``arange``-style index
+arithmetic.  :func:`assemble` turns the table into the
+:class:`~repro.compile.ir.StreamIR` the compiler consumes:
+
+* the opening PARAM_WRITE and, at every change of the row the column
+  ops address, a PRE (if a row is open) and an ACT, plus the closing
+  PRE;
+* the twiddle and C1N zeta side tables, looked up in one table of
+  twiddle values per program (the ops carry indices into it);
+* every dependency, from per-buffer scans: a CU_READ waits on the last
+  command that used its buffer (WAR), every other buffer op on the last
+  command that produced the buffer's contents.
+"""
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional, Sequence
 
-from ..dram.commands import Command, CommandType
-from ..errors import MappingError
+import numpy as np
 
-__all__ = ["ProgramBuilder"]
+from ..compile.ir import StreamIR
+from ..dram.commands import CTYPE_CODES, CommandType
+
+__all__ = ["FIELDS", "ops", "grouped", "assemble"]
+
+#: Op-table columns: command code, row, column, buffers, scalar lane,
+#: Gentleman-Sande flag, omega0 / r_omega twiddle indices and the C1N
+#: zeta-row index.
+CODE, ROW, COL, BUF, BUF2, LANE, GS, OMEGA0, R_OMEGA, ZETA = range(10)
+FIELDS = 10
+
+#: q plus Montgomery constants travel over the global buffer as 16-bit
+#: chunks; 6 words covers a 32-bit q, q' and R^2 mod q.
+PARAM_WORDS = 6
+
+_PRE = CTYPE_CODES[CommandType.PRE]
+_CU_READ = CTYPE_CODES[CommandType.CU_READ]
+_CU_WRITE = CTYPE_CODES[CommandType.CU_WRITE]
+#: Ops that leave new contents in their buffer(s); CU_WRITE and
+#: LOAD_SCALAR only read it.
+_PRODUCES = np.zeros(len(CTYPE_CODES), dtype=np.bool_)
+_PRODUCES[[CTYPE_CODES[t] for t in (
+    CommandType.CU_READ, CommandType.C1, CommandType.C2, CommandType.C1N,
+    CommandType.BU_SCALAR, CommandType.STORE_SCALAR)]] = True
 
 
-class ProgramBuilder:
-    """Appends commands, wires dependencies, tracks the open row and
-    per-buffer producers so mappers stay readable."""
+def ops(ctype: CommandType, *, row=-1, col=-1, buf=-1, buf2=-1, lane=-1,
+        gs=False, omega0=-1, r_omega=-1, zeta=-1) -> np.ndarray:
+    """An op table of ``ctype`` ops, shaped ``(..., FIELDS)`` by
+    broadcasting the field arguments against each other."""
+    fields = (CTYPE_CODES[ctype], row, col, buf, buf2, lane, int(gs),
+              omega0, r_omega, zeta)
+    table = np.empty(np.broadcast(*fields).shape + (FIELDS,), dtype=np.int64)
+    for index, value in enumerate(fields):
+        table[..., index] = value
+    return table
 
-    def __init__(self, bank: int, nb_buffers: int):
-        self.bank = bank
-        self.nb_buffers = nb_buffers
-        self.commands: List[Command] = []
-        self.open_row: Optional[int] = None
-        # Last command that produced the buffer's current contents.
-        self._producer: List[Optional[int]] = [None] * nb_buffers
-        # Last command still needing the buffer's contents (WAR hazard).
-        self._busy: List[Optional[int]] = [None] * nb_buffers
 
-    # -- raw emission ---------------------------------------------------------
-    def emit(self, ctype: CommandType, deps=(), **kwargs) -> int:
-        dep_tuple = tuple(sorted({d for d in deps if d is not None}))
-        cmd = Command(ctype=ctype, bank=self.bank, deps=dep_tuple, **kwargs)
-        self.commands.append(cmd)
-        return len(self.commands) - 1
+def grouped(phases: Sequence, size: int) -> np.ndarray:
+    """Pipeline items through the buffer pool ``size`` at a time.
 
-    # -- row management --------------------------------------------------------
-    def goto_row(self, row: int) -> None:
-        """Open ``row``, precharging first if another row is open."""
-        if self.open_row == row:
-            return
-        if self.open_row is not None:
-            self.emit(CommandType.PRE)
-        self.emit(CommandType.ACT, row=row)
-        self.open_row = row
+    Each phase is an op table ``(..., items, FIELDS)`` (one op per
+    item) or a tuple of them (that many ops per item, item by item).
+    Each group emits phase 0 of all its items, then phase 1, and so on;
+    the last group may be short.  Leading axes are independent sweeps,
+    kept in the result ``(..., ops, FIELDS)``.
+    """
+    phases = [np.stack(p, axis=-2) if isinstance(p, tuple)
+              else p[..., None, :] for p in phases]
+    items = phases[0].shape[-3]
+    lead = phases[0].shape[:-3]
+    full = items - items % size
+    parts = []
+    for lo, hi in ((0, full), (full, items)):
+        if hi > lo:
+            k = min(size, hi - lo)
+            parts.append(np.concatenate(
+                [p[..., lo:hi, :, :].reshape(
+                    *lead, (hi - lo) // k, k * p.shape[-2], FIELDS)
+                 for p in phases], axis=-2).reshape(*lead, -1, FIELDS))
+    return np.concatenate(parts, axis=-2)
 
-    def close_row(self) -> None:
-        """Final precharge (restores the row buffer into the array)."""
-        if self.open_row is not None:
-            self.emit(CommandType.PRE)
-            self.open_row = None
 
-    # -- buffer-aware helpers ----------------------------------------------------
-    def _check_buf(self, buf: int) -> None:
-        if not 0 <= buf < self.nb_buffers:
-            raise MappingError(f"buffer {buf} out of range (Nb={self.nb_buffers})")
+def assemble(body: np.ndarray, bank: int, root: int, q: int,
+             zetas: Optional[np.ndarray] = None) -> StreamIR:
+    """The full program of an op table (which must address at least one
+    row), PARAM_WRITE through final PRE.
 
-    def cu_read(self, row: int, col: int, buf: int) -> int:
-        """Row-buffer atom -> atom buffer; waits out WAR on the buffer."""
-        self._check_buf(buf)
-        if self.open_row != row:
-            raise MappingError(f"cu_read of row {row} while {self.open_row} open")
-        idx = self.emit(CommandType.CU_READ, deps=(self._busy[buf],),
-                        row=row, col=col, buf=buf)
-        self._producer[buf] = idx
-        self._busy[buf] = idx
-        return idx
+    Twiddle index ``e`` (OMEGA0/R_OMEGA, and the entries of row ``z`` of
+    ``zetas``: the zetas of the ZETA = ``z`` C1N, in consumption order)
+    stands for ``root**e mod q``.
+    """
+    n_ops = len(body)
+    codes = body[:, CODE]
+    column = np.flatnonzero((codes == _CU_READ) | (codes == _CU_WRITE))
+    col_rows = body[column, ROW]
+    opens = np.ones(len(column), dtype=np.bool_)
+    opens[1:] = col_rows[1:] != col_rows[:-1]
+    # A row change costs PRE + ACT; the first opening only the ACT.
+    extra = np.zeros(n_ops, dtype=np.int64)
+    extra[column[opens]] = 2
+    extra[column[:1]] = 1
+    pos = 1 + np.arange(n_ops) + np.cumsum(extra)
+    total = 2 + n_ops + int(extra.sum())
 
-    def cu_write(self, row: int, col: int, buf: int) -> int:
-        """Atom buffer -> row-buffer atom; waits for the producer."""
-        self._check_buf(buf)
-        if self.open_row != row:
-            raise MappingError(f"cu_write to row {row} while {self.open_row} open")
-        idx = self.emit(CommandType.CU_WRITE, deps=(self._producer[buf],),
-                        row=row, col=col, buf=buf)
-        self._busy[buf] = idx
-        return idx
+    table = np.full((total, FIELDS), -1, dtype=np.int64)
+    table[:, GS] = 0
+    table[0, CODE] = CTYPE_CODES[CommandType.PARAM_WRITE]
+    table[pos] = body
+    act_at = pos[column[opens]] - 1
+    table[act_at, CODE] = CTYPE_CODES[CommandType.ACT]
+    table[act_at, ROW] = col_rows[opens]
+    table[act_at[1:] - 1, CODE] = _PRE
+    table[-1, CODE] = _PRE
 
-    def c1(self, buf: int, omega0: int) -> int:
-        self._check_buf(buf)
-        idx = self.emit(CommandType.C1, deps=(self._producer[buf],),
-                        buf=buf, omega0=omega0, r_omega=omega0)
-        self._producer[buf] = idx
-        self._busy[buf] = idx
-        return idx
+    # Hazards: every (buffer, op) touch in program order per buffer.
+    ev_op, ev_leg = np.nonzero(body[:, BUF:BUF2 + 1] >= 0)
+    ev_buf = body[ev_op, BUF + ev_leg]
+    order = np.lexsort((ev_op, ev_buf))
+    ev_op, ev_buf, ev_leg = ev_op[order], ev_buf[order], ev_leg[order]
+    first = np.ones(len(ev_op), dtype=np.bool_)
+    first[1:] = ev_buf[1:] != ev_buf[:-1]
+    last_use = np.where(first, -1, np.roll(ev_op, 1))
+    # Running max of producer ids; the buffer * stride offset keeps one
+    # buffer's scan from leaking into the next.
+    stride = n_ops + 1
+    tagged = ev_buf * stride + np.where(_PRODUCES[codes[ev_op]], ev_op + 1, 0)
+    running = np.roll(np.maximum.accumulate(tagged), 1)
+    last_producer = np.where(first, -1, running - ev_buf * stride - 1)
+    dep = np.where(codes[ev_op] == _CU_READ, last_use, last_producer)
+    legs = np.full((n_ops, 2), -1, dtype=np.int64)
+    legs[ev_op, ev_leg] = np.where(dep >= 0, pos[dep], -1)
+    legs.sort(axis=1)
+    legs[legs[:, 0] == legs[:, 1], 1] = -1
+    dep_counts = np.zeros(total, dtype=np.int64)
+    dep_counts[pos] = (legs >= 0).sum(axis=1)
+    dep_end = np.cumsum(dep_counts)
 
-    def c2(self, buf_p: int, buf_s: int, omega0: int, r_omega: int,
-           gs: bool = False) -> int:
-        self._check_buf(buf_p)
-        self._check_buf(buf_s)
-        idx = self.emit(CommandType.C2,
-                        deps=(self._producer[buf_p], self._producer[buf_s]),
-                        buf=buf_p, buf2=buf_s, omega0=omega0,
-                        r_omega=r_omega, gs=gs)
-        self._producer[buf_p] = idx
-        self._producer[buf_s] = idx
-        self._busy[buf_p] = idx
-        self._busy[buf_s] = idx
-        return idx
-
-    def c1n(self, buf: int, zetas, gs: bool = False) -> int:
-        """Merged negacyclic intra-atom command (extension)."""
-        self._check_buf(buf)
-        idx = self.emit(CommandType.C1N, deps=(self._producer[buf],),
-                        buf=buf, zetas=tuple(zetas), gs=gs)
-        self._producer[buf] = idx
-        self._busy[buf] = idx
-        return idx
-
-    # -- scalar micro-ops (Nb=1 degenerate path) -----------------------------------
-    def load_scalar(self, buf: int, lane: int) -> int:
-        """reg_a <- buf[lane]; needs the buffer's current contents."""
-        self._check_buf(buf)
-        idx = self.emit(CommandType.LOAD_SCALAR, deps=(self._producer[buf],),
-                        buf=buf, lane=lane)
-        self._busy[buf] = idx
-        return idx
-
-    def bu_scalar(self, buf: int, lane: int, omega0: int) -> int:
-        """BU(reg_a, buf[lane]); writes b' back into the lane."""
-        self._check_buf(buf)
-        idx = self.emit(CommandType.BU_SCALAR, deps=(self._producer[buf],),
-                        buf=buf, lane=lane, omega0=omega0)
-        self._producer[buf] = idx
-        self._busy[buf] = idx
-        return idx
-
-    def store_scalar(self, buf: int, lane: int) -> int:
-        """buf[lane] <- reg_a."""
-        self._check_buf(buf)
-        idx = self.emit(CommandType.STORE_SCALAR, deps=(self._producer[buf],),
-                        buf=buf, lane=lane)
-        self._producer[buf] = idx
-        self._busy[buf] = idx
-        return idx
-
-    def build(self) -> List[Command]:
-        return self.commands
+    # One power table per program, by running products.
+    twiddles = [1 % q]
+    for _ in range(max(int(body[:, OMEGA0:R_OMEGA + 1].max()),
+                       -1 if zetas is None else int(zetas.max()))):
+        twiddles.append(twiddles[-1] * root % q)
+    pool = (None, *twiddles)
+    zeta_pool = ((),) if zetas is None else ((),) + tuple(
+        tuple(map(twiddles.__getitem__, row)) for row in zetas.tolist())
+    codes, rows, cols, bufs, buf2s, lanes, gs, omega0, r_omega, zeta = (
+        np.ascontiguousarray(table.T))
+    payloads = np.zeros(total, dtype=np.int64)
+    payloads[0] = PARAM_WORDS
+    return StreamIR(
+        n=total, codes=codes, banks=np.full(total, bank, dtype=np.int64),
+        rows=rows, cols=cols, bufs=bufs, buf2s=buf2s, lanes=lanes,
+        payloads=payloads, gs=gs.astype(np.bool_),
+        dep_start=dep_end - dep_counts, dep_end=dep_end,
+        dep_flat=legs[legs >= 0],
+        omega0s=tuple(map(pool.__getitem__, (omega0 + 1).tolist())),
+        r_omegas=tuple(map(pool.__getitem__, (r_omega + 1).tolist())),
+        zetas=tuple(map(zeta_pool.__getitem__, (zeta + 1).tolist())),
+        has_omega0=omega0 >= 0, has_r_omega=r_omega >= 0,
+        zeta_lens=np.array([len(z) for z in zeta_pool])[zeta + 1],
+    )

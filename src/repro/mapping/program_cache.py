@@ -7,12 +7,11 @@ round, every point of an experiment sweep that revisits a size —
 regenerates an identical command list.  This module caches those
 programs.
 
-Cached programs are tuples of :class:`~repro.dram.commands.Command`
-objects shared between consumers.  That is safe because nothing in the
-simulator mutates a command after construction: the timing engine and
-the functional bank only read fields, and the batch/multi-bank mergers
-rewrite dependencies via ``dataclasses.replace`` (fresh copies).  Do not
-mutate commands obtained from this cache.
+Cached programs are the :class:`~repro.compile.ir.StreamIR` columns the
+mapper emitted, shared between consumers: nothing mutates an IR after
+construction (the merges build new ones).  ``CachedProgram.commands``
+materializes :class:`~repro.dram.commands.Command` objects once, for
+the per-command reference paths only.
 
 The cache is thread-safe via the shared :class:`repro._cache.ArtifactCache`
 (locked lookup/statistics/eviction, generation outside the lock, one
@@ -23,12 +22,12 @@ statistics or race the eviction scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from .._cache import ArtifactCache
 
 from ..arith.roots import NttParams
-from ..dram.commands import Command
+from ..compile.ir import CommandView, StreamIR
 from ..dram.timing import ArchParams
 from ..ntt.negacyclic import NegacyclicParams
 from ..pim.params import PimParams
@@ -49,18 +48,24 @@ class CachedProgram:
     ``base_row`` is the row the host lays the input out from;
     ``result_base_row`` is where the natural-order result lands.
     ``key`` is the program-cache key the program was generated under — a
-    compact, exact stand-in for the command tuple's content (the program
-    is a deterministic function of the key), which downstream caches
-    (the schedule cache) use to avoid re-hashing thousands of commands
-    per lookup.  ``None`` (e.g. a hand-built program) means "no compact
-    key": consumers must fall back to structural keying, never share a
-    sentinel.
+    compact, exact stand-in for the program's content (the program is a
+    deterministic function of the key), which downstream caches (the
+    stream and schedule caches) use to avoid hashing thousands of
+    commands per lookup.  ``None`` (e.g. a hand-built program) means "no
+    compact key": consumers must fall back to structural keying, never
+    share a sentinel.
     """
 
-    commands: Tuple[Command, ...]
+    ir: StreamIR
     base_row: int
     result_base_row: int
     key: Optional[tuple] = None
+
+    @property
+    def commands(self) -> CommandView:
+        """The program as a lazy, read-only :class:`Command` sequence
+        (``len`` is free; elements materialize once, on first access)."""
+        return CommandView(self.ir)
 
 
 _cache = ArtifactCache(_MAX_ENTRIES)
@@ -96,7 +101,7 @@ def cyclic_program(ntt: NttParams, arch: ArchParams, pim: PimParams,
         else:
             mapper = NttMapper(ntt, arch, pim, base_row, bank,
                                options=options)
-        return CachedProgram(tuple(mapper.generate()), base_row,
+        return CachedProgram(mapper.build(), base_row,
                              mapper.result_base_row, key)
 
     return _cache.get_or_create(key, generate)
@@ -112,7 +117,7 @@ def negacyclic_program(ring: NegacyclicParams, arch: ArchParams,
     def generate() -> CachedProgram:
         mapper = NegacyclicNttMapper(ring, arch, pim, base_row, bank,
                                      inverse=inverse)
-        return CachedProgram(tuple(mapper.generate()), base_row,
+        return CachedProgram(mapper.build(), base_row,
                              mapper.result_base_row, key)
 
     return _cache.get_or_create(key, generate)

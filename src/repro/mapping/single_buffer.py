@@ -20,16 +20,17 @@ half of all accesses activate, exactly the paper's account.  Fig. 7's
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List
 
-from ..arith.modmath import mod_pow
+import numpy as np
+
 from ..arith.roots import NttParams
+from ..compile.ir import StreamIR
 from ..dram.commands import Command, CommandType
 from ..dram.timing import ArchParams
 from ..errors import MappingError
 from ..pim.params import PimParams
-from .program import ProgramBuilder
-from .twiddle_params import c1_root
+from .program import FIELDS, assemble, ops
 
 __all__ = ["SingleBufferMapper"]
 
@@ -54,59 +55,56 @@ class SingleBufferMapper:
         self.rows_used = rows_needed
         self.result_base_row = base_row  # Nb=1 always computes in place
 
+    def build(self) -> StreamIR:
+        """The full program, PARAM_WRITE through final PRE, as IR."""
+        stages = range(self.arch.log_words_per_atom + 1, self.ntt.log_n + 1)
+        body = [self._intra_atom_phase()] + [
+            self._inter_atom_stage(stage) for stage in stages]
+        return assemble(np.concatenate(body), self.bank, self.ntt.omega,
+                        self.ntt.q)
+
     def generate(self) -> List[Command]:
-        b = ProgramBuilder(self.bank, 1)
-        b.emit(CommandType.PARAM_WRITE, payload_words=6)
-        self._intra_atom_phase(b)
-        log_na = self.arch.log_words_per_atom
-        for stage in range(log_na + 1, self.ntt.log_n + 1):
-            self._inter_atom_stage(b, stage)
-        b.close_row()
-        return b.build()
+        """The program as :class:`Command` objects (the reference form)."""
+        return list(self.build().materialize_commands())
 
-    def _intra_atom_phase(self, b: ProgramBuilder) -> None:
-        arch = self.arch
-        na = arch.words_per_atom
-        root = c1_root(self.ntt, na)
-        for block in range(self.rows_used):
-            row = self.base_row + block
-            words_here = min(self.ntt.n - block * arch.words_per_row,
-                             arch.words_per_row)
-            b.goto_row(row)
-            for col in range(words_here // na):
-                b.cu_read(row, col, 0)
-                b.c1(0, root)
-                b.cu_write(row, col, 0)
+    def _intra_atom_phase(self) -> np.ndarray:
+        """Read, C1 and write back every atom, one row after another."""
+        na = self.arch.words_per_atom
+        row = self.base_row + np.arange(self.rows_used)[:, None]
+        col = np.arange(min(self.ntt.n, self.arch.words_per_row) // na)
+        root = self.ntt.n // na  # c1_root = omega^(N/Na)
+        read = ops(CommandType.CU_READ, row=row, col=col, buf=0)
+        c1 = np.broadcast_to(ops(CommandType.C1, buf=0, omega0=root,
+                                 r_omega=root), read.shape)
+        write = ops(CommandType.CU_WRITE, row=row, col=col, buf=0)
+        return np.stack([read, c1, write], axis=-2).reshape(-1, FIELDS)
 
-    def _locate(self, word: int) -> Tuple[int, int, int]:
+    def _inter_atom_stage(self, stage: int) -> np.ndarray:
+        """The stage's N/2 butterflies in scan order, each staged through
+        the buffer.  The buffer still holds a butterfly's '+'-leg atom
+        from the previous one except at lane 0, where the scan enters a
+        new atom and must read it first."""
+        n = self.ntt.n
         r = self.arch.words_per_row
         na = self.arch.words_per_atom
-        return (self.base_row + word // r, (word % r) // na, word % na)
-
-    def _inter_atom_stage(self, b: ProgramBuilder, stage: int) -> None:
-        n, q = self.ntt.n, self.ntt.q
         m = 1 << (stage - 1)
-        step_exp = n >> stage
-        # Which (row, col) the buffer currently holds a *clean* copy of.
-        held: Optional[Tuple[int, int]] = None
-
-        for k in range(0, n, 2 * m):
-            for j in range(m):
-                word_a = k + j
-                word_b = word_a + m
-                row_a, col_a, lane = self._locate(word_a)
-                row_b, col_b, _ = self._locate(word_b)
-                omega = mod_pow(self.ntt.omega, step_exp * j, q)
-                if held != (row_a, col_a):
-                    b.goto_row(row_a)
-                    b.cu_read(row_a, col_a, 0)
-                b.load_scalar(0, lane)
-                b.goto_row(row_b)
-                b.cu_read(row_b, col_b, 0)
-                b.bu_scalar(0, lane, omega)
-                b.cu_write(row_b, col_b, 0)
-                b.goto_row(row_a)
-                b.cu_read(row_a, col_a, 0)
-                b.store_scalar(0, lane)
-                b.cu_write(row_a, col_a, 0)
-                held = (row_a, col_a)
+        t = np.arange(n // 2)
+        j = t % m
+        word_a = t // m * 2 * m + j
+        word_b = word_a + m
+        row_a, col_a = self.base_row + word_a // r, word_a % r // na
+        row_b, col_b = self.base_row + word_b // r, word_b % r // na
+        lane = word_a % na
+        butterflies = np.stack([
+            ops(CommandType.CU_READ, row=row_a, col=col_a, buf=0),
+            ops(CommandType.LOAD_SCALAR, buf=0, lane=lane),
+            ops(CommandType.CU_READ, row=row_b, col=col_b, buf=0),
+            ops(CommandType.BU_SCALAR, buf=0, lane=lane,
+                omega0=(n >> stage) * j),
+            ops(CommandType.CU_WRITE, row=row_b, col=col_b, buf=0),
+            ops(CommandType.CU_READ, row=row_a, col=col_a, buf=0),
+            ops(CommandType.STORE_SCALAR, buf=0, lane=lane),
+            ops(CommandType.CU_WRITE, row=row_a, col=col_a, buf=0)], axis=1)
+        keep = np.ones(butterflies.shape[:2], dtype=np.bool_)
+        keep[:, 0] = lane == 0
+        return butterflies[keep]

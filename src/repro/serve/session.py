@@ -60,7 +60,7 @@ def submission(request: Union[ServeRequest, SimRequest], *,
         sreq = ServeRequest(request=request, priority=priority,
                             deadline_us=deadline_us, request_id=request_id,
                             config=config, tenant=tenant)
-    sreq.request.validate()
+    sreq.request.admit()
     return sreq, arrival_us
 
 
@@ -102,7 +102,7 @@ class SessionBook:
         for item in requests:
             if not isinstance(item, ServeRequest):
                 item = ServeRequest(request=item)
-            item.request.validate()
+            item.request.admit()
             changes = {}
             if self.offset:
                 changes["arrival_us"] = item.arrival_us + self.offset

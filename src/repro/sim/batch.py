@@ -107,7 +107,7 @@ def compile_batch(params: NttParams, count: int, config: SimConfig):
 
     merged_key = programs_recipe_key("concat", programs, True)
     merged_stream = cached_stream(
-        lambda: concat_irs([p.commands for p in programs]),
+        lambda: concat_irs([p.ir for p in programs]),
         config.arch, key=merged_key)
     return programs, merged_stream, merged_key
 
@@ -125,7 +125,7 @@ def _run_batch(inputs: Sequence[Sequence[int]], params: NttParams,
     compute = config.pim.compute_timing()
     schedule = cached_schedule(merged_stream, config.timing, config.arch,
                                compute, config.energy, key=merged_key)
-    single = cached_schedule(programs[0].commands, config.timing, config.arch,
+    single = cached_schedule(programs[0].ir, config.timing, config.arch,
                              compute, config.energy, key=programs[0].key)
 
     outputs: List[List[int]] = []

@@ -71,7 +71,7 @@ _schedule_cache = ArtifactCache(_MAX_SCHEDULES)
 def cached_schedule(commands, timing, arch, compute, energy, key=None):
     """Memoized stream-compiled ``TimingEngine`` simulation.
 
-    ``commands`` is a command sequence or an already-compiled
+    ``commands`` is a command program or an already-compiled
     :class:`~repro.dram.stream.CommandStream`.  Cold lookups compile the
     program (via the shared stream cache) and run the engine's
     vectorized stream loop — bit-identical to ``simulate(commands)``.
@@ -84,7 +84,7 @@ def cached_schedule(commands, timing, arch, compute, energy, key=None):
     if isinstance(commands, CommandStream):
         stream = commands
         # Only materialize Command objects when no structural key exists
-        # (merge-built streams are lazy; the timing loop never needs them).
+        # (IR-built streams are lazy; the timing loop never needs them).
         content_key = key if key is not None else tuple(commands.commands)
     else:
         stream = None
@@ -170,7 +170,7 @@ class TransformSpec:
         program's own key — a lone transform never pays for a one-bank
         interleave."""
         program = self.program(config, 0)
-        return program, cached_stream(program.commands, config.arch,
+        return program, cached_stream(program.ir, config.arch,
                                       key=program.key)
 
     def load_layout(self, values: Sequence[int]) -> List[int]:
@@ -256,4 +256,4 @@ def _run_transform(spec: TransformSpec, values: Sequence[int],
         n=spec.n, q=spec.q, nb_buffers=config.pim.nb_buffers,
         output=output, schedule=schedule,
         verified=config.functional and config.verify,
-        command_count=len(program.commands), bu_ops=bu_ops)
+        command_count=program.ir.n, bu_ops=bu_ops)

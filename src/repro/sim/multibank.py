@@ -117,7 +117,7 @@ def compile_multibank(specs: Sequence[TransformSpec], config: SimConfig):
 
     merged_key = programs_recipe_key("interleave", programs)
     merged_stream = cached_stream(
-        lambda: interleave_irs([p.commands for p in programs]),
+        lambda: interleave_irs([p.ir for p in programs]),
         config.arch, key=merged_key)
     return programs, merged_stream, merged_key
 
@@ -138,7 +138,7 @@ def _run_multibank(inputs: Sequence[Sequence[int]],
     compute = config.pim.compute_timing()
     schedule = cached_schedule(merged_stream, config.timing, config.arch,
                                compute, config.energy, key=merged_key)
-    single = cached_schedule(programs[0].commands, config.timing, config.arch,
+    single = cached_schedule(programs[0].ir, config.timing, config.arch,
                              compute, config.energy, key=programs[0].key)
 
     outputs: List[List[int]] = []
@@ -149,7 +149,7 @@ def _run_multibank(inputs: Sequence[Sequence[int]],
         # — equivalent to replaying the round-robin merge command by
         # command, minus the interleaving overhead.
         for values, program, spec in zip(inputs, programs, specs):
-            stream = cached_stream(program.commands, config.arch,
+            stream = cached_stream(program.ir, config.arch,
                                    key=program.key)
             (output,), ops = _run_bank(spec, [values], config, [program],
                                        stream)

@@ -9,8 +9,10 @@ from typing import ClassVar
 import pytest
 
 from repro.api import (
+    BankSpec,
     BatchRequest,
     FheOpRequest,
+    KyberKemRequest,
     MultiBankRequest,
     NegacyclicRequest,
     NttRequest,
@@ -24,7 +26,7 @@ from repro.api import (
     unregister_workload,
     workload_names,
 )
-from repro.arith import NttParams, find_ntt_prime
+from repro.arith import NttParams, find_ntt_prime, use_backend
 from repro.errors import RequestValidationError
 from repro.ntt import NegacyclicParams
 from repro.pim import PimParams
@@ -147,11 +149,92 @@ class TestValidation:
         with pytest.raises(RequestValidationError):
             Simulator().run(ProgramRequest(commands=()))
 
+    def test_each_request_validated_once(self, monkeypatch):
+        """Admission validates a request once; a group merged from
+        admitted members is not re-validated at dispatch, and a failed
+        validation is never remembered."""
+        calls = []
+        for cls in (NttRequest, MultiBankRequest):
+            real = cls.validate
+            monkeypatch.setattr(
+                cls, "validate",
+                lambda self, real=real: (calls.append(type(self)),
+                                         real(self))[1])
+        requests = [NttRequest(params=PARAMS, values=_data(seed))
+                    for seed in range(4)]
+        Simulator().run_many(requests)
+        Simulator().run(requests[0])
+        assert calls == [NttRequest] * 4
+        bad = NttRequest(params=PARAMS, values=[1, 2, 3])
+        for _ in range(2):
+            with pytest.raises(RequestValidationError):
+                Simulator().run(bad)
+        assert calls == [NttRequest] * 6
+
     def test_requests_are_frozen(self):
         request = NttRequest(params=PARAMS, values=_data())
         with pytest.raises(AttributeError):
             request.inverse = True
         assert isinstance(request.values, tuple)
+
+
+class TestCoefficientRange:
+    """One input rule for every coefficient-carrying request, on both
+    backends: values lie in [0, q).  Anything else is a
+    RequestValidationError before any simulation work — never a raw
+    NumPy OverflowError, never a silent reduction mod q."""
+
+    @staticmethod
+    def _requests(bad):
+        def row(q=Q, n=N):
+            values = _data(q=q, n=n)
+            values[n // 2] = bad if bad is not None else q
+            return values
+
+        ok = _data()
+        return [
+            NttRequest(params=PARAMS, values=row()),
+            NegacyclicRequest(ring=RING, values=row(QN)),
+            BatchRequest(params=PARAMS, inputs=[ok, row()]),
+            MultiBankRequest(params=PARAMS, inputs=[ok, row()]),
+            MultiBankRequest(specs=[BankSpec(params=PARAMS),
+                                    BankSpec(ring=RING)],
+                             inputs=[ok, row(QN)]),
+            FheOpRequest(ring=RING, op="forward", a=row(QN)),
+            FheOpRequest(ring=RING, op="multiply", a=_data(q=QN),
+                         b=row(QN)),
+            KyberKemRequest(a=row(3329), b=_data(q=3329), q=3329),
+            ProgramRequest(commands=TransformSpec(params=PARAMS).program(
+                SimConfig(), 0).commands, functional=True, modulus=Q,
+                memory=[(0, row())]),
+        ]
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("bad", [-1, None, 2**64],
+                             ids=["negative", "q", "2**64"])
+    def test_out_of_range_rejected(self, backend, bad):
+        with use_backend(backend):
+            for request in self._requests(bad):
+                with pytest.raises(RequestValidationError,
+                                   match=r"coefficients must lie in \[0, q\)"):
+                    Simulator().run(request)
+
+    def test_raw_program_words_bounded_by_bank_width(self):
+        request = ProgramRequest(
+            commands=TransformSpec(params=PARAMS).program(
+                SimConfig(), 0).commands,
+            functional=True, memory=[(0, [0, 2**64])])
+        with pytest.raises(RequestValidationError, match="memory row 0"):
+            request.validate()
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_range_edges_accepted(self, backend):
+        values = _data()
+        values[0], values[1] = 0, Q - 1
+        with use_backend(backend):
+            response = Simulator().run(NttRequest(params=PARAMS,
+                                                  values=values))
+        assert response.verified
 
 
 class TestLegacyEquivalence:

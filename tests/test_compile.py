@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     BankSpec,
@@ -22,9 +24,16 @@ from repro.arith import NttParams, find_ntt_prime
 from repro.arith.bitrev import bit_reverse_permute
 from repro.compile.ir import StreamIR
 from repro.compile.lower import concat_irs, interleave_irs
-from repro.dram import HBM2E_ARCH, HBM2E_TIMING, TimingEngine, compile_stream
+from repro.dram import (
+    HBM2E_ARCH,
+    HBM2E_TIMING,
+    TimingEngine,
+    cached_stream,
+    compile_stream,
+)
 from repro.errors import RequestValidationError
-from repro.mapping.program_cache import cyclic_program
+from repro.mapping.mapper import MapperOptions
+from repro.mapping.program_cache import cyclic_program, negacyclic_program
 from repro.ntt import NegacyclicParams
 from repro.pim.bank_pim import PimBank
 from repro.pim.params import PimParams
@@ -263,19 +272,58 @@ class TestBankSpec:
 
 
 class TestIrConstruction:
-    def test_ir_row_matches_columns(self):
-        n = 128
-        q = find_ntt_prime(n, 32)
-        cmds = cyclic_program(NttParams(n, q), HBM2E_ARCH,
-                              PimParams()).commands
-        ir = StreamIR.from_commands(cmds)
-        assert ir.n == len(cmds)
-        for i in (0, 1, len(cmds) // 2, len(cmds) - 1):
-            cmd = cmds[i]
-            assert ir.rows[i] == (-1 if cmd.row is None else cmd.row)
-            assert ir.bufs[i] == (-1 if cmd.buf is None else cmd.buf)
-            assert bool(ir.gs[i]) == cmd.gs
-            assert bool(ir.has_omega0[i]) == (cmd.omega0 is not None)
-        assert int(ir.zeta_lens.sum()) == sum(len(c.zetas) for c in cmds)
-        assert np.array_equal(ir.dep_end - ir.dep_start,
-                              np.array([len(c.deps) for c in cmds]))
+    """The mappers emit StreamIR columns directly; Command objects are a
+    lazily materialized reference view of them."""
+
+    COLUMNS = ("codes", "banks", "rows", "cols", "bufs", "buf2s", "lanes",
+               "payloads", "gs", "dep_start", "dep_end", "dep_flat",
+               "has_omega0", "has_r_omega", "zeta_lens")
+    SIDE_TABLES = ("omega0s", "r_omegas", "zetas")
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["ntt", "negacyclic", "inverse negacyclic"]),
+           log_n=st.integers(min_value=3, max_value=9),
+           nb=st.sampled_from([1, 2, 3, 4, 5, 6, 8]),
+           in_place=st.booleans(), group=st.booleans(),
+           base_row=st.integers(min_value=0, max_value=40),
+           bank=st.integers(min_value=0, max_value=7))
+    def test_mapper_ir_round_trips(self, kind, log_n, nb, in_place, group,
+                                   base_row, bank):
+        n = 1 << log_n
+        pim = PimParams(nb_buffers=nb)
+        Simulator.clear_caches()
+        if kind == "ntt":
+            program = cyclic_program(
+                NttParams(n, find_ntt_prime(n, 32)), HBM2E_ARCH, pim,
+                base_row, bank, MapperOptions(in_place, group))
+        else:
+            assume(nb >= 2)
+            program = negacyclic_program(
+                NegacyclicParams(n, find_ntt_prime(n, 32, negacyclic=True)),
+                HBM2E_ARCH, pim, base_row, bank,
+                inverse=kind.startswith("inverse"))
+        ir = program.ir
+
+        # Counting, compiling, caching and merging run on the columns.
+        assert len(program.commands) == ir.n
+        assert compile_stream(program.commands, HBM2E_ARCH).ir is ir
+        assert cached_stream(program.commands, HBM2E_ARCH,
+                             key=program.key).ir is ir
+        assert interleave_irs([ir, ir]).n == concat_irs([ir, ir]).n + 1
+        assert ir._commands is None, "a Command was materialized"
+
+        commands = list(program.commands)
+        assert len(commands) == ir.n
+        rebuilt = StreamIR.from_commands(commands)
+        assert rebuilt.n == ir.n
+        for name in self.COLUMNS:
+            ours, theirs = getattr(ir, name), getattr(rebuilt, name)
+            assert ours.dtype == theirs.dtype, name
+            assert np.array_equal(ours, theirs), name
+        for name in self.SIDE_TABLES:
+            assert getattr(ir, name) == getattr(rebuilt, name), name
+
+        engine = TimingEngine(HBM2E_TIMING, HBM2E_ARCH,
+                              compute=pim.compute_timing())
+        assert (engine.simulate(program.commands)
+                == engine.simulate_stream(compile_stream(ir, HBM2E_ARCH)))

@@ -262,3 +262,30 @@ class TestPinnedPrograms:
             count += 1
         assert count == 45
         assert h.hexdigest() == self.DIGEST
+
+
+class TestPinnedSingleBufferPrograms:
+    """The Nb=1 single-buffer programs (LOAD/BU/STORE µ-ops), pinned by
+    digest the same way as :class:`TestPinnedPrograms`."""
+
+    DIGEST = ("c35a2cc1ffb5ee7082dd37da470799eb"
+              "cacc2520e17353ba2e411173cd31dc28")
+
+    def test_program_digest(self):
+        pim = PimParams(nb_buffers=1)
+        h = hashlib.sha256()
+        count = 0
+        for n in (64, 256, 1024):
+            for base_row, bank in ((0, 0), (7, 3)):
+                mapper = SingleBufferMapper(NttParams(n, Q), HBM2E_ARCH, pim,
+                                            base_row=base_row, bank=bank)
+                for c in mapper.generate():
+                    h.update(repr((c.ctype.value, c.bank, c.row, c.col,
+                                   c.buf, c.buf2, c.lane, c.omega0,
+                                   c.r_omega, c.payload_words, c.gs,
+                                   c.zetas, c.deps)).encode())
+                h.update(
+                    f"result_base_row={mapper.result_base_row};".encode())
+                count += 1
+        assert count == 6
+        assert h.hexdigest() == self.DIGEST

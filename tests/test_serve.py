@@ -11,8 +11,8 @@ import random
 import pytest
 
 from repro.api import FheOpRequest, NegacyclicRequest, NttRequest, Simulator
-from repro.arith import NttParams, find_ntt_prime
-from repro.errors import ServeError
+from repro.arith import NttParams, find_ntt_prime, use_backend
+from repro.errors import RequestValidationError, ServeError
 from repro.ntt.negacyclic import NegacyclicParams
 from repro.serve import (
     BatchingScheduler,
@@ -476,6 +476,34 @@ class TestLiveSurface:
         assert all(r.record.status == "rejected" for r in rejected)
         results = server.drain()
         assert results[0].ok
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_bad_coefficient_rejected_at_admission(self, backend):
+        """One out-of-range coefficient is a RequestValidationError at
+        submit(); the neighbours it would have shared a dispatch with
+        are served as if it never arrived."""
+        values = list(ntt_request(9).values)
+        values[3] = -1
+        bad = NttRequest(params=PARAMS, values=values)
+        with use_backend(backend):
+            with pytest.raises(RequestValidationError,
+                               match="coefficients"):
+                SimServer(NOVERIFY).serve(
+                    [ntt_request(0), ntt_request(1), bad, ntt_request(2)])
+            server = SimServer(SimConfig(), window_us=50.0)
+            kept = [server.submit(ntt_request(0), arrival_us=0.0),
+                    server.submit(ntt_request(1), arrival_us=1.0)]
+            with pytest.raises(RequestValidationError,
+                               match="coefficients"):
+                server.submit(bad, arrival_us=2.0)
+            kept.append(server.submit(ntt_request(2), arrival_us=3.0))
+            results = server.drain()
+        assert [r.record.request_id for r in results] == kept
+        assert all(r.ok and r.response.verified for r in results)
+        assert results[0].record.group_banks == 3
+        for seed, result in enumerate(results):
+            alone = Simulator().run(ntt_request(seed))
+            assert result.response.values == alone.values
 
     def test_submit_clamps_past_arrivals(self):
         server = SimServer(NOVERIFY, window_us=5.0)
