@@ -5,11 +5,13 @@ per-command loop) against ``TimingEngine.simulate_stream`` (the SoA
 compiled-stream loop) on fixed NTT command programs, plus the one-time
 cold map (program-cache miss to IR) and stream compile costs and the
 end-to-end functional ``run_ntt`` speedup of the stream-routed driver
-over the legacy per-command bank — and merges the measurements into
-``BENCH_kernels.json`` at the repo root.  Each mapper and compiler
-entry also records the host slowdown (``perfbench/perf_clock.slowdown``)
-measured around its timings, so ``check_trajectory`` can gate the map
-and compile rates at the reference machine's speed.
+over the legacy per-command bank, plus the functional data plane's rate
+on warm 8-bank dispatches (ns per butterfly µ-op) — and merges the
+measurements into ``BENCH_kernels.json`` at the repo root.  Each
+mapper, compiler and data-plane entry also records the host slowdown
+(``perfbench/perf_clock.slowdown``) measured around its timings, so
+``check_trajectory`` can gate those rates at the reference machine's
+speed.
 
 Non-gating when run directly —
 
@@ -47,12 +49,13 @@ from repro.mapping import clear_program_cache
 from repro.pim.bank_pim import PimBank
 from repro.pim.params import PimParams
 from repro.sim.driver import SimConfig, TransformSpec
+from repro.sim.multibank import _run_multibank
 
 DEFAULT_OUT = REPO_ROOT / "BENCH_kernels.json"
 
 
 def run(ns=(1024, 4096), repeats: int = 5,
-        out_path: Path = DEFAULT_OUT) -> dict:
+        out_path: Path = DEFAULT_OUT, dataplane_ns=(512, 4096)) -> dict:
     section = {}
     compiler = {}
     for n in ns:
@@ -118,10 +121,38 @@ def run(ns=(1024, 4096), repeats: int = 5,
     compiler["nb1"] = _bench_nb1(repeats)
     mapper = {str(n): _bench_map(n, 2, repeats) for n in ns}
     mapper["nb1"] = _bench_map(256, 1, repeats)
+    dataplane = {str(n): _bench_dataplane(n, repeats) for n in dataplane_ns}
     results = {"timing_engine": section, "compiler": compiler,
-               "mapper": mapper}
+               "mapper": mapper, "dataplane": dataplane}
     merge_sections(out_path, results)
     return results
+
+
+def _bench_dataplane(n: int, repeats: int, banks: int = 8) -> dict:
+    """Warm same-spec ``banks``-bank dispatches through
+    ``_run_multibank`` with golden verify on — the functional data plane
+    a served dispatch pays once its shape is cached — as ns per executed
+    butterfly µ-op, with the host slowdown probed around the timing."""
+    spec = TransformSpec(params=NttParams(n, find_ntt_prime(n, 32)))
+    config = SimConfig()
+    rng = random.Random(n)
+    inputs = [[rng.randrange(spec.q) for _ in range(n)]
+              for _ in range(banks)]
+    specs = [spec] * banks
+    result = _run_multibank(inputs, specs, config)
+    assert result.verified
+    slowdown = perf_clock.slowdown()
+    dispatch_s = _best_of(lambda: _run_multibank(inputs, specs, config),
+                          repeats)
+    slowdown = (slowdown + perf_clock.slowdown()) / 2
+    return {
+        "n": n,
+        "banks": banks,
+        "bu_ops": result.bu_ops,
+        "dispatch_s": dispatch_s,
+        "ns_per_bu": dispatch_s / result.bu_ops * 1e9,
+        "slowdown": slowdown,
+    }
 
 
 def _bench_map(n: int, nb: int, repeats: int) -> dict:
@@ -214,6 +245,13 @@ def _format(results: dict) -> str:
         f"  Nb=1 N={nb1['n']} ({nb1['commands']} u-op cmds): lane-fused "
         f"{nb1['fused_s'] * 1e3:.2f} ms vs per-command "
         f"{nb1['fallback_s'] * 1e3:.2f} ms ({nb1['fused_speedup']:.1f}x)")
+    lines.append("data plane: warm same-spec dispatch, verify on:")
+    for entry in results["dataplane"].values():
+        lines.append(
+            f"  N={entry['n']:>5d} x {entry['banks']} banks  "
+            f"{entry['dispatch_s'] * 1e3:6.2f} ms "
+            f"({entry['ns_per_bu']:.1f} ns/bu, host slowdown "
+            f"{entry['slowdown']:.2f}x)")
     return "\n".join(lines)
 
 
@@ -244,13 +282,15 @@ def test_stream_engine_smoke(show, tmp_path):
     assert stream_s <= legacy_s * 1.5
 
     results = run(ns=(256,), repeats=2,
-                  out_path=tmp_path / "BENCH_kernels.json")
+                  out_path=tmp_path / "BENCH_kernels.json",
+                  dataplane_ns=(256,))
     assert results["timing_engine"]["256"]["engine_speedup"] > 0
     assert results["compiler"]["256"]["cold_us_per_cmd"] > 0
     assert results["compiler"]["256"]["slowdown"] > 0
     assert results["compiler"]["nb1"]["fused_speedup"] > 0
     assert results["mapper"]["256"]["cold_us_per_cmd"] > 0
     assert results["mapper"]["nb1"]["slowdown"] > 0
+    assert results["dataplane"]["256"]["ns_per_bu"] > 0
 
 
 def main(argv=None) -> int:

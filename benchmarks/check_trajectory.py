@@ -17,6 +17,10 @@ committed floor:
 * mapper: the cold map (program-cache miss to IR), scaled the same
   way, must stay below ``MAP_US_PER_CMD_CEILING`` — far under the
   ~9 us/command of per-command ``Command`` emission;
+* data plane: a warm same-spec 8-bank dispatch (functional bank, host
+  I/O and golden verify), scaled the same way, must stay below
+  ``DATAPLANE_NS_PER_BU_CEILING`` per butterfly µ-op — far under the
+  one-bank-at-a-time loop it replaced;
 * shared bus: the contention model must report real utilization and
   never beat the independent-channel upper bound;
 * resilience: under injected faults the recovery policies must keep
@@ -71,6 +75,12 @@ COMPILE_US_PER_CMD_CEILING = 2.3
 #: us/command when every command was built as a validated ``Command``.
 #: Same slowdown scaling and ~2x headroom as the compile ceiling.
 MAP_US_PER_CMD_CEILING = 1.3
+#: A warm same-spec 8-bank dispatch runs its banks as one stacked pass
+#: with one golden check: ~80 ns per butterfly µ-op at N=512 and ~62 at
+#: N=4096 at reference speed, against ~215 / ~105 when every bank ran
+#: (and was verified) on its own.  Same slowdown scaling; ~2x headroom
+#: over the N=512 level, which the per-bank loop fails.
+DATAPLANE_NS_PER_BU_CEILING = 150.0
 #: Nb=1 µ-op programs fuse through the lane-renaming pass; the fused
 #: run must not be slower than the per-command fallback it replaced
 #: (measured ~4x faster).
@@ -271,6 +281,20 @@ def check(kernels_path: Path = REPO_ROOT / "BENCH_kernels.json",
                 f"reference speed ({entry['cold_us_per_cmd']:.2f} raw / "
                 f"{entry['slowdown']:.2f}x slowdown) exceeds the "
                 f"{MAP_US_PER_CMD_CEILING} us/cmd ceiling")
+
+    for name, entry in kernels.get("dataplane", {}).items():
+        ns_per_bu = entry["ns_per_bu"] / entry["slowdown"]
+        print(f"dataplane: N={entry['n']} x {entry['banks']} banks warm "
+              f"dispatch {entry['dispatch_s'] * 1e3:.2f} ms "
+              f"({entry['ns_per_bu']:.1f} ns/bu at host slowdown "
+              f"{entry['slowdown']:.2f}x = {ns_per_bu:.1f} ns/bu at "
+              f"reference speed, ceiling {DATAPLANE_NS_PER_BU_CEILING})")
+        if ns_per_bu > DATAPLANE_NS_PER_BU_CEILING:
+            failures.append(
+                f"dataplane N={name}: {ns_per_bu:.1f} ns per butterfly "
+                f"µ-op at reference speed ({entry['ns_per_bu']:.1f} raw / "
+                f"{entry['slowdown']:.2f}x slowdown) exceeds the "
+                f"{DATAPLANE_NS_PER_BU_CEILING} ns/bu ceiling")
 
     engine = kernels["timing_engine"]
     for n, entry in engine.items():

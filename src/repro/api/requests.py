@@ -31,6 +31,7 @@ on malformed parameters before any simulation work starts.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Tuple
 
@@ -55,12 +56,21 @@ def _freeze_nested(rows) -> Tuple[Tuple[int, ...], ...]:
 def _check_values(label: str, values: Tuple[int, ...], n: Optional[int],
                   q: int) -> None:
     """The one input rule for a coefficient vector: ``n`` values (when
-    given), every one a residue ``0 <= v < q``.  ``min``/``max`` over
-    the frozen tuple run at C speed, so admission stays cheap."""
+    given), every one an integer (a :class:`numbers.Integral`: ``int``,
+    ``bool`` or a NumPy integer scalar) and a residue ``0 <= v < q``.
+    The type set and ``min``/``max`` over the frozen tuple run at C
+    speed, so admission stays cheap."""
     if n is not None and len(values) != n:
         raise RequestValidationError(
             f"{label}: expected {n} values, got {len(values)}")
-    if values and (min(values) < 0 or max(values) >= q):
+    if not values:
+        return
+    bad = [t.__name__ for t in set(map(type, values))
+           if not issubclass(t, numbers.Integral)]
+    if bad:
+        raise RequestValidationError(
+            f"{label}: coefficients must be integers, got {sorted(bad)}")
+    if min(values) < 0 or max(values) >= q:
         raise RequestValidationError(
             f"{label}: coefficients must lie in [0, q) for q={q}")
 

@@ -10,6 +10,11 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import List, Sequence, Tuple, TypeVar
 
+try:  # NumPy is optional here, as in repro.arith.vector.
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised only without numpy
+    np = None  # type: ignore[assignment]
+
 T = TypeVar("T")
 
 __all__ = ["bit_reverse", "bit_reverse_indices", "bit_reverse_permute", "is_power_of_two"]
@@ -47,7 +52,19 @@ def bit_reverse_indices(n: int) -> List[int]:
     return list(_indices(n))
 
 
+@lru_cache(maxsize=64)
+def _gather_index(n: int):
+    index = np.array(_indices(n), dtype=np.intp)
+    index.setflags(write=False)
+    return index
+
+
 def bit_reverse_permute(values: Sequence[T]) -> List[T]:
-    """Return ``values`` reordered by bit-reversed index (an involution)."""
+    """Return ``values`` reordered by bit-reversed index (an involution).
+
+    A NumPy array is permuted along its last axis by one cached index
+    gather, so a whole ``(..., N)`` stack reverses in one call."""
+    if np is not None and isinstance(values, np.ndarray):
+        return values[..., _gather_index(values.shape[-1])]
     table = _indices(len(values))
     return [values[i] for i in table]

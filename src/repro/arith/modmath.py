@@ -144,10 +144,14 @@ def mod_mul_vec(xs: Iterable[int], ys: Iterable[int], q: int) -> List[int]:
 
 def mod_scale_vec(xs: Iterable[int], c: int, q: int) -> List[int]:
     """``[(x * c) mod q]`` — the element-wise scalings (1/N, psi powers)
-    that bracket every inverse/negacyclic transform."""
-    xs = list(xs)
+    that bracket every inverse/negacyclic transform.  A uint64 array of
+    reduced residues (any shape) scales on the NumPy backend and stays
+    an array."""
     if q <= 0:
         raise ValueError(f"modulus must be positive, got {q}")
+    if vector.is_array(xs) and vector.numpy_active(q):
+        return vector.scale_arr(xs, c, q)
+    xs = list(xs)
     if vector.numpy_active(q):
         return vector.scale_list(xs, c, q)
     return [(x * c) % q for x in xs]

@@ -67,7 +67,9 @@ __all__ = [
     "mod_add_list",
     "mod_sub_list",
     "mod_mul_list",
+    "scale_arr",
     "scale_list",
+    "uint64_lanes",
     "ntt_dit_bitrev",
     "ntt_dif_natural",
     "merged_negacyclic_forward",
@@ -271,14 +273,22 @@ def mod_mul_arr(a, b, q: int):
     raise ValueError(f"no uint64 lane support for modulus {q}")
 
 
-def _as_lanes(xs: Sequence[int], q: int):
-    """Reduce a sequence mod ``q`` into a uint64 array."""
+def uint64_lanes(xs, q: int):
+    """A (nested) int sequence as one uint64 array of the same shape,
+    values kept as they are; only ints outside ``[0, 2**64)`` — which
+    no uint64 lane can hold — are reduced mod ``q`` first (rare path)."""
     try:
-        arr = np.array(xs, dtype=np.uint64)
+        return np.array(xs, dtype=np.uint64)
     except (OverflowError, ValueError):
-        # Negative or >= 2**64 inputs: reduce in Python first (rare path).
-        arr = np.array([x % q for x in xs], dtype=np.uint64)
-    return arr % _u64(q)
+        return np.array(np.array(xs, dtype=object) % q, dtype=np.uint64)
+
+
+def _as_lanes(xs, q: int):
+    """Reduce a (nested) sequence or an array mod ``q`` into a fresh
+    uint64 array (the kernels below update it in place)."""
+    if not (isinstance(xs, np.ndarray) and xs.dtype == np.uint64):
+        xs = uint64_lanes(xs, q)
+    return xs % _u64(q)
 
 
 # -- list-level API (what modmath's mod_*_vec dispatch to) ---------------------
@@ -295,9 +305,14 @@ def mod_mul_list(xs: Sequence[int], ys: Sequence[int], q: int) -> List[int]:
     return mod_mul_arr(_as_lanes(xs, q), _as_lanes(ys, q), q).tolist()
 
 
+def scale_arr(x, c: int, q: int):
+    """``(x * c) mod q`` on reduced uint64 lanes of any shape."""
+    return mod_mul_arr(x, _u64(c % q), q)
+
+
 def scale_list(xs: Sequence[int], c: int, q: int) -> List[int]:
     """``[(x * c) mod q]`` — the 1/N passes and psi pre/post scalings."""
-    return mod_mul_arr(_as_lanes(xs, q), np.uint64(c % q), q).tolist()
+    return scale_arr(_as_lanes(xs, q), c, q).tolist()
 
 
 # -- cached twiddle material ---------------------------------------------------
@@ -363,59 +378,81 @@ def clear_caches() -> None:
 
 
 # -- whole-transform kernels ---------------------------------------------------
+#
+# The golden transforms run on the last axis and broadcast over any
+# leading shape, so one call checks a whole ``(banks, slots, N)`` stack.
+# They take (nested) int sequences or uint64 arrays and return a fresh
+# uint64 array of the same shape.
 
-def ntt_dit_bitrev(values: Sequence[int], n: int, q: int, omega: int) -> List[int]:
+def ntt_dit_bitrev(values, n: int, q: int, omega: int):
     """Iterative DIT Cooley-Tukey on uint64 lanes: bit-reversed input,
     natural output.  Bit-exact with
     :func:`repro.ntt.reference.ntt_dit_bitrev_input`."""
     x = _as_lanes(values, q)
+    lead = x.shape[:-1]
     powers = omega_power_array(n, q, omega)
     log_n = n.bit_length() - 1
     for s in range(1, log_n + 1):
         m = 1 << (s - 1)
         w = powers[:: n >> s][:m]  # omega^(j * N/2^s) for one block
-        x = x.reshape(-1, 2 * m)
-        a = x[:, :m].copy()  # copy: the next writes go through the view
-        t = mod_mul_arr(w[None, :], x[:, m:], q)
-        x[:, :m] = mod_add_arr(a, t, q)
-        x[:, m:] = mod_sub_arr(a, t, q)
-        x = x.reshape(-1)
-    return x.tolist()
+        xr = x.reshape(lead + (-1, 2 * m))
+        a = xr[..., :m].copy()  # copy: the next writes go through the view
+        t = mod_mul_arr(w, xr[..., m:], q)
+        xr[..., :m] = mod_add_arr(a, t, q)
+        xr[..., m:] = mod_sub_arr(a, t, q)
+    return x
 
 
-def ntt_dif_natural(values: Sequence[int], n: int, q: int, omega: int) -> List[int]:
+def ntt_dif_natural(values, n: int, q: int, omega: int):
     """Iterative DIF Gentleman-Sande on uint64 lanes: natural input,
     bit-reversed output — the transpose network of :func:`ntt_dit_bitrev`."""
     x = _as_lanes(values, q)
+    lead = x.shape[:-1]
     powers = omega_power_array(n, q, omega)
     log_n = n.bit_length() - 1
     for s in range(log_n, 0, -1):
         m = 1 << (s - 1)
         w = powers[:: n >> s][:m]
-        x = x.reshape(-1, 2 * m)
-        a = x[:, :m].copy()
-        b = x[:, m:]
-        x[:, :m] = mod_add_arr(a, b, q)
-        x[:, m:] = mod_mul_arr(mod_sub_arr(a, b, q), w[None, :], q)
-        x = x.reshape(-1)
-    return x.tolist()
+        xr = x.reshape(lead + (-1, 2 * m))
+        a = xr[..., :m].copy()
+        b = xr[..., m:]
+        xr[..., :m] = mod_add_arr(a, b, q)
+        xr[..., m:] = mod_mul_arr(mod_sub_arr(a, b, q), w, q)
+    return x
 
 
-def merged_negacyclic_forward(values: Sequence[int], n: int, q: int,
-                              psi: int) -> List[int]:
+def merged_negacyclic_forward(values, n: int, q: int, psi: int):
     """Forward merged-psi negacyclic NTT on uint64 lanes (natural-order
     input, NTT-domain output) — bit-exact with
     :func:`repro.ntt.merged.merged_negacyclic_ntt`."""
     x = _as_lanes(values, q)
+    lead = x.shape[:-1]
     length = n // 2
     for zetas in _merged_zeta_arrays(n, q, psi, inverse=False):
-        xr = x.reshape(-1, 2 * length)
-        a = xr[:, :length].copy()
-        t = mod_mul_arr(zetas[:, None], xr[:, length:], q)
-        xr[:, :length] = mod_add_arr(a, t, q)
-        xr[:, length:] = mod_sub_arr(a, t, q)
+        xr = x.reshape(lead + (-1, 2 * length))
+        a = xr[..., :length].copy()
+        t = mod_mul_arr(zetas[:, None], xr[..., length:], q)
+        xr[..., :length] = mod_add_arr(a, t, q)
+        xr[..., length:] = mod_sub_arr(a, t, q)
         length >>= 1
-    return x.tolist()
+    return x
+
+
+def merged_negacyclic_inverse(values, n: int, q: int, psi: int):
+    """Inverse merged transform on uint64 lanes, *including* the final
+    1/N scale — bit-exact with
+    :func:`repro.ntt.merged.merged_negacyclic_intt`."""
+    x = _as_lanes(values, q)
+    lead = x.shape[:-1]
+    length = 1
+    for zetas in _merged_zeta_arrays(n, q, psi, inverse=True):
+        xr = x.reshape(lead + (-1, 2 * length))
+        a = xr[..., :length].copy()
+        b = xr[..., length:].copy()
+        xr[..., :length] = mod_add_arr(a, b, q)
+        xr[..., length:] = mod_mul_arr(mod_sub_arr(a, b, q), zetas[:, None], q)
+        length <<= 1
+    return scale_arr(x, pow(n, -1, q), q)
 
 
 # -- PIM atom kernels (the CU's C1/C2/C1N on whole atoms) ----------------------
@@ -566,19 +603,20 @@ def c1_stack_wpack(q: int, omegas: Sequence[int], na: int):
 
 
 def c1_stack_arr(x, q: int, wpack):
-    """Stacked form of :func:`c1_atom_arr`: ``x`` is ``(k, Na)``, one
-    atom per row; ``wpack`` comes from :func:`c1_stack_wpack`."""
-    k, na = x.shape
+    """Stacked form of :func:`c1_atom_arr`: ``x`` is ``(..., k, Na)``,
+    one atom per row of the last two axes (leading axes — the bank
+    stack — broadcast); ``wpack`` comes from :func:`c1_stack_wpack`."""
+    lead = x.shape[:-1]
     x = x % _u64(q)
-    log_na = na.bit_length() - 1
+    log_na = x.shape[-1].bit_length() - 1
     for s in range(1, log_na + 1):
         m = 1 << (s - 1)
         w = wpack[s - 1]
-        xr = x.reshape(k, -1, 2 * m)
-        a = xr[:, :, :m].copy()
-        t = mod_mul_arr(w[:, None, :], xr[:, :, m:], q)
-        xr[:, :, :m] = mod_add_arr(a, t, q)
-        xr[:, :, m:] = mod_sub_arr(a, t, q)
+        xr = x.reshape(lead + (-1, 2 * m))
+        a = xr[..., :m].copy()
+        t = mod_mul_arr(w[:, None, :], xr[..., m:], q)
+        xr[..., :m] = mod_add_arr(a, t, q)
+        xr[..., m:] = mod_sub_arr(a, t, q)
     return x
 
 
@@ -591,9 +629,9 @@ def c2_stack_wpack(q: int, omega0s: Sequence[int], r_omegas: Sequence[int],
 
 
 def c2_stack_arr(p, s, q: int, w, gs: bool = False):
-    """Stacked form of :func:`c2_atom_arr`: ``p``/``s``/``w`` are
-    ``(k, Na)`` — the P legs, S legs and lane twiddles of ``k`` fused
-    C2 commands."""
+    """Stacked form of :func:`c2_atom_arr`: ``p``/``s`` are
+    ``(..., k, Na)`` and ``w`` is ``(k, Na)`` — the P legs, S legs and
+    lane twiddles of ``k`` fused C2 commands (leading axes broadcast)."""
     q_u64 = _u64(q)
     p = p % q_u64
     s = s % q_u64
@@ -616,10 +654,12 @@ def c1n_stack_zpack(q: int, zetas_rows: Sequence[Sequence[int]]):
 
 
 def c1n_stack_arr(x, q: int, z2d, gs: bool = False):
-    """Stacked form of :func:`c1n_atom_arr`: ``x`` is ``(k, Na)``,
-    ``z2d`` the matching zeta matrix from :func:`c1n_stack_zpack`.
-    Zeta consumption order per row matches the per-atom kernel."""
-    k, na = x.shape
+    """Stacked form of :func:`c1n_atom_arr`: ``x`` is ``(..., k, Na)``
+    (leading axes broadcast), ``z2d`` the matching ``(k, Na-1)`` zeta
+    matrix from :func:`c1n_stack_zpack`.  Zeta consumption order per
+    row matches the per-atom kernel."""
+    lead = x.shape[:-1]
+    na = x.shape[-1]
     x = x % _u64(q)
     log_na = na.bit_length() - 1
     lengths = ([na >> s for s in range(1, log_na + 1)] if not gs
@@ -627,35 +667,17 @@ def c1n_stack_arr(x, q: int, z2d, gs: bool = False):
     idx = 0
     for length in lengths:
         blocks = na // (2 * length)
-        z = z2d[:, idx:idx + blocks]
+        z = z2d[:, idx:idx + blocks, None]
         idx += blocks
-        xr = x.reshape(k, blocks, 2 * length)
-        a = xr[:, :, :length].copy()
+        xr = x.reshape(lead + (blocks, 2 * length))
+        a = xr[..., :length].copy()
         if gs:
-            b = xr[:, :, length:].copy()
-            xr[:, :, :length] = mod_add_arr(a, b, q)
-            xr[:, :, length:] = mod_mul_arr(mod_sub_arr(a, b, q),
-                                            z[:, :, None], q)
+            b = xr[..., length:].copy()
+            xr[..., :length] = mod_add_arr(a, b, q)
+            xr[..., length:] = mod_mul_arr(mod_sub_arr(a, b, q), z, q)
         else:
-            t = mod_mul_arr(z[:, :, None], xr[:, :, length:], q)
-            xr[:, :, :length] = mod_add_arr(a, t, q)
-            xr[:, :, length:] = mod_sub_arr(a, t, q)
+            t = mod_mul_arr(z, xr[..., length:], q)
+            xr[..., :length] = mod_add_arr(a, t, q)
+            xr[..., length:] = mod_sub_arr(a, t, q)
     return x
 
-
-def merged_negacyclic_inverse(values: Sequence[int], n: int, q: int,
-                              psi: int) -> List[int]:
-    """Inverse merged transform on uint64 lanes, *including* the final
-    1/N scale — bit-exact with
-    :func:`repro.ntt.merged.merged_negacyclic_intt`."""
-    x = _as_lanes(values, q)
-    length = 1
-    for zetas in _merged_zeta_arrays(n, q, psi, inverse=True):
-        xr = x.reshape(-1, 2 * length)
-        a = xr[:, :length].copy()
-        b = xr[:, length:].copy()
-        xr[:, :length] = mod_add_arr(a, b, q)
-        xr[:, length:] = mod_mul_arr(mod_sub_arr(a, b, q), zetas[:, None], q)
-        length <<= 1
-    n_inv = pow(n, -1, q)
-    return mod_mul_arr(x, np.uint64(n_inv), q).tolist()

@@ -37,7 +37,7 @@ def numpy_ntt(values: Sequence[int], params: NttParams) -> List[int]:
     if len(values) != n:
         raise ValueError(f"expected {n} values, got {len(values)}")
     return vector.ntt_dit_bitrev(bit_reverse_permute(list(values)),
-                                 n, q, params.omega)
+                                 n, q, params.omega).tolist()
 
 
 class CpuNttModel:

@@ -10,7 +10,7 @@ the array, which is what makes the paper's in-place update sound.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -22,11 +22,24 @@ __all__ = ["BankStorage"]
 
 class BankStorage:
     """One bank: ``rows_per_bank`` x ``words_per_row`` words plus an
-    explicit row buffer with open/closed state."""
+    explicit row buffer with open/closed state.
 
-    def __init__(self, arch: ArchParams):
+    With ``stack`` — a leading bank-axis shape, ``()`` or ``(banks,)`` —
+    the cell array instead holds that many lockstep banks and only the
+    ``rows`` window a compiled program touches: the data plane of
+    :meth:`repro.pim.bank_pim.PimBank.run_stream`, whose host I/O moves
+    uint64 arrays.  Per-command (row buffer) access needs the single
+    full bank.
+    """
+
+    def __init__(self, arch: ArchParams,
+                 stack: Optional[Tuple[int, ...]] = None,
+                 rows: Optional[range] = None):
         self.arch = arch
-        self._cells = np.zeros((arch.rows_per_bank, arch.words_per_row),
+        self.stack = stack
+        self.rows = rows if rows is not None else range(arch.rows_per_bank)
+        self._cells = np.zeros((stack or ()) + (len(self.rows),
+                                                arch.words_per_row),
                                dtype=np.uint64)
         self._row_buffer = np.zeros(arch.words_per_row, dtype=np.uint64)
         self._open_row: Optional[int] = None
@@ -87,7 +100,8 @@ class BankStorage:
 
     # -- compiled-stream back-door -------------------------------------------
     def atoms_view(self) -> np.ndarray:
-        """``(rows, columns, Na)`` uint64 view of the cell array.
+        """``(*stack, rows, columns, Na)`` uint64 view of the cell array;
+        row ``i`` of the view is bank row ``self.rows[i]``.
 
         The compiled-stream executor gathers/scatters whole fused groups
         of atoms through this view, bypassing the row buffer: the stream
@@ -97,9 +111,8 @@ class BankStorage:
         exact mirror of the open row — so direct cell access is
         observably identical.
         """
-        return self._cells.reshape(self.arch.rows_per_bank,
-                                   self.arch.columns_per_row,
-                                   self.arch.words_per_atom)
+        return self._cells.reshape(self._cells.shape[:-1] + (
+            self.arch.columns_per_row, self.arch.words_per_atom))
 
     # -- host back-door (loading inputs / reading results) -------------------
     def host_write_words(self, row: int, start_word: int, words: List[int]) -> None:
@@ -119,22 +132,31 @@ class BankStorage:
             raise MappingError("host access while a row is open")
         return [int(v) for v in self._cells[row, start_word:start_word + count]]
 
-    def host_write_polynomial(self, base_row: int, values: List[int]) -> None:
-        """Lay a polynomial out contiguously starting at ``base_row``."""
+    def _polynomial_span(self, base_row: int, length: int) -> np.ndarray:
+        """``(*stack, words)`` view of the whole rows a contiguous
+        polynomial of ``length`` words starting at ``base_row`` covers."""
+        if self._open_row is not None:
+            raise MappingError("host access while a row is open")
         r = self.arch.words_per_row
-        for offset in range(0, len(values), r):
-            chunk = values[offset:offset + r]
-            self.host_write_words(base_row + offset // r, 0, chunk)
+        start = base_row - self.rows.start
+        stop = start + -(-length // r)
+        if start < 0 or stop > len(self.rows):
+            raise MappingError(
+                f"polynomial at row {base_row} outside rows {self.rows}")
+        span = self._cells[..., start:stop, :]
+        return span.reshape(span.shape[:-2] + (-1,))
 
-    def host_read_polynomial(self, base_row: int, length: int) -> List[int]:
-        """Read back a contiguous polynomial."""
-        r = self.arch.words_per_row
-        out: List[int] = []
-        remaining = length
-        row = base_row
-        while remaining > 0:
-            take = min(r, remaining)
-            out.extend(self.host_read_words(row, 0, take))
-            remaining -= take
-            row += 1
-        return out
+    def host_write_polynomial(self, base_row: int, values) -> None:
+        """Lay a polynomial out contiguously starting at ``base_row``:
+        one slice copy of ``values`` (a sequence of ints for one bank,
+        an ``(*stack, N)`` array for a stack)."""
+        length = (values.shape[-1] if isinstance(values, np.ndarray)
+                  else len(values))
+        self._polynomial_span(base_row, length)[..., :length] = values
+
+    def host_read_polynomial(self, base_row: int, length: int):
+        """Read back a contiguous polynomial in one slice: Python ints
+        for one bank, a fresh ``(*stack, length)`` uint64 array for a
+        stack."""
+        words = self._polynomial_span(base_row, length)[..., :length]
+        return words.tolist() if self.stack is None else words.copy()

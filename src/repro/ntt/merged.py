@@ -27,6 +27,7 @@ from ..arith import vector
 from ..arith.bitrev import bit_reverse
 from ..arith.modmath import mod_inverse, mod_mul_vec, mod_pow
 from .negacyclic import NegacyclicParams
+from .reference import _check_length, _lanes_out
 
 __all__ = [
     "block_zeta_exponent",
@@ -60,13 +61,14 @@ def merged_negacyclic_ntt(values: Sequence[int],
     """Forward merged transform: natural-order input, NTT-domain output.
 
     CT butterfly ``(a + zeta*b, a - zeta*b)`` with stride halving each
-    stage; one zeta per block.
+    stage; one zeta per block.  Arrays in, arrays out, as
+    :func:`repro.ntt.reference.ntt`.
     """
     n, q = params.n, params.q
-    if len(values) != n:
-        raise ValueError(f"expected {n} values, got {len(values)}")
+    _check_length(values, n)
     if vector.numpy_active(q):
-        return vector.merged_negacyclic_forward(values, n, q, params.psi)
+        return _lanes_out(
+            vector.merged_negacyclic_forward(values, n, q, params.psi), values)
     x = [v % q for v in values]
     length = n // 2
     while length >= 1:
@@ -88,10 +90,10 @@ def merged_negacyclic_intt(values: Sequence[int],
     using each block's inverse zeta, then a 1/N scale.
     """
     n, q = params.n, params.q
-    if len(values) != n:
-        raise ValueError(f"expected {n} values, got {len(values)}")
+    _check_length(values, n)
     if vector.numpy_active(q):
-        return vector.merged_negacyclic_inverse(values, n, q, params.psi)
+        return _lanes_out(
+            vector.merged_negacyclic_inverse(values, n, q, params.psi), values)
     x = [v % q for v in values]
     psi_inv = params.psi_inv
     length = 1

@@ -30,10 +30,21 @@ __all__ = [
 ]
 
 
+def _check_length(values, n: int) -> None:
+    length = values.shape[-1] if vector.is_array(values) else len(values)
+    if length != n:
+        raise ValueError(f"expected {n} coefficients, got {length}")
+
+
 def _check_input(values: Sequence[int], params: NttParams) -> List[int]:
-    if len(values) != params.n:
-        raise ValueError(f"expected {params.n} coefficients, got {len(values)}")
+    _check_length(values, params.n)
     return [v % params.q for v in values]
+
+
+def _lanes_out(out, values):
+    """Array in, array out: a NumPy kernel's result goes back to Python
+    ints only when the caller passed a sequence."""
+    return out if vector.is_array(values) else out.tolist()
 
 
 def direct_ntt(values: Sequence[int], params: NttParams) -> List[int]:
@@ -58,12 +69,13 @@ def ntt_dit_bitrev_input(values: Sequence[int], params: NttParams) -> List[int]:
     Stage ``s`` (1-based) works on pairs that differ in bit ``s-1``; the
     lane twiddle is ``omega^(j * N / 2^s)``, geometric across ``j`` — the
     exact pattern the hardware TFG generates from ``(omega0, r_omega)``.
+    On the NumPy backend a uint64 array of any leading shape transforms
+    along its last axis and comes back as an array.
     """
     n, q, omega = params.n, params.q, params.omega
-    if len(values) != n:
-        raise ValueError(f"expected {n} coefficients, got {len(values)}")
+    _check_length(values, n)
     if vector.numpy_active(q):
-        return vector.ntt_dit_bitrev(values, n, q, omega)
+        return _lanes_out(vector.ntt_dit_bitrev(values, n, q, omega), values)
     x = _check_input(values, params)
     log_n = params.log_n
     for s in range(1, log_n + 1):
@@ -87,10 +99,9 @@ def ntt_dif_natural_input(values: Sequence[int], params: NttParams) -> List[int]
     a bit-reversal gives the same transform (asserted in tests).
     """
     n, q, omega = params.n, params.q, params.omega
-    if len(values) != n:
-        raise ValueError(f"expected {n} coefficients, got {len(values)}")
+    _check_length(values, n)
     if vector.numpy_active(q):
-        return vector.ntt_dif_natural(values, n, q, omega)
+        return _lanes_out(vector.ntt_dif_natural(values, n, q, omega), values)
     x = _check_input(values, params)
     log_n = params.log_n
     for s in range(log_n, 0, -1):
@@ -109,14 +120,15 @@ def ntt_dif_natural_input(values: Sequence[int], params: NttParams) -> List[int]
 
 def ntt(values: Sequence[int], params: NttParams) -> List[int]:
     """Natural-order forward NTT (software does the bit reversal, as in
-    the paper's host-side assumption)."""
-    return ntt_dit_bitrev_input(bit_reverse_permute(list(values)), params)
+    the paper's host-side assumption).  Arrays in, arrays out (see
+    :func:`ntt_dit_bitrev_input`)."""
+    return ntt_dit_bitrev_input(bit_reverse_permute(values), params)
 
 
 def intt(values: Sequence[int], params: NttParams) -> List[int]:
     """Natural-order inverse NTT, including the ``1/N`` scaling."""
     inv = params.inverse()
-    y = ntt_dit_bitrev_input(bit_reverse_permute(list(values)), inv)
+    y = ntt_dit_bitrev_input(bit_reverse_permute(values), inv)
     return mod_scale_vec(y, params.n_inv, params.q)
 
 

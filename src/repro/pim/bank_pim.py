@@ -4,11 +4,19 @@ This is the functional half of the simulator.  The driver feeds the same
 command list to this class (for data) and to the timing engine (for
 cycles) — mirroring the paper's two-way coupling between their Python
 front-end and DRAMsim3 (Sec. VI.A, footnote 1).
+
+A :class:`PimBank` is either one full bank — the per-command ground
+truth, whose host I/O speaks Python ints — or a *stack* of lockstep
+banks: in the paper's FHE deployment every bank steps through the same
+row-centric program on one shared command bus (Sec. VI.A), so a stack
+holds a leading bank axis over only the rows the program touches and
+:meth:`PimBank.run_stream` replays one compiled atom plan for all of
+them at once.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,16 +30,51 @@ from .buffers import AtomBufferFile
 from .cu import ComputeUnit
 from .params import PimParams
 
-__all__ = ["PimBank"]
+__all__ = ["PimBank", "touched_rows"]
+
+
+def touched_rows(stream: CommandStream) -> range:
+    """Every row a compiled program's commands name — the window a bank
+    stack must hold (memoized per stream)."""
+    rows = stream.fuse_cache.get("rows")
+    if rows is None:
+        named = stream.rows[stream.rows >= 0]
+        rows = stream.fuse_cache["rows"] = (
+            range(int(named.min()), int(named.max()) + 1) if len(named)
+            else range(0))
+    return rows
+
+
+def _window_ops(stream: CommandStream, row0: int, columns: int) -> tuple:
+    """The atom plan's ops with each read/write's ``(rows, cols)`` pair
+    folded into one atom index of a cell window that starts at bank row
+    ``row0`` — one gather per group instead of two (memoized per
+    stream)."""
+    key = ("ops", row0)
+    ops = stream.fuse_cache.get(key)
+    if ops is None:
+        ops = stream.fuse_cache[key] = tuple(
+            (op[0], (op[1] - row0) * columns + op[2], op[3])
+            if op[0] in ("read", "write") else op for op in stream.plan.ops)
+    return ops
 
 
 class PimBank:
-    """One bank with the paper's datapath extensions (Fig. 2 left)."""
+    """One bank with the paper's datapath extensions (Fig. 2 left).
 
-    def __init__(self, arch: ArchParams, pim: PimParams):
+    With ``stack`` (a leading bank-axis shape, ``()`` or ``(banks,)``)
+    and ``rows`` (from :func:`touched_rows`) it is instead a stack of
+    lockstep banks sharing one CU model: cells, buffers and the value
+    pool carry the bank axis, the µ-op counters count every bank, and
+    only atom-mode compiled plans run (:meth:`runs_atom_plan`).
+    """
+
+    def __init__(self, arch: ArchParams, pim: PimParams,
+                 stack: Optional[Tuple[int, ...]] = None,
+                 rows: Optional[range] = None):
         self.arch = arch
         self.pim = pim
-        self.storage = BankStorage(arch)
+        self.storage = BankStorage(arch, stack, rows)
         self.buffers = AtomBufferFile(pim.nb_buffers, arch.words_per_atom)
         self.cu = ComputeUnit(arch.words_per_atom, pim.use_montgomery)
         self.pending_q: int | None = None
@@ -180,6 +223,11 @@ class PimBank:
                          or vector.lanes_supported(self.cu.q)))
         return self.cu.q is not None and vector.lanes_supported(self.cu.q)
 
+    def runs_atom_plan(self, stream: CommandStream) -> bool:
+        """True when :meth:`run_stream` executes ``stream`` as one
+        atom-mode plan — the only kind a bank stack runs."""
+        return self._stream_fusable(stream) and stream.plan.mode == "atom"
+
     def run_stream(self, stream: CommandStream) -> None:
         """Apply a compiled program via its fused macro-ops.
 
@@ -187,41 +235,51 @@ class PimBank:
         every C1 of a butterfly-stage pass as a single stacked
         :class:`~repro.pim.cu.ComputeUnit` call, every CU_READ/CU_WRITE
         burst as one fancy-indexed gather/scatter against the cell
-        array; Nb=1 scalar-µ-op programs run their LOAD/BU/STORE runs
-        as stacked lane butterflies.  Data results, CU µ-op counters
-        and raised errors are identical to :meth:`run` on
-        ``stream.commands``; programs without a plan (or moduli outside
-        the lane kernels) fall back to that loop.
+        array, over every bank of a stack at once; Nb=1 scalar-µ-op
+        programs run their LOAD/BU/STORE runs as stacked lane
+        butterflies.  Data results, CU µ-op counters and raised errors
+        are identical to :meth:`run` on ``stream.commands`` (per bank of
+        a stack); programs without a plan (or moduli outside the lane
+        kernels) fall back to that loop, which needs a single full bank.
         """
-        if not self._stream_fusable(stream):
-            self.run(stream.commands)
-        elif stream.plan.mode == "lane":
+        fusable = self._stream_fusable(stream)
+        if fusable and stream.plan.mode == "atom":
+            self._run_atom_plan(stream)
+        elif self.storage.stack is not None:
+            raise MappingError("a bank stack runs only atom-mode plans")
+        elif fusable:
             self._run_lane_plan(stream)
         else:
-            self._run_atom_plan(stream)
+            self.run(stream.commands)
 
     def _run_atom_plan(self, stream: CommandStream) -> None:
         """Atom-mode plan: all virtual buffer versions live in one
-        ``(n_virtual, Na)`` pool, so group results scatter straight into
-        it — no per-row ``np.stack``."""
+        ``(*stack, n_virtual, Na)`` pool, so group results scatter
+        straight into it — no per-row ``np.stack`` — and every op
+        broadcasts over the bank axis."""
         plan = stream.plan
-        cells = self.storage.atoms_view()
+        storage = self.storage
+        cells = storage.atoms_view()
+        atoms = cells.reshape(cells.shape[:-3] + (-1, cells.shape[-1]))
         buffers = self.buffers
         cu = self.cu
         fuse_cache = stream.fuse_cache
         na = self.arch.words_per_atom
-        pool = np.empty((plan.n_virtual, na), dtype=np.uint64)
+        take = np.take
+        pool = np.empty(cells.shape[:-3] + (plan.n_virtual, na),
+                        dtype=np.uint64)
         for buf, vid in plan.init_versions:
-            pool[vid] = buffers.peek_array(buf)
+            pool[..., vid, :] = buffers.peek_array(buf)
 
-        for index, op in enumerate(plan.ops):
+        ops = _window_ops(stream, storage.rows.start, cells.shape[-2])
+        for index, op in enumerate(ops):
             kind = op[0]
             if kind == "read":
-                _, rows_a, cols_a, vouts = op
-                pool[vouts] = cells[rows_a, cols_a]
+                _, atoms_a, vouts = op
+                pool[..., vouts, :] = take(atoms, atoms_a, axis=-2)
             elif kind == "write":
-                _, rows_a, cols_a, vins = op
-                cells[rows_a, cols_a] = pool[vins]
+                _, atoms_a, vins = op
+                atoms[..., atoms_a, :] = take(pool, vins, axis=-2)
             elif kind == "c2":
                 _, pins, sins, pouts, souts, omega0s, r_omegas, gs = op
                 cache_key = (index, cu._require_modulus())
@@ -229,10 +287,11 @@ class PimBank:
                 if w2d is None:
                     w2d = fuse_cache[cache_key] = vector.c2_stack_wpack(
                         cache_key[1], omega0s, r_omegas, na)
-                p_out, s_out = cu.execute_c2_stack(pool[pins], pool[sins],
-                                                   w2d, gs=gs)
-                pool[pouts] = p_out
-                pool[souts] = s_out
+                p_out, s_out = cu.execute_c2_stack(
+                    take(pool, pins, axis=-2), take(pool, sins, axis=-2),
+                    w2d, gs=gs)
+                pool[..., pouts, :] = p_out
+                pool[..., souts, :] = s_out
             elif kind == "c1":
                 _, vins, vouts, omegas = op
                 cache_key = (index, cu._require_modulus())
@@ -240,7 +299,8 @@ class PimBank:
                 if wpack is None:
                     wpack = fuse_cache[cache_key] = vector.c1_stack_wpack(
                         cache_key[1], omegas, na)
-                pool[vouts] = cu.execute_c1_stack(pool[vins], wpack)
+                pool[..., vouts, :] = cu.execute_c1_stack(
+                    take(pool, vins, axis=-2), wpack)
             elif kind == "c1n":
                 _, vins, vouts, zetas_rows, gs = op
                 cache_key = (index, cu._require_modulus())
@@ -248,14 +308,15 @@ class PimBank:
                 if z2d is None:
                     z2d = fuse_cache[cache_key] = vector.c1n_stack_zpack(
                         cache_key[1], zetas_rows)
-                pool[vouts] = cu.execute_c1n_stack(pool[vins], z2d, gs=gs)
+                pool[..., vouts, :] = cu.execute_c1n_stack(
+                    take(pool, vins, axis=-2), z2d, gs=gs)
             else:  # param
                 if self.pending_q is None:
                     raise MappingError("PARAM_WRITE with no staged parameters")
                 cu.set_modulus(self.pending_q)
 
         for buf, vid in plan.final_versions:
-            buffers.write_array(buf, pool[vid].copy())
+            buffers.write_array(buf, pool[..., vid, :].copy())
 
     def _run_lane_plan(self, stream: CommandStream) -> None:
         """Lane-mode plan (Nb=1 scalar-µ-op programs): versions are
@@ -323,10 +384,13 @@ class PimBank:
             cu.reg_a = int(pool[plan.reg_final])
 
     # -- host data path -------------------------------------------------------
-    def load_polynomial(self, base_row: int, values: List[int]) -> None:
-        """Host writes the (already bit-reversed) input into the bank."""
+    def load_polynomial(self, base_row: int, values) -> None:
+        """Host writes the (already bit-reversed) input into the bank —
+        ints for one bank, an ``(*stack, N)`` uint64 array (one
+        polynomial per bank) for a stack."""
         self.storage.host_write_polynomial(base_row, values)
 
-    def read_polynomial(self, base_row: int, length: int) -> List[int]:
-        """Host reads the NTT result back."""
+    def read_polynomial(self, base_row: int, length: int):
+        """Host reads the NTT result back: a list of ints from one bank,
+        an ``(*stack, length)`` uint64 array from a stack."""
         return self.storage.host_read_polynomial(base_row, length)

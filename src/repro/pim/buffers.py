@@ -69,9 +69,10 @@ class AtomBufferFile:
 
     def write_array(self, index: int, words: np.ndarray) -> None:
         """Array form of :meth:`write`; takes ownership of ``words``
-        (callers pass fresh arrays, never views into live storage)."""
+        (callers pass fresh arrays, never views into live storage).  A
+        bank stack writes ``(*stack, Na)`` — one atom per bank."""
         self._check(index)
-        if len(words) != self.atom_words:
+        if words.shape[-1] != self.atom_words:
             raise MappingError(
                 f"buffer write needs {self.atom_words} words, got {len(words)}")
         self._data[index] = words

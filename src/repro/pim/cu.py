@@ -216,9 +216,11 @@ class ComputeUnit:
     # -- stacked execution (fused compiled-stream macro-ops) -------------------
     #
     # One call runs a whole fused group of k same-type commands on
-    # (k, Na) arrays via the stacked repro.arith.vector kernels —
-    # bit-identical to k per-atom calls, with the µ-op counters advanced
-    # by exactly k times the per-command numpy-path amounts.  Callers
+    # (..., k, Na) arrays via the stacked repro.arith.vector kernels —
+    # bit-identical to k per-atom calls per bank of the leading (bank
+    # stack) axes.  The µ-op counters advance by the per-command
+    # numpy-path amounts times the number of atoms (``size / Na``), so a
+    # stack of B lockstep banks counts exactly B single banks.  Callers
     # (PimBank.run_stream) only take these paths when the lane kernels
     # cover the loaded modulus.
 
@@ -226,7 +228,7 @@ class ComputeUnit:
         """``k`` fused C1 commands; ``wpack`` from
         :func:`repro.arith.vector.c1_stack_wpack`."""
         q = self._require_modulus()
-        k = len(x2d)
+        k = x2d.size // self.atom_words
         flies = (self.atom_words // 2) * self.log_atom_words * k
         self.bu_ops += flies
         self.load_uops += 2 * flies
@@ -238,7 +240,7 @@ class ComputeUnit:
         """``k`` fused C2 commands; ``w2d`` from
         :func:`repro.arith.vector.c2_stack_wpack`."""
         q = self._require_modulus()
-        lanes = self.atom_words * len(p2d)
+        lanes = p2d.size
         self.bu_ops += lanes
         self.load_uops += 2 * lanes
         self.store_uops += 2 * lanes
@@ -249,7 +251,7 @@ class ComputeUnit:
         """``k`` fused C1N commands; ``z2d`` from
         :func:`repro.arith.vector.c1n_stack_zpack`."""
         q = self._require_modulus()
-        k = len(x2d)
+        k = x2d.size // self.atom_words
         flies = (self.atom_words // 2) * self.log_atom_words * k
         self.bu_ops += flies
         self.load_uops += 2 * flies
@@ -265,7 +267,7 @@ class ComputeUnit:
         (each advances the BU, one load µ-op for the lane operand, one
         store for the register update, one generated twiddle)."""
         q = self._require_modulus()
-        k = len(a_arr)
+        k = a_arr.size
         self.bu_ops += k
         self.load_uops += k
         self.store_uops += k

@@ -13,9 +13,12 @@ result overwrites the input, in natural order.
 A :class:`TransformSpec` names one transform kind — forward or inverse
 cyclic NTT, or the merged negacyclic transform — and owns its program,
 input layout, host-side 1/N epilogue and golden model.  :func:`_run_bank`
-is the one functional checker: single transforms, every bank of a
-multi-bank dispatch, the transforms of a one-bank batch and the FHE
-accelerator all go through it.  The supported entry point is
+is the one functional checker, for ``banks x slots`` transforms of one
+spec: a single transform (1x1), a one-bank batch (1xk), each spec group
+of a multi-bank dispatch (kx1) and the FHE accelerator all go through
+it.  Lockstep banks run as one stacked pass with one golden check, the
+way every bank of the paper's FHE deployment steps through the same
+program on the shared command bus.  The supported entry point is
 :meth:`repro.api.Simulator.run`.
 """
 
@@ -24,8 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .._cache import ArtifactCache
+from ..arith import vector
 from ..arith.bitrev import bit_reverse_permute
+from ..arith.modmath import mod_scale_vec
 from ..arith.roots import NttParams
 from ..dram.energy import EnergyParams, HBM2E_ENERGY
 from ..dram.engine import TimingEngine
@@ -42,7 +49,7 @@ from ..ntt.merged import merged_negacyclic_intt, merged_negacyclic_ntt
 from ..ntt.negacyclic import NegacyclicParams
 from ..ntt.reference import intt as reference_intt
 from ..ntt.reference import ntt as reference_ntt
-from ..pim.bank_pim import PimBank
+from ..pim.bank_pim import PimBank, touched_rows
 from ..pim.params import PimParams
 from .results import NttRunResult
 
@@ -173,19 +180,19 @@ class TransformSpec:
         return program, cached_stream(program.ir, config.arch,
                                       key=program.key)
 
-    def load_layout(self, values: Sequence[int]) -> List[int]:
-        """Bank-resident input image (the Sec. IV.A host protocol leaves
-        cyclic inputs bit-reversed; the merged negacyclic mapping takes
-        natural order)."""
+    def load_layout(self, values: np.ndarray) -> np.ndarray:
+        """Bank-resident input image of ``(..., N)`` uint64 inputs (the
+        Sec. IV.A host protocol leaves cyclic inputs bit-reversed; the
+        merged negacyclic mapping takes natural order)."""
         if self.kind == "negacyclic":
-            return [v % self.q for v in values]
-        return bit_reverse_permute(list(values))
+            return values
+        return bit_reverse_permute(values)
 
-    def finalize(self, output: List[int]) -> List[int]:
-        """Host-side epilogue: the inverse transforms' 1/N scale."""
+    def finalize(self, output):
+        """Host-side epilogue: the inverse transforms' 1/N scale (a list
+        of ints, or a uint64 array of any leading shape)."""
         if not self.inverse:
             return output
-        from ..arith.modmath import mod_scale_vec
         return mod_scale_vec(output, self.cyclic_params.n_inv, self.q)
 
     @property
@@ -193,8 +200,10 @@ class TransformSpec:
         """The cyclic parameter view (negacyclic rings embed one)."""
         return self.ring.cyclic if self.kind == "negacyclic" else self.params
 
-    def expected(self, values: Sequence[int]) -> List[int]:
-        """Golden model of one bank's *finalized* output."""
+    def expected(self, values):
+        """Golden model of the *finalized* output: a list of ints, or on
+        the NumPy backend a uint64 array of any leading shape (one call
+        checks a whole bank stack)."""
         if self.kind == "negacyclic":
             golden = (merged_negacyclic_intt if self.inverse
                       else merged_negacyclic_ntt)
@@ -207,30 +216,75 @@ class TransformSpec:
         return f"{'inverse ' if self.inverse else ''}{self.kind}"
 
 
-def _run_bank(spec: TransformSpec, inputs: Sequence[Sequence[int]],
-              config: SimConfig, programs: Sequence[CachedProgram],
-              stream: CommandStream) -> Tuple[List[List[int]], int]:
-    """Functional half of one bank holding one or more ``spec``
-    transforms: lay each input out at its program's ``base_row``,
-    replay the compiled stream once, read each result back at its
-    program's ``result_base_row`` and finalize it, then (with
-    ``config.verify``) check it against the golden model.  Returns the
-    finalized outputs and the executed butterfly µ-op count."""
-    bank = PimBank(config.arch, config.pim)
+def _mismatch(spec: TransformSpec, config: SimConfig) -> FunctionalMismatch:
+    return FunctionalMismatch(
+        f"PIM {spec.describe()} result wrong for N={spec.n}, "
+        f"Nb={config.pim.nb_buffers}")
+
+
+def _run_bank(spec: TransformSpec, inputs, config: SimConfig,
+              programs: Sequence[CachedProgram],
+              stream: CommandStream) -> Tuple[list, int]:
+    """The one functional checker: ``banks x slots`` ``spec`` transforms.
+
+    ``inputs`` holds natural-order polynomials shaped ``(slots, N)`` for
+    one bank (a lone transform is 1x1, a batch 1xk) or ``(banks, slots,
+    N)`` for lockstep banks (a spec group of a multi-bank dispatch,
+    kx1).  Slot ``s`` lives at ``programs[s]``'s rows, and ``stream`` is
+    bank 0's compiled program, which every bank replays.  Steps: one
+    uint64 conversion plus the cyclic layout's bit-reversal gather; one
+    load per slot into a bank stack holding only the rows ``stream``
+    touches; one pass of the atom plan over the bank axis; one slice
+    read per slot and the inverse 1/N scale on the array; one golden
+    call for the whole stack; one conversion to Python ints.
+
+    Streams a stack cannot run — the python backend (the ground truth),
+    Nb=1 lane plans, moduli without lane support, programs with no plan
+    — run bank by bank on full single banks instead.  Returns the
+    finalized outputs, nested like ``inputs``, and the executed
+    butterfly µ-op count (with ``config.verify``, a wrong result raises
+    :class:`FunctionalMismatch`).
+    """
+    values = vector.uint64_lanes(inputs, spec.q)
+    bank = PimBank(config.arch, config.pim, stack=values.shape[:-2],
+                   rows=touched_rows(stream))
     bank.set_parameters(spec.q)
-    for values, program in zip(inputs, programs):
-        bank.load_polynomial(program.base_row, spec.load_layout(values))
+    if not bank.runs_atom_plan(stream):
+        return _run_bank_by_bank(spec, values, config, programs, stream)
+    layout = spec.load_layout(values)
+    for slot, program in enumerate(programs):
+        bank.load_polynomial(program.base_row, layout[..., slot, :])
     bank.run_stream(stream)
-    outputs = []
-    for values, program in zip(inputs, programs):
-        output = spec.finalize(
+    outputs = spec.finalize(np.stack(
+        [bank.read_polynomial(program.result_base_row, spec.n)
+         for program in programs], axis=-2))
+    if config.verify and not np.array_equal(outputs, spec.expected(values)):
+        raise _mismatch(spec, config)
+    return outputs.tolist(), bank.cu.bu_ops
+
+
+def _run_bank_by_bank(spec: TransformSpec, values: np.ndarray,
+                      config: SimConfig, programs: Sequence[CachedProgram],
+                      stream: CommandStream) -> Tuple[list, int]:
+    """:func:`_run_bank` one full single bank at a time, with lists of
+    ints through host I/O and the golden model."""
+    banks: List[List[List[int]]] = []
+    bu_ops = 0
+    for bank_values in values.reshape((-1,) + values.shape[-2:]):
+        bank = PimBank(config.arch, config.pim)
+        bank.set_parameters(spec.q)
+        for image, program in zip(spec.load_layout(bank_values), programs):
+            bank.load_polynomial(program.base_row, image)
+        bank.run_stream(stream)
+        outputs = [spec.finalize(
             bank.read_polynomial(program.result_base_row, spec.n))
-        if config.verify and output != spec.expected(values):
-            raise FunctionalMismatch(
-                f"PIM {spec.describe()} result wrong for N={spec.n}, "
-                f"Nb={config.pim.nb_buffers}")
-        outputs.append(output)
-    return outputs, bank.cu.bu_ops
+            for program in programs]
+        if config.verify and outputs != [spec.expected(natural.tolist())
+                                         for natural in bank_values]:
+            raise _mismatch(spec, config)
+        banks.append(outputs)
+        bu_ops += bank.cu.bu_ops
+    return (banks if values.ndim == 3 else banks[0]), bu_ops
 
 
 def _run_transform(spec: TransformSpec, values: Sequence[int],

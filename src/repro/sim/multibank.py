@@ -8,11 +8,13 @@ bus saturates — which this module lets us measure.
 
 The merge is *kind-generic*: a :class:`~repro.sim.driver.TransformSpec`
 names which per-bank program every bank runs — forward or inverse
-cyclic NTT, or the merged negacyclic transform — and every bank's
-functional run goes through the same single-bank checker a lone
-transform uses.  That one abstraction is what lets the serving layer's
-batching scheduler coalesce negacyclic and inverse traffic exactly like
-forward cyclic NTTs.
+cyclic NTT, or the merged negacyclic transform.  Functionally, the
+banks of one spec step through the same program in lockstep, so each
+spec group runs as one stacked pass of the checker a lone transform
+uses (:func:`~repro.sim.driver._run_bank`, ``banks x 1``), with one
+golden check per group.  That one abstraction is what lets the serving
+layer's batching scheduler coalesce negacyclic and inverse traffic
+exactly like forward cyclic NTTs.
 """
 
 from __future__ import annotations
@@ -144,16 +146,21 @@ def _run_multibank(inputs: Sequence[Sequence[int]],
     outputs: List[List[int]] = []
     bu_ops = 0
     if config.functional:
-        # Banks are functionally independent, so each executes its own
-        # per-bank compiled stream (cached per (spec, config, bank))
-        # — equivalent to replaying the round-robin merge command by
-        # command, minus the interleaving overhead.
-        for values, program, spec in zip(inputs, programs, specs):
-            stream = cached_stream(program.ir, config.arch,
-                                   key=program.key)
-            (output,), ops = _run_bank(spec, [values], config, [program],
-                                       stream)
-            outputs.append(output)
+        # Banks are functionally independent and the banks of one spec
+        # run programs that differ only in their bank index, so each
+        # spec group replays bank 0's compiled stream once over a bank
+        # stack — equivalent to replaying the round-robin merge command
+        # by command, minus the interleaving.
+        groups = {}
+        for index, spec in enumerate(specs):
+            groups.setdefault(spec, []).append(index)
+        outputs = [None] * banks
+        for spec, members in groups.items():
+            program, stream = spec.compile(config)
+            group, ops = _run_bank(spec, [[inputs[i]] for i in members],
+                                   config, [program], stream)
+            for index, (output,) in zip(members, group):
+                outputs[index] = output
             bu_ops += ops
     verified = config.functional and config.verify
 

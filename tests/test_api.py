@@ -219,6 +219,34 @@ class TestCoefficientRange:
                                    match=r"coefficients must lie in \[0, q\)"):
                     Simulator().run(request)
 
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("bad", [1.5, "5", 2.0],
+                             ids=["float", "str", "integral-float"])
+    def test_non_integer_rejected(self, backend, bad):
+        """A non-integer coefficient is a RequestValidationError on both
+        backends — never silently truncated by a uint64 conversion,
+        never a raw TypeError or a misleading FunctionalMismatch."""
+        with use_backend(backend):
+            for request in self._requests(bad):
+                with pytest.raises(RequestValidationError,
+                                   match="coefficients must be integers"):
+                    Simulator().run(request)
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_integral_types_accepted(self, backend):
+        """bool and NumPy integer scalars are integers: they are served
+        exactly like the equal Python ints."""
+        import numpy as np
+
+        values = _data()
+        typed = [np.int64(v) for v in values]
+        typed[0], typed[1] = True, np.uint64(values[1])
+        values[0] = 1
+        with use_backend(backend):
+            plain = Simulator().run(NttRequest(params=PARAMS, values=values))
+            mixed = Simulator().run(NttRequest(params=PARAMS, values=typed))
+        assert mixed.verified and mixed.values == plain.values
+
     def test_raw_program_words_bounded_by_bank_width(self):
         request = ProgramRequest(
             commands=TransformSpec(params=PARAMS).program(

@@ -482,8 +482,21 @@ class TestLiveSurface:
         """One out-of-range coefficient is a RequestValidationError at
         submit(); the neighbours it would have shared a dispatch with
         are served as if it never arrived."""
+        self._check_rejected_at_admission(backend, -1)
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("bad", [1.5, "5"], ids=["float", "str"])
+    def test_non_integer_coefficient_rejected_at_admission(self, backend,
+                                                           bad):
+        """A non-integer coefficient is rejected at submit() the same
+        way, before the stacked data plane's uint64 load could truncate
+        it."""
+        self._check_rejected_at_admission(backend, bad)
+
+    @staticmethod
+    def _check_rejected_at_admission(backend, bad_value):
         values = list(ntt_request(9).values)
-        values[3] = -1
+        values[3] = bad_value
         bad = NttRequest(params=PARAMS, values=values)
         with use_backend(backend):
             with pytest.raises(RequestValidationError,
