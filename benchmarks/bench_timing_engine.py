@@ -4,8 +4,9 @@ Measures commands/sec of ``TimingEngine.simulate`` (the ground-truth
 per-command loop) against ``TimingEngine.simulate_stream`` (the SoA
 compiled-stream loop) on fixed NTT command programs, plus the one-time
 cold map (program-cache miss to IR) and stream compile costs and the
-end-to-end functional ``run_ntt`` speedup of the stream-routed driver
-over the legacy per-command bank, plus the functional data plane's rate
+functional bank speedup of the fused compiled plan over the per-command
+bank (``PimBank.run``, the scalar ground truth; its time is recorded
+as ``bank_legacy_s``), plus the functional data plane's rate
 on warm 8-bank dispatches (ns per butterfly µ-op) — and merges the
 measurements into ``BENCH_kernels.json`` at the repo root.  Each
 mapper, compiler and data-plane entry also records the host slowdown
@@ -89,8 +90,8 @@ def run(ns=(1024, 4096), repeats: int = 5,
         legacy_s = _best_of(lambda: engine.simulate(commands), repeats)
         stream_s = _best_of(lambda: engine.simulate_stream(stream), repeats)
 
-        # End-to-end functional execution: stream-fused bank vs the
-        # legacy per-command bank on the same program and data.
+        # Functional execution: the fused compiled plan vs the scalar
+        # ground-truth per-command bank on the same program and data.
         rng = random.Random(n)
         data = bit_reverse_permute([rng.randrange(q) for _ in range(n)])
 
@@ -182,7 +183,7 @@ def _bench_map(n: int, nb: int, repeats: int) -> dict:
 def _bench_nb1(repeats: int, n: int = 256) -> dict:
     """Nb=1 µ-op programs: the lane-renaming pass must fuse them, and
     the fused run must beat the per-command loop a non-fused stream
-    executes (``PimBank.run``, the pre-compiler behavior)."""
+    executes (``PimBank.run``, the scalar ground truth)."""
     q = find_ntt_prime(n, 32)
     config = SimConfig(pim=PimParams(nb_buffers=1))
     spec = TransformSpec(params=NttParams(n, q))
@@ -220,7 +221,7 @@ def _format(results: dict) -> str:
             f"engine {entry['engine_legacy_cmds_per_s'] / 1e6:5.2f} -> "
             f"{entry['engine_stream_cmds_per_s'] / 1e6:5.2f} Mcmd/s "
             f"({entry['engine_speedup']:4.1f}x)  "
-            f"bank {entry['bank_legacy_s'] * 1e3:7.2f} -> "
+            f"bank scalar {entry['bank_legacy_s'] * 1e3:7.2f} -> fused "
             f"{entry['bank_stream_s'] * 1e3:6.2f} ms "
             f"({entry['bank_speedup']:4.1f}x)  "
             f"compile {entry['compile_s'] * 1e3:6.1f} ms")

@@ -53,13 +53,21 @@ def _freeze_nested(rows) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
+#: Every residue must fit one bank word: ``BankStorage`` cells are uint64.
+_BANK_WORD_LIMIT = 1 << 64
+
+
 def _check_values(label: str, values: Tuple[int, ...], n: Optional[int],
                   q: int) -> None:
-    """The one input rule for a coefficient vector: ``n`` values (when
-    given), every one an integer (a :class:`numbers.Integral`: ``int``,
-    ``bool`` or a NumPy integer scalar) and a residue ``0 <= v < q``.
-    The type set and ``min``/``max`` over the frozen tuple run at C
-    speed, so admission stays cheap."""
+    """The one input rule for a coefficient vector: a modulus
+    ``q <= 2**64``, so that every residue fits a bank word; ``n`` values
+    (when given), every one an integer (a :class:`numbers.Integral`:
+    ``int``, ``bool`` or a NumPy integer scalar) and a residue
+    ``0 <= v < q``.  The type set and ``min``/``max`` over the frozen
+    tuple run at C speed, so admission stays cheap."""
+    if q > _BANK_WORD_LIMIT:
+        raise RequestValidationError(
+            f"{label}: modulus q={q} is wider than the 64-bit bank word")
     if n is not None and len(values) != n:
         raise RequestValidationError(
             f"{label}: expected {n} values, got {len(values)}")
@@ -349,12 +357,14 @@ class KyberKemRequest(SimRequest):
     def validate(self) -> None:
         # Lazy: repro.ntt sits above this module's import layer.
         from ..ntt.incomplete import IncompleteNttParams
+        # The cheap coefficient rule first: the ring check searches for
+        # a root of unity, which factors q - 1 (seconds for a 65-bit q).
+        for label, operand in (("a", self.a), ("b", self.b)):
+            _check_values(f"operand {label}", operand, self.n, self.q)
         try:
             IncompleteNttParams(self.n, self.q, self.depth)
         except ValueError as exc:
             raise RequestValidationError(str(exc)) from None
-        for label, operand in (("a", self.a), ("b", self.b)):
-            _check_values(f"operand {label}", operand, self.n, self.q)
 
 
 @dataclass(frozen=True)
@@ -368,11 +378,11 @@ class ProgramRequest(SimRequest):
     With ``functional=True`` the program also executes on the
     functional bank model: ``memory`` rows are host-written first
     (``(base_row, words)`` pairs, exactly as the Sec. IV.A protocol
-    leaves the input "already in memory"), ``modulus`` is staged for
-    the program's PARAM_WRITE, and after execution the bank-resident
-    ``read_rows`` window (``(base_row, length)``) is read back into
-    ``SimResponse.values`` — the same envelope shape every other
-    workload returns.
+    leaves the input "already in memory"), ``modulus`` (odd, in
+    ``[3, 2**64)``) is staged for the program's PARAM_WRITE, and after
+    execution the bank-resident ``read_rows`` window
+    (``(base_row, length)``) is read back into ``SimResponse.values`` —
+    the same envelope shape every other workload returns.
     """
 
     workload: ClassVar[str] = "program"
@@ -402,8 +412,12 @@ class ProgramRequest(SimRequest):
                 raise RequestValidationError(
                     "modulus/memory/read_rows require functional=True")
             return
-        if self.modulus is not None and self.modulus < 2:
-            raise RequestValidationError("modulus must be >= 2")
+        if self.modulus is not None and not (
+                3 <= self.modulus < _BANK_WORD_LIMIT and self.modulus % 2):
+            # The Montgomery BU's range (arith/montgomery.py): odd, > 2,
+            # and every residue must fit a bank word.
+            raise RequestValidationError(
+                f"modulus must be odd and in [3, 2**64), got {self.modulus}")
         for row, words in self.memory:
             if row < 0:
                 raise RequestValidationError("memory base_row must be >= 0")
@@ -412,7 +426,7 @@ class ProgramRequest(SimRequest):
                     f"memory row {row}: need at least one word")
             # Without a modulus the words are raw 64-bit bank words.
             _check_values(f"memory row {row}", words, None,
-                          self.modulus or 1 << 64)
+                          self.modulus or _BANK_WORD_LIMIT)
         if self.read_rows is not None:
             base, length = self.read_rows
             if base < 0 or length < 1:

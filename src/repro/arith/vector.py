@@ -1,9 +1,10 @@
 """Vectorized NumPy compute backend for the whole simulator stack.
 
-Every hot path of the library — golden NTTs, the PIM compute unit, the
-RNS/RLWE element-wise ops — bottoms out in element-wise modular
-arithmetic.  This module provides that arithmetic on NumPy ``uint64``
-lanes, behind a process-wide backend selector:
+Every hot path of the library — golden NTTs, the compiled PIM plans'
+stacked butterfly kernels, the RNS/RLWE element-wise ops — bottoms out
+in element-wise modular arithmetic.  This module provides that
+arithmetic on NumPy ``uint64`` lanes, behind a process-wide backend
+selector:
 
 * ``"python"`` — the pure-Python scalar routines of
   :mod:`repro.arith.modmath`; exact for any modulus and the library's
@@ -43,7 +44,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from functools import lru_cache
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence
 
 try:  # NumPy is an optional accelerator, never a hard dependency.
     import numpy as np
@@ -75,12 +76,6 @@ __all__ = [
     "merged_negacyclic_forward",
     "merged_negacyclic_inverse",
     "is_array",
-    "c1_atom",
-    "c1_atom_arr",
-    "c2_atom",
-    "c2_atom_arr",
-    "c1n_atom",
-    "c1n_atom_arr",
     "c1_stack_wpack",
     "c1_stack_arr",
     "c2_stack_wpack",
@@ -147,6 +142,12 @@ def lanes_supported(q: int) -> bool:
 def numpy_active(q: int) -> bool:
     """True when the numpy backend is selected *and* can handle ``q``."""
     return _backend == "numpy" and lanes_supported(q)
+
+
+def is_array(x) -> bool:
+    """True when ``x`` is a NumPy array — how the list-or-array entry
+    points (golden NTTs, element-wise ops) tell their inputs apart."""
+    return HAS_NUMPY and isinstance(x, np.ndarray)
 
 
 # -- uint64 lane primitives ----------------------------------------------------
@@ -455,119 +456,13 @@ def merged_negacyclic_inverse(values, n: int, q: int, psi: int):
     return scale_arr(x, pow(n, -1, q), q)
 
 
-# -- PIM atom kernels (the CU's C1/C2/C1N on whole atoms) ----------------------
-#
-# The ``*_arr`` cores take and return uint64 arrays so the functional
-# bank can keep atoms array-resident from DRAM cells through buffers to
-# the CU with zero list conversions; the plain-named wrappers provide
-# the list API the scalar path and tests use.
-
-def is_array(x) -> bool:
-    """True when ``x`` is a NumPy array (atom fast-path detection)."""
-    return HAS_NUMPY and isinstance(x, np.ndarray)
-
-
-def c1_atom_arr(x, q: int, steps: Sequence[int]):
-    """Size-``Na`` DIT network on one atom with per-stage lane steps
-    ``steps[s]`` (index 1..log Na) — the array form of
-    :meth:`repro.pim.cu.ComputeUnit.execute_c1`."""
-    na = len(x)
-    x = x % _u64(q)
-    log_na = na.bit_length() - 1
-    for s in range(1, log_na + 1):
-        m = 1 << (s - 1)
-        w = _geom_run_arr(1, steps[s], m, q)
-        x = x.reshape(-1, 2 * m)
-        a = x[:, :m].copy()
-        t = mod_mul_arr(w[None, :], x[:, m:], q)
-        x[:, :m] = mod_add_arr(a, t, q)
-        x[:, m:] = mod_sub_arr(a, t, q)
-        x = x.reshape(-1)
-    return x
-
-
-def c1_atom(words: Sequence[int], q: int, steps: Sequence[int]) -> List[int]:
-    """List-API form of :func:`c1_atom_arr`."""
-    return c1_atom_arr(_as_lanes(words, q), q, steps).tolist()
-
-
-def c2_atom_arr(p, s, q: int, omega0: int, r_omega: int, gs: bool = False):
-    """One ``Na``-way butterfly between two atoms with the TFG's geometric
-    lane twiddles — the array form of
-    :meth:`repro.pim.cu.ComputeUnit.execute_c2`.
-
-    The hottest kernel of the functional bank (one call per C2 command);
-    the direct regime is written with raw ufuncs on a cached uint64
-    scalar to keep the per-call overhead minimal.
-    """
-    q_u64 = _u64(q)
-    p = p % q_u64
-    s = s % q_u64
-    w = _geom_run_arr(omega0, r_omega, len(p), q)
-    if q < _DIRECT_LIMIT:
-        if gs:
-            return (p + s) % q_u64, ((p + (q_u64 - s)) % q_u64 * w) % q_u64
-        t = (w * s) % q_u64
-        return (p + t) % q_u64, (p + (q_u64 - t)) % q_u64
-    if gs:
-        return (mod_add_arr(p, s, q),
-                mod_mul_arr(mod_sub_arr(p, s, q), w, q))
-    t = mod_mul_arr(w, s, q)
-    return mod_add_arr(p, t, q), mod_sub_arr(p, t, q)
-
-
-def c2_atom(p_words: Sequence[int], s_words: Sequence[int], q: int,
-            omega0: int, r_omega: int,
-            gs: bool = False) -> Tuple[List[int], List[int]]:
-    """List-API form of :func:`c2_atom_arr`."""
-    p_out, s_out = c2_atom_arr(_as_lanes(p_words, q), _as_lanes(s_words, q),
-                               q, omega0, r_omega, gs=gs)
-    return p_out.tolist(), s_out.tolist()
-
-
-def c1n_atom_arr(x, q: int, zetas: Sequence[int], gs: bool = False):
-    """Merged-negacyclic intra-atom stages (constant zeta per block) —
-    the array form of :meth:`repro.pim.cu.ComputeUnit.execute_c1n`.
-
-    Zeta consumption order matches the scalar path: forward (CT) walks
-    strides Na/2, Na/4, ..., 1; inverse (GS) walks 1, 2, ..., Na/2.
-    """
-    na = len(x)
-    x = x % _u64(q)
-    log_na = na.bit_length() - 1
-    lengths = ([na >> s for s in range(1, log_na + 1)] if not gs
-               else [1 << s for s in range(log_na)])
-    idx = 0
-    for length in lengths:
-        blocks = na // (2 * length)
-        z = np.array([zetas[idx + k] % q for k in range(blocks)],
-                     dtype=np.uint64)
-        idx += blocks
-        xr = x.reshape(-1, 2 * length)
-        a = xr[:, :length].copy()
-        if gs:
-            b = xr[:, length:].copy()
-            xr[:, :length] = mod_add_arr(a, b, q)
-            xr[:, length:] = mod_mul_arr(mod_sub_arr(a, b, q), z[:, None], q)
-        else:
-            t = mod_mul_arr(z[:, None], xr[:, length:], q)
-            xr[:, :length] = mod_add_arr(a, t, q)
-            xr[:, length:] = mod_sub_arr(a, t, q)
-    return x
-
-
-def c1n_atom(words: Sequence[int], q: int, zetas: Sequence[int],
-             gs: bool = False) -> List[int]:
-    """List-API form of :func:`c1n_atom_arr`."""
-    return c1n_atom_arr(_as_lanes(words, q), q, zetas, gs=gs).tolist()
-
-
 # -- stacked PIM kernels (fused macro-ops of the compiled command stream) ------
 #
 # The ``*_stack_arr`` kernels run one whole fused group of same-type
 # compute commands — e.g. every C1 of a butterfly-stage pass — as a
 # single vectorized call on a ``(k, Na)`` array of atom rows.  Row ``j``
-# computes exactly what the ``j``-th command's per-atom kernel would,
+# computes exactly what the scalar ``ComputeUnit.execute_c1`` /
+# ``execute_c2`` / ``execute_c1n`` computes for the ``j``-th command,
 # so the stacked path is bit-identical to ``k`` separate calls.  The
 # ``*_wpack``/``*_zpack`` helpers prebuild the per-row twiddle material
 # (cached per compiled stream and modulus by the executor).
@@ -603,9 +498,10 @@ def c1_stack_wpack(q: int, omegas: Sequence[int], na: int):
 
 
 def c1_stack_arr(x, q: int, wpack):
-    """Stacked form of :func:`c1_atom_arr`: ``x`` is ``(..., k, Na)``,
-    one atom per row of the last two axes (leading axes — the bank
-    stack — broadcast); ``wpack`` comes from :func:`c1_stack_wpack`."""
+    """Stacked form of :meth:`repro.pim.cu.ComputeUnit.execute_c1`:
+    ``x`` is ``(..., k, Na)``, one atom per row of the last two axes
+    (leading axes — the bank stack — broadcast); ``wpack`` comes from
+    :func:`c1_stack_wpack`."""
     lead = x.shape[:-1]
     x = x % _u64(q)
     log_na = x.shape[-1].bit_length() - 1
@@ -629,9 +525,10 @@ def c2_stack_wpack(q: int, omega0s: Sequence[int], r_omegas: Sequence[int],
 
 
 def c2_stack_arr(p, s, q: int, w, gs: bool = False):
-    """Stacked form of :func:`c2_atom_arr`: ``p``/``s`` are
-    ``(..., k, Na)`` and ``w`` is ``(k, Na)`` — the P legs, S legs and
-    lane twiddles of ``k`` fused C2 commands (leading axes broadcast)."""
+    """Stacked form of :meth:`repro.pim.cu.ComputeUnit.execute_c2`:
+    ``p``/``s`` are ``(..., k, Na)`` and ``w`` is ``(k, Na)`` — the P
+    legs, S legs and lane twiddles of ``k`` fused C2 commands (leading
+    axes broadcast)."""
     q_u64 = _u64(q)
     p = p % q_u64
     s = s % q_u64
@@ -654,10 +551,10 @@ def c1n_stack_zpack(q: int, zetas_rows: Sequence[Sequence[int]]):
 
 
 def c1n_stack_arr(x, q: int, z2d, gs: bool = False):
-    """Stacked form of :func:`c1n_atom_arr`: ``x`` is ``(..., k, Na)``
-    (leading axes broadcast), ``z2d`` the matching ``(k, Na-1)`` zeta
-    matrix from :func:`c1n_stack_zpack`.  Zeta consumption order per
-    row matches the per-atom kernel."""
+    """Stacked form of :meth:`repro.pim.cu.ComputeUnit.execute_c1n`:
+    ``x`` is ``(..., k, Na)`` (leading axes broadcast), ``z2d`` the
+    matching ``(k, Na-1)`` zeta matrix from :func:`c1n_stack_zpack`.
+    Each row consumes its zetas in the scalar method's order."""
     lead = x.shape[:-1]
     na = x.shape[-1]
     x = x % _u64(q)

@@ -80,14 +80,7 @@ class BankStorage:
         """RD / CU_READ: one atom out of the open row buffer."""
         self._check_column_access(row, col)
         na = self.arch.words_per_atom
-        return [int(v) for v in self._row_buffer[col * na:(col + 1) * na]]
-
-    def read_atom_array(self, row: int, col: int) -> np.ndarray:
-        """Array form of :func:`read_atom` — a fresh uint64 copy, so the
-        caller can hold it across later writes to the row buffer."""
-        self._check_column_access(row, col)
-        na = self.arch.words_per_atom
-        return self._row_buffer[col * na:(col + 1) * na].copy()
+        return self._row_buffer[col * na:(col + 1) * na].tolist()
 
     def write_atom(self, row: int, col: int, words: List[int]) -> None:
         """WR / CU_WRITE: one atom into the open row buffer."""
@@ -115,23 +108,6 @@ class BankStorage:
             self.arch.columns_per_row, self.arch.words_per_atom))
 
     # -- host back-door (loading inputs / reading results) -------------------
-    def host_write_words(self, row: int, start_word: int, words: List[int]) -> None:
-        """Direct array write, bypassing timing — models the input data
-        already residing in memory before the NTT request (Sec. IV.A)."""
-        if self._open_row is not None:
-            raise MappingError("host access while a row is open")
-        r = self.arch.words_per_row
-        if start_word < 0 or start_word + len(words) > r:
-            raise MappingError("host write crosses a row boundary")
-        self._cells[row, start_word:start_word + len(words)] = np.array(
-            words, dtype=np.uint64)
-
-    def host_read_words(self, row: int, start_word: int, count: int) -> List[int]:
-        """Direct array read, bypassing timing."""
-        if self._open_row is not None:
-            raise MappingError("host access while a row is open")
-        return [int(v) for v in self._cells[row, start_word:start_word + count]]
-
     def _polynomial_span(self, base_row: int, length: int) -> np.ndarray:
         """``(*stack, words)`` view of the whole rows a contiguous
         polynomial of ``length`` words starting at ``base_row`` covers."""

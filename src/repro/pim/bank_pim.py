@@ -78,8 +78,6 @@ class PimBank:
         self.buffers = AtomBufferFile(pim.nb_buffers, arch.words_per_atom)
         self.cu = ComputeUnit(arch.words_per_atom, pim.use_montgomery)
         self.pending_q: int | None = None
-        self._arrays_key: tuple | None = None
-        self._arrays_flag = False
         # Per-type handlers: run() looks one up per command, and a dict
         # dispatch beats re-evaluating an if-chain of enum membership tests.
         self._dispatch = {
@@ -102,17 +100,6 @@ class PimBank:
         """Stage the modulus the next PARAM_WRITE command will latch."""
         self.pending_q = q
 
-    def _use_arrays(self) -> bool:
-        """Keep atoms array-resident (storage -> buffers -> CU -> storage)
-        when the numpy backend can handle the active modulus; the scalar
-        list path is the pure-Python ground truth.  Memoized per
-        (modulus, backend) — this runs for every command."""
-        key = (self.cu.q, vector.get_backend())
-        if key != self._arrays_key:
-            self._arrays_key = key
-            self._arrays_flag = key[0] is not None and vector.numpy_active(key[0])
-        return self._arrays_flag
-
     # -- per-command handlers --------------------------------------------------
     def _exec_act(self, cmd: Command) -> None:
         self.storage.activate(cmd.row)
@@ -123,58 +110,34 @@ class PimBank:
     def _exec_rd(self, cmd: Command) -> None:
         # A plain RD sends data to chip I/O; nothing bank-side changes
         # (the access is still validated).
-        self.storage.read_atom_array(cmd.row, cmd.col)
+        self.storage.read_atom(cmd.row, cmd.col)
 
     def _exec_cu_read(self, cmd: Command) -> None:
-        if self._use_arrays():
-            self.buffers.write_array(
-                cmd.buf, self.storage.read_atom_array(cmd.row, cmd.col))
-        else:
-            self.buffers.write(cmd.buf, self.storage.read_atom(cmd.row, cmd.col))
+        self.buffers.write(cmd.buf, self.storage.read_atom(cmd.row, cmd.col))
 
     def _exec_wr(self, cmd: Command) -> None:
         raise MappingError(
             "plain WR with host data is not used by the NTT mapping")
 
     def _exec_cu_write(self, cmd: Command) -> None:
-        words = (self.buffers.peek_array(cmd.buf) if self._use_arrays()
-                 else self.buffers.read(cmd.buf))
-        self.storage.write_atom(cmd.row, cmd.col, words)
+        self.storage.write_atom(cmd.row, cmd.col, self.buffers.read(cmd.buf))
 
     def _exec_c1(self, cmd: Command) -> None:
-        if self._use_arrays():
-            out = self.cu.execute_c1(self.buffers.peek_array(cmd.buf),
-                                     cmd.omega0, cmd.r_omega or 0)
-            self.buffers.write_array(cmd.buf, out)
-        else:
-            out = self.cu.execute_c1(self.buffers.read(cmd.buf),
-                                     cmd.omega0, cmd.r_omega or 0)
-            self.buffers.write(cmd.buf, out)
+        out = self.cu.execute_c1(self.buffers.read(cmd.buf),
+                                 cmd.omega0, cmd.r_omega or 0)
+        self.buffers.write(cmd.buf, out)
 
     def _exec_c2(self, cmd: Command) -> None:
-        if self._use_arrays():
-            p_out, s_out = self.cu.execute_c2(
-                self.buffers.peek_array(cmd.buf),
-                self.buffers.peek_array(cmd.buf2),
-                cmd.omega0, cmd.r_omega, gs=cmd.gs)
-            self.buffers.write_array(cmd.buf, p_out)
-            self.buffers.write_array(cmd.buf2, s_out)
-        else:
-            p_out, s_out = self.cu.execute_c2(
-                self.buffers.read(cmd.buf), self.buffers.read(cmd.buf2),
-                cmd.omega0, cmd.r_omega, gs=cmd.gs)
-            self.buffers.write(cmd.buf, p_out)
-            self.buffers.write(cmd.buf2, s_out)
+        p_out, s_out = self.cu.execute_c2(
+            self.buffers.read(cmd.buf), self.buffers.read(cmd.buf2),
+            cmd.omega0, cmd.r_omega, gs=cmd.gs)
+        self.buffers.write(cmd.buf, p_out)
+        self.buffers.write(cmd.buf2, s_out)
 
     def _exec_c1n(self, cmd: Command) -> None:
-        if self._use_arrays():
-            out = self.cu.execute_c1n(self.buffers.peek_array(cmd.buf),
-                                      cmd.zetas, gs=cmd.gs)
-            self.buffers.write_array(cmd.buf, out)
-        else:
-            out = self.cu.execute_c1n(self.buffers.read(cmd.buf),
-                                      cmd.zetas, gs=cmd.gs)
-            self.buffers.write(cmd.buf, out)
+        out = self.cu.execute_c1n(self.buffers.read(cmd.buf),
+                                  cmd.zetas, gs=cmd.gs)
+        self.buffers.write(cmd.buf, out)
 
     def _exec_param_write(self, cmd: Command) -> None:
         if self.pending_q is None:
@@ -193,7 +156,10 @@ class PimBank:
         self.buffers.write_lane(cmd.buf, cmd.lane, self.cu.store_scalar())
 
     def run(self, commands: Sequence[Command]) -> None:
-        """Apply a whole program in order (the ground-truth path)."""
+        """Apply a whole program in order, one command at a time — the
+        ground-truth path.  Its compute commands run the scalar
+        :class:`~repro.pim.cu.ComputeUnit` methods on both backends;
+        NumPy enters only through :meth:`run_stream`'s compiled plans."""
         dispatch = self._dispatch
         for cmd in commands:
             dispatch[cmd.ctype](cmd)
@@ -206,7 +172,7 @@ class PimBank:
         if stream.plan is None or vector.get_backend() != "numpy":
             return False
         if stream.plan.max_buffer >= self.buffers.count:
-            # Out-of-range buffer: the legacy loop raises at the
+            # Out-of-range buffer: the per-command loop raises at the
             # offending command, before any data effect.
             return False
         if stream.plan.reg_init is not None and self.cu.reg_a >= 2 ** 64:

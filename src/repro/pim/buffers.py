@@ -54,12 +54,11 @@ class AtomBufferFile:
         self._data[index] = list(words)
 
     def peek_array(self, index: int) -> np.ndarray:
-        """Borrow a buffer's contents as a uint64 array *without copying*.
+        """Borrow a buffer's contents as a uint64 array *without copying*
+        — how the compiled-plan executors seed their version pools.
 
-        The caller must consume the array within the current command and
-        must not mutate it (the CU kernels reduce into fresh arrays, and
-        storage writes copy) — this is the zero-copy hot path of the
-        functional bank.
+        The caller must not mutate it (the executors copy it into their
+        pool before any kernel runs).
         """
         self._check(index)
         data = self._data[index]

@@ -7,6 +7,14 @@ through the Montgomery datapath model by default, exactly as the
 synthesized BU does (Sec. VI.B); a plain-arithmetic mode exists for
 speed and for differential testing.
 
+Two tiers execute it.  The scalar methods (``execute_c1``,
+``execute_c2``, ``execute_c1n``, the Nb=1 µ-ops) walk the lanes one
+butterfly at a time on either backend: they are the per-command ground
+truth that :meth:`repro.pim.bank_pim.PimBank.run` drives.  The
+``execute_*_stack`` methods run a compiled plan's fused command groups
+as NumPy lane kernels; tests hold them equal to the scalar methods
+kernel by kernel — values and µ-op counters.
+
 State registers:
 
 * modulus ``q`` and the Montgomery constants — loaded via PARAM_WRITE,
@@ -38,7 +46,6 @@ class ComputeUnit:
         self.use_montgomery = use_montgomery
         self.q: Optional[int] = None
         self._mont: Optional[MontgomeryContext] = None
-        self._lanes_ok = False  # numpy lanes usable for the loaded modulus
         self.reg_a: int = 0  # scalar operand register (Nb=1 path)
         # Statistics the area/power models consume.
         self.bu_ops = 0
@@ -58,7 +65,6 @@ class ComputeUnit:
             raise MappingError(f"modulus {q} unsupported")
         self.q = q
         self._mont = MontgomeryContext.cached(q) if self.use_montgomery else None
-        self._lanes_ok = vector.lanes_supported(q)
 
     def _require_modulus(self) -> int:
         if self.q is None:
@@ -107,18 +113,6 @@ class ComputeUnit:
         steps[self.log_atom_words] = omega0 % q
         for s in range(self.log_atom_words - 1, 0, -1):
             steps[s] = self._mod_mul(steps[s + 1], steps[s + 1])
-        if self._lanes_ok and vector.get_backend() == "numpy":
-            # Array execution of the whole atom; µ-op accounting stays
-            # exact: Na/2 butterflies per stage, 2 loads/stores each, and
-            # the TFG emits Na/2 twiddles per stage (as in the lane loop).
-            flies = (na // 2) * self.log_atom_words
-            self.bu_ops += flies
-            self.load_uops += 2 * flies
-            self.store_uops += 2 * flies
-            self.twiddles_generated += flies
-            if vector.is_array(words):  # array-resident atom (bank fast path)
-                return vector.c1_atom_arr(words, q, steps)
-            return vector.c1_atom(words, q, steps)
         x = [w % q for w in words]
         for s in range(1, self.log_atom_words + 1):
             m = 1 << (s - 1)
@@ -149,15 +143,6 @@ class ComputeUnit:
         na = self.atom_words
         if len(p_words) != na or len(s_words) != na:
             raise MappingError("C2 operands must be full atoms")
-        if self._lanes_ok and vector.get_backend() == "numpy":
-            self.bu_ops += na
-            self.load_uops += 2 * na
-            self.store_uops += 2 * na
-            self.twiddles_generated += na
-            if vector.is_array(p_words) and vector.is_array(s_words):
-                return vector.c2_atom_arr(p_words, s_words, q,
-                                          omega0, r_omega, gs=gs)
-            return vector.c2_atom(p_words, s_words, q, omega0, r_omega, gs=gs)
         tfg = TwiddleGenerator(omega0, r_omega, q)
         bu = self._butterfly_gs if gs else self._butterfly
         p_out, s_out = [0] * na, [0] * na
@@ -187,15 +172,6 @@ class ComputeUnit:
         if len(zetas) != na - 1:
             raise MappingError(
                 f"C1N needs {na - 1} zetas, got {len(zetas)}")
-        if self._lanes_ok and vector.get_backend() == "numpy":
-            flies = (na // 2) * self.log_atom_words
-            self.bu_ops += flies
-            self.load_uops += 2 * flies
-            self.store_uops += 2 * flies
-            self.twiddles_generated += na - 1
-            if vector.is_array(words):
-                return vector.c1n_atom_arr(words, q, zetas, gs=gs)
-            return vector.c1n_atom(words, q, zetas, gs=gs)
         x = [w % q for w in words]
         idx = 0
         strides = ([na >> s for s in range(1, self.log_atom_words + 1)]
@@ -217,12 +193,12 @@ class ComputeUnit:
     #
     # One call runs a whole fused group of k same-type commands on
     # (..., k, Na) arrays via the stacked repro.arith.vector kernels —
-    # bit-identical to k per-atom calls per bank of the leading (bank
-    # stack) axes.  The µ-op counters advance by the per-command
-    # numpy-path amounts times the number of atoms (``size / Na``), so a
-    # stack of B lockstep banks counts exactly B single banks.  Callers
-    # (PimBank.run_stream) only take these paths when the lane kernels
-    # cover the loaded modulus.
+    # bit-identical to k scalar execute_c1/c2/c1n calls per bank of the
+    # leading (bank stack) axes.  The µ-op counters advance by the
+    # per-command amounts times the number of atoms (``size / Na``), so
+    # a stack of B lockstep banks counts exactly B single banks.
+    # Callers (PimBank.run_stream) only take these paths when the lane
+    # kernels cover the loaded modulus.
 
     def execute_c1_stack(self, x2d, wpack):
         """``k`` fused C1 commands; ``wpack`` from

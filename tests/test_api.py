@@ -11,6 +11,7 @@ import pytest
 from repro.api import (
     BankSpec,
     BatchRequest,
+    DagRequest,
     FheOpRequest,
     KyberKemRequest,
     MultiBankRequest,
@@ -263,6 +264,73 @@ class TestCoefficientRange:
             response = Simulator().run(NttRequest(params=PARAMS,
                                                   values=values))
         assert response.verified
+
+
+def _wide_ring() -> NegacyclicParams:
+    """A ring over a 65-bit NTT prime, whose residues do not fit the
+    64-bit bank word.  Its psi is ``x^((q-1)/2N)`` for a quadratic
+    non-residue ``x``, which has order exactly 2N, so ``q - 1`` (slow
+    to factor for this q) is never factored."""
+    q = find_ntt_prime(N, 65, negacyclic=True)
+    x = next(x for x in range(2, q) if pow(x, (q - 1) // 2, q) == q - 1)
+    return NegacyclicParams(N, q, pow(x, (q - 1) // (2 * N), q))
+
+
+RING65 = _wide_ring()
+
+
+class TestModulusWidth:
+    """A modulus the bank word cannot hold is a RequestValidationError
+    on both backends, before any simulation work — never a raw
+    OverflowError from the bank, never silently accepted."""
+
+    @staticmethod
+    def _requests():
+        params, ring = RING65.cyclic, RING65
+        row = _data(q=RING65.q)
+        return [
+            NttRequest(params=params, values=row),
+            NegacyclicRequest(ring=ring, values=row),
+            BatchRequest(params=params, inputs=[row, row]),
+            MultiBankRequest(params=params, inputs=[row, row]),
+            MultiBankRequest(specs=[BankSpec(params=PARAMS),
+                                    BankSpec(ring=ring)],
+                             inputs=[_data(), row]),
+            FheOpRequest(ring=ring, op="forward", a=row),
+            FheOpRequest(ring=ring, op="multiply", a=row, b=row),
+            KyberKemRequest(a=row, b=row, q=RING65.q),
+            DagRequest(nodes=[("wide", NttRequest(params=params,
+                                                  values=row))]),
+        ]
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_wide_modulus_rejected(self, backend):
+        with use_backend(backend):
+            for request in self._requests():
+                with pytest.raises(RequestValidationError,
+                                   match="wider than the 64-bit bank word"):
+                    Simulator().run(request)
+            # A timing-only request carries no residues: still served.
+            timing = Simulator(SimConfig(functional=False, verify=False)).run(
+                NttRequest(params=RING65.cyclic))
+        assert timing.cycles > 0
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("modulus", [Q + 1, 2, 2**70 + 1, 2**64 + 1],
+                             ids=["even", "two", "2**70+1", "2**64+1"])
+    def test_program_modulus_must_suit_the_montgomery_bu(self, backend,
+                                                         modulus):
+        """An even, too-small or too-wide functional modulus fails one
+        way: the Montgomery BU takes odd moduli in [3, 2**64)."""
+        request = ProgramRequest(
+            commands=TransformSpec(params=PARAMS).program(
+                SimConfig(), 0).commands,
+            functional=True, modulus=modulus, memory=[(0, [1] * N)],
+            read_rows=(0, N))
+        with use_backend(backend):
+            with pytest.raises(RequestValidationError,
+                               match=r"odd and in \[3, 2\*\*64\)"):
+                Simulator().run(request)
 
 
 class TestLegacyEquivalence:

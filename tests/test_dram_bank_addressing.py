@@ -61,7 +61,7 @@ class TestAddressMap:
 class TestBankStorage:
     def test_activate_read(self):
         bank = BankStorage(HBM2E_ARCH)
-        bank.host_write_words(3, 0, list(range(16)))
+        bank.host_write_polynomial(3, list(range(16)))
         bank.activate(3)
         assert bank.read_atom(3, 0) == list(range(8))
         assert bank.read_atom(3, 1) == list(range(8, 16))
@@ -72,7 +72,7 @@ class TestBankStorage:
         bank.activate(7)
         bank.write_atom(7, 2, [9] * 8)
         bank.precharge()
-        assert bank.host_read_words(7, 16, 8) == [9] * 8
+        assert bank.host_read_polynomial(7, 24)[16:] == [9] * 8
 
     def test_row_buffer_isolation_until_precharge(self):
         """Writes land in the row buffer; the array copy happens at PRE."""
@@ -82,7 +82,7 @@ class TestBankStorage:
         # Reading through the open row sees the new data immediately.
         assert bank.read_atom(1, 0) == [5] * 8
         bank.precharge()
-        assert bank.host_read_words(1, 0, 8) == [5] * 8
+        assert bank.host_read_polynomial(1, 8) == [5] * 8
 
     def test_double_activate_rejected(self):
         bank = BankStorage(HBM2E_ARCH)
@@ -120,7 +120,7 @@ class TestBankStorage:
         bank = BankStorage(HBM2E_ARCH)
         bank.activate(0)
         with pytest.raises(MappingError):
-            bank.host_read_words(0, 0, 8)
+            bank.host_read_polynomial(0, 8)
 
     def test_polynomial_roundtrip(self):
         bank = BankStorage(HBM2E_ARCH)
@@ -132,4 +132,4 @@ class TestBankStorage:
         bank = BankStorage(HBM2E_ARCH)
         data = list(range(512))
         bank.host_write_polynomial(0, data)
-        assert bank.host_read_words(1, 0, 8) == list(range(256, 264))
+        assert bank.host_read_polynomial(1, 8) == list(range(256, 264))

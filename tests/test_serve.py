@@ -44,6 +44,13 @@ def ntt_request(seed: int, params: NttParams = PARAMS) -> NttRequest:
                                    for _ in range(params.n)))
 
 
+def _with_coefficient(bad) -> NttRequest:
+    """An otherwise valid request with one bad coefficient."""
+    values = list(ntt_request(9).values)
+    values[3] = bad
+    return NttRequest(params=PARAMS, values=values)
+
+
 RING = NegacyclicParams(N, find_ntt_prime(N, 32, negacyclic=True))
 
 
@@ -482,7 +489,8 @@ class TestLiveSurface:
         """One out-of-range coefficient is a RequestValidationError at
         submit(); the neighbours it would have shared a dispatch with
         are served as if it never arrived."""
-        self._check_rejected_at_admission(backend, -1)
+        self._check_rejected_at_admission(
+            backend, _with_coefficient(-1), "coefficients")
 
     @pytest.mark.parametrize("backend", ["numpy", "python"])
     @pytest.mark.parametrize("bad", [1.5, "5"], ids=["float", "str"])
@@ -491,23 +499,30 @@ class TestLiveSurface:
         """A non-integer coefficient is rejected at submit() the same
         way, before the stacked data plane's uint64 load could truncate
         it."""
-        self._check_rejected_at_admission(backend, bad)
+        self._check_rejected_at_admission(
+            backend, _with_coefficient(bad), "coefficients")
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_wide_modulus_rejected_at_admission(self, backend):
+        """A modulus wider than the 64-bit bank word is rejected at
+        submit() too, instead of failing its dispatch at drain()."""
+        q = find_ntt_prime(N, 65)
+        # omega from a quadratic non-residue: no slow factoring of q - 1.
+        x = next(x for x in range(2, q) if pow(x, (q - 1) // 2, q) == q - 1)
+        wide = NttParams(N, q, pow(x, (q - 1) // N, q))
+        self._check_rejected_at_admission(
+            backend, ntt_request(9, wide), "64-bit bank word")
 
     @staticmethod
-    def _check_rejected_at_admission(backend, bad_value):
-        values = list(ntt_request(9).values)
-        values[3] = bad_value
-        bad = NttRequest(params=PARAMS, values=values)
+    def _check_rejected_at_admission(backend, bad, match):
         with use_backend(backend):
-            with pytest.raises(RequestValidationError,
-                               match="coefficients"):
+            with pytest.raises(RequestValidationError, match=match):
                 SimServer(NOVERIFY).serve(
                     [ntt_request(0), ntt_request(1), bad, ntt_request(2)])
             server = SimServer(SimConfig(), window_us=50.0)
             kept = [server.submit(ntt_request(0), arrival_us=0.0),
                     server.submit(ntt_request(1), arrival_us=1.0)]
-            with pytest.raises(RequestValidationError,
-                               match="coefficients"):
+            with pytest.raises(RequestValidationError, match=match):
                 server.submit(bad, arrival_us=2.0)
             kept.append(server.submit(ntt_request(2), arrival_us=3.0))
             results = server.drain()

@@ -248,6 +248,118 @@ class TestComputeUnitEquivalence:
         assert ctr_py == ctr_np
 
 
+def _counters(cu):
+    return (cu.bu_ops, cu.load_uops, cu.store_uops, cu.twiddles_generated)
+
+
+class TestStackedKernelsMatchScalar:
+    """Each stacked lane kernel a compiled plan runs equals ``k`` scalar
+    ComputeUnit calls per bank: every row's values and, summed over the
+    stack, all four µ-op counters."""
+
+    NA = 8
+
+    @pytest.mark.parametrize("q", [Q_SMALL, Q_32, Q_WIDE, Q_EDGE])
+    @pytest.mark.parametrize("kernel", ["c1", "c2", "c2-gs", "c1n",
+                                        "c1n-gs", "bu"])
+    def test_kernel_matches_scalar_calls(self, kernel, q):
+        import numpy as np
+
+        na, gs = self.NA, kernel.endswith("-gs")
+        rng = random.Random(f"{kernel}-{q}")
+        # (bank axis, k): one command, a fused group, a group per bank.
+        for lead, k in [((), 1), ((), 3), ((2,), 3)]:
+            rows = 2 * k if lead else k
+            x, y = (np.array([rng.randrange(q) for _ in range(rows * na)],
+                             dtype=np.uint64).reshape(lead + (k, na))
+                    for _ in range(2))
+            xr, yr = x.reshape(rows, na).tolist(), y.reshape(rows, na).tolist()
+            w0 = [rng.randrange(1, q) for _ in range(k)]
+            w1 = [rng.randrange(1, q) for _ in range(k)]
+            zetas = [tuple(rng.randrange(1, q) for _ in range(na - 1))
+                     for _ in range(k)]
+            # stacked(cu) -> output legs shaped (*lead, k, ...);
+            # scalar(cu, row, j) -> the same legs of one command j.
+            if kernel == "c1":
+                def stacked(cu):
+                    return [cu.execute_c1_stack(
+                        x, vector.c1_stack_wpack(q, w0, na))]
+
+                def scalar(cu, r, j):
+                    return [cu.execute_c1(xr[r], w0[j], 0)]
+            elif kernel.startswith("c2"):
+                def stacked(cu):
+                    return cu.execute_c2_stack(
+                        x, y, vector.c2_stack_wpack(q, w0, w1, na), gs=gs)
+
+                def scalar(cu, r, j):
+                    return list(cu.execute_c2(xr[r], yr[r], w0[j], w1[j],
+                                              gs=gs))
+            elif kernel.startswith("c1n"):
+                def stacked(cu):
+                    return [cu.execute_c1n_stack(
+                        x, vector.c1n_stack_zpack(q, zetas), gs=gs)]
+
+                def scalar(cu, r, j):
+                    return [cu.execute_c1n(xr[r], zetas[j], gs=gs)]
+            else:  # bu: lane 0 of x is reg_a, lane 0 of y the buffer lane
+                def stacked(cu):
+                    return cu.execute_bu_stack(
+                        x[..., 0], y[..., 0], np.array(w0, dtype=np.uint64))
+
+                def scalar(cu, r, j):
+                    cu.reg_a = xr[r][0]
+                    return [[value] for value in cu.bu_scalar(yr[r][0],
+                                                              w0[j])]
+
+            cu_stack, cu_scalar = ComputeUnit(na), ComputeUnit(na)
+            cu_stack.set_modulus(q)
+            cu_scalar.set_modulus(q)
+            got = [list(legs) for legs in zip(*(
+                leg.reshape(rows, -1).tolist() for leg in stacked(cu_stack)))]
+            want = [scalar(cu_scalar, r, r % k) for r in range(rows)]
+            assert got == want, (lead, k)
+            assert _counters(cu_stack) == _counters(cu_scalar), (lead, k)
+
+
+@pytest.mark.parametrize("kind", ["ntt", "negacyclic"])
+def test_per_command_bank_uses_no_lane_kernel(monkeypatch, kind):
+    """``PimBank.run`` is the scalar ground truth on the numpy backend
+    too: with every lane kernel of ``repro.arith.vector`` patched to
+    raise, a mapped N=256 program still runs to the golden output."""
+    from repro.pim.bank_pim import PimBank
+    from repro.sim import SimConfig, TransformSpec
+
+    n = 256
+    q = find_ntt_prime(n, 32, negacyclic=True)
+    spec = (TransformSpec(params=NttParams(n, q)) if kind == "ntt" else
+            TransformSpec(kind="negacyclic", ring=NegacyclicParams(n, q)))
+    config = SimConfig()
+    program = spec.program(config, 0)
+    commands = list(program.commands)
+    rng = random.Random(n)
+    x = [rng.randrange(q) for _ in range(n)]
+    with use_backend("numpy"):
+        image = list(spec.load_layout(x))
+        expected = list(spec.expected(x))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-command execution reached a lane kernel")
+
+    keep = {"get_backend", "set_backend", "use_backend", "numpy_active",
+            "lanes_supported", "is_array"}
+    for name in vector.__all__:
+        if name not in keep and callable(getattr(vector, name)):
+            monkeypatch.setattr(vector, name, forbidden)
+    with use_backend("numpy"):
+        bank = PimBank(config.arch, config.pim)
+        bank.set_parameters(q)
+        bank.load_polynomial(program.base_row, image)
+        bank.run(commands)
+        out = bank.read_polynomial(program.result_base_row, n)
+    assert out == expected
+
+
 class TestDriverBothBackends:
     """The full mapped-command verify path passes under either backend."""
 
