@@ -3,7 +3,7 @@
 Times (a) the golden reference-NTT kernel, (b) an end-to-end functional
 NTT through ``Simulator.run`` (mapping + timing engine + functional
 bank + golden verify) at N in {1024, 4096} on both compute backends,
-and (c) the repro.api facade vs the single-bank executor behind it (the
+and (c) the repro.api facade vs the dispatch executor behind it (the
 envelope overhead budget is <5%), and writes the measurements to
 ``BENCH_kernels.json`` at the repo root.
 
@@ -28,7 +28,7 @@ from repro.api import NttRequest, Simulator
 from repro.arith import NttParams, bit_reverse_permute, find_ntt_prime, use_backend
 from repro.mapping import clear_program_cache
 from repro.ntt.reference import ntt_dit_bitrev_input
-from repro.sim.driver import SimConfig, TransformSpec, _run_transform
+from repro.sim.driver import SimConfig, TransformSpec, _run_dispatch
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_kernels.json"
@@ -95,9 +95,9 @@ def run(ns=(1024, 4096), kernel_repeats: int = 5, e2e_repeats: int = 3,
 
         # Facade overhead guard: the repro.api envelope (validation,
         # registry dispatch, cache provenance, response building) must
-        # stay in the noise vs the single-bank executor it wraps —
+        # stay in the noise vs the dispatch executor it wraps —
         # budget < 5%.
-        spec = TransformSpec(params=params)
+        specs, inputs = [TransformSpec(params=params)], [[data]]
         config = SimConfig()
         # The two paths differ by well under 1 ms, and the stream-fused
         # runs are short enough that machine-state drift between two
@@ -106,12 +106,12 @@ def run(ns=(1024, 4096), kernel_repeats: int = 5, e2e_repeats: int = 3,
         # round) and takes best-of over many rounds.
         guard_repeats = max(e2e_repeats, 15)
         for _ in range(3):
-            _run_transform(spec, data, config)
+            _run_dispatch(inputs, specs, config)
             simulator.run(request)
         direct_s = facade_s = float("inf")
         for _ in range(guard_repeats):
             start = time.perf_counter()
-            _run_transform(spec, data, config)
+            _run_dispatch(inputs, specs, config)
             direct_s = min(direct_s, time.perf_counter() - start)
             start = time.perf_counter()
             simulator.run(request)

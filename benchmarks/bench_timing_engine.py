@@ -49,8 +49,7 @@ from repro.dram import (
 from repro.mapping import clear_program_cache
 from repro.pim.bank_pim import PimBank
 from repro.pim.params import PimParams
-from repro.sim.driver import SimConfig, TransformSpec
-from repro.sim.multibank import _run_multibank
+from repro.sim.driver import SimConfig, TransformSpec, _run_dispatch
 
 DEFAULT_OUT = REPO_ROOT / "BENCH_kernels.json"
 
@@ -131,19 +130,19 @@ def run(ns=(1024, 4096), repeats: int = 5,
 
 def _bench_dataplane(n: int, repeats: int, banks: int = 8) -> dict:
     """Warm same-spec ``banks``-bank dispatches through
-    ``_run_multibank`` with golden verify on — the functional data plane
+    ``_run_dispatch`` with golden verify on — the functional data plane
     a served dispatch pays once its shape is cached — as ns per executed
     butterfly µ-op, with the host slowdown probed around the timing."""
     spec = TransformSpec(params=NttParams(n, find_ntt_prime(n, 32)))
     config = SimConfig()
     rng = random.Random(n)
-    inputs = [[rng.randrange(spec.q) for _ in range(n)]
+    inputs = [[[rng.randrange(spec.q) for _ in range(n)]]
               for _ in range(banks)]
     specs = [spec] * banks
-    result = _run_multibank(inputs, specs, config)
+    result = _run_dispatch(inputs, specs, config)
     assert result.verified
     slowdown = perf_clock.slowdown()
-    dispatch_s = _best_of(lambda: _run_multibank(inputs, specs, config),
+    dispatch_s = _best_of(lambda: _run_dispatch(inputs, specs, config),
                           repeats)
     slowdown = (slowdown + perf_clock.slowdown()) / 2
     return {

@@ -4,7 +4,7 @@ Every workload — single NTT, negacyclic, batch, multi-bank, FHE op,
 raw program window — returns the same envelope: primary values, cycle
 and energy totals, per-command-type µ-op counters, cache-hit
 provenance, the active compute backend and wall-clock metadata, plus
-the legacy result object under ``raw`` for full drill-down (the
+the engine-room result object under ``raw`` for full drill-down (the
 experiment harnesses use ``response.schedule.stats``).
 """
 
@@ -48,8 +48,8 @@ class SimResponse:
     backend: str = ""
     #: Host wall-clock seconds the simulation took.
     wall_time_s: float = 0.0
-    #: Legacy result object (NttRunResult / BatchResult / MultiBankResult /
-    #: PimTransformStats / ScheduleResult) for drill-down.
+    #: Engine-room result object (DispatchResult / PimTransformStats /
+    #: ScheduleResult / ...) for drill-down.
     raw: Any = None
     #: The request that produced this response.
     request: Any = None

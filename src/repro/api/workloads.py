@@ -1,25 +1,23 @@
 """Built-in workload handlers of the :mod:`repro.api` facade.
 
 Each handler lowers one request type onto the engine-room modules
-(:mod:`repro.sim.driver`, :mod:`repro.sim.batch`,
-:mod:`repro.sim.multibank`, :mod:`repro.fhe.ops`) and wraps the outcome
+(:mod:`repro.sim.driver`, :mod:`repro.fhe.ops`) and wraps the outcome
 in the uniform :class:`~repro.api.response.SimResponse` envelope.  The
-handlers are registered under the names ``ntt``, ``negacyclic``,
-``batch``, ``multibank``, ``fhe`` and ``program`` — the same names the
-CLI's generic ``run <workload>`` subcommand accepts.
+four transform request kinds share one handler: each is one dispatch
+of ``banks x slots`` transforms (:func:`dispatch_of`).  The handlers
+are registered under the names ``ntt``, ``negacyclic``, ``batch``,
+``multibank``, ``fhe`` and ``program`` — the same names the CLI's
+generic ``run <workload>`` subcommand accepts.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Tuple
 
 from ..dram.engine import ScheduleResult
 from ..dram.stream import cached_stream
-from ..sim.batch import BatchResult, _run_batch
-from ..sim.driver import SimConfig, TransformSpec, _run_transform, \
+from ..sim.driver import SimConfig, TransformSpec, _run_dispatch, \
     cached_schedule
-from ..sim.multibank import MultiBankResult, _run_multibank
-from ..sim.results import NttRunResult
 from .registry import register_workload
 from .requests import (
     BatchRequest,
@@ -30,8 +28,7 @@ from .requests import (
 )
 from .response import SimResponse
 
-__all__ = ["response_from_run", "response_from_schedule", "transform_spec",
-           "multibank_specs"]
+__all__ = ["dispatch_of", "response_from_schedule", "transform_spec"]
 
 
 def transform_spec(request) -> TransformSpec:
@@ -47,32 +44,20 @@ def transform_spec(request) -> TransformSpec:
                          params=request.params)
 
 
-def multibank_specs(request: "MultiBankRequest") -> List[TransformSpec]:
-    """The per-bank :class:`TransformSpec` list of a multi-bank request
-    (mixed-kind requests map one ``specs`` entry per bank)."""
-    return [transform_spec(spec) for spec in request.bank_specs()]
-
-
-def _counters(schedule: ScheduleResult, bu_ops: int = 0) -> dict:
-    counters = dict(schedule.stats.command_counts)
-    if bu_ops:
-        counters["bu_ops"] = bu_ops
-    return counters
-
-
-def response_from_run(workload: str, run: NttRunResult) -> SimResponse:
-    """Envelope one driver-level :class:`NttRunResult`."""
-    return SimResponse(
-        workload=workload,
-        values=list(run.output),
-        cycles=run.cycles,
-        latency_us=run.latency_us,
-        energy_nj=run.energy_nj,
-        verified=run.verified,
-        command_count=run.command_count,
-        counters=_counters(run.schedule, run.bu_ops),
-        raw=run,
-    )
+def dispatch_of(request) -> Tuple[List[TransformSpec], list]:
+    """The ``banks x slots`` dispatch of a transform request: one spec
+    per bank and the natural-order inputs ``[bank][slot]``.  A lone
+    :class:`NttRequest` or :class:`NegacyclicRequest` is 1x1
+    (``values=None`` runs on zeros), a :class:`BatchRequest` 1xk and a
+    :class:`MultiBankRequest` kx1."""
+    if type(request) is BatchRequest:
+        return [TransformSpec(params=request.params)], [request.inputs]
+    if type(request) is MultiBankRequest:
+        return ([transform_spec(spec) for spec in request.bank_specs()],
+                [[row] for row in request.inputs])
+    spec = transform_spec(request)
+    values = request.values if request.values is not None else (0,) * spec.n
+    return [spec], [[values]]
 
 
 def response_from_schedule(workload: str, schedule: ScheduleResult,
@@ -84,70 +69,48 @@ def response_from_schedule(workload: str, schedule: ScheduleResult,
         latency_us=schedule.latency_us,
         energy_nj=schedule.energy_nj,
         command_count=len(schedule.timings),
-        counters=_counters(schedule),
+        counters=dict(schedule.stats.command_counts),
         raw=raw if raw is not None else schedule,
     )
 
 
-def _values_or_zeros(values: Optional[tuple], n: int) -> List[int]:
-    return list(values) if values is not None else [0] * n
-
-
+@register_workload("multibank")
+@register_workload("batch")
 @register_workload("negacyclic")
 @register_workload("ntt")
 def run_transform_workload(config: SimConfig, request) -> SimResponse:
-    """One transform on one bank: the cyclic (I)NTT (Sec. IV.A
-    protocol, the Fig. 7/8 run shape) or the native merged negacyclic
-    transform (C1N mapping extension)."""
-    spec = transform_spec(request)
-    run = _run_transform(spec, _values_or_zeros(request.values, spec.n),
-                         config)
-    return response_from_run(request.workload, run)
-
-
-@register_workload("batch")
-def run_batch_workload(config: SimConfig,
-                       request: BatchRequest) -> SimResponse:
-    """Back-to-back NTTs in one bank (Sec. VI.A batching)."""
-    result: BatchResult = _run_batch(
-        [list(row) for row in request.inputs], request.params, config)
-    response = response_from_schedule("batch", result.schedule, raw=result)
+    """One dispatch of transforms (Sec. VI.A): a lone cyclic (I)NTT
+    (Sec. IV.A protocol, the Fig. 7/8 run shape) or native merged
+    negacyclic transform (C1N mapping extension), back-to-back NTTs in
+    one bank (``batch``), or one transform per bank on the shared bus
+    (``multibank``)."""
+    specs, inputs = dispatch_of(request)
+    result = _run_dispatch(inputs, specs, config)
+    response = response_from_schedule(request.workload, result.schedule,
+                                      raw=result)
     if result.bu_ops:
         response.counters["bu_ops"] = result.bu_ops
-    response.outputs = [list(out) for out in result.outputs]
-    if response.outputs:
-        response.values = list(response.outputs[0])
     response.verified = result.verified
-    response.metrics = {
-        "count": result.count,
-        "single_cycles": result.single_cycles,
-        "cycles_per_transform": result.cycles_per_transform,
-        "amortization": result.amortization,
-    }
-    return response
-
-
-@register_workload("multibank")
-def run_multibank_workload(config: SimConfig,
-                           request: MultiBankRequest) -> SimResponse:
-    """One transform per bank on the shared bus (Sec. VI.A /
-    Conclusion); cyclic forward/inverse or merged negacyclic."""
-    result: MultiBankResult = _run_multibank(
-        [list(row) for row in request.inputs], multibank_specs(request),
-        config)
-    response = response_from_schedule("multibank", result.schedule, raw=result)
-    if result.bu_ops:
-        response.counters["bu_ops"] = result.bu_ops
-    response.outputs = [list(out) for out in result.outputs]
-    if response.outputs:
-        response.values = list(response.outputs[0])
-    response.verified = result.verified
-    response.metrics = {
-        "banks": result.banks,
-        "single_bank_cycles": result.single_bank_cycles,
-        "speedup": result.speedup,
-        "efficiency": result.efficiency,
-    }
+    if result.outputs:
+        response.values = list(result.outputs[0])
+    if type(request) is BatchRequest:
+        response.outputs = [list(out) for out in result.outputs]
+        per_transform = result.cycles / result.slots
+        response.metrics = {
+            "count": result.slots,
+            "single_cycles": result.single_cycles,
+            "cycles_per_transform": per_transform,
+            "amortization": result.single_cycles / per_transform,
+        }
+    elif type(request) is MultiBankRequest:
+        response.outputs = [list(out) for out in result.outputs]
+        speedup = result.banks * result.single_cycles / result.cycles
+        response.metrics = {
+            "banks": result.banks,
+            "single_bank_cycles": result.single_cycles,
+            "speedup": speedup,
+            "efficiency": speedup / result.banks,
+        }
     return response
 
 

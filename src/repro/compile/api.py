@@ -26,11 +26,11 @@ class CompiledProgram:
     """One compiled facade request.
 
     ``stream`` is the merged, executable program (for batch/multi-bank
-    requests: the bus-interleaved or concatenated stream the timing
-    engine runs); ``parts`` holds the per-bank / per-polynomial source
-    programs when the request merged several (empty for single-program
-    requests).  ``key`` is the structural cache key the stream is
-    memoized under.
+    requests: the concatenated or bus-interleaved stream the timing
+    engine runs); ``parts`` holds a transform request's source
+    programs, bank-major (one for a lone transform; empty for raw
+    program requests).  ``key`` is the structural cache key the stream
+    is memoized under.
     """
 
     request: object
@@ -97,23 +97,15 @@ def compile_request(request, config=None) -> CompiledProgram:
         config = SimConfig()
     request.validate()
 
-    if type(request) in (NttRequest, NegacyclicRequest):
-        from ..api.workloads import transform_spec
-        program, stream = transform_spec(request).compile(config)
-        return CompiledProgram(request, stream, key=program.key)
-    if type(request) is MultiBankRequest:
-        from ..api.workloads import multibank_specs
-        from ..sim.multibank import compile_multibank
-        programs, stream, key = compile_multibank(multibank_specs(request),
-                                                  config)
+    if type(request) in (NttRequest, NegacyclicRequest, BatchRequest,
+                         MultiBankRequest):
+        from ..api.workloads import dispatch_of
+        from ..sim.driver import compile_dispatch
+        specs, inputs = dispatch_of(request)
+        programs, stream, key = compile_dispatch(specs, len(inputs[0]),
+                                                 config)
         return CompiledProgram(request, stream, key=key,
-                               parts=tuple(programs))
-    if type(request) is BatchRequest:
-        from ..sim.batch import compile_batch
-        programs, stream, key = compile_batch(
-            request.params, len(request.inputs), config)
-        return CompiledProgram(request, stream, key=key,
-                               parts=tuple(programs))
+                               parts=tuple(p for row in programs for p in row))
     if type(request) is ProgramRequest:
         return CompiledProgram(request,
                                cached_stream(request.commands, config.arch))

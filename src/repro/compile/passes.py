@@ -89,6 +89,39 @@ def _next_write(is_write: np.ndarray, seg: np.ndarray) -> np.ndarray:
     return np.where(rev >= 0, k - 1 - rev, -1)
 
 
+def _storage_and_modulus_edges(ir, arch, idx_r, idx_w, idx_q, idx_p):
+    """The hazard edges every plan mode shares, as ``(src, dst)``.
+
+    Storage chains among CU_READ (``idx_r``) and CU_WRITE (``idx_w``)
+    per atom: RAW and WAW to the previous write, WAR from each read to
+    the next write.  Modulus-register chains: every command in the
+    sorted ``idx_q`` that needs q orders against the PARAM_WRITEs
+    (``idx_p``) around it both ways, and PARAM_WRITEs order among
+    themselves (WAW).
+    """
+    sel = np.concatenate((idx_r, idx_w))
+    iswr = np.concatenate((np.zeros(len(idx_r), np.bool_),
+                           np.ones(len(idx_w), np.bool_)))
+    atom = ir.rows[sel] * arch.columns_per_row + ir.cols[sel]
+    ao = np.lexsort((sel, atom))
+    a_cmd, a_atom, a_w = sel[ao], atom[ao], iswr[ao]
+    a_prevw = _prev_write(a_w, a_atom)
+    a_nextw = _next_write(a_w, a_atom)
+    chained = a_prevw >= 0          # RAW (reads) and WAW (writes)
+    war = ~a_w & (a_nextw >= 0)     # read -> next write
+
+    before = np.searchsorted(idx_p, idx_q)
+    has_prev = before > 0
+    has_next = before < len(idx_p)
+    src = np.concatenate((a_cmd[a_prevw[chained]], a_cmd[war],
+                          idx_p[before[has_prev] - 1], idx_q[has_next],
+                          idx_p[:-1]))
+    dst = np.concatenate((a_cmd[chained], a_cmd[a_nextw[war]],
+                          idx_q[has_prev], idx_p[before[has_next]],
+                          idx_p[1:]))
+    return src, dst
+
+
 def _longest_path_levels(n_nodes: int, src: np.ndarray,
                          dst: np.ndarray) -> np.ndarray:
     """Longest-path depth per node of a DAG, via a frontier Kahn sweep.
@@ -239,8 +272,6 @@ def _atom_edges_and_versions(ir, arch, idx_r, idx_w, idx_c1, idx_c2,
     virtual count.
     """
     bufs = ir.bufs
-    rows = ir.rows
-    cols = ir.cols
 
     # Buffer touch table (C2 contributes two legs).
     blocks = (idx_r, idx_w, idx_c1, idx_c1n, idx_c2, idx_c2)
@@ -335,32 +366,12 @@ def _atom_edges_and_versions(ir, arch, idx_r, idx_w, idx_c1, idx_c2,
         "min_buffer": int(t_buf.min()) if T else 0,
     }
 
-    # Atom (storage) hazard chains among CU_READ / CU_WRITE.
-    sel = np.concatenate((idx_r, idx_w))
-    iswr = np.concatenate((np.zeros(nr, np.bool_), np.ones(nw, np.bool_)))
-    atom = rows[sel] * arch.columns_per_row + cols[sel]
-    ao = np.lexsort((sel, atom))
-    a_cmd, a_atom, a_w = sel[ao], atom[ao], iswr[ao]
-    a_prevw = _prev_write(a_w, a_atom)
-    a_nextw = _next_write(a_w, a_atom)
-    chained = a_prevw >= 0          # RAW (reads) and WAW (writes)
-    war = ~a_w & (a_nextw >= 0)     # read -> next write
-    atom_src = np.concatenate((a_cmd[a_prevw[chained]], a_cmd[war]))
-    atom_dst = np.concatenate((a_cmd[chained], a_cmd[a_nextw[war]]))
-
-    # Modulus-register chains: computes RAW/WAR against PARAM_WRITE,
-    # PARAM_WRITE WAW against itself.
-    idx_c = np.sort(np.concatenate((idx_c1, idx_c2, idx_c1n)))
-    before = np.searchsorted(idx_p, idx_c)
-    has_prev = before > 0
-    has_next = before < len(idx_p)
-    q_src = np.concatenate((idx_p[before[has_prev] - 1], idx_c[has_next],
-                            idx_p[:-1]))
-    q_dst = np.concatenate((idx_c[has_prev], idx_p[before[has_next]],
-                            idx_p[1:]))
-
-    src = np.concatenate((raw_src, atom_src, q_src))
-    dst = np.concatenate((raw_dst, atom_dst, q_dst))
+    # Computes consume the modulus registers.
+    idx_q = np.sort(np.concatenate((idx_c1, idx_c2, idx_c1n)))
+    hz_src, hz_dst = _storage_and_modulus_edges(ir, arch, idx_r, idx_w,
+                                                idx_q, idx_p)
+    src = np.concatenate((raw_src, hz_src))
+    dst = np.concatenate((raw_dst, hz_dst))
     return src, dst, versions
 
 
@@ -627,32 +638,12 @@ def _lane_plan(ir: StreamIR, arch: ArchParams, stats: dict):
     raw_src = u_cmd[prevw[res]]
     raw_dst = u_cmd[res]
 
-    # Atom chains (CU_READ / CU_WRITE), exactly as in atom mode.
-    sel = np.concatenate((idx_r, idx_w))
-    iswr = np.concatenate((np.zeros(nr, np.bool_), np.ones(nw, np.bool_)))
-    atom = rows[sel] * arch.columns_per_row + cols[sel]
-    ao = np.lexsort((sel, atom))
-    a_cmd, a_atom, a_w = sel[ao], atom[ao], iswr[ao]
-    a_prevw = _prev_write(a_w, a_atom)
-    a_nextw = _next_write(a_w, a_atom)
-    chained = a_prevw >= 0
-    war = ~a_w & (a_nextw >= 0)
-    atom_src = np.concatenate((a_cmd[a_prevw[chained]], a_cmd[war]))
-    atom_dst = np.concatenate((a_cmd[chained], a_cmd[a_nextw[war]]))
-
-    # Modulus chains: C1, BU and LOAD consume q's value; STORE needs it
-    # latched.  All four order against PARAM_WRITE both ways.
+    # C1, BU and LOAD consume q's value; STORE needs it latched.
     idx_q = np.sort(np.concatenate((idx_c1, idx_bu, idx_ld, idx_st)))
-    before = np.searchsorted(idx_p, idx_q)
-    has_prev = before > 0
-    has_next = before < len(idx_p)
-    q_src = np.concatenate((idx_p[before[has_prev] - 1], idx_q[has_next],
-                            idx_p[:-1]))
-    q_dst = np.concatenate((idx_q[has_prev], idx_p[before[has_next]],
-                            idx_p[1:]))
-
-    src = np.concatenate((raw_src, atom_src, q_src))
-    dst = np.concatenate((raw_dst, atom_dst, q_dst))
+    hz_src, hz_dst = _storage_and_modulus_edges(ir, arch, idx_r, idx_w,
+                                                idx_q, idx_p)
+    src = np.concatenate((raw_src, hz_src))
+    dst = np.concatenate((raw_dst, hz_dst))
 
     rel = np.sort(np.concatenate((idx_r, idx_w, idx_c1, idx_ld, idx_bu,
                                   idx_st, idx_p)))

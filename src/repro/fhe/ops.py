@@ -18,7 +18,7 @@ from typing import List, Sequence
 
 from ..arith.modmath import mod_mul_vec
 from ..ntt.negacyclic import NegacyclicParams, psi_power_table
-from ..sim.driver import SimConfig, TransformSpec, _run_transform
+from ..sim.driver import SimConfig, TransformSpec, _run_dispatch
 
 __all__ = ["PimTransformStats", "PimFheAccelerator"]
 
@@ -68,15 +68,16 @@ class PimFheAccelerator:
 
     def _transform(self, spec: TransformSpec,
                    values: Sequence[int]) -> List[int]:
-        result = _run_transform(spec, values, self.config)
+        result = _run_dispatch([[values]], [spec], self.config)
+        schedule = result.schedule
         self.stats.transforms += 1
-        self.stats.total_cycles += result.cycles
-        self.stats.total_latency_us += result.latency_us
-        self.stats.total_energy_nj += result.energy_nj
-        self.stats.total_activations += result.activations
+        self.stats.total_cycles += schedule.total_cycles
+        self.stats.total_latency_us += schedule.latency_us
+        self.stats.total_energy_nj += schedule.energy_nj
+        self.stats.total_activations += schedule.stats.activations
         self.stats.total_commands += result.command_count
-        self.stats.per_call_us.append(result.latency_us)
-        return result.output
+        self.stats.per_call_us.append(schedule.latency_us)
+        return result.outputs[0] if result.outputs else []
 
     def forward(self, coefficients: Sequence[int]) -> List[int]:
         """Negacyclic forward transform on the PIM."""

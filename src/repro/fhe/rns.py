@@ -22,8 +22,7 @@ from ..arith.modmath import mod_add_vec, mod_inverse, mod_mul_vec, mod_sub_vec
 from ..arith.primes import ntt_prime_candidates
 from ..ntt.negacyclic import NegacyclicParams, negacyclic_intt, negacyclic_ntt
 from ..pim.params import PimParams
-from ..sim.driver import SimConfig, TransformSpec
-from ..sim.multibank import _run_multibank
+from ..sim.driver import SimConfig, TransformSpec, _run_dispatch
 
 __all__ = ["RnsBasis", "RnsPolynomial", "PimRnsMultiplier"]
 
@@ -144,13 +143,13 @@ class PimRnsMultiplier:
         # Timing: all limbs in parallel (same N; take one representative
         # merged run per round using the first ring's shape).
         rep_ring = self.basis.rings[0].cyclic
-        rep_inputs = [[0] * self.basis.n] * self.basis.limbs
+        rep_inputs = [[[0] * self.basis.n]] * self.basis.limbs
         timing_cfg = SimConfig(
             arch=self.config.arch, timing=self.config.timing,
             pim=self.config.pim, energy=self.config.energy,
             functional=False, verify=False)
         rep_specs = [TransformSpec(params=rep_ring)] * self.basis.limbs
-        mb = _run_multibank(rep_inputs, rep_specs, timing_cfg)
+        mb = _run_dispatch(rep_inputs, rep_specs, timing_cfg)
         self.total_cycles += mb.cycles
         self.rounds += 1
         # Function: exact per-limb software transforms (the functional

@@ -126,7 +126,7 @@ class _RowCentricSchedule:
         self.log_n = n.bit_length() - 1
         self.inter_row_stages = max(0, self.log_n - arch.log_words_per_row)
         regions = 1 if options.in_place_update or not self.inter_row_stages else 2
-        if base_row + regions * rows_needed > arch.rows_per_bank:
+        if base_row < 0 or base_row + regions * rows_needed > arch.rows_per_bank:
             raise MappingError("polynomial (plus ping-pong region) does not "
                                "fit in the bank")
         self.n = n

@@ -45,7 +45,7 @@ class SingleBufferMapper:
         if ntt.n < arch.words_per_atom:
             raise MappingError("N below one atom")
         rows_needed = (ntt.n + arch.words_per_row - 1) // arch.words_per_row
-        if base_row + rows_needed > arch.rows_per_bank:
+        if base_row < 0 or base_row + rows_needed > arch.rows_per_bank:
             raise MappingError("polynomial does not fit in the bank")
         self.ntt = ntt
         self.arch = arch

@@ -1,36 +1,35 @@
-"""Simulation front end: the single-bank driver, results, host protocol,
-traces, bank-level parallelism."""
+"""Simulation front end: one ``banks x slots`` dispatch path (a lone
+transform, a one-bank batch, a multi-bank dispatch), its result, the
+per-command merge references, host protocol and traces."""
 
-from .batch import BatchResult, compile_batch, concat_programs
+from .batch import concat_programs
 from .driver import (
     SimConfig,
     TransformSpec,
     cached_schedule,
     clear_schedule_cache,
+    compile_dispatch,
     schedule_cache_info,
 )
 from .host import MemoryRequest, MemoryResponse, PimMemoryController, RequestType
-from .multibank import MultiBankResult, compile_multibank, interleave_programs
-from .results import NttRunResult
+from .multibank import interleave_programs
+from .results import DispatchResult
 from .trace import format_trace, parse_trace_line, trace_summary
 
 __all__ = [
-    "BatchResult",
-    "compile_batch",
     "concat_programs",
     "SimConfig",
     "cached_schedule",
     "clear_schedule_cache",
+    "compile_dispatch",
     "schedule_cache_info",
     "MemoryRequest",
     "MemoryResponse",
     "PimMemoryController",
     "RequestType",
-    "MultiBankResult",
     "TransformSpec",
-    "compile_multibank",
     "interleave_programs",
-    "NttRunResult",
+    "DispatchResult",
     "format_trace",
     "parse_trace_line",
     "trace_summary",

@@ -12,14 +12,16 @@ result overwrites the input, in natural order.
 
 A :class:`TransformSpec` names one transform kind — forward or inverse
 cyclic NTT, or the merged negacyclic transform — and owns its program,
-input layout, host-side 1/N epilogue and golden model.  :func:`_run_bank`
-is the one functional checker, for ``banks x slots`` transforms of one
-spec: a single transform (1x1), a one-bank batch (1xk), each spec group
-of a multi-bank dispatch (kx1) and the FHE accelerator all go through
-it.  Lockstep banks run as one stacked pass with one golden check, the
-way every bank of the paper's FHE deployment steps through the same
-program on the shared command bus.  The supported entry point is
-:meth:`repro.api.Simulator.run`.
+input layout, host-side 1/N epilogue and golden model.  Every run is
+one dispatch of ``banks x slots`` transforms: a lone transform is 1x1,
+a one-bank batch 1xk (slots back to back in one bank), a multi-bank
+dispatch kx1 (one bank each on the shared command bus).
+:func:`compile_dispatch` builds its one merged stream and
+:func:`_run_dispatch` times it, runs it through :func:`_run_bank` — the
+one functional checker, which the lockstep banks of one spec pass
+through as one stacked pass with one golden check — and returns one
+:class:`~repro.sim.results.DispatchResult`.  The supported entry point
+is :meth:`repro.api.Simulator.run`.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from ..arith import vector
 from ..arith.bitrev import bit_reverse_permute
 from ..arith.modmath import mod_scale_vec
 from ..arith.roots import NttParams
+from ..compile.lower import concat_irs, interleave_irs
 from ..dram.energy import EnergyParams, HBM2E_ENERGY
 from ..dram.engine import TimingEngine
 from ..dram.stream import CommandStream, cached_stream
@@ -44,6 +47,7 @@ from ..mapping.program_cache import (
     CachedProgram,
     cyclic_program,
     negacyclic_program,
+    programs_recipe_key,
 )
 from ..ntt.merged import merged_negacyclic_intt, merged_negacyclic_ntt
 from ..ntt.negacyclic import NegacyclicParams
@@ -51,10 +55,11 @@ from ..ntt.reference import intt as reference_intt
 from ..ntt.reference import ntt as reference_ntt
 from ..pim.bank_pim import PimBank, touched_rows
 from ..pim.params import PimParams
-from .results import NttRunResult
+from .results import DispatchResult
 
 __all__ = ["SimConfig", "TransformSpec", "cached_schedule",
-           "schedule_cache_info", "clear_schedule_cache"]
+           "schedule_cache_info", "clear_schedule_cache",
+           "compile_dispatch"]
 
 
 # -- schedule cache ------------------------------------------------------------
@@ -64,9 +69,9 @@ __all__ = ["SimConfig", "TransformSpec", "cached_schedule",
 # the command tuple's own content (commands are frozen dataclasses that
 # hash and compare by value), or — cheaper — the generating-parameter
 # key of a memoized program, which determines the command content
-# exactly (that determinism is the premise of the program cache).  The
-# batch and multi-bank mergers build fresh lists on every call, yet hit
-# the same entries via keys derived from their components' keys.
+# exactly (that determinism is the premise of the program cache).  A
+# merged dispatch hits the same entries on every call via the merge
+# recipe over its components' keys (:func:`compile_dispatch`).
 # Cached ScheduleResults are shared between runs — treat them as
 # immutable.  Thread-safe via the shared ArtifactCache (locked
 # lookup/stats/eviction, simulation outside the lock, one canonical
@@ -161,24 +166,23 @@ class TransformSpec:
         return self.ring.q if self.kind == "negacyclic" else self.params.q
 
     # -- per-bank artifacts ------------------------------------------------------
-    def program(self, config: SimConfig, bank: int) -> CachedProgram:
-        """The (memoized) command program one bank runs."""
+    def program(self, config: SimConfig, bank: int,
+                slot: int = 0) -> CachedProgram:
+        """The (memoized) command program of one bank's slot ``slot``.
+
+        Each slot owns its rows plus, under the out-of-place ablation,
+        the mirror region its inter-row stages ping-pong through, so
+        back-to-back slots never overlap and their results stay resident.
+        """
+        regions = 1 if config.mapper_options.in_place_update else 2
+        base_row = config.base_row + slot * regions * max(
+            1, self.n // config.arch.words_per_row)
         if self.kind == "negacyclic":
             return negacyclic_program(self.ring, config.arch, config.pim,
-                                      config.base_row, bank,
-                                      inverse=self.inverse)
+                                      base_row, bank, inverse=self.inverse)
         ntt = self.params.inverse() if self.inverse else self.params
-        return cyclic_program(ntt, config.arch, config.pim, config.base_row,
-                              bank, config.mapper_options)
-
-    def compile(self, config: SimConfig
-                ) -> Tuple[CachedProgram, CommandStream]:
-        """Bank 0's program and its compiled stream, memoized under the
-        program's own key — a lone transform never pays for a one-bank
-        interleave."""
-        program = self.program(config, 0)
-        return program, cached_stream(program.ir, config.arch,
-                                      key=program.key)
+        return cyclic_program(ntt, config.arch, config.pim, base_row, bank,
+                              config.mapper_options)
 
     def load_layout(self, values: np.ndarray) -> np.ndarray:
         """Bank-resident input image of ``(..., N)`` uint64 inputs (the
@@ -227,16 +231,15 @@ def _run_bank(spec: TransformSpec, inputs, config: SimConfig,
               stream: CommandStream) -> Tuple[list, int]:
     """The one functional checker: ``banks x slots`` ``spec`` transforms.
 
-    ``inputs`` holds natural-order polynomials shaped ``(slots, N)`` for
-    one bank (a lone transform is 1x1, a batch 1xk) or ``(banks, slots,
-    N)`` for lockstep banks (a spec group of a multi-bank dispatch,
-    kx1).  Slot ``s`` lives at ``programs[s]``'s rows, and ``stream`` is
-    bank 0's compiled program, which every bank replays.  Steps: one
-    uint64 conversion plus the cyclic layout's bit-reversal gather; one
-    load per slot into a bank stack holding only the rows ``stream``
-    touches; one pass of the atom plan over the bank axis; one slice
-    read per slot and the inverse 1/N scale on the array; one golden
-    call for the whole stack; one conversion to Python ints.
+    ``inputs`` holds natural-order polynomials shaped ``(banks, slots,
+    N)``: lockstep banks that all replay ``stream``, the compiled
+    program of one bank whose slot ``s`` lives at ``programs[s]``'s
+    rows.  Steps: one uint64 conversion plus the cyclic layout's
+    bit-reversal gather; one load per slot into a bank stack holding
+    only the rows ``stream`` touches; one pass of the atom plan over
+    the bank axis; one slice read per slot and the inverse 1/N scale on
+    the array; one golden call for the whole stack; one conversion to
+    Python ints.
 
     Streams a stack cannot run — the python backend (the ground truth),
     Nb=1 lane plans, moduli without lane support, programs with no plan
@@ -270,7 +273,7 @@ def _run_bank_by_bank(spec: TransformSpec, values: np.ndarray,
     ints through host I/O and the golden model."""
     banks: List[List[List[int]]] = []
     bu_ops = 0
-    for bank_values in values.reshape((-1,) + values.shape[-2:]):
+    for bank_values in values:
         bank = PimBank(config.arch, config.pim)
         bank.set_parameters(spec.q)
         for image, program in zip(spec.load_layout(bank_values), programs):
@@ -284,30 +287,92 @@ def _run_bank_by_bank(spec: TransformSpec, values: np.ndarray,
             raise _mismatch(spec, config)
         banks.append(outputs)
         bu_ops += bank.cu.bu_ops
-    return (banks if values.ndim == 3 else banks[0]), bu_ops
+    return banks, bu_ops
 
 
-def _run_transform(spec: TransformSpec, values: Sequence[int],
-                   config: SimConfig) -> NttRunResult:
-    """Simulate one transform of ``values`` (natural order) on one bank.
+def compile_dispatch(specs: Sequence[TransformSpec], slots: int,
+                     config: SimConfig):
+    """Compile one dispatch: ``slots`` back-to-back transforms in each of
+    ``len(specs)`` banks, bank ``k`` running ``specs[k]`` (kinds and
+    directions may mix across banks).
 
-    Returns timing, energy and the finalized data; raises
-    :class:`FunctionalMismatch` if the PIM result disagrees with the
-    golden model (when ``verify`` is on).
+    Returns ``(programs, stream, key)``: the per-bank slot programs
+    (``programs[bank][slot]``), the merged stream and the structural key
+    it is memoized under.  Each bank's slots concatenate, dropping every
+    PARAM_WRITE after the first; the banks then interleave round-robin
+    on the shared bus.  Both merges run vectorized over IR columns,
+    bit-identical to the per-command :func:`~repro.sim.batch.concat_programs`
+    and :func:`~repro.sim.multibank.interleave_programs` references, and
+    lazily: the merged content is a pure function of the component
+    programs, so the merge recipe over their keys is an exact cache key,
+    and warm shapes skip the merge work entirely.  A lone program is
+    keyed by its own key.
     """
-    if len(values) != spec.n:
-        raise ValueError(f"expected {spec.n} values, got {len(values)}")
-    program, stream = spec.compile(config)
-    schedule = cached_schedule(stream, config.timing, config.arch,
-                               config.pim.compute_timing(), config.energy,
-                               key=program.key)
-    output: List[int] = []
+    if not specs or slots < 1:
+        raise ValueError("a dispatch needs at least one bank and one slot")
+    programs = [[spec.program(config, bank, slot) for slot in range(slots)]
+                for bank, spec in enumerate(specs)]
+    keys = [row[0].key if slots == 1
+            else programs_recipe_key("concat", row, True)
+            for row in programs]
+    key = keys[0] if len(keys) == 1 else ("interleave", tuple(keys))
+    stream = cached_stream(
+        lambda: interleave_irs([concat_irs([p.ir for p in row])
+                                for row in programs]),
+        config.arch, key=key)
+    return programs, stream, key
+
+
+def _run_dispatch(inputs, specs: Sequence[TransformSpec],
+                  config: SimConfig) -> DispatchResult:
+    """Simulate one dispatch: ``inputs[bank][slot]`` (natural order) runs
+    through ``specs[bank]``'s transform.
+
+    Returns timing, energy and the finalized outputs (bank-major); every
+    output stays bit-identical to its standalone run.  With ``verify``
+    on, a result that disagrees with the golden model raises
+    :class:`FunctionalMismatch`.
+    """
+    banks = len(inputs)
+    if len(specs) != banks:
+        raise ValueError(f"got {len(specs)} per-bank specs for {banks} banks")
+    slots = len(inputs[0]) if inputs else 0
+    programs, stream, key = compile_dispatch(specs, slots, config)
+    compute = config.pim.compute_timing()
+    schedule = cached_schedule(stream, config.timing, config.arch, compute,
+                               config.energy, key=key)
+    first = programs[0][0]
+    single = schedule if banks * slots == 1 else cached_schedule(
+        first.ir, config.timing, config.arch, compute, config.energy,
+        key=first.key)
+
+    outputs: List[List[int]] = []
     bu_ops = 0
     if config.functional:
-        (output,), bu_ops = _run_bank(spec, [values], config, [program],
-                                      stream)
-    return NttRunResult(
-        n=spec.n, q=spec.q, nb_buffers=config.pim.nb_buffers,
-        output=output, schedule=schedule,
+        # Banks are functionally independent and the banks of one spec
+        # run programs that differ only in their bank index, so a
+        # multi-bank spec group replays bank 0's compiled stream once
+        # over a bank stack, equivalent to replaying the round-robin
+        # merge command by command.  One bank checks on its own stream.
+        groups = {}
+        for bank, spec in enumerate(specs):
+            groups.setdefault(spec, []).append(bank)
+        per_bank = [None] * banks
+        for spec, members in groups.items():
+            if banks == 1:
+                group_programs, group_stream = programs[0], stream
+            else:
+                (group_programs,), group_stream, _ = compile_dispatch(
+                    [spec], slots, config)
+            group, ops = _run_bank(spec, [inputs[b] for b in members],
+                                   config, group_programs, group_stream)
+            for bank, bank_outputs in zip(members, group):
+                per_bank[bank] = bank_outputs
+            bu_ops += ops
+        outputs = [output for bank_outputs in per_bank
+                   for output in bank_outputs]
+    return DispatchResult(
+        banks=banks, slots=slots, schedule=schedule,
+        single_cycles=single.total_cycles,
         verified=config.functional and config.verify,
-        command_count=program.ir.n, bu_ops=bu_ops)
+        outputs=outputs, bu_ops=bu_ops)

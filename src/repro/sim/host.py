@@ -27,7 +27,7 @@ from ..arith.bitrev import bit_reverse_permute
 from ..arith.roots import NttParams
 from ..errors import MappingError
 from .driver import SimConfig
-from .results import NttRunResult
+from .results import DispatchResult
 
 __all__ = ["RequestType", "MemoryRequest", "MemoryResponse",
            "PimMemoryController"]
@@ -63,7 +63,7 @@ class MemoryResponse:
 
     ok: bool
     data: List[int] = field(default_factory=list)
-    run: Optional[NttRunResult] = None
+    run: Optional[DispatchResult] = None
     detail: str = ""
 
 
@@ -146,7 +146,6 @@ class PimMemoryController:
                 response = Simulator(config).run(ntt_request)
         except MappingError as exc:
             return MemoryResponse(ok=False, detail=str(exc))
-        run = response.raw
-        if run.output:
-            self._write_words(request.address, run.output)
-        return MemoryResponse(ok=True, data=run.output, run=run)
+        if response.values:
+            self._write_words(request.address, response.values)
+        return MemoryResponse(ok=True, data=response.values, run=response.raw)

@@ -1,51 +1,37 @@
-"""Result record of one simulated NTT invocation."""
+"""Result record of one simulated dispatch."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List
 
 from ..dram.engine import ScheduleResult
 
-__all__ = ["NttRunResult"]
+__all__ = ["DispatchResult"]
 
 
 @dataclass
-class NttRunResult:
-    """Everything an experiment wants to know about one PIM NTT run."""
+class DispatchResult:
+    """One dispatch of ``banks x slots`` transforms on the shared bus: a
+    lone transform is 1x1, a one-bank batch 1xk, a multi-bank dispatch
+    kx1."""
 
-    n: int
-    q: int
-    nb_buffers: int
-    output: List[int]
+    banks: int
+    slots: int
     schedule: ScheduleResult
+    #: Cycles of bank 0's first transform run alone (the reference for
+    #: batch amortization and bank-parallel speedup).
+    single_cycles: int
     verified: bool
-    command_count: int
-    bu_ops: int
+    #: Finalized outputs, bank-major (populated on functional runs).
+    outputs: List[List[int]] = field(default_factory=list)
+    #: Executed butterfly µ-ops across the dispatch (functional runs).
+    bu_ops: int = 0
 
     @property
     def cycles(self) -> int:
         return self.schedule.total_cycles
 
     @property
-    def latency_ns(self) -> float:
-        return self.schedule.latency_ns
-
-    @property
-    def latency_us(self) -> float:
-        return self.schedule.latency_us
-
-    @property
-    def energy_nj(self) -> float:
-        return self.schedule.energy_nj
-
-    @property
-    def activations(self) -> int:
-        return self.schedule.stats.activations
-
-    def summary(self) -> str:
-        """One-line report used by examples and experiment harnesses."""
-        return (f"N={self.n:>5}  Nb={self.nb_buffers}  "
-                f"{self.latency_us:9.2f} us  {self.energy_nj:9.2f} nJ  "
-                f"ACTs={self.activations:>6}  cmds={self.command_count:>7}  "
-                f"verified={'yes' if self.verified else 'NO'}")
+    def command_count(self) -> int:
+        return len(self.schedule.timings)

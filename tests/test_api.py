@@ -2,6 +2,7 @@
 validation, response-envelope equality with the engine-room entry
 points, shared schedule caching and run_many grouping."""
 
+import hashlib
 import random
 from dataclasses import dataclass
 from typing import ClassVar
@@ -29,12 +30,11 @@ from repro.api import (
 )
 from repro.arith import NttParams, find_ntt_prime, use_backend
 from repro.errors import RequestValidationError
+from repro.mapping.mapper import MapperOptions
 from repro.ntt import NegacyclicParams
 from repro.pim import PimParams
 from repro.sim import SimConfig, TransformSpec, schedule_cache_info
-from repro.sim.batch import _run_batch
-from repro.sim.driver import _run_transform
-from repro.sim.multibank import _run_multibank
+from repro.sim.driver import _run_dispatch
 
 N = 256
 Q = find_ntt_prime(N, 32)
@@ -338,56 +338,59 @@ class TestLegacyEquivalence:
 
     def test_ntt_matches_driver(self):
         x = _data(1)
-        legacy = _legacy(_run_transform, TransformSpec(params=PARAMS), x,
+        legacy = _legacy(_run_dispatch, [[x]], [TransformSpec(params=PARAMS)],
                          SimConfig())
         response = Simulator().run(NttRequest(params=PARAMS, values=x))
-        assert response.values == legacy.output
+        assert response.values == legacy.outputs[0]
         assert response.cycles == legacy.cycles
-        assert response.energy_nj == legacy.energy_nj
+        assert response.energy_nj == legacy.schedule.energy_nj
         assert response.command_count == legacy.command_count
         assert response.counters["bu_ops"] == legacy.bu_ops
-        assert response.activations == legacy.activations
+        assert response.activations == legacy.schedule.stats.activations
         assert response.verified and legacy.verified
 
     def test_intt_matches_driver(self):
         x = _data(2)
-        legacy = _legacy(_run_transform,
-                         TransformSpec(params=PARAMS, inverse=True), x,
+        legacy = _legacy(_run_dispatch, [[x]],
+                         [TransformSpec(params=PARAMS, inverse=True)],
                          SimConfig())
         response = Simulator().run(NttRequest(params=PARAMS, values=x,
                                               inverse=True))
-        assert response.values == legacy.output
+        assert response.values == legacy.outputs[0]
         assert response.cycles == legacy.cycles
 
     def test_negacyclic_matches_driver(self):
         x = _data(3, q=QN)
-        legacy = _legacy(_run_transform,
-                         TransformSpec(kind="negacyclic", ring=RING), x,
+        legacy = _legacy(_run_dispatch, [[x]],
+                         [TransformSpec(kind="negacyclic", ring=RING)],
                          SimConfig())
         response = Simulator().run(NegacyclicRequest(ring=RING, values=x))
-        assert response.values == legacy.output
+        assert response.values == legacy.outputs[0]
         assert response.cycles == legacy.cycles
-        assert response.energy_nj == legacy.energy_nj
+        assert response.energy_nj == legacy.schedule.energy_nj
         assert response.verified
 
     def test_batch_matches_run_batch(self):
         inputs = [_data(4), _data(5)]
-        legacy = _legacy(_run_batch, inputs, PARAMS)
+        legacy = _legacy(_run_dispatch, [inputs],
+                         [TransformSpec(params=PARAMS)], SimConfig())
         response = Simulator().run(BatchRequest(params=PARAMS, inputs=inputs))
         assert response.cycles == legacy.cycles
-        assert response.metrics["amortization"] == legacy.amortization
+        assert response.metrics["amortization"] == (
+            legacy.single_cycles / (legacy.cycles / 2))
         assert response.outputs == legacy.outputs
         assert response.verified and legacy.verified
 
     def test_multibank_matches_run_multibank(self):
         inputs = [_data(6), _data(7), _data(8)]
-        legacy = _legacy(_run_multibank, inputs,
-                         [TransformSpec(params=PARAMS)] * 3)
+        legacy = _legacy(_run_dispatch, [[x] for x in inputs],
+                         [TransformSpec(params=PARAMS)] * 3, SimConfig())
         response = Simulator().run(MultiBankRequest(params=PARAMS,
                                                     inputs=inputs))
+        speedup = 3 * legacy.single_cycles / legacy.cycles
         assert response.cycles == legacy.cycles
-        assert response.metrics["speedup"] == legacy.speedup
-        assert response.metrics["efficiency"] == legacy.efficiency
+        assert response.metrics["speedup"] == speedup
+        assert response.metrics["efficiency"] == speedup / 3
         assert response.outputs == legacy.outputs
         # Per-bank outputs match individual single-transform runs.
         for values, out in zip(inputs, response.outputs):
@@ -451,7 +454,7 @@ class TestRunMany:
         inputs = [_data(i) for i in range(24, 27)]
         requests = [NttRequest(params=PARAMS, values=x) for x in inputs]
         responses = simulator.run_many(requests)
-        group = responses[0].raw  # shared MultiBankResult
+        group = responses[0].raw  # the group's shared DispatchResult
         total_nj = sum(r.energy_nj for r in responses)
         assert total_nj == pytest.approx(group.schedule.energy_nj)
         assert (sum(r.command_count for r in responses)
@@ -584,6 +587,77 @@ class TestResponseEnvelope:
         assert f"N={N:>5}" in line
         assert "[ntt]" in line
         assert "verified=yes" in line
+
+
+class TestPinnedEnvelopes:
+    """Every transform request kind's response envelope, pinned by digest.
+
+    Values, outputs, cycles, latency, energy, verified, command count,
+    counters, metrics and the cold-then-warm cache deltas of lone,
+    batched and multi-bank transforms under four configs; a change to
+    any simulated number, response field or cache lookup changes the
+    digest.  Both backends must produce the same one.
+    """
+
+    DIGEST = ("f07746e8a7da027c1442c88fcbe47d01"
+              "3997324fff1f93b0a4db0dbe638d0a14")
+
+    CONFIGS = (
+        SimConfig(),
+        SimConfig(pim=PimParams(nb_buffers=1)),
+        SimConfig(pim=PimParams(nb_buffers=4), base_row=5,
+                  mapper_options=MapperOptions(in_place_update=False)),
+        SimConfig(pim=PimParams(nb_buffers=6), functional=False,
+                  verify=False),
+    )
+
+    @staticmethod
+    def _requests(cyclic_only: bool):
+        n = 512
+        params = NttParams(n, find_ntt_prime(n, 32))
+        ring = NegacyclicParams(n, find_ntt_prime(n, 32, negacyclic=True))
+        x = [tuple(_data(seed, params.q, n)) for seed in range(3)]
+        y = [tuple(_data(seed, ring.q, n)) for seed in range(3, 6)]
+        yield NttRequest(params=params, values=x[0])
+        yield NttRequest(params=params, values=x[1], inverse=True)
+        yield BatchRequest(params=params, inputs=x)
+        yield MultiBankRequest(params=params, inputs=x)
+        if cyclic_only:  # Nb=1 maps cyclic transforms only
+            return
+        yield NegacyclicRequest(ring=ring, values=y[0])
+        yield NegacyclicRequest(ring=ring, values=y[1], inverse=True)
+        yield MultiBankRequest(ring=ring, inputs=y, inverse=True)
+        yield MultiBankRequest(
+            specs=(BankSpec(params=params), BankSpec(ring=ring, inverse=True),
+                   BankSpec(params=params, inverse=True), BankSpec(ring=ring)),
+            inputs=(x[0], y[0], x[1], y[1]))
+
+    @staticmethod
+    def _envelope(response: SimResponse) -> bytes:
+        return repr((
+            response.workload, response.values, response.outputs,
+            response.cycles, response.latency_us, response.energy_nj,
+            response.verified, response.command_count,
+            sorted(response.counters.items()),
+            sorted(response.metrics.items()),
+            sorted((k, sorted(v.items())) for k, v in response.cache.items()),
+        )).encode()
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_envelope_digest(self, backend):
+        h = hashlib.sha256()
+        count = 0
+        with use_backend(backend):
+            for config in self.CONFIGS:
+                simulator = Simulator(config)
+                for request in self._requests(config.pim.nb_buffers == 1):
+                    Simulator.clear_caches()
+                    for _ in ("cold", "warm"):
+                        h.update(self._envelope(simulator.run(request)))
+                        count += 1
+        Simulator.clear_caches()
+        assert count == 56
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestProgramFunctional:

@@ -25,9 +25,8 @@ from repro.mapping.mapper import MapperOptions
 from repro.ntt import NegacyclicParams
 from repro.pim.bank_pim import PimBank, touched_rows
 from repro.pim.params import PimParams
-from repro.sim.batch import _run_batch, compile_batch
-from repro.sim.driver import SimConfig, TransformSpec
-from repro.sim.multibank import _run_multibank
+from repro.sim.driver import SimConfig, TransformSpec, _run_dispatch, \
+    compile_dispatch
 from test_engine_fuzz import _random_legal_program
 
 OPTIONS = [MapperOptions(in_place_update=a, group_same_row=b)
@@ -132,7 +131,7 @@ def test_stacked_dispatch_equals_per_bank_loop(case):
     lane plans and the python backend run one full bank per bank."""
     config, specs, inputs = case
     with _banks_run() as seen:
-        result = _run_multibank(inputs, specs, config)
+        result = _run_dispatch([[x] for x in inputs], specs, config)
     expected, counters = _reference_multibank(inputs, specs, config)
     assert result.verified
     assert result.outputs == expected
@@ -165,8 +164,8 @@ def test_stacked_batch_equals_one_bank(n, bits, nb, options, base_row,
     inputs = [[rng.randrange(spec.q) for _ in range(n)]
               for _ in range(count)]
     with _banks_run() as seen:
-        result = _run_batch(inputs, spec.params, config)
-    programs, stream, _ = compile_batch(spec.params, count, config)
+        result = _run_dispatch([inputs], [spec], config)
+    (programs,), stream, _ = compile_dispatch([spec], count, config)
     expected, bank = _reference_bank(spec, inputs, config, programs, stream)
     assert result.verified and result.outputs == expected
     assert _summed(seen) == _counters(bank)
@@ -229,8 +228,9 @@ def test_one_flipped_word_in_any_bank_is_caught(flipped, monkeypatch):
     monkeypatch.setattr(PimBank, "read_polynomial", corrupted)
     with use_backend("numpy"):
         with pytest.raises(FunctionalMismatch):
-            _run_multibank(inputs, [spec] * 8, SimConfig())
-        result = _run_multibank(inputs, [spec] * 8, SimConfig(verify=False))
+            _run_dispatch([[x] for x in inputs], [spec] * 8, SimConfig())
+        result = _run_dispatch([[x] for x in inputs], [spec] * 8,
+                               SimConfig(verify=False))
     assert not result.verified
     wrong = [k for k in range(8) if result.outputs[k] != golden[k]]
     assert wrong == [flipped]

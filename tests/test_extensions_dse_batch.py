@@ -14,7 +14,8 @@ from repro.mapping import MapperOptions
 from repro.ntt import naive_negacyclic_convolution
 from repro.pim import PimParams
 from repro.sim import SimConfig
-from repro.sim.batch import _run_batch, concat_programs
+from repro.sim.batch import concat_programs
+from repro.sim.driver import TransformSpec, _run_dispatch
 
 Q = find_ntt_prime(2048, 32)
 
@@ -55,22 +56,25 @@ class TestBatch:
         params = NttParams(n, Q)
         rng = random.Random(1)
         inputs = [[rng.randrange(Q) for _ in range(n)] for _ in range(3)]
-        result = _run_batch(inputs, params)
+        result = _run_dispatch([inputs], [TransformSpec(params=params)],
+                               SimConfig())
         assert result.verified
-        assert result.count == 3
+        assert result.slots == 3
 
     def test_no_throughput_loss(self):
         n = 512
         params = NttParams(n, Q)
         config = SimConfig(functional=False, verify=False)
-        result = _run_batch([[0] * n] * 4, params, config)
+        result = Simulator(config).run(
+            BatchRequest(params=params, inputs=[[0] * n] * 4))
         # Back-to-back transforms must not be slower per transform than
         # single-shot (and the PARAM amortization gives a sliver back).
-        assert result.amortization >= 0.98
+        assert result.metrics["amortization"] >= 0.98
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            _run_batch([], NttParams(256, Q))
+            _run_dispatch([[]], [TransformSpec(params=NttParams(256, Q))],
+                          SimConfig())
 
     @pytest.mark.parametrize("verify", [True, False])
     @pytest.mark.parametrize("n", [512, 1024, 2048])

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.api import NttRequest, Simulator
+from repro.api import BatchRequest, NegacyclicRequest, NttRequest, Simulator
 from repro.arith import NttParams, find_ntt_prime
 from repro.dram import CommandType, HBM2E_ARCH
 from repro.errors import MappingError
@@ -87,6 +87,25 @@ class TestProgramStructure:
     def test_rejects_overflow(self):
         with pytest.raises(MappingError):
             make_mapper(8192, base_row=32766)
+
+    @pytest.mark.parametrize("functional", [False, True])
+    @pytest.mark.parametrize("nb", [1, 2, 6])
+    def test_rejects_negative_base_row(self, nb, functional):
+        """A program must start inside the bank: a negative base row is
+        the fit check's MappingError, never a timing-only run over rows
+        -3..0 or a functional one that fails only at host I/O."""
+        n = 1024
+        config = SimConfig(pim=PimParams(nb_buffers=nb), base_row=-3,
+                           functional=functional, verify=functional)
+        params = NttParams(n, Q)
+        requests = [NttRequest(params=params),
+                    BatchRequest(params=params, inputs=[[0] * n] * 2)]
+        if nb > 1:  # Nb=1 maps cyclic transforms only
+            ring = NegacyclicParams(n, find_ntt_prime(n, 32, negacyclic=True))
+            requests.append(NegacyclicRequest(ring=ring))
+        for request in requests:
+            with pytest.raises(MappingError, match="does not fit"):
+                Simulator(config).run(request)
 
 
 class TestProtocolLegality:

@@ -300,7 +300,7 @@ class TestSimServer:
                               request_id=i + 1) for i in range(4)]
         server = SimServer(NOVERIFY, window_us=10.0, max_banks=4)
         results = server.serve(sreqs)
-        group = results[0].response.raw  # the MultiBankResult
+        group = results[0].response.raw  # the group's DispatchResult
         total = server.telemetry.snapshot()["total_energy_nj"]
         assert total == pytest.approx(group.schedule.energy_nj)
 
@@ -422,7 +422,7 @@ class TestGeneralizedBatching:
 
     def test_grouped_negacyclic_counters_split_per_bank(self):
         results = self._serve_and_check([nega_request(i) for i in range(4)])
-        group = results[0].response.raw  # the MultiBankResult
+        group = results[0].response.raw  # the group's DispatchResult
         assert group.banks == 4
         per_bank = results[0].response.counters
         assert all(v * 4 == group.schedule.stats.command_counts.get(k, 0)

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.api import NttRequest, Simulator
@@ -26,7 +27,10 @@ def flip_one_word(monkeypatch):
 
     def corrupted(self, base_row, n):
         words = real_read(self, base_row, n)
-        words[n // 2] ^= 1
+        # A lone transform reads back a (1, n) bank stack on numpy and a
+        # list of ints from a full single bank on the python backend.
+        row = words[0] if isinstance(words, np.ndarray) else words
+        row[n // 2] ^= 1
         return words
 
     monkeypatch.setattr(PimBank, "read_polynomial", corrupted)

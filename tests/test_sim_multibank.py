@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+from repro.api import MultiBankRequest, Simulator
 from repro.arith import NttParams, find_ntt_prime
 from repro.dram import Command, CommandType
 from repro.pim import PimParams
 from repro.sim import SimConfig, interleave_programs
-from repro.sim.multibank import TransformSpec, _run_multibank
+from repro.sim.driver import _run_dispatch
+from repro.sim.multibank import TransformSpec
 
 Q = find_ntt_prime(1024, 32)
 
@@ -47,8 +49,9 @@ class TestMultiBankRuns:
         n = 256
         params = NttParams(n, Q)
         inputs = [[rng.randrange(Q) for _ in range(n)] for _ in range(2)]
-        result = _run_multibank(
-            inputs, [TransformSpec(params=params)] * len(inputs))
+        result = _run_dispatch([[x] for x in inputs],
+                               [TransformSpec(params=params)] * len(inputs),
+                               SimConfig())
         assert result.verified
         assert result.banks == 2
 
@@ -57,36 +60,37 @@ class TestMultiBankRuns:
         params = NttParams(n, Q)
         config = SimConfig(pim=PimParams(nb_buffers=2),
                            functional=False, verify=False)
-        result = _run_multibank([[0] * n] * 4,
-                                [TransformSpec(params=params)] * 4, config)
-        assert result.speedup > 3.0
-        assert 0.75 <= result.efficiency <= 1.01
+        result = Simulator(config).run(
+            MultiBankRequest(params=params, inputs=[[0] * n] * 4))
+        assert result.metrics["speedup"] > 3.0
+        assert 0.75 <= result.metrics["efficiency"] <= 1.01
 
     def test_single_bank_degenerate(self):
         n = 256
         params = NttParams(n, Q)
         config = SimConfig(functional=False, verify=False)
-        result = _run_multibank([[0] * n], [TransformSpec(params=params)],
-                                config)
-        assert result.speedup == pytest.approx(1.0)
+        result = Simulator(config).run(
+            MultiBankRequest(params=params, inputs=[[0] * n]))
+        assert result.metrics["speedup"] == pytest.approx(1.0)
 
     def test_parallel_not_slower_than_serial(self):
         n = 256
         params = NttParams(n, Q)
         config = SimConfig(functional=False, verify=False)
-        parallel = _run_multibank([[0] * n] * 8,
-                                  [TransformSpec(params=params)] * 8, config)
-        assert parallel.cycles < 8 * parallel.single_bank_cycles
+        parallel = _run_dispatch([[[0] * n]] * 8,
+                                 [TransformSpec(params=params)] * 8, config)
+        assert parallel.cycles < 8 * parallel.single_cycles
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            _run_multibank([], [])
+            _run_dispatch([], [], SimConfig())
 
     def test_different_data_per_bank(self):
         rng = random.Random(2)
         n = 256
         params = NttParams(n, Q)
         inputs = [[rng.randrange(Q) for _ in range(n)] for _ in range(3)]
-        result = _run_multibank(
-            inputs, [TransformSpec(params=params)] * len(inputs))
+        result = _run_dispatch([[x] for x in inputs],
+                               [TransformSpec(params=params)] * len(inputs),
+                               SimConfig())
         assert result.verified  # each bank independently checked
