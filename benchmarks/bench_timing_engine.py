@@ -2,7 +2,9 @@
 
 Measures commands/sec of ``TimingEngine.simulate`` (the ground-truth
 per-command loop) against ``TimingEngine.simulate_stream`` (the SoA
-compiled-stream loop) on fixed NTT command programs, plus the one-time
+compiled-stream loop) on fixed NTT command programs — the stream replay
+also as µs per command, which includes building the loop's inputs from
+the stream's columns on every call — plus the one-time
 cold map (program-cache miss to IR) and stream compile costs and the
 functional bank speedup of the fused compiled plan over the per-command
 bank (``PimBank.run``, the scalar ground truth; its time is recorded
@@ -11,8 +13,8 @@ on warm 8-bank dispatches (ns per butterfly µ-op) — and merges the
 measurements into ``BENCH_kernels.json`` at the repo root.  Each
 mapper, compiler and data-plane entry also records the host slowdown
 (``perfbench/perf_clock.slowdown``) measured around its timings, so
-``check_trajectory`` can gate those rates at the reference machine's
-speed.
+``check_trajectory`` can gate those rates — and the stream replay's —
+at the reference machine's speed.
 
 Non-gating when run directly —
 
@@ -87,7 +89,9 @@ def run(ns=(1024, 4096), repeats: int = 5,
         }
 
         legacy_s = _best_of(lambda: engine.simulate(commands), repeats)
+        replay_slowdown = perf_clock.slowdown()
         stream_s = _best_of(lambda: engine.simulate_stream(stream), repeats)
+        replay_slowdown = (replay_slowdown + perf_clock.slowdown()) / 2
 
         # Functional execution: the fused compiled plan vs the scalar
         # ground-truth per-command bank on the same program and data.
@@ -114,6 +118,8 @@ def run(ns=(1024, 4096), repeats: int = 5,
             "engine_legacy_cmds_per_s": len(commands) / legacy_s,
             "engine_stream_cmds_per_s": len(commands) / stream_s,
             "engine_speedup": legacy_s / stream_s,
+            "engine_stream_us_per_cmd": stream_s / len(commands) * 1e6,
+            "slowdown": replay_slowdown,
             "bank_legacy_s": bank_legacy_s,
             "bank_stream_s": bank_stream_s,
             "bank_speedup": bank_legacy_s / bank_stream_s,
@@ -219,7 +225,9 @@ def _format(results: dict) -> str:
             f"  N={n:>5s}  {entry['commands']:>6d} cmds  "
             f"engine {entry['engine_legacy_cmds_per_s'] / 1e6:5.2f} -> "
             f"{entry['engine_stream_cmds_per_s'] / 1e6:5.2f} Mcmd/s "
-            f"({entry['engine_speedup']:4.1f}x)  "
+            f"({entry['engine_speedup']:4.1f}x, "
+            f"{entry['engine_stream_us_per_cmd']:.2f} us/cmd at host "
+            f"slowdown {entry['slowdown']:.2f}x)  "
             f"bank scalar {entry['bank_legacy_s'] * 1e3:7.2f} -> fused "
             f"{entry['bank_stream_s'] * 1e3:6.2f} ms "
             f"({entry['bank_speedup']:4.1f}x)  "
@@ -285,6 +293,8 @@ def test_stream_engine_smoke(show, tmp_path):
                   out_path=tmp_path / "BENCH_kernels.json",
                   dataplane_ns=(256,))
     assert results["timing_engine"]["256"]["engine_speedup"] > 0
+    assert results["timing_engine"]["256"]["engine_stream_us_per_cmd"] > 0
+    assert results["timing_engine"]["256"]["slowdown"] > 0
     assert results["compiler"]["256"]["cold_us_per_cmd"] > 0
     assert results["compiler"]["256"]["slowdown"] > 0
     assert results["compiler"]["nb1"]["fused_speedup"] > 0

@@ -8,7 +8,10 @@ committed floor:
   at the overloaded top rate (measured ~3.3x);
 * stream engine: the compiled-stream timing loop and the fused
   functional bank must not be slower than the legacy per-command loops
-  (measured ~4x / ~7x; the floor is 1.0 with headroom for CI noise);
+  (measured ~6x / ~36-57x; the floor is 1.0 with headroom for CI noise),
+  and the stream replay, scaled to the reference machine's speed by the
+  host slowdown recorded next to it, must stay below
+  ``TIMING_US_PER_CMD_CEILING``;
 * compiler: the pass-based IR pipeline's cold compile, scaled to the
   reference machine's speed by the host slowdown recorded next to it,
   must stay below the retired monolith's ~2.3 us/command rate, and the
@@ -81,6 +84,14 @@ MAP_US_PER_CMD_CEILING = 1.3
 #: (and was verified) on its own.  Same slowdown scaling; ~2x headroom
 #: over the N=512 level, which the per-bank loop fails.
 DATAPLANE_NS_PER_BU_CEILING = 150.0
+#: The stream replay builds its loop inputs from the stream's int64
+#: columns on every call (no list mirrors, no per-command timing
+#: tuples) and measures ~0.40-0.45 us/command at reference speed at
+#: N=1024 and N=4096, against ~0.5-0.6 when it walked list mirrors
+#: built (and paid for) at lowering and returned one ``CommandTiming``
+#: per command.  Same slowdown scaling and ~2x headroom as the map
+#: ceiling.
+TIMING_US_PER_CMD_CEILING = 0.9
 #: Nb=1 µ-op programs fuse through the lane-renaming pass; the fused
 #: run must not be slower than the per-command fallback it replaced
 #: (measured ~4x faster).
@@ -298,9 +309,19 @@ def check(kernels_path: Path = REPO_ROOT / "BENCH_kernels.json",
 
     engine = kernels["timing_engine"]
     for n, entry in engine.items():
+        us_per_cmd = entry["engine_stream_us_per_cmd"] / entry["slowdown"]
         print(f"engine: N={n} stream {entry['engine_speedup']:.2f}x, "
               f"fused bank {entry['bank_speedup']:.2f}x (floors "
-              f"{ENGINE_SPEEDUP_FLOOR}/{BANK_SPEEDUP_FLOOR})")
+              f"{ENGINE_SPEEDUP_FLOOR}/{BANK_SPEEDUP_FLOOR}), replay "
+              f"{entry['engine_stream_us_per_cmd']:.2f} us/cmd at host "
+              f"slowdown {entry['slowdown']:.2f}x = {us_per_cmd:.2f} us/cmd "
+              f"at reference speed (ceiling {TIMING_US_PER_CMD_CEILING})")
+        if us_per_cmd > TIMING_US_PER_CMD_CEILING:
+            failures.append(
+                f"N={n}: stream replay {us_per_cmd:.2f} us/cmd at reference "
+                f"speed ({entry['engine_stream_us_per_cmd']:.2f} raw / "
+                f"{entry['slowdown']:.2f}x slowdown) exceeds the "
+                f"{TIMING_US_PER_CMD_CEILING} us/cmd ceiling")
         if entry["engine_speedup"] < ENGINE_SPEEDUP_FLOOR:
             failures.append(f"N={n}: stream engine slower than the legacy "
                             f"loop ({entry['engine_speedup']:.2f}x)")

@@ -68,7 +68,7 @@ def response_from_schedule(workload: str, schedule: ScheduleResult,
         cycles=schedule.total_cycles,
         latency_us=schedule.latency_us,
         energy_nj=schedule.energy_nj,
-        command_count=len(schedule.timings),
+        command_count=len(schedule.issues),
         counters=dict(schedule.stats.command_counts),
         raw=raw if raw is not None else schedule,
     )

@@ -64,9 +64,8 @@ class CompiledProgram:
                 f"virtual={stats.get('n_virtual')}")
         else:
             lines.append(f"fallback: {self.stream.fallback_reason}")
-        for tag in ("plan_ms", "lower_ms"):
-            if tag in self.pass_stats:
-                lines.append(f"{tag}: {self.pass_stats[tag]:.3f}")
+        if "plan_ms" in self.pass_stats:
+            lines.append(f"plan_ms: {self.pass_stats['plan_ms']:.3f}")
         return "\n".join(lines)
 
 

@@ -127,7 +127,8 @@ class StreamIR:
         return self._commands
 
     def deps_list(self):
-        """Per-command dependency tuples (the timing loop's mirror)."""
+        """Per-command dependency tuples, for materialized :class:`Command`
+        objects (the timing engine reads the flat columns directly)."""
         starts = self.dep_start.tolist()
         ends = self.dep_end.tolist()
         flat = self.dep_flat.tolist()

@@ -2,11 +2,11 @@
 
 :func:`compile_ir` is the compiler's spine: run the pass pipeline
 (:func:`repro.compile.passes.build_plan`) over one :class:`StreamIR`,
-then lower the columns into the executable
+then pair the IR with the plan in the executable
 :class:`~repro.dram.stream.CommandStream` the timing engine and the
-functional bank consume.  The lowering itself is vectorized — the
-hot-loop list mirrors come from ``np.take`` / ``np.unique`` over the
-SoA columns, not from per-command attribute walks.
+functional bank consume.  Lowering copies nothing: the timing engine
+builds its loop inputs from the IR's int64 columns when it replays the
+stream.
 
 :func:`interleave_irs` and :func:`concat_irs` are the merge passes: the
 round-robin multi-bank interleave and the back-to-back batch concat,
@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..dram.commands import CODE_CTYPES, CTYPE_CODES, CommandType
+from ..dram.commands import CTYPE_CODES, CommandType
 from ..dram.stream import CommandStream
 from ..dram.timing import ArchParams
 from .ir import StreamIR, as_ir
@@ -34,13 +34,6 @@ from .passes import build_plan
 
 __all__ = ["compile_ir", "interleave_irs", "concat_irs"]
 
-_CAT_BY_CODE = np.array(
-    [0 if ct is CommandType.ACT else
-     1 if ct is CommandType.PRE else
-     2 if ct.is_column else
-     3 for ct in CODE_CTYPES], dtype=np.int64)
-_WRITE_LIKE_BY_CODE = np.array([ct.is_write_like for ct in CODE_CTYPES],
-                               dtype=np.bool_)
 _CODE_PARAM = CTYPE_CODES[CommandType.PARAM_WRITE]
 
 
@@ -48,49 +41,8 @@ def compile_ir(ir: StreamIR, arch: ArchParams) -> CommandStream:
     """Pass pipeline + lowering: one IR -> one executable stream."""
     t0 = time.perf_counter()
     plan, reason, stats = build_plan(ir, arch)
-    t1 = time.perf_counter()
-
-    n = ir.n
-    if n:
-        bank_ids_arr, banks_inv = np.unique(ir.banks, return_inverse=True)
-        bank_ids = tuple(bank_ids_arr.tolist())
-        banks_l = banks_inv.tolist()
-    else:
-        bank_ids = (0,)
-        banks_l = []
-
-    stream = CommandStream(
-        n=n,
-        codes=ir.codes,
-        banks=ir.banks,
-        rows=ir.rows,
-        cols=ir.cols,
-        bufs=ir.bufs,
-        buf2s=ir.buf2s,
-        lanes=ir.lanes,
-        gs=ir.gs,
-        dep_start=ir.dep_start,
-        dep_end=ir.dep_end,
-        dep_flat=ir.dep_flat,
-        omega0s=ir.omega0s,
-        r_omegas=ir.r_omegas,
-        zetas=ir.zetas,
-        codes_l=ir.codes.tolist(),
-        cats_l=np.take(_CAT_BY_CODE, ir.codes).tolist(),
-        banks_l=banks_l,
-        rows_l=ir.rows.tolist(),
-        write_like_l=np.take(_WRITE_LIKE_BY_CODE, ir.codes).tolist(),
-        deps_l=ir.deps_list(),
-        bank_ids=bank_ids,
-        nbanks=len(bank_ids),
-        plan=plan,
-        fallback_reason=reason,
-        ir=ir,
-    )
-    stats["plan_ms"] = (t1 - t0) * 1e3
-    stats["lower_ms"] = (time.perf_counter() - t1) * 1e3
-    stream.pass_stats = stats
-    return stream
+    stats["plan_ms"] = (time.perf_counter() - t0) * 1e3
+    return CommandStream(ir, plan, reason, stats)
 
 
 # -- merge passes --------------------------------------------------------------

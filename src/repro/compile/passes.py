@@ -4,8 +4,8 @@ One fixed pipeline replaces the old per-command ``_build_plan`` Python
 loop with NumPy computations over the SoA columns:
 
 * **validate** — symbolic open-row protocol, address bounds and payload
-  checks, reporting the *first* violating command with the same
-  fallback reason the legacy loop produced.
+  checks on a one-bank stream, reporting the *first* violating command
+  with the same fallback reason the legacy loop produced.
 * **rename** — buffer renaming: every buffer write allocates a fresh
   virtual version (register renaming), erasing WAR/WAW hazards so
   whole stages fuse.
@@ -744,9 +744,16 @@ def build_plan(ir: StreamIR, arch: ArchParams):
     """Run the pass pipeline over one IR.
 
     Returns ``(plan, fallback_reason, stats)`` — exactly one of the
-    first two is set.
+    first two is set.  A plan models one bank, and :func:`_validate`
+    tracks one open row, so a stream spanning several banks (a merged
+    multi-bank dispatch) gets no plan; its banks execute on their own
+    one-bank streams.
     """
     stats: dict = {}
+    banks = ir.banks
+    if ir.n and banks.min() != banks.max():
+        return None, (f"stream spans {len(np.unique(banks))} banks; "
+                      f"plans are per bank"), stats
     reason, has_scalar = _validate(ir, arch)
     if reason is not None:
         return None, reason, stats

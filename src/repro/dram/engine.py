@@ -21,6 +21,7 @@ every timing run doubles as a protocol check of the mapping algorithm.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
@@ -82,12 +83,8 @@ class ComputeTiming:
 
 
 class CommandTiming(NamedTuple):
-    """When one command issued and when its effect completed.
-
-    A named tuple rather than a dataclass: the engines materialize one
-    per command, and ``list(map(CommandTiming, issues, completes))``
-    over a whole program runs at C speed.
-    """
+    """When one command issued and when its effect completed (built on
+    demand by :attr:`ScheduleResult.timings`)."""
 
     issue: int
     complete: int
@@ -95,12 +92,20 @@ class CommandTiming(NamedTuple):
 
 @dataclass
 class ScheduleResult:
-    """Timing outcome of one command program."""
+    """Timing outcome of one command program: command ``i`` issued at
+    cycle ``issues[i]`` and completed at ``completes[i]``."""
 
-    timings: List[CommandTiming]
+    issues: List[int]
+    completes: List[int]
     stats: SimStats
     timing_params: TimingParams
     energy_nj: float = 0.0
+
+    @property
+    def timings(self) -> List[CommandTiming]:
+        """Per-command view for traces, timing diagrams and tests (built
+        on each read; the hot path only counts ``issues``)."""
+        return list(map(CommandTiming, self.issues, self.completes))
 
     @property
     def total_cycles(self) -> int:
@@ -226,41 +231,51 @@ class TimingEngine:
 
         stats.total_cycles = end
         energy_nj = self.energy.total_nj(stats.command_counts, end, timing)
-        return ScheduleResult(timings=timings, stats=stats,
-                              timing_params=timing, energy_nj=energy_nj)
+        return ScheduleResult(issues=[t.issue for t in timings],
+                              completes=[t.complete for t in timings],
+                              stats=stats, timing_params=timing,
+                              energy_nj=energy_nj)
 
     def simulate_stream(self, stream) -> ScheduleResult:
         """Simulate a compiled :class:`~repro.dram.stream.CommandStream`.
 
-        Bit-identical to :meth:`simulate` on the stream's command list,
-        but the hot loop reads pre-decoded SoA columns (small-int
-        category/code dispatch, flat dependency ranges, list-indexed
-        per-bank state) instead of touching one :class:`Command` object
-        per step, and stats/energy come from an ``np.bincount`` over the
-        ctype column instead of per-command ``record()`` calls.
+        Bit-identical to :meth:`simulate` on the stream's commands (the
+        same timings, stats, energy, and :class:`MappingError` at the
+        same command), but the loop's inputs are built from the IR's
+        int64 columns at call time: category, write-like flag and
+        compute latency by one ``np.take`` each over ``codes``, compact
+        bank ids by ``np.unique``, dependencies by
+        :func:`_dependencies`.  Stats and energy come from an
+        ``np.bincount`` over ``codes``.  The recurrence stays serial:
+        almost every command issues later than ``previous + 1``.
         """
         timing = self.timing
-        n = stream.n
-        cats = stream.cats_l
-        codes = stream.codes_l
-        rows = stream.rows_l
-        banks = stream.banks_l
-        deps = stream.deps_l
-        write_like = stream.write_like_l
-        lat_code = self.compute.code_latencies()
-        nb = stream.nbanks
+        ir = stream.ir
+        n = ir.n
+        codes = ir.codes
+        cats = np.take(_CAT_BY_CODE, codes).tolist()
+        write_like = np.take(_WRITE_LIKE_BY_CODE, codes).tolist()
+        latency_by_code = np.array(self.compute.code_latencies())
+        latencies = np.take(latency_by_code, codes).tolist()
+        rows = ir.rows.tolist()
+        bank_ids, bank_index = np.unique(ir.banks, return_inverse=True)
+        banks = bank_index.tolist()
+        deps, stop, bad_dep = _dependencies(ir)
 
-        # Per-bank integer state, indexed by the stream's compact bank
-        # ids.  The closed-row sentinel is None (not -1): row numbers
-        # are not validated here, so any int — negative included — must
-        # behave exactly as in the legacy loop.
+        # Per-bank integer state, indexed by compact bank ids.  The
+        # closed-row sentinel is None (not -1): row numbers are not
+        # validated here, so any int — negative included — must behave
+        # exactly as in the legacy loop.
+        nb = len(bank_ids)
         open_row = [None] * nb
         next_act = [0] * nb
         next_col = [0] * nb
         next_pre = [0] * nb
         cu_free = [0] * nb
         issues = [0] * n
-        completes = [0] * n
+        # One extra slot: the padding sentinel's dependency target, a
+        # completion of 0 that never delays anything.
+        completes = [0] * (n + 1)
         bus_free = 0
         end = 0
         last_act = -10**9
@@ -276,18 +291,13 @@ class TimingEngine:
         read_done = timing.read_to_data
         write_done = timing.write_to_data
 
-        for i in range(n):
-            b = banks[i]
+        for i, b, cat, ds in zip(range(stop), banks, cats, deps):
             earliest = bus_free
-            for d in deps[i]:
-                if d >= i or d < 0:
-                    raise MappingError(
-                        f"command {i} has invalid dependency {d}")
+            for d in ds:
                 c = completes[d]
                 if c > earliest:
                     earliest = c
 
-            cat = cats[i]
             if cat == 2:  # column command
                 row = rows[i]
                 if open_row[b] != row:
@@ -311,7 +321,7 @@ class TimingEngine:
                     complete = t + read_done
 
             elif cat == 3:  # compute / PARAM_WRITE
-                latency = lat_code[codes[i]]
+                latency = latencies[i]
                 t = cu_free[b]
                 if earliest > t:
                     t = earliest
@@ -359,27 +369,60 @@ class TimingEngine:
             completes[i] = complete
             if complete > end:
                 end = complete
+        if stop < n:
+            raise MappingError(
+                f"command {stop} has invalid dependency {bad_dep}")
+        del completes[n]
 
-        counts = np.bincount(stream.codes, minlength=len(_CODE_NAMES))
-        command_counts = {name: int(counts[code])
-                          for code, name in enumerate(_CODE_NAMES)
-                          if counts[code]}
+        counts = np.bincount(codes, minlength=len(_CODE_NAMES))
+        command_counts = {name: count for name, count
+                          in zip(_CODE_NAMES, counts.tolist()) if count}
         stats = SimStats(
             command_counts=command_counts,
             total_cycles=end,
             bus_busy_cycles=n,
-            cu_busy_cycles=sum(int(counts[code]) * lat_code[code]
-                               for code in _COMPUTE_CODES if counts[code]),
+            cu_busy_cycles=int(counts @ latency_by_code),
         )
         energy_nj = self.energy.total_nj(command_counts, end, timing)
-        timings = list(map(CommandTiming, issues, completes))
-        return ScheduleResult(timings=timings, stats=stats,
-                              timing_params=timing, energy_nj=energy_nj)
+        return ScheduleResult(issues=issues, completes=completes,
+                              stats=stats, timing_params=timing,
+                              energy_nj=energy_nj)
+
+
+def _dependencies(ir):
+    """``(deps, stop, bad_dep)`` for the stream loop.
+
+    ``deps`` yields each command's dependencies as a tuple of the ``k``
+    index columns (``k`` = the widest dependency list), padded with the
+    sentinel ``n`` and zipped lazily at C speed.  ``stop`` is the first
+    command with an invalid (forward or negative) dependency, else
+    ``n``; ``bad_dep`` is its first one, as :meth:`TimingEngine.simulate`
+    reports it.
+    """
+    n = ir.n
+    counts = ir.dep_end - ir.dep_start
+    k = int(counts.max()) if n else 0
+    if not k:
+        return itertools.repeat(()), n, None
+    slot = np.arange(k)
+    used = slot < counts[:, None]
+    padded = np.where(used, np.take(ir.dep_flat, ir.dep_start[:, None] + slot,
+                                    mode="clip"), n)
+    bad = used & ((padded < 0) | (padded >= np.arange(n)[:, None]))
+    stop, bad_dep = n, None
+    if bad.any():
+        stop = int(bad.any(axis=1).argmax())
+        bad_dep = int(padded[stop, bad[stop].argmax()])
+    return zip(*padded.T.tolist()), stop, bad_dep
 
 
 # Derived views of the canonical command encoding (commands.CODE_CTYPES)
-# — the same tables the stream compiler populates its codes column from.
+# — the codes column the compiler populates indexes these tables.
 _CODE_NAMES = tuple(ct.value for ct in CODE_CTYPES)
-_COMPUTE_CODES = tuple(
-    code for code, ct in enumerate(CODE_CTYPES)
-    if ct.is_compute or ct is CommandType.PARAM_WRITE)
+_CAT_BY_CODE = np.array(
+    [0 if ct is CommandType.ACT else
+     1 if ct is CommandType.PRE else
+     2 if ct.is_column else
+     3 for ct in CODE_CTYPES], dtype=np.int64)
+_WRITE_LIKE_BY_CODE = np.array([ct.is_write_like for ct in CODE_CTYPES],
+                               dtype=np.bool_)

@@ -5,12 +5,13 @@ the pass-based IR compiler in :mod:`repro.compile` (program ->
 :class:`~repro.compile.ir.StreamIR` -> renaming, depth-grouping,
 lane-fusion and pooling passes -> this class):
 
-* **SoA columns** — NumPy int64 arrays for ctype code, bank, row, col,
-  buf/buf2/lane, flat dependency ranges, plus side tables for the
-  omega/zeta payloads.  The timing engine's stream loop
-  (:meth:`repro.dram.engine.TimingEngine.simulate_stream`) walks
-  pre-decoded Python-list mirrors of these columns — no enum dispatch,
-  no attribute lookups, no per-command object construction.
+* **Its IR** — the :class:`~repro.compile.ir.StreamIR`'s NumPy int64
+  columns (ctype code, bank, row, col, buf/buf2/lane, flat dependency
+  ranges) plus side tables for the omega/zeta payloads.  These columns
+  are the whole contract with the timing engine: its stream loop
+  (:meth:`repro.dram.engine.TimingEngine.simulate_stream`) builds its
+  inputs from them at call time, so a stream carries no copy or
+  Python-list mirror of any column.
 * **A functional execution plan** — the renaming pass gives every
   buffer write a fresh virtual version (like register renaming in an
   OoO core), the grouping pass levels the hazard graph by longest-path
@@ -25,10 +26,10 @@ lane-fusion and pooling passes -> this class):
   lane-granular renaming pass.
 
 Programs the passes cannot prove safe (WR with host data, protocol
-violations, rows left open at program end, missing twiddle payloads)
-compile with ``plan = None`` and execute through the legacy per-command
-loop — the ground-truth path — raising the same errors at the same
-commands.
+violations, rows left open at program end, missing twiddle payloads,
+commands on more than one bank) compile with ``plan = None`` and
+execute through the legacy per-command loop — the ground-truth path —
+raising the same errors at the same commands.
 
 Streams are cached under the same structural keys as the schedule cache
 (program-cache keys or merge recipes over them) plus the geometry, so
@@ -49,57 +50,26 @@ __all__ = ["CommandStream", "FunctionalPlan", "compile_stream",
 
 
 class CommandStream:
-    """One compiled program: SoA columns + optional functional plan.
+    """One compiled program: its IR + optional functional plan.
 
     ``commands`` is lazy: mapper- and merge-built IRs hold columns only
     and materialize :class:`Command` objects if a per-command fallback
     path asks for them.
     """
 
-    __slots__ = (
-        "n", "codes", "banks", "rows", "cols", "bufs", "buf2s", "lanes",
-        "gs", "dep_start", "dep_end", "dep_flat", "omega0s", "r_omegas",
-        "zetas", "codes_l", "cats_l", "banks_l", "rows_l", "write_like_l",
-        "deps_l", "bank_ids", "nbanks", "plan", "fallback_reason", "ir",
-        "pass_stats", "fuse_cache",
-    )
+    __slots__ = ("n", "ir", "plan", "fallback_reason", "pass_stats",
+                 "fuse_cache")
 
-    def __init__(self, *, n, codes, banks, rows, cols, bufs, buf2s, lanes,
-                 gs, dep_start, dep_end, dep_flat, omega0s, r_omegas,
-                 zetas, codes_l, cats_l, banks_l, rows_l, write_like_l,
-                 deps_l, bank_ids, nbanks, plan, fallback_reason, ir=None,
-                 pass_stats=None):
-        self.n = n
-        # SoA columns (int64; -1 encodes "field unused by this command").
-        self.codes = codes
-        self.banks = banks
-        self.rows = rows
-        self.cols = cols
-        self.bufs = bufs
-        self.buf2s = buf2s
-        self.lanes = lanes
-        self.gs = gs
-        self.dep_start = dep_start
-        self.dep_end = dep_end
-        self.dep_flat = dep_flat
-        # Payload side tables (Python ints can exceed int64).
-        self.omega0s = omega0s
-        self.r_omegas = r_omegas
-        self.zetas = zetas
-        # Hot-loop mirrors: plain Python lists index faster than ndarrays.
-        self.codes_l = codes_l
-        self.cats_l = cats_l
-        self.banks_l = banks_l          # compact 0..nbanks-1 indices
-        self.rows_l = rows_l
-        self.write_like_l = write_like_l
-        self.deps_l = deps_l
-        self.bank_ids = bank_ids
-        self.nbanks = nbanks
+    def __init__(self, ir, plan, fallback_reason, pass_stats=None):
+        self.n = ir.n
+        # The source IR: int64 columns (-1 encodes "field unused by this
+        # command") and payload side tables, read directly by the timing
+        # engine and the bank's row window.
+        self.ir = ir
         # Functional plan (None: execute via the legacy per-command loop).
         self.plan: Optional[FunctionalPlan] = plan
         self.fallback_reason: Optional[str] = fallback_reason
-        # The source IR and the pass pipeline's statistics.
-        self.ir = ir
+        # The pass pipeline's statistics.
         self.pass_stats: dict = pass_stats or {}
         # Per-(op, modulus) twiddle-pack cache filled in by the executor.
         self.fuse_cache: dict = {}
@@ -113,7 +83,7 @@ class CommandStream:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = (f"plan={len(self.plan.ops)} ops" if self.plan is not None
                  else f"fallback={self.fallback_reason!r}")
-        return f"<CommandStream n={self.n} banks={self.nbanks} {state}>"
+        return f"<CommandStream n={self.n} {state}>"
 
 
 def compile_stream(commands, arch: ArchParams) -> CommandStream:

@@ -38,7 +38,7 @@ def touched_rows(stream: CommandStream) -> range:
     stack must hold (memoized per stream)."""
     rows = stream.fuse_cache.get("rows")
     if rows is None:
-        named = stream.rows[stream.rows >= 0]
+        named = stream.ir.rows[stream.ir.rows >= 0]
         rows = stream.fuse_cache["rows"] = (
             range(int(named.min()), int(named.max()) + 1) if len(named)
             else range(0))

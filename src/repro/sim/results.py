@@ -34,4 +34,4 @@ class DispatchResult:
 
     @property
     def command_count(self) -> int:
-        return len(self.schedule.timings)
+        return len(self.schedule.issues)

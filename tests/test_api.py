@@ -569,6 +569,30 @@ class TestFheWorkload:
                                               a=a, b=b, native=True))
         assert hosted.values == native.values
 
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("native", [False, True])
+    @pytest.mark.parametrize("op", FheOpRequest.OPS)
+    def test_timing_only_matches_functional_run(self, op, native, backend):
+        """A timing-only FHE op returns no values and is unverified, but
+        carries the functional run's cycles, energy, command count and
+        counters."""
+        a, b = _data(44, q=QN), _data(45, q=QN)
+        request = FheOpRequest(ring=RING, op=op, a=a,
+                               b=b if op == "multiply" else None,
+                               native=native)
+        with use_backend(backend):
+            functional = Simulator().run(request)
+            timing_only = Simulator(SimConfig(functional=False)).run(request)
+        assert functional.verified and len(functional.values) == N
+        assert timing_only.values == []
+        assert not timing_only.verified
+        assert timing_only.cycles == functional.cycles
+        assert timing_only.latency_us == functional.latency_us
+        assert timing_only.energy_nj == functional.energy_nj
+        assert timing_only.command_count == functional.command_count
+        assert timing_only.counters == functional.counters
+        assert timing_only.metrics == functional.metrics
+
 
 class TestResponseEnvelope:
     def test_metadata_fields(self):

@@ -103,6 +103,9 @@ class TestCliCompile:
                      "--count", "3"]) == 0
         out = capsys.readouterr().out
         assert "3 bank(s)" in out and "merge" in out
+        # A merged multi-bank stream is legal; plans are per bank.
+        assert "fallback: stream spans 3 banks; plans are per bank" in out
+        assert "is open" not in out
 
     def test_compile_unknown_workload_errors(self, capsys):
         assert main(["compile", "fhe", "-n", "256"]) == 2

@@ -45,16 +45,18 @@ class TestCompilation:
         stream = compile_stream(cmds, HBM2E_ARCH)
         assert stream.n == len(cmds)
         assert stream.commands == tuple(cmds)
+        ir = stream.ir  # the int64 columns the timing engine reads
         for i in (0, 1, len(cmds) // 2, len(cmds) - 1):
             cmd = cmds[i]
-            assert stream.codes_l[i] == list(CommandType).index(cmd.ctype)
-            assert stream.rows[i] == (-1 if cmd.row is None else cmd.row)
-            assert stream.cols[i] == (-1 if cmd.col is None else cmd.col)
-            assert stream.deps_l[i] == cmd.deps
+            assert ir.codes[i] == list(CommandType).index(cmd.ctype)
+            assert ir.rows[i] == (-1 if cmd.row is None else cmd.row)
+            assert ir.cols[i] == (-1 if cmd.col is None else cmd.col)
+            lo, hi = int(ir.dep_start[i]), int(ir.dep_end[i])
+            assert tuple(ir.dep_flat[lo:hi].tolist()) == cmd.deps
         # Flat dependency ranges reconstruct every command's deps.
         for i, cmd in enumerate(cmds):
-            lo, hi = int(stream.dep_start[i]), int(stream.dep_end[i])
-            assert tuple(stream.dep_flat[lo:hi]) == cmd.deps
+            lo, hi = int(ir.dep_start[i]), int(ir.dep_end[i])
+            assert tuple(ir.dep_flat[lo:hi]) == cmd.deps
 
     def test_mapper_program_gets_fused_plan(self):
         n = 1024

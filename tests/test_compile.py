@@ -25,6 +25,8 @@ from repro.arith.bitrev import bit_reverse_permute
 from repro.compile.ir import StreamIR
 from repro.compile.lower import concat_irs, interleave_irs
 from repro.dram import (
+    Command,
+    CommandType,
     HBM2E_ARCH,
     HBM2E_TIMING,
     TimingEngine,
@@ -38,7 +40,7 @@ from repro.ntt import NegacyclicParams
 from repro.pim.bank_pim import PimBank
 from repro.pim.params import PimParams
 from repro.sim.batch import concat_programs
-from repro.sim.driver import SimConfig
+from repro.sim.driver import SimConfig, compile_dispatch
 from repro.sim.multibank import TransformSpec, interleave_programs
 
 
@@ -163,6 +165,36 @@ class TestMergePasses:
                                                 values=tuple(rows[1])))
         assert list(merged.outputs[0]) == list(cyc.values)
         assert list(merged.outputs[1]) == list(neg.values)
+
+
+class TestPerBankPlans:
+    """A plan models one bank: a merged multi-bank stream gets none, with
+    a reason that says so instead of a false protocol violation."""
+
+    @pytest.mark.parametrize("banks", [2, 8])
+    def test_multibank_dispatch_stream_has_no_plan(self, banks):
+        n = 512
+        config = SimConfig()
+        spec = TransformSpec(params=NttParams(n, find_ntt_prime(n, 32)))
+        programs, stream, _ = compile_dispatch([spec] * banks, 1, config)
+        assert stream.plan is None
+        assert stream.fallback_reason == (
+            f"stream spans {banks} banks; plans are per bank")
+        # The merged program is legal, and each bank's own stream (on
+        # its own bank id) still fuses.
+        engine = TimingEngine(HBM2E_TIMING, HBM2E_ARCH)
+        assert engine.simulate_stream(stream).total_cycles > 0
+        for row in programs:
+            own = compile_stream(row[0].ir, config.arch)
+            assert own.plan is not None, own.fallback_reason
+
+    def test_one_bank_double_act_still_reported(self):
+        commands = [Command(CommandType.ACT, bank=3, row=0),
+                    Command(CommandType.ACT, bank=3, row=1),
+                    Command(CommandType.PRE, bank=3)]
+        stream = compile_stream(commands, HBM2E_ARCH)
+        assert stream.plan is None
+        assert stream.fallback_reason == "cmd 1: ACT while row 0 is open"
 
 
 class TestCompileRequestApi:

@@ -3,7 +3,9 @@ protocol-legal command programs, including bit-identity of the compiled
 command-stream engine against the legacy per-command loop."""
 
 import random
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +21,7 @@ from repro.dram import (
     compile_stream,
     stream_cache_info,
 )
+from repro.errors import MappingError
 from repro.sim.driver import (
     cached_schedule,
     clear_schedule_cache,
@@ -27,12 +30,13 @@ from repro.sim.driver import (
 
 
 def _random_legal_program(seed: int, length: int, banks: int = 1,
-                          with_deps: bool = False):
+                          with_deps: bool = False, max_deps: int = 2):
     """Generate a random DRAM/PIM program that obeys open-row rules.
 
     With ``banks > 1`` commands spread over several banks (each with its
     own open-row state); with ``with_deps`` commands carry random
-    backward dependency edges, exercising the engines' stall logic.
+    backward dependency edges, up to ``max_deps`` per command (duplicates
+    collapse), exercising the engines' stall logic.
     """
     rng = random.Random(seed)
     cmds = []
@@ -42,7 +46,7 @@ def _random_legal_program(seed: int, length: int, banks: int = 1,
     def deps():
         if not with_deps or len(cmds) < 2 or rng.random() < 0.5:
             return ()
-        count = rng.randrange(1, 3)
+        count = rng.randrange(1, max_deps + 1)
         return tuple(sorted({rng.randrange(len(cmds))
                              for _ in range(count)}))
 
@@ -120,15 +124,18 @@ def test_property_slower_timing_never_faster(seed):
 @given(seed=st.integers(min_value=0, max_value=2**31),
        length=st.integers(min_value=1, max_value=150),
        banks=st.integers(min_value=1, max_value=4),
-       with_deps=st.booleans())
+       with_deps=st.booleans(),
+       dep_width=st.integers(min_value=1, max_value=6))
 @settings(max_examples=80, deadline=None)
-def test_property_stream_engine_bit_identical(seed, length, banks, with_deps):
+def test_property_stream_engine_bit_identical(seed, length, banks, with_deps,
+                                              dep_width):
     """The compiled-stream engine reproduces the legacy per-command loop
     bit for bit: per-command issue/complete timings, stats counters and
-    energy_nj — across banks, dependency edges and every command type
-    the generator emits."""
+    energy_nj — across banks, dependency edges (up to ``dep_width`` per
+    command, so the stream engine's padded dependency columns run at
+    every width) and every command type the generator emits."""
     cmds = _random_legal_program(seed, length, banks=banks,
-                                 with_deps=with_deps)
+                                 with_deps=with_deps, max_deps=dep_width)
     engine = TimingEngine(HBM2E_TIMING, HBM2E_ARCH, compute=ComputeTiming())
     legacy = engine.simulate(cmds)
     stream = compile_stream(cmds, HBM2E_ARCH)
@@ -148,12 +155,93 @@ def test_stream_engine_negative_row_parity():
     streamed = engine.simulate_stream(compile_stream(ok, HBM2E_ARCH))
     assert streamed.timings == legacy.timings
     bad = [Command(CommandType.ACT, row=-1), Command(CommandType.ACT, row=5)]
-    import pytest
-    from repro.errors import MappingError
     with pytest.raises(MappingError, match="while row -1 is open"):
         engine.simulate(bad)
     with pytest.raises(MappingError, match="while row -1 is open"):
         engine.simulate_stream(compile_stream(bad, HBM2E_ARCH))
+
+
+def _first_fault(engine, cmds, streamed: bool) -> str:
+    with pytest.raises(MappingError) as exc:
+        if streamed:
+            engine.simulate_stream(compile_stream(cmds, HBM2E_ARCH))
+        else:
+            engine.simulate(cmds)
+    return str(exc.value)
+
+
+# A legal program with a protocol fault at command 5 (a second ACT while
+# row 3 is open).  Commands 3, 5 and 7 are the dependency-fault sites
+# before, at and after it.
+_FAULTY = (
+    Command(CommandType.PARAM_WRITE, payload_words=6),
+    Command(CommandType.ACT, row=3),
+    Command(CommandType.CU_READ, row=3, col=0, buf=0, deps=(1,)),
+    Command(CommandType.C1, buf=0, omega0=3, deps=(2,)),
+    Command(CommandType.CU_WRITE, row=3, col=0, buf=0, deps=(3,)),
+    Command(CommandType.ACT, row=4, deps=(4,)),
+    Command(CommandType.PRE),
+    Command(CommandType.CU_READ, row=4, col=1, buf=1, deps=(5,)),
+    Command(CommandType.PRE),
+)
+
+
+@pytest.mark.parametrize("site,expected", [
+    (3, "command 3 has invalid dependency {bad}"),
+    (5, "command 5 has invalid dependency {bad}"),
+    (7, "cmd 5: ACT row 4 while row 3 is open"),
+], ids=["before", "at", "after"])
+@pytest.mark.parametrize("offset", [0, 2, -9], ids=["self", "forward",
+                                                    "negative"])
+def test_stream_engine_invalid_dependency_parity(site, expected, offset):
+    """The stream engine's up-front dependency scan stops the loop at
+    the first invalid (forward or negative) dependency: the same
+    message at the same command as the legacy loop, which checks a
+    command's dependencies before its protocol and reports the first
+    invalid one in its list."""
+    engine = TimingEngine(HBM2E_TIMING, HBM2E_ARCH, compute=ComputeTiming())
+    bad = site + offset if offset >= 0 else offset
+    cmds = list(_FAULTY)
+    cmds[site] = replace(cmds[site],
+                         deps=cmds[site].deps + (bad, -1, site + 1))
+    message = expected.format(bad=bad)
+    assert _first_fault(engine, cmds, streamed=False) == message
+    assert _first_fault(engine, cmds, streamed=True) == message
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31),
+       length=st.integers(min_value=2, max_value=120),
+       banks=st.integers(min_value=1, max_value=3),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_property_invalid_dependency_parity(seed, length, banks, data):
+    """Random legal programs with an invalid dependency and, optionally,
+    a protocol fault (an ACT on an open bank, or a PRE on a closed one)
+    anywhere: both engines raise the same first fault."""
+    cmds = _random_legal_program(seed, length, banks=banks,
+                                 with_deps=True, max_deps=4)
+    n = len(cmds)
+    site = data.draw(st.integers(0, n - 1), label="dependency site")
+    bad = data.draw(st.one_of(st.integers(site, site + 4),
+                              st.integers(-4, -1)), label="invalid dep")
+    cmds[site] = replace(cmds[site], deps=cmds[site].deps + (bad,))
+    fault = data.draw(st.one_of(st.none(), st.integers(0, n - 1)),
+                      label="protocol fault")
+    if fault is not None:
+        open_rows = {}
+        for cmd in cmds[:fault]:
+            if cmd.ctype is CommandType.ACT:
+                open_rows[cmd.bank] = cmd.row
+            elif cmd.ctype is CommandType.PRE:
+                open_rows.pop(cmd.bank, None)
+        bank = cmds[fault].bank
+        illegal = (Command(CommandType.ACT, bank=bank, row=99)
+                   if bank in open_rows else
+                   Command(CommandType.PRE, bank=bank))
+        cmds[fault] = replace(illegal, deps=cmds[fault].deps)
+    engine = TimingEngine(HBM2E_TIMING, HBM2E_ARCH, compute=ComputeTiming())
+    assert (_first_fault(engine, cmds, streamed=True)
+            == _first_fault(engine, cmds, streamed=False))
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31))
