@@ -1,11 +1,12 @@
-"""Backend speedup harness: python vs numpy across the stack.
+"""Lane-kernel wall times across the stack.
 
 Times (a) the golden reference-NTT kernel, (b) an end-to-end functional
 NTT through ``Simulator.run`` (mapping + timing engine + functional
-bank + golden verify) at N in {1024, 4096} on both compute backends,
-and (c) the repro.api facade vs the dispatch executor behind it (the
-envelope overhead budget is <5%), and writes the measurements to
-``BENCH_kernels.json`` at the repo root.
+bank + golden verify) at N in {1024, 4096} — both on the uint64 lane
+kernels, the path every 32-bit modulus takes — and (c) the repro.api
+facade vs the dispatch executor behind it (the envelope overhead budget
+is <5%), and writes the measurements to ``BENCH_kernels.json`` at the
+repo root.
 
 Non-gating: run directly —
 
@@ -25,8 +26,7 @@ import time
 from pathlib import Path
 
 from repro.api import NttRequest, Simulator
-from repro.arith import NttParams, bit_reverse_permute, find_ntt_prime, use_backend
-from repro.mapping import clear_program_cache
+from repro.arith import NttParams, bit_reverse_permute, find_ntt_prime
 from repro.ntt.reference import ntt_dit_bitrev_input
 from repro.sim.driver import SimConfig, TransformSpec, _run_dispatch
 
@@ -61,7 +61,7 @@ def merge_sections(out_path: Path, results: dict) -> None:
 def run(ns=(1024, 4096), kernel_repeats: int = 5, e2e_repeats: int = 3,
         out_path: Path = DEFAULT_OUT) -> dict:
     results = {
-        "description": "python vs numpy backend, best-of wall times (s)",
+        "description": "lane-kernel path, best-of wall times (s)",
         "kernel_reference_ntt": {},
         "end_to_end_run_ntt": {},
         "facade_overhead": {},
@@ -73,25 +73,14 @@ def run(ns=(1024, 4096), kernel_repeats: int = 5, e2e_repeats: int = 3,
         data = [rng.randrange(q) for _ in range(n)]
         pre_reversed = bit_reverse_permute(list(data))
 
-        entry = {}
-        for backend in ("python", "numpy"):
-            with use_backend(backend):
-                entry[backend] = _best_of(
-                    lambda: ntt_dit_bitrev_input(list(pre_reversed), params),
-                    kernel_repeats)
-        entry["speedup"] = entry["python"] / entry["numpy"]
-        results["kernel_reference_ntt"][str(n)] = entry
+        results["kernel_reference_ntt"][str(n)] = {"wall_s": _best_of(
+            lambda: ntt_dit_bitrev_input(list(pre_reversed), params),
+            kernel_repeats)}
 
         simulator = Simulator()
         request = NttRequest(params=params, values=tuple(data))
-        entry = {}
-        for backend in ("python", "numpy"):
-            clear_program_cache()  # same cold/warm treatment per backend
-            with use_backend(backend):
-                entry[backend] = _best_of(lambda: simulator.run(request),
-                                          e2e_repeats)
-        entry["speedup"] = entry["python"] / entry["numpy"]
-        results["end_to_end_run_ntt"][str(n)] = entry
+        results["end_to_end_run_ntt"][str(n)] = {"wall_s": _best_of(
+            lambda: simulator.run(request), e2e_repeats)}
 
         # Facade overhead guard: the repro.api envelope (validation,
         # registry dispatch, cache provenance, response building) must
@@ -133,13 +122,11 @@ def run(ns=(1024, 4096), kernel_repeats: int = 5, e2e_repeats: int = 3,
 
 
 def _format(results: dict) -> str:
-    lines = ["backend speedups (python / numpy, best-of wall time):"]
+    lines = ["lane-kernel path, best-of wall time:"]
     for section in ("kernel_reference_ntt", "end_to_end_run_ntt"):
         for n, entry in results[section].items():
             lines.append(
-                f"  {section:24s} N={n:>5s}  python={entry['python'] * 1e3:9.3f} ms"
-                f"  numpy={entry['numpy'] * 1e3:9.3f} ms"
-                f"  speedup={entry['speedup']:7.1f}x")
+                f"  {section:24s} N={n:>5s}  wall={entry['wall_s'] * 1e3:9.3f} ms")
     for n, entry in results.get("facade_overhead", {}).items():
         lines.append(
             f"  {'facade_overhead':24s} N={n:>5s}  direct={entry['direct_s'] * 1e3:9.3f} ms"
@@ -155,7 +142,7 @@ def test_backend_speedup_smoke(show, tmp_path):
     show(_format(results))
     assert (tmp_path / "BENCH_kernels.json").exists()
     for section in ("kernel_reference_ntt", "end_to_end_run_ntt"):
-        assert results[section]["256"]["speedup"] > 0
+        assert results[section]["256"]["wall_s"] > 0
     # Gross-regression tripwire: the 5% budget is judged at the full
     # bench sizes (N=256 wall times are ~ms, so allow generous timing
     # noise here) — a facade that got structurally slower still trips.

@@ -48,7 +48,6 @@ def main() -> None:
     print(f"  DRAM commands   : {response.command_count}")
     print(f"  butterfly ops   : {response.counters['bu_ops']} "
           f"(= N/2 log N = {(n // 2) * params.log_n}, full data reuse)")
-    print(f"  compute backend : {response.backend}")
     print(f"  cache provenance: {response.cache}")
     print(f"  wall clock      : {response.wall_time_s * 1e3:.1f} ms")
 

@@ -13,7 +13,7 @@ One entry point for every run shape of the paper's evaluation::
   the paper sections they reproduce;
 * every request returns the same :class:`SimResponse` envelope
   (:mod:`repro.api.response`): values, cycles, energy, µ-op counters,
-  cache provenance, backend and wall-clock metadata;
+  cache provenance and wall-clock metadata;
 * a string-keyed workload registry (:mod:`repro.api.registry`) lets
   third-party scenarios plug in without touching core code;
 * :meth:`Simulator.run_many` validates a bulk request list, then

@@ -3,9 +3,9 @@
 Every workload — single NTT, negacyclic, batch, multi-bank, FHE op,
 raw program window — returns the same envelope: primary values, cycle
 and energy totals, per-command-type µ-op counters, cache-hit
-provenance, the active compute backend and wall-clock metadata, plus
-the engine-room result object under ``raw`` for full drill-down (the
-experiment harnesses use ``response.schedule.stats``).
+provenance and wall-clock metadata, plus the engine-room result object
+under ``raw`` for full drill-down (the experiment harnesses use
+``response.schedule.stats``).
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ class SimResponse:
     #: Cache-hit provenance: ``{"program": {hits, misses, entries},
     #: "schedule": {...}}`` — hits/misses are deltas over this run.
     cache: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: Active ``repro.arith.vector`` backend (``"python"``/``"numpy"``).
-    backend: str = ""
     #: Host wall-clock seconds the simulation took.
     wall_time_s: float = 0.0
     #: Engine-room result object (DispatchResult / PimTransformStats /

@@ -27,7 +27,6 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..arith.vector import get_backend
 from ..dram.stream import clear_stream_cache, stream_cache_info
 from ..mapping.program_cache import (
     clear_program_cache,
@@ -85,8 +84,8 @@ class Simulator:
     # -- single request ---------------------------------------------------------
     def run(self, request: SimRequest) -> SimResponse:
         """Validate ``request``, dispatch it through the workload
-        registry, and stamp the uniform envelope metadata (backend,
-        cache provenance, wall clock)."""
+        registry, and stamp the uniform envelope metadata (cache
+        provenance, wall clock)."""
         request.admit()
         handler = get_workload(request.workload)
         prog_before = program_cache_info()
@@ -100,7 +99,6 @@ class Simulator:
             "stream": _delta(stream_before, stream_cache_info()),
             "schedule": _delta(sched_before, schedule_cache_info()),
         }
-        response.backend = get_backend()
         response.request = request
         return response
 
@@ -219,7 +217,6 @@ class Simulator:
             counters={k: v // banks for k, v in grouped.counters.items()},
             metrics=metrics,
             cache={k: dict(v) for k, v in grouped.cache.items()},
-            backend=grouped.backend,
             wall_time_s=grouped.wall_time_s,
             raw=grouped.raw,
             request=request,
@@ -227,10 +224,9 @@ class Simulator:
 
     # -- introspection ----------------------------------------------------------
     def cache_info(self) -> Dict[str, object]:
-        """Program/schedule cache statistics plus the active backend —
-        what ``python -m repro run --cache-info`` prints."""
+        """Program, stream and schedule cache statistics — what
+        ``python -m repro run --cache-info`` prints."""
         return {
-            "backend": get_backend(),
             "program": program_cache_info(),
             "stream": stream_cache_info(),
             "schedule": schedule_cache_info(),

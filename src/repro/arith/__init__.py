@@ -27,12 +27,6 @@ from .modmath import (
     mod_sub_vec,
 )
 from .montgomery import MontgomeryContext, montgomery_reduce
-from .vector import (
-    HAS_NUMPY,
-    get_backend,
-    set_backend,
-    use_backend,
-)
 from .primes import (
     DEFAULT_PRIME_14,
     DEFAULT_PRIME_16,
@@ -71,10 +65,6 @@ __all__ = [
     "mod_sub_vec",
     "MontgomeryContext",
     "montgomery_reduce",
-    "HAS_NUMPY",
-    "get_backend",
-    "set_backend",
-    "use_backend",
     "DEFAULT_PRIME_14",
     "DEFAULT_PRIME_16",
     "DEFAULT_PRIME_32",

@@ -10,10 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import List, Sequence, Tuple, TypeVar
 
-try:  # NumPy is optional here, as in repro.arith.vector.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 T = TypeVar("T")
 
@@ -64,7 +61,7 @@ def bit_reverse_permute(values: Sequence[T]) -> List[T]:
 
     A NumPy array is permuted along its last axis by one cached index
     gather, so a whole ``(..., N)`` stack reverses in one call."""
-    if np is not None and isinstance(values, np.ndarray):
+    if isinstance(values, np.ndarray):
         return values[..., _gather_index(values.shape[-1])]
     table = _indices(len(values))
     return [values[i] for i in table]

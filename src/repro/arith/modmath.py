@@ -7,6 +7,9 @@ unit tests cross-check both against the functions defined here.
 
 All functions operate on plain Python integers so they remain exact for
 any modulus width (the paper targets 32-bit moduli, MeNTT 14/16-bit).
+The element-wise ``*_vec`` forms run the uint64 lane kernels of
+:mod:`repro.arith.vector` when they support the modulus, else these
+scalar loops.
 """
 
 from __future__ import annotations
@@ -102,42 +105,41 @@ def is_unit(a: int, q: int) -> bool:
     return g in (1, -1)
 
 
-def mod_add_vec(xs: Iterable[int], ys: Iterable[int], q: int) -> List[int]:
-    """Element-wise modular addition of two equal-length sequences.
+def _ints(xs) -> List[int]:
+    """A sequence or uint64 array as a list of Python ints — a uint64
+    array's NumPy scalars would wrap at 2**64 in the scalar loops."""
+    return xs.tolist() if vector.is_array(xs) else list(xs)
 
-    Dispatches to the NumPy lane kernels (:mod:`repro.arith.vector`)
-    when that backend is active; bit-exact either way.
-    """
-    xs, ys = list(xs), list(ys)
+
+def _operands(xs, ys, q: int):
+    xs, ys = _ints(xs), _ints(ys)
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
     if q <= 0:
         raise ValueError(f"modulus must be positive, got {q}")
-    if vector.numpy_active(q):
+    return xs, ys
+
+
+def mod_add_vec(xs: Iterable[int], ys: Iterable[int], q: int) -> List[int]:
+    """Element-wise modular addition of two equal-length sequences."""
+    xs, ys = _operands(xs, ys, q)
+    if vector.lanes_supported(q):
         return vector.mod_add_list(xs, ys, q)
     return [mod_add(x, y, q) for x, y in zip(xs, ys)]
 
 
 def mod_sub_vec(xs: Iterable[int], ys: Iterable[int], q: int) -> List[int]:
     """Element-wise modular subtraction of two equal-length sequences."""
-    xs, ys = list(xs), list(ys)
-    if len(xs) != len(ys):
-        raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
-    if q <= 0:
-        raise ValueError(f"modulus must be positive, got {q}")
-    if vector.numpy_active(q):
+    xs, ys = _operands(xs, ys, q)
+    if vector.lanes_supported(q):
         return vector.mod_sub_list(xs, ys, q)
     return [mod_sub(x, y, q) for x, y in zip(xs, ys)]
 
 
 def mod_mul_vec(xs: Iterable[int], ys: Iterable[int], q: int) -> List[int]:
     """Element-wise modular product of two equal-length sequences."""
-    xs, ys = list(xs), list(ys)
-    if len(xs) != len(ys):
-        raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
-    if q <= 0:
-        raise ValueError(f"modulus must be positive, got {q}")
-    if vector.numpy_active(q):
+    xs, ys = _operands(xs, ys, q)
+    if vector.lanes_supported(q):
         return vector.mod_mul_list(xs, ys, q)
     return [mod_mul(x, y, q) for x, y in zip(xs, ys)]
 
@@ -145,13 +147,12 @@ def mod_mul_vec(xs: Iterable[int], ys: Iterable[int], q: int) -> List[int]:
 def mod_scale_vec(xs: Iterable[int], c: int, q: int) -> List[int]:
     """``[(x * c) mod q]`` — the element-wise scalings (1/N, psi powers)
     that bracket every inverse/negacyclic transform.  A uint64 array of
-    reduced residues (any shape) scales on the NumPy backend and stays
-    an array."""
+    reduced residues (any shape) scales on the lanes and stays an
+    array."""
     if q <= 0:
         raise ValueError(f"modulus must be positive, got {q}")
-    if vector.is_array(xs) and vector.numpy_active(q):
+    if not vector.lanes_supported(q):
+        return [(x * c) % q for x in _ints(xs)]
+    if vector.is_array(xs):
         return vector.scale_arr(xs, c, q)
-    xs = list(xs)
-    if vector.numpy_active(q):
-        return vector.scale_list(xs, c, q)
-    return [(x * c) % q for x in xs]
+    return vector.scale_list(list(xs), c, q)

@@ -1,17 +1,13 @@
-"""Vectorized NumPy compute backend for the whole simulator stack.
+"""NumPy ``uint64`` lane kernels for the whole simulator stack.
 
 Every hot path of the library — golden NTTs, the compiled PIM plans'
 stacked butterfly kernels, the RNS/RLWE element-wise ops — bottoms out
 in element-wise modular arithmetic.  This module provides that
-arithmetic on NumPy ``uint64`` lanes, behind a process-wide backend
-selector:
-
-* ``"python"`` — the pure-Python scalar routines of
-  :mod:`repro.arith.modmath`; exact for any modulus and the library's
-  ground truth.
-* ``"numpy"`` — array kernels, selected automatically when NumPy is
-  importable.  Bit-exact with the Python path (unit tests assert
-  equality lane for lane), orders of magnitude faster.
+arithmetic on NumPy ``uint64`` lanes.  Each kernel has a pure-Python
+scalar reference (:mod:`repro.arith.modmath`, the golden NTTs, the
+per-command :class:`~repro.pim.cu.ComputeUnit`) that is exact for any
+modulus; unit tests hold the two equal lane for lane.  Callers take the
+lane kernel exactly when :func:`lanes_supported` holds for the modulus.
 
 Overflow safety
 ---------------
@@ -32,35 +28,17 @@ kernel runs in four regimes:
   products, and the remainder recovered modulo ``2**(k+3)`` with at
   most three conditional subtractions.
 * anything else — no lane support (:func:`lanes_supported` is False);
-  callers fall back to the Python path.
-
-Backend selection honours the ``REPRO_BACKEND`` environment variable
-(``python`` or ``numpy``) and can be changed at runtime with
-:func:`set_backend` / the :func:`use_backend` context manager.
+  callers run the scalar reference.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from functools import lru_cache
-from typing import Iterator, List, Sequence
+from typing import List, Sequence
 
-try:  # NumPy is an optional accelerator, never a hard dependency.
-    import numpy as np
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
-    HAS_NUMPY = False
+import numpy as np
 
 __all__ = [
-    "HAS_NUMPY",
-    "BACKENDS",
-    "get_backend",
-    "set_backend",
-    "use_backend",
-    "numpy_active",
     "lanes_supported",
     "mod_add_arr",
     "mod_sub_arr",
@@ -86,68 +64,25 @@ __all__ = [
     "clear_caches",
 ]
 
-BACKENDS = ("python", "numpy")
-
 _MASK32 = (1 << 32) - 1
 _DIRECT_LIMIT = 1 << 32   # below: reduced lane products fit in uint64
 _LANE_LIMIT = 1 << 63     # below (odd q): Montgomery lane path
 _BARRETT_LIMIT = 1 << 61  # below (any q): Barrett-split lane path
 
 
-def _default_backend() -> str:
-    env = os.environ.get("REPRO_BACKEND", "").strip().lower()
-    if env in BACKENDS:
-        if env == "numpy" and not HAS_NUMPY:
-            return "python"
-        return env
-    return "numpy" if HAS_NUMPY else "python"
-
-
-_backend = _default_backend()
-
-
-def get_backend() -> str:
-    """The currently selected backend name."""
-    return _backend
-
-
-def set_backend(name: str) -> None:
-    """Select ``"python"`` or ``"numpy"`` for all subsequent kernels."""
-    global _backend
-    if name not in BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; choose from {BACKENDS}")
-    if name == "numpy" and not HAS_NUMPY:
-        raise ValueError("numpy backend requested but numpy is unavailable")
-    _backend = name
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[None]:
-    """Temporarily switch backends (used heavily by the equivalence tests)."""
-    previous = get_backend()
-    set_backend(name)
-    try:
-        yield
-    finally:
-        set_backend(previous)
-
-
 def lanes_supported(q: int) -> bool:
-    """True when the uint64 lane kernels are exact for modulus ``q``."""
-    if not HAS_NUMPY or q <= 0:
+    """True when the uint64 lane kernels are exact for modulus ``q`` —
+    the test every caller makes before it picks a lane kernel over its
+    scalar reference."""
+    if q <= 0:
         return False
     return q < _BARRETT_LIMIT or (q < _LANE_LIMIT and q % 2 == 1)
-
-
-def numpy_active(q: int) -> bool:
-    """True when the numpy backend is selected *and* can handle ``q``."""
-    return _backend == "numpy" and lanes_supported(q)
 
 
 def is_array(x) -> bool:
     """True when ``x`` is a NumPy array — how the list-or-array entry
     points (golden NTTs, element-wise ops) tell their inputs apart."""
-    return HAS_NUMPY and isinstance(x, np.ndarray)
+    return isinstance(x, np.ndarray)
 
 
 # -- uint64 lane primitives ----------------------------------------------------

@@ -26,10 +26,9 @@ __all__ = ["numpy_ntt", "CpuNttModel"]
 def numpy_ntt(values: Sequence[int], params: NttParams) -> List[int]:
     """Vectorized iterative DIT NTT on NumPy uint64 lanes.
 
-    Thin wrapper over the shared kernel in :mod:`repro.arith.vector`
-    (always the NumPy path, regardless of the selected backend — this
-    *is* the software baseline the paper's x86 column measures).  Keeps
-    its historical ``q < 2^32`` contract.
+    Thin wrapper over the shared lane kernel in :mod:`repro.arith.vector`
+    (this *is* the software baseline the paper's x86 column measures).
+    Keeps its historical ``q < 2^32`` contract.
     """
     n, q = params.n, params.q
     if q >= (1 << 32):

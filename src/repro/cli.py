@@ -4,8 +4,8 @@ Subcommands::
 
     run [workload]   one workload through the repro.api facade
                      (ntt | negacyclic | batch | multibank | fhe;
-                     --backend picks the compute backend, --cache-info
-                     prints program/schedule cache statistics)
+                     --cache-info prints program/stream/schedule
+                     cache statistics)
     compile          compile one workload through the repro.compile
                      pass pipeline without running it (prints the SoA
                      IR summary and the fused plan or fallback reason)
@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from contextlib import ExitStack
 
 from .api import (
     BatchRequest,
@@ -39,7 +38,6 @@ from .api import (
 )
 from .arith.primes import find_ntt_prime
 from .arith.roots import NttParams
-from .arith.vector import BACKENDS, use_backend
 from .experiments import (
     run_ablations,
     run_bank_scaling,
@@ -106,7 +104,6 @@ def _build_request(args):
 
 def _print_cache_info(simulator: Simulator) -> None:
     info = simulator.cache_info()
-    print(f"backend        : {info['backend']}")
     for cache in ("program", "stream", "schedule"):
         stats = info[cache]
         print(f"{cache + ' cache':<15}: entries={stats['entries']} "
@@ -121,17 +118,14 @@ def _cmd_run(args) -> int:
               file=sys.stderr)
         return 2
     simulator = Simulator(_make_config(args))
-    with ExitStack() as stack:
-        if args.backend:
-            stack.enter_context(use_backend(args.backend))
-        response = simulator.run(_build_request(args))
-        print(response.summary())
-        if args.cache_info:
-            print(f"run caches     : program {response.cache['program']}, "
-                  f"stream {response.cache['stream']}, "
-                  f"schedule {response.cache['schedule']}")
-            print(f"wall time      : {response.wall_time_s * 1e3:.2f} ms")
-            _print_cache_info(simulator)
+    response = simulator.run(_build_request(args))
+    print(response.summary())
+    if args.cache_info:
+        print(f"run caches     : program {response.cache['program']}, "
+              f"stream {response.cache['stream']}, "
+              f"schedule {response.cache['schedule']}")
+        print(f"wall time      : {response.wall_time_s * 1e3:.2f} ms")
+        _print_cache_info(simulator)
     return 0
 
 
@@ -340,11 +334,8 @@ def main(argv=None) -> int:
                        help=f"workload name (default ntt; one of "
                             f"{', '.join(CLI_WORKLOADS)})")
     _add_run_args(run_p)
-    run_p.add_argument("--backend", choices=BACKENDS, default=None,
-                       help="compute backend for this run "
-                            "(default: current repro.arith.vector choice)")
     run_p.add_argument("--cache-info", action="store_true",
-                       help="print program/schedule cache statistics")
+                       help="print program/stream/schedule cache statistics")
     run_p.add_argument("--count", type=int, default=4,
                        help="polynomials for batch/multibank (default 4)")
     run_p.add_argument("--native", action="store_true",

@@ -3,8 +3,8 @@
 A :class:`StreamIR` is the columnar form of one command program: every
 per-command integer field becomes one int64 NumPy column (``-1`` encodes
 "field unused by this command"), the twiddle payloads stay Python-object
-side tables (moduli above 2**63 overflow int64 on the pure-Python
-backend), and dependencies flatten into a CSR-style
+side tables (twiddles of moduli above 2**63 overflow int64), and
+dependencies flatten into a CSR-style
 ``dep_start/dep_end/dep_flat`` triple.  Every pass in
 :mod:`repro.compile.passes` is a vectorized computation over these
 columns — the per-command Python loop of the old monolithic compile

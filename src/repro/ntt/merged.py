@@ -27,7 +27,7 @@ from ..arith import vector
 from ..arith.bitrev import bit_reverse
 from ..arith.modmath import mod_inverse, mod_mul_vec, mod_pow
 from .negacyclic import NegacyclicParams
-from .reference import _check_length, _lanes_out
+from .reference import _check_input, _check_length, _lanes_out
 
 __all__ = [
     "block_zeta_exponent",
@@ -66,10 +66,10 @@ def merged_negacyclic_ntt(values: Sequence[int],
     """
     n, q = params.n, params.q
     _check_length(values, n)
-    if vector.numpy_active(q):
+    if vector.lanes_supported(q):
         return _lanes_out(
             vector.merged_negacyclic_forward(values, n, q, params.psi), values)
-    x = [v % q for v in values]
+    x = _check_input(values, params)
     length = n // 2
     while length >= 1:
         for start in range(0, n, 2 * length):
@@ -91,10 +91,10 @@ def merged_negacyclic_intt(values: Sequence[int],
     """
     n, q = params.n, params.q
     _check_length(values, n)
-    if vector.numpy_active(q):
+    if vector.lanes_supported(q):
         return _lanes_out(
             vector.merged_negacyclic_inverse(values, n, q, params.psi), values)
-    x = [v % q for v in values]
+    x = _check_input(values, params)
     psi_inv = params.psi_inv
     length = 1
     while length < n:

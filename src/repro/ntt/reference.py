@@ -15,7 +15,7 @@ from typing import List, Sequence
 
 from ..arith import vector
 from ..arith.bitrev import bit_reverse_permute, is_power_of_two
-from ..arith.modmath import mod_mul_vec, mod_pow, mod_scale_vec
+from ..arith.modmath import _ints, mod_mul_vec, mod_pow, mod_scale_vec
 from ..arith.roots import NttParams
 
 __all__ = [
@@ -38,11 +38,11 @@ def _check_length(values, n: int) -> None:
 
 def _check_input(values: Sequence[int], params: NttParams) -> List[int]:
     _check_length(values, params.n)
-    return [v % params.q for v in values]
+    return [v % params.q for v in _ints(values)]
 
 
 def _lanes_out(out, values):
-    """Array in, array out: a NumPy kernel's result goes back to Python
+    """Array in, array out: a lane kernel's result goes back to Python
     ints only when the caller passed a sequence."""
     return out if vector.is_array(values) else out.tolist()
 
@@ -69,12 +69,12 @@ def ntt_dit_bitrev_input(values: Sequence[int], params: NttParams) -> List[int]:
     Stage ``s`` (1-based) works on pairs that differ in bit ``s-1``; the
     lane twiddle is ``omega^(j * N / 2^s)``, geometric across ``j`` — the
     exact pattern the hardware TFG generates from ``(omega0, r_omega)``.
-    On the NumPy backend a uint64 array of any leading shape transforms
-    along its last axis and comes back as an array.
+    When the lanes support ``q``, a uint64 array of any leading shape
+    transforms along its last axis and comes back as an array.
     """
     n, q, omega = params.n, params.q, params.omega
     _check_length(values, n)
-    if vector.numpy_active(q):
+    if vector.lanes_supported(q):
         return _lanes_out(vector.ntt_dit_bitrev(values, n, q, omega), values)
     x = _check_input(values, params)
     log_n = params.log_n
@@ -100,7 +100,7 @@ def ntt_dif_natural_input(values: Sequence[int], params: NttParams) -> List[int]
     """
     n, q, omega = params.n, params.q, params.omega
     _check_length(values, n)
-    if vector.numpy_active(q):
+    if vector.lanes_supported(q):
         return _lanes_out(vector.ntt_dif_natural(values, n, q, omega), values)
     x = _check_input(values, params)
     log_n = params.log_n

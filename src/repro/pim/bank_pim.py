@@ -76,7 +76,7 @@ class PimBank:
         self.pim = pim
         self.storage = BankStorage(arch, stack, rows)
         self.buffers = AtomBufferFile(pim.nb_buffers, arch.words_per_atom)
-        self.cu = ComputeUnit(arch.words_per_atom, pim.use_montgomery)
+        self.cu = ComputeUnit(arch.words_per_atom)
         self.pending_q: int | None = None
         # Per-type handlers: run() looks one up per command, and a dict
         # dispatch beats re-evaluating an if-chain of enum membership tests.
@@ -158,7 +158,7 @@ class PimBank:
     def run(self, commands: Sequence[Command]) -> None:
         """Apply a whole program in order, one command at a time — the
         ground-truth path.  Its compute commands run the scalar
-        :class:`~repro.pim.cu.ComputeUnit` methods on both backends;
+        :class:`~repro.pim.cu.ComputeUnit` methods for every modulus;
         NumPy enters only through :meth:`run_stream`'s compiled plans."""
         dispatch = self._dispatch
         for cmd in commands:
@@ -169,7 +169,7 @@ class PimBank:
         """Fused macro-ops need a plan and lane support for the modulus
         the program will compute under (the staged one when the program
         latches its own parameters, else the currently loaded one)."""
-        if stream.plan is None or vector.get_backend() != "numpy":
+        if stream.plan is None:
             return False
         if stream.plan.max_buffer >= self.buffers.count:
             # Out-of-range buffer: the per-command loop raises at the

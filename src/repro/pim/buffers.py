@@ -72,8 +72,8 @@ class AtomBufferFile:
         bank stack writes ``(*stack, Na)`` — one atom per bank."""
         self._check(index)
         if words.shape[-1] != self.atom_words:
-            raise MappingError(
-                f"buffer write needs {self.atom_words} words, got {len(words)}")
+            raise MappingError(f"buffer write needs {self.atom_words} words, "
+                               f"got {words.shape[-1]}")
         self._data[index] = words
 
     def read_lane(self, index: int, lane: int) -> int:

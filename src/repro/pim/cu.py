@@ -5,11 +5,11 @@ in decimation-in-time form ``(a + ω·b, a − ω·b)`` — see DESIGN.md §3 fo
 why this is the consistent reading of the paper.  Modular multiplies go
 through the Montgomery datapath model by default, exactly as the
 synthesized BU does (Sec. VI.B); a plain-arithmetic mode exists for
-speed and for differential testing.
+differential testing.
 
 Two tiers execute it.  The scalar methods (``execute_c1``,
 ``execute_c2``, ``execute_c1n``, the Nb=1 µ-ops) walk the lanes one
-butterfly at a time on either backend: they are the per-command ground
+butterfly at a time for any modulus: they are the per-command ground
 truth that :meth:`repro.pim.bank_pim.PimBank.run` drives.  The
 ``execute_*_stack`` methods run a compiled plan's fused command groups
 as NumPy lane kernels; tests hold them equal to the scalar methods

@@ -23,7 +23,6 @@ class PimParams:
     c1_cycles: int = 15       # synthesized C1 latency (Sec. VI.B)
     c2_cycles: int = 10       # synthesized C2 latency (Sec. VI.B)
     param_write_cycles: int = 4
-    use_montgomery: bool = True  # model ModMult through the Montgomery path
 
     def __post_init__(self):
         if self.nb_buffers < 1:

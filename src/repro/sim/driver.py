@@ -205,9 +205,9 @@ class TransformSpec:
         return self.ring.cyclic if self.kind == "negacyclic" else self.params
 
     def expected(self, values):
-        """Golden model of the *finalized* output: a list of ints, or on
-        the NumPy backend a uint64 array of any leading shape (one call
-        checks a whole bank stack)."""
+        """Golden model of the *finalized* output: a list of ints for a
+        list, a uint64 array for a uint64 array of any leading shape
+        (one call checks a whole bank stack)."""
         if self.kind == "negacyclic":
             golden = (merged_negacyclic_intt if self.inverse
                       else merged_negacyclic_ntt)
@@ -241,9 +241,9 @@ def _run_bank(spec: TransformSpec, inputs, config: SimConfig,
     the array; one golden call for the whole stack; one conversion to
     Python ints.
 
-    Streams a stack cannot run — the python backend (the ground truth),
-    Nb=1 lane plans, moduli without lane support, programs with no plan
-    — run bank by bank on full single banks instead.  Returns the
+    Streams a stack cannot run — Nb=1 lane plans, moduli without lane
+    support, programs with no plan — run bank by bank on full single
+    banks instead.  Returns the
     finalized outputs, nested like ``inputs``, and the executed
     butterfly µ-op count (with ``config.verify``, a wrong result raises
     :class:`FunctionalMismatch`).

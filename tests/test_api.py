@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import pytest
+from compute_paths import on_path
 
 from repro.api import (
     BankSpec,
@@ -28,7 +29,7 @@ from repro.api import (
     unregister_workload,
     workload_names,
 )
-from repro.arith import NttParams, find_ntt_prime, use_backend
+from repro.arith import NttParams, find_ntt_prime
 from repro.errors import RequestValidationError
 from repro.mapping.mapper import MapperOptions
 from repro.ntt import NegacyclicParams
@@ -77,7 +78,6 @@ class TestRegistry:
             assert response.values == [42]
             assert response.workload == "echo-test"
             # The envelope is stamped even for third-party workloads.
-            assert response.backend in ("python", "numpy")
             assert "schedule" in response.cache
         finally:
             unregister_workload("echo-test")
@@ -181,7 +181,7 @@ class TestValidation:
 
 class TestCoefficientRange:
     """One input rule for every coefficient-carrying request, on both
-    backends: values lie in [0, q).  Anything else is a
+    compute paths: values lie in [0, q).  Anything else is a
     RequestValidationError before any simulation work — never a raw
     NumPy OverflowError, never a silent reduction mod q."""
 
@@ -210,31 +210,31 @@ class TestCoefficientRange:
                 memory=[(0, row())]),
         ]
 
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("path", ["numpy", "python"])
     @pytest.mark.parametrize("bad", [-1, None, 2**64],
                              ids=["negative", "q", "2**64"])
-    def test_out_of_range_rejected(self, backend, bad):
-        with use_backend(backend):
+    def test_out_of_range_rejected(self, path, bad):
+        with on_path(path):
             for request in self._requests(bad):
                 with pytest.raises(RequestValidationError,
                                    match=r"coefficients must lie in \[0, q\)"):
                     Simulator().run(request)
 
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("path", ["numpy", "python"])
     @pytest.mark.parametrize("bad", [1.5, "5", 2.0],
                              ids=["float", "str", "integral-float"])
-    def test_non_integer_rejected(self, backend, bad):
+    def test_non_integer_rejected(self, path, bad):
         """A non-integer coefficient is a RequestValidationError on both
-        backends — never silently truncated by a uint64 conversion,
+        compute paths — never silently truncated by a uint64 conversion,
         never a raw TypeError or a misleading FunctionalMismatch."""
-        with use_backend(backend):
+        with on_path(path):
             for request in self._requests(bad):
                 with pytest.raises(RequestValidationError,
                                    match="coefficients must be integers"):
                     Simulator().run(request)
 
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
-    def test_integral_types_accepted(self, backend):
+    @pytest.mark.parametrize("path", ["numpy", "python"])
+    def test_integral_types_accepted(self, path):
         """bool and NumPy integer scalars are integers: they are served
         exactly like the equal Python ints."""
         import numpy as np
@@ -243,7 +243,7 @@ class TestCoefficientRange:
         typed = [np.int64(v) for v in values]
         typed[0], typed[1] = True, np.uint64(values[1])
         values[0] = 1
-        with use_backend(backend):
+        with on_path(path):
             plain = Simulator().run(NttRequest(params=PARAMS, values=values))
             mixed = Simulator().run(NttRequest(params=PARAMS, values=typed))
         assert mixed.verified and mixed.values == plain.values
@@ -256,11 +256,11 @@ class TestCoefficientRange:
         with pytest.raises(RequestValidationError, match="memory row 0"):
             request.validate()
 
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
-    def test_range_edges_accepted(self, backend):
+    @pytest.mark.parametrize("path", ["numpy", "python"])
+    def test_range_edges_accepted(self, path):
         values = _data()
         values[0], values[1] = 0, Q - 1
-        with use_backend(backend):
+        with on_path(path):
             response = Simulator().run(NttRequest(params=PARAMS,
                                                   values=values))
         assert response.verified
@@ -281,7 +281,7 @@ RING65 = _wide_ring()
 
 class TestModulusWidth:
     """A modulus the bank word cannot hold is a RequestValidationError
-    on both backends, before any simulation work — never a raw
+    on both compute paths, before any simulation work — never a raw
     OverflowError from the bank, never silently accepted."""
 
     @staticmethod
@@ -303,9 +303,9 @@ class TestModulusWidth:
                                                   values=row))]),
         ]
 
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
-    def test_wide_modulus_rejected(self, backend):
-        with use_backend(backend):
+    @pytest.mark.parametrize("path", ["numpy", "python"])
+    def test_wide_modulus_rejected(self, path):
+        with on_path(path):
             for request in self._requests():
                 with pytest.raises(RequestValidationError,
                                    match="wider than the 64-bit bank word"):
@@ -315,10 +315,10 @@ class TestModulusWidth:
                 NttRequest(params=RING65.cyclic))
         assert timing.cycles > 0
 
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("path", ["numpy", "python"])
     @pytest.mark.parametrize("modulus", [Q + 1, 2, 2**70 + 1, 2**64 + 1],
                              ids=["even", "two", "2**70+1", "2**64+1"])
-    def test_program_modulus_must_suit_the_montgomery_bu(self, backend,
+    def test_program_modulus_must_suit_the_montgomery_bu(self, path,
                                                          modulus):
         """An even, too-small or too-wide functional modulus fails one
         way: the Montgomery BU takes odd moduli in [3, 2**64)."""
@@ -327,7 +327,7 @@ class TestModulusWidth:
                 SimConfig(), 0).commands,
             functional=True, modulus=modulus, memory=[(0, [1] * N)],
             read_rows=(0, N))
-        with use_backend(backend):
+        with on_path(path):
             with pytest.raises(RequestValidationError,
                                match=r"odd and in \[3, 2\*\*64\)"):
                 Simulator().run(request)
@@ -429,7 +429,7 @@ class TestScheduleCache:
 
     def test_cache_info_shape(self):
         info = Simulator().cache_info()
-        assert info["backend"] in ("python", "numpy")
+        assert set(info) == {"program", "stream", "schedule"}
         for cache in ("program", "schedule"):
             assert set(info[cache]) == {"entries", "hits", "misses"}
         assert schedule_cache_info()["entries"] >= 0
@@ -569,10 +569,10 @@ class TestFheWorkload:
                                               a=a, b=b, native=True))
         assert hosted.values == native.values
 
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("path", ["numpy", "python"])
     @pytest.mark.parametrize("native", [False, True])
     @pytest.mark.parametrize("op", FheOpRequest.OPS)
-    def test_timing_only_matches_functional_run(self, op, native, backend):
+    def test_timing_only_matches_functional_run(self, op, native, path):
         """A timing-only FHE op returns no values and is unverified, but
         carries the functional run's cycles, energy, command count and
         counters."""
@@ -580,7 +580,7 @@ class TestFheWorkload:
         request = FheOpRequest(ring=RING, op=op, a=a,
                                b=b if op == "multiply" else None,
                                native=native)
-        with use_backend(backend):
+        with on_path(path):
             functional = Simulator().run(request)
             timing_only = Simulator(SimConfig(functional=False)).run(request)
         assert functional.verified and len(functional.values) == N
@@ -597,7 +597,6 @@ class TestFheWorkload:
 class TestResponseEnvelope:
     def test_metadata_fields(self):
         response = Simulator().run(NttRequest(params=PARAMS, values=_data()))
-        assert response.backend in ("python", "numpy")
         assert response.wall_time_s > 0
         assert response.request.params is PARAMS
         assert response.latency_ns == pytest.approx(
@@ -620,7 +619,7 @@ class TestPinnedEnvelopes:
     counters, metrics and the cold-then-warm cache deltas of lone,
     batched and multi-bank transforms under four configs; a change to
     any simulated number, response field or cache lookup changes the
-    digest.  Both backends must produce the same one.
+    digest.  Both compute paths must produce the same one.
     """
 
     DIGEST = ("f07746e8a7da027c1442c88fcbe47d01"
@@ -667,11 +666,11 @@ class TestPinnedEnvelopes:
             sorted((k, sorted(v.items())) for k, v in response.cache.items()),
         )).encode()
 
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
-    def test_envelope_digest(self, backend):
+    @pytest.mark.parametrize("path", ["numpy", "python"])
+    def test_envelope_digest(self, path):
         h = hashlib.sha256()
         count = 0
-        with use_backend(backend):
+        with on_path(path):
             for config in self.CONFIGS:
                 simulator = Simulator(config)
                 for request in self._requests(config.pim.nb_buffers == 1):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arith import NttParams, find_ntt_prime, get_backend, use_backend
+from repro.arith import NttParams, find_ntt_prime
 from repro.arith.bitrev import bit_reverse_permute
 from repro.arith.modmath import mod_scale_vec
 from repro.dram import Command, CommandType, HBM2E_ARCH, cached_stream, \
@@ -126,9 +126,9 @@ def _dispatches(draw):
 @settings(max_examples=30, deadline=None)
 def test_stacked_dispatch_equals_per_bank_loop(case):
     """Outputs, bu_ops and the CU's load/store/twiddle counters of a
-    (mixed-spec) multi-bank dispatch equal the per-bank loop's.  On the
-    NumPy backend Nb >= 2 runs one stacked bank per spec group; Nb=1
-    lane plans and the python backend run one full bank per bank."""
+    (mixed-spec) multi-bank dispatch equal the per-bank loop's.  Nb >= 2
+    runs one stacked bank per spec group; Nb=1 lane plans run one full
+    bank per bank."""
     config, specs, inputs = case
     with _banks_run() as seen:
         result = _run_dispatch([[x] for x in inputs], specs, config)
@@ -137,7 +137,7 @@ def test_stacked_dispatch_equals_per_bank_loop(case):
     assert result.outputs == expected
     assert result.bu_ops == counters[0]
     assert _summed(seen) == counters
-    if config.pim.nb_buffers > 1 and get_backend() == "numpy":
+    if config.pim.nb_buffers > 1:
         assert len(seen) == len(set(specs))
         assert all(bank.storage.stack is not None for bank in seen)
     else:
@@ -226,11 +226,10 @@ def test_one_flipped_word_in_any_bank_is_caught(flipped, monkeypatch):
         return words
 
     monkeypatch.setattr(PimBank, "read_polynomial", corrupted)
-    with use_backend("numpy"):
-        with pytest.raises(FunctionalMismatch):
-            _run_dispatch([[x] for x in inputs], [spec] * 8, SimConfig())
-        result = _run_dispatch([[x] for x in inputs], [spec] * 8,
-                               SimConfig(verify=False))
+    with pytest.raises(FunctionalMismatch):
+        _run_dispatch([[x] for x in inputs], [spec] * 8, SimConfig())
+    result = _run_dispatch([[x] for x in inputs], [spec] * 8,
+                           SimConfig(verify=False))
     assert not result.verified
     wrong = [k for k in range(8) if result.outputs[k] != golden[k]]
     assert wrong == [flipped]
@@ -264,10 +263,9 @@ def test_fused_stack_equals_per_command_run(seed, length, banks, with_deps,
     pim = PimParams()
     stack = PimBank(HBM2E_ARCH, pim, stack=(banks,), rows=window)
     stack.set_parameters(q)
-    with use_backend("numpy"):
-        assert stack.runs_atom_plan(stream), stream.fallback_reason
-        stack.load_polynomial(window.start, cells)
-        stack.run_stream(stream)
+    assert stack.runs_atom_plan(stream), stream.fallback_reason
+    stack.load_polynomial(window.start, cells)
+    stack.run_stream(stream)
     after = stack.read_polynomial(window.start, cells.shape[-1])
     references = []
     for k in range(banks):

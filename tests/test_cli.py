@@ -49,16 +49,12 @@ class TestCliFacade:
         out = capsys.readouterr().out
         assert "[ntt]" in out and "verified=yes" in out
 
-    def test_run_with_backend_flag(self, capsys):
-        assert main(["run", "ntt", "-n", "256", "--backend", "python"]) == 0
-        assert "verified=yes" in capsys.readouterr().out
-
     def test_run_with_cache_info(self, capsys):
         assert main(["run", "ntt", "-n", "256", "--cache-info"]) == 0
         out = capsys.readouterr().out
         assert "program cache" in out
         assert "schedule cache" in out
-        assert "backend" in out
+        assert "stream cache" in out
 
     def test_run_batch_workload(self, capsys):
         assert main(["run", "batch", "-n", "256", "--count", "2"]) == 0

@@ -2,9 +2,10 @@
 plan, and its bit-exact equivalence with the legacy per-command bank."""
 
 import pytest
+from compute_paths import on_path
 
 from repro.api import NttRequest, Simulator
-from repro.arith import NttParams, find_ntt_prime, use_backend
+from repro.arith import NttParams, find_ntt_prime
 from repro.arith.bitrev import bit_reverse_permute
 from repro.dram import (
     Command,
@@ -233,13 +234,13 @@ class TestFusedExecutionEquivalence:
         stream = compile_stream(program.commands, config.arch)
         data = bit_reverse_permute([(5 * i + 1) % q for i in range(n)])
         outputs = {}
-        for backend in ("python", "numpy"):
-            with use_backend(backend):
+        for path in ("python", "numpy"):
+            with on_path(path):
                 bank = PimBank(config.arch, config.pim)
                 bank.set_parameters(q)
                 bank.load_polynomial(0, list(data))
                 bank.run_stream(stream)
-                outputs[backend] = bank.read_polynomial(
+                outputs[path] = bank.read_polynomial(
                     program.result_base_row, n)
         assert outputs["python"] == outputs["numpy"]
 

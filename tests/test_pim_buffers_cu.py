@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,6 +51,12 @@ class TestAtomBufferFile:
     def test_wrong_size_write(self):
         with pytest.raises(MappingError):
             AtomBufferFile(1, 8).write(0, [1, 2])
+
+    def test_wrong_size_stacked_write_reports_words(self):
+        """A stacked ``(banks, words)`` write reports the word count, not
+        the bank count."""
+        with pytest.raises(MappingError, match="needs 8 words, got 4$"):
+            AtomBufferFile(1, 8).write_array(0, np.zeros((3, 4), np.uint64))
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

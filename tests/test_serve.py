@@ -9,9 +9,10 @@ identical to a standalone ``Simulator.run`` of the same request.
 import random
 
 import pytest
+from compute_paths import on_path
 
 from repro.api import FheOpRequest, NegacyclicRequest, NttRequest, Simulator
-from repro.arith import NttParams, find_ntt_prime, use_backend
+from repro.arith import NttParams, find_ntt_prime
 from repro.errors import RequestValidationError, ServeError
 from repro.ntt.negacyclic import NegacyclicParams
 from repro.serve import (
@@ -484,26 +485,26 @@ class TestLiveSurface:
         results = server.drain()
         assert results[0].ok
 
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
-    def test_bad_coefficient_rejected_at_admission(self, backend):
+    @pytest.mark.parametrize("path", ["numpy", "python"])
+    def test_bad_coefficient_rejected_at_admission(self, path):
         """One out-of-range coefficient is a RequestValidationError at
         submit(); the neighbours it would have shared a dispatch with
         are served as if it never arrived."""
         self._check_rejected_at_admission(
-            backend, _with_coefficient(-1), "coefficients")
+            path, _with_coefficient(-1), "coefficients")
 
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("path", ["numpy", "python"])
     @pytest.mark.parametrize("bad", [1.5, "5"], ids=["float", "str"])
-    def test_non_integer_coefficient_rejected_at_admission(self, backend,
+    def test_non_integer_coefficient_rejected_at_admission(self, path,
                                                            bad):
         """A non-integer coefficient is rejected at submit() the same
         way, before the stacked data plane's uint64 load could truncate
         it."""
         self._check_rejected_at_admission(
-            backend, _with_coefficient(bad), "coefficients")
+            path, _with_coefficient(bad), "coefficients")
 
-    @pytest.mark.parametrize("backend", ["numpy", "python"])
-    def test_wide_modulus_rejected_at_admission(self, backend):
+    @pytest.mark.parametrize("path", ["numpy", "python"])
+    def test_wide_modulus_rejected_at_admission(self, path):
         """A modulus wider than the 64-bit bank word is rejected at
         submit() too, instead of failing its dispatch at drain()."""
         q = find_ntt_prime(N, 65)
@@ -511,11 +512,11 @@ class TestLiveSurface:
         x = next(x for x in range(2, q) if pow(x, (q - 1) // 2, q) == q - 1)
         wide = NttParams(N, q, pow(x, (q - 1) // N, q))
         self._check_rejected_at_admission(
-            backend, ntt_request(9, wide), "64-bit bank word")
+            path, ntt_request(9, wide), "64-bit bank word")
 
     @staticmethod
-    def _check_rejected_at_admission(backend, bad, match):
-        with use_backend(backend):
+    def _check_rejected_at_admission(path, bad, match):
+        with on_path(path):
             with pytest.raises(RequestValidationError, match=match):
                 SimServer(NOVERIFY).serve(
                     [ntt_request(0), ntt_request(1), bad, ntt_request(2)])

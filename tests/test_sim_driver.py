@@ -27,8 +27,8 @@ def flip_one_word(monkeypatch):
 
     def corrupted(self, base_row, n):
         words = real_read(self, base_row, n)
-        # A lone transform reads back a (1, n) bank stack on numpy and a
-        # list of ints from a full single bank on the python backend.
+        # A lone transform reads back a (1, n) bank stack, or a list of
+        # ints from a full single bank when it runs bank by bank.
         row = words[0] if isinstance(words, np.ndarray) else words
         row[n // 2] ^= 1
         return words

@@ -1,10 +1,13 @@
-"""Backend equivalence: the NumPy lane kernels must match the pure-Python
-ground truth bit for bit, across the whole stack (element-wise ops, golden
-NTTs, merged negacyclic transforms, the PIM compute unit, the driver)."""
+"""Compute-path equivalence: the NumPy lane kernels must match the
+pure-Python scalar references bit for bit, across the whole stack
+(element-wise ops, golden NTTs, merged negacyclic transforms, the PIM
+compute unit, the driver)."""
 
 import random
 
+import numpy as np
 import pytest
+from compute_paths import both_paths, on_path, scalar_path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,8 +22,6 @@ from repro.arith import (
     mod_scale_vec,
     mod_sub,
     mod_sub_vec,
-    set_backend,
-    use_backend,
     vector,
 )
 from repro.ntt import (
@@ -45,29 +46,8 @@ Q_EVEN = (1 << 40) + 2                # wide and even: Barrett regime
 Q_EVEN_EDGE = (1 << 61) - 2           # just under the 2^61 Barrett ceiling
 
 
-def both_backends(fn):
-    """Run ``fn`` under each backend and return the two results."""
-    with use_backend("python"):
-        py = fn()
-    with use_backend("numpy"):
-        np_ = fn()
-    return py, np_
-
-
 class TestBackendSelector:
-    def test_default_is_numpy_when_available(self):
-        assert vector.HAS_NUMPY
-        assert vector.get_backend() in ("python", "numpy")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            set_backend("fortran")
-
-    def test_use_backend_restores(self):
-        before = vector.get_backend()
-        with use_backend("python"):
-            assert vector.get_backend() == "python"
-        assert vector.get_backend() == before
+    """What picks a lane kernel over its scalar reference: the modulus."""
 
     def test_lane_support_matrix(self):
         assert vector.lanes_supported(Q_SMALL)
@@ -94,7 +74,7 @@ def test_property_elementwise_ops_match(seed, q):
     ys = [rng.randrange(q) for _ in range(len(xs))]
     for op, ref in ((mod_add_vec, mod_add), (mod_sub_vec, mod_sub),
                     (mod_mul_vec, mod_mul)):
-        py, np_ = both_backends(lambda op=op: op(xs, ys, q))
+        py, np_ = both_paths(lambda op=op: op(xs, ys, q))
         assert py == np_
         assert py == [ref(x, y, q) for x, y in zip(xs, ys)]
 
@@ -104,9 +84,9 @@ def test_elementwise_ops_accept_unreduced_inputs():
     q = Q_WIDE
     xs = [-5, 2**70 + 3, q + 1, -(2**65)]
     ys = [7, -1, 2**64, 3]
-    py, np_ = both_backends(lambda: mod_mul_vec(xs, ys, q))
+    py, np_ = both_paths(lambda: mod_mul_vec(xs, ys, q))
     assert py == np_ == [mod_mul(x, y, q) for x, y in zip(xs, ys)]
-    py, np_ = both_backends(lambda: mod_add_vec(xs, ys, q))
+    py, np_ = both_paths(lambda: mod_add_vec(xs, ys, q))
     assert py == np_ == [mod_add(x, y, q) for x, y in zip(xs, ys)]
 
 
@@ -115,7 +95,7 @@ def test_scale_vec_matches():
     rng = random.Random(3)
     xs = [rng.randrange(q) for _ in range(64)]
     c = rng.randrange(q)
-    py, np_ = both_backends(lambda: mod_scale_vec(xs, c, q))
+    py, np_ = both_paths(lambda: mod_scale_vec(xs, c, q))
     assert py == np_ == [(x * c) % q for x in xs]
 
 
@@ -133,7 +113,7 @@ def test_property_barrett_regime_matches(seed, bits):
     assert vector.lanes_supported(q)
     xs = [rng.randrange(q) for _ in range(29)] + [q - 1, q - 1, 0]
     ys = [rng.randrange(q) for _ in range(29)] + [q - 1, 1, q - 1]
-    py, np_ = both_backends(lambda: mod_mul_vec(xs, ys, q))
+    py, np_ = both_paths(lambda: mod_mul_vec(xs, ys, q))
     assert py == np_
     assert py == [x * y % q for x, y in zip(xs, ys)]
 
@@ -145,8 +125,8 @@ def test_barrett_edge_moduli():
         assert vector.lanes_supported(q)
         xs = [q - 1, q - 1, q - 2, 1, 0, q // 2, q // 2 + 1]
         ys = [q - 1, 1, q - 2, q - 1, q - 1, q // 2, q // 2]
-        py, np_ = both_backends(lambda q=q, xs=xs, ys=ys:
-                                mod_mul_vec(xs, ys, q))
+        py, np_ = both_paths(lambda q=q, xs=xs, ys=ys:
+                             mod_mul_vec(xs, ys, q))
         assert py == np_ == [x * y % q for x, y in zip(xs, ys)]
 
 
@@ -160,7 +140,7 @@ class TestNttEquivalence:
         rng = random.Random(n * 31 + q % 1009)
         x = [rng.randrange(q) for _ in range(n)]
         for kernel in (ntt_dit_bitrev_input, ntt_dif_natural_input):
-            py, np_ = both_backends(lambda k=kernel: k(list(x), params))
+            py, np_ = both_paths(lambda k=kernel: k(list(x), params))
             assert py == np_, f"{kernel.__name__} diverges for n={n} q={q}"
 
     @pytest.mark.parametrize("q", [Q_SMALL, Q_WIDE])
@@ -169,7 +149,7 @@ class TestNttEquivalence:
         params = NttParams(n, q)
         rng = random.Random(7)
         x = [rng.randrange(q) for _ in range(n)]
-        py, np_ = both_backends(lambda: intt(ntt(x, params), params))
+        py, np_ = both_paths(lambda: intt(ntt(x, params), params))
         assert py == np_ == x
 
     def test_merged_negacyclic(self):
@@ -178,10 +158,10 @@ class TestNttEquivalence:
             ring = NegacyclicParams(n, q)
             rng = random.Random(bits)
             x = [rng.randrange(q) for _ in range(n)]
-            fwd_py, fwd_np = both_backends(
+            fwd_py, fwd_np = both_paths(
                 lambda: merged_negacyclic_ntt(x, ring))
             assert fwd_py == fwd_np
-            inv_py, inv_np = both_backends(
+            inv_py, inv_np = both_paths(
                 lambda: merged_negacyclic_intt(fwd_py, ring))
             assert inv_py == inv_np == x
 
@@ -208,7 +188,7 @@ class TestComputeUnitEquivalence:
             out = cu.execute_c1(list(x), root, 0)
             return out, self._counters(cu)
 
-        (out_py, ctr_py), (out_np, ctr_np) = both_backends(run)
+        (out_py, ctr_py), (out_np, ctr_np) = both_paths(run)
         assert out_py == out_np
         assert ctr_py == ctr_np
 
@@ -226,7 +206,7 @@ class TestComputeUnitEquivalence:
             out = cu.execute_c2(list(p), list(s), omega0, r_omega, gs=gs)
             return out, self._counters(cu)
 
-        (out_py, ctr_py), (out_np, ctr_np) = both_backends(run)
+        (out_py, ctr_py), (out_np, ctr_np) = both_paths(run)
         assert out_py == out_np
         assert ctr_py == ctr_np
 
@@ -243,7 +223,7 @@ class TestComputeUnitEquivalence:
             out = cu.execute_c1n(list(x), zetas, gs=gs)
             return out, self._counters(cu)
 
-        (out_py, ctr_py), (out_np, ctr_np) = both_backends(run)
+        (out_py, ctr_py), (out_np, ctr_np) = both_paths(run)
         assert out_py == out_np
         assert ctr_py == ctr_np
 
@@ -339,37 +319,35 @@ def test_per_command_bank_uses_no_lane_kernel(monkeypatch, kind):
     commands = list(program.commands)
     rng = random.Random(n)
     x = [rng.randrange(q) for _ in range(n)]
-    with use_backend("numpy"):
-        image = list(spec.load_layout(x))
-        expected = list(spec.expected(x))
+    image = list(spec.load_layout(x))
+    expected = list(spec.expected(x))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("per-command execution reached a lane kernel")
 
-    keep = {"get_backend", "set_backend", "use_backend", "numpy_active",
-            "lanes_supported", "is_array"}
+    keep = {"lanes_supported", "is_array"}
     for name in vector.__all__:
         if name not in keep and callable(getattr(vector, name)):
             monkeypatch.setattr(vector, name, forbidden)
-    with use_backend("numpy"):
-        bank = PimBank(config.arch, config.pim)
-        bank.set_parameters(q)
-        bank.load_polynomial(program.base_row, image)
-        bank.run(commands)
-        out = bank.read_polynomial(program.result_base_row, n)
+    bank = PimBank(config.arch, config.pim)
+    bank.set_parameters(q)
+    bank.load_polynomial(program.base_row, image)
+    bank.run(commands)
+    out = bank.read_polynomial(program.result_base_row, n)
     assert out == expected
 
 
 class TestDriverBothBackends:
-    """The full mapped-command verify path passes under either backend."""
+    """The full mapped-command verify path passes on either compute
+    path."""
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_run_ntt_verifies(self, backend):
+    @pytest.mark.parametrize("path", ["python", "numpy"])
+    def test_run_ntt_verifies(self, path):
         n = 512
         params = NttParams(n, Q_SMALL)
         rng = random.Random(5)
         x = [rng.randrange(Q_SMALL) for _ in range(n)]
-        with use_backend(backend):
+        with on_path(path):
             result = Simulator().run(NttRequest(params=params, values=x))
         assert result.verified
 
@@ -378,19 +356,77 @@ class TestDriverBothBackends:
         params = NttParams(n, Q_SMALL)
         rng = random.Random(6)
         x = [rng.randrange(Q_SMALL) for _ in range(n)]
-        py, np_ = both_backends(
+        py, np_ = both_paths(
             lambda: Simulator().run(NttRequest(params=params, values=x)))
         assert py.values == np_.values
         assert py.counters["bu_ops"] == np_.counters["bu_ops"]
         assert py.cycles == np_.cycles
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_negacyclic_driver_verifies(self, backend):
+    @pytest.mark.parametrize("path", ["python", "numpy"])
+    def test_negacyclic_driver_verifies(self, path):
         n = 256
         q = find_ntt_prime(n, 31, negacyclic=True)
         ring = NegacyclicParams(n, q)
         rng = random.Random(8)
         x = [rng.randrange(q) for _ in range(n)]
-        with use_backend(backend):
+        with on_path(path):
             result = Simulator().run(NegacyclicRequest(ring=ring, values=x))
         assert result.verified
+
+
+def test_scalar_path_runs_no_lane_kernel(monkeypatch):
+    """``scalar_path`` sends a whole ``Simulator.run`` down the scalar
+    route: with the stacked kernels and the array golden NTT patched to
+    raise, an N=512 NTT still replays its commands one by one through
+    ``PimBank.run`` and verifies."""
+    from repro.pim.bank_pim import PimBank
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the scalar path reached a lane kernel")
+
+    for name in ("c1_stack_arr", "c2_stack_arr", "c1n_stack_arr",
+                 "ntt_dit_bitrev"):
+        monkeypatch.setattr(vector, name, forbidden)
+    per_command = []
+    real_run = PimBank.run
+
+    def run(self, commands):
+        per_command.append(len(commands))
+        real_run(self, commands)
+
+    monkeypatch.setattr(PimBank, "run", run)
+    n = 512
+    params = NttParams(n, Q_SMALL)
+    rng = random.Random(9)
+    x = [rng.randrange(Q_SMALL) for _ in range(n)]
+    with scalar_path():
+        result = Simulator().run(NttRequest(params=params, values=x))
+    assert result.verified
+    assert per_command == [result.command_count]
+
+
+Q_NO_LANES = find_ntt_prime(16, 64)   # >= 2^63: past every lane regime
+_SCALAR_ONLY = {
+    "mod_add_vec": lambda x: mod_add_vec(x, x[::-1], Q_NO_LANES),
+    "mod_sub_vec": lambda x: mod_sub_vec(x, x[::-1], Q_NO_LANES),
+    "mod_mul_vec": lambda x: mod_mul_vec(x, x[::-1], Q_NO_LANES),
+    "mod_scale_vec": lambda x: mod_scale_vec(x, Q_NO_LANES - 2, Q_NO_LANES),
+    "ntt": lambda x: ntt(x, NttParams(16, Q_NO_LANES)),
+    "intt": lambda x: intt(x, NttParams(16, Q_NO_LANES)),
+    "merged_negacyclic_ntt": lambda x: merged_negacyclic_ntt(
+        x, NegacyclicParams(16, Q_NO_LANES)),
+    "merged_negacyclic_intt": lambda x: merged_negacyclic_intt(
+        x, NegacyclicParams(16, Q_NO_LANES)),
+}
+
+
+@pytest.mark.parametrize("name", list(_SCALAR_ONLY))
+def test_scalar_fallback_takes_uint64_arrays(name):
+    """A modulus the lanes cannot hold runs the scalar loops, and a
+    uint64 array there gives the values of the equal list — its NumPy
+    scalars must not reach the arithmetic, where they wrap at 2**64."""
+    assert not vector.lanes_supported(Q_NO_LANES)
+    rng = random.Random(name)
+    x = [rng.randrange(Q_NO_LANES) for _ in range(16)]
+    fn = _SCALAR_ONLY[name]
+    assert [int(v) for v in fn(np.array(x, dtype=np.uint64))] == fn(x)
