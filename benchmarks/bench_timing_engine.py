@@ -136,11 +136,14 @@ def run(ns=(1024, 4096), repeats: int = 5,
 
 def _bench_dataplane(n: int, repeats: int, banks: int = 8) -> dict:
     """Warm same-spec ``banks``-bank dispatches through
-    ``_run_dispatch`` with golden verify on — the functional data plane
-    a served dispatch pays once its shape is cached — as ns per executed
-    butterfly µ-op, with the host slowdown probed around the timing."""
+    ``_run_dispatch`` with verify on — the functional data plane a
+    served dispatch pays once its shape is cached — as ns per executed
+    butterfly µ-op, with the host slowdown probed around the timing;
+    plus the same dispatch with verify off (``verify_off_s``), which
+    prices the online check."""
     spec = TransformSpec(params=NttParams(n, find_ntt_prime(n, 32)))
     config = SimConfig()
+    unchecked = SimConfig(verify=False)
     rng = random.Random(n)
     inputs = [[[rng.randrange(spec.q) for _ in range(n)]]
               for _ in range(banks)]
@@ -151,11 +154,14 @@ def _bench_dataplane(n: int, repeats: int, banks: int = 8) -> dict:
     dispatch_s = _best_of(lambda: _run_dispatch(inputs, specs, config),
                           repeats)
     slowdown = (slowdown + perf_clock.slowdown()) / 2
+    verify_off_s = _best_of(lambda: _run_dispatch(inputs, specs, unchecked),
+                            repeats)
     return {
         "n": n,
         "banks": banks,
         "bu_ops": result.bu_ops,
         "dispatch_s": dispatch_s,
+        "verify_off_s": verify_off_s,
         "ns_per_bu": dispatch_s / result.bu_ops * 1e9,
         "slowdown": slowdown,
     }
@@ -259,7 +265,8 @@ def _format(results: dict) -> str:
             f"  N={entry['n']:>5d} x {entry['banks']} banks  "
             f"{entry['dispatch_s'] * 1e3:6.2f} ms "
             f"({entry['ns_per_bu']:.1f} ns/bu, host slowdown "
-            f"{entry['slowdown']:.2f}x)")
+            f"{entry['slowdown']:.2f}x), verify off "
+            f"{entry['verify_off_s'] * 1e3:6.2f} ms")
     return "\n".join(lines)
 
 
@@ -301,6 +308,7 @@ def test_stream_engine_smoke(show, tmp_path):
     assert results["mapper"]["256"]["cold_us_per_cmd"] > 0
     assert results["mapper"]["nb1"]["slowdown"] > 0
     assert results["dataplane"]["256"]["ns_per_bu"] > 0
+    assert results["dataplane"]["256"]["verify_off_s"] > 0
 
 
 def main(argv=None) -> int:

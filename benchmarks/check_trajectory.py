@@ -21,9 +21,11 @@ committed floor:
   way, must stay below ``MAP_US_PER_CMD_CEILING`` — far under the
   ~9 us/command of per-command ``Command`` emission;
 * data plane: a warm same-spec 8-bank dispatch (functional bank, host
-  I/O and golden verify), scaled the same way, must stay below
+  I/O and the online check), scaled the same way, must stay below
   ``DATAPLANE_NS_PER_BU_CEILING`` per butterfly µ-op — far under the
-  one-bank-at-a-time loop it replaced;
+  one-bank-at-a-time loop it replaced — and must cost at most
+  ``DATAPLANE_VERIFY_RATIO_CEILING`` times the same dispatch with
+  verify off;
 * shared bus: the contention model must report real utilization and
   never beat the independent-channel upper bound;
 * resilience: under injected faults the recovery policies must keep
@@ -79,11 +81,18 @@ COMPILE_US_PER_CMD_CEILING = 2.3
 #: Same slowdown scaling and ~2x headroom as the compile ceiling.
 MAP_US_PER_CMD_CEILING = 1.3
 #: A warm same-spec 8-bank dispatch runs its banks as one stacked pass
-#: with one golden check: ~80 ns per butterfly µ-op at N=512 and ~62 at
-#: N=4096 at reference speed, against ~215 / ~105 when every bank ran
-#: (and was verified) on its own.  Same slowdown scaling; ~2x headroom
+#: with one check: ~51-56 ns per butterfly µ-op at N=512 and ~35-39
+#: at N=4096 at reference speed (~80 / ~62 while the check re-ran the
+#: golden NTT), against ~215 / ~105 when every bank ran (and was
+#: verified) on its own.  Same slowdown scaling; ~2x headroom
 #: over the N=512 level, which the per-bank loop fails.
 DATAPLANE_NS_PER_BU_CEILING = 150.0
+#: With the online check (Freivalds' dot products, O(N) per transform)
+#: that dispatch measures 0.98-1.11x the verify-off dispatch's time
+#: (best of 5, five reruns at N=512 and N=4096), against 1.43-1.53x
+#: when the check re-ran the golden NTT on every dispatch.  A ratio of
+#: two timings taken back to back, so no slowdown scaling.
+DATAPLANE_VERIFY_RATIO_CEILING = 1.3
 #: The stream replay builds its loop inputs from the stream's int64
 #: columns on every call (no list mirrors, no per-command timing
 #: tuples) and measures ~0.40-0.45 us/command at reference speed at
@@ -306,6 +315,15 @@ def check(kernels_path: Path = REPO_ROOT / "BENCH_kernels.json",
                 f"µ-op at reference speed ({entry['ns_per_bu']:.1f} raw / "
                 f"{entry['slowdown']:.2f}x slowdown) exceeds the "
                 f"{DATAPLANE_NS_PER_BU_CEILING} ns/bu ceiling")
+        verify_ratio = entry["dispatch_s"] / entry["verify_off_s"]
+        print(f"dataplane: N={entry['n']} verify on / off "
+              f"{verify_ratio:.2f}x (ceiling "
+              f"{DATAPLANE_VERIFY_RATIO_CEILING})")
+        if verify_ratio > DATAPLANE_VERIFY_RATIO_CEILING:
+            failures.append(
+                f"dataplane N={name}: the verified dispatch takes "
+                f"{verify_ratio:.2f}x the verify-off one, above the "
+                f"{DATAPLANE_VERIFY_RATIO_CEILING}x ceiling")
 
     engine = kernels["timing_engine"]
     for n, entry in engine.items():

@@ -1,10 +1,11 @@
 """The shared thread-safe keyed-artifact cache.
 
-One implementation behind the three deterministic-artifact caches —
+One implementation behind the four deterministic-artifact caches —
 mapper programs (:mod:`repro.mapping.program_cache`), compiled command
-streams (:mod:`repro.dram.stream`) and timing schedules
-(:mod:`repro.sim.driver`) — so the concurrency-sensitive part lives in
-exactly one place.
+streams (:mod:`repro.dram.stream`), timing schedules
+(:mod:`repro.sim.driver`) and Freivalds check material
+(:mod:`repro.arith.vector`) — so the concurrency-sensitive part lives
+in exactly one place.
 
 The contract every consumer relies on:
 

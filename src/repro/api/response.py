@@ -32,6 +32,15 @@ class SimResponse:
     cycles: int = 0
     latency_us: float = 0.0
     energy_nj: float = 0.0
+    #: True when the run executed functionally with ``verify`` on and
+    #: every output passed its transform's online check
+    #: (:meth:`repro.sim.driver.TransformSpec.check`, Freivalds' dot
+    #: products against the golden transform's transpose; a failure
+    #: raises :class:`~repro.errors.FunctionalMismatch` instead).  For
+    #: prime ``q`` a wrong output passes with probability at most
+    #: ``(q-1)^-K <= 2^-60`` and one wrong word never passes; the check's
+    #: rows are fixed per transform, so the bound does not hold against
+    #: adversarially chosen outputs.
     verified: bool = False
     #: Commands issued on the bus (summed across transforms for
     #: workloads spanning several programs, e.g. FHE ops).

@@ -9,6 +9,7 @@ inputs below 3.3 * 10^24 and overwhelmingly reliable above.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List
 
 __all__ = [
@@ -29,8 +30,13 @@ _SMALL_PRIMES = (
 )
 
 
+@lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test, deterministic for ``n < 3.3e24``."""
+    """Miller-Rabin primality test, deterministic for ``n < 3.3e24``.
+
+    Memoized: every :class:`~repro.arith.roots.NttParams` construction
+    tests its modulus, and a run builds many for the same few moduli.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:

@@ -90,7 +90,8 @@ class NttParams:
 
     The paper's host interface sends the NTT parameters in a write request
     (Sec. IV.A); this class is the software-side representation, including
-    the derived inverse parameters for the inverse transform.
+    the derived inverse parameters for the inverse transform.  ``q`` must
+    be prime: without a field the Cooley-Tukey network is not the DFT.
     """
 
     def __init__(self, n: int, q: int, omega: int | None = None):
@@ -98,6 +99,8 @@ class NttParams:
             raise ValueError(f"N must be a power of two >= 2, got {n}")
         if (q - 1) % n != 0:
             raise ValueError(f"q={q} does not support length-{n} NTT")
+        if not is_prime(q):
+            raise ValueError(f"{q} is not prime")
         self.n = n
         self.q = q
         self.log_n = n.bit_length() - 1
@@ -106,10 +109,14 @@ class NttParams:
             raise ValueError(f"omega={omega} is not a primitive {n}-th root mod {q}")
         self.omega_inv = mod_inverse(self.omega, q)
         self.n_inv = mod_inverse(n, q)
+        self._inverse: NttParams | None = None
 
     def inverse(self) -> "NttParams":
-        """Parameters of the inverse transform (twiddles inverted)."""
-        return NttParams(self.n, self.q, self.omega_inv)
+        """Parameters of the inverse transform (twiddles inverted),
+        built on first use."""
+        if self._inverse is None:
+            self._inverse = NttParams(self.n, self.q, self.omega_inv)
+        return self._inverse
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"NttParams(n={self.n}, q={self.q}, omega={self.omega})"

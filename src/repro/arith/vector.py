@@ -33,10 +33,14 @@ kernel runs in four regimes:
 
 from __future__ import annotations
 
+import math
+import random
 from functools import lru_cache
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
+
+from .._cache import ArtifactCache
 
 __all__ = [
     "lanes_supported",
@@ -61,6 +65,8 @@ __all__ = [
     "c1n_stack_zpack",
     "c1n_stack_arr",
     "omega_power_array",
+    "FreivaldsCheck",
+    "freivalds_check",
     "clear_caches",
 ]
 
@@ -311,6 +317,7 @@ def clear_caches() -> None:
     _merged_zeta_arrays.cache_clear()
     _geom_run_arr.cache_clear()
     _c1_stage_steps.cache_clear()
+    _freivalds_cache.clear()
 
 
 # -- whole-transform kernels ---------------------------------------------------
@@ -389,6 +396,94 @@ def merged_negacyclic_inverse(values, n: int, q: int, psi: int):
         xr[..., length:] = mod_mul_arr(mod_sub_arr(a, b, q), zetas[:, None], q)
         length <<= 1
     return scale_arr(x, pow(n, -1, q), q)
+
+
+# -- Freivalds' check of a linear map ------------------------------------------
+#
+# A transform is a fixed linear map y = M·x over Z_q.  Freivalds' check
+# (IFIP 1977) accepts an output stack iff every word is reduced and
+# r·y + (q - Mᵀ·r)·x ≡ 0 (mod q) for K fixed rows r: O(K·N) per
+# transform, and none of the butterfly kernels it checks runs.  Below
+# 2**32 each side is one uint64 matmul against 16-bit limbs of r and of
+# q - Mᵀ·r; a reduced word times a limb is < 2**48, so the two sides'
+# sums stay below 2N·2**48, exact for N <= 2**15.  Wider moduli (and
+# longer transforms) sum in Python ints.
+
+_CHECK_BITS = 60          # K = ceil(60 / log2 q) rows
+_LIMB_MAX_N = 1 << 15
+
+
+def _dot_matrix(rows, q: int):
+    """The ``(N, ...)`` right operand of :meth:`FreivaldsCheck.accepts`
+    for a ``(K, N)`` stack of reduced rows: ``2K`` columns of 16-bit
+    limbs (low limbs first; held as uint16, a quarter of the memory,
+    and widened by the matmul), or the rows as Python ints."""
+    if q < _DIRECT_LIMIT and rows.shape[-1] <= _LIMB_MAX_N:
+        limbs = np.concatenate([rows & np.uint64(0xFFFF),
+                                rows >> np.uint64(16)])
+        return np.ascontiguousarray(limbs.T, dtype=np.uint16)
+    return rows.T.astype(object)
+
+
+class FreivaldsCheck:
+    """Freivalds' check of one linear map ``y = M·x`` over ``Z_q``.
+
+    ``rows`` holds ``K = ceil(60 / log2 q)`` vectors ``r`` with entries
+    in ``[1, q)``; row ``k`` comes from its own stream, seeded
+    ``f"{label}:{k}"``, so every process draws the same rows.
+    ``vectors`` holds ``v = Mᵀ·r``, which ``transpose`` computes once
+    for the whole ``(K, N)`` stack.
+    """
+
+    def __init__(self, label: str, n: int, q: int,
+                 transpose: Callable):
+        count = math.ceil(_CHECK_BITS / math.log2(q))
+        draws = [np.frombuffer(random.Random(f"{label}:{k}")
+                               .getrandbits(64 * n).to_bytes(8 * n, "little"),
+                               dtype=np.uint64)
+                 for k in range(count)]
+        self.n = n
+        self.q = q
+        self.rows = np.stack(draws) % _u64(q - 1) + np.uint64(1)
+        self.vectors = np.array(transpose(self.rows), dtype=np.uint64)
+        self._r = _dot_matrix(self.rows, q)
+        self._minus_v = _dot_matrix((_u64(q) - self.vectors) % _u64(q), q)
+
+    def accepts(self, inputs, outputs) -> bool:
+        """True iff ``outputs`` has the shape of ``inputs`` (``(..., N)``,
+        any leading shape), every output word is below ``q``, and
+        ``r·y ≡ v·x (mod q)`` for every row pair ``(x, y)`` and every
+        ``(r, v)``.  Inputs are reduced mod ``q`` first."""
+        q, n = self.q, self.n
+        x = inputs if is_array(inputs) else uint64_lanes(inputs, q)
+        try:
+            y = np.asarray(outputs, dtype=np.uint64)
+        except (OverflowError, ValueError):
+            return False  # a word no uint64 cell holds, or a ragged stack
+        if y.shape != x.shape or x.shape[-1] != n or y.max(initial=0) >= q:
+            return False
+        x, y = x.reshape(-1, n), y.reshape(-1, n)
+        if x.max(initial=0) >= q:
+            x = x % _u64(q)
+        if self._r.dtype == object:
+            return not ((y.astype(object) @ self._r
+                         + x.astype(object) @ self._minus_v) % q).any()
+        sums = (y @ self._r + x @ self._minus_v) % _u64(q)
+        half = self._r.shape[1] // 2
+        return not ((sums[:, :half] + (sums[:, half:] << np.uint64(16)))
+                    % _u64(q)).any()
+
+
+_freivalds_cache = ArtifactCache(64)
+
+
+def freivalds_check(label: str, n: int, q: int,
+                    transpose: Callable) -> FreivaldsCheck:
+    """The :class:`FreivaldsCheck` of the length-``n`` map over ``Z_q``
+    that ``label`` names uniquely, built on first use and kept in a
+    bounded cache that :func:`clear_caches` empties."""
+    return _freivalds_cache.get_or_create(
+        label, lambda: FreivaldsCheck(label, n, q, transpose))
 
 
 # -- stacked PIM kernels (fused macro-ops of the compiled command stream) ------

@@ -20,7 +20,16 @@ class MappingError(ReproError):
 
 
 class FunctionalMismatch(ReproError):
-    """The PIM-computed result disagrees with the golden-model NTT."""
+    """The PIM-computed result disagrees with the golden-model NTT.
+
+    Raised when an output fails its transform's online check
+    (:meth:`repro.sim.driver.TransformSpec.check`): a word not below
+    ``q``, or Freivalds' dot products against the golden transform's
+    transpose disagree.  For prime ``q`` a wrong output escapes with
+    probability at most ``(q-1)^-K <= 2^-60``, and one wrong word
+    always raises; the check's rows are fixed per transform, so the
+    bound does not hold against adversarially chosen outputs.
+    """
 
 
 class ServeError(ReproError):

@@ -15,6 +15,7 @@ from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 from ..arith.modmath import mod_inverse, mod_mul_vec, mod_pow
+from ..arith.primes import is_prime
 from ..arith.roots import NttParams, is_primitive_root_of_unity, root_of_unity
 from .reference import intt, ntt
 
@@ -29,11 +30,14 @@ __all__ = [
 
 
 class NegacyclicParams:
-    """(N, q, psi) with ``psi`` a primitive 2N-th root; ``omega = psi^2``."""
+    """(N, q, psi) with ``psi`` a primitive 2N-th root; ``omega = psi^2``;
+    ``q`` prime, as for :class:`~repro.arith.roots.NttParams`."""
 
     def __init__(self, n: int, q: int, psi: int | None = None):
         if (q - 1) % (2 * n) != 0:
             raise ValueError(f"q={q} does not support length-{n} negacyclic NTT")
+        if not is_prime(q):
+            raise ValueError(f"{q} is not prime")
         self.n = n
         self.q = q
         self.psi = root_of_unity(2 * n, q) if psi is None else psi % q

@@ -24,8 +24,8 @@ recovery machinery is measured against:
   re-dispatch, a per-shard circuit breaker (K consecutive failures
   open it; traffic routes around; a half-open probe closes it after a
   cooldown), online golden-model detection of corrupted outputs
-  (served values re-checked against the reference transforms — the
-  test-only golden check promoted to a serving-path detector), and
+  (served values re-checked by the same Freivalds check a verified
+  run passes, ``TransformSpec.check``), and
   graceful degradation under overload (priority-aware load shedding
   and window shrinking at queue-depth thresholds).
 
@@ -231,7 +231,7 @@ class ResiliencePolicy:
     breaker_threshold: int = 0
     breaker_cooldown_us: float = 2000.0
     #: Online golden-model detection: served outputs are re-checked
-    #: against the reference transforms; mismatches (e.g. injected
+    #: by their transforms' Freivalds check; mismatches (e.g. injected
     #: corruption) surface as FunctionalMismatch and retry.
     detect: bool = False
     #: Load shedding: when queue depth reaches ``shed_depth``, arrivals

@@ -1028,29 +1028,25 @@ class SimServer:
         return dataclasses.replace(grouped, values=values, outputs=outputs)
 
     def _mismatch(self, unit: DispatchUnit, grouped) -> bool:
-        """Online golden-model check: does any member's served output
-        diverge from the reference transform?  Only transform workloads
-        with explicit input values have a golden model; others pass.
-        Injection is the only corruption source in the simulation, so
-        the server evaluates this at corrupted dispatches — where a
-        mismatch is possible — rather than re-deriving every clean
-        response."""
+        """Online check: does any member's served output fail its
+        transform's :meth:`~repro.sim.driver.TransformSpec.check` (the
+        same Freivalds check a verified run passes)?  Only transform
+        workloads with explicit input values can be checked; others
+        pass.  Injection is the only corruption source in the
+        simulation, so the server evaluates this at corrupted
+        dispatches — where a mismatch is possible — rather than
+        re-checking every clean response."""
         banks = unit.banks
         for slot, member in enumerate(unit.members):
-            expected = self._expected_values(member.request)
-            if expected is None:
+            request = member.request
+            values = getattr(request, "values", None)
+            if values is None or request.workload not in ("ntt",
+                                                          "negacyclic"):
                 continue
             if banks > 1 and slot < len(grouped.outputs):
                 got = grouped.outputs[slot]
             else:
                 got = grouped.values
-            if list(got) != list(expected):
+            if not transform_spec(request).check(values, got):
                 return True
         return False
-
-    @staticmethod
-    def _expected_values(request) -> Optional[List[int]]:
-        values = getattr(request, "values", None)
-        if values is None or request.workload not in ("ntt", "negacyclic"):
-            return None
-        return transform_spec(request).expected(list(values))

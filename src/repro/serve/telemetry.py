@@ -42,7 +42,7 @@ STATUS_ORPHANED = "orphaned"
 
 #: Resilience events a session counts, in snapshot order: retries,
 #: timeouts, breaker trips, dispatches rerouted around an open breaker,
-#: corrupted responses the online golden check caught, shed arrivals and
+#: corrupted responses the online check caught, shed arrivals and
 #: shrunk batching windows.  All zero on a fault-free, policy-neutral
 #: session.
 RESILIENCE_EVENTS = ("retries", "timeouts", "breaker_trips", "reroutes",

@@ -3,7 +3,9 @@
 Mirrors Sec. VI.A: every NTT invocation is (a) lowered into DRAM
 commands via the mapping algorithm and (b) run through both the timing
 engine and the functional bank model, verifying the data result against
-the golden transform while collecting cycles/energy.
+the golden transform while collecting cycles/energy.  The online check
+is Freivalds' (:meth:`TransformSpec.check`): dot products against the
+golden transform's transpose, O(N) per transform.
 
 Host protocol (Sec. IV.A): the input polynomial is already in memory in
 bit-reversed order (bit reversal is the host's job, as in MeNTT and
@@ -19,7 +21,7 @@ dispatch kx1 (one bank each on the shared command bus).
 :func:`compile_dispatch` builds its one merged stream and
 :func:`_run_dispatch` times it, runs it through :func:`_run_bank` — the
 one functional checker, which the lockstep banks of one spec pass
-through as one stacked pass with one golden check — and returns one
+through as one stacked pass with one check — and returns one
 :class:`~repro.sim.results.DispatchResult`.  The supported entry point
 is :meth:`repro.api.Simulator.run`.
 """
@@ -34,7 +36,7 @@ import numpy as np
 from .._cache import ArtifactCache
 from ..arith import vector
 from ..arith.bitrev import bit_reverse_permute
-from ..arith.modmath import mod_scale_vec
+from ..arith.modmath import mod_mul_vec, mod_scale_vec
 from ..arith.roots import NttParams
 from ..compile.lower import concat_irs, interleave_irs
 from ..dram.energy import EnergyParams, HBM2E_ENERGY
@@ -50,7 +52,7 @@ from ..mapping.program_cache import (
     programs_recipe_key,
 )
 from ..ntt.merged import merged_negacyclic_intt, merged_negacyclic_ntt
-from ..ntt.negacyclic import NegacyclicParams
+from ..ntt.negacyclic import NegacyclicParams, psi_power_table
 from ..ntt.reference import intt as reference_intt
 from ..ntt.reference import ntt as reference_ntt
 from ..pim.bank_pim import PimBank, touched_rows
@@ -205,9 +207,12 @@ class TransformSpec:
         return self.ring.cyclic if self.kind == "negacyclic" else self.params
 
     def expected(self, values):
-        """Golden model of the *finalized* output: a list of ints for a
-        list, a uint64 array for a uint64 array of any leading shape
-        (one call checks a whole bank stack)."""
+        """Golden model of the *finalized* output ``M·x``: a list of ints
+        for a list, a uint64 array for a uint64 array of any leading
+        shape.  ``M`` is this transform's matrix from natural-order
+        inputs to finalized outputs (layout, ψ twist and 1/N included);
+        the tests hold the bank to this oracle, and :meth:`check`
+        verifies runs against its transpose."""
         if self.kind == "negacyclic":
             golden = (merged_negacyclic_intt if self.inverse
                       else merged_negacyclic_ntt)
@@ -216,8 +221,62 @@ class TransformSpec:
             return reference_intt(values, self.params)
         return reference_ntt(values, self.params)
 
+    def check(self, inputs, outputs) -> bool:
+        """Freivalds' check that ``outputs`` are the finalized transforms
+        of the natural-order ``inputs`` (matching ``(..., N)`` stacks, or
+        one polynomial each): every output word is below ``q`` and
+        ``r·y ≡ (Mᵀ·r)·x (mod q)`` for every row and each of this
+        spec's fixed ``r`` (:class:`~repro.arith.vector.FreivaldsCheck`).
+
+        O(K·N) per transform, with ``Mᵀ·r`` built once per (kind,
+        direction, N, q, root); a warm check runs no NTT.  For prime
+        ``q`` a wrong output passes with probability at most
+        ``(q-1)^-K <= 2^-60``, and one wrong word never passes.  ``r``
+        is fixed per spec, so the bound does not hold against outputs
+        chosen adversarially.
+        """
+        return self._freivalds().accepts(inputs, outputs)
+
+    def _freivalds(self) -> vector.FreivaldsCheck:
+        """The memoized check material: rows ``r`` and ``v = Mᵀ·r``."""
+        root = self.ring.psi if self.kind == "negacyclic" else self.params.omega
+        label = f"{self.describe()} N={self.n} q={self.q} root={root}"
+        return vector.freivalds_check(label, self.n, self.q,
+                                      self._transposed)
+
+    def _transposed(self, rows: np.ndarray):
+        """``Mᵀ·r`` for each row of a ``(K, N)`` uint64 stack: one array
+        golden call on the lanes, else one scalar call per row.  ``Mᵀ``
+        costs one transform (the transposition principle): the cyclic
+        ``W`` and ``W⁻¹/N`` are symmetric, and the merged negacyclic
+        maps factor into them, the bit-reversal ``P`` and the ψ-power
+        diagonal ``D``."""
+        def transpose(values):
+            if self.kind == "ntt":
+                return self.expected(values)
+            ring = self.ring
+            if self.inverse:  # M = D⁻¹·(W⁻¹/N)·P, so Mᵀ = P·(W⁻¹/N)·D⁻¹
+                return bit_reverse_permute(reference_intt(
+                    _psi_twist(values, ring.psi_inv, ring), ring.cyclic))
+            # M = P·W·D, so Mᵀ = D·W·P
+            return _psi_twist(reference_ntt(bit_reverse_permute(values),
+                                            ring.cyclic), ring.psi, ring)
+
+        if vector.lanes_supported(self.q):
+            return transpose(rows)
+        return [transpose(row) for row in rows.tolist()]
+
     def describe(self) -> str:
         return f"{'inverse ' if self.inverse else ''}{self.kind}"
+
+
+def _psi_twist(values, base: int, ring: NegacyclicParams):
+    """``values[..., j] · base^j mod q``: on the lanes for a uint64
+    array, in Python ints for a list."""
+    if vector.is_array(values):
+        return vector.mod_mul_arr(
+            values, vector.omega_power_array(ring.n, ring.q, base), ring.q)
+    return mod_mul_vec(values, psi_power_table(base, ring.n, ring.q), ring.q)
 
 
 def _mismatch(spec: TransformSpec, config: SimConfig) -> FunctionalMismatch:
@@ -238,8 +297,8 @@ def _run_bank(spec: TransformSpec, inputs, config: SimConfig,
     bit-reversal gather; one load per slot into a bank stack holding
     only the rows ``stream`` touches; one pass of the atom plan over
     the bank axis; one slice read per slot and the inverse 1/N scale on
-    the array; one golden call for the whole stack; one conversion to
-    Python ints.
+    the array; one :meth:`TransformSpec.check` of the whole stack; one
+    conversion to Python ints.
 
     Streams a stack cannot run — Nb=1 lane plans, moduli without lane
     support, programs with no plan — run bank by bank on full single
@@ -261,7 +320,7 @@ def _run_bank(spec: TransformSpec, inputs, config: SimConfig,
     outputs = spec.finalize(np.stack(
         [bank.read_polynomial(program.result_base_row, spec.n)
          for program in programs], axis=-2))
-    if config.verify and not np.array_equal(outputs, spec.expected(values)):
+    if config.verify and not spec.check(values, outputs):
         raise _mismatch(spec, config)
     return outputs.tolist(), bank.cu.bu_ops
 
@@ -270,7 +329,7 @@ def _run_bank_by_bank(spec: TransformSpec, values: np.ndarray,
                       config: SimConfig, programs: Sequence[CachedProgram],
                       stream: CommandStream) -> Tuple[list, int]:
     """:func:`_run_bank` one full single bank at a time, with lists of
-    ints through host I/O and the golden model."""
+    ints through host I/O."""
     banks: List[List[List[int]]] = []
     bu_ops = 0
     for bank_values in values:
@@ -282,8 +341,7 @@ def _run_bank_by_bank(spec: TransformSpec, values: np.ndarray,
         outputs = [spec.finalize(
             bank.read_polynomial(program.result_base_row, spec.n))
             for program in programs]
-        if config.verify and outputs != [spec.expected(natural.tolist())
-                                         for natural in bank_values]:
+        if config.verify and not spec.check(bank_values, outputs):
             raise _mismatch(spec, config)
         banks.append(outputs)
         bu_ops += bank.cu.bu_ops
@@ -330,7 +388,7 @@ def _run_dispatch(inputs, specs: Sequence[TransformSpec],
 
     Returns timing, energy and the finalized outputs (bank-major); every
     output stays bit-identical to its standalone run.  With ``verify``
-    on, a result that disagrees with the golden model raises
+    on, a result that fails :meth:`TransformSpec.check` raises
     :class:`FunctionalMismatch`.
     """
     banks = len(inputs)

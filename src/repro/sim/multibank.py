@@ -12,7 +12,7 @@ vectorized round-robin merge (:func:`repro.compile.interleave_irs`) is
 bit-identical to :func:`interleave_programs`, the per-command reference
 kept here.  Functionally, the banks of one spec step through the same
 program in lockstep, so each spec group runs as one stacked pass of the
-one checker (:func:`~repro.sim.driver._run_bank`) with one golden check.
+one checker (:func:`~repro.sim.driver._run_bank`) with one check.
 """
 
 from __future__ import annotations

@@ -126,6 +126,24 @@ class TestNttParams:
         with pytest.raises(ValueError):
             NttParams(256, 12289, omega=1)
 
+    def test_composite_modulus_rejected_with_explicit_root(self):
+        """1649 = 17 * 97 with 16 | 1648, and 8 passes the root test
+        (8^16 = 1, 8^8 = 290 != 1): without a field the Cooley-Tukey
+        network is not the DFT, so both constructors refuse the modulus
+        as the default-root path does."""
+        from repro.ntt import NegacyclicParams
+
+        assert is_primitive_root_of_unity(8, 16, 1649)
+        for make in (lambda: NttParams(16, 1649, 8),
+                     lambda: NegacyclicParams(8, 1649, 8),
+                     lambda: NttParams(16, 1649)):
+            with pytest.raises(ValueError, match="1649 is not prime"):
+                make()
+
+    def test_inverse_params_built_once(self):
+        p = NttParams(256, 12289)
+        assert p.inverse() is p.inverse()
+
 
 @given(st.integers(min_value=2, max_value=10_000))
 def test_property_is_prime_matches_trial_division(n):
