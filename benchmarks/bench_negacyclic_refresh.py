@@ -18,7 +18,7 @@ def test_native_negacyclic_vs_cyclic(benchmark, show):
     def sweep():
         rows = []
         sim = Simulator(SimConfig(pim=PimParams(nb_buffers=4),
-                                  functional=False, verify=False))
+                                  functional=False))
         for n in (256, 1024, 4096):
             q = find_ntt_prime(n, 32, negacyclic=True)
             nega = sim.run(NegacyclicRequest(ring=NegacyclicParams(n, q)))
@@ -41,7 +41,7 @@ def test_refresh_overhead(benchmark, show):
 
     def sweep():
         rows = []
-        config = SimConfig(functional=False, verify=False)
+        config = SimConfig(functional=False)
         sim = Simulator(config)
         q = find_ntt_prime(8192, 32)
         for n in (256, 1024, 4096, 8192):

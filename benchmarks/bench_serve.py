@@ -60,10 +60,9 @@ SEED = 1
 WINDOW_US = 50.0
 MAX_BANKS = 8
 
-#: Functional execution on, golden verification off: outputs are still
-#: produced (and bit-checked against standalone runs below); skipping
-#: the per-bank reference NTT keeps the bench fast.
-CONFIG = SimConfig(verify=False)
+#: Functional execution on: every dispatch runs the online check, and
+#: the outputs are also bit-checked against standalone runs below.
+CONFIG = SimConfig()
 
 
 #: Shard-scaling sweep: shard counts x bus models, on the shape-diverse

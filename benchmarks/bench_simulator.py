@@ -15,8 +15,7 @@ Q = find_ntt_prime(4096, 32)
 def _run(n, nb, functional):
     rng = random.Random(n)
     x = [rng.randrange(Q) for _ in range(n)]
-    config = SimConfig(pim=PimParams(nb_buffers=nb),
-                       functional=functional, verify=functional)
+    config = SimConfig(pim=PimParams(nb_buffers=nb), functional=functional)
     return Simulator(config).run(NttRequest(params=NttParams(n, Q), values=x))
 
 

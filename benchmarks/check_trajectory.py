@@ -24,8 +24,8 @@ committed floor:
   I/O and the online check), scaled the same way, must stay below
   ``DATAPLANE_NS_PER_BU_CEILING`` per butterfly µ-op — far under the
   one-bank-at-a-time loop it replaced — and must cost at most
-  ``DATAPLANE_VERIFY_RATIO_CEILING`` times the same dispatch with
-  verify off;
+  ``DATAPLANE_VERIFY_RATIO_CEILING`` times itself less its online
+  check (``check_s``, the check alone on the same stacks);
 * shared bus: the contention model must report real utilization and
   never beat the independent-channel upper bound;
 * resilience: under injected faults the recovery policies must keep
@@ -88,10 +88,12 @@ MAP_US_PER_CMD_CEILING = 1.3
 #: over the N=512 level, which the per-bank loop fails.
 DATAPLANE_NS_PER_BU_CEILING = 150.0
 #: With the online check (Freivalds' dot products, O(N) per transform)
-#: that dispatch measures 0.98-1.11x the verify-off dispatch's time
-#: (best of 5, five reruns at N=512 and N=4096), against 1.43-1.53x
-#: when the check re-ran the golden NTT on every dispatch.  A ratio of
-#: two timings taken back to back, so no slowdown scaling.
+#: that dispatch measures 1.02-1.05x its time less the check's at N=512
+#: and 1.02-1.03x at N=4096 (``dispatch_s / (dispatch_s - check_s)``,
+#: best of 5 each, six reruns), against 1.43-1.53x its time without the
+#: check when the check re-ran the golden NTT on every dispatch.  The
+#: ceiling fails a check taking more than ~23% of the dispatch.  A
+#: ratio of two timings taken back to back, so no slowdown scaling.
 DATAPLANE_VERIFY_RATIO_CEILING = 1.3
 #: The stream replay builds its loop inputs from the stream's int64
 #: columns on every call (no list mirrors, no per-command timing
@@ -315,15 +317,17 @@ def check(kernels_path: Path = REPO_ROOT / "BENCH_kernels.json",
                 f"µ-op at reference speed ({entry['ns_per_bu']:.1f} raw / "
                 f"{entry['slowdown']:.2f}x slowdown) exceeds the "
                 f"{DATAPLANE_NS_PER_BU_CEILING} ns/bu ceiling")
-        verify_ratio = entry["dispatch_s"] / entry["verify_off_s"]
-        print(f"dataplane: N={entry['n']} verify on / off "
-              f"{verify_ratio:.2f}x (ceiling "
-              f"{DATAPLANE_VERIFY_RATIO_CEILING})")
+        unchecked_s = entry["dispatch_s"] - entry["check_s"]
+        verify_ratio = (entry["dispatch_s"] / unchecked_s
+                        if unchecked_s > 0 else float("inf"))
+        print(f"dataplane: N={entry['n']} dispatch / (dispatch - check "
+              f"{entry['check_s'] * 1e3:.3f} ms) {verify_ratio:.3f}x "
+              f"(ceiling {DATAPLANE_VERIFY_RATIO_CEILING})")
         if verify_ratio > DATAPLANE_VERIFY_RATIO_CEILING:
             failures.append(
-                f"dataplane N={name}: the verified dispatch takes "
-                f"{verify_ratio:.2f}x the verify-off one, above the "
-                f"{DATAPLANE_VERIFY_RATIO_CEILING}x ceiling")
+                f"dataplane N={name}: the dispatch takes "
+                f"{verify_ratio:.2f}x its time without the online check, "
+                f"above the {DATAPLANE_VERIFY_RATIO_CEILING}x ceiling")
 
     engine = kernels["timing_engine"]
     for n, entry in engine.items():

@@ -19,8 +19,7 @@ from repro.visual import render_timing_diagram
 
 def regime_window(n: int, nb: int, start: int, end: int, title: str) -> None:
     q = find_ntt_prime(n, 32)
-    config = SimConfig(pim=PimParams(nb_buffers=nb),
-                       functional=False, verify=False)
+    config = SimConfig(pim=PimParams(nb_buffers=nb), functional=False)
     spec = TransformSpec(params=NttParams(n, q))
     commands = spec.program(config, 0).commands
     response = Simulator(config).run(ProgramRequest(commands=commands,

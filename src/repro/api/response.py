@@ -32,11 +32,11 @@ class SimResponse:
     cycles: int = 0
     latency_us: float = 0.0
     energy_nj: float = 0.0
-    #: True when the run executed functionally with ``verify`` on and
-    #: every output passed its transform's online check
-    #: (:meth:`repro.sim.driver.TransformSpec.check`, Freivalds' dot
-    #: products against the golden transform's transpose; a failure
-    #: raises :class:`~repro.errors.FunctionalMismatch` instead).  For
+    #: True when the run executed functionally and every PIM transform
+    #: passed its online check (:meth:`repro.sim.driver.TransformSpec.check`,
+    #: Freivalds' dot products against the golden transform's
+    #: transpose; a failure raises :class:`~repro.errors.FunctionalMismatch`
+    #: instead).  Timing-only and ``program`` runs are never verified.  For
     #: prime ``q`` a wrong output passes with probability at most
     #: ``(q-1)^-K <= 2^-60`` and one wrong word never passes; the check's
     #: rows are fixed per transform, so the bound does not hold against

@@ -131,8 +131,7 @@ class NttPimModel(AcceleratorModel):
 
         self.nb_buffers = nb_buffers
         self._simulator = Simulator(config or SimConfig(
-            pim=PimParams(nb_buffers=nb_buffers),
-            functional=functional, verify=functional))
+            pim=PimParams(nb_buffers=nb_buffers), functional=functional))
         self._responses: Dict[int, object] = {}
 
     def _response(self, n: int):

@@ -152,7 +152,7 @@ def _cmd_serve(args) -> int:
     except (ValueError, ServeError) as exc:
         print(exc, file=sys.stderr)
         return 2
-    config = SimConfig(verify=not args.no_verify)
+    config = SimConfig()
     rate_profile = None
     if args.burst is not None:
         peak, start_us, duration_us = args.burst
@@ -386,8 +386,6 @@ def main(argv=None) -> int:
                          help="fraction of requests at priority 1")
     serve_p.add_argument("--deadline-us", type=float, default=None,
                          help="per-request deadline in simulated us")
-    serve_p.add_argument("--no-verify", action="store_true",
-                         help="skip golden-model verification per NTT")
     serve_p.add_argument("--faults", default=None,
                          help="inject deterministic faults: a profile "
                               "name (none/transient/degraded/chaos) or "

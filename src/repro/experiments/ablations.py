@@ -83,8 +83,7 @@ def run_ablations(ns: Sequence[int] = DEFAULT_NS, nb: int = 6,
         params = NttParams(n, q)
         for name, opts in variants.items():
             config = SimConfig(pim=PimParams(nb_buffers=nb),
-                               mapper_options=opts,
-                               functional=functional, verify=functional)
+                               mapper_options=opts, functional=functional)
             run = Simulator(config).run(NttRequest(params=params))
             result.latency_us[(n, name)] = run.latency_us
             result.activations[(n, name)] = run.activations
@@ -120,8 +119,7 @@ def run_bank_scaling(n: int = 1024, banks: Sequence[int] = (1, 2, 4, 8),
     params = NttParams(n, q)
     result = BankScalingResult(n=n, banks=tuple(banks))
     for b in banks:
-        config = SimConfig(pim=PimParams(nb_buffers=nb),
-                           functional=functional, verify=functional)
+        config = SimConfig(pim=PimParams(nb_buffers=nb), functional=functional)
         mb = Simulator(config).run(
             MultiBankRequest(params=params, inputs=[[0] * n] * b))
         result.speedup[b] = mb.metrics["speedup"]

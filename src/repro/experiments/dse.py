@@ -78,7 +78,7 @@ def run_row_size_sweep(n: int = 2048,
     for cols in columns:
         arch = dataclasses.replace(HBM2E_ARCH, columns_per_row=cols)
         config = SimConfig(arch=arch, pim=PimParams(nb_buffers=nb),
-                           functional=False, verify=False)
+                           functional=False)
         run = Simulator(config).run(NttRequest(params=params))
         result.latency_us[cols] = run.latency_us
         result.activations[cols] = run.activations
@@ -97,7 +97,7 @@ def run_atom_size_sweep(n: int = 2048,
         arch = dataclasses.replace(HBM2E_ARCH, atom_bytes=ab,
                                    columns_per_row=1024 // ab)
         config = SimConfig(arch=arch, pim=PimParams(nb_buffers=nb),
-                           functional=False, verify=False)
+                           functional=False)
         run = Simulator(config).run(NttRequest(params=params))
         result.latency_us[ab] = run.latency_us
         result.activations[ab] = run.activations

@@ -106,7 +106,7 @@ def run_fig7(ns: Sequence[int] = DEFAULT_NS,
         params = NttParams(n, q)
         for nb in nbs:
             config = SimConfig(pim=PimParams(nb_buffers=nb),
-                               functional=functional, verify=functional)
+                               functional=functional)
             run = Simulator(config).run(NttRequest(params=params))
             result.pim_us[(n, nb)] = run.latency_us
             result.pim_activations[(n, nb)] = run.activations

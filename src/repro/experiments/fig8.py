@@ -83,7 +83,7 @@ def run_fig8(ns: Sequence[int] = DEFAULT_NS,
     result = Fig8Result(ns=tuple(ns), freqs=tuple(freqs))
     q = find_ntt_prime(max(ns), 32)
     base = SimConfig(pim=PimParams(nb_buffers=nb_buffers),
-                     functional=functional, verify=functional)
+                     functional=functional)
     for n in ns:
         params = NttParams(n, q)
         for f in freqs:

@@ -64,8 +64,7 @@ def run_power_analysis(ns: Sequence[int] = (256, 1024, 4096),
                        nb: int = 2) -> PowerResult:
     result = PowerResult(ns=tuple(ns), nb=nb)
     q = find_ntt_prime(max(ns), 32)
-    config = SimConfig(pim=PimParams(nb_buffers=nb),
-                       functional=False, verify=False)
+    config = SimConfig(pim=PimParams(nb_buffers=nb), functional=False)
     model = PowerModel(config.energy, config.timing)
     simulator = Simulator(config)
     for n in ns:

@@ -35,6 +35,9 @@ class PimTransformStats:
     #: DRAM commands issued across all transforms (the command-bus
     #: traffic the serving layer's shared-bus model charges).
     total_commands: int = 0
+    #: Transforms that ran functionally and passed the online check
+    #: (:meth:`~repro.sim.driver.TransformSpec.check`).
+    verified_transforms: int = 0
     per_call_us: List[float] = field(default_factory=list)
 
 
@@ -76,6 +79,7 @@ class PimFheAccelerator:
         self.stats.total_energy_nj += schedule.energy_nj
         self.stats.total_activations += schedule.stats.activations
         self.stats.total_commands += result.command_count
+        self.stats.verified_transforms += result.verified
         self.stats.per_call_us.append(schedule.latency_us)
         return result.outputs[0] if result.outputs else []
 

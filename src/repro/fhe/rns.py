@@ -146,8 +146,7 @@ class PimRnsMultiplier:
         rep_inputs = [[[0] * self.basis.n]] * self.basis.limbs
         timing_cfg = SimConfig(
             arch=self.config.arch, timing=self.config.timing,
-            pim=self.config.pim, energy=self.config.energy,
-            functional=False, verify=False)
+            pim=self.config.pim, energy=self.config.energy, functional=False)
         rep_specs = [TransformSpec(params=rep_ring)] * self.basis.limbs
         mb = _run_dispatch(rep_inputs, rep_specs, timing_cfg)
         self.total_cycles += mb.cycles

@@ -197,6 +197,9 @@ class _Session(SessionBook):
         #: Stage request id -> (owning dag id, node name).  Stage ids
         #: never enter ``order``: drain()/serve() return whole graphs.
         self.stages: Dict[int, Tuple[int, str]] = {}
+        #: Settled stage results by stage id, kept out of ``results``
+        #: so that it holds client-visible requests only.
+        self.stage_results: Dict[int, ServeResult] = {}
         self._next_stage_id = 0
         self._unit_cursor = 0
         self._drop_cursor = 0
@@ -420,8 +423,8 @@ class SimServer:
         submission order (empty if nothing was submitted).
 
         The session only closes once execution succeeds — if a dispatch
-        raises (e.g. a :class:`FunctionalMismatch` under
-        ``verify=True``), the session survives, already-completed
+        raises (e.g. a :class:`FunctionalMismatch` from a functional
+        run's online check), the session survives, already-completed
         results stay pollable, and ``drain()`` can be retried over the
         remaining backlog.
         """
@@ -508,9 +511,8 @@ class SimServer:
                     parents = state.request.parents(name)
                     parent_results = {}
                     for parent in parents:
-                        pid = state.stage_ids.get(parent)
-                        res = (session.results.get(pid)
-                               if pid is not None else None)
+                        res = session.stage_results.get(
+                            state.stage_ids.get(parent))
                         if res is None:
                             break
                         parent_results[parent] = res
@@ -573,7 +575,7 @@ class SimServer:
     def _maybe_assemble(self, session: _Session, state: _DagState) -> None:
         if state.done or len(state.stage_ids) < len(state.request.nodes):
             return
-        if any(session.results.get(sid) is None
+        if any(sid not in session.stage_results
                for sid in state.stage_ids.values()):
             return
         state.done = True
@@ -587,7 +589,7 @@ class SimServer:
         node's output in node order — the same envelope the standalone
         golden ``"dag"`` workload returns."""
         request, sreq = state.request, state.sreq
-        stage_results = {name: session.results[state.stage_ids[name]]
+        stage_results = {name: session.stage_results[state.stage_ids[name]]
                          for name, _ in request.nodes}
         records = {name: res.record for name, res in stage_results.items()}
         ok = all(res.ok for res in stage_results.values())
@@ -919,13 +921,15 @@ class SimServer:
     def _record(self, session: _Session, record: RequestRecord,
                 response=None) -> None:
         """Tag a DAG stage's record with its graph, count it in
-        telemetry and store it as the request's result."""
+        telemetry and store it as the request's (or stage's) result."""
+        results = session.results
         stage = session.stages.get(record.request_id)
         if stage is not None:
             record.dag_id, record.stage = stage
+            results = session.stage_results
         self.telemetry.add(record)
-        session.results[record.request_id] = ServeResult(
-            record=record, response=response)
+        results[record.request_id] = ServeResult(record=record,
+                                                 response=response)
 
     # -- resilience machinery ----------------------------------------------------
     def _fail(self, session: _Session, state: _ShardState, shard_id: int,

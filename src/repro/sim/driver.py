@@ -134,7 +134,6 @@ class SimConfig:
     pim: PimParams = field(default_factory=PimParams)
     energy: EnergyParams = HBM2E_ENERGY
     base_row: int = 0
-    verify: bool = True
     functional: bool = True   # set False for timing-only sweeps (faster)
     mapper_options: MapperOptions = MapperOptions()
 
@@ -304,8 +303,8 @@ def _run_bank(spec: TransformSpec, inputs, config: SimConfig,
     support, programs with no plan — run bank by bank on full single
     banks instead.  Returns the
     finalized outputs, nested like ``inputs``, and the executed
-    butterfly µ-op count (with ``config.verify``, a wrong result raises
-    :class:`FunctionalMismatch`).
+    butterfly µ-op count; a wrong result raises
+    :class:`FunctionalMismatch`.
     """
     values = vector.uint64_lanes(inputs, spec.q)
     bank = PimBank(config.arch, config.pim, stack=values.shape[:-2],
@@ -320,7 +319,7 @@ def _run_bank(spec: TransformSpec, inputs, config: SimConfig,
     outputs = spec.finalize(np.stack(
         [bank.read_polynomial(program.result_base_row, spec.n)
          for program in programs], axis=-2))
-    if config.verify and not spec.check(values, outputs):
+    if not spec.check(values, outputs):
         raise _mismatch(spec, config)
     return outputs.tolist(), bank.cu.bu_ops
 
@@ -341,7 +340,7 @@ def _run_bank_by_bank(spec: TransformSpec, values: np.ndarray,
         outputs = [spec.finalize(
             bank.read_polynomial(program.result_base_row, spec.n))
             for program in programs]
-        if config.verify and not spec.check(bank_values, outputs):
+        if not spec.check(bank_values, outputs):
             raise _mismatch(spec, config)
         banks.append(outputs)
         bu_ops += bank.cu.bu_ops
@@ -387,9 +386,10 @@ def _run_dispatch(inputs, specs: Sequence[TransformSpec],
     through ``specs[bank]``'s transform.
 
     Returns timing, energy and the finalized outputs (bank-major); every
-    output stays bit-identical to its standalone run.  With ``verify``
-    on, a result that fails :meth:`TransformSpec.check` raises
-    :class:`FunctionalMismatch`.
+    output stays bit-identical to its standalone run.  A functional run
+    checks every output with :meth:`TransformSpec.check` and raises
+    :class:`FunctionalMismatch` on a failure; a timing-only run
+    (``config.functional`` off) has no outputs and stays unverified.
     """
     banks = len(inputs)
     if len(specs) != banks:
@@ -432,5 +432,5 @@ def _run_dispatch(inputs, specs: Sequence[TransformSpec],
     return DispatchResult(
         banks=banks, slots=slots, schedule=schedule,
         single_cycles=single.total_cycles,
-        verified=config.functional and config.verify,
+        verified=config.functional,
         outputs=outputs, bu_ops=bu_ops)

@@ -22,8 +22,9 @@ class DispatchResult:
     #: Cycles of bank 0's first transform run alone (the reference for
     #: batch amortization and bank-parallel speedup).
     single_cycles: int
-    #: Every output passed :meth:`~repro.sim.driver.TransformSpec.check`
-    #: (functional run, verify on): a wrong output passes with
+    #: The run was functional and every output passed
+    #: :meth:`~repro.sim.driver.TransformSpec.check` (a timing-only run
+    #: is never verified): a wrong output passes with
     #: probability at most ``(q-1)^-K <= 2^-60`` for prime ``q``, one
     #: wrong word never, and the bound does not hold against outputs
     #: chosen adversarially (the check's rows are fixed per spec).

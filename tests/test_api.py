@@ -311,7 +311,7 @@ class TestModulusWidth:
                                    match="wider than the 64-bit bank word"):
                     Simulator().run(request)
             # A timing-only request carries no residues: still served.
-            timing = Simulator(SimConfig(functional=False, verify=False)).run(
+            timing = Simulator(SimConfig(functional=False)).run(
                 NttRequest(params=RING65.cyclic))
         assert timing.cycles > 0
 
@@ -475,7 +475,7 @@ class TestRunMany:
         assert responses[0].values == responses[2].values
 
     def test_max_banks_chunking(self):
-        simulator = Simulator(SimConfig(functional=False, verify=False))
+        simulator = Simulator(SimConfig(functional=False))
         requests = [NttRequest(params=PARAMS) for _ in range(5)]
         responses = simulator.run_many(requests, max_banks=2)
         banks = [r.metrics.get("group_banks") for r in responses]
@@ -483,7 +483,7 @@ class TestRunMany:
         assert banks.count(2) == 4 and banks.count(None) == 1
 
     def test_validates_everything_up_front(self, monkeypatch):
-        simulator = Simulator(SimConfig(verify=False))
+        simulator = Simulator()
         ran = []
         monkeypatch.setattr(simulator, "run", ran.append)
         requests = [NttRequest(params=PARAMS, values=_data(60 + i))
@@ -508,7 +508,7 @@ class TestRunMany:
             assert response.values == simulator.run(request).values
 
     def test_forward_and_inverse_never_share_a_group(self):
-        simulator = Simulator(SimConfig(functional=False, verify=False))
+        simulator = Simulator(SimConfig(functional=False))
         responses = simulator.run_many(
             [NttRequest(params=PARAMS),
              NttRequest(params=PARAMS, inverse=True)])
@@ -630,8 +630,7 @@ class TestPinnedEnvelopes:
         SimConfig(pim=PimParams(nb_buffers=1)),
         SimConfig(pim=PimParams(nb_buffers=4), base_row=5,
                   mapper_options=MapperOptions(in_place_update=False)),
-        SimConfig(pim=PimParams(nb_buffers=6), functional=False,
-                  verify=False),
+        SimConfig(pim=PimParams(nb_buffers=6), functional=False),
     )
 
     @staticmethod
@@ -737,6 +736,5 @@ class TestProgramFunctional:
         request = ProgramRequest(
             commands=prog.commands, functional=True, modulus=Q,
             memory=((0, tuple(_data(81))),), read_rows=(prog.result_base_row, N))
-        response = Simulator(SimConfig(functional=False,
-                                       verify=False)).run(request)
+        response = Simulator(SimConfig(functional=False)).run(request)
         assert response.values == []

@@ -210,28 +210,33 @@ def test_every_bank_compiles_bank_zeros_plan(n, nb):
 
 @pytest.mark.parametrize("flipped", range(8))
 def test_one_flipped_word_in_any_bank_is_caught(flipped, monkeypatch):
-    """Mutation check of the one stacked golden call: a single flipped
-    output word in any one bank of an 8-bank dispatch raises with verify
-    on, and comes back unchecked with verify off."""
+    """Mutation check of the one stacked check: a single flipped output
+    word in any one bank of an 8-bank dispatch raises, and the stack
+    the check received is wrong in that bank only."""
     spec = _spec("ntt", False, 512, 32)
     rng = random.Random(flipped)
     inputs = [[rng.randrange(spec.q) for _ in range(spec.n)]
               for _ in range(8)]
     golden = [spec.expected(values) for values in inputs]
     real_read = PimBank.read_polynomial
+    real_check = TransformSpec.check
+    checked = []
 
     def corrupted(self, base_row, length):
         words = real_read(self, base_row, length)
         words[flipped, length // 3] ^= 1
         return words
 
+    def spy(self, values, outputs):
+        checked.append(outputs.tolist())
+        return real_check(self, values, outputs)
+
     monkeypatch.setattr(PimBank, "read_polynomial", corrupted)
+    monkeypatch.setattr(TransformSpec, "check", spy)
     with pytest.raises(FunctionalMismatch):
         _run_dispatch([[x] for x in inputs], [spec] * 8, SimConfig())
-    result = _run_dispatch([[x] for x in inputs], [spec] * 8,
-                           SimConfig(verify=False))
-    assert not result.verified
-    wrong = [k for k in range(8) if result.outputs[k] != golden[k]]
+    (outputs,) = checked
+    wrong = [k for k in range(8) if outputs[k] != [golden[k]]]
     assert wrong == [flipped]
 
 

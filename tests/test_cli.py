@@ -111,14 +111,14 @@ class TestCliCompile:
 class TestCliServe:
     def test_serve_single_server(self, capsys):
         assert main(["serve", "--requests", "15", "--rate", "30000",
-                     "--no-verify", "--scenario", "mixed"]) == 0
+                     "--scenario", "mixed"]) == 0
         out = capsys.readouterr().out
         assert "requests       : 15" in out
         assert "latency" in out
 
     def test_serve_cluster(self, capsys):
         assert main(["serve", "--cluster", "2", "--requests", "15",
-                     "--rate", "30000", "--no-verify",
+                     "--rate", "30000",
                      "--scenario", "mixed", "--shards", "2",
                      "--router", "least-loaded"]) == 0
         out = capsys.readouterr().out
@@ -127,14 +127,14 @@ class TestCliServe:
 
     def test_serve_plain_cluster_reports_self_healing(self, capsys):
         assert main(["serve", "--cluster", "1", "--requests", "10",
-                     "--rate", "30000", "--no-verify"]) == 0
+                     "--rate", "30000"]) == 0
         out = capsys.readouterr().out
         assert ("self-healing   : replica-faults=none | failovers=0 "
                 "restarts=0 orphans=0 dups=0 scale=+0/-0 mttr=0us") in out
 
     def test_serve_cluster_watch_plain(self, capsys):
         assert main(["serve", "--cluster", "2", "--requests", "12",
-                     "--rate", "30000", "--no-verify", "--watch",
+                     "--rate", "30000", "--watch",
                      "--watch-every-us", "300",
                      "--watch-frames", "2"]) == 0
         out = capsys.readouterr().out
@@ -145,7 +145,7 @@ class TestCliServe:
 
     def test_serve_cluster_noisy_tenants_quota(self, capsys):
         assert main(["serve", "--cluster", "2", "--requests", "30",
-                     "--rate", "50000", "--no-verify",
+                     "--rate", "50000",
                      "--tenants", "noisy", "--quota-rps", "8000",
                      "--quota-burst", "4"]) == 0
         out = capsys.readouterr().out

@@ -43,7 +43,7 @@ from repro.serve.queueing import ServeRequest
 from repro.serve.telemetry import STATUS_OK, STATUS_THROTTLED
 from repro.sim.driver import SimConfig
 
-NOVERIFY = SimConfig(verify=False)
+CONFIG = SimConfig()
 N256 = NttParams(256, find_ntt_prime(256, 32))
 
 
@@ -94,8 +94,8 @@ class TestBitIdentity:
 
     def test_offline_serve_matches_bare_server(self):
         reqs = _stream()
-        bare = SimServer(NOVERIFY, num_shards=2)
-        cluster = ClusterFrontend(1, NOVERIFY, num_shards=2)
+        bare = SimServer(CONFIG, num_shards=2)
+        cluster = ClusterFrontend(1, CONFIG, num_shards=2)
         a = bare.serve(list(reqs))
         b = cluster.serve(list(reqs))
         assert _records(a) == _records(b)
@@ -106,9 +106,9 @@ class TestBitIdentity:
 
     def test_offline_serve_matches_under_chaos(self):
         reqs = _stream(count=50, scenario="chaos")
-        bare = SimServer(NOVERIFY, num_shards=2, faults="chaos",
+        bare = SimServer(CONFIG, num_shards=2, faults="chaos",
                          fault_seed=5, policy="standard")
-        cluster = ClusterFrontend(1, NOVERIFY, num_shards=2,
+        cluster = ClusterFrontend(1, CONFIG, num_shards=2,
                                   faults="chaos", fault_seed=5,
                                   policy="standard")
         assert _records(bare.serve(list(reqs))) == \
@@ -117,9 +117,9 @@ class TestBitIdentity:
 
     def test_live_submit_poll_drain_matches_offline(self):
         reqs = _stream()
-        offline = ClusterFrontend(1, NOVERIFY, num_shards=2) \
+        offline = ClusterFrontend(1, CONFIG, num_shards=2) \
             .serve(list(reqs))
-        live = ClusterFrontend(1, NOVERIFY, num_shards=2)
+        live = ClusterFrontend(1, CONFIG, num_shards=2)
         ids = [live.submit(sreq) for sreq in reqs]
         assert ids == [sreq.request_id for sreq in reqs]
         assert _records(live.drain()) == _records(offline)
@@ -130,8 +130,8 @@ class TestBitIdentity:
         """The shared session rules (ids, normalisation, clock fold) hold
         by construction: an offline session then a live one on the
         continued clock leave a 1-replica cluster equal to a server."""
-        bare = SimServer(NOVERIFY, num_shards=2)
-        cluster = ClusterFrontend(1, NOVERIFY, num_shards=2)
+        bare = SimServer(CONFIG, num_shards=2)
+        cluster = ClusterFrontend(1, CONFIG, num_shards=2)
         sreqs = [sreq for sreq, _ in stream]
         assert _records(bare.serve(sreqs)) == _records(cluster.serve(sreqs))
         live_ids = []
@@ -149,8 +149,8 @@ class TestBitIdentity:
         # The cluster folds its virtual clock forward across sessions
         # exactly like a bare server's monotonic _clock_us.
         reqs = _stream(count=12)
-        bare = SimServer(NOVERIFY)
-        cluster = ClusterFrontend(1, NOVERIFY)
+        bare = SimServer(CONFIG)
+        cluster = ClusterFrontend(1, CONFIG)
         first = (_records(bare.serve(list(reqs))),
                  _records(cluster.serve(list(reqs))))
         assert first[0] == first[1]
@@ -166,7 +166,7 @@ class TestChaosReplay:
         reqs = _stream(count=50, scenario="chaos", deadline_us=8000.0)
 
         def run():
-            fe = ClusterFrontend(4, NOVERIFY, num_shards=2,
+            fe = ClusterFrontend(4, CONFIG, num_shards=2,
                                  faults="chaos", fault_seed=5,
                                  policy="standard")
             return _records(fe.serve(list(reqs)))
@@ -185,7 +185,7 @@ class TestChaosReplay:
 
     def test_explicit_fault_plans_length_checked(self):
         with pytest.raises(ClusterError):
-            ClusterFrontend(2, NOVERIFY, fault_plans=[None])
+            ClusterFrontend(2, CONFIG, fault_plans=[None])
 
 
 class TestRouting:
@@ -260,9 +260,9 @@ class TestRouting:
         # one replica, so batch occupancy survives the scale-out.
         reqs = _stream(count=30, scenario="skewed", rate=100000,
                        deadline_us=None)
-        solo = ClusterFrontend(1, NOVERIFY, max_banks=8)
+        solo = ClusterFrontend(1, CONFIG, max_banks=8)
         solo.serve(list(reqs))
-        spread = ClusterFrontend(4, NOVERIFY, max_banks=8)
+        spread = ClusterFrontend(4, CONFIG, max_banks=8)
         spread.serve(list(reqs))
         assert (spread.cluster_snapshot()["mean_batch_occupancy"]
                 >= solo.cluster_snapshot()["mean_batch_occupancy"] - 1e-9)
@@ -350,7 +350,7 @@ class TestRouting:
         # clean link as candidates; leases onto dark replicas are
         # re-evaluated, so every request still lands exactly once.
         fe = ClusterFrontend(
-            3, NOVERIFY, router="least-loaded",
+            3, CONFIG, router="least-loaded",
             replica_faults="crashy", replica_fault_seed=7,
             watchdog=WatchdogPolicy(heartbeat_us=100.0, suspect_after=1,
                                     down_after=2, restart_delay_us=300.0))
@@ -410,7 +410,7 @@ class TestQuotas:
         reqs = _stream(count=120, scenario="skewed", rate=50000,
                        deadline_us=None,
                        tenants=LoadGenerator.noisy_neighbor())
-        fe = ClusterFrontend(2, NOVERIFY, router="least-loaded",
+        fe = ClusterFrontend(2, CONFIG, router="least-loaded",
                              quotas={"hog": TenantQuota(rate_rps=5000.0,
                                                         burst=5.0)})
         results = fe.serve(list(reqs))
@@ -432,7 +432,7 @@ class TestQuotas:
         assert snap["throttled"] == len(throttled)
 
     def test_throttled_result_pollable_before_drain(self):
-        fe = ClusterFrontend(1, NOVERIFY,
+        fe = ClusterFrontend(1, CONFIG,
                              quotas={"*": TenantQuota(rate_rps=100.0,
                                                       burst=1.0)})
         reqs = _stream(count=3, rate=1000000, deadline_us=None)
@@ -456,7 +456,7 @@ class TestFailureHandling:
                            candidates=[0, 1], loads={})
         plans = [None, None]
         plans[home] = make_fault_plan("rate:1.0", 3)
-        fe = ClusterFrontend(2, NOVERIFY, router="hash",
+        fe = ClusterFrontend(2, CONFIG, router="hash",
                              fault_plans=plans, policy="standard")
         saw_down = False
         for sreq in reqs:
@@ -475,12 +475,12 @@ class TestFailureHandling:
                    if r.record.status != STATUS_OK)
 
     def test_unknown_message_raises(self):
-        replica = Replica(0, NOVERIFY)
+        replica = Replica(0, CONFIG)
         with pytest.raises(ClusterError):
             replica.send(object())
 
     def test_replica_translates_cluster_time(self):
-        replica = Replica(0, NOVERIFY)
+        replica = Replica(0, CONFIG)
         reply = replica.send(Submit(sreq=ServeRequest(
             request=_stream(count=1)[0].request, arrival_us=123.0,
             request_id=9)))
@@ -489,19 +489,19 @@ class TestFailureHandling:
         assert hb.replica == 0 and hb.outstanding == 1
 
     def test_poll_unknown_id_returns_none(self):
-        fe = ClusterFrontend(2, NOVERIFY)
+        fe = ClusterFrontend(2, CONFIG)
         assert fe.poll(999) is None
         fe.submit(_stream(count=1)[0])
         assert fe.poll(999) is None
 
     def test_replica_count_validated(self):
         with pytest.raises(ClusterError):
-            ClusterFrontend(0, NOVERIFY)
+            ClusterFrontend(0, CONFIG)
 
 
 class TestConsole:
     def test_render_plain_one_row_per_replica(self):
-        fe = ClusterFrontend(3, NOVERIFY)
+        fe = ClusterFrontend(3, CONFIG)
         fe.serve(_stream(count=10))
         frame = render_plain(fe)
         lines = frame.splitlines()
@@ -510,14 +510,14 @@ class TestConsole:
         assert all("up" in ln for ln in lines[3:6])
 
     def test_render_plain_shows_health_of_a_plain_cluster(self):
-        fe = ClusterFrontend(2, NOVERIFY)
+        fe = ClusterFrontend(2, CONFIG)
         fe.serve(_stream(count=6))
         assert render_plain(fe).splitlines()[-1] == (
             "health: failovers=0 restarts=0 orphans=0 dups=0 "
             "scale=+0/-0 mttr=0us")
 
     def test_render_plain_shows_tenant_counters(self):
-        fe = ClusterFrontend(1, NOVERIFY,
+        fe = ClusterFrontend(1, CONFIG,
                              quotas={"*": TenantQuota(rate_rps=100.0,
                                                       burst=1.0)})
         for sreq in _stream(count=4, rate=1000000, deadline_us=None,
@@ -527,10 +527,10 @@ class TestConsole:
 
     def test_watch_emits_frames_and_matches_offline(self):
         reqs = _stream()
-        offline = ClusterFrontend(2, NOVERIFY, num_shards=2) \
+        offline = ClusterFrontend(2, CONFIG, num_shards=2) \
             .serve(list(reqs))
         frames = []
-        fe = ClusterFrontend(2, NOVERIFY, num_shards=2)
+        fe = ClusterFrontend(2, CONFIG, num_shards=2)
         results = watch(fe, list(reqs), every_us=400.0,
                         emit=frames.append, max_frames=2)
         # Watching the run does not change it.
@@ -542,7 +542,7 @@ class TestConsole:
 
 class TestClusterTelemetry:
     def test_merged_records_keep_replica_attribution(self):
-        fe = ClusterFrontend(3, NOVERIFY, num_shards=2)
+        fe = ClusterFrontend(3, CONFIG, num_shards=2)
         fe.serve(_stream(count=30))
         merged = fe.cluster_telemetry()
         by_replica = {r.replica for r in merged.records}
@@ -551,7 +551,7 @@ class TestClusterTelemetry:
         assert len(merged.records) == 30
 
     def test_snapshot_counts_replicas(self):
-        fe = ClusterFrontend(2, NOVERIFY)
+        fe = ClusterFrontend(2, CONFIG)
         fe.serve(_stream(count=10))
         snap = fe.cluster_snapshot()
         # Front-door telemetry + two replicas contribute parts.
@@ -559,7 +559,7 @@ class TestClusterTelemetry:
         assert snap["requests"] == 10
 
     def test_plain_cluster_snapshot_has_zero_health(self):
-        fe = ClusterFrontend(2, NOVERIFY, num_shards=2)
+        fe = ClusterFrontend(2, CONFIG, num_shards=2)
         fe.serve(_stream(count=10))
         health = fe.cluster_snapshot()["cluster"]
         assert health == {
@@ -568,7 +568,7 @@ class TestClusterTelemetry:
             "scale_out": 0, "scale_in": 0, "recoveries": 0, "mttr_us": 0.0}
 
     def test_heartbeats_cover_every_replica(self):
-        fe = ClusterFrontend(3, NOVERIFY)
+        fe = ClusterFrontend(3, CONFIG)
         fe.serve(_stream(count=6))
         replies = fe.heartbeats(want_snapshot=True)
         assert [hb.replica for hb in replies] == [0, 1, 2]
@@ -607,7 +607,7 @@ class LiveClusterMachine(RuleBasedStateMachine):
                 arrival_us=arrival,
                 deadline_us=arrival + 30.0 if kind == 3 else None)
             for arrival, kind in zip(arrivals, kinds)]
-        self.frontend = ClusterFrontend(replicas, NOVERIFY, num_shards=2)
+        self.frontend = ClusterFrontend(replicas, CONFIG, num_shards=2)
         self.submitted = []
         self.polled = {}
 
@@ -644,7 +644,7 @@ class LiveClusterMachine(RuleBasedStateMachine):
     def teardown(self):
         drained = self.frontend.drain()
         prefix = self.stream[:len(self.submitted)]
-        offline = ClusterFrontend(self.replicas, NOVERIFY, num_shards=2) \
+        offline = ClusterFrontend(self.replicas, CONFIG, num_shards=2) \
             .serve(list(prefix))
         assert _records(drained) == _records(offline)
         assert [r.response.values if r.ok else None for r in drained] == \

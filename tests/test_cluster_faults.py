@@ -49,7 +49,7 @@ from repro.serve.telemetry import (
 )
 from repro.sim.driver import SimConfig
 
-NOVERIFY = SimConfig(verify=False)
+CONFIG = SimConfig()
 
 #: Tight watchdog for tests: probe every 100us, suspect after one miss,
 #: down after two, restart 300us later.
@@ -68,7 +68,7 @@ def _records(results):
 
 
 def _chaos_run(profile="crashy", seed=7, count=120, replicas=4, **kw):
-    fe = ClusterFrontend(replicas, NOVERIFY, replica_faults=profile,
+    fe = ClusterFrontend(replicas, CONFIG, replica_faults=profile,
                          replica_fault_seed=seed, watchdog=FAST_WATCHDOG,
                          **kw)
     results = fe.serve(_stream(count=count))
@@ -149,8 +149,8 @@ class TestSupervisedIdentity:
 
     def test_zero_rate_plan_is_bit_identical(self):
         reqs = list(_stream())
-        plain = ClusterFrontend(4, NOVERIFY, num_shards=2)
-        zeroed = ClusterFrontend(4, NOVERIFY, num_shards=2,
+        plain = ClusterFrontend(4, CONFIG, num_shards=2)
+        zeroed = ClusterFrontend(4, CONFIG, num_shards=2,
                                  replica_faults="rate:0",
                                  replica_fault_seed=99)
         a, b = plain.serve(list(reqs)), zeroed.serve(list(reqs))
@@ -165,8 +165,8 @@ class TestSupervisedIdentity:
         # read-only and no scale event can fire: results, records and
         # the whole snapshot must match the tick-free plain run.
         reqs = list(_stream())
-        plain = ClusterFrontend(4, NOVERIFY, num_shards=2)
-        inert = ClusterFrontend(4, NOVERIFY, num_shards=2,
+        plain = ClusterFrontend(4, CONFIG, num_shards=2)
+        inert = ClusterFrontend(4, CONFIG, num_shards=2,
                                 autoscale=(4, 4))
         a, b = plain.serve(list(reqs)), inert.serve(list(reqs))
         assert _records(a) == _records(b)
@@ -206,7 +206,7 @@ class TestCrashRecovery:
         assert all(r.record.status != STATUS_ORPHANED for r in results)
 
     def test_live_session_drain_order_and_health(self):
-        fe = ClusterFrontend(3, NOVERIFY, replica_faults="crashy",
+        fe = ClusterFrontend(3, CONFIG, replica_faults="crashy",
                              replica_fault_seed=3, watchdog=FAST_WATCHDOG)
         reqs = list(_stream(count=60, rate=15000))
         ids = [fe.submit(sreq) for sreq in reqs]
@@ -317,7 +317,7 @@ class TestWatchdogLifecycle:
         assert info.value.__cause__.kind == "transient"
 
     def test_drain_is_retryable_after_watchdog_wrap(self):
-        fe = ClusterFrontend(2, NOVERIFY, autoscale=(2, 2))
+        fe = ClusterFrontend(2, CONFIG, autoscale=(2, 2))
         for sreq in _stream(count=20, rate=40000):
             fe.submit(sreq)
 
@@ -347,7 +347,7 @@ class TestAutoscale:
                              sustain_ticks=2, cooldown_us=300.0)
 
     def test_scale_out_on_sustained_load_and_in_on_idle(self):
-        fe = ClusterFrontend(2, NOVERIFY, watchdog=FAST_WATCHDOG,
+        fe = ClusterFrontend(2, CONFIG, watchdog=FAST_WATCHDOG,
                              autoscale=self.POLICY)
         for sreq in _stream(count=80, rate=60000, scenario="skewed"):
             fe.submit(sreq)
@@ -370,7 +370,7 @@ class TestAutoscale:
         calm = AutoscalePolicy(min_replicas=2, max_replicas=4,
                                scale_out_load=3.0, scale_in_load=0.0,
                                sustain_ticks=2, cooldown_us=1e9)
-        fe = ClusterFrontend(2, NOVERIFY, watchdog=FAST_WATCHDOG,
+        fe = ClusterFrontend(2, CONFIG, watchdog=FAST_WATCHDOG,
                              autoscale=calm)
         for sreq in _stream(count=80, rate=60000, scenario="skewed"):
             fe.submit(sreq)
@@ -380,7 +380,7 @@ class TestAutoscale:
         assert fe.health.scale_out + fe.health.scale_in <= 1
 
     def test_never_scales_past_bounds(self):
-        fe = ClusterFrontend(2, NOVERIFY, watchdog=FAST_WATCHDOG,
+        fe = ClusterFrontend(2, CONFIG, watchdog=FAST_WATCHDOG,
                              autoscale=self.POLICY)
         for sreq in _stream(count=120, rate=100000, scenario="skewed"):
             fe.submit(sreq)
@@ -393,14 +393,14 @@ class TestAutoscale:
         assert len(fe._supervisors) <= 4
 
     def test_autoscale_spec_forms(self):
-        by_pair = ClusterFrontend(2, NOVERIFY, autoscale=(2, 6))
-        by_str = ClusterFrontend(2, NOVERIFY, autoscale="2:6")
+        by_pair = ClusterFrontend(2, CONFIG, autoscale=(2, 6))
+        by_str = ClusterFrontend(2, CONFIG, autoscale="2:6")
         assert by_pair._autoscale == by_str._autoscale
         assert by_pair._autoscale.max_replicas == 6
 
     def test_scale_out_replay_is_deterministic(self):
         def run():
-            fe = ClusterFrontend(2, NOVERIFY, watchdog=FAST_WATCHDOG,
+            fe = ClusterFrontend(2, CONFIG, watchdog=FAST_WATCHDOG,
                                  autoscale=self.POLICY,
                                  replica_faults="rate:0.1",
                                  replica_fault_seed=21)
@@ -416,7 +416,7 @@ class TestQuotasSurviveMembership:
         quotas = {"*": TenantQuota(rate_rps=20000.0, burst=4.0)}
 
         def throttle_set(**kw):
-            fe = ClusterFrontend(3, NOVERIFY, quotas=quotas, **kw)
+            fe = ClusterFrontend(3, CONFIG, quotas=quotas, **kw)
             results = fe.serve(_stream(count=80, rate=60000))
             return ([r.record.request_id for r in results
                      if r.record.status == "throttled"],
@@ -431,7 +431,7 @@ class TestQuotasSurviveMembership:
 
     def test_failover_resubmit_never_double_charges(self):
         quotas = {"*": TenantQuota(rate_rps=30000.0, burst=6.0)}
-        fe = ClusterFrontend(3, NOVERIFY, quotas=quotas,
+        fe = ClusterFrontend(3, CONFIG, quotas=quotas,
                              replica_faults="crashy",
                              replica_fault_seed=7,
                              watchdog=FAST_WATCHDOG)

@@ -222,6 +222,16 @@ class TestServedDags:
         assert [r.record.workload for r in results] == \
             ["dag", "dag", "dag", "ntt"]
 
+    def test_live_stats_count_a_settled_dag_once(self):
+        """A graph is one client request: its stage results must not
+        count as settled requests."""
+        server = SimServer(CONFIG)
+        rid = server.submit(_chain(seed=55, stages=3))
+        server.advance(1e6)
+        assert server.poll(rid).ok
+        stats = server.live_stats()
+        assert stats["submitted"] == stats["settled"] == 1
+
     def test_submit_drain_equals_offline_serve(self):
         dags = [_chain(seed=s, stages=3) for s in (51, 52)]
         sreqs = [ServeRequest(request=d, arrival_us=10.0 * i,
@@ -315,6 +325,22 @@ class TestClusterDags:
         # one dag carries the same replica stamp.
         snap = cluster.cluster_telemetry().snapshot()
         assert snap["dag"]["dags"] == 4 and snap["dag"]["completed"] == 4
+
+    def test_settled_dags_leave_no_outstanding_work(self):
+        """Once a live 2-replica cluster's graphs settle, every
+        heartbeat reads zero outstanding requests — the load the
+        least-loaded router, the auto-scaler and scale-in read.  Two
+        shapes, so each replica holds a routing lease on one."""
+        from repro.cluster import ClusterFrontend
+        cluster = ClusterFrontend(replicas=2, router="least-loaded")
+        ids = [cluster.submit(_chain(seed=95 + i, stages=3, n=256 << i % 2),
+                              arrival_us=20.0 * i)
+               for i in range(8)]
+        cluster.advance(1e6)
+        results = [cluster.poll(rid) for rid in ids]
+        assert all(res.ok for res in results)
+        assert {res.record.replica for res in results} == {0, 1}
+        assert [hb.outstanding for hb in cluster.heartbeats()] == [0, 0]
 
     def test_supervised_failover_recovers_inflight_dags_exactly_once(self):
         """Replica crashes mid-stream: orphaned in-flight graphs are

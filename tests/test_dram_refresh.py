@@ -53,13 +53,13 @@ class TestRefreshOnNttRuns:
 
     @pytest.mark.parametrize("n", [256, 2048, 8192])
     def test_ntt_refresh_overhead_small(self, n):
-        config = SimConfig(functional=False, verify=False)
+        config = SimConfig(functional=False)
         run = Simulator(config).run(NttRequest(params=NttParams(n, Q)))
         o = refresh_overhead(run.cycles, config.timing)
         assert o.overhead_fraction < 0.09
 
     def test_large_n_still_under_ten_percent(self):
-        config = SimConfig(functional=False, verify=False)
+        config = SimConfig(functional=False)
         run = Simulator(config).run(NttRequest(params=NttParams(8192, Q)))
         o = refresh_overhead(run.cycles, config.timing)
         assert o.refresh_windows > 0  # long enough to actually refresh

@@ -64,7 +64,7 @@ class TestBatch:
     def test_no_throughput_loss(self):
         n = 512
         params = NttParams(n, Q)
-        config = SimConfig(functional=False, verify=False)
+        config = SimConfig(functional=False)
         result = Simulator(config).run(
             BatchRequest(params=params, inputs=[[0] * n] * 4))
         # Back-to-back transforms must not be slower per transform than
@@ -76,14 +76,13 @@ class TestBatch:
             _run_dispatch([[]], [TransformSpec(params=NttParams(256, Q))],
                           SimConfig())
 
-    @pytest.mark.parametrize("verify", [True, False])
     @pytest.mark.parametrize("n", [512, 1024, 2048])
-    def test_out_of_place_batch_matches_standalone(self, n, verify):
+    def test_out_of_place_batch_matches_standalone(self, n):
         # The out-of-place ablation writes every other inter-row stage to
         # a mirror region: slots must not overlap it, and each result is
         # read where its program leaves it.
         params = NttParams(n, Q)
-        config = SimConfig(verify=verify, mapper_options=MapperOptions(
+        config = SimConfig(mapper_options=MapperOptions(
             in_place_update=False))
         rng = random.Random(n)
         inputs = [[rng.randrange(Q) for _ in range(n)] for _ in range(3)]

@@ -74,7 +74,7 @@ class TestSchedulePropertiesAcrossConfigs:
     @pytest.mark.parametrize("nb", [2, 4, 6])
     def test_commands_and_cycles_consistent(self, nb):
         config = SimConfig(pim=PimParams(nb_buffers=nb),
-                           functional=False, verify=False)
+                           functional=False)
         result = run([0] * 1024, NttParams(1024, Q32), config)
         # Bus occupies one cycle per command: makespan >= command count.
         assert result.cycles >= result.command_count
@@ -83,7 +83,7 @@ class TestSchedulePropertiesAcrossConfigs:
         assert all(b > a for a, b in zip(issues, issues[1:]))
 
     def test_energy_scales_with_work(self):
-        config = SimConfig(functional=False, verify=False)
+        config = SimConfig(functional=False)
         runs = [run([0] * n, NttParams(n, Q32), config)
                 for n in (256, 1024, 4096)]
         energies = [r.energy_nj for r in runs]
@@ -91,7 +91,7 @@ class TestSchedulePropertiesAcrossConfigs:
 
     def test_every_column_access_under_open_row(self):
         """Protocol invariant re-checked structurally on the command list."""
-        config = SimConfig(functional=False, verify=False)
+        config = SimConfig(functional=False)
         cmds = TransformSpec(params=NttParams(2048, Q32)).program(
             config, 0).commands
         open_row = None

@@ -96,7 +96,7 @@ class TestProgramStructure:
         -3..0 or a functional one that fails only at host I/O."""
         n = 1024
         config = SimConfig(pim=PimParams(nb_buffers=nb), base_row=-3,
-                           functional=functional, verify=functional)
+                           functional=functional)
         params = NttParams(n, Q)
         requests = [NttRequest(params=params),
                     BatchRequest(params=params, inputs=[[0] * n] * 2)]
@@ -214,7 +214,7 @@ class TestLatencyShape:
         latencies = []
         for nb in (2, 4, 6):
             config = SimConfig(pim=PimParams(nb_buffers=nb),
-                               functional=False, verify=False)
+                               functional=False)
             run = Simulator(config).run(
                 NttRequest(params=NttParams(2048, Q)))
             latencies.append(run.cycles)
@@ -224,7 +224,7 @@ class TestLatencyShape:
         runs = {}
         for nb in (1, 2):
             config = SimConfig(pim=PimParams(nb_buffers=nb),
-                               functional=False, verify=False)
+                               functional=False)
             runs[nb] = Simulator(config).run(
                 NttRequest(params=NttParams(512, Q))).cycles
         assert runs[1] > 7 * runs[2]
@@ -232,7 +232,7 @@ class TestLatencyShape:
     def test_latency_grows_superlinearly_past_row(self):
         """The Fig. 7 kink: N=512 costs >2x N=256 (inter-row onset)."""
         config = SimConfig(pim=PimParams(nb_buffers=2),
-                           functional=False, verify=False)
+                           functional=False)
         sim = Simulator(config)
         t256 = sim.run(NttRequest(params=NttParams(256, Q))).cycles
         t512 = sim.run(NttRequest(params=NttParams(512, Q))).cycles

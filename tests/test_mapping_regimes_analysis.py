@@ -69,7 +69,7 @@ class TestMultiBufferForecast:
     def test_forecast_matches_simulation(self, n, nb):
         pim = PimParams(nb_buffers=nb)
         forecast = forecast_multi_buffer(n, HBM2E_ARCH, pim)
-        config = SimConfig(pim=pim, functional=False, verify=False)
+        config = SimConfig(pim=pim, functional=False)
         run = Simulator(config).run(NttRequest(params=NttParams(n, Q)))
         counts = run.schedule.stats.command_counts
         assert counts.get("ACT", 0) == forecast.activations
@@ -84,7 +84,7 @@ class TestSingleBufferForecast:
     def test_forecast_matches_simulation(self, n):
         forecast = forecast_single_buffer(n, HBM2E_ARCH)
         config = SimConfig(pim=PimParams(nb_buffers=1),
-                           functional=False, verify=False)
+                           functional=False)
         run = Simulator(config).run(NttRequest(params=NttParams(n, Q)))
         counts = run.schedule.stats.command_counts
         scalar = sum(counts.get(k, 0) for k in

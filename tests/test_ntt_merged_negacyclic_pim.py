@@ -187,7 +187,7 @@ class TestNegacyclicMapping:
         n = 1024
         p = ring(n)
         from repro.arith import NttParams
-        sim = Simulator(SimConfig(functional=False, verify=False))
+        sim = Simulator(SimConfig(functional=False))
         nega = sim.run(NegacyclicRequest(ring=p))
         cyc = sim.run(NttRequest(params=NttParams(n, p.q)))
         assert 0.9 <= nega.cycles / cyc.cycles <= 1.2

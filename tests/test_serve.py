@@ -35,7 +35,7 @@ from repro.sim.driver import SimConfig
 N = 256
 Q = find_ntt_prime(N, 32)
 PARAMS = NttParams(N, Q)
-NOVERIFY = SimConfig(verify=False)
+CONFIG = SimConfig()
 
 
 def ntt_request(seed: int, params: NttParams = PARAMS) -> NttRequest:
@@ -106,33 +106,33 @@ class TestShapeKey:
     def test_forward_ntts_of_same_shape_share_a_key(self):
         a = ServeRequest(request=ntt_request(0))
         b = ServeRequest(request=ntt_request(1))
-        assert shape_key(a, NOVERIFY) == shape_key(b, NOVERIFY)
+        assert shape_key(a, CONFIG) == shape_key(b, CONFIG)
 
     def test_inverse_and_negacyclic_batch_under_their_own_keys(self):
         fwd = ServeRequest(request=ntt_request(0))
         inv = ServeRequest(request=NttRequest(params=PARAMS, inverse=True))
         neg = ServeRequest(request=nega_request(0))
         neg_inv = ServeRequest(request=nega_request(1, inverse=True))
-        keys = [shape_key(s, NOVERIFY) for s in (fwd, inv, neg, neg_inv)]
+        keys = [shape_key(s, CONFIG) for s in (fwd, inv, neg, neg_inv)]
         assert all(k is not None for k in keys)
         assert len(set(keys)) == 4  # four distinct dispatch groups
 
     def test_fhe_ops_do_not_batch(self):
         assert shape_key(ServeRequest(request=fhe_request(0)),
-                         NOVERIFY) is None
+                         CONFIG) is None
 
     def test_config_override_separates_groups(self):
         plain = ServeRequest(request=ntt_request(0))
         override = ServeRequest(request=ntt_request(1),
-                                config=SimConfig(verify=True))
-        assert shape_key(plain, NOVERIFY) != shape_key(override, NOVERIFY)
+                                config=SimConfig(functional=False))
+        assert shape_key(plain, CONFIG) != shape_key(override, CONFIG)
 
 
 def _plan(scheduler, sreqs, max_depth=256, telemetry=None):
     queue = RequestQueue(max_depth=max_depth)
     return scheduler.plan(sorted(sreqs, key=lambda s: (s.arrival_us,
                                                        s.request_id)),
-                          queue, NOVERIFY, telemetry)
+                          queue, CONFIG, telemetry)
 
 
 class TestBatchingSchedulerPlan:
@@ -218,9 +218,9 @@ class TestSimServer:
 
     def test_batching_responses_bit_identical_to_standalone(self):
         sreqs = self._load()
-        server = SimServer(NOVERIFY, max_banks=8, window_us=50.0)
+        server = SimServer(CONFIG, max_banks=8, window_us=50.0)
         results = server.serve(sreqs)
-        solo = Simulator(NOVERIFY)
+        solo = Simulator(CONFIG)
         grouped = 0
         for sreq, result in zip(sreqs, results):
             assert result.ok
@@ -233,18 +233,18 @@ class TestSimServer:
 
     def test_sequential_responses_bit_identical_to_standalone(self):
         sreqs = self._load(count=20)
-        server = SimServer(NOVERIFY, scheduler="sequential")
+        server = SimServer(CONFIG, scheduler="sequential")
         results = server.serve(sreqs)
-        solo = Simulator(NOVERIFY)
+        solo = Simulator(CONFIG)
         for sreq, result in zip(sreqs, results):
             assert result.response.values == solo.run(sreq.request).values
             assert result.record.group_banks == 1
 
     def test_batching_beats_sequential_under_overload(self):
         sreqs = self._load(count=60, rate=400_000)
-        batching = SimServer(NOVERIFY, max_banks=8, window_us=50.0)
+        batching = SimServer(CONFIG, max_banks=8, window_us=50.0)
         batching.serve(sreqs)
-        sequential = SimServer(NOVERIFY, scheduler="sequential")
+        sequential = SimServer(CONFIG, scheduler="sequential")
         sequential.serve(self._load(count=60, rate=400_000))
         b = batching.telemetry.snapshot()
         s = sequential.telemetry.snapshot()
@@ -258,7 +258,7 @@ class TestSimServer:
         sreqs = [ServeRequest(request=fhe_request(i), arrival_us=float(i),
                               priority=p, request_id=i + 1)
                  for i, p in ((0, 0), (1, 0), (2, 5))]
-        server = SimServer(NOVERIFY)
+        server = SimServer(CONFIG)
         results = server.serve(sreqs)
         by_id = {r.record.request_id: r.record for r in results}
         assert by_id[3].completion_us < by_id[2].completion_us
@@ -269,7 +269,7 @@ class TestSimServer:
                               deadline_us=1.0, request_id=1),
                  ServeRequest(request=ntt_request(1), arrival_us=0.5,
                               deadline_us=10_000.0, request_id=2)]
-        server = SimServer(NOVERIFY, window_us=5.0)
+        server = SimServer(CONFIG, window_us=5.0)
         results = server.serve(sreqs)
         # #1's deadline passed before its window closed -> expired.
         assert not results[0].ok
@@ -280,7 +280,7 @@ class TestSimServer:
     def test_rejected_requests_get_record_without_response(self):
         sreqs = [ServeRequest(request=ntt_request(i), arrival_us=float(i),
                               request_id=i + 1) for i in range(5)]
-        server = SimServer(NOVERIFY, max_depth=2, window_us=1000.0)
+        server = SimServer(CONFIG, max_depth=2, window_us=1000.0)
         results = server.serve(sreqs)
         statuses = [r.record.status for r in results]
         assert statuses.count("rejected") == 3
@@ -290,7 +290,7 @@ class TestSimServer:
 
     def test_call_matches_facade_run(self):
         request = ntt_request(9)
-        server = SimServer()  # default config: verify on
+        server = SimServer()
         response = server.call(request)
         assert response.verified
         assert response.values == Simulator().run(request).values
@@ -299,7 +299,7 @@ class TestSimServer:
     def test_energy_rollup_stays_physical(self):
         sreqs = [ServeRequest(request=ntt_request(i), arrival_us=0.0,
                               request_id=i + 1) for i in range(4)]
-        server = SimServer(NOVERIFY, window_us=10.0, max_banks=4)
+        server = SimServer(CONFIG, window_us=10.0, max_banks=4)
         results = server.serve(sreqs)
         group = results[0].response.raw  # the group's DispatchResult
         total = server.telemetry.snapshot()["total_energy_nj"]
@@ -309,7 +309,7 @@ class TestSimServer:
         """telemetry.cache holds session-wide deltas, not just the last
         call's: the first call misses, the warm second call hits, and
         both show up."""
-        server = SimServer(NOVERIFY)
+        server = SimServer(CONFIG)
         Simulator.clear_caches()
         server.call(ntt_request(20))
         server.call(ntt_request(21))  # same shape: pure cache hits
@@ -321,7 +321,7 @@ class TestSimServer:
     def test_single_routing_does_not_grow_scheduler_state(self):
         sreqs = [ServeRequest(request=fhe_request(i), arrival_us=float(i),
                               request_id=i + 1) for i in range(6)]
-        server = SimServer(NOVERIFY, num_shards=2)
+        server = SimServer(CONFIG, num_shards=2)
         server.serve(sreqs)
         # Unbatchable singles take round-robin shards without leaving
         # per-request residue in the placement map.
@@ -334,12 +334,12 @@ class TestSimServer:
         first = self._load(count=8, seed=11)
         second = self._load(count=8, seed=12)
         combined = first + second
-        server = SimServer(NOVERIFY)
+        server = SimServer(CONFIG)
         results = server.serve(combined)
         assert len(results) == 16
         ids = [r.record.request_id for r in results]
         assert len(set(ids)) == 16
-        solo = Simulator(NOVERIFY)
+        solo = Simulator(CONFIG)
         for sreq, result in zip(combined, results):
             assert result.response.values == solo.run(sreq.request).values
         # The caller's own objects were not renumbered (copy-on-write).
@@ -349,7 +349,7 @@ class TestSimServer:
         """Sequential call()s (the host-controller route) must read as
         serial traffic: completions advance, makespan spans the whole
         session, throughput is not inflated."""
-        server = SimServer(NOVERIFY)
+        server = SimServer(CONFIG)
         completions = []
         for seed in range(3):
             server.call(ntt_request(seed))
@@ -367,8 +367,8 @@ class TestSimServer:
                               request_id=i + 1) for i in range(2)]
         sreqs += [ServeRequest(request=ntt_request(i, big), arrival_us=0.0,
                                request_id=i + 3) for i in range(2)]
-        one = SimServer(NOVERIFY, num_shards=1, window_us=5.0)
-        two = SimServer(NOVERIFY, num_shards=2, window_us=5.0)
+        one = SimServer(CONFIG, num_shards=1, window_us=5.0)
+        two = SimServer(CONFIG, num_shards=2, window_us=5.0)
         m1 = max(r.record.completion_us for r in one.serve(sreqs))
         m2 = max(r.record.completion_us for r in two.serve(sreqs))
         assert m2 < m1  # the second channel absorbed one shape
@@ -382,10 +382,10 @@ class TestGeneralizedBatching:
     def _serve_and_check(self, requests, **server_kwargs):
         sreqs = [ServeRequest(request=r, arrival_us=0.0, request_id=i + 1)
                  for i, r in enumerate(requests)]
-        server = SimServer(NOVERIFY, window_us=10.0, max_banks=8,
+        server = SimServer(CONFIG, window_us=10.0, max_banks=8,
                            **server_kwargs)
         results = server.serve(sreqs)
-        solo = Simulator(NOVERIFY)
+        solo = Simulator(CONFIG)
         for sreq, result in zip(sreqs, results):
             assert result.ok
             assert result.response.values == solo.run(sreq.request).values
@@ -438,9 +438,9 @@ class TestLiveSurface:
                              count=count, seed=seed)
 
     def test_drain_matches_offline_serve_bit_for_bit(self):
-        offline = SimServer(NOVERIFY, window_us=50.0)
+        offline = SimServer(CONFIG, window_us=50.0)
         off = offline.serve(self._load().requests())
-        live = SimServer(NOVERIFY, window_us=50.0)
+        live = SimServer(CONFIG, window_us=50.0)
         for sreq in self._load().stream():
             live.submit(sreq)
         drained = live.drain()
@@ -457,7 +457,7 @@ class TestLiveSurface:
         """A request is invisible while queued/windowed, then appears
         with a response once later arrivals push virtual time past its
         dispatch and service."""
-        server = SimServer(NOVERIFY, window_us=10.0)
+        server = SimServer(CONFIG, window_us=10.0)
         first = server.submit(ntt_request(0), arrival_us=0.0)
         assert server.poll(first) is None          # window still open
         server.submit(ntt_request(1), arrival_us=5.0)
@@ -471,12 +471,12 @@ class TestLiveSurface:
         assert server.poll(first) is None          # session closed
 
     def test_poll_unknown_and_empty_drain(self):
-        server = SimServer(NOVERIFY)
+        server = SimServer(CONFIG)
         assert server.poll(1) is None
         assert server.drain() == []
 
     def test_submit_rejected_request_polls_failed_result(self):
-        server = SimServer(NOVERIFY, max_depth=1, window_us=1000.0)
+        server = SimServer(CONFIG, max_depth=1, window_us=1000.0)
         ids = [server.submit(ntt_request(i), arrival_us=float(i))
                for i in range(3)]
         rejected = [server.poll(i) for i in ids[1:]]
@@ -518,7 +518,7 @@ class TestLiveSurface:
     def _check_rejected_at_admission(path, bad, match):
         with on_path(path):
             with pytest.raises(RequestValidationError, match=match):
-                SimServer(NOVERIFY).serve(
+                SimServer(CONFIG).serve(
                     [ntt_request(0), ntt_request(1), bad, ntt_request(2)])
             server = SimServer(SimConfig(), window_us=50.0)
             kept = [server.submit(ntt_request(0), arrival_us=0.0),
@@ -535,7 +535,7 @@ class TestLiveSurface:
             assert result.response.values == alone.values
 
     def test_submit_clamps_past_arrivals(self):
-        server = SimServer(NOVERIFY, window_us=5.0)
+        server = SimServer(CONFIG, window_us=5.0)
         server.submit(ntt_request(0), arrival_us=100.0)
         late = server.submit(ntt_request(1), arrival_us=1.0)  # in the past
         results = server.drain()
@@ -543,13 +543,13 @@ class TestLiveSurface:
         assert by_id[late].arrival_us >= 100.0
 
     def test_submit_rejects_kwargs_alongside_serve_request(self):
-        server = SimServer(NOVERIFY)
+        server = SimServer(CONFIG)
         with pytest.raises(ValueError, match="ServeRequest"):
             server.submit(ServeRequest(request=ntt_request(0)), priority=3)
         assert server.drain() == []  # nothing was admitted
 
     def test_drain_survives_execution_error_and_retries(self, monkeypatch):
-        server = SimServer(NOVERIFY, window_us=5.0)
+        server = SimServer(CONFIG, window_us=5.0)
         request_id = server.submit(ntt_request(0))
         real_execute = SimServer._execute
         failures = {"left": 1}
@@ -572,7 +572,7 @@ class TestLiveSurface:
         assert server.drain() == []  # now closed
 
     def test_serve_guard_while_live_session_open(self):
-        server = SimServer(NOVERIFY)
+        server = SimServer(CONFIG)
         server.submit(ntt_request(0))
         with pytest.raises(RuntimeError, match="drain"):
             server.serve([ServeRequest(request=ntt_request(1))])
@@ -583,7 +583,7 @@ class TestLiveSurface:
         """The idle tick: virtual time passes, the window closes, and
         the result becomes pollable with no further arrivals — what a
         console loop (or any quiet client) relies on."""
-        server = SimServer(NOVERIFY, window_us=10.0)
+        server = SimServer(CONFIG, window_us=10.0)
         request_id = server.submit(ntt_request(0), arrival_us=0.0)
         assert server.poll(request_id) is None      # window still open
         server.advance(5.0)
@@ -593,14 +593,14 @@ class TestLiveSurface:
         assert result is not None and result.ok
         # The tick changed *when* the answer appeared, never *what* the
         # session computes: the drain matches an untouched twin.
-        twin = SimServer(NOVERIFY, window_us=10.0)
+        twin = SimServer(CONFIG, window_us=10.0)
         twin.submit(ntt_request(0), arrival_us=0.0)
         a, b = server.drain(), twin.drain()
         assert a[0].response.values == b[0].response.values
         assert a[0].record.completion_us == b[0].record.completion_us
 
     def test_advance_is_monotonic_and_opens_a_session(self):
-        server = SimServer(NOVERIFY, window_us=10.0)
+        server = SimServer(CONFIG, window_us=10.0)
         server.advance(100.0)                       # opens an empty live session
         assert server.session_offset_us() == 0.0
         request_id = server.submit(ntt_request(0))  # arrives at "now" = 100
@@ -611,7 +611,7 @@ class TestLiveSurface:
         server.drain()
 
     def test_live_stats_gauges(self):
-        server = SimServer(NOVERIFY, window_us=50.0, num_shards=2)
+        server = SimServer(CONFIG, window_us=50.0, num_shards=2)
         empty = server.live_stats()
         assert empty["submitted"] == 0 and empty["breakers"] == {}
         server.submit(ntt_request(0), arrival_us=0.0)
@@ -622,7 +622,7 @@ class TestLiveSurface:
         server.drain()
 
     def test_clock_monotonic_across_live_and_offline_sessions(self):
-        server = SimServer(NOVERIFY)
+        server = SimServer(CONFIG)
         server.call(ntt_request(0))
         first_completion = server.telemetry.records[-1].completion_us
         server.submit(ntt_request(1))
@@ -634,7 +634,7 @@ class TestLiveSurface:
 class TestSharedBus:
     def test_unknown_bus_model_rejected(self):
         with pytest.raises(ValueError, match="bus model"):
-            SimServer(NOVERIFY, bus="turbo")
+            SimServer(CONFIG, bus="turbo")
 
     def _two_shape_load(self, per_shape=4):
         big = NttParams(512, find_ntt_prime(512, 32))
@@ -646,9 +646,9 @@ class TestSharedBus:
         return sreqs
 
     def test_shared_bus_delays_concurrent_shards(self):
-        independent = SimServer(NOVERIFY, num_shards=2, window_us=5.0,
+        independent = SimServer(CONFIG, num_shards=2, window_us=5.0,
                                 bus="independent")
-        shared = SimServer(NOVERIFY, num_shards=2, window_us=5.0,
+        shared = SimServer(CONFIG, num_shards=2, window_us=5.0,
                            bus="shared")
         m_ind = max(r.record.completion_us
                     for r in independent.serve(self._two_shape_load()))
@@ -664,8 +664,8 @@ class TestSharedBus:
         """With one shard the bus occupancy always fits under the
         dispatch latency, so the shared model changes nothing — the
         PR 4 single-shard numbers are preserved exactly."""
-        a = SimServer(NOVERIFY, num_shards=1, bus="independent")
-        b = SimServer(NOVERIFY, num_shards=1, bus="shared")
+        a = SimServer(CONFIG, num_shards=1, bus="independent")
+        b = SimServer(CONFIG, num_shards=1, bus="shared")
         ra = a.serve(self._two_shape_load())
         rb = b.serve(self._two_shape_load())
         for x, y in zip(ra, rb):
@@ -675,17 +675,17 @@ class TestSharedBus:
     def test_fhe_dispatches_charge_the_bus(self):
         """Multi-program workloads (FHE ops) report their summed command
         count, so the shared bus sees their traffic too."""
-        server = SimServer(NOVERIFY, bus="shared")
+        server = SimServer(CONFIG, bus="shared")
         result = server.serve([ServeRequest(request=fhe_request(0),
                                             request_id=1)])[0]
         assert result.response.command_count > 0
         assert server.telemetry.snapshot()["bus_utilization"] > 0.0
 
     def test_shared_bus_responses_stay_bit_identical(self):
-        server = SimServer(NOVERIFY, num_shards=2, window_us=5.0,
+        server = SimServer(CONFIG, num_shards=2, window_us=5.0,
                            bus="shared")
         sreqs = self._two_shape_load()
-        solo = Simulator(NOVERIFY)
+        solo = Simulator(CONFIG)
         for sreq, result in zip(sreqs, server.serve(sreqs)):
             assert result.response.values == solo.run(sreq.request).values
 
@@ -699,7 +699,7 @@ class TestPlanSession:
         offline = BatchingScheduler(window_us=20.0, max_banks=3)
         units, dropped = _plan(offline, arrivals())
         online = BatchingScheduler(window_us=20.0, max_banks=3)
-        session = online.begin(RequestQueue(), NOVERIFY)
+        session = online.begin(RequestQueue(), CONFIG)
         for sreq in arrivals():
             session.offer(sreq)
         session.flush()
@@ -711,7 +711,7 @@ class TestPlanSession:
 
     def test_out_of_order_arrival_rejected(self):
         scheduler = BatchingScheduler(window_us=10.0)
-        session = scheduler.begin(RequestQueue(), NOVERIFY)
+        session = scheduler.begin(RequestQueue(), CONFIG)
         session.offer(ServeRequest(request=ntt_request(0), arrival_us=50.0,
                                    request_id=1))
         with pytest.raises(ValueError, match="precedes"):
@@ -739,7 +739,7 @@ class TestPlanSessionRelease:
         sessions = []
         for admit in ("offer", "release"):
             session = BatchingScheduler(window_us=20.0, max_banks=3) \
-                .begin(RequestQueue(max_depth=4), NOVERIFY)
+                .begin(RequestQueue(max_depth=4), CONFIG)
             for i, arrival in enumerate(arrivals):
                 getattr(session, admit)(self._sreq(i, arrival))
                 assert session.now_us == arrival
@@ -752,7 +752,7 @@ class TestPlanSessionRelease:
 
     def test_past_release_joins_open_window_without_moving_clock(self):
         session = BatchingScheduler(window_us=100.0, max_banks=8) \
-            .begin(RequestQueue(), NOVERIFY)
+            .begin(RequestQueue(), CONFIG)
         session.offer(self._sreq(0, 0.0))
         session.advance(50.0)
         session.release(self._sreq(1, 20.0))
@@ -762,7 +762,7 @@ class TestPlanSessionRelease:
 
     def test_past_release_opens_a_window_at_its_release_time(self):
         session = BatchingScheduler(window_us=30.0, max_banks=8) \
-            .begin(RequestQueue(), NOVERIFY)
+            .begin(RequestQueue(), CONFIG)
         session.offer(self._sreq(0, 0.0))
         session.advance(40.0)
         session.release(self._sreq(1, 20.0))
@@ -774,7 +774,7 @@ class TestPlanSessionRelease:
 
     def test_past_release_filling_the_group_closes_at_latest_arrival(self):
         session = BatchingScheduler(window_us=100.0, max_banks=3) \
-            .begin(RequestQueue(), NOVERIFY)
+            .begin(RequestQueue(), CONFIG)
         session.offer(self._sreq(0, 0.0))
         session.offer(self._sreq(1, 30.0))
         session.advance(40.0)
@@ -784,7 +784,7 @@ class TestPlanSessionRelease:
 
     def test_past_release_into_a_full_queue_is_rejected(self):
         session = BatchingScheduler(window_us=100.0, max_banks=8) \
-            .begin(RequestQueue(max_depth=1), NOVERIFY)
+            .begin(RequestQueue(max_depth=1), CONFIG)
         session.offer(self._sreq(0, 0.0))
         session.advance(20.0)
         session.release(self._sreq(1, 10.0))
@@ -796,7 +796,7 @@ class TestPlanSessionRelease:
         telemetry = Telemetry()
         policy = ResiliencePolicy(shed_depth=1, shed_min_priority=1)
         session = BatchingScheduler(window_us=100.0, max_banks=8) \
-            .begin(RequestQueue(), NOVERIFY, telemetry, policy)
+            .begin(RequestQueue(), CONFIG, telemetry, policy)
         session.offer(self._sreq(0, 0.0))
         session.advance(20.0)
         session.release(self._sreq(1, 10.0))

@@ -41,7 +41,7 @@ from repro.sim.driver import SimConfig
 N = 256
 Q = find_ntt_prime(N, 32)
 PARAMS = NttParams(N, Q)
-NOVERIFY = SimConfig(verify=False)
+CONFIG = SimConfig()
 
 
 def ntt_request(seed: int) -> NttRequest:
@@ -159,16 +159,16 @@ class TestZeroRateInertness:
 
     def test_offline_bit_identical(self):
         arrivals = chaos_load().requests()
-        plain = SimServer(NOVERIFY, num_shards=2)
-        guarded = SimServer(NOVERIFY, num_shards=2, faults="rate:0",
+        plain = SimServer(CONFIG, num_shards=2)
+        guarded = SimServer(CONFIG, num_shards=2, faults="rate:0",
                             fault_seed=99, policy="none")
         assert guarded.fault_plan is None  # provably the plan-less path
         assert self._snapshot(plain, plain.serve(arrivals)) == \
             self._snapshot(guarded, guarded.serve(arrivals))
 
     def test_live_bit_identical(self):
-        plain = SimServer(NOVERIFY, num_shards=2)
-        guarded = SimServer(NOVERIFY, num_shards=2,
+        plain = SimServer(CONFIG, num_shards=2)
+        guarded = SimServer(CONFIG, num_shards=2,
                             faults=FaultProfile(name="inert"),
                             policy=ResiliencePolicy())
         outcomes = []
@@ -180,7 +180,7 @@ class TestZeroRateInertness:
         assert outcomes[0] == outcomes[1]
 
     def test_zero_resilience_counters_without_faults(self):
-        server = SimServer(NOVERIFY)
+        server = SimServer(CONFIG)
         server.serve(chaos_load(count=10).requests())
         res = server.telemetry.snapshot()["resilience"]
         assert res["faults_injected"] == {}
@@ -193,7 +193,7 @@ class TestZeroRateInertness:
 class TestFaultDeterminism:
     def test_same_seed_same_everything(self):
         def run():
-            server = SimServer(NOVERIFY, num_shards=2, faults="chaos",
+            server = SimServer(CONFIG, num_shards=2, faults="chaos",
                                fault_seed=7, policy="standard")
             results = server.serve(chaos_load().requests())
             return ([r.record for r in results],
@@ -205,7 +205,7 @@ class TestFaultDeterminism:
 
     def test_different_seed_different_schedule(self):
         def injected(seed):
-            server = SimServer(NOVERIFY, num_shards=2, faults="chaos",
+            server = SimServer(CONFIG, num_shards=2, faults="chaos",
                                fault_seed=seed, policy="standard")
             server.serve(chaos_load().requests())
             return server.telemetry.snapshot()["resilience"]
@@ -213,10 +213,10 @@ class TestFaultDeterminism:
         assert injected(7) != injected(8)
 
     def test_live_matches_offline_under_faults(self):
-        offline = SimServer(NOVERIFY, num_shards=2, faults="chaos",
+        offline = SimServer(CONFIG, num_shards=2, faults="chaos",
                             fault_seed=7, policy="standard")
         offline_results = offline.serve(chaos_load().requests())
-        live = SimServer(NOVERIFY, num_shards=2, faults="chaos",
+        live = SimServer(CONFIG, num_shards=2, faults="chaos",
                          fault_seed=7, policy="standard")
         ids = [live.submit(s) for s in chaos_load().stream()]
         live_results = live.drain()
@@ -234,7 +234,7 @@ class TestRetryPolicy:
     def test_transient_failure_retries_to_success(self):
         # Dispatch 0 fails on its first two attempts, then serves.
         plan = ScriptedPlan({(0, 0, 1): FAIL, (0, 0, 2): FAIL})
-        server = SimServer(NOVERIFY, faults=plan,
+        server = SimServer(CONFIG, faults=plan,
                            policy=ResiliencePolicy(max_retries=3,
                                                    retry_backoff_us=25.0))
         result = server.serve([ServeRequest(request=ntt_request(0))])[0]
@@ -243,14 +243,14 @@ class TestRetryPolicy:
         assert server.telemetry.events["retries"] == 2
         assert server.telemetry.faults_injected["fail"] == 2
         # Two backoffs (25, 50) plus two failure costs pushed completion.
-        solo = SimServer(NOVERIFY).serve(
+        solo = SimServer(CONFIG).serve(
             [ServeRequest(request=ntt_request(0))])[0]
         assert result.record.completion_us > solo.record.completion_us
         assert result.response.values == solo.response.values
 
     def test_retries_exhausted_fails_gracefully(self):
         plan = ScriptedPlan({}, default=FAIL)  # every attempt fails
-        server = SimServer(NOVERIFY, faults=plan,
+        server = SimServer(CONFIG, faults=plan,
                            policy=ResiliencePolicy(max_retries=2))
         result = server.serve([ServeRequest(request=ntt_request(0))])[0]
         assert not result.ok
@@ -262,14 +262,14 @@ class TestRetryPolicy:
 
     def test_no_retries_without_policy(self):
         plan = ScriptedPlan({(0, 0, 1): FAIL})
-        server = SimServer(NOVERIFY, faults=plan)  # policy "none"
+        server = SimServer(CONFIG, faults=plan)  # policy "none"
         result = server.serve([ServeRequest(request=ntt_request(0))])[0]
         assert not result.ok and result.record.status == STATUS_FAILED
         assert server.telemetry.events["retries"] == 0
 
     def test_retry_budget_exhaustion_fails_fast(self):
         plan = ScriptedPlan({}, default=FAIL)
-        server = SimServer(NOVERIFY, faults=plan,
+        server = SimServer(CONFIG, faults=plan,
                            policy=ResiliencePolicy(max_retries=5,
                                                    retry_budget=3))
         results = server.serve([ServeRequest(request=ntt_request(i),
@@ -282,7 +282,7 @@ class TestRetryPolicy:
     def test_timeout_aborts_and_redispatches(self):
         # Attempt 1 stalls far past the timeout; attempt 2 is clean.
         plan = ScriptedPlan({(0, 0, 1): FaultDecision(stall_us=5000.0)})
-        server = SimServer(NOVERIFY, faults=plan,
+        server = SimServer(CONFIG, faults=plan,
                            policy=ResiliencePolicy(max_retries=1,
                                                    timeout_us=1000.0))
         result = server.serve([ServeRequest(request=ntt_request(0))])[0]
@@ -298,7 +298,7 @@ class TestRetryPolicy:
 class TestCircuitBreaker:
     def test_breaker_opens_after_consecutive_failures(self):
         plan = ScriptedPlan({}, default=FAIL)
-        server = SimServer(NOVERIFY, faults=plan,
+        server = SimServer(CONFIG, faults=plan,
                            policy=ResiliencePolicy(breaker_threshold=2,
                                                    breaker_cooldown_us=500.0))
         server.serve([ServeRequest(request=ntt_request(i),
@@ -311,7 +311,7 @@ class TestCircuitBreaker:
         # the half-open probe succeeds and serving resumes normally.
         script = {(seq, 0, 1): FAIL for seq in range(3)}
         plan = ScriptedPlan(script)
-        server = SimServer(NOVERIFY, faults=plan,
+        server = SimServer(CONFIG, faults=plan,
                            policy=ResiliencePolicy(
                                breaker_threshold=3,
                                breaker_cooldown_us=300.0))
@@ -346,7 +346,7 @@ class TestCircuitBreaker:
                                    values=tuple(rng.randrange(params.q)
                                                 for _ in range(params.n))),
                 arrival_us=float(i * 30)))
-        server = SimServer(NOVERIFY, num_shards=2, window_us=10.0,
+        server = SimServer(CONFIG, num_shards=2, window_us=10.0,
                            faults=plan,
                            policy=ResiliencePolicy(
                                max_retries=4, breaker_threshold=1,
@@ -364,10 +364,10 @@ class TestCircuitBreaker:
 class TestCorruptionDetection:
     def test_undetected_corruption_serves_wrong_values(self):
         plan = ScriptedPlan({(0, 0, 1): FaultDecision(corrupt=True)})
-        server = SimServer(NOVERIFY, faults=plan)  # no detection
+        server = SimServer(CONFIG, faults=plan)  # no detection
         request = ntt_request(0)
         result = server.serve([ServeRequest(request=request)])[0]
-        golden = Simulator(NOVERIFY).run(request).values
+        golden = Simulator(CONFIG).run(request).values
         assert result.ok
         diff = [i for i, (a, b) in enumerate(zip(result.response.values,
                                                  golden)) if a != b]
@@ -377,19 +377,19 @@ class TestCorruptionDetection:
 
     def test_detection_catches_and_retry_recovers(self):
         plan = ScriptedPlan({(0, 0, 1): FaultDecision(corrupt=True)})
-        server = SimServer(NOVERIFY, faults=plan,
+        server = SimServer(CONFIG, faults=plan,
                            policy=ResiliencePolicy(max_retries=2,
                                                    detect=True))
         request = ntt_request(0)
         result = server.serve([ServeRequest(request=request)])[0]
         assert result.ok and result.record.attempts == 2
         assert server.telemetry.events["detected_mismatches"] == 1
-        assert result.response.values == Simulator(NOVERIFY).run(
+        assert result.response.values == Simulator(CONFIG).run(
             request).values
 
     def test_detection_without_retries_fails_loudly(self):
         plan = ScriptedPlan({}, default=FaultDecision(corrupt=True))
-        server = SimServer(NOVERIFY, faults=plan,
+        server = SimServer(CONFIG, faults=plan,
                            policy=ResiliencePolicy(detect=True))
         result = server.serve([ServeRequest(request=ntt_request(0))])[0]
         assert not result.ok and result.record.status == STATUS_FAILED
@@ -399,7 +399,7 @@ class TestCorruptionDetection:
         # Two same-shape requests coalesce; the flip lands in one bank
         # of the merged dispatch and detection still catches it.
         plan = ScriptedPlan({(0, 0, 1): FaultDecision(corrupt=True)})
-        server = SimServer(NOVERIFY, window_us=50.0, faults=plan,
+        server = SimServer(CONFIG, window_us=50.0, faults=plan,
                            policy=ResiliencePolicy(max_retries=2,
                                                    detect=True))
         results = server.serve([
@@ -408,7 +408,7 @@ class TestCorruptionDetection:
         assert all(r.ok for r in results)
         assert server.telemetry.events["detected_mismatches"] == 1
         for seed, result in zip((1, 2), results):
-            assert result.response.values == Simulator(NOVERIFY).run(
+            assert result.response.values == Simulator(CONFIG).run(
                 ntt_request(seed)).values
 
 
@@ -418,7 +418,7 @@ class TestCorruptionDetection:
 class TestDegradation:
     def test_priority_aware_load_shedding(self):
         policy = ResiliencePolicy(shed_depth=2, shed_min_priority=1)
-        server = SimServer(NOVERIFY, window_us=500.0, policy=policy)
+        server = SimServer(CONFIG, window_us=500.0, policy=policy)
         arrivals = [ServeRequest(request=ntt_request(i), arrival_us=0.0,
                                  priority=(1 if i == 5 else 0))
                     for i in range(6)]
@@ -433,8 +433,8 @@ class TestDegradation:
         arrivals = [ServeRequest(request=ntt_request(i),
                                  arrival_us=float(i))
                     for i in range(4)]
-        relaxed = SimServer(NOVERIFY, window_us=400.0)
-        shrunk = SimServer(NOVERIFY, window_us=400.0,
+        relaxed = SimServer(CONFIG, window_us=400.0)
+        shrunk = SimServer(CONFIG, window_us=400.0,
                            policy=ResiliencePolicy(shrink_depth=1,
                                                    shrink_factor=0.25))
         slow = relaxed.serve(list(arrivals))
@@ -485,10 +485,10 @@ class TestBurstLoad:
         policy = ResiliencePolicy(shed_depth=6, shed_min_priority=1)
         profile = LoadGenerator.burst_profile(
             30_000.0, 2_000_000.0, start_us=200.0, duration_us=1500.0)
-        flat = SimServer(NOVERIFY, window_us=100.0, policy=policy)
+        flat = SimServer(CONFIG, window_us=100.0, policy=policy)
         flat.serve(LoadGenerator(make_scenario("skewed"), rate_rps=30_000.0,
                                  count=60, seed=2).requests())
-        bursty = SimServer(NOVERIFY, window_us=100.0, policy=policy)
+        bursty = SimServer(CONFIG, window_us=100.0, policy=policy)
         bursty.serve(LoadGenerator(make_scenario("skewed"),
                                    rate_rps=30_000.0, count=60, seed=2,
                                    rate_profile=profile).requests())
@@ -522,7 +522,7 @@ class TestQueueErrors:
 
 class TestLiveDropAccounting:
     def test_drop_cursor_counts_each_drop_once_across_polls(self):
-        server = SimServer(NOVERIFY, window_us=40.0)
+        server = SimServer(CONFIG, window_us=40.0)
         # Both requests expire in-queue: deadlines pass before their
         # window closes (closing happens when time advances past it).
         doomed = [server.submit(ntt_request(i), arrival_us=float(i * 5),
@@ -547,7 +547,7 @@ class TestLiveDropAccounting:
         assert server.poll(survivor) is None  # session closed
 
     def test_interleaved_submit_poll_preserves_drop_records(self):
-        server = SimServer(NOVERIFY, window_us=20.0, max_depth=2)
+        server = SimServer(CONFIG, window_us=20.0, max_depth=2)
         ids = []
         statuses = {}
         for i in range(8):
@@ -576,10 +576,10 @@ class TestLiveDropAccounting:
 class TestPoliciesRecoverGoodput:
     def test_policies_on_beats_policies_off_under_faults(self):
         arrivals = chaos_load(count=50, seed=3).requests()
-        off = SimServer(NOVERIFY, num_shards=2, faults="chaos",
+        off = SimServer(CONFIG, num_shards=2, faults="chaos",
                         fault_seed=7, policy="none")
         off_results = off.serve(list(arrivals))
-        on = SimServer(NOVERIFY, num_shards=2, faults="chaos",
+        on = SimServer(CONFIG, num_shards=2, faults="chaos",
                        fault_seed=7, policy="standard")
         on_results = on.serve(list(arrivals))
         assert sum(bool(r.ok) for r in on_results) > \

@@ -60,7 +60,7 @@ class TestRunNtt:
         assert "verified=yes" in result.summary()
 
     def test_functional_off_skips_data(self):
-        config = SimConfig(functional=False, verify=False)
+        config = SimConfig(functional=False)
         result = run([0] * 256, NttParams(256, Q), config)
         assert result.values == []
         assert not result.verified
@@ -69,7 +69,7 @@ class TestRunNtt:
     def test_timing_identical_with_and_without_functional(self):
         on = run([0] * 512, NttParams(512, Q), SimConfig())
         off = run([0] * 512, NttParams(512, Q),
-                  SimConfig(functional=False, verify=False))
+                  SimConfig(functional=False))
         assert on.cycles == off.cycles
 
     def test_bu_op_count_matches_theory(self):
@@ -121,7 +121,7 @@ class TestInverse:
 class TestFrequencyScaling:
     def test_lower_clock_slower_in_ns_but_tolerant(self):
         base = SimConfig(pim=PimParams(nb_buffers=2),
-                         functional=False, verify=False)
+                         functional=False)
         n, params = 2048, NttParams(2048, Q)
         t1200 = run([0] * n, params, base)
         t300 = run([0] * n, params, base.at_frequency(300.0))

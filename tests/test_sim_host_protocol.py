@@ -98,7 +98,7 @@ class TestProtocolContract:
         assert mc.completed[-1] is resp
 
     def test_timing_only_config_returns_no_data(self):
-        mc = PimMemoryController(SimConfig(functional=False, verify=False))
+        mc = PimMemoryController(SimConfig(functional=False))
         mc.submit(MemoryRequest(RequestType.WRITE, address=0,
                                 data=_values(2)))
         resp = mc.submit(MemoryRequest(RequestType.NTT_INVOKE, address=0,

@@ -59,7 +59,7 @@ class TestMultiBankRuns:
         n = 512
         params = NttParams(n, Q)
         config = SimConfig(pim=PimParams(nb_buffers=2),
-                           functional=False, verify=False)
+                           functional=False)
         result = Simulator(config).run(
             MultiBankRequest(params=params, inputs=[[0] * n] * 4))
         assert result.metrics["speedup"] > 3.0
@@ -68,7 +68,7 @@ class TestMultiBankRuns:
     def test_single_bank_degenerate(self):
         n = 256
         params = NttParams(n, Q)
-        config = SimConfig(functional=False, verify=False)
+        config = SimConfig(functional=False)
         result = Simulator(config).run(
             MultiBankRequest(params=params, inputs=[[0] * n]))
         assert result.metrics["speedup"] == pytest.approx(1.0)
@@ -76,7 +76,7 @@ class TestMultiBankRuns:
     def test_parallel_not_slower_than_serial(self):
         n = 256
         params = NttParams(n, Q)
-        config = SimConfig(functional=False, verify=False)
+        config = SimConfig(functional=False)
         parallel = _run_dispatch([[[0] * n]] * 8,
                                  [TransformSpec(params=params)] * 8, config)
         assert parallel.cycles < 8 * parallel.single_cycles
