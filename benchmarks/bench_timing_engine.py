@@ -9,7 +9,9 @@ cold map (program-cache miss to IR) and stream compile costs and the
 functional bank speedup of the fused compiled plan over the per-command
 bank (``PimBank.run``, the scalar ground truth; its time is recorded
 as ``bank_legacy_s``), plus the functional data plane's rate
-on warm 8-bank dispatches (ns per butterfly µ-op) — and merges the
+on warm 8-bank dispatches (ns per butterfly µ-op), plus each Table III
+plan's cell traffic (read/write ops, atoms moved, and the most times
+any one atom is read or written) — and merges the
 measurements into ``BENCH_kernels.json`` at the repo root.  Each
 mapper, compiler and data-plane entry also records the host slowdown
 (``perfbench/perf_clock.slowdown``) measured around its timings, so
@@ -55,10 +57,13 @@ from repro.pim.params import PimParams
 from repro.sim.driver import SimConfig, TransformSpec, _run_dispatch
 
 DEFAULT_OUT = REPO_ROOT / "BENCH_kernels.json"
+TABLE3_NS = (256, 512, 1024, 2048, 4096)
+TABLE3_NBS = (2, 4, 6)
 
 
 def run(ns=(1024, 4096), repeats: int = 5,
-        out_path: Path = DEFAULT_OUT, dataplane_ns=(512, 4096)) -> dict:
+        out_path: Path = DEFAULT_OUT, dataplane_ns=(512, 4096),
+        plan_ns=TABLE3_NS) -> dict:
     section = {}
     compiler = {}
     for n in ns:
@@ -129,8 +134,10 @@ def run(ns=(1024, 4096), repeats: int = 5,
     mapper = {str(n): _bench_map(n, 2, repeats) for n in ns}
     mapper["nb1"] = _bench_map(256, 1, repeats)
     dataplane = {str(n): _bench_dataplane(n, repeats) for n in dataplane_ns}
+    plans = {f"{n}x{nb}": _plan_traffic(n, nb)
+             for n in plan_ns for nb in TABLE3_NBS}
     results = {"timing_engine": section, "compiler": compiler,
-               "mapper": mapper, "dataplane": dataplane}
+               "mapper": mapper, "dataplane": dataplane, "plans": plans}
     merge_sections(out_path, results)
     return results
 
@@ -168,6 +175,28 @@ def _bench_dataplane(n: int, repeats: int, banks: int = 8) -> dict:
         "ns_per_bu": dispatch_s / result.bu_ops * 1e9,
         "slowdown": slowdown,
     }
+
+
+def _plan_traffic(n: int, nb: int) -> dict:
+    """One Table III plan's cell traffic: its read and write ops, the
+    atoms they move, and the most times the plan reads (writes) any one
+    atom — 1 each once store forwarding leaves only each atom's first
+    read and last write."""
+    config = SimConfig(pim=PimParams(nb_buffers=nb))
+    spec = TransformSpec(params=NttParams(n, find_ntt_prime(n, 32)))
+    plan = compile_stream(spec.program(config, 0).commands,
+                          config.arch).plan
+    entry = {"n": n, "nb": nb, "atoms": n // config.arch.words_per_atom}
+    for kind, moved in (("read", "read"), ("write", "written")):
+        ops = [op for op in plan.ops if op[0] == kind]
+        atoms = (np.concatenate([op[1] * config.arch.columns_per_row + op[2]
+                                 for op in ops]) if ops
+                 else np.zeros(0, dtype=np.intp))
+        entry[f"{kind}_ops"] = len(ops)
+        entry[f"atoms_{moved}"] = len(atoms)
+        entry[f"max_{kind}s_per_atom"] = int(
+            np.unique(atoms, return_counts=True)[1].max(initial=0))
+    return entry
 
 
 def _bench_map(n: int, nb: int, repeats: int) -> dict:
@@ -262,6 +291,14 @@ def _format(results: dict) -> str:
         f"  Nb=1 N={nb1['n']} ({nb1['commands']} u-op cmds): lane-fused "
         f"{nb1['fused_s'] * 1e3:.2f} ms vs per-command "
         f"{nb1['fallback_s'] * 1e3:.2f} ms ({nb1['fused_speedup']:.1f}x)")
+    lines.append("plans: cell traffic per Table III plan:")
+    for entry in results["plans"].values():
+        lines.append(
+            f"  N={entry['n']:>5d} Nb={entry['nb']}  "
+            f"{entry['read_ops']} read / {entry['write_ops']} write ops, "
+            f"{entry['atoms_read']} / {entry['atoms_written']} atoms of "
+            f"{entry['atoms']} (at most {entry['max_reads_per_atom']} / "
+            f"{entry['max_writes_per_atom']} per atom)")
     lines.append("data plane: warm same-spec dispatch, online check "
                  "included:")
     for entry in results["dataplane"].values():
@@ -302,7 +339,7 @@ def test_stream_engine_smoke(show, tmp_path):
 
     results = run(ns=(256,), repeats=2,
                   out_path=tmp_path / "BENCH_kernels.json",
-                  dataplane_ns=(256,))
+                  dataplane_ns=(256,), plan_ns=(256,))
     assert results["timing_engine"]["256"]["engine_speedup"] > 0
     assert results["timing_engine"]["256"]["engine_stream_us_per_cmd"] > 0
     assert results["timing_engine"]["256"]["slowdown"] > 0
@@ -313,6 +350,11 @@ def test_stream_engine_smoke(show, tmp_path):
     assert results["mapper"]["nb1"]["slowdown"] > 0
     assert results["dataplane"]["256"]["ns_per_bu"] > 0
     assert results["dataplane"]["256"]["check_s"] > 0
+    for nb in TABLE3_NBS:
+        plan = results["plans"][f"256x{nb}"]
+        assert (plan["read_ops"], plan["write_ops"]) == (1, 1)
+        assert plan["atoms_read"] == plan["atoms_written"] == plan["atoms"]
+        assert plan["max_reads_per_atom"] == plan["max_writes_per_atom"] == 1
 
 
 def main(argv=None) -> int:

@@ -26,6 +26,9 @@ committed floor:
   one-bank-at-a-time loop it replaced — and must cost at most
   ``DATAPLANE_VERIFY_RATIO_CEILING`` times itself less its online
   check (``check_s``, the check alone on the same stacks);
+* plans: no Table III plan may read or write any atom of the cell
+  array more than once (``PLAN_MAX_MOVES_PER_ATOM``) — store-to-load
+  forwarding keeps every intermediate stage in the value pool;
 * shared bus: the contention model must report real utilization and
   never beat the independent-channel upper bound;
 * resilience: under injected faults the recovery policies must keep
@@ -81,12 +84,19 @@ COMPILE_US_PER_CMD_CEILING = 2.3
 #: Same slowdown scaling and ~2x headroom as the compile ceiling.
 MAP_US_PER_CMD_CEILING = 1.3
 #: A warm same-spec 8-bank dispatch runs its banks as one stacked pass
-#: with one check: ~51-56 ns per butterfly µ-op at N=512 and ~35-39
-#: at N=4096 at reference speed (~80 / ~62 while the check re-ran the
-#: golden NTT), against ~215 / ~105 when every bank ran (and was
-#: verified) on its own.  Same slowdown scaling; ~2x headroom
-#: over the N=512 level, which the per-bank loop fails.
-DATAPLANE_NS_PER_BU_CEILING = 150.0
+#: with one check, division-free Shoup lanes and store-to-load
+#: forwarding: ~25-41 ns per butterfly µ-op at N=512 and ~14-20 at
+#: N=4096 at reference speed (twelve reruns), against ~41-47 / ~27-39
+#: with ``%``-reduced kernels and a cell gather/scatter per stage pass,
+#: ~51-56 / ~35-39 before the online check, and ~215 / ~105 when every
+#: bank ran (and was verified) on its own.  Same slowdown scaling;
+#: ~2x headroom over the highest N=512 reading.
+DATAPLANE_NS_PER_BU_CEILING = 80.0
+#: Store-to-load forwarding and dead-store elimination leave each
+#: Table III plan one read op and one write op of N/8 atoms: every atom
+#: leaves the cells once and returns once, against log2(N/8)+1 round
+#: trips (one per butterfly-stage pass) without them.
+PLAN_MAX_MOVES_PER_ATOM = 1
 #: With the online check (Freivalds' dot products, O(N) per transform)
 #: that dispatch measures 1.02-1.05x its time less the check's at N=512
 #: and 1.02-1.03x at N=4096 (``dispatch_s / (dispatch_s - check_s)``,
@@ -328,6 +338,20 @@ def check(kernels_path: Path = REPO_ROOT / "BENCH_kernels.json",
                 f"dataplane N={name}: the dispatch takes "
                 f"{verify_ratio:.2f}x its time without the online check, "
                 f"above the {DATAPLANE_VERIFY_RATIO_CEILING}x ceiling")
+
+    for name, entry in kernels.get("plans", {}).items():
+        moves = max(entry["max_reads_per_atom"],
+                    entry["max_writes_per_atom"])
+        print(f"plans: N={entry['n']} Nb={entry['nb']} "
+              f"{entry['read_ops']} read / {entry['write_ops']} write ops, "
+              f"{entry['atoms_read']} / {entry['atoms_written']} atoms of "
+              f"{entry['atoms']} (ceiling {PLAN_MAX_MOVES_PER_ATOM} per atom)")
+        if moves > PLAN_MAX_MOVES_PER_ATOM:
+            failures.append(
+                f"plan {name}: reads an atom up to "
+                f"{entry['max_reads_per_atom']}x and writes one up to "
+                f"{entry['max_writes_per_atom']}x, above the "
+                f"{PLAN_MAX_MOVES_PER_ATOM} per-atom ceiling")
 
     engine = kernels["timing_engine"]
     for n, entry in engine.items():

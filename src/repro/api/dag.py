@@ -183,14 +183,21 @@ class DagRequest(SimRequest):
         return self._kahn()
 
     def bound_request(self, name: str,
-                      parent_values: Mapping[str, Sequence[int]]
-                      ) -> SimRequest:
+                      parent_values: Mapping[str, Sequence[int]],
+                      functional: bool = True) -> SimRequest:
         """Node ``name``'s request with every inbound edge bound:
         each edge's ``field`` is replaced by that parent's output
         values.  The bound request is re-validated, so a parent whose
         output cannot feed the child (wrong length, no values) fails
-        with stage context instead of deep in the engine room."""
+        with stage context instead of deep in the engine room.
+
+        A timing-only stage (``functional=False``) binds nothing: its
+        parents return no values, and timing never reads operands, so
+        the node's own placeholders stand in (``values=None`` for a
+        transform, zeros of the right length for an FHE operand)."""
         request = self.node(name)
+        if not functional:
+            return request
         changes: Dict[str, tuple] = {}
         for edge in self.edges:
             if edge.child != name:
@@ -270,7 +277,8 @@ def run_dag_workload(config: SimConfig, request: DagRequest) -> SimResponse:
     order = request.topological_order()
     for name in order:
         bound = request.bound_request(
-            name, {p: responses[p].values for p in request.parents(name)})
+            name, {p: responses[p].values for p in request.parents(name)},
+            functional=config.functional)
         response = sim.run(bound)
         responses[name] = response
         finish[name] = response.latency_us + max(

@@ -16,7 +16,11 @@ Overflow safety
 kernel runs in four regimes:
 
 * ``q < 2**32`` — the product of two reduced operands fits in 64 bits;
-  plain ``(a * b) % q``.
+  plain ``(a * b) % q``.  A *fixed* operand — a compiled plan's twiddle
+  matrix — is a :class:`ShoupPair` instead: it carries its precomputed
+  companion ``w' = floor(w * 2**32 / q)`` (Harvey, J. Symbolic Comput.
+  2014; NTL's ``MulModPrecon``), and a multiply by it is two products,
+  a shift and one conditional subtraction, with no division.
 * odd ``q < 2**63`` — Montgomery multiplication with ``R = 2**64``:
   the full 128-bit product is formed as a (hi, lo) pair via 32-bit
   limb splitting (:func:`_mul_u64`) and reduced with a vectorized REDC,
@@ -29,6 +33,21 @@ kernel runs in four regimes:
   most three conditional subtractions.
 * anything else — no lane support (:func:`lanes_supported` is False);
   callers run the scalar reference.
+
+Additions and subtractions of reduced operands are ``t = a + b`` (or
+``a + (q - b)``) and one conditional subtraction, ``min(t, t - q)``:
+``t < 2q < 2**64`` for every lane modulus, and ``t - q`` wraps above
+``t`` exactly when ``t < q``.
+
+Entry reduction
+---------------
+
+The element-wise and golden kernels reduce their inputs with ``%`` on
+entry.  The stacked PIM kernels take pool values that are usually
+reduced already, but not always: raw 64-bit cells (a program request
+with no modulus), and words reduced under the modulus a PARAM_WRITE
+replaced.  They scan each operand once and run ``%`` only when some
+word is ``>= q``.
 """
 
 from __future__ import annotations
@@ -36,7 +55,7 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
-from typing import Callable, List, Sequence
+from typing import Callable, List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,6 +63,8 @@ from .._cache import ArtifactCache
 
 __all__ = [
     "lanes_supported",
+    "ShoupPair",
+    "lane_twiddles",
     "mod_add_arr",
     "mod_sub_arr",
     "mod_mul_arr",
@@ -189,23 +210,65 @@ def _mulmod_barrett(a, b, q: int):
     return np.where(r >= q_u64, r - q_u64, r)
 
 
+class ShoupPair(NamedTuple):
+    """A fixed reduced lane operand ``w`` for a modulus ``q < 2**32``
+    with its Shoup companion ``w' = floor(w * 2**32 / q)`` (exact in
+    uint64 because ``w < q``): :func:`mod_mul_arr` multiplies by it with
+    no division."""
+
+    w: np.ndarray
+    companion: np.ndarray
+
+
+def lane_twiddles(w, q: int):
+    """A fixed operand (reduced uint64 lanes) ready for
+    :func:`mod_mul_arr`: its :class:`ShoupPair` below ``2**32``, else
+    the array itself.  A pair passes through unchanged."""
+    if type(w) is ShoupPair or q >= _DIRECT_LIMIT:
+        return w
+    w = np.asarray(w, dtype=np.uint64)
+    return ShoupPair(w, (w << np.uint64(32)) // _u64(q))
+
+
+def _mulmod_shoup(a, pair: ShoupPair, q_u64):
+    """``a * w mod q`` for ``a < 2**32``: the quotient estimate
+    ``(a * w') >> 32`` is ``floor(a * w / q)`` or one less, so
+    ``a * w - estimate * q`` (mod 2**64) lies in ``[0, 2q)``."""
+    hi = a * pair.companion
+    hi >>= np.uint64(32)
+    hi *= q_u64
+    r = a * pair.w
+    r -= hi
+    np.subtract(r, q_u64, out=hi)
+    return np.minimum(r, hi, out=r)
+
+
 def mod_add_arr(a, b, q: int):
     """Lane-wise ``(a + b) mod q`` for reduced uint64 operands."""
-    return (a + b) % _u64(q)
+    t = a + b
+    return np.minimum(t, t - _u64(q), out=t)
 
 
 def mod_sub_arr(a, b, q: int):
     """Lane-wise ``(a - b) mod q`` for reduced uint64 operands."""
     q_u64 = _u64(q)
-    return (a + (q_u64 - b)) % q_u64
+    t = q_u64 - b
+    t += a
+    return np.minimum(t, t - q_u64, out=t)
 
 
 def mod_mul_arr(a, b, q: int):
     """Lane-wise ``(a * b) mod q`` for reduced uint64 operands.
 
     Requires :func:`lanes_supported`\\ ``(q)``; picks the direct,
-    Montgomery or Barrett regime by modulus width and parity.
+    Montgomery or Barrett regime by modulus width and parity.  Either
+    operand may be a :class:`ShoupPair` (from :func:`lane_twiddles`),
+    which takes the division-free multiply.
     """
+    if type(a) is ShoupPair:
+        a, b = b, a
+    if type(b) is ShoupPair:
+        return _mulmod_shoup(a, b, _u64(q))
     if q < _DIRECT_LIMIT:
         return (a * b) % _u64(q)
     if q % 2 == 1 and q < _LANE_LIMIT:
@@ -495,7 +558,15 @@ def freivalds_check(label: str, n: int, q: int,
 # ``execute_c2`` / ``execute_c1n`` computes for the ``j``-th command,
 # so the stacked path is bit-identical to ``k`` separate calls.  The
 # ``*_wpack``/``*_zpack`` helpers prebuild the per-row twiddle material
-# (cached per compiled stream and modulus by the executor).
+# through :func:`lane_twiddles` (Shoup pairs below 2**32), cached per
+# compiled stream and modulus by the executor.
+
+def _reduced(x, q_u64):
+    """``x`` with every word below ``q``: ``x % q`` when some word is
+    not (raw cells, or words reduced under an earlier modulus), else
+    ``x`` itself — one scan instead of a division per word."""
+    return x % q_u64 if x.max(initial=0) >= q_u64 else x
+
 
 @lru_cache(maxsize=4096)
 def _c1_stage_steps(q: int, omega0: int, log_na: int):
@@ -510,9 +581,9 @@ def _c1_stage_steps(q: int, omega0: int, log_na: int):
 
 
 def c1_stack_wpack(q: int, omegas: Sequence[int], na: int):
-    """Per-stage twiddle matrices for a fused C1 group: one ``(k, m)``
-    array per stage (collapsed to ``(1, m)`` when every row shares the
-    same generator — the common case of a whole stage pass)."""
+    """Per-stage twiddles for a fused C1 group: one ``(k, 1, m)`` lane
+    operand per stage (``(1, 1, m)`` when every row shares the same
+    generator — the common case of a whole stage pass)."""
     log_na = na.bit_length() - 1
     rows = [_c1_stage_steps(q, omega0, log_na) for omega0 in omegas]
     uniform = all(r == rows[0] for r in rows)
@@ -523,7 +594,7 @@ def c1_stack_wpack(q: int, omegas: Sequence[int], na: int):
             w = _geom_run_arr(1, rows[0][s], m, q)[None, :]
         else:
             w = np.stack([_geom_run_arr(1, r[s], m, q) for r in rows])
-        pack.append(w)
+        pack.append(lane_twiddles(w[:, None, :], q))
     return tuple(pack)
 
 
@@ -531,80 +602,87 @@ def c1_stack_arr(x, q: int, wpack):
     """Stacked form of :meth:`repro.pim.cu.ComputeUnit.execute_c1`:
     ``x`` is ``(..., k, Na)``, one atom per row of the last two axes
     (leading axes — the bank stack — broadcast); ``wpack`` comes from
-    :func:`c1_stack_wpack`."""
+    :func:`c1_stack_wpack`.  Returns a fresh array."""
     lead = x.shape[:-1]
-    x = x % _u64(q)
-    log_na = x.shape[-1].bit_length() - 1
-    for s in range(1, log_na + 1):
-        m = 1 << (s - 1)
-        w = wpack[s - 1]
+    x = _reduced(x, _u64(q))
+    for s, w in enumerate(wpack):
+        m = 1 << s
         xr = x.reshape(lead + (-1, 2 * m))
-        a = xr[..., :m].copy()
-        t = mod_mul_arr(w[:, None, :], xr[..., m:], q)
-        xr[..., :m] = mod_add_arr(a, t, q)
-        xr[..., m:] = mod_sub_arr(a, t, q)
+        a = xr[..., :m]
+        t = mod_mul_arr(xr[..., m:], w, q)
+        out = np.empty_like(xr)
+        out[..., :m] = mod_add_arr(a, t, q)
+        out[..., m:] = mod_sub_arr(a, t, q)
+        x = out.reshape(x.shape)
     return x
 
 
 def c2_stack_wpack(q: int, omega0s: Sequence[int], r_omegas: Sequence[int],
                    na: int):
-    """``(k, Na)`` twiddle matrix for a fused C2 group: row ``j`` is the
+    """``(k, Na)`` twiddle operand for a fused C2 group: row ``j`` is the
     TFG's geometric run of the ``j``-th command."""
-    return np.stack([_geom_run_arr(omega0, r_omega, na, q)
-                     for omega0, r_omega in zip(omega0s, r_omegas)])
+    return lane_twiddles(np.stack([_geom_run_arr(omega0, r_omega, na, q)
+                                   for omega0, r_omega in zip(omega0s,
+                                                              r_omegas)]), q)
 
 
 def c2_stack_arr(p, s, q: int, w, gs: bool = False):
     """Stacked form of :meth:`repro.pim.cu.ComputeUnit.execute_c2`:
-    ``p``/``s`` are ``(..., k, Na)`` and ``w`` is ``(k, Na)`` — the P
-    legs, S legs and lane twiddles of ``k`` fused C2 commands (leading
-    axes broadcast)."""
+    ``p``/``s`` are ``(..., k, Na)`` and ``w`` is ``(k, Na)`` (a plain
+    reduced array, or its :func:`lane_twiddles` to multiply without
+    dividing) — the P legs, S legs and lane twiddles of ``k`` fused C2
+    commands (leading axes broadcast)."""
     q_u64 = _u64(q)
-    p = p % q_u64
-    s = s % q_u64
-    if q < _DIRECT_LIMIT:
-        if gs:
-            return (p + s) % q_u64, ((p + (q_u64 - s)) % q_u64 * w) % q_u64
-        t = (w * s) % q_u64
-        return (p + t) % q_u64, (p + (q_u64 - t)) % q_u64
+    p = _reduced(p, q_u64)
+    s = _reduced(s, q_u64)
     if gs:
         return (mod_add_arr(p, s, q),
                 mod_mul_arr(mod_sub_arr(p, s, q), w, q))
-    t = mod_mul_arr(w, s, q)
+    t = mod_mul_arr(s, w, q)
     return mod_add_arr(p, t, q), mod_sub_arr(p, t, q)
 
 
 def c1n_stack_zpack(q: int, zetas_rows: Sequence[Sequence[int]]):
-    """``(k, Na-1)`` reduced block-zeta matrix for a fused C1N group."""
-    return np.array([[z % q for z in zs] for zs in zetas_rows],
-                    dtype=np.uint64)
+    """``(k, Na-1)`` reduced block-zeta operand for a fused C1N group."""
+    return lane_twiddles(np.array([[z % q for z in zs]
+                                   for zs in zetas_rows], dtype=np.uint64), q)
+
+
+def _block_twiddles(z, lo: int, hi: int):
+    """Columns ``lo:hi`` of a ``(k, Na-1)`` zeta operand (plain or a
+    Shoup pair), shaped ``(k, hi - lo, 1)`` to broadcast over a block."""
+    if type(z) is ShoupPair:
+        return ShoupPair(*(half[:, lo:hi, None] for half in z))
+    return z[:, lo:hi, None]
 
 
 def c1n_stack_arr(x, q: int, z2d, gs: bool = False):
     """Stacked form of :meth:`repro.pim.cu.ComputeUnit.execute_c1n`:
     ``x`` is ``(..., k, Na)`` (leading axes broadcast), ``z2d`` the
-    matching ``(k, Na-1)`` zeta matrix from :func:`c1n_stack_zpack`.
-    Each row consumes its zetas in the scalar method's order."""
+    matching ``(k, Na-1)`` zeta operand from :func:`c1n_stack_zpack`.
+    Each row consumes its zetas in the scalar method's order.  Returns
+    a fresh array."""
     lead = x.shape[:-1]
     na = x.shape[-1]
-    x = x % _u64(q)
+    x = _reduced(x, _u64(q))
     log_na = na.bit_length() - 1
     lengths = ([na >> s for s in range(1, log_na + 1)] if not gs
                else [1 << s for s in range(log_na)])
     idx = 0
     for length in lengths:
         blocks = na // (2 * length)
-        z = z2d[:, idx:idx + blocks, None]
+        z = _block_twiddles(z2d, idx, idx + blocks)
         idx += blocks
         xr = x.reshape(lead + (blocks, 2 * length))
-        a = xr[..., :length].copy()
+        a = xr[..., :length]
+        b = xr[..., length:]
+        out = np.empty_like(xr)
         if gs:
-            b = xr[..., length:].copy()
-            xr[..., :length] = mod_add_arr(a, b, q)
-            xr[..., length:] = mod_mul_arr(mod_sub_arr(a, b, q), z, q)
+            out[..., :length] = mod_add_arr(a, b, q)
+            out[..., length:] = mod_mul_arr(mod_sub_arr(a, b, q), z, q)
         else:
-            t = mod_mul_arr(z, xr[..., length:], q)
-            xr[..., :length] = mod_add_arr(a, t, q)
-            xr[..., length:] = mod_sub_arr(a, t, q)
+            t = mod_mul_arr(b, z, q)
+            out[..., :length] = mod_add_arr(a, t, q)
+            out[..., length:] = mod_sub_arr(a, t, q)
+        x = out.reshape(x.shape)
     return x
-

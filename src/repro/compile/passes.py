@@ -18,6 +18,15 @@ loop with NumPy computations over the SoA columns:
   scalar register rename individually, so LOAD/BU/STORE_SCALAR group
   into stacked lane copies and butterflies.  Scalar programs that also
   carry C2/C1N run per-command.
+* **forward** — SSA over memory (Cytron et al., TOPLAS 1991) for the
+  atom plan: over the atom-sorted CU_READ/CU_WRITE chains the hazard
+  edges already walk, a read of an atom the plan wrote (or already
+  read) is forwarded — its version aliases the stored (gathered) one,
+  resolved transitively — and only each atom's last write stores.
+  Forwarded reads and dead writes drop out before grouping, so a plan
+  reads each atom from the cells at most once and writes it back at
+  most once.  The pass is vectorized: it replaces the per-stage
+  read/write groups, and the grouping sweep gets cheaper with them.
 * **pool** — group-result pooling: plan ops carry ``np.intp`` index
   arrays into one shared value pool, so the executor gathers/scatters
   entire groups without a per-row ``np.stack``.
@@ -89,37 +98,94 @@ def _next_write(is_write: np.ndarray, seg: np.ndarray) -> np.ndarray:
     return np.where(rev >= 0, k - 1 - rev, -1)
 
 
-def _storage_and_modulus_edges(ir, arch, idx_r, idx_w, idx_q, idx_p):
-    """The hazard edges every plan mode shares, as ``(src, dst)``.
-
-    Storage chains among CU_READ (``idx_r``) and CU_WRITE (``idx_w``)
-    per atom: RAW and WAW to the previous write, WAR from each read to
-    the next write.  Modulus-register chains: every command in the
-    sorted ``idx_q`` that needs q orders against the PARAM_WRITEs
-    (``idx_p``) around it both ways, and PARAM_WRITEs order among
-    themselves (WAW).
-    """
+def _atom_chains(ir, arch, idx_r, idx_w):
+    """The CU_READs (``idx_r``) and CU_WRITEs (``idx_w``) sorted by
+    (row, col) atom, then program order, as ``(order, cmd, atom,
+    is_write, prev_write, next_write)``: ``order`` indexes the
+    concatenation ``idx_r + idx_w``, and the last two give each
+    element's previous and next write of the same atom in this order,
+    else -1."""
     sel = np.concatenate((idx_r, idx_w))
     iswr = np.concatenate((np.zeros(len(idx_r), np.bool_),
                            np.ones(len(idx_w), np.bool_)))
     atom = ir.rows[sel] * arch.columns_per_row + ir.cols[sel]
     ao = np.lexsort((sel, atom))
-    a_cmd, a_atom, a_w = sel[ao], atom[ao], iswr[ao]
-    a_prevw = _prev_write(a_w, a_atom)
-    a_nextw = _next_write(a_w, a_atom)
-    chained = a_prevw >= 0          # RAW (reads) and WAW (writes)
-    war = ~a_w & (a_nextw >= 0)     # read -> next write
+    a_atom, a_w = atom[ao], iswr[ao]
+    return (ao, sel[ao], a_atom, a_w, _prev_write(a_w, a_atom),
+            _next_write(a_w, a_atom))
 
+
+def _modulus_edges(idx_q, idx_p):
+    """Modulus-register chains as ``(src, dst)``: every command in the
+    sorted ``idx_q`` that needs q orders against the PARAM_WRITEs
+    (``idx_p``) around it both ways, and PARAM_WRITEs order among
+    themselves (WAW)."""
     before = np.searchsorted(idx_p, idx_q)
     has_prev = before > 0
     has_next = before < len(idx_p)
-    src = np.concatenate((a_cmd[a_prevw[chained]], a_cmd[war],
-                          idx_p[before[has_prev] - 1], idx_q[has_next],
+    src = np.concatenate((idx_p[before[has_prev] - 1], idx_q[has_next],
                           idx_p[:-1]))
-    dst = np.concatenate((a_cmd[chained], a_cmd[a_nextw[war]],
-                          idx_q[has_prev], idx_p[before[has_next]],
+    dst = np.concatenate((idx_q[has_prev], idx_p[before[has_next]],
                           idx_p[1:]))
     return src, dst
+
+
+def _computes_before_param(idx_q, idx_p) -> bool:
+    """True when a command needing q (sorted ``idx_q``) precedes the
+    first PARAM_WRITE (``idx_p``): it runs under the modulus loaded
+    before the program."""
+    return bool(len(idx_q) and (not len(idx_p) or idx_q[0] < idx_p[0]))
+
+
+def _storage_and_modulus_edges(ir, arch, idx_r, idx_w, idx_q, idx_p):
+    """The lane plan's storage and modulus hazard edges, as ``(src,
+    dst)``: per atom, RAW and WAW to the previous write and WAR from
+    each read to the next write, plus :func:`_modulus_edges`."""
+    _, a_cmd, _, a_w, a_prevw, a_nextw = _atom_chains(ir, arch, idx_r, idx_w)
+    chained = a_prevw >= 0          # RAW (reads) and WAW (writes)
+    war = ~a_w & (a_nextw >= 0)     # read -> next write
+    q_src, q_dst = _modulus_edges(idx_q, idx_p)
+    src = np.concatenate((a_cmd[a_prevw[chained]], a_cmd[war], q_src))
+    dst = np.concatenate((a_cmd[chained], a_cmd[a_nextw[war]], q_dst))
+    return src, dst
+
+
+def _forward_stores(ir, arch, idx_r, idx_w):
+    """Store-to-load forwarding and dead-store elimination over (row,
+    col) atoms — SSA over memory (Cytron et al., TOPLAS 1991).
+
+    Nothing observes a cell in the middle of a plan, so only an atom's
+    first access can read its entry cells: every later CU_READ is
+    *forwarded* — it gathers nothing, and its version aliases the
+    version the atom's previous CU_WRITE stored (or, with no write
+    since, the one its first read gathered).  Only each atom's last
+    CU_WRITE stores.  What is left reads each atom at most once and
+    writes it at most once, and orders only by WAR: the read before
+    its atom's write.
+
+    Returns ``(live_r, live_w, fwd_r, fwd_src, war_src, war_dst)``:
+    boolean masks over ``idx_r`` / ``idx_w`` of the surviving reads and
+    writes; positions in ``idx_r`` of the forwarded reads and, for
+    each, the position in ``idx_r + idx_w`` of the read or write whose
+    version it takes; and the WAR edges.
+    """
+    nr = len(idx_r)
+    ao, a_cmd, a_atom, a_w, a_prevw, a_nextw = _atom_chains(ir, arch,
+                                                            idx_r, idx_w)
+    first = np.ones(len(a_atom), dtype=np.bool_)
+    first[1:] = a_atom[1:] != a_atom[:-1]
+    forwarded = ~a_w & ~first
+    source = np.where(a_prevw >= 0, a_prevw, np.maximum.accumulate(
+        np.where(first, np.arange(len(first)), 0)))
+    last = a_w & (a_nextw < 0)
+    to_last = _next_write(last, a_atom)
+    war = ~a_w & first & (to_last >= 0)
+    live_r = np.ones(nr, dtype=np.bool_)
+    live_r[ao[forwarded]] = False
+    live_w = np.zeros(len(idx_w), dtype=np.bool_)
+    live_w[ao[last] - nr] = True
+    return (live_r, live_w, ao[forwarded], ao[source[forwarded]],
+            a_cmd[war], a_cmd[to_last[war]])
 
 
 def _longest_path_levels(n_nodes: int, src: np.ndarray,
@@ -265,11 +331,14 @@ def _validate(ir: StreamIR, arch: ArchParams):
 
 def _atom_edges_and_versions(ir, arch, idx_r, idx_w, idx_c1, idx_c2,
                              idx_c1n, idx_p):
-    """Buffer renaming + hazard-edge construction, fully vectorized.
+    """Buffer renaming, store forwarding and hazard-edge construction,
+    fully vectorized.
 
     Returns ``(edges_src, edges_dst, versions)`` where ``versions``
-    bundles per-class vin/vout arrays, init/final version lists and the
-    virtual count.
+    bundles per-class vin/vout arrays, init/final version lists, the
+    virtual count and the surviving (``live_r`` / ``live_w``) reads and
+    writes of :func:`_forward_stores`.  Every vin, and every final
+    version, reads through the forwarding aliases.
     """
     bufs = ir.bufs
 
@@ -327,6 +396,29 @@ def _atom_edges_and_versions(ir, arch, idx_r, idx_w, idx_c1, idx_c2,
     init_versions = [(int(buf), init_base + i)
                      for i, buf in enumerate(init_bufs)]
 
+    # Scatter vin back to original touch order.
+    t_vin = np.empty(T, dtype=np.int64)
+    t_vin[bo] = b_vin
+
+    # Store forwarding: a forwarded read's version aliases the version
+    # its source read gathered or its source write stored, resolved
+    # transitively (a stored version may itself be a forwarded read's).
+    # The touch table starts with the reads, then the writes, so a
+    # position in idx_r + idx_w is also the source's touch.
+    live_r, live_w, fwd_r, fwd_src, war_src, war_dst = _forward_stores(
+        ir, arch, idx_r, idx_w)
+    alias = np.arange(n_virtual, dtype=np.int64)
+    if len(fwd_r):
+        alias[t_vid[fwd_r]] = np.where(fwd_src < nr, t_vid[fwd_src],
+                                       t_vin[fwd_src])
+        while True:
+            hop = alias[alias]
+            if np.array_equal(hop, alias):
+                break
+            alias = hop
+        has_vin = t_vin >= 0
+        t_vin[has_vin] = alias[t_vin[has_vin]]
+
     # Final version per buffer: the last write's vid, else its init vid.
     final_versions = []
     if T:
@@ -338,16 +430,19 @@ def _atom_edges_and_versions(ir, arch, idx_r, idx_w, idx_c1, idx_c2,
         init_lookup = dict(init_versions)
         for buf, lw in zip(seg_bufs.tolist(), lastw.tolist()):
             final_versions.append(
-                (buf, int(b_vid[lw]) if lw >= 0 else init_lookup[buf]))
+                (buf, int(alias[b_vid[lw]]) if lw >= 0 else init_lookup[buf]))
 
-    # RAW buffer edges (renaming erases buffer WAR/WAW).
-    raw_src = b_cmd[prevw[res]]
-    raw_dst = b_cmd[res]
+    # RAW buffer edges (renaming erases buffer WAR/WAW): each surviving
+    # consumer from the command that produced the version it reads.
+    vid_cmd = np.empty(n_write_vids, dtype=np.int64)
+    vid_cmd[t_vid[t_write]] = t_cmd[t_write]
+    consumer = t_read & (t_vin < n_write_vids)
+    consumer[nr:nr + nw] &= live_w
+    raw_src = vid_cmd[t_vin[consumer]]
+    raw_dst = t_cmd[consumer]
 
-    # Scatter vin back to original touch order for per-class slices.
-    t_vin = np.empty(T, dtype=np.int64)
-    t_vin[bo] = b_vin
-
+    # Computes consume the modulus registers.
+    idx_q = np.sort(np.concatenate((idx_c1, idx_c2, idx_c1n)))
     versions = {
         "r_vout": t_vid[:nr],
         "w_vin": t_vin[nr:nr + nw],
@@ -364,14 +459,13 @@ def _atom_edges_and_versions(ir, arch, idx_r, idx_w, idx_c1, idx_c2,
         "final_versions": final_versions,
         "max_buffer": int(t_buf.max()) if T else -1,
         "min_buffer": int(t_buf.min()) if T else 0,
+        "live_r": live_r,
+        "live_w": live_w,
+        "computes_before_param": _computes_before_param(idx_q, idx_p),
     }
-
-    # Computes consume the modulus registers.
-    idx_q = np.sort(np.concatenate((idx_c1, idx_c2, idx_c1n)))
-    hz_src, hz_dst = _storage_and_modulus_edges(ir, arch, idx_r, idx_w,
-                                                idx_q, idx_p)
-    src = np.concatenate((raw_src, hz_src))
-    dst = np.concatenate((raw_dst, hz_dst))
+    q_src, q_dst = _modulus_edges(idx_q, idx_p)
+    src = np.concatenate((raw_src, war_src, q_src))
+    dst = np.concatenate((raw_dst, war_dst, q_dst))
     return src, dst, versions
 
 
@@ -424,13 +518,16 @@ def _atom_plan(ir: StreamIR, arch: ArchParams, stats: dict):
         ir, arch, idx_r, idx_w, idx_c1, idx_c2, idx_c1n, idx_p)
     if versions["min_buffer"] < 0:
         return None, "negative buffer index"
+    # Forwarded reads and dead writes leave the plan: their positions
+    # still index the per-class version arrays through searchsorted.
+    live_r, live_w = idx_r[versions["live_r"]], idx_w[versions["live_w"]]
 
-    rel = np.sort(np.concatenate((idx_r, idx_w, idx_c1, idx_c2,
+    rel = np.sort(np.concatenate((live_r, live_w, idx_c1, idx_c2,
                                   idx_c1n, idx_p)))
     kinds = np.empty(len(rel), dtype=np.int64)
     pos_of = {  # class -> positions of its members within `rel`
-        _KIND_READ: np.searchsorted(rel, idx_r),
-        _KIND_WRITE: np.searchsorted(rel, idx_w),
+        _KIND_READ: np.searchsorted(rel, live_r),
+        _KIND_WRITE: np.searchsorted(rel, live_w),
         _KIND_C1: np.searchsorted(rel, idx_c1),
         _KIND_C2: np.searchsorted(rel, idx_c2),
         _KIND_C1N: np.searchsorted(rel, idx_c1n),
@@ -498,6 +595,7 @@ def _atom_plan(ir: StreamIR, arch: ArchParams, stats: dict):
         has_param=bool(len(idx_p)),
         max_buffer=versions["max_buffer"],
         mode="atom",
+        computes_before_param=versions["computes_before_param"],
     )
     return plan, None
 
@@ -734,6 +832,7 @@ def _lane_plan(ir: StreamIR, arch: ArchParams, stats: dict):
                          for i, buf in enumerate(touched_bufs)),
         reg_init=reg_init,
         reg_final=reg_final,
+        computes_before_param=_computes_before_param(idx_q, idx_p),
     )
     return plan, None
 

@@ -6,7 +6,10 @@ per-command loop.  Two shapes exist:
 
 * ``mode="atom"`` — whole-atom buffer renaming (the Nb >= 2 mapping):
   ops move full ``Na``-word buffer versions between the cell array, the
-  virtual-version pool and the stacked CU kernels.
+  virtual-version pool and the stacked CU kernels.  Store-to-load
+  forwarding keeps every intermediate stage in the pool: the plan reads
+  each atom from the cells at most once and writes it back at most
+  once (a Table III plan: one read op and one write op of N/8 atoms).
 * ``mode="lane"`` — lane-granular renaming (the Nb=1 scalar-µ-op
   mapping): versions are single lanes plus the CU's scalar register;
   LOAD/BU/STORE_SCALAR runs execute as stacked copies / butterflies.
@@ -31,8 +34,14 @@ class FunctionalPlan:
 
     * ``("param", cmd_index)`` — latch the staged modulus.
     * ``("read", rows, cols, vouts)`` — gather ``k`` atoms from the
-      cell array into fresh virtual-buffer versions.
+      cell array into fresh virtual-buffer versions.  Only an atom's
+      first CU_READ gathers: a later one is *forwarded* — it has no op,
+      and every consumer of its version (compute inputs, write inputs,
+      ``final_versions``) reads the version the atom's previous
+      CU_WRITE stored, or its first read gathered, instead.
     * ``("write", rows, cols, vins)`` — scatter ``k`` versions back.
+      Only an atom's last CU_WRITE stores (dead-store elimination);
+      nothing observes a cell in the middle of a plan.
     * ``("c1", vins, vouts, omegas)`` — one stacked intra-atom NTT.
     * ``("c2", pins, sins, pouts, souts, omega0s, r_omegas, gs)``.
     * ``("c1n", vins, vouts, zetas_rows, gs)``.
@@ -63,6 +72,9 @@ class FunctionalPlan:
     touches: the executor refuses to fuse when it exceeds the bank's
     buffer file (the legacy loop then raises the range error at the
     offending command, before any side effect).
+    ``computes_before_param`` records that a command needing q
+    precedes the first PARAM_WRITE: with no modulus loaded the executor
+    refuses to fuse, so the legacy loop raises at exactly that command.
     """
 
     ops: List[tuple]
@@ -76,3 +88,4 @@ class FunctionalPlan:
     lane_final: tuple = ()
     reg_init: Optional[int] = None
     reg_final: Optional[int] = None
+    computes_before_param: bool = False

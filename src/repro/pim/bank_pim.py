@@ -183,10 +183,17 @@ class PimBank:
         if stream.plan.has_param:
             # The loaded modulus may still cover compute groups scheduled
             # before the first PARAM_WRITE, so it must be lane-safe too.
-            return (self.pending_q is not None
+            # With none loaded the per-command loop raises at the first
+            # of them, and the plan — whose groups need not follow
+            # program order — could not stop at the same command.  Nor
+            # could it stop at a PARAM_WRITE that rejects its modulus.
+            if self.cu.q is None:
+                loaded_ok = not stream.plan.computes_before_param
+            else:
+                loaded_ok = vector.lanes_supported(self.cu.q)
+            return (self.pending_q is not None and self.pending_q > 2
                     and vector.lanes_supported(self.pending_q)
-                    and (self.cu.q is None
-                         or vector.lanes_supported(self.cu.q)))
+                    and loaded_ok)
         return self.cu.q is not None and vector.lanes_supported(self.cu.q)
 
     def runs_atom_plan(self, stream: CommandStream) -> bool:
@@ -199,14 +206,22 @@ class PimBank:
 
         Each plan op executes one whole dependency-depth group — e.g.
         every C1 of a butterfly-stage pass as a single stacked
-        :class:`~repro.pim.cu.ComputeUnit` call, every CU_READ/CU_WRITE
-        burst as one fancy-indexed gather/scatter against the cell
-        array, over every bank of a stack at once; Nb=1 scalar-µ-op
-        programs run their LOAD/BU/STORE runs as stacked lane
-        butterflies.  Data results, CU µ-op counters and raised errors
-        are identical to :meth:`run` on ``stream.commands`` (per bank of
-        a stack); programs without a plan (or moduli outside the lane
-        kernels) fall back to that loop, which needs a single full bank.
+        :class:`~repro.pim.cu.ComputeUnit` call (division-free Shoup
+        lanes below ``2**32``, twiddles and their companions cached in
+        ``stream.fuse_cache`` per modulus), over every bank of a stack
+        at once.  An atom plan touches the cells twice: one
+        fancy-indexed gather of the atoms the program reads before
+        writing them, and one scatter of each atom's last write; every
+        stage in between stays in the version pool (store forwarding).
+        Nb=1 scalar-µ-op programs run their LOAD/BU/STORE runs as
+        stacked lane butterflies.  Data results, CU µ-op counters and
+        raised errors are identical to :meth:`run` on
+        ``stream.commands`` (per bank of a stack): a plan runs only when
+        nothing in it can raise — the one error it could hit mid-plan, a
+        compute group before the first PARAM_WRITE with no modulus
+        loaded, sends the program to that loop instead, as do programs
+        without a plan and moduli outside the lane kernels; the loop
+        needs a single full bank.
         """
         fusable = self._stream_fusable(stream)
         if fusable and stream.plan.mode == "atom":
@@ -309,8 +324,9 @@ class PimBank:
                 warr = fuse_cache.get(cache_key)
                 if warr is None:
                     q = cache_key[1]
-                    warr = fuse_cache[cache_key] = np.array(
-                        [w % q for w in omegas], dtype=np.uint64)
+                    warr = fuse_cache[cache_key] = vector.lane_twiddles(
+                        np.array([w % q for w in omegas], dtype=np.uint64),
+                        q)
                 a_out, b_out = cu.execute_bu_stack(pool[reg_vins],
                                                    pool[lane_vins], warr)
                 pool[reg_vouts] = a_out

@@ -477,7 +477,9 @@ class SimServer:
         and inherit the graph's priority/config/tenant.  Stages carry no
         deadline of their own — the graph's deadline is judged against
         the assembled completion in :meth:`_assemble_dag`."""
-        bound = state.request.bound_request(name, parent_values)
+        bound = state.request.bound_request(
+            name, parent_values,
+            functional=state.sreq.effective_config(self.config).functional)
         sid = session.stage_id()
         state.stage_ids[name] = sid
         state.released.add(name)

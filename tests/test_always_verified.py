@@ -13,6 +13,7 @@ import pytest
 
 from repro.api import (
     BatchRequest,
+    DagEdge,
     DagRequest,
     FheOpRequest,
     KyberKemRequest,
@@ -62,11 +63,13 @@ def _requests():
     for op, native in FHE_CASES:
         yield f"fhe-{op}-{'native' if native else 'hosted'}", _fhe(op, native)
     yield "kyber_kem", _kyber()
-    # No edges: a timing-only run has no outputs to bind into a child.
-    yield "dag", DagRequest(nodes=(
-        ("fwd", NttRequest(params=PARAMS, values=_poly(11))),
-        ("neg", NegacyclicRequest(ring=RING, values=_poly(12, RING.q),
-                                  inverse=True))))
+    # A timing-only run keeps each child's placeholder for its edge.
+    yield "dag", DagRequest(
+        nodes=(("fwd", NttRequest(params=PARAMS, values=_poly(11))),
+               ("inv", NttRequest(params=PARAMS, inverse=True)),
+               ("neg", NegacyclicRequest(ring=RING, values=_poly(12, RING.q),
+                                         inverse=True))),
+        edges=(DagEdge("fwd", "inv"),))
 
 
 REQUESTS = [pytest.param(request, id=name) for name, request in _requests()]

@@ -288,6 +288,84 @@ def test_fused_stack_equals_per_command_run(seed, length, banks, with_deps,
     assert _counters(stack) == _summed(references)
 
 
+def _stack_matches_per_command(commands, cells, q, loaded_q=None):
+    """Run ``commands`` fused over a stack of ``len(cells)`` banks and
+    per command on one full bank per row of ``cells``: every bank's
+    cells and buffers, and the summed µ-op counters, must agree."""
+    banks = len(cells)
+    stream = compile_stream(commands, HBM2E_ARCH)
+    window = touched_rows(stream)
+    pim = PimParams()
+    stack = PimBank(HBM2E_ARCH, pim, stack=(banks,), rows=window)
+    references = [PimBank(HBM2E_ARCH, pim) for _ in range(banks)]
+    for bank in [stack] + references:
+        if loaded_q is not None:
+            bank.cu.set_modulus(loaded_q)
+        bank.set_parameters(q)
+    assert stack.runs_atom_plan(stream), stream.fallback_reason
+    stack.load_polynomial(window.start, cells)
+    stack.run_stream(stream)
+    after = stack.read_polynomial(window.start, cells.shape[-1])
+    for k, bank in enumerate(references):
+        bank.load_polynomial(window.start, cells[k].tolist())
+        bank.run(commands)
+        assert after[k].tolist() == bank.read_polynomial(window.start,
+                                                         cells.shape[-1])
+        for buf in range(pim.nb_buffers):
+            stacked = np.broadcast_to(stack.buffers.peek_array(buf),
+                                      (banks, HBM2E_ARCH.words_per_atom))
+            assert stacked[k].tolist() == bank.buffers.read(buf)
+    assert _counters(stack) == _summed(references)
+    return stream
+
+
+@given(seed=st.integers(0, 2**31), length=st.integers(1, 120),
+       banks=st.integers(1, 4),
+       q=st.sampled_from(FUZZ_MODULI + (2**32 - 5,)))
+@settings(max_examples=60, deadline=None)
+def test_forwarded_stack_equals_per_command_run(seed, length, banks, q):
+    """Random legal programs that re-read atoms they wrote, copy atoms,
+    overwrite an atom twice before reading it and end with a buffer
+    whose last version is a forwarded read: the fused plan reads each
+    atom at most once and writes it at most once, and still leaves
+    every bank exactly as the per-command loop does."""
+    commands = _random_legal_program(seed, length, memory_ops=True)
+    window = touched_rows(compile_stream(commands, HBM2E_ARCH))
+    stream = _stack_matches_per_command(
+        commands, _fuzz_cells(seed, banks, window), q)
+    for kind in ("read", "write"):
+        atoms = [(r, c) for op in stream.plan.ops if op[0] == kind
+                 for r, c in zip(op[1].tolist(), op[2].tolist())]
+        assert len(atoms) == len(set(atoms))
+
+
+@pytest.mark.parametrize("banks", [1, 3])
+def test_modulus_switch_mid_plan_equals_per_command_run(banks):
+    """Compute groups before a PARAM_WRITE run under the loaded 32-bit
+    prime, the ones after under the smaller staged modulus: their
+    operands were reduced under the old one, so the kernels reduce
+    them again on entry."""
+    c2 = dict(omega0=3, r_omega=5)
+    commands = [
+        Command(CommandType.ACT, row=0),
+        Command(CommandType.CU_READ, row=0, col=0, buf=0),
+        Command(CommandType.CU_READ, row=0, col=1, buf=1),
+        Command(CommandType.C2, buf=0, buf2=1, **c2),
+        Command(CommandType.C1, buf=0, omega0=3),
+        Command(CommandType.CU_WRITE, row=0, col=2, buf=0),
+        Command(CommandType.PARAM_WRITE, payload_words=6),
+        Command(CommandType.C2, buf=0, buf2=1, gs=True, **c2),
+        Command(CommandType.C1N, buf=1, zetas=(2, 3, 4, 5, 6, 7, 8)),
+        Command(CommandType.CU_WRITE, row=0, col=0, buf=0),
+        Command(CommandType.CU_WRITE, row=0, col=3, buf=1),
+        Command(CommandType.PRE),
+    ]
+    cells = _fuzz_cells(banks, banks, range(1))
+    stream = _stack_matches_per_command(commands, cells, 97,
+                                        loaded_q=find_ntt_prime(64, 32))
+    assert stream.plan.computes_before_param
+
+
 def _break(commands, rng, nb):
     """Insert one command no compiled plan may run: an out-of-range
     buffer, or an ACT of a row that is already open."""

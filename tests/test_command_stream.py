@@ -166,6 +166,58 @@ class TestCompilation:
         with pytest.raises(MappingError, match="before PARAM_WRITE"):
             bank.run_stream(stream)
 
+    def test_compute_before_param_leaves_per_command_state(self):
+        # The plan would run both CU_WRITEs as one depth-0 group before
+        # the C1 group raises; the per-command loop stops before the
+        # second write.  Cells, buffers and counters must match it.
+        q = find_ntt_prime(16, 32)
+        cmds = [Command(CommandType.ACT, row=0),
+                Command(CommandType.CU_WRITE, row=0, col=1, buf=1),
+                Command(CommandType.C1, buf=0, omega0=3),
+                Command(CommandType.CU_WRITE, row=0, col=0, buf=1),
+                Command(CommandType.PRE),
+                Command(CommandType.PARAM_WRITE, payload_words=6)]
+        stream = compile_stream(cmds, HBM2E_ARCH)
+        assert stream.plan is not None and stream.plan.computes_before_param
+        states = {}
+        for name, run in (("legacy", lambda b: b.run(cmds)),
+                          ("fused", lambda b: b.run_stream(stream))):
+            bank = PimBank(HBM2E_ARCH, PimParams())
+            bank.set_parameters(q)
+            bank.load_polynomial(0, list(range(1, 257)))
+            bank.buffers.write(1, [9] * 8)
+            with pytest.raises(MappingError, match="before PARAM_WRITE"):
+                run(bank)
+            bank.storage.precharge()  # close the row the error left open
+            states[name] = (bank.storage.host_read_polynomial(0, 256),
+                            [bank.buffers.read(b) for b in range(2)],
+                            _counters(bank))
+        assert states["fused"] == states["legacy"]
+        assert states["legacy"][0][:16] == list(range(1, 9)) + [9] * 8
+
+    def test_rejected_modulus_leaves_per_command_state(self):
+        # PARAM_WRITE of a staged q <= 2 raises; the plan's write group
+        # would already hold the CU_WRITE that follows it.
+        cmds = [Command(CommandType.ACT, row=0),
+                Command(CommandType.CU_WRITE, row=0, col=0, buf=1),
+                Command(CommandType.PARAM_WRITE, payload_words=6),
+                Command(CommandType.CU_WRITE, row=0, col=1, buf=1),
+                Command(CommandType.PRE)]
+        stream = compile_stream(cmds, HBM2E_ARCH)
+        cells = {}
+        for name, run in (("legacy", lambda b: b.run(cmds)),
+                          ("fused", lambda b: b.run_stream(stream))):
+            bank = PimBank(HBM2E_ARCH, PimParams())
+            bank.cu.set_modulus(find_ntt_prime(16, 32))
+            bank.set_parameters(2)
+            bank.load_polynomial(0, list(range(1, 257)))
+            bank.buffers.write(1, [9] * 8)
+            with pytest.raises(MappingError, match="unsupported"):
+                run(bank)
+            bank.storage.precharge()
+            cells[name] = bank.storage.host_read_polynomial(0, 256)
+        assert cells["fused"] == cells["legacy"]
+
     def test_open_row_at_end_falls_back(self):
         stream = compile_stream([Command(CommandType.ACT, row=3)], HBM2E_ARCH)
         assert stream.plan is None

@@ -98,6 +98,60 @@ class TestPipelineBitIdentity:
         assert by_stream.stats == by_cmd.stats
 
 
+TABLE3 = [(n, nb) for n in (256, 512, 1024, 2048, 4096) for nb in (2, 4, 6)]
+
+
+def _plan_memory_ops(spec, nb):
+    config = SimConfig(pim=PimParams(nb_buffers=nb))
+    plan = compile_stream(spec.program(config, 0).commands, config.arch).plan
+    return [(op[0], len(op[1])) for op in plan.ops
+            if op[0] in ("read", "write")]
+
+
+class TestStoreForwarding:
+    """Store-to-load forwarding and dead-store elimination: a plan reads
+    each atom from the cells once and writes it back once."""
+
+    @pytest.mark.parametrize("n,nb", TABLE3)
+    def test_table3_plan_moves_each_atom_once(self, n, nb):
+        spec = TransformSpec(params=NttParams(n, find_ntt_prime(n, 32)))
+        atoms = n // HBM2E_ARCH.words_per_atom
+        assert _plan_memory_ops(spec, nb) == [("read", atoms),
+                                              ("write", atoms)]
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_negacyclic_plan_moves_each_atom_once(self, inverse):
+        n = 512
+        ring = NegacyclicParams(n, find_ntt_prime(n, 32, negacyclic=True))
+        spec = TransformSpec(kind="negacyclic", inverse=inverse, ring=ring)
+        atoms = n // HBM2E_ARCH.words_per_atom
+        assert _plan_memory_ops(spec, 2) == [("read", atoms),
+                                             ("write", atoms)]
+
+    def test_forwarded_final_version_restores_the_buffer(self):
+        # Buffer 1's last version is a read of an atom the plan wrote:
+        # the buffer file must get the stored value, not a pool slot
+        # nothing filled.
+        q = find_ntt_prime(16, 32)
+        cmds = [Command(CommandType.ACT, row=0),
+                Command(CommandType.CU_READ, row=0, col=0, buf=0),
+                Command(CommandType.C1, buf=0, omega0=3),
+                Command(CommandType.CU_WRITE, row=0, col=2, buf=0),
+                Command(CommandType.CU_READ, row=0, col=2, buf=1),
+                Command(CommandType.PRE)]
+        stream = compile_stream(cmds, HBM2E_ARCH)
+        assert [op[0] for op in stream.plan.ops] == ["read", "c1", "write"]
+        states = []
+        for run in (lambda b: b.run(cmds), lambda b: b.run_stream(stream)):
+            bank = PimBank(HBM2E_ARCH, PimParams())
+            bank.cu.set_modulus(q)
+            bank.load_polynomial(0, list(range(3, 259)))
+            run(bank)
+            states.append(_bank_state(bank, 0, 256))
+        assert states[0] == states[1]
+        assert states[0]["buffers"][0] == states[0]["buffers"][1]
+
+
 class TestLaneFusion:
     """Nb=1 µ-op programs fuse through the lane-granular renaming pass."""
 

@@ -131,6 +131,41 @@ class TestGoldenModel:
         assert list(response.values) == list(values)
 
 
+class TestTimingOnlyDags:
+    """A timing-only graph runs with its edges: parents return no values,
+    so each child keeps its placeholders, and the cycles and latency
+    equal the functional run's (timing never reads operands)."""
+
+    GRAPHS = [pytest.param(lambda: ntt_pipeline(N, stages=3), id="pipeline"),
+              pytest.param(lambda: ckks_mul_chain(64, limbs=1, depth=1),
+                           id="ckks")]
+
+    @pytest.mark.parametrize("graph", GRAPHS)
+    def test_simulator(self, graph):
+        dag = graph()
+        assert dag.edges
+        timed = Simulator(SimConfig(functional=False)).run(dag)
+        full = Simulator(CONFIG).run(dag)
+        assert (timed.cycles, timed.latency_us) == (full.cycles,
+                                                    full.latency_us)
+        assert full.verified and not timed.verified
+
+    @pytest.mark.parametrize("graph", GRAPHS)
+    def test_server(self, graph):
+        dag = graph()
+        (timed,) = SimServer(SimConfig(functional=False)).serve([dag])
+        (full,) = SimServer(CONFIG).serve([dag])
+        assert timed.ok and full.ok
+        assert (timed.response.cycles, timed.response.latency_us) == (
+            full.response.cycles, full.response.latency_us)
+        assert timed.record.completion_us == full.record.completion_us
+
+    def test_pipeline_cycles(self):
+        timed = Simulator(SimConfig(functional=False)).run(
+            ntt_pipeline(N, stages=3))
+        assert timed.cycles == 12999
+
+
 class TestKyberKemWorkload:
     def test_matches_schoolbook_ring_product(self):
         n, q, depth = 256, 3329, 2

@@ -30,17 +30,25 @@ from repro.sim.driver import (
 
 
 def _random_legal_program(seed: int, length: int, banks: int = 1,
-                          with_deps: bool = False, max_deps: int = 2):
+                          with_deps: bool = False, max_deps: int = 2,
+                          memory_ops: bool = False):
     """Generate a random DRAM/PIM program that obeys open-row rules.
 
     With ``banks > 1`` commands spread over several banks (each with its
     own open-row state); with ``with_deps`` commands carry random
     backward dependency edges, up to ``max_deps`` per command (duplicates
-    collapse), exercising the engines' stall logic.
+    collapse), exercising the engines' stall logic.  With
+    ``memory_ops`` the program keeps to 2 rows of 4 atoms, so it
+    re-reads atoms it wrote; it also copies atoms unchanged to other
+    atoms, overwrites an atom twice before reading it, and ends by
+    reading back an atom it just wrote into buffer 1.  The default
+    draws are unchanged.
     """
     rng = random.Random(seed)
     cmds = []
     open_row = [None] * banks
+    rows, cols = (2, 4) if memory_ops else (64, 32)
+    extra = ["copy", "rewrite"] if memory_ops else []
     cmds.append(Command(CommandType.PARAM_WRITE, payload_words=6))
 
     def deps():
@@ -56,10 +64,10 @@ def _random_legal_program(seed: int, length: int, banks: int = 1,
             op = "act"
         else:
             op = rng.choice(["rd", "wr", "c1", "c2", "c1n", "pre",
-                             "rd", "wr"])
+                             "rd", "wr"] + extra)
         row = open_row[bank]
         if op == "act":
-            open_row[bank] = rng.randrange(64)
+            open_row[bank] = rng.randrange(rows)
             cmds.append(Command(CommandType.ACT, bank=bank,
                                 row=open_row[bank], deps=deps()))
         elif op == "pre":
@@ -67,12 +75,25 @@ def _random_legal_program(seed: int, length: int, banks: int = 1,
             open_row[bank] = None
         elif op == "rd":
             cmds.append(Command(CommandType.CU_READ, bank=bank, row=row,
-                                col=rng.randrange(32), buf=rng.randrange(2),
+                                col=rng.randrange(cols), buf=rng.randrange(2),
                                 deps=deps()))
         elif op == "wr":
             cmds.append(Command(CommandType.CU_WRITE, bank=bank, row=row,
-                                col=rng.randrange(32), buf=rng.randrange(2),
+                                col=rng.randrange(cols), buf=rng.randrange(2),
                                 deps=deps()))
+        elif op == "copy":
+            buf = rng.randrange(2)
+            cmds.append(Command(CommandType.CU_READ, bank=bank, row=row,
+                                col=rng.randrange(cols), buf=buf))
+            cmds.append(Command(CommandType.CU_WRITE, bank=bank, row=row,
+                                col=rng.randrange(cols), buf=buf))
+        elif op == "rewrite":
+            col = rng.randrange(cols)
+            for buf in (0, 1):
+                cmds.append(Command(CommandType.CU_WRITE, bank=bank,
+                                    row=row, col=col, buf=buf))
+            cmds.append(Command(CommandType.CU_READ, bank=bank, row=row,
+                                col=col, buf=rng.randrange(2)))
         elif op == "c1":
             cmds.append(Command(CommandType.C1, bank=bank,
                                 buf=rng.randrange(2), omega0=3, deps=deps()))
@@ -85,6 +106,15 @@ def _random_legal_program(seed: int, length: int, banks: int = 1,
         elif op == "c2":
             cmds.append(Command(CommandType.C2, bank=bank, buf=0, buf2=1,
                                 omega0=3, r_omega=5, deps=deps()))
+    if memory_ops:
+        if open_row[0] is None:
+            open_row[0] = rng.randrange(rows)
+            cmds.append(Command(CommandType.ACT, row=open_row[0]))
+        col = rng.randrange(cols)
+        cmds.append(Command(CommandType.CU_WRITE, row=open_row[0], col=col,
+                            buf=0))
+        cmds.append(Command(CommandType.CU_READ, row=open_row[0], col=col,
+                            buf=1))
     for bank in range(banks):
         if open_row[bank] is not None:
             cmds.append(Command(CommandType.PRE, bank=bank))

@@ -302,6 +302,61 @@ class TestStackedKernelsMatchScalar:
             assert _counters(cu_stack) == _counters(cu_scalar), (lead, k)
 
 
+class TestShoupBoundaries:
+    """The division-free kernels (``q < 2**32``) at their edges: the
+    smallest moduli and the largest 32-bit prime, twiddles 1 and
+    ``q - 1``, and operands 0, ``q - 1`` and raw words ``>= 2**63``
+    (entry reduction).  Each stacked kernel equals the scalar CU."""
+
+    NA = 8
+
+    @pytest.mark.parametrize("q", [3, 97, 12289, 2**32 - 5])
+    @pytest.mark.parametrize("twiddle", ["one", "minus-one"])
+    @pytest.mark.parametrize("kernel", ["c1", "c2", "c2-gs", "c1n",
+                                        "c1n-gs", "bu"])
+    def test_kernel_matches_scalar_at_edges(self, kernel, twiddle, q):
+        na, gs, k = self.NA, kernel.endswith("-gs"), 3
+        w = 1 if twiddle == "one" else q - 1
+        edges = [0, q - 1, 2**63, 2**64 - 1, 2**63 + q - 1]
+        # A two-bank stack of k atoms; x and y pair the edges up
+        # differently lane by lane.
+        xr = [[edges[(r * na + j) % 5] for j in range(na)]
+              for r in range(2 * k)]
+        yr = [[edges[(r * na + 3 * j + 2) % 5] for j in range(na)]
+              for r in range(2 * k)]
+        x, y = (np.array(rows, dtype=np.uint64).reshape(2, k, na)
+                for rows in (xr, yr))
+        cu_stack, cu_scalar = ComputeUnit(na), ComputeUnit(na)
+        cu_stack.set_modulus(q)
+        cu_scalar.set_modulus(q)
+        if kernel == "c1":
+            got = [cu_stack.execute_c1_stack(
+                x, vector.c1_stack_wpack(q, [w] * k, na))]
+            want = [[cu_scalar.execute_c1(row, w, 0)] for row in xr]
+        elif kernel.startswith("c2"):
+            got = cu_stack.execute_c2_stack(
+                x, y, vector.c2_stack_wpack(q, [w] * k, [w] * k, na), gs=gs)
+            want = [list(cu_scalar.execute_c2(p, s, w, w, gs=gs))
+                    for p, s in zip(xr, yr)]
+        elif kernel.startswith("c1n"):
+            got = [cu_stack.execute_c1n_stack(
+                x, vector.c1n_stack_zpack(q, [(w,) * (na - 1)] * k), gs=gs)]
+            want = [[cu_scalar.execute_c1n(row, (w,) * (na - 1), gs=gs)]
+                    for row in xr]
+        else:  # bu: lane 0 of x is reg_a, lane 0 of y the buffer lane
+            got = cu_stack.execute_bu_stack(
+                x[..., 0], y[..., 0],
+                vector.lane_twiddles(np.full(k, w, dtype=np.uint64), q))
+            want = []
+            for p, s in zip(xr, yr):
+                cu_scalar.reg_a = p[0]
+                want.append([[v] for v in cu_scalar.bu_scalar(s[0], w)])
+        got = [list(legs) for legs in zip(*(
+            leg.reshape(2 * k, -1).tolist() for leg in got))]
+        assert got == want
+        assert _counters(cu_stack) == _counters(cu_scalar)
+
+
 @pytest.mark.parametrize("kind", ["ntt", "negacyclic"])
 def test_per_command_bank_uses_no_lane_kernel(monkeypatch, kind):
     """``PimBank.run`` is the scalar ground truth on the numpy backend
