@@ -11,12 +11,13 @@ bank (``PimBank.run``, the scalar ground truth; its time is recorded
 as ``bank_legacy_s``), plus the functional data plane's rate
 on warm 8-bank dispatches (ns per butterfly µ-op), plus each Table III
 plan's cell traffic (read/write ops, atoms moved, and the most times
-any one atom is read or written) — and merges the
+any one atom is read or written), plus the load generator's cost per
+request on the skewed serving mix — and merges the
 measurements into ``BENCH_kernels.json`` at the repo root.  Each
-mapper, compiler and data-plane entry also records the host slowdown
-(``perfbench/perf_clock.slowdown``) measured around its timings, so
-``check_trajectory`` can gate those rates — and the stream replay's —
-at the reference machine's speed.
+mapper, compiler, data-plane and load-generator entry also records the
+host slowdown (``perfbench/perf_clock.slowdown``) measured around its
+timings, so ``check_trajectory`` can gate those rates — and the stream
+replay's — at the reference machine's speed.
 
 Non-gating when run directly —
 
@@ -54,11 +55,18 @@ from repro.dram import (
 from repro.mapping import clear_program_cache
 from repro.pim.bank_pim import PimBank
 from repro.pim.params import PimParams
+from repro.serve import LoadGenerator, make_scenario
 from repro.sim.driver import SimConfig, TransformSpec, _run_dispatch
 
 DEFAULT_OUT = REPO_ROOT / "BENCH_kernels.json"
 TABLE3_NS = (256, 512, 1024, 2048, 4096)
 TABLE3_NBS = (2, 4, 6)
+#: Best of this many warm dispatches: best of 5 read 29.8-38.4 ns/bu
+#: over five reruns of one tree on a shared host, too wide to resolve a
+#: 1.3x change; best of 40 read 24.8-34.5.
+DATAPLANE_REPEATS = 40
+#: Requests per load-generator timing: one serving pool of perfbench.
+LOADGEN_REQUESTS = 1280
 
 
 def run(ns=(1024, 4096), repeats: int = 5,
@@ -133,28 +141,30 @@ def run(ns=(1024, 4096), repeats: int = 5,
     compiler["nb1"] = _bench_nb1(repeats)
     mapper = {str(n): _bench_map(n, 2, repeats) for n in ns}
     mapper["nb1"] = _bench_map(256, 1, repeats)
-    dataplane = {str(n): _bench_dataplane(n, repeats) for n in dataplane_ns}
+    dataplane = {str(n): _bench_dataplane(n) for n in dataplane_ns}
     plans = {f"{n}x{nb}": _plan_traffic(n, nb)
              for n in plan_ns for nb in TABLE3_NBS}
     results = {"timing_engine": section, "compiler": compiler,
-               "mapper": mapper, "dataplane": dataplane, "plans": plans}
+               "mapper": mapper, "dataplane": dataplane, "plans": plans,
+               "loadgen": _bench_loadgen(repeats)}
     merge_sections(out_path, results)
     return results
 
 
-def _bench_dataplane(n: int, repeats: int, banks: int = 8) -> dict:
+def _bench_dataplane(n: int, banks: int = 8) -> dict:
     """Warm same-spec ``banks``-bank dispatches through
     ``_run_dispatch`` — the functional data plane a served dispatch
     pays once its shape is cached, online check included — as ns per
     executed butterfly µ-op, with the host slowdown probed around the
     timing; plus the time of the online check alone (``check_s``:
     ``TransformSpec.check`` on the same ``(banks, 1, N)`` input and
-    output stacks the dispatch checks), which prices it."""
+    output stacks the dispatch checks), which prices it.  Each bank's
+    input is a read-only uint64 row, as a served dispatch receives it
+    from the load generator's requests."""
     spec = TransformSpec(params=NttParams(n, find_ntt_prime(n, 32)))
     config = SimConfig()
     rng = random.Random(n)
-    inputs = [[[rng.randrange(spec.q) for _ in range(n)]]
-              for _ in range(banks)]
+    inputs = [[vector.random_residues(rng, n, spec.q)] for _ in range(banks)]
     specs = [spec] * banks
     result = _run_dispatch(inputs, specs, config)
     assert result.verified
@@ -163,9 +173,9 @@ def _bench_dataplane(n: int, repeats: int, banks: int = 8) -> dict:
     assert spec.check(values, outputs)
     slowdown = perf_clock.slowdown()
     dispatch_s = _best_of(lambda: _run_dispatch(inputs, specs, config),
-                          repeats)
+                          DATAPLANE_REPEATS)
     slowdown = (slowdown + perf_clock.slowdown()) / 2
-    check_s = _best_of(lambda: spec.check(values, outputs), repeats)
+    check_s = _best_of(lambda: spec.check(values, outputs), DATAPLANE_REPEATS)
     return {
         "n": n,
         "banks": banks,
@@ -173,6 +183,25 @@ def _bench_dataplane(n: int, repeats: int, banks: int = 8) -> dict:
         "dispatch_s": dispatch_s,
         "check_s": check_s,
         "ns_per_bu": dispatch_s / result.bu_ops * 1e9,
+        "slowdown": slowdown,
+    }
+
+
+def _bench_loadgen(repeats: int) -> dict:
+    """Load generation: µs per request of
+    ``LoadGenerator(make_scenario("skewed"), ...).requests()`` over one
+    perfbench serving pool, with the host slowdown probed around the
+    timing (warm: the prime search behind each shape is cached)."""
+    load = LoadGenerator(make_scenario("skewed"), rate_rps=400_000,
+                         count=LOADGEN_REQUESTS, seed=1)
+    slowdown = perf_clock.slowdown()
+    seconds = _best_of(load.requests, repeats)
+    slowdown = (slowdown + perf_clock.slowdown()) / 2
+    return {
+        "scenario": "skewed",
+        "requests": LOADGEN_REQUESTS,
+        "loadgen_s": seconds,
+        "us_per_req": seconds / LOADGEN_REQUESTS * 1e6,
         "slowdown": slowdown,
     }
 
@@ -308,6 +337,12 @@ def _format(results: dict) -> str:
             f"({entry['ns_per_bu']:.1f} ns/bu, host slowdown "
             f"{entry['slowdown']:.2f}x), check alone "
             f"{entry['check_s'] * 1e3:6.3f} ms")
+    loadgen = results["loadgen"]
+    lines.append(
+        f"load generator: {loadgen['requests']} {loadgen['scenario']} "
+        f"requests in {loadgen['loadgen_s'] * 1e3:.1f} ms "
+        f"({loadgen['us_per_req']:.1f} us/req, host slowdown "
+        f"{loadgen['slowdown']:.2f}x)")
     return "\n".join(lines)
 
 
@@ -350,6 +385,9 @@ def test_stream_engine_smoke(show, tmp_path):
     assert results["mapper"]["nb1"]["slowdown"] > 0
     assert results["dataplane"]["256"]["ns_per_bu"] > 0
     assert results["dataplane"]["256"]["check_s"] > 0
+    loadgen = results["loadgen"]
+    assert loadgen["requests"] == LOADGEN_REQUESTS
+    assert loadgen["us_per_req"] > 0 and loadgen["slowdown"] > 0
     for nb in TABLE3_NBS:
         plan = results["plans"][f"256x{nb}"]
         assert (plan["read_ops"], plan["write_ops"]) == (1, 1)

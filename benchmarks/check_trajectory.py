@@ -29,6 +29,9 @@ committed floor:
 * plans: no Table III plan may read or write any atom of the cell
   array more than once (``PLAN_MAX_MOVES_PER_ATOM``) — store-to-load
   forwarding keeps every intermediate stage in the value pool;
+* load generation: the skewed mix's requests, scaled the same way,
+  must cost at most ``LOADGEN_US_PER_REQ_CEILING`` each — the bulk
+  coefficient draw, not one ``randrange`` per coefficient;
 * shared bus: the contention model must report real utilization and
   never beat the independent-channel upper bound;
 * resilience: under injected faults the recovery policies must keep
@@ -113,6 +116,13 @@ DATAPLANE_VERIFY_RATIO_CEILING = 1.3
 #: per command.  Same slowdown scaling and ~2x headroom as the map
 #: ceiling.
 TIMING_US_PER_CMD_CEILING = 0.9
+#: The load generator draws each request's coefficients in bulk
+#: (``random_residues``: one 32-bit word per value still needed,
+#: through ``np.frombuffer``) and measures 17-21 us per skewed-mix
+#: request at reference speed, against 150-190 with one
+#: ``rng.randrange`` per coefficient.  Same slowdown scaling; ~2x
+#: headroom.
+LOADGEN_US_PER_REQ_CEILING = 40.0
 #: Nb=1 µ-op programs fuse through the lane-renaming pass; the fused
 #: run must not be slower than the per-command fallback it replaced
 #: (measured ~4x faster).
@@ -352,6 +362,21 @@ def check(kernels_path: Path = REPO_ROOT / "BENCH_kernels.json",
                 f"{entry['max_reads_per_atom']}x and writes one up to "
                 f"{entry['max_writes_per_atom']}x, above the "
                 f"{PLAN_MAX_MOVES_PER_ATOM} per-atom ceiling")
+
+    loadgen = kernels.get("loadgen")
+    if loadgen is not None:
+        us_per_req = loadgen["us_per_req"] / loadgen["slowdown"]
+        print(f"loadgen: {loadgen['requests']} {loadgen['scenario']} "
+              f"requests {loadgen['us_per_req']:.1f} us/req at host "
+              f"slowdown {loadgen['slowdown']:.2f}x = {us_per_req:.1f} "
+              f"us/req at reference speed (ceiling "
+              f"{LOADGEN_US_PER_REQ_CEILING})")
+        if us_per_req > LOADGEN_US_PER_REQ_CEILING:
+            failures.append(
+                f"loadgen: {us_per_req:.1f} us per request at reference "
+                f"speed ({loadgen['us_per_req']:.1f} raw / "
+                f"{loadgen['slowdown']:.2f}x slowdown) exceeds the "
+                f"{LOADGEN_US_PER_REQ_CEILING} us/req ceiling")
 
     engine = kernels["timing_engine"]
     for n, entry in engine.items():

@@ -23,17 +23,24 @@ request                paper section it reproduces
                        raw command-window micro-studies (Fig. 5 / Fig. 6).
 =====================  ======================================================
 
-Requests are frozen dataclasses: value sequences are normalized to
-tuples in ``__post_init__`` so a request is immutable and hashable, and
+Requests are frozen dataclasses, immutable and hashable.  A
+coefficient operand (:data:`Coefficients`) is normalized in
+``__post_init__``: a 1-D integer NumPy array stays an array, read-only
+(a writable one is copied first), so a dispatch stacks it without
+creating a Python int; any other sequence becomes a tuple.  An array
+request equals, and hashes like, its tuple twin.
 :meth:`SimRequest.validate` raises :class:`~repro.errors.RequestValidationError`
 on malformed parameters before any simulation work starts.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import numbers
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Tuple
+from typing import ClassVar, Optional, Tuple, Union
+
+import numpy as np
 
 from ..arith.roots import NttParams
 from ..dram.commands import Command
@@ -45,40 +52,77 @@ __all__ = ["SimRequest", "NttRequest", "NegacyclicRequest", "BatchRequest",
            "KyberKemRequest"]
 
 
-def _freeze(values) -> Optional[Tuple[int, ...]]:
-    return None if values is None else tuple(values)
+#: A coefficient operand: a tuple of ints, or a read-only 1-D integer
+#: NumPy array.
+Coefficients = Union[Tuple[int, ...], np.ndarray]
 
 
-def _freeze_nested(rows) -> Tuple[Tuple[int, ...], ...]:
-    return tuple(tuple(row) for row in rows)
+def _freeze(label: str, values) -> Coefficients:
+    """``values`` as an immutable coefficient operand: a 1-D integer
+    array stays an array (kept if it is read-only and owns its data,
+    else a read-only copy); anything else becomes a tuple.  A value
+    that is not a sequence raises :class:`RequestValidationError`
+    naming ``label``."""
+    if (isinstance(values, np.ndarray) and values.ndim == 1
+            and values.dtype.kind in "iu"):
+        if values.flags.writeable or not values.flags.owndata:
+            values = values.copy()
+            values.flags.writeable = False
+        return values
+    try:
+        return tuple(values)
+    except TypeError:
+        raise RequestValidationError(
+            f"{label}: expected a sequence of coefficients, got "
+            f"{type(values).__name__}") from None
+
+
+def _freeze_nested(label: str, rows) -> Tuple[Coefficients, ...]:
+    return tuple(_freeze(f"{label} row {i}", row)
+                 for i, row in enumerate(_freeze(label, rows)))
+
+
+def _comparable(value):
+    """A field value with every coefficient array, alone or in a tuple
+    of rows, as a tuple of ints."""
+    if isinstance(value, np.ndarray):
+        return tuple(value.tolist())
+    if isinstance(value, tuple):
+        return tuple(map(_comparable, value))
+    return value
 
 
 #: Every residue must fit one bank word: ``BankStorage`` cells are uint64.
 _BANK_WORD_LIMIT = 1 << 64
 
 
-def _check_values(label: str, values: Tuple[int, ...], n: Optional[int],
+def _check_values(label: str, values: Coefficients, n: Optional[int],
                   q: int) -> None:
     """The one input rule for a coefficient vector: a modulus
     ``q <= 2**64``, so that every residue fits a bank word; ``n`` values
     (when given), every one an integer (a :class:`numbers.Integral`:
-    ``int``, ``bool`` or a NumPy integer scalar) and a residue
-    ``0 <= v < q``.  The type set and ``min``/``max`` over the frozen
-    tuple run at C speed, so admission stays cheap."""
+    ``int``, ``bool`` or a NumPy integer scalar; an array's integer
+    dtype says so at once) and a residue ``0 <= v < q``.  The type set
+    and ``min``/``max`` run at C speed, so admission stays cheap."""
     if q > _BANK_WORD_LIMIT:
         raise RequestValidationError(
             f"{label}: modulus q={q} is wider than the 64-bit bank word")
     if n is not None and len(values) != n:
         raise RequestValidationError(
             f"{label}: expected {n} values, got {len(values)}")
-    if not values:
+    if not len(values):
         return
-    bad = [t.__name__ for t in set(map(type, values))
-           if not issubclass(t, numbers.Integral)]
-    if bad:
-        raise RequestValidationError(
-            f"{label}: coefficients must be integers, got {sorted(bad)}")
-    if min(values) < 0 or max(values) >= q:
+    if isinstance(values, np.ndarray):
+        negative = values.dtype.kind == "i" and int(values.min()) < 0
+        high = int(values.max())
+    else:
+        bad = [t.__name__ for t in set(map(type, values))
+               if not issubclass(t, numbers.Integral)]
+        if bad:
+            raise RequestValidationError(
+                f"{label}: coefficients must be integers, got {sorted(bad)}")
+        negative, high = min(values) < 0, max(values)
+    if negative or high >= q:
         raise RequestValidationError(
             f"{label}: coefficients must lie in [0, q) for q={q}")
 
@@ -95,6 +139,21 @@ class SimRequest:
 
     workload: ClassVar[str] = ""
 
+    # Subclasses that carry coefficients are declared ``eq=False`` and
+    # inherit these: a generated ``__eq__`` would compare arrays
+    # element-wise, and an array does not hash.
+    def _key(self) -> tuple:
+        return tuple(_comparable(getattr(self, f.name))
+                     for f in dataclasses.fields(self))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     def validate(self) -> None:
         """Raise :class:`RequestValidationError` on malformed parameters."""
         if not self.workload:
@@ -110,7 +169,7 @@ class SimRequest:
             self.__dict__["_admitted"] = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NttRequest(SimRequest):
     """One cyclic (I)NTT invocation (Sec. IV.A protocol; Fig. 7/8 runs).
 
@@ -123,11 +182,14 @@ class NttRequest(SimRequest):
     workload: ClassVar[str] = "ntt"
 
     params: NttParams
-    values: Optional[Tuple[int, ...]] = None
+    #: Natural-order coefficients in ``[0, q)``: ints, or a 1-D integer
+    #: array (held read-only).
+    values: Optional[Coefficients] = None
     inverse: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values))
+        if self.values is not None:
+            object.__setattr__(self, "values", _freeze("values", self.values))
 
     def validate(self) -> None:
         if not isinstance(self.params, NttParams):
@@ -136,18 +198,20 @@ class NttRequest(SimRequest):
             _check_values("values", self.values, self.params.n, self.params.q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NegacyclicRequest(SimRequest):
     """One native merged negacyclic transform (C1N mapping extension)."""
 
     workload: ClassVar[str] = "negacyclic"
 
     ring: NegacyclicParams
-    values: Optional[Tuple[int, ...]] = None
+    #: Natural-order coefficients, as in :class:`NttRequest`.
+    values: Optional[Coefficients] = None
     inverse: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values))
+        if self.values is not None:
+            object.__setattr__(self, "values", _freeze("values", self.values))
 
     def validate(self) -> None:
         if not isinstance(self.ring, NegacyclicParams):
@@ -156,7 +220,7 @@ class NegacyclicRequest(SimRequest):
             _check_values("values", self.values, self.ring.n, self.ring.q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatchRequest(SimRequest):
     """Back-to-back NTTs of all ``inputs`` in one bank (Sec. VI.A
     batching: amortized PARAM_WRITE, pipelined transform seams)."""
@@ -164,10 +228,13 @@ class BatchRequest(SimRequest):
     workload: ClassVar[str] = "batch"
 
     params: NttParams
-    inputs: Tuple[Tuple[int, ...], ...] = ()
+    #: One coefficient row per transform, each as in :class:`NttRequest`
+    #: (a 2-D integer array splits into read-only rows).
+    inputs: Tuple[Coefficients, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs", _freeze_nested(self.inputs))
+        object.__setattr__(self, "inputs",
+                           _freeze_nested("inputs", self.inputs))
 
     def validate(self) -> None:
         if len(self.inputs) < 1:
@@ -208,7 +275,7 @@ class BankSpec:
                 f"{label}: params must be an NttParams")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiBankRequest(SimRequest):
     """One independent transform per bank on the shared command bus
     (Sec. VI.A / Conclusion — the RNS-limb-per-bank deployment).
@@ -229,13 +296,15 @@ class MultiBankRequest(SimRequest):
     workload: ClassVar[str] = "multibank"
 
     params: Optional[NttParams] = None
-    inputs: Tuple[Tuple[int, ...], ...] = ()
+    #: One coefficient row per bank, as in :class:`BatchRequest`.
+    inputs: Tuple[Coefficients, ...] = ()
     inverse: bool = False
     ring: Optional[NegacyclicParams] = None
     specs: Optional[Tuple["BankSpec", ...]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs", _freeze_nested(self.inputs))
+        object.__setattr__(self, "inputs",
+                           _freeze_nested("inputs", self.inputs))
         if self.specs is not None:
             object.__setattr__(self, "specs", tuple(self.specs))
 
@@ -288,7 +357,7 @@ class MultiBankRequest(SimRequest):
                           (self.ring or self.params).q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FheOpRequest(SimRequest):
     """One negacyclic ring operation with its NTTs on the PIM (Sec. I).
 
@@ -303,13 +372,15 @@ class FheOpRequest(SimRequest):
 
     ring: NegacyclicParams
     op: str = "multiply"
-    a: Tuple[int, ...] = ()
-    b: Optional[Tuple[int, ...]] = None
+    #: Ring operands, coefficients as in :class:`NttRequest`.
+    a: Coefficients = ()
+    b: Optional[Coefficients] = None
     native: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(self.a))
-        object.__setattr__(self, "b", _freeze(self.b))
+        object.__setattr__(self, "a", _freeze("a", self.a))
+        if self.b is not None:
+            object.__setattr__(self, "b", _freeze("b", self.b))
 
     def validate(self) -> None:
         if not isinstance(self.ring, NegacyclicParams):
@@ -327,7 +398,7 @@ class FheOpRequest(SimRequest):
             raise RequestValidationError(f"op {self.op!r} takes one operand")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KyberKemRequest(SimRequest):
     """Kyber-style KEM ring product via the *incomplete* (truncated)
     NTT — the lattice-crypto workload ``examples/kyber_like.py``
@@ -344,15 +415,16 @@ class KyberKemRequest(SimRequest):
 
     workload: ClassVar[str] = "kyber_kem"
 
-    a: Tuple[int, ...] = ()
-    b: Tuple[int, ...] = ()
+    #: Ring operands, coefficients as in :class:`NttRequest`.
+    a: Coefficients = ()
+    b: Coefficients = ()
     n: int = 256
     q: int = 3329
     depth: int = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(self.a))
-        object.__setattr__(self, "b", tuple(self.b))
+        object.__setattr__(self, "a", _freeze("a", self.a))
+        object.__setattr__(self, "b", _freeze("b", self.b))
 
     def validate(self) -> None:
         # Lazy: repro.ntt sits above this module's import layer.

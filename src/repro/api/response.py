@@ -25,9 +25,12 @@ class SimResponse:
     #: Registry name of the workload that produced this response.
     workload: str
     #: Primary output polynomial (empty on timing-only runs and on
-    #: multi-output workloads — see :attr:`outputs`).
+    #: multi-output workloads — see :attr:`outputs`).  A transform
+    #: response shares this list with ``raw``'s outputs (and a grouped
+    #: request's with its group's): treat it as read-only.
     values: List[int] = field(default_factory=list)
-    #: Per-element outputs of batch / multi-bank runs (input order).
+    #: Per-element outputs of batch / multi-bank runs (input order),
+    #: shared with ``raw`` like :attr:`values`: treat them as read-only.
     outputs: List[List[int]] = field(default_factory=list)
     cycles: int = 0
     latency_us: float = 0.0

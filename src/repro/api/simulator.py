@@ -140,8 +140,10 @@ class Simulator:
     @staticmethod
     def merge_requests(requests: List[SimRequest]) -> MultiBankRequest:
         """The one merge rule for a same-shape transform group — one
-        bank per request, ``values=None`` zero-filled.  All members
-        must share a :func:`merge_key` (forward/inverse cyclic NTTs, or
+        bank per request, ``values=None`` zero-filled, every other
+        operand passed through as it is (an array row stays the
+        member's read-only array).  All members must share a
+        :func:`merge_key` (forward/inverse cyclic NTTs, or
         forward/inverse negacyclic transforms).  Shared by
         :meth:`run_many` grouping and the serve layer's batching
         scheduler, so the two can never drift apart."""
@@ -198,10 +200,11 @@ class Simulator:
         shared-bus schedule did); energy and command/µ-op counters are
         divided by the bank count — the per-bank programs are identical
         (same transform shape), so the even split is exact — to keep
-        sums over many responses from overcounting the group.
+        sums over many responses from overcounting the group.  Its
+        ``values`` is the group's output list for ``slot``, shared, not
+        copied.
         """
-        values = (list(grouped.outputs[slot])
-                  if slot < len(grouped.outputs) else [])
+        values = grouped.outputs[slot] if slot < len(grouped.outputs) else []
         # Only the grouping facts — the group-level speedup/efficiency
         # metrics stay on `raw`, so a grouped single-NTT response reads
         # like an ungrouped one.

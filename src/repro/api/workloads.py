@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from ..arith.vector import is_array
 from ..dram.engine import ScheduleResult
 from ..dram.stream import cached_stream
 from ..sim.driver import SimConfig, TransformSpec, _run_dispatch, \
@@ -60,6 +61,13 @@ def dispatch_of(request) -> Tuple[List[TransformSpec], list]:
     return [spec], [[values]]
 
 
+def _ints(operand) -> List[int]:
+    """A coefficient operand as a list of Python ints: ``.tolist()`` of
+    an array (``list()`` would give NumPy scalars, which wrap at
+    ``2**64``), else ``list()``."""
+    return operand.tolist() if is_array(operand) else list(operand)
+
+
 def response_from_schedule(workload: str, schedule: ScheduleResult,
                            raw=None) -> SimResponse:
     """Envelope a bare :class:`ScheduleResult` (timing-only workloads)."""
@@ -91,10 +99,11 @@ def run_transform_workload(config: SimConfig, request) -> SimResponse:
     if result.bu_ops:
         response.counters["bu_ops"] = result.bu_ops
     response.verified = result.verified
+    # The response shares the dispatch's output lists, read-only.
     if result.outputs:
-        response.values = list(result.outputs[0])
+        response.values = result.outputs[0]
     if type(request) is BatchRequest:
-        response.outputs = [list(out) for out in result.outputs]
+        response.outputs = result.outputs
         per_transform = result.cycles / result.slots
         response.metrics = {
             "count": result.slots,
@@ -103,7 +112,7 @@ def run_transform_workload(config: SimConfig, request) -> SimResponse:
             "amortization": result.single_cycles / per_transform,
         }
     elif type(request) is MultiBankRequest:
-        response.outputs = [list(out) for out in result.outputs]
+        response.outputs = result.outputs
         speedup = result.banks * result.single_cycles / result.cycles
         response.metrics = {
             "banks": result.banks,
@@ -122,9 +131,9 @@ def run_fhe_workload(config: SimConfig, request: FheOpRequest) -> SimResponse:
     from ..fhe.ops import PimFheAccelerator
 
     acc = PimFheAccelerator(request.ring, config, native=request.native)
-    a = list(request.a)
+    a = _ints(request.a)
     if request.op == "multiply":
-        out = acc.multiply(a, list(request.b))
+        out = acc.multiply(a, _ints(request.b))
     else:
         out = acc.forward(a) if request.op == "forward" else acc.inverse(a)
     stats = acc.stats
@@ -170,7 +179,7 @@ def run_kyber_kem_workload(config: SimConfig,
     from .simulator import Simulator
 
     params = IncompleteNttParams(request.n, request.q, request.depth)
-    a, b = list(request.a), list(request.b)
+    a, b = _ints(request.a), _ints(request.b)
     a_hat = incomplete_ntt(a, params)
     b_hat = incomplete_ntt(b, params)
     prod_hat = incomplete_basemul(a_hat, b_hat, params)

@@ -74,6 +74,7 @@ __all__ = [
     "scale_arr",
     "scale_list",
     "uint64_lanes",
+    "random_residues",
     "ntt_dit_bitrev",
     "ntt_dif_natural",
     "merged_negacyclic_forward",
@@ -286,6 +287,33 @@ def uint64_lanes(xs, q: int):
         return np.array(xs, dtype=np.uint64)
     except (OverflowError, ValueError):
         return np.array(np.array(xs, dtype=object) % q, dtype=np.uint64)
+
+
+def random_residues(rng: random.Random, n: int, q: int):
+    """``[rng.randrange(q) for _ in range(n)]`` as a read-only uint64
+    array: the same values, and ``rng`` left in the same state.
+
+    Below ``2**32``, CPython's ``randrange(q)`` takes one 32-bit
+    Mersenne Twister word per attempt, keeps its top ``q.bit_length()``
+    bits and rejects a result ``>= q``; ``getrandbits(32 * m)`` returns
+    the next ``m`` words, least significant first.  So each round draws
+    one word per value still needed — never more, which is what keeps
+    the generator's state — and keeps the accepted words in order.  A
+    wider ``q`` takes several words per attempt and keeps the loop."""
+    if q >= _DIRECT_LIMIT:
+        out = np.array([rng.randrange(q) for _ in range(n)], dtype=np.uint64)
+    else:
+        out = np.empty(n, dtype=np.uint64)
+        shift, filled = 32 - q.bit_length(), 0
+        while filled < n:
+            need = n - filled
+            words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(
+                4 * need, "little"), dtype="<u4") >> shift
+            kept = words[words < q]
+            out[filled:filled + len(kept)] = kept
+            filled += len(kept)
+    out.flags.writeable = False
+    return out
 
 
 def _as_lanes(xs, q: int):
@@ -518,7 +546,8 @@ class FreivaldsCheck:
         ``r·y ≡ v·x (mod q)`` for every row pair ``(x, y)`` and every
         ``(r, v)``.  Inputs are reduced mod ``q`` first."""
         q, n = self.q, self.n
-        x = inputs if is_array(inputs) else uint64_lanes(inputs, q)
+        x = (inputs if is_array(inputs) and inputs.dtype == np.uint64
+             else uint64_lanes(inputs, q))
         try:
             y = np.asarray(outputs, dtype=np.uint64)
         except (OverflowError, ValueError):

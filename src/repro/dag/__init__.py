@@ -16,22 +16,23 @@ primitives:
   cyclic NTTs over one hot ring; every stage is batchable, so
   concurrent pipelines coalesce stage-by-stage in the serving layer.
 
-Every builder is deterministic given ``seed``.  Nodes that receive an
-edge binding carry zero placeholders of the right length; the serving
-layer (and the golden model) overwrite them with the parent's actual
-output at execution time.
+Every builder is deterministic given ``seed``; random operands are
+read-only uint64 arrays (:func:`repro.arith.vector.random_residues`).
+Nodes that receive an edge binding carry zero placeholders of the right
+length; the serving layer (and the golden model) overwrite them with
+the parent's actual output at execution time.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import Tuple
 
 from ..api.dag import DagEdge, DagRequest
 from ..api.requests import FheOpRequest, KyberKemRequest, NttRequest
 from ..arith.primes import find_ntt_prime
 from ..arith.roots import NttParams
+from ..arith.vector import random_residues
 from ..fhe.rns import RnsBasis
 from ..ntt.negacyclic import NegacyclicParams
 
@@ -47,10 +48,6 @@ def _rns_basis(n: int, limbs: int, bits: int) -> RnsBasis:
 @lru_cache(maxsize=None)
 def _chain_params(n: int) -> NttParams:
     return NttParams(n, find_ntt_prime(n, 32))
-
-
-def _rand_poly(rng: random.Random, n: int, q: int) -> Tuple[int, ...]:
-    return tuple(rng.randrange(q) for _ in range(n))
 
 
 def ckks_mul_chain(n: int = 256, limbs: int = 2, depth: int = 1, *,
@@ -84,13 +81,13 @@ def ckks_mul_chain(n: int = 256, limbs: int = 2, depth: int = 1, *,
             rescale = f"rescale{level}_l{limb}"
             # Level 0 multiplies a fresh ciphertext limb; later levels
             # bind `a` from the previous rescale.
-            ct = (_rand_poly(rng, n, ring.q) if previous is None else zeros)
+            ct = random_residues(rng, n, ring.q) if previous is None else zeros
             nodes.append((mul, FheOpRequest(
                 ring=ring, op="multiply", a=ct,
-                b=_rand_poly(rng, n, ring.q))))
+                b=random_residues(rng, n, ring.q))))
             nodes.append((relin, FheOpRequest(
                 ring=ring, op="multiply", a=zeros,
-                b=_rand_poly(rng, n, ring.q))))
+                b=random_residues(rng, n, ring.q))))
             nodes.append((rescale, FheOpRequest(
                 ring=ring, op="inverse", a=zeros)))
             if previous is not None:
@@ -112,8 +109,8 @@ def kem_batch(count: int = 4, *, n: int = 256, q: int = 3329,
         raise ValueError("count must be >= 1")
     rng = random.Random(f"kem:{seed}:{n}:{count}")
     nodes = tuple(
-        (f"kem{i}", KyberKemRequest(a=_rand_poly(rng, n, q),
-                                    b=_rand_poly(rng, n, q),
+        (f"kem{i}", KyberKemRequest(a=random_residues(rng, n, q),
+                                    b=random_residues(rng, n, q),
                                     n=n, q=q, depth=depth))
         for i in range(count))
     return DagRequest(nodes=nodes, label=label or f"kem[{count}x{n}]")
@@ -129,7 +126,7 @@ def ntt_pipeline(n: int = 512, stages: int = 3, *, seed: int = 0,
     params = _chain_params(n)
     rng = random.Random(f"pipeline:{seed}:{n}:{stages}")
     nodes = [("stage0", NttRequest(params=params,
-                                   values=_rand_poly(rng, n, params.q)))]
+                                   values=random_residues(rng, n, params.q)))]
     edges = []
     for i in range(1, stages):
         nodes.append((f"stage{i}", NttRequest(params=params, values=None,

@@ -49,6 +49,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from ..api.requests import FheOpRequest, NegacyclicRequest, NttRequest, SimRequest
 from ..arith.primes import find_ntt_prime
 from ..arith.roots import NttParams
+from ..arith.vector import random_residues
 from ..errors import ServeError
 from ..ntt.negacyclic import NegacyclicParams
 from .queueing import ServeRequest
@@ -72,8 +73,7 @@ def _ntt_maker(n: int,
     def make(rng: random.Random) -> SimRequest:
         params = _ntt_params(n)
         return NttRequest(params=params,
-                          values=tuple(rng.randrange(params.q)
-                                       for _ in range(n)),
+                          values=random_residues(rng, n, params.q),
                           inverse=inverse)
     return make
 
@@ -84,8 +84,7 @@ def _negacyclic_maker(n: int,
     def make(rng: random.Random) -> SimRequest:
         ring = _ring_params(n)
         return NegacyclicRequest(ring=ring,
-                                 values=tuple(rng.randrange(ring.q)
-                                              for _ in range(n)),
+                                 values=random_residues(rng, n, ring.q),
                                  inverse=inverse)
     return make
 
@@ -93,10 +92,9 @@ def _negacyclic_maker(n: int,
 def _fhe_maker(n: int) -> Callable[[random.Random], SimRequest]:
     def make(rng: random.Random) -> SimRequest:
         ring = _ring_params(n)
-        return FheOpRequest(
-            ring=ring, op="multiply",
-            a=tuple(rng.randrange(ring.q) for _ in range(n)),
-            b=tuple(rng.randrange(ring.q) for _ in range(n)))
+        return FheOpRequest(ring=ring, op="multiply",
+                            a=random_residues(rng, n, ring.q),
+                            b=random_residues(rng, n, ring.q))
     return make
 
 
@@ -220,6 +218,12 @@ class LoadGenerator:
     experiments run).  The draw uses its own RNG stream, so a seeded
     stream yields bit-identical arrivals, shapes and values with or
     without tenancy — tenancy only labels them.
+
+    Coefficient operands are read-only uint64 arrays
+    (:func:`~repro.arith.vector.random_residues`): exactly the values
+    of a per-coefficient ``rng.randrange(q)`` loop, with the generator
+    left in the same state, so the arrivals, priorities and tenants
+    drawn after them match too.
     """
 
     def __init__(self, scenario: Scenario, *, rate_rps: float,

@@ -292,12 +292,13 @@ def _run_bank(spec: TransformSpec, inputs, config: SimConfig,
     ``inputs`` holds natural-order polynomials shaped ``(banks, slots,
     N)``: lockstep banks that all replay ``stream``, the compiled
     program of one bank whose slot ``s`` lives at ``programs[s]``'s
-    rows.  Steps: one uint64 conversion plus the cyclic layout's
-    bit-reversal gather; one load per slot into a bank stack holding
+    rows.  Steps: one uint64 stack of the inputs (C speed when the rows
+    are arrays, as the requests' array operands are) plus the cyclic
+    layout's bit-reversal gather; one load per slot into a bank stack holding
     only the rows ``stream`` touches; one pass of the atom plan over
     the bank axis; one slice read per slot and the inverse 1/N scale on
     the array; one :meth:`TransformSpec.check` of the whole stack; one
-    conversion to Python ints.
+    conversion to Python ints, whose lists the responses share.
 
     Streams a stack cannot run — Nb=1 lane plans, moduli without lane
     support, programs with no plan — run bank by bank on full single

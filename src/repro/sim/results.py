@@ -30,6 +30,7 @@ class DispatchResult:
     #: chosen adversarially (the check's rows are fixed per spec).
     verified: bool
     #: Finalized outputs, bank-major (populated on functional runs).
+    #: Transform responses share these lists: treat them as read-only.
     outputs: List[List[int]] = field(default_factory=list)
     #: Executed butterfly µ-ops across the dispatch (functional runs).
     bu_ops: int = 0

@@ -4,9 +4,11 @@ points, shared schedule caching and run_many grouping."""
 
 import hashlib
 import random
+import re
 from dataclasses import dataclass
 from typing import ClassVar
 
+import numpy as np
 import pytest
 from compute_paths import on_path
 
@@ -25,6 +27,7 @@ from repro.api import (
     Simulator,
     UnknownWorkloadError,
     get_workload,
+    merge_key,
     register_workload,
     unregister_workload,
     workload_names,
@@ -34,6 +37,7 @@ from repro.errors import RequestValidationError
 from repro.mapping.mapper import MapperOptions
 from repro.ntt import NegacyclicParams
 from repro.pim import PimParams
+from repro.serve import ServeRequest, SimServer
 from repro.sim import SimConfig, TransformSpec, schedule_cache_info
 from repro.sim.driver import _run_dispatch
 
@@ -738,3 +742,162 @@ class TestProgramFunctional:
             memory=((0, tuple(_data(81))),), read_rows=(prog.result_base_row, N))
         response = Simulator(SimConfig(functional=False)).run(request)
         assert response.values == []
+
+
+KYBER_Q = 3329
+
+#: Every coefficient slot of every request kind: ``(build, q, field)``,
+#: where ``build(operand)`` puts ``operand`` in the slot (other
+#: operands valid), ``q`` is the slot's modulus and ``field`` the label
+#: its errors name.
+OPERAND_SLOTS = {
+    "ntt": (lambda v: NttRequest(params=PARAMS, values=v), Q, "values"),
+    "negacyclic": (lambda v: NegacyclicRequest(ring=RING, values=v), QN,
+                   "values"),
+    "batch": (lambda v: BatchRequest(params=PARAMS, inputs=[_data(), v]), Q,
+              "inputs row 1"),
+    "multibank": (lambda v: MultiBankRequest(params=PARAMS,
+                                             inputs=[_data(), v]),
+                  Q, "inputs row 1"),
+    "multibank-specs": (lambda v: MultiBankRequest(
+        specs=[BankSpec(params=PARAMS), BankSpec(ring=RING, inverse=True)],
+        inputs=[_data(), v]), QN, "inputs row 1"),
+    "fhe-a": (lambda v: FheOpRequest(ring=RING, op="forward", a=v), QN, "a"),
+    "fhe-b": (lambda v: FheOpRequest(ring=RING, op="multiply",
+                                     a=_data(q=QN), b=v), QN, "b"),
+    "kyber-a": (lambda v: KyberKemRequest(a=v, b=_data(q=KYBER_Q),
+                                          q=KYBER_Q), KYBER_Q, "a"),
+    "kyber-b": (lambda v: KyberKemRequest(a=_data(q=KYBER_Q), b=v,
+                                          q=KYBER_Q), KYBER_Q, "b"),
+    "dag": (lambda v: DagRequest(nodes=(
+        ("fwd", NttRequest(params=PARAMS, values=v)),
+        ("inv", NttRequest(params=PARAMS, inverse=True))),
+        edges=(("fwd", "inv", "values"),)), Q, "values"),
+}
+
+
+def _bad_array(kind: str, q: int) -> np.ndarray:
+    ok = np.array(_data(seed=5, q=q), dtype=np.uint64)
+    if kind == "ge-q":
+        ok[N // 2] = q
+        return ok
+    if kind == "negative":
+        signed = ok.astype(np.int64)
+        signed[N // 2] = -1
+        return signed
+    return {"length": ok[:-1], "2-D": ok.reshape(N, 1),
+            "float": ok.astype(np.float64)}[kind]
+
+
+def _tuple_twin(array: np.ndarray) -> tuple:
+    return tuple(tuple(row) if isinstance(row, list) else row
+                 for row in array.tolist())
+
+
+class TestArrayOperands:
+    """A coefficient operand may be a 1-D integer NumPy array: it is
+    validated, compared, hashed, merged, cached and served exactly like
+    its tuple twin, and the request keeps a read-only copy."""
+
+    @pytest.mark.parametrize("scalar", [5, np.uint64(5), np.array(5)],
+                             ids=["int", "uint64", "0-d"])
+    @pytest.mark.parametrize("slot", sorted(OPERAND_SLOTS))
+    def test_scalar_operand_is_a_validation_error(self, slot, scalar):
+        build, _, field = OPERAND_SLOTS[slot]
+        with pytest.raises(RequestValidationError,
+                           match=f"^{field}: expected a sequence"):
+            build(scalar)
+
+    @pytest.mark.parametrize("request_type", [BatchRequest, MultiBankRequest])
+    def test_scalar_rows_are_a_validation_error(self, request_type):
+        with pytest.raises(RequestValidationError, match="^inputs row 0"):
+            request_type(params=PARAMS, inputs=[5, 6])
+        with pytest.raises(RequestValidationError, match="^inputs: expected"):
+            request_type(params=PARAMS, inputs=5)
+
+    @pytest.mark.parametrize("bad", ["ge-q", "negative", "length", "2-D",
+                                     "float"])
+    @pytest.mark.parametrize("slot", sorted(OPERAND_SLOTS))
+    def test_bad_array_fails_like_its_tuple_twin(self, slot, bad):
+        """The same error and message; only the type names an integer
+        check lists differ (``ndarray``/``float64`` against
+        ``tuple``/``float``)."""
+        build, q, _ = OPERAND_SLOTS[slot]
+        array = _bad_array(bad, q)
+        messages = []
+        for operand in (array, _tuple_twin(array)):
+            with pytest.raises(RequestValidationError) as info:
+                Simulator().run(build(operand))
+            messages.append(re.sub(r"got \[[^\]]*\]", "got [...]",
+                                   str(info.value)))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("dtype", [np.uint64, np.int64])
+    @pytest.mark.parametrize("slot", sorted(OPERAND_SLOTS))
+    def test_array_request_is_its_tuple_twin(self, slot, dtype):
+        """Equal, the same hash and merge key, and a bit-identical
+        response: values, outputs, timing and verification."""
+        build, q, _ = OPERAND_SLOTS[slot]
+        values = _data(seed=9, q=q)
+        array, twin = build(np.array(values, dtype=dtype)), build(values)
+        assert array == twin and hash(array) == hash(twin)
+        assert array != build(_data(seed=10, q=q))
+        assert merge_key(array) == merge_key(twin)
+        got, want = Simulator().run(array), Simulator().run(twin)
+        assert got.verified and want.verified
+        assert (got.values, got.outputs, got.cycles, got.counters) == \
+            (want.values, want.outputs, want.cycles, want.counters)
+
+    def test_twins_cache_alike_and_merge_into_one_dispatch(self):
+        rows = [_data(seed=i) for i in range(4)]
+        arrays = [NttRequest(params=PARAMS,
+                             values=np.array(row, dtype=np.uint64))
+                  for row in rows]
+        tuples = [NttRequest(params=PARAMS, values=row) for row in rows]
+        caches = []
+        for requests in (arrays, tuples):
+            Simulator.clear_caches()
+            cold = [Simulator().run(r).cache for r in requests]
+            grouped = Simulator().run_many(requests)
+            caches.append((cold, [r.cache for r in grouped]))
+        assert caches[0] == caches[1]
+        mixed = [arrays[0], tuples[1], arrays[2], tuples[3]]
+        sreqs = [ServeRequest(request=r, arrival_us=0.0, request_id=i + 1)
+                 for i, r in enumerate(mixed)]
+        results = SimServer(SimConfig(), window_us=10.0,
+                            max_banks=8).serve(sreqs)
+        assert [r.record.group_banks for r in results] == [4] * 4
+        solo = Simulator()
+        for request, result in zip(tuples, results):
+            assert result.response.values == solo.run(request).values
+
+    def test_caller_writes_reach_neither_request_nor_response(self):
+        values = _data(seed=3)
+        caller = np.array(values, dtype=np.uint64)
+        request = NttRequest(params=PARAMS, values=caller)
+        caller[:] = 0
+        assert request.values.tolist() == values
+        assert not request.values.flags.writeable
+        with pytest.raises(ValueError):
+            request.values[0] = 1
+        response = Simulator().run(request)
+        expected = list(response.values)
+        caller[:] = 1
+        assert response.values == expected == Simulator().run(
+            NttRequest(params=PARAMS, values=values)).values
+        # A read-only view of a writable array is copied too; a
+        # read-only array that owns its data is kept as it is.
+        base = np.array(values, dtype=np.uint64)
+        view = base[:]
+        view.flags.writeable = False
+        viewed = NttRequest(params=PARAMS, values=view)
+        base[0] += 1
+        assert viewed.values.tolist() == values
+        frozen = np.array(values, dtype=np.uint64)
+        frozen.flags.writeable = False
+        assert NttRequest(params=PARAMS, values=frozen).values is frozen
+        grid = np.array([values, values[::-1]], dtype=np.uint64)
+        multi = MultiBankRequest(params=PARAMS, inputs=grid)
+        grid[:] = 0
+        assert [row.tolist() for row in multi.inputs] == \
+            [values, values[::-1]]

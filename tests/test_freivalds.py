@@ -114,6 +114,23 @@ def test_accepts_golden_outputs_only(bits):
     assert not spec.check(inputs[0], [-1] + outputs[0][1:])
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.uint32])
+@pytest.mark.parametrize("bits", [14, 32])
+def test_accepts_inputs_of_any_integer_dtype(dtype, bits):
+    """Request operands may be signed or narrow integer arrays (the
+    server's corruption check passes them as they are): they are checked
+    as uint64 lanes, not promoted to float64 or wrapped at 32 bits."""
+    spec = _spec("ntt", False, 64, bits)
+    inputs = _inputs(spec, 3, bits)
+    outputs = [spec.expected(x) for x in inputs]
+    typed = np.array(inputs, dtype=dtype)
+    assert spec.check(typed, outputs)
+    assert spec.check(typed[0], outputs[0])
+    wrong = [list(row) for row in outputs]
+    wrong[2][7] = (wrong[2][7] + 1) % spec.q
+    assert not spec.check(typed, wrong)
+
+
 # -- mutation: a broken lane multiply --------------------------------------------
 
 def _plus_one(real):

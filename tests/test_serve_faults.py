@@ -411,6 +411,27 @@ class TestCorruptionDetection:
             assert result.response.values == Simulator(CONFIG).run(
                 ntt_request(seed)).values
 
+    @pytest.mark.parametrize("dtype", ["uint64", "int64"])
+    def test_corruption_detected_on_array_operands(self, dtype):
+        """Array operands reach the corruption check as they are; a
+        signed array is checked as uint64 lanes, not promoted to
+        float64."""
+        import numpy as np
+
+        plan = ScriptedPlan({(0, 0, 1): FaultDecision(corrupt=True)})
+        server = SimServer(CONFIG, window_us=50.0, faults=plan,
+                           policy=ResiliencePolicy(max_retries=2,
+                                                   detect=True))
+        requests = [NttRequest(params=PARAMS, values=np.array(
+            ntt_request(seed).values, dtype=dtype)) for seed in (1, 2)]
+        results = server.serve([ServeRequest(request=r, arrival_us=0.0)
+                                for r in requests])
+        assert all(r.ok for r in results)
+        assert server.telemetry.events["detected_mismatches"] == 1
+        for seed, result in zip((1, 2), results):
+            assert result.response.values == Simulator(CONFIG).run(
+                ntt_request(seed)).values
+
 
 # ---------------------------------------------------------------------------
 # Graceful degradation
