@@ -6,12 +6,7 @@ import random
 
 from repro.arith import NttParams, bit_reverse_permute, find_ntt_prime
 from repro.baselines import numpy_ntt
-from repro.ntt import (
-    ntt,
-    ntt_dit_bitrev_input,
-    pease_ntt,
-    stockham_ntt,
-)
+from repro.ntt import ntt, ntt_dit_bitrev_input
 
 N = 1024
 Q = find_ntt_prime(N, 32)
@@ -31,12 +26,3 @@ def test_kernel_numpy(benchmark):
     result = benchmark(lambda: numpy_ntt(DATA, PARAMS))
     assert result == EXPECTED
 
-
-def test_kernel_pease(benchmark):
-    result = benchmark(lambda: pease_ntt(DATA, PARAMS))
-    assert result == EXPECTED
-
-
-def test_kernel_stockham(benchmark):
-    result = benchmark(lambda: stockham_ntt(DATA, PARAMS))
-    assert result == EXPECTED

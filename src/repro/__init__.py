@@ -14,7 +14,7 @@ Subpackages:
 * :mod:`repro.api`        — the public facade: Simulator + typed requests
 
 * :mod:`repro.arith`      — modular arithmetic, Montgomery, primes, roots
-* :mod:`repro.ntt`        — golden NTT kernels, variants, ring polynomials
+* :mod:`repro.ntt`        — golden NTT kernels, ring polynomials, twiddle generator
 * :mod:`repro.dram`       — DRAM geometry/timing/energy + timing engine
 * :mod:`repro.pim`        — atom buffers, compute unit, PIM bank
 * :mod:`repro.mapping`    — the paper's mapping algorithm (3 regimes)

@@ -16,8 +16,9 @@ One entry point for every run shape of the paper's evaluation::
   cache provenance and wall-clock metadata;
 * a string-keyed workload registry (:mod:`repro.api.registry`) lets
   third-party scenarios plug in without touching core code;
-* :meth:`Simulator.run_many` validates a bulk request list, then
-  groups its same-shape transforms across banks automatically;
+* :meth:`Simulator.merge_requests` folds same-shape transforms into
+  one :class:`MultiBankRequest`, one request per bank (the serving
+  layer's batching scheduler groups a request stream with it);
 * :func:`repro.compile.compile_request` (re-exported here) runs just
   the deterministic compile side of a request — mapping, IR passes,
   stream lowering — returning a

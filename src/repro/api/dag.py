@@ -250,12 +250,27 @@ class DagRequest(SimRequest):
                     f"(fields: {', '.join(sorted(fields))})")
 
 
-def _merge_counters(parts) -> Dict[str, int]:
+def _dag_envelope(dag: DagRequest, responses: Mapping[str, SimResponse],
+                  **fields) -> SimResponse:
+    """The ``"dag"`` response both runners build from the per-node
+    responses: the sink's values, every node's output in node order,
+    ``verified`` and ``command_count`` over all nodes, and their
+    counters summed.  ``fields`` carry what each runner measures itself
+    (the standalone run's sums and critical path, or the server's
+    per-bank shares and makespan): cycles, latency, energy, metrics."""
     counters: Dict[str, int] = {}
-    for part in parts:
-        for key, value in part.items():
+    for response in responses.values():
+        for key, value in response.counters.items():
             counters[key] = counters.get(key, 0) + value
-    return counters
+    return SimResponse(
+        workload="dag",
+        values=list(responses[dag.sink_name].values),
+        outputs=[list(responses[name].values) for name, _ in dag.nodes],
+        verified=all(r.verified for r in responses.values()),
+        command_count=sum(r.command_count for r in responses.values()),
+        counters=counters,
+        request=dag,
+        **fields)
 
 
 @register_workload("dag")
@@ -285,7 +300,6 @@ def run_dag_workload(config: SimConfig, request: DagRequest) -> SimResponse:
             (finish[p] for p in request.parents(name)), default=0.0)
     critical_path_us = max(finish.values())
     total_latency_us = sum(r.latency_us for r in responses.values())
-    sink = responses[request.sink_name]
     metrics: Dict[str, object] = {
         "stages": len(order),
         "critical_path_us": critical_path_us,
@@ -295,17 +309,11 @@ def run_dag_workload(config: SimConfig, request: DagRequest) -> SimResponse:
     }
     if request.label:
         metrics["label"] = request.label
-    return SimResponse(
-        workload="dag",
-        values=list(sink.values),
-        outputs=[list(responses[name].values) for name, _ in request.nodes],
+    return _dag_envelope(
+        request, responses,
         cycles=sum(r.cycles for r in responses.values()),
         latency_us=critical_path_us,
         energy_nj=sum(r.energy_nj for r in responses.values()),
-        verified=all(r.verified for r in responses.values()),
-        command_count=sum(r.command_count for r in responses.values()),
-        counters=_merge_counters(r.counters for r in responses.values()),
         metrics=metrics,
         raw={"responses": responses, "order": order,
-             "critical_path_us": critical_path_us},
-    )
+             "critical_path_us": critical_path_us})

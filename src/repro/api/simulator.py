@@ -17,15 +17,16 @@ structurally keyed cache in :mod:`repro.sim.driver` — shared by single,
 batch and multi-bank paths alike.  The response's ``cache`` field
 reports the hit/miss deltas of the run.
 
-:meth:`Simulator.run_many` is the bulk path: it validates an iterable
-of requests, then groups same-shape transforms onto parallel banks (the
-Sec. VI.A deployment) before running the rest individually.
+:meth:`Simulator.merge_requests` folds same-shape transforms into one
+:class:`MultiBankRequest` (the Sec. VI.A deployment, one request per
+bank); the serving layer's batching scheduler groups a request stream
+with it.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..dram.stream import clear_stream_cache, stream_cache_info
 from ..mapping.program_cache import (
@@ -102,41 +103,7 @@ class Simulator:
         response.request = request
         return response
 
-    # -- bulk path --------------------------------------------------------------
-    def run_many(self, requests: Iterable[SimRequest], *,
-                 max_banks: int = 8) -> List[SimResponse]:
-        """Run every request; responses come back in input order.
-
-        Every request is validated first, so a malformed one fails with
-        its own message before any unit runs (not as a synthetic
-        group's error).  Mergeable requests of the same transform shape
-        (:func:`merge_key`: forward/inverse cyclic NTTs,
-        forward/inverse negacyclic transforms) are then dispatched
-        together, one per bank, in chunks of up to ``max_banks``.  Each
-        grouped response carries that request's own output values
-        (bit-identical to :meth:`run` of the request alone);
-        cycles/latency are the group's completion time under the shared
-        command bus (what the request actually experienced), while
-        energy, command and µ-op counters are the request's own
-        per-bank share — so totals summed over ``run_many`` responses
-        stay physical.  (``metrics["group_banks"]``/``metrics["bank"]``
-        tell the story; ``raw`` holds the full group result.)
-        """
-        reqs = list(requests)
-        for req in reqs:
-            req.admit()
-        responses: List[Optional[SimResponse]] = [None] * len(reqs)
-        for indices, merged in self._dispatch_units(reqs,
-                                                    max_banks=max_banks):
-            response = self.run(merged)
-            if len(indices) == 1:
-                responses[indices[0]] = response
-                continue
-            for slot, i in enumerate(indices):
-                responses[i] = self._split_group(response, reqs[i], slot,
-                                                 len(indices))
-        return responses
-
+    # -- grouping ---------------------------------------------------------------
     @staticmethod
     def merge_requests(requests: List[SimRequest]) -> MultiBankRequest:
         """The one merge rule for a same-shape transform group — one
@@ -144,9 +111,8 @@ class Simulator:
         operand passed through as it is (an array row stays the
         member's read-only array).  All members must share a
         :func:`merge_key` (forward/inverse cyclic NTTs, or
-        forward/inverse negacyclic transforms).  Shared by
-        :meth:`run_many` grouping and the serve layer's batching
-        scheduler, so the two can never drift apart."""
+        forward/inverse negacyclic transforms).  The serve layer's
+        batching scheduler merges every dispatch group with it."""
         head = requests[0]
         cyclic = type(head) is NttRequest
         n = head.params.n if cyclic else head.ring.n
@@ -158,38 +124,6 @@ class Simulator:
         if all("_admitted" in r.__dict__ for r in requests):
             merged.__dict__["_admitted"] = True  # valid members, one shape
         return merged
-
-    @staticmethod
-    def _dispatch_units(reqs: List[SimRequest], *, max_banks: int
-                        ) -> List[Tuple[Tuple[int, ...], SimRequest]]:
-        """Partition requests into dispatch units: ``(indices, request)``
-        where a multi-index unit is a merged :class:`MultiBankRequest`
-        over same-shape transforms (grouped by :func:`merge_key`) and
-        every other unit passes the original request through.  Bank
-        groups come first (in order of first appearance), then the
-        remaining requests in input order — the same execution order
-        ``run_many`` always had."""
-        units: List[Tuple[Tuple[int, ...], SimRequest]] = []
-        grouped_indices = set()
-        if max_banks > 1:
-            groups: Dict[tuple, List[int]] = {}
-            for i, req in enumerate(reqs):
-                key = merge_key(req)
-                if key is not None:
-                    groups.setdefault(key, []).append(i)
-            for idxs in groups.values():
-                chunks = [idxs[i:i + max_banks]
-                          for i in range(0, len(idxs), max_banks)]
-                for chunk in chunks:
-                    if len(chunk) < 2:
-                        continue  # a lone leftover runs individually
-                    units.append((tuple(chunk), Simulator.merge_requests(
-                        [reqs[i] for i in chunk])))
-                    grouped_indices.update(chunk)
-        for i, req in enumerate(reqs):
-            if i not in grouped_indices:
-                units.append(((i,), req))
-        return units
 
     @staticmethod
     def _split_group(grouped: SimResponse, request: SimRequest,

@@ -38,6 +38,7 @@ from .api import (
 )
 from .arith.primes import find_ntt_prime
 from .arith.roots import NttParams
+from .errors import ReproError
 from .experiments import (
     run_ablations,
     run_bank_scaling,
@@ -145,13 +146,7 @@ def _cmd_serve(args) -> int:
     # this subcommand needs it.
     from .serve import LoadGenerator, SimServer, make_scenario
 
-    from .errors import ServeError
-
-    try:
-        scenario = make_scenario(args.scenario)
-    except (ValueError, ServeError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    scenario = make_scenario(args.scenario)
     config = SimConfig()
     rate_profile = None
     if args.burst is not None:
@@ -173,16 +168,11 @@ def _cmd_serve(args) -> int:
               "fault domains and auto-scaling are cluster-tier concerns)",
               file=sys.stderr)
         return 2
-    try:
-        server = SimServer(config, scheduler=args.scheduler,
-                           window_us=args.window_us,
-                           max_banks=args.max_banks,
-                           num_shards=args.shards, max_depth=args.depth,
-                           bus=args.bus, faults=args.faults,
-                           fault_seed=args.fault_seed, policy=args.policy)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    server = SimServer(config, scheduler=args.scheduler,
+                       window_us=args.window_us, max_banks=args.max_banks,
+                       num_shards=args.shards, max_depth=args.depth,
+                       bus=args.bus, faults=args.faults,
+                       fault_seed=args.fault_seed, policy=args.policy)
     import time as _time
     start = _time.perf_counter()
     if args.live:
@@ -229,26 +219,21 @@ def _serve_cluster(args, scenario, config, load) -> int:
     stream through a ClusterFrontend (optionally under the live
     operator console)."""
     from .cluster import ClusterFrontend, TenantQuota, watch
-    from .errors import ReproError
 
-    try:
-        quotas = None
-        if args.quota_rps is not None:
-            quotas = {"*": TenantQuota(rate_rps=args.quota_rps,
-                                       burst=args.quota_burst)}
-        frontend = ClusterFrontend(
-            args.cluster, config, router=args.router, quotas=quotas,
-            scheduler=args.scheduler, window_us=args.window_us,
-            max_banks=args.max_banks, num_shards=args.shards,
-            max_depth=args.depth, bus=args.bus,
-            faults=args.faults, fault_seed=args.fault_seed,
-            policy=args.policy,
-            replica_faults=args.replica_faults,
-            replica_fault_seed=args.fault_seed,
-            autoscale=args.autoscale)
-    except (ValueError, ReproError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    quotas = None
+    if args.quota_rps is not None:
+        quotas = {"*": TenantQuota(rate_rps=args.quota_rps,
+                                   burst=args.quota_burst)}
+    frontend = ClusterFrontend(
+        args.cluster, config, router=args.router, quotas=quotas,
+        scheduler=args.scheduler, window_us=args.window_us,
+        max_banks=args.max_banks, num_shards=args.shards,
+        max_depth=args.depth, bus=args.bus,
+        faults=args.faults, fault_seed=args.fault_seed,
+        policy=args.policy,
+        replica_faults=args.replica_faults,
+        replica_fault_seed=args.fault_seed,
+        autoscale=args.autoscale)
     import time as _time
     start = _time.perf_counter()
     if args.watch:
@@ -456,20 +441,27 @@ def main(argv=None) -> int:
     all_p.add_argument("--quick", action="store_true")
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "compile":
-        return _cmd_compile(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "all":
-        checks = run_all(quick=args.quick)
-        bad = [c for claims in checks.values()
-               for c, ok in claims.items() if not ok]
-        return 1 if bad else 0
-    return _cmd_experiment(args.command)
+    try:
+        if args.command == "run":
+            return _cmd_run(args)
+        if args.command == "compile":
+            return _cmd_compile(args)
+        if args.command == "serve":
+            return _cmd_serve(args)
+        if args.command == "trace":
+            return _cmd_trace(args)
+        if args.command == "all":
+            checks = run_all(quick=args.quick)
+            bad = [c for claims in checks.values()
+                   for c, ok in claims.items() if not ok]
+            return 1 if bad else 0
+        return _cmd_experiment(args.command)
+    except (ValueError, ReproError) as exc:
+        # A flag value the library rejects (N not a power of two, Nb=0,
+        # a zero clock, an empty batch, ...) is a usage error: one line
+        # on stderr and exit 2, like argparse's own errors.
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

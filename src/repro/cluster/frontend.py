@@ -292,15 +292,13 @@ class ClusterFrontend:
                arrival_us: Optional[float] = None,
                priority: int = 0,
                deadline_us: Optional[float] = None,
-               config: Optional[SimConfig] = None,
                request_id: int = 0,
                tenant: str = "") -> int:
         """Admit, route and submit one request; returns its id (also
         for throttled drops, whose result is immediately pollable)."""
         sreq, arrival_us = submission(
             request, arrival_us=arrival_us, priority=priority,
-            deadline_us=deadline_us, config=config, request_id=request_id,
-            tenant=tenant)
+            deadline_us=deadline_us, request_id=request_id, tenant=tenant)
         session = self._open()
         sreq = session.place(sreq, arrival_us, session.now_us)
         self._admit(session, sreq)

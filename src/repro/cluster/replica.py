@@ -103,8 +103,7 @@ class Replica:
             priority=sreq.priority,
             deadline_us=(self._to_relative(sreq.deadline_us)
                          if sreq.deadline_us is not None else None),
-            config=sreq.config, request_id=sreq.request_id,
-            tenant=sreq.tenant)
+            request_id=sreq.request_id, tenant=sreq.tenant)
         return Submitted(request_id=request_id, replica=self.replica_id)
 
     def _poll(self, message: Poll) -> PollReply:

@@ -1,4 +1,4 @@
-"""NTT-to-PIM mapping: regimes, twiddle parameters, command generation."""
+"""NTT-to-PIM mapping: regimes, command generation, program caching."""
 
 from .analysis import (
     MappingForecast,
@@ -15,7 +15,6 @@ from .program_cache import (
 )
 from .regimes import Regime, RegimeProfile, profile_regimes, regime_of_stage
 from .single_buffer import SingleBufferMapper
-from .twiddle_params import c1_root, c2_twiddles
 
 __all__ = [
     "MappingForecast",
@@ -34,6 +33,4 @@ __all__ = [
     "cyclic_program",
     "negacyclic_program",
     "program_cache_info",
-    "c1_root",
-    "c2_twiddles",
 ]

@@ -117,8 +117,8 @@ class _RowCentricSchedule:
                  options: MapperOptions):
         if pim.nb_buffers < 2:
             raise MappingError(
-                "the row-centric mapping needs an auxiliary buffer; use "
-                "SingleBufferMapper for Nb=1")
+                "the row-centric mapping, and with it the merged "
+                "negacyclic mapping, needs an auxiliary buffer (Nb >= 2)")
         na = arch.words_per_atom
         if n < na:
             raise MappingError(f"N={n} below one atom ({na} words)")
@@ -283,12 +283,13 @@ class NttMapper(_RowCentricSchedule):
         self.ntt = ntt
 
     def _atom_ops(self, bufs, atoms):
-        # C1's root omega^(N/Na) seeds every atom's sub-NTT (c1_root).
+        # C1's root omega^(N/Na) seeds every atom's sub-NTT: the first
+        # log Na DIT stages are N/Na identical size-Na NTTs.
         root = self.n // self.arch.words_per_atom
         return ops(CommandType.C1, buf=bufs, omega0=root, r_omega=root)
 
     def _c2_twiddles(self, length, word_a):
-        # c2_twiddles: omega0 = omega^(step * (word_a mod m)) with
+        # The C2 TFG run: omega0 = omega^(step * (word_a mod m)) with
         # ratio omega^step, step = N >> stage = N / (2 * length).
         step = self.n // (2 * length)
         return step * (word_a % length), step

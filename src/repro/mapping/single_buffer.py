@@ -72,7 +72,7 @@ class SingleBufferMapper:
         na = self.arch.words_per_atom
         row = self.base_row + np.arange(self.rows_used)[:, None]
         col = np.arange(min(self.ntt.n, self.arch.words_per_row) // na)
-        root = self.ntt.n // na  # c1_root = omega^(N/Na)
+        root = self.ntt.n // na  # C1 root omega^(N/Na), as an exponent
         read = ops(CommandType.CU_READ, row=row, col=col, buf=0)
         c1 = np.broadcast_to(ops(CommandType.C1, buf=0, omega0=root,
                                  r_omega=root), read.shape)

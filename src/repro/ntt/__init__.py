@@ -1,7 +1,6 @@
-"""NTT kernels: golden models, algorithm variants, ring arithmetic."""
+"""NTT kernels: golden models, ring arithmetic, the on-the-fly twiddle
+generator."""
 
-from .bluestein import bluestein_intt, bluestein_ntt, naive_dft
-from .dataflow import Butterfly, all_butterflies, independent_blocks, stage_butterflies
 from .incomplete import (
     IncompleteNttParams,
     incomplete_basemul,
@@ -34,19 +33,9 @@ from .reference import (
     ntt_dit_bitrev_input,
     recursive_ntt,
 )
-from .twiddle import (
-    TwiddleGenerator,
-    TwiddleTable,
-    lane_twiddles,
-    stage_step,
-    twiddle_exponent,
-)
-from .variants import four_step_ntt, pease_ntt, shuffle_stage_count, stockham_ntt
+from .twiddle import TwiddleGenerator
 
 __all__ = [
-    "bluestein_intt",
-    "bluestein_ntt",
-    "naive_dft",
     "IncompleteNttParams",
     "incomplete_basemul",
     "incomplete_intt",
@@ -56,10 +45,6 @@ __all__ = [
     "merged_negacyclic_intt",
     "merged_negacyclic_ntt",
     "merged_pointwise_multiply",
-    "Butterfly",
-    "all_butterflies",
-    "independent_blocks",
-    "stage_butterflies",
     "NegacyclicParams",
     "naive_negacyclic_convolution",
     "negacyclic_convolution",
@@ -76,12 +61,4 @@ __all__ = [
     "ntt_dit_bitrev_input",
     "recursive_ntt",
     "TwiddleGenerator",
-    "TwiddleTable",
-    "lane_twiddles",
-    "stage_step",
-    "twiddle_exponent",
-    "four_step_ntt",
-    "pease_ntt",
-    "shuffle_stage_count",
-    "stockham_ntt",
 ]

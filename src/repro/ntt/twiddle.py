@@ -6,28 +6,17 @@ hardware TFG is a multiply-accumulate register seeded with two scalars
 ``(omega0, r_omega)``; each butterfly lane consumes the current value and
 the register is multiplied by ``r_omega``.
 
-:class:`TwiddleGenerator` models that register.  The module also provides
-the *software side*: the formulas the memory controller uses to derive
-``(omega0, r_omega)`` for each C1/C2 command (see
-:mod:`repro.mapping.twiddle_params`), and a precomputed table for the
-software baselines.
+:class:`TwiddleGenerator` models that register; the scalar compute unit
+(:mod:`repro.pim.cu`) runs one per C1 stage and per C2 command.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import List, Tuple
+from typing import List
 
-from ..arith.modmath import mod_mul, mod_pow
-from ..arith.roots import NttParams
+from ..arith.modmath import mod_mul
 
-__all__ = [
-    "TwiddleGenerator",
-    "TwiddleTable",
-    "stage_step",
-    "lane_twiddles",
-    "twiddle_exponent",
-]
+__all__ = ["TwiddleGenerator"]
 
 
 class TwiddleGenerator:
@@ -69,63 +58,3 @@ class TwiddleGenerator:
     def take(self, count: int) -> List[int]:
         """Consume ``count`` twiddles (one vectorized C2's worth)."""
         return [self.next() for _ in range(count)]
-
-
-def stage_step(params: NttParams, stage: int) -> int:
-    """Lane-to-lane twiddle ratio at DIT stage ``stage``: ``omega^(N/2^s)``."""
-    if not 1 <= stage <= params.log_n:
-        raise ValueError(f"stage {stage} outside [1, {params.log_n}]")
-    return mod_pow(params.omega, params.n >> stage, params.q)
-
-
-def twiddle_exponent(n: int, stage: int, j: int) -> int:
-    """Exponent of ``omega`` for lane ``j`` of a stage-``stage`` butterfly."""
-    m = 1 << (stage - 1)
-    if not 0 <= j < m:
-        raise ValueError(f"lane {j} outside [0, {m})")
-    return j * (n >> stage)
-
-
-def lane_twiddles(params: NttParams, stage: int, j_start: int, count: int) -> List[int]:
-    """Twiddles for lanes ``j_start .. j_start+count`` of one stage.
-
-    This is what a single C2 command consumes: a geometric run starting
-    at ``omega^(j_start * N/2^s)`` with ratio :func:`stage_step`.
-    """
-    step = stage_step(params, stage)
-    first = mod_pow(params.omega, twiddle_exponent(params.n, stage, j_start), params.q)
-    gen = TwiddleGenerator(first, step, params.q)
-    return gen.take(count)
-
-
-@lru_cache(maxsize=128)
-def _power_run(n: int, q: int, omega: int) -> Tuple[int, ...]:
-    """The geometric run ``omega^i mod q`` for ``i in [0, n)``, shared by
-    every table instance with the same ``(n, q, omega)``."""
-    powers = [1] * n
-    for i in range(1, n):
-        powers[i] = (powers[i - 1] * omega) % q
-    return tuple(powers)
-
-
-class TwiddleTable:
-    """Fully precomputed twiddles, as a software library (or FPGA with
-    BRAM-resident tables) would hold them.  Used by the CPU baseline.
-
-    The underlying power run is memoized on ``(n, q, omega)``, so
-    constructing many tables for the same transform (one per repetition
-    of a sweep) costs one table's worth of multiplies in total.
-    """
-
-    def __init__(self, params: NttParams):
-        self.params = params
-        self.powers: Tuple[int, ...] = _power_run(params.n, params.q,
-                                                  params.omega)
-
-    def power(self, exponent: int) -> int:
-        """``omega^exponent`` via table lookup."""
-        return self.powers[exponent % self.params.n]
-
-    def stage_lane(self, stage: int, j: int) -> int:
-        """Twiddle for lane ``j`` of stage ``stage``."""
-        return self.power(twiddle_exponent(self.params.n, stage, j))

@@ -71,7 +71,6 @@ from .scheduler import (
     DispatchUnit,
     PlanSession,
     sequential_policy,
-    shape_key,
 )
 from .server import BUS_MODELS, ServeResult, SimServer
 from .telemetry import (
@@ -95,7 +94,6 @@ __all__ = [
     "DispatchUnit",
     "PlanSession",
     "sequential_policy",
-    "shape_key",
     "BUS_MODELS",
     "RequestRecord",
     "Telemetry",

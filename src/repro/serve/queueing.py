@@ -1,13 +1,13 @@
 """Admission-controlled request queue of the serving layer.
 
-The paper's host protocol (Sec. IV.A, :mod:`repro.sim.host`) delivers
-one NTT invocation at a time; a serving deployment sees a *stream* of
-them.  :class:`RequestQueue` is the front door of that stream: each
-incoming :class:`ServeRequest` (a facade request plus arrival time,
-priority and an optional deadline) is admitted or rejected at arrival
-(bounded queue depth — the backpressure signal a real memory-request
-front-end gives), waits in priority order, and leaves when the
-batching scheduler dispatches it.
+The paper's host protocol (Sec. IV.A) delivers one NTT invocation at a
+time; a serving deployment sees a *stream* of them.
+:class:`RequestQueue` is the front door of that stream: each incoming
+:class:`ServeRequest` (a facade request plus arrival time, priority and
+an optional deadline) is admitted or rejected at arrival (bounded queue
+depth — the backpressure signal a real memory-request front-end
+gives), waits in priority order, and leaves when the batching
+scheduler dispatches it.
 
 Every mutation holds one lock; the deterministic discrete-event planner
 in :mod:`repro.serve.scheduler` drives the queue inline on the server's
@@ -23,7 +23,6 @@ from typing import Dict, List, Optional
 
 from ..api.requests import SimRequest
 from ..errors import ServeError
-from ..sim.driver import SimConfig
 
 __all__ = ["ServeRequest", "RequestQueue"]
 
@@ -34,10 +33,7 @@ class ServeRequest:
 
     ``arrival_us`` is simulated (virtual) time — the serving layer is a
     discrete-event model over the simulated machine, so latencies and
-    throughput come out in device time, not host wall clock.  ``config``
-    optionally overrides the server's :class:`SimConfig` for this
-    request (requests only batch with others under the *same* effective
-    config — the merged program depends on it).
+    throughput come out in device time, not host wall clock.
     """
 
     request: SimRequest
@@ -47,17 +43,10 @@ class ServeRequest:
     #: Absolute virtual-time deadline; ``None`` means best-effort.
     deadline_us: Optional[float] = None
     request_id: int = 0
-    config: Optional[SimConfig] = None
     #: Tenant the request arrives under ("" = untenanted).  The cluster
     #: tier's per-tenant quotas (:mod:`repro.cluster.quotas`) meter on
     #: it; a bare server carries it through to telemetry untouched.
     tenant: str = ""
-
-    def effective_config(self, default: SimConfig) -> SimConfig:
-        """This request's config override, or the server's default —
-        the config the merged program (and hence the coalescing key)
-        actually depends on."""
-        return self.config if self.config is not None else default
 
 
 class RequestQueue:

@@ -8,10 +8,9 @@ recipes, so the merged program, compiled stream and timing schedule
 all come out of the shared caches once per shape.  All three transform
 kinds merge: forward and inverse cyclic :class:`~repro.api.NttRequest`\\ s
 and forward and inverse :class:`~repro.api.NegacyclicRequest`\\ s (the
-coalescing key is :func:`repro.api.merge_key` plus the effective
-config).  Distinct shapes are *sharded* across simulated
-channels/devices, which contend for the shared command bus in
-:mod:`repro.serve.server`'s execution model.
+coalescing key is :func:`repro.api.merge_key`).  Distinct shapes are
+*sharded* across simulated channels/devices, which contend for the
+shared command bus in :mod:`repro.serve.server`'s execution model.
 
 Planning is a deterministic discrete-event walk over virtual time:
 admission happens at arrival against the bounded queue, a group closes
@@ -44,7 +43,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..api.simulator import merge_key
-from ..sim.driver import SimConfig
 from .faults import ResiliencePolicy
 from .queueing import RequestQueue, ServeRequest
 from .telemetry import (
@@ -56,23 +54,7 @@ from .telemetry import (
 )
 
 __all__ = ["DispatchUnit", "BatchingScheduler", "PlanSession",
-           "sequential_policy", "shape_key"]
-
-
-def shape_key(sreq: ServeRequest,
-              default_config: SimConfig) -> Optional[tuple]:
-    """The coalescing key, or ``None`` when the request cannot batch.
-
-    The transform-shape part comes from :func:`repro.api.merge_key`
-    (forward/inverse cyclic NTTs and negacyclic transforms all merge);
-    the effective :class:`SimConfig` is part of the key because the
-    merged program depends on it — a per-request config override only
-    batches with requests under the same override.
-    """
-    key = merge_key(sreq.request)
-    if key is None:
-        return None
-    return key + (sreq.effective_config(default_config),)
+           "sequential_policy"]
 
 
 @dataclass
@@ -113,12 +95,10 @@ class PlanSession:
     """
 
     def __init__(self, scheduler: "BatchingScheduler", queue: RequestQueue,
-                 default_config: SimConfig,
                  telemetry: Optional[Telemetry] = None,
                  policy: Optional[ResiliencePolicy] = None):
         self.scheduler = scheduler
         self.queue = queue
-        self.default_config = default_config
         self.telemetry = telemetry
         #: Degradation knobs (load shedding, window shrinking); ``None``
         #: or a neutral policy leaves planning byte-identical.
@@ -222,7 +202,7 @@ class PlanSession:
             return
         if self.telemetry is not None:
             self.telemetry.sample_depth(now_us, self.queue.depth())
-        shape = shape_key(sreq, self.default_config)
+        shape = merge_key(sreq.request)
         if shape is None or self.scheduler.max_banks == 1:
             # Unbatchable (or batching disabled): dispatch alone,
             # immediately — holding it in a window buys nothing.
@@ -309,14 +289,13 @@ class BatchingScheduler:
         return shard
 
     # -- planning ---------------------------------------------------------------
-    def begin(self, queue: RequestQueue, default_config: SimConfig,
+    def begin(self, queue: RequestQueue,
               telemetry: Optional[Telemetry] = None,
               policy: Optional[ResiliencePolicy] = None) -> PlanSession:
         """Start an incremental planning walk (the live-server entry)."""
-        return PlanSession(self, queue, default_config, telemetry, policy)
+        return PlanSession(self, queue, telemetry, policy)
 
     def plan(self, arrivals: List[ServeRequest], queue: RequestQueue,
-             default_config: SimConfig,
              telemetry: Optional[Telemetry] = None,
              policy: Optional[ResiliencePolicy] = None
              ) -> Tuple[List[DispatchUnit], List[RequestRecord]]:
@@ -327,7 +306,7 @@ class BatchingScheduler:
         queued-past-deadline expiries).  ``arrivals`` must be sorted by
         ``(arrival_us, request_id)``.
         """
-        session = self.begin(queue, default_config, telemetry, policy)
+        session = self.begin(queue, telemetry, policy)
         for sreq in arrivals:
             session.offer(sreq)
         session.flush()

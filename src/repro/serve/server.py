@@ -58,9 +58,8 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from ..api.dag import DagRequest
+from ..api.dag import DagRequest, _dag_envelope
 from ..api.requests import SimRequest
-from ..api.response import SimResponse
 from ..api.simulator import Simulator
 from ..api.workloads import transform_spec
 from ..errors import FunctionalMismatch, ReproError, ServeError, ShardFailure
@@ -182,7 +181,7 @@ class _Session(SessionBook):
     def __init__(self, server: "SimServer"):
         super().__init__(server._clock_us, server.queue.next_id)
         self.planner: PlanSession = server.scheduler.begin(
-            server.queue, server.config, server.telemetry, server.policy)
+            server.queue, server.telemetry, server.policy)
         self.cache_before = Simulator(server.config).cache_info()
         self.shards: Dict[int, _ShardState] = {}
         #: Virtual time the shared command bus frees up.
@@ -216,7 +215,7 @@ class _Session(SessionBook):
 
 
 class SimServer:
-    """Async-style serving layer bound to one default :class:`SimConfig`.
+    """Async-style serving layer bound to one :class:`SimConfig`.
 
     ``scheduler`` is ``"batching"`` (default), ``"sequential"`` (the
     naive baseline: no coalescing) or a :class:`BatchingScheduler`
@@ -286,8 +285,8 @@ class SimServer:
         The server's virtual clock is monotonic across calls: each
         call's arrivals (and deadlines) are offset to start where the
         previous call ended, so session telemetry over many calls —
-        e.g. a :class:`~repro.sim.host.PimMemoryController` issuing one
-        ``call()`` per NTT_INVOKE — reads as the serial traffic it is.
+        e.g. one ``serve()`` per request — reads as the serial traffic
+        it is.
         Unassigned (0) or duplicate request ids are replaced with fresh
         ones (two concatenated ``LoadGenerator`` streams both number
         from 1); results stay positional either way.
@@ -303,22 +302,11 @@ class SimServer:
         self._drain_session(session)
         return [session.results[s.request_id] for s in sreqs]
 
-    def call(self, request: SimRequest, *,
-             config: Optional[SimConfig] = None,
-             priority: int = 0):
-        """Serve one request synchronously through the full queue →
-        scheduler → shard path and return its facade ``SimResponse``
-        (the :class:`repro.sim.host.PimMemoryController` route)."""
-        result = self.serve([ServeRequest(request=request, priority=priority,
-                                          config=config)])[0]
-        return result.response
-
     # -- live (online) entry points ----------------------------------------------
     def submit(self, request: Union[ServeRequest, SimRequest], *,
                arrival_us: Optional[float] = None,
                priority: int = 0,
                deadline_us: Optional[float] = None,
-               config: Optional[SimConfig] = None,
                request_id: int = 0,
                tenant: str = "") -> int:
         """Submit one request to the live session and return its id.
@@ -335,13 +323,12 @@ class SimServer:
 
         Pass either a bare facade request plus keyword scheduling
         fields, or a fully populated :class:`ServeRequest` — not both:
-        a ``ServeRequest`` carries its own priority/deadline/config/id,
+        a ``ServeRequest`` carries its own priority/deadline/id/tenant,
         so combining it with those keywords raises.
         """
         sreq, arrival_us = submission(
             request, arrival_us=arrival_us, priority=priority,
-            deadline_us=deadline_us, config=config, request_id=request_id,
-            tenant=tenant)
+            deadline_us=deadline_us, request_id=request_id, tenant=tenant)
         if self._live is None:
             self._live = _Session(self)
         session = self._live
@@ -474,19 +461,17 @@ class SimServer:
                        parent_values: Dict[str, tuple]) -> ServeRequest:
         """Materialize one stage as a planner arrival: bind the parents'
         settled outputs into the node's request, allocate its stage id,
-        and inherit the graph's priority/config/tenant.  Stages carry no
+        and inherit the graph's priority and tenant.  Stages carry no
         deadline of their own — the graph's deadline is judged against
         the assembled completion in :meth:`_assemble_dag`."""
         bound = state.request.bound_request(
-            name, parent_values,
-            functional=state.sreq.effective_config(self.config).functional)
+            name, parent_values, functional=self.config.functional)
         sid = session.stage_id()
         state.stage_ids[name] = sid
         state.released.add(name)
         session.stages[sid] = (state.sreq.request_id, name)
         return ServeRequest(request=bound, arrival_us=release_us,
                             priority=state.sreq.priority, request_id=sid,
-                            config=state.sreq.config,
                             tenant=state.sreq.tenant)
 
     def _release_ready(self, session: _Session) -> bool:
@@ -634,10 +619,6 @@ class SimServer:
         if ok:
             responses = {name: res.response
                          for name, res in stage_results.items()}
-            counters: Dict[str, int] = {}
-            for resp in responses.values():
-                for key, val in resp.counters.items():
-                    counters[key] = counters.get(key, 0) + val
             makespan = record.latency_us
             metrics = {"stages": float(len(request.nodes)),
                        "critical_path_us": critical_path,
@@ -646,20 +627,10 @@ class SimServer:
                                                  if critical_path else 0.0)}
             if request.label:
                 metrics["label"] = request.label
-            response = SimResponse(
-                workload="dag",
-                values=list(responses[request.sink_name].values),
-                outputs=[list(responses[name].values)
-                         for name, _ in request.nodes],
-                cycles=record.cycles,
-                latency_us=makespan,
-                energy_nj=record.energy_nj,
-                verified=all(resp.verified for resp in responses.values()),
-                command_count=sum(resp.command_count
-                                  for resp in responses.values()),
-                counters=counters,
-                metrics=metrics,
-                request=request)
+            response = _dag_envelope(
+                request, responses, cycles=record.cycles,
+                latency_us=makespan, energy_nj=record.energy_nj,
+                metrics=metrics)
         self.telemetry.add(record)
         session.results[sreq.request_id] = ServeResult(
             record=record, response=response, stages=stage_results)
@@ -720,7 +691,7 @@ class SimServer:
         head = unit.members[0]
         request = (head.request if unit.banks == 1 else
                    Simulator.merge_requests([m.request for m in unit.members]))
-        return Simulator(head.effective_config(self.config)).run(request)
+        return Simulator(self.config).run(request)
 
     def _settle(self, session: _Session,
                 horizon_us: Optional[float]) -> None:

@@ -26,7 +26,6 @@ import dataclasses
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..api.requests import SimRequest
-from ..sim.driver import SimConfig
 from .queueing import ServeRequest
 
 __all__ = ["SessionBook", "submission"]
@@ -36,7 +35,6 @@ def submission(request: Union[ServeRequest, SimRequest], *,
                arrival_us: Optional[float] = None,
                priority: int = 0,
                deadline_us: Optional[float] = None,
-               config: Optional[SimConfig] = None,
                request_id: int = 0,
                tenant: str = "") -> Tuple[ServeRequest, Optional[float]]:
     """``submit()``'s two calling forms — a bare facade request plus
@@ -44,12 +42,11 @@ def submission(request: Union[ServeRequest, SimRequest], *,
     :class:`ServeRequest` — as one validated session-relative
     :class:`ServeRequest` and its arrival (``None`` = now).
 
-    A ``ServeRequest`` carries its own priority/deadline/config/id, so
+    A ``ServeRequest`` carries its own priority/deadline/id/tenant, so
     combining it with those keywords raises :class:`ValueError`.
     """
     if isinstance(request, ServeRequest):
-        if (priority, deadline_us, config, request_id,
-                tenant) != (0, None, None, 0, ""):
+        if (priority, deadline_us, request_id, tenant) != (0, None, 0, ""):
             raise ValueError(
                 "pass scheduling fields on the ServeRequest itself, "
                 "not as submit() keywords")
@@ -59,7 +56,7 @@ def submission(request: Union[ServeRequest, SimRequest], *,
     else:
         sreq = ServeRequest(request=request, priority=priority,
                             deadline_us=deadline_us, request_id=request_id,
-                            config=config, tenant=tenant)
+                            tenant=tenant)
     sreq.request.admit()
     return sreq, arrival_us
 
@@ -128,8 +125,7 @@ class SessionBook:
         return ServeRequest(
             request=sreq.request, arrival_us=arrival,
             priority=sreq.priority, deadline_us=deadline,
-            request_id=self.assign_id(sreq.request_id), config=sreq.config,
-            tenant=sreq.tenant)
+            request_id=self.assign_id(sreq.request_id), tenant=sreq.tenant)
 
     def admit(self, sreq: ServeRequest) -> None:
         """Record one normalised request in submission order."""

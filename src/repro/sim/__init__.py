@@ -1,6 +1,6 @@
 """Simulation front end: one ``banks x slots`` dispatch path (a lone
 transform, a one-bank batch, a multi-bank dispatch), its result, the
-per-command merge references, host protocol and traces."""
+per-command merge references and traces."""
 
 from .batch import concat_programs
 from .driver import (
@@ -11,7 +11,6 @@ from .driver import (
     compile_dispatch,
     schedule_cache_info,
 )
-from .host import MemoryRequest, MemoryResponse, PimMemoryController, RequestType
 from .multibank import interleave_programs
 from .results import DispatchResult
 from .trace import format_trace, parse_trace_line, trace_summary
@@ -23,10 +22,6 @@ __all__ = [
     "clear_schedule_cache",
     "compile_dispatch",
     "schedule_cache_info",
-    "MemoryRequest",
-    "MemoryResponse",
-    "PimMemoryController",
-    "RequestType",
     "TransformSpec",
     "interleave_programs",
     "DispatchResult",

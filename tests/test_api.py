@@ -1,6 +1,6 @@
 """Tests for the repro.api facade: registry round-trip, request
 validation, response-envelope equality with the engine-room entry
-points, shared schedule caching and run_many grouping."""
+points, shared schedule caching and same-shape merging."""
 
 import hashlib
 import random
@@ -155,9 +155,9 @@ class TestValidation:
             Simulator().run(ProgramRequest(commands=()))
 
     def test_each_request_validated_once(self, monkeypatch):
-        """Admission validates a request once; a group merged from
-        admitted members is not re-validated at dispatch, and a failed
-        validation is never remembered."""
+        """Admission validates a request once; a group the server
+        merges from admitted members is not re-validated at dispatch,
+        and a failed validation is never remembered."""
         calls = []
         for cls in (NttRequest, MultiBankRequest):
             real = cls.validate
@@ -167,7 +167,8 @@ class TestValidation:
                                          real(self))[1])
         requests = [NttRequest(params=PARAMS, values=_data(seed))
                     for seed in range(4)]
-        Simulator().run_many(requests)
+        results = SimServer(window_us=10.0, max_banks=8).serve(requests)
+        assert [r.record.group_banks for r in results] == [4] * 4
         Simulator().run(requests[0])
         assert calls == [NttRequest] * 4
         bad = NttRequest(params=PARAMS, values=[1, 2, 3])
@@ -437,86 +438,6 @@ class TestScheduleCache:
         for cache in ("program", "schedule"):
             assert set(info[cache]) == {"entries", "hits", "misses"}
         assert schedule_cache_info()["entries"] >= 0
-
-
-class TestRunMany:
-    def test_grouped_outputs_match_individual_runs(self):
-        simulator = Simulator()
-        inputs = [_data(i) for i in range(20, 23)]
-        requests = [NttRequest(params=PARAMS, values=x) for x in inputs]
-        responses = simulator.run_many(requests)
-        assert len(responses) == 3
-        for x, response in zip(inputs, responses):
-            single = simulator.run(NttRequest(params=PARAMS, values=x))
-            assert response.values == single.values
-            assert response.metrics["group_banks"] == 3
-        assert [r.metrics["bank"] for r in responses] == [0, 1, 2]
-
-    def test_grouped_energy_and_counters_split_per_bank(self):
-        """Summing run_many responses must not overcount the group."""
-        simulator = Simulator()
-        inputs = [_data(i) for i in range(24, 27)]
-        requests = [NttRequest(params=PARAMS, values=x) for x in inputs]
-        responses = simulator.run_many(requests)
-        group = responses[0].raw  # the group's shared DispatchResult
-        total_nj = sum(r.energy_nj for r in responses)
-        assert total_nj == pytest.approx(group.schedule.energy_nj)
-        assert (sum(r.command_count for r in responses)
-                == len(group.schedule.timings))
-        assert (sum(r.counters["ACT"] for r in responses)
-                == group.schedule.stats.activations)
-
-    def test_mixed_requests_keep_order(self):
-        simulator = Simulator()
-        x = _data(30)
-        requests = [
-            NttRequest(params=PARAMS, values=x),
-            NegacyclicRequest(ring=RING, values=_data(31, q=QN)),
-            NttRequest(params=PARAMS, values=x),
-        ]
-        responses = simulator.run_many(requests)
-        assert [r.workload for r in responses] == ["ntt", "negacyclic", "ntt"]
-        assert responses[0].values == responses[2].values
-
-    def test_max_banks_chunking(self):
-        simulator = Simulator(SimConfig(functional=False))
-        requests = [NttRequest(params=PARAMS) for _ in range(5)]
-        responses = simulator.run_many(requests, max_banks=2)
-        banks = [r.metrics.get("group_banks") for r in responses]
-        # 5 = 2 + 2 + 1: two pairs grouped, the leftover runs alone.
-        assert banks.count(2) == 4 and banks.count(None) == 1
-
-    def test_validates_everything_up_front(self, monkeypatch):
-        simulator = Simulator()
-        ran = []
-        monkeypatch.setattr(simulator, "run", ran.append)
-        requests = [NttRequest(params=PARAMS, values=_data(60 + i))
-                    for i in range(2)]
-        requests.append(NttRequest(params=PARAMS, values=(1, 2, 3)))
-        with pytest.raises(RequestValidationError):
-            simulator.run_many(requests)
-        assert ran == []  # the malformed tail stopped every unit
-
-    def test_inverse_and_negacyclic_group_bit_identically(self):
-        simulator = Simulator()
-        requests = (
-            [NttRequest(params=PARAMS, values=_data(40 + i), inverse=True)
-             for i in range(2)]
-            + [NegacyclicRequest(ring=RING, values=_data(50 + i, q=QN))
-               for i in range(2)]
-            + [NegacyclicRequest(ring=RING, values=_data(60 + i, q=QN),
-                                 inverse=True) for i in range(2)])
-        responses = simulator.run_many(requests)
-        for request, response in zip(requests, responses):
-            assert response.metrics["group_banks"] == 2
-            assert response.values == simulator.run(request).values
-
-    def test_forward_and_inverse_never_share_a_group(self):
-        simulator = Simulator(SimConfig(functional=False))
-        responses = simulator.run_many(
-            [NttRequest(params=PARAMS),
-             NttRequest(params=PARAMS, inverse=True)])
-        assert all("group_banks" not in r.metrics for r in responses)
 
 
 class TestMultiBankKinds:
@@ -858,8 +779,8 @@ class TestArrayOperands:
         for requests in (arrays, tuples):
             Simulator.clear_caches()
             cold = [Simulator().run(r).cache for r in requests]
-            grouped = Simulator().run_many(requests)
-            caches.append((cold, [r.cache for r in grouped]))
+            grouped = Simulator().run(Simulator.merge_requests(requests))
+            caches.append((cold, grouped.cache))
         assert caches[0] == caches[1]
         mixed = [arrays[0], tuples[1], arrays[2], tuples[3]]
         sreqs = [ServeRequest(request=r, arrival_us=0.0, request_id=i + 1)

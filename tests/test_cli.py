@@ -41,6 +41,28 @@ class TestCli:
             main(["bogus"])
 
 
+class TestCliUsageErrors:
+    """A flag value the library rejects ends as one line on stderr and
+    exit 2, like argparse's own errors, never as a traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "-n", "100"], "power of two"),
+        (["compile", "-n", "100"], "power of two"),
+        (["trace", "-n", "100"], "power of two"),
+        (["run", "negacyclic", "--nb", "1"],
+         "merged negacyclic mapping, needs an auxiliary buffer (Nb >= 2)"),
+        (["run", "--nb", "0"], "primary buffer"),
+        (["run", "--freq", "0"], "frequency must be positive"),
+        (["run", "batch", "--count", "0"], "at least one polynomial"),
+    ])
+    def test_bad_flag_value_is_a_usage_error(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and message in captured.err
+        assert "Traceback" not in captured.err
+
+
 class TestCliFacade:
     """The generic ``run <workload>`` subcommand and its facade flags."""
 

@@ -7,15 +7,10 @@ import random
 import pytest
 
 from repro.api import BatchRequest, NegacyclicRequest, NttRequest, Simulator
-from repro.arith import NttParams, find_ntt_prime
+from repro.arith import NttParams, find_ntt_prime, mod_pow
 from repro.dram import CommandType, HBM2E_ARCH
 from repro.errors import MappingError
-from repro.mapping import (
-    NegacyclicNttMapper,
-    NttMapper,
-    SingleBufferMapper,
-    c1_root,
-)
+from repro.mapping import NegacyclicNttMapper, NttMapper, SingleBufferMapper
 from repro.mapping.mapper import MapperOptions
 from repro.ntt import NegacyclicParams
 from repro.ntt import ntt as reference_ntt
@@ -51,7 +46,7 @@ class TestProgramStructure:
 
     def test_c1_root_parameter(self):
         cmds = make_mapper(512).generate()
-        root = c1_root(NttParams(512, Q), 8)
+        root = mod_pow(NttParams(512, Q).omega, 512 // 8, Q)
         for c in cmds:
             if c.ctype is CommandType.C1:
                 assert c.omega0 == root

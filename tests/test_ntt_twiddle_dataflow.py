@@ -1,18 +1,8 @@
-"""Tests for the twiddle generator and the butterfly dataflow graph."""
+"""Tests for the on-the-fly twiddle generator (the CU's TFG)."""
 
 import pytest
 
-from repro.arith import NttParams, mod_pow
-from repro.ntt import (
-    TwiddleGenerator,
-    TwiddleTable,
-    all_butterflies,
-    independent_blocks,
-    lane_twiddles,
-    stage_butterflies,
-    stage_step,
-    twiddle_exponent,
-)
+from repro.ntt import TwiddleGenerator
 
 Q = 12289
 
@@ -44,103 +34,3 @@ class TestTwiddleGenerator:
     def test_bad_modulus(self):
         with pytest.raises(ValueError):
             TwiddleGenerator(1, 1, 1)
-
-
-class TestStageTwiddles:
-    def test_stage_step_values(self):
-        p = NttParams(16, Q)
-        for s in range(1, 5):
-            assert stage_step(p, s) == mod_pow(p.omega, 16 >> s, Q)
-
-    def test_stage_step_out_of_range(self):
-        p = NttParams(16, Q)
-        with pytest.raises(ValueError):
-            stage_step(p, 0)
-        with pytest.raises(ValueError):
-            stage_step(p, 5)
-
-    def test_lane_twiddles_match_exponents(self):
-        p = NttParams(64, Q)
-        for stage in (3, 5, 6):
-            m = 1 << (stage - 1)
-            tw = lane_twiddles(p, stage, 0, m)
-            expected = [mod_pow(p.omega, twiddle_exponent(64, stage, j), Q)
-                        for j in range(m)]
-            assert tw == expected
-
-    def test_lane_twiddles_offset_start(self):
-        p = NttParams(64, Q)
-        stage = 6
-        full = lane_twiddles(p, stage, 0, 32)
-        assert lane_twiddles(p, stage, 8, 8) == full[8:16]
-
-    def test_twiddle_exponent_bounds(self):
-        with pytest.raises(ValueError):
-            twiddle_exponent(16, 2, 2)  # stage 2 has m=2 lanes: j in {0,1}
-
-    def test_table_agrees_with_generator(self):
-        p = NttParams(32, Q)
-        table = TwiddleTable(p)
-        for stage in range(1, 6):
-            m = 1 << (stage - 1)
-            gen = lane_twiddles(p, stage, 0, m)
-            assert gen == [table.stage_lane(stage, j) for j in range(m)]
-
-    def test_table_power_wraps(self):
-        p = NttParams(32, Q)
-        table = TwiddleTable(p)
-        assert table.power(32) == 1
-        assert table.power(33) == p.omega
-
-
-class TestDataflow:
-    def test_butterfly_count(self):
-        n = 64
-        flies = list(all_butterflies(n))
-        assert len(flies) == (n // 2) * 6  # N/2 per stage, log N stages
-
-    def test_stage_indices_partition(self):
-        """Each stage touches every word exactly once."""
-        n = 32
-        for stage in range(1, 6):
-            touched = []
-            for bf in stage_butterflies(n, stage):
-                touched.extend([bf.index_a, bf.index_b])
-            assert sorted(touched) == list(range(n))
-
-    def test_stride_is_power_of_two(self):
-        for bf in all_butterflies(16):
-            assert bf.stride == 1 << (bf.stage - 1)
-            assert bf.index_a & bf.stride == 0
-            assert bf.index_b == bf.index_a | bf.stride
-
-    def test_invalid_stage(self):
-        with pytest.raises(ValueError):
-            list(stage_butterflies(16, 5))
-        with pytest.raises(ValueError):
-            list(stage_butterflies(16, 0))
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            list(stage_butterflies(12, 1))
-
-    def test_independent_blocks_contain_early_stages(self):
-        """Stages 1..log(block) never cross a block boundary (Sec. III.A)."""
-        n, block = 256, 32
-        blocks = independent_blocks(n, block)
-        assert len(blocks) == n // block
-        log_block = block.bit_length() - 1
-        for stage in range(1, log_block + 1):
-            for bf in stage_butterflies(n, stage):
-                assert bf.index_a // block == bf.index_b // block
-
-    def test_later_stages_cross_blocks(self):
-        n, block = 256, 32
-        stage = block.bit_length()  # first stage past log(block)
-        crossing = [bf for bf in stage_butterflies(n, stage)
-                    if bf.index_a // block != bf.index_b // block]
-        assert crossing  # every butterfly in this stage crosses
-
-    def test_block_larger_than_n_rejected(self):
-        with pytest.raises(ValueError):
-            independent_blocks(16, 32)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.arith import NttParams, bit_reverse_permute, mod_pow
 from repro.errors import MappingError
-from repro.mapping.twiddle_params import c1_root, c2_twiddles
 from repro.ntt import direct_ntt, ntt
 from repro.pim import AtomBufferFile, ComputeUnit
 
@@ -83,7 +82,7 @@ class TestC1:
         first log Na stages of the big transform."""
         n = 64
         big = NttParams(n, Q)
-        root = c1_root(big, 8)
+        root = mod_pow(big.omega, n // 8, Q)
         sub = NttParams(8, Q, root)
         cu = ComputeUnit(8)
         cu.set_modulus(Q)
@@ -139,18 +138,6 @@ class TestC2:
         cu.set_modulus(Q)
         with pytest.raises(MappingError):
             cu.execute_c2([0] * 8, [0] * 4, 1, 1)
-
-    def test_c2_twiddle_params_helper(self):
-        big = NttParams(64, Q)
-        stage = 5  # m = 16
-        omega0, r_omega = c2_twiddles(big, stage, 8)
-        assert omega0 == mod_pow(big.omega, (64 >> stage) * 8, Q)
-        assert r_omega == mod_pow(big.omega, 64 >> stage, Q)
-
-    def test_c2_twiddles_rejects_minus_leg(self):
-        big = NttParams(64, Q)
-        with pytest.raises(ValueError):
-            c2_twiddles(big, 5, 16)  # word 16 has bit 4 set -> '-' leg
 
 
 class TestScalarPath:

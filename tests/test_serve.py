@@ -11,7 +11,13 @@ import random
 import pytest
 from compute_paths import on_path
 
-from repro.api import FheOpRequest, NegacyclicRequest, NttRequest, Simulator
+from repro.api import (
+    FheOpRequest,
+    NegacyclicRequest,
+    NttRequest,
+    Simulator,
+    merge_key,
+)
 from repro.arith import NttParams, find_ntt_prime
 from repro.errors import RequestValidationError, ServeError
 from repro.ntt.negacyclic import NegacyclicParams
@@ -26,7 +32,6 @@ from repro.serve import (
     merge_snapshots,
     percentile,
     sequential_policy,
-    shape_key,
 )
 from repro.serve.faults import ResiliencePolicy
 from repro.serve.telemetry import RequestRecord
@@ -103,36 +108,27 @@ class TestRequestQueue:
 
 
 class TestShapeKey:
+    """The scheduler coalesces by :func:`repro.api.merge_key`."""
+
     def test_forward_ntts_of_same_shape_share_a_key(self):
-        a = ServeRequest(request=ntt_request(0))
-        b = ServeRequest(request=ntt_request(1))
-        assert shape_key(a, CONFIG) == shape_key(b, CONFIG)
+        assert merge_key(ntt_request(0)) == merge_key(ntt_request(1))
 
     def test_inverse_and_negacyclic_batch_under_their_own_keys(self):
-        fwd = ServeRequest(request=ntt_request(0))
-        inv = ServeRequest(request=NttRequest(params=PARAMS, inverse=True))
-        neg = ServeRequest(request=nega_request(0))
-        neg_inv = ServeRequest(request=nega_request(1, inverse=True))
-        keys = [shape_key(s, CONFIG) for s in (fwd, inv, neg, neg_inv)]
+        keys = [merge_key(r) for r in (
+            ntt_request(0), NttRequest(params=PARAMS, inverse=True),
+            nega_request(0), nega_request(1, inverse=True))]
         assert all(k is not None for k in keys)
         assert len(set(keys)) == 4  # four distinct dispatch groups
 
     def test_fhe_ops_do_not_batch(self):
-        assert shape_key(ServeRequest(request=fhe_request(0)),
-                         CONFIG) is None
-
-    def test_config_override_separates_groups(self):
-        plain = ServeRequest(request=ntt_request(0))
-        override = ServeRequest(request=ntt_request(1),
-                                config=SimConfig(functional=False))
-        assert shape_key(plain, CONFIG) != shape_key(override, CONFIG)
+        assert merge_key(fhe_request(0)) is None
 
 
 def _plan(scheduler, sreqs, max_depth=256, telemetry=None):
     queue = RequestQueue(max_depth=max_depth)
     return scheduler.plan(sorted(sreqs, key=lambda s: (s.arrival_us,
                                                        s.request_id)),
-                          queue, CONFIG, telemetry)
+                          queue, telemetry)
 
 
 class TestBatchingSchedulerPlan:
@@ -291,7 +287,7 @@ class TestSimServer:
     def test_call_matches_facade_run(self):
         request = ntt_request(9)
         server = SimServer()
-        response = server.call(request)
+        response = server.serve([request])[0].response
         assert response.verified
         assert response.values == Simulator().run(request).values
         assert server.telemetry.snapshot()["completed"] == 1
@@ -311,8 +307,8 @@ class TestSimServer:
         both show up."""
         server = SimServer(CONFIG)
         Simulator.clear_caches()
-        server.call(ntt_request(20))
-        server.call(ntt_request(21))  # same shape: pure cache hits
+        server.serve([ntt_request(20)])
+        server.serve([ntt_request(21)])  # same shape: pure cache hits
         cache = server.telemetry.cache
         assert cache["program"]["misses"] >= 1   # first call compiled
         assert cache["program"]["hits"] >= 1     # second call reused
@@ -346,13 +342,13 @@ class TestSimServer:
         assert [s.request_id for s in second] == list(range(1, 9))
 
     def test_virtual_clock_monotonic_across_calls(self):
-        """Sequential call()s (the host-controller route) must read as
-        serial traffic: completions advance, makespan spans the whole
-        session, throughput is not inflated."""
+        """Sequential one-request serve() calls must read as serial
+        traffic: completions advance, makespan spans the whole session,
+        throughput is not inflated."""
         server = SimServer(CONFIG)
         completions = []
         for seed in range(3):
-            server.call(ntt_request(seed))
+            server.serve([ntt_request(seed)])
             completions.append(server.telemetry.records[-1].completion_us)
         assert completions == sorted(completions)
         assert len(set(completions)) == 3
@@ -428,6 +424,13 @@ class TestGeneralizedBatching:
         per_bank = results[0].response.counters
         assert all(v * 4 == group.schedule.stats.command_counts.get(k, 0)
                    for k, v in per_bank.items() if k != "bu_ops")
+        # Summed over the group's responses, energy and command counts
+        # are the group schedule's own: the split never overcounts.
+        responses = [r.response for r in results]
+        assert (sum(r.energy_nj for r in responses)
+                == pytest.approx(group.schedule.energy_nj))
+        assert (sum(r.command_count for r in responses)
+                == len(group.schedule.timings))
 
 
 class TestLiveSurface:
@@ -623,7 +626,7 @@ class TestLiveSurface:
 
     def test_clock_monotonic_across_live_and_offline_sessions(self):
         server = SimServer(CONFIG)
-        server.call(ntt_request(0))
+        server.serve([ntt_request(0)])
         first_completion = server.telemetry.records[-1].completion_us
         server.submit(ntt_request(1))
         server.drain()
@@ -699,7 +702,7 @@ class TestPlanSession:
         offline = BatchingScheduler(window_us=20.0, max_banks=3)
         units, dropped = _plan(offline, arrivals())
         online = BatchingScheduler(window_us=20.0, max_banks=3)
-        session = online.begin(RequestQueue(), CONFIG)
+        session = online.begin(RequestQueue())
         for sreq in arrivals():
             session.offer(sreq)
         session.flush()
@@ -711,7 +714,7 @@ class TestPlanSession:
 
     def test_out_of_order_arrival_rejected(self):
         scheduler = BatchingScheduler(window_us=10.0)
-        session = scheduler.begin(RequestQueue(), CONFIG)
+        session = scheduler.begin(RequestQueue())
         session.offer(ServeRequest(request=ntt_request(0), arrival_us=50.0,
                                    request_id=1))
         with pytest.raises(ValueError, match="precedes"):
@@ -739,7 +742,7 @@ class TestPlanSessionRelease:
         sessions = []
         for admit in ("offer", "release"):
             session = BatchingScheduler(window_us=20.0, max_banks=3) \
-                .begin(RequestQueue(max_depth=4), CONFIG)
+                .begin(RequestQueue(max_depth=4))
             for i, arrival in enumerate(arrivals):
                 getattr(session, admit)(self._sreq(i, arrival))
                 assert session.now_us == arrival
@@ -752,7 +755,7 @@ class TestPlanSessionRelease:
 
     def test_past_release_joins_open_window_without_moving_clock(self):
         session = BatchingScheduler(window_us=100.0, max_banks=8) \
-            .begin(RequestQueue(), CONFIG)
+            .begin(RequestQueue())
         session.offer(self._sreq(0, 0.0))
         session.advance(50.0)
         session.release(self._sreq(1, 20.0))
@@ -762,7 +765,7 @@ class TestPlanSessionRelease:
 
     def test_past_release_opens_a_window_at_its_release_time(self):
         session = BatchingScheduler(window_us=30.0, max_banks=8) \
-            .begin(RequestQueue(), CONFIG)
+            .begin(RequestQueue())
         session.offer(self._sreq(0, 0.0))
         session.advance(40.0)
         session.release(self._sreq(1, 20.0))
@@ -774,7 +777,7 @@ class TestPlanSessionRelease:
 
     def test_past_release_filling_the_group_closes_at_latest_arrival(self):
         session = BatchingScheduler(window_us=100.0, max_banks=3) \
-            .begin(RequestQueue(), CONFIG)
+            .begin(RequestQueue())
         session.offer(self._sreq(0, 0.0))
         session.offer(self._sreq(1, 30.0))
         session.advance(40.0)
@@ -784,7 +787,7 @@ class TestPlanSessionRelease:
 
     def test_past_release_into_a_full_queue_is_rejected(self):
         session = BatchingScheduler(window_us=100.0, max_banks=8) \
-            .begin(RequestQueue(max_depth=1), CONFIG)
+            .begin(RequestQueue(max_depth=1))
         session.offer(self._sreq(0, 0.0))
         session.advance(20.0)
         session.release(self._sreq(1, 10.0))
@@ -796,7 +799,7 @@ class TestPlanSessionRelease:
         telemetry = Telemetry()
         policy = ResiliencePolicy(shed_depth=1, shed_min_priority=1)
         session = BatchingScheduler(window_us=100.0, max_banks=8) \
-            .begin(RequestQueue(), CONFIG, telemetry, policy)
+            .begin(RequestQueue(), telemetry, policy)
         session.offer(self._sreq(0, 0.0))
         session.advance(20.0)
         session.release(self._sreq(1, 10.0))

@@ -1,16 +1,10 @@
-"""Tests for the request-level host interface and trace export."""
-
-import random
+"""Tests for command-trace export."""
 
 import pytest
 
 from repro.arith import NttParams, find_ntt_prime
 from repro.dram import HBM2E_ARCH
-from repro.ntt import ntt
 from repro.sim import (
-    MemoryRequest,
-    PimMemoryController,
-    RequestType,
     SimConfig,
     TransformSpec,
     format_trace,
@@ -19,87 +13,6 @@ from repro.sim import (
 )
 
 Q = find_ntt_prime(1024, 32)
-R = HBM2E_ARCH.words_per_row
-
-
-class TestHostProtocol:
-    def test_write_read_roundtrip(self):
-        mc = PimMemoryController()
-        data = list(range(100))
-        assert mc.submit(MemoryRequest(RequestType.WRITE, address=64,
-                                       data=data)).ok
-        resp = mc.submit(MemoryRequest(RequestType.READ, address=64,
-                                       length=100))
-        assert resp.ok and resp.data == data
-
-    def test_unwritten_memory_reads_zero(self):
-        mc = PimMemoryController()
-        resp = mc.submit(MemoryRequest(RequestType.READ, address=0, length=4))
-        assert resp.data == [0, 0, 0, 0]
-
-    def test_ntt_invoke_full_protocol(self):
-        """Fig. 1 flow: write input, invoke NTT as a write request, read
-        the transformed data back from the same address."""
-        n = 256
-        params = NttParams(n, Q)
-        rng = random.Random(0)
-        values = [rng.randrange(Q) for _ in range(n)]
-        mc = PimMemoryController()
-        mc.submit(MemoryRequest(RequestType.WRITE, address=0, data=values))
-        resp = mc.submit(MemoryRequest(RequestType.NTT_INVOKE, address=0,
-                                       ntt_params=params))
-        assert resp.ok
-        assert resp.run is not None and resp.run.verified
-        readback = mc.submit(MemoryRequest(RequestType.READ, address=0,
-                                           length=n))
-        assert readback.data == ntt(values, params)
-
-    def test_ntt_at_nonzero_row_aligned_address(self):
-        n = 256
-        params = NttParams(n, Q)
-        mc = PimMemoryController()
-        addr = 7 * R
-        mc.submit(MemoryRequest(RequestType.WRITE, address=addr,
-                                data=[1] * n))
-        resp = mc.submit(MemoryRequest(RequestType.NTT_INVOKE, address=addr,
-                                       ntt_params=params))
-        assert resp.ok
-
-    def test_unaligned_ntt_rejected(self):
-        mc = PimMemoryController()
-        resp = mc.submit(MemoryRequest(RequestType.NTT_INVOKE, address=17,
-                                       ntt_params=NttParams(256, Q)))
-        assert not resp.ok and "aligned" in resp.detail
-
-    def test_ntt_without_params_rejected(self):
-        mc = PimMemoryController()
-        assert not mc.submit(MemoryRequest(RequestType.NTT_INVOKE)).ok
-
-    def test_write_without_data_rejected(self):
-        mc = PimMemoryController()
-        assert not mc.submit(MemoryRequest(RequestType.WRITE, address=0)).ok
-
-    def test_pre_bit_reversed_input(self):
-        """A host that already stored the bit-reversed image gets the
-        same transform."""
-        from repro.arith import bit_reverse_permute
-        n = 256
-        params = NttParams(n, Q)
-        rng = random.Random(1)
-        values = [rng.randrange(Q) for _ in range(n)]
-        mc = PimMemoryController()
-        mc.submit(MemoryRequest(RequestType.WRITE, address=0,
-                                data=bit_reverse_permute(values)))
-        resp = mc.submit(MemoryRequest(RequestType.NTT_INVOKE, address=0,
-                                       ntt_params=params,
-                                       pre_bit_reversed=True))
-        assert resp.ok and resp.data == ntt(values, params)
-
-    def test_responses_recorded(self):
-        mc = PimMemoryController()
-        mc.submit(MemoryRequest(RequestType.READ, address=0, length=1))
-        mc.submit(MemoryRequest(RequestType.WRITE, address=0, data=[1]))
-        assert len(mc.completed) == 2
 
 
 class TestTrace:
