@@ -210,7 +210,9 @@ def _plan_traffic(n: int, nb: int) -> dict:
     """One Table III plan's cell traffic: its read and write ops, the
     atoms they move, and the most times the plan reads (writes) any one
     atom — 1 each once store forwarding leaves only each atom's first
-    read and last write."""
+    read and last write; and its value pool: the slots it holds (N/8
+    once slots are allocated by liveness) and how many of its groups
+    address a view of it and how many fall back to index arrays."""
     config = SimConfig(pim=PimParams(nb_buffers=nb))
     spec = TransformSpec(params=NttParams(n, find_ntt_prime(n, 32)))
     plan = compile_stream(spec.program(config, 0).commands,
@@ -225,6 +227,10 @@ def _plan_traffic(n: int, nb: int) -> dict:
         entry[f"atoms_{moved}"] = len(atoms)
         entry[f"max_{kind}s_per_atom"] = int(
             np.unique(atoms, return_counts=True)[1].max(initial=0))
+    groups = [op for op in plan.ops if op[0] != "param"]
+    entry["pool_slots"] = plan.n_slots
+    entry["view_groups"] = sum(op[-1] is not None for op in groups)
+    entry["fallback_groups"] = sum(op[-1] is None for op in groups)
     return entry
 
 
@@ -327,7 +333,9 @@ def _format(results: dict) -> str:
             f"{entry['read_ops']} read / {entry['write_ops']} write ops, "
             f"{entry['atoms_read']} / {entry['atoms_written']} atoms of "
             f"{entry['atoms']} (at most {entry['max_reads_per_atom']} / "
-            f"{entry['max_writes_per_atom']} per atom)")
+            f"{entry['max_writes_per_atom']} per atom), "
+            f"{entry['pool_slots']} pool slots, {entry['view_groups']} "
+            f"view / {entry['fallback_groups']} index groups")
     lines.append("data plane: warm same-spec dispatch, online check "
                  "included:")
     for entry in results["dataplane"].values():
@@ -393,6 +401,8 @@ def test_stream_engine_smoke(show, tmp_path):
         assert (plan["read_ops"], plan["write_ops"]) == (1, 1)
         assert plan["atoms_read"] == plan["atoms_written"] == plan["atoms"]
         assert plan["max_reads_per_atom"] == plan["max_writes_per_atom"] == 1
+        assert plan["pool_slots"] == plan["atoms"]
+        assert plan["fallback_groups"] == 0 < plan["view_groups"]
 
 
 def main(argv=None) -> int:

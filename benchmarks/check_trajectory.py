@@ -28,7 +28,9 @@ committed floor:
   check (``check_s``, the check alone on the same stacks);
 * plans: no Table III plan may read or write any atom of the cell
   array more than once (``PLAN_MAX_MOVES_PER_ATOM``) — store-to-load
-  forwarding keeps every intermediate stage in the value pool;
+  forwarding keeps every intermediate stage in the value pool — nor
+  hold more pool slots than atoms (``PLAN_MAX_SLOTS_PER_ATOM``) — the
+  stages update the pool in place;
 * load generation: the skewed mix's requests, scaled the same way,
   must cost at most ``LOADGEN_US_PER_REQ_CEILING`` each — the bulk
   coefficient draw, not one ``randrange`` per coefficient;
@@ -87,19 +89,27 @@ COMPILE_US_PER_CMD_CEILING = 2.3
 #: Same slowdown scaling and ~2x headroom as the compile ceiling.
 MAP_US_PER_CMD_CEILING = 1.3
 #: A warm same-spec 8-bank dispatch runs its banks as one stacked pass
-#: with one check, division-free Shoup lanes and store-to-load
-#: forwarding: ~25-41 ns per butterfly µ-op at N=512 and ~14-20 at
-#: N=4096 at reference speed (twelve reruns), against ~41-47 / ~27-39
-#: with ``%``-reduced kernels and a cell gather/scatter per stage pass,
-#: ~51-56 / ~35-39 before the online check, and ~215 / ~105 when every
-#: bank ran (and was verified) on its own.  Same slowdown scaling;
-#: ~2x headroom over the highest N=512 reading.
-DATAPLANE_NS_PER_BU_CEILING = 80.0
+#: with one check, division-free Shoup lanes, store-to-load forwarding
+#: and in-place, view-addressed stages (pool slots allocated by
+#: liveness, lane-major C1): ~20-28 ns per butterfly µ-op at N=512 and
+#: ~7-11 at N=4096 at reference speed (five reruns), against ~25-36 /
+#: ~14-16 with one pool slot per version and every C2 operand moved by
+#: fancy index, ~41-47 / ~27-39 with ``%``-reduced kernels and a cell
+#: gather/scatter per stage pass, ~51-56 / ~35-39 before the online
+#: check, and ~215 / ~105 when every bank ran (and was verified) on its
+#: own.  Same slowdown scaling; ~2x headroom over the highest N=512
+#: reading.
+DATAPLANE_NS_PER_BU_CEILING = 60.0
 #: Store-to-load forwarding and dead-store elimination leave each
 #: Table III plan one read op and one write op of N/8 atoms: every atom
 #: leaves the cells once and returns once, against log2(N/8)+1 round
 #: trips (one per butterfly-stage pass) without them.
 PLAN_MAX_MOVES_PER_ATOM = 1
+#: Pool slots allocated by liveness let each butterfly stage overwrite
+#: the versions it replaces: every Table III plan's pool holds N/8
+#: slots, one image of its atoms, against 14 per atom at N=512 (896
+#: slots) and 20 at N=4096 (10,240) with one slot per version.
+PLAN_MAX_SLOTS_PER_ATOM = 1
 #: With the online check (Freivalds' dot products, O(N) per transform)
 #: that dispatch measures 1.02-1.05x its time less the check's at N=512
 #: and 1.02-1.03x at N=4096 (``dispatch_s / (dispatch_s - check_s)``,
@@ -362,6 +372,16 @@ def check(kernels_path: Path = REPO_ROOT / "BENCH_kernels.json",
                 f"{entry['max_reads_per_atom']}x and writes one up to "
                 f"{entry['max_writes_per_atom']}x, above the "
                 f"{PLAN_MAX_MOVES_PER_ATOM} per-atom ceiling")
+        print(f"plans: N={entry['n']} Nb={entry['nb']} pool "
+              f"{entry['pool_slots']} slots for {entry['atoms']} atoms, "
+              f"{entry['view_groups']} view / {entry['fallback_groups']} "
+              f"index groups (ceiling {PLAN_MAX_SLOTS_PER_ATOM} slot per "
+              f"atom)")
+        if entry["pool_slots"] > PLAN_MAX_SLOTS_PER_ATOM * entry["atoms"]:
+            failures.append(
+                f"plan {name}: {entry['pool_slots']} pool slots for "
+                f"{entry['atoms']} atoms, above the "
+                f"{PLAN_MAX_SLOTS_PER_ATOM} per-atom ceiling")
 
     loadgen = kernels.get("loadgen")
     if loadgen is not None:

@@ -86,6 +86,10 @@ __all__ = [
     "c2_stack_arr",
     "c1n_stack_zpack",
     "c1n_stack_arr",
+    "c1_lanes_wpack",
+    "c1_lanes_arr",
+    "c1n_lanes_zpack",
+    "c1n_lanes_arr",
     "omega_power_array",
     "FreivaldsCheck",
     "freivalds_check",
@@ -646,13 +650,49 @@ def c1_stack_arr(x, q: int, wpack):
     return x
 
 
+def _geom_rows(firsts: Sequence[int], steps: Sequence[int], count: int,
+               q: int):
+    """``(k, count)`` uint64 rows of the geometric runs ``firsts[i] *
+    steps[i]^j mod q`` — :func:`_geom_run_arr` for every row at once,
+    stepping all rows' lanes together.  The products are exact: plain
+    ``(a * b) % q`` below ``2**32``, the private Montgomery or Barrett
+    multiply above (never the module-level :func:`mod_mul_arr`, so a
+    patched multiply cannot leak into cached twiddles)."""
+    if q < _DIRECT_LIMIT:
+        q_u64 = _u64(q)
+
+        def mul(a, b):
+            return (a * b) % q_u64
+    elif q % 2 == 1 and q < _LANE_LIMIT:
+        def mul(a, b):
+            return _mulmod_mont(a, b, q)
+    else:
+        def mul(a, b):
+            return _mulmod_barrett(a, b, q)
+    steps = _as_lanes(steps, q)
+    out = np.empty((len(steps), count), dtype=np.uint64)
+    if count:
+        out[:, 0] = _as_lanes(firsts, q)
+    for j in range(1, count):
+        out[:, j] = mul(out[:, j - 1], steps)
+    return out
+
+
+def _shaped(w, shape):
+    """A twiddle operand (plain or a Shoup pair) reshaped to ``shape``."""
+    if type(w) is ShoupPair:
+        return ShoupPair(*(half.reshape(shape) for half in w))
+    return w.reshape(shape)
+
+
 def c2_stack_wpack(q: int, omega0s: Sequence[int], r_omegas: Sequence[int],
-                   na: int):
+                   na: int, shape=None):
     """``(k, Na)`` twiddle operand for a fused C2 group: row ``j`` is the
-    TFG's geometric run of the ``j``-th command."""
-    return lane_twiddles(np.stack([_geom_run_arr(omega0, r_omega, na, q)
-                                   for omega0, r_omega in zip(omega0s,
-                                                              r_omegas)]), q)
+    TFG's geometric run of the ``j``-th command.  ``shape`` (ending in
+    ``Na``) lays the rows out to broadcast over a view of the operands
+    instead."""
+    w = lane_twiddles(_geom_rows(omega0s, r_omegas, na, q), q)
+    return w if shape is None else _shaped(w, shape)
 
 
 def c2_stack_arr(p, s, q: int, w, gs: bool = False):
@@ -683,6 +723,86 @@ def _block_twiddles(z, lo: int, hi: int):
     if type(z) is ShoupPair:
         return ShoupPair(*(half[:, lo:hi, None] for half in z))
     return z[:, lo:hi, None]
+
+
+def _words_outer(w):
+    """A ``(k, …, m)`` twiddle operand (plain or a Shoup pair) as the
+    contiguous ``(m, 1, k)`` operand of the lane-major kernels."""
+    def flip(a):
+        return np.ascontiguousarray(a.reshape(a.shape[0], a.shape[-1]).T)[
+            :, None, :]
+    if type(w) is ShoupPair:
+        return ShoupPair(*map(flip, w))
+    return flip(w)
+
+
+def _butterflies(a, b, t, q_u64):
+    """``(a, b) <- (a + t, a - t) mod q`` in place, for reduced
+    operands."""
+    np.subtract(q_u64, t, out=b)
+    b += a
+    np.minimum(b, b - q_u64, out=b)
+    a += t
+    np.minimum(a, a - q_u64, out=a)
+
+
+def c1_lanes_wpack(q: int, omegas: Sequence[int], na: int):
+    """:func:`c1_stack_wpack` for :func:`c1_lanes_arr`: one ``(m, 1, 1)``
+    operand per stage (``(m, 1, k)`` when rows differ)."""
+    return tuple(map(_words_outer, c1_stack_wpack(q, omegas, na)))
+
+
+def c1_lanes_arr(xt, q: int, wpack):
+    """:func:`c1_stack_arr` run lane-major, in place: ``xt`` is a
+    C-contiguous ``(Na, L, k)`` array holding word ``i`` of ``k`` atoms
+    in each of ``L`` banks on ``xt[i]``, so every stage is a few
+    operations over whole contiguous runs of ``L * k`` words; ``wpack``
+    comes from :func:`c1_lanes_wpack`."""
+    na = xt.shape[0]
+    q_u64 = _u64(q)
+    if xt.max(initial=0) >= q_u64:
+        np.remainder(xt, q_u64, out=xt)
+    for s, w in enumerate(wpack):
+        m = 1 << s
+        xr = xt.reshape((na // (2 * m), 2 * m) + xt.shape[1:])
+        a, b = xr[:, :m], xr[:, m:]
+        _butterflies(a, b, mod_mul_arr(b, w, q), q_u64)
+    return xt
+
+
+def c1n_lanes_zpack(q: int, zetas_rows: Sequence[Sequence[int]]):
+    """:func:`c1n_stack_zpack` for :func:`c1n_lanes_arr`: the
+    ``(Na-1, 1, k)`` transpose."""
+    return _words_outer(c1n_stack_zpack(q, zetas_rows))
+
+
+def c1n_lanes_arr(xt, q: int, zt, gs: bool = False):
+    """:func:`c1n_stack_arr` run lane-major, in place, on a C-contiguous
+    ``(Na, L, k)`` array (see :func:`c1_lanes_arr`); ``zt`` comes from
+    :func:`c1n_lanes_zpack`."""
+    na = xt.shape[0]
+    q_u64 = _u64(q)
+    if xt.max(initial=0) >= q_u64:
+        np.remainder(xt, q_u64, out=xt)
+    log_na = na.bit_length() - 1
+    lengths = ([na >> s for s in range(1, log_na + 1)] if not gs
+               else [1 << s for s in range(log_na)])
+    idx = 0
+    for length in lengths:
+        blocks = na // (2 * length)
+        z = (ShoupPair(*(half[idx:idx + blocks, None] for half in zt))
+             if type(zt) is ShoupPair else zt[idx:idx + blocks, None])
+        idx += blocks
+        xr = xt.reshape((blocks, 2 * length) + xt.shape[1:])
+        a, b = xr[:, :length], xr[:, length:]
+        if gs:
+            d = mod_sub_arr(a, b, q)
+            a += b
+            np.minimum(a, a - q_u64, out=a)
+            b[...] = mod_mul_arr(d, z, q)
+        else:
+            _butterflies(a, b, mod_mul_arr(b, z, q), q_u64)
+    return xt
 
 
 def c1n_stack_arr(x, q: int, z2d, gs: bool = False):

@@ -276,6 +276,8 @@ def _serve_cluster(args, scenario, config, load) -> int:
 
 
 def _cmd_trace(args) -> int:
+    if args.head < 0:
+        raise ValueError(f"--head must be >= 0, got {args.head}")
     q = find_ntt_prime(args.n, 32)
     spec = TransformSpec(params=NttParams(args.n, q))
     commands = spec.program(_make_config(args), 0).commands

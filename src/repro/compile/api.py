@@ -61,7 +61,8 @@ class CompiledProgram:
             lines.append(
                 f"plan: mode={stats.get('mode')} ops={len(self.stream.plan.ops)} "
                 f"groups={stats.get('groups')} depth={stats.get('depth')} "
-                f"virtual={stats.get('n_virtual')}")
+                f"virtual={stats.get('n_virtual')}"
+                + (f" slots={stats['slots']}" if "slots" in stats else ""))
         else:
             lines.append(f"fallback: {self.stream.fallback_reason}")
         if "plan_ms" in self.pass_stats:

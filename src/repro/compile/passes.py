@@ -27,9 +27,20 @@ loop with NumPy computations over the SoA columns:
   reads each atom from the cells at most once and writes it back at
   most once.  The pass is vectorized: it replaces the per-stage
   read/write groups, and the grouping sweep gets cheaper with them.
-* **pool** — group-result pooling: plan ops carry ``np.intp`` index
-  arrays into one shared value pool, so the executor gathers/scatters
-  entire groups without a per-row ``np.stack``.
+* **slots** — pool-slot allocation by liveness (linear scan; Poletto &
+  Sarkar, TOPLAS 1999) for the atom plan: a version read only by the
+  in-place op that replaces it (C1/C1N ``vout ← vin``, C2 ``pout ←
+  pin`` and ``sout ← sin``) hands its slot to that op's output,
+  resolved by pointer jumping; an atom's first read takes the atom's
+  rank among the plan's atoms; init versions and the outputs of
+  versions read more than once take fresh slots.  An in-place plan's
+  pool is then one ``(…, atoms, Na)`` image of the atoms it reads.
+* **views** — each group's slot arrays are matched against a (reshape,
+  slice) view of that image: members and twiddle rows are ordered by
+  slot, and a read, write, C1 or C1N group over a contiguous run, or a
+  C2 group over the two halves of ``blocks`` blocks, stores its view on
+  the op.  A group that matches none keeps its ``np.intp`` slot arrays,
+  which the executor gathers with ``take`` and scatters by fancy index.
 
 The plan executes bit-identically to the legacy engine — the levels
 need not match the historical depth assignment command for command,
@@ -469,6 +480,81 @@ def _atom_edges_and_versions(ir, arch, idx_r, idx_w, idx_c1, idx_c2,
     return src, dst, versions
 
 
+def _allocate_slots(versions, read_atoms):
+    """Pool slots by liveness: ``(slot, n_slots)``, ``slot`` mapping each
+    version id to its slot (-1 for a version no plan op produces: a
+    forwarded read's).
+
+    A version read only by the in-place op that replaces it hands its
+    slot to that op's output; nothing reads it afterwards.  Every other
+    version roots a chain: a first read (``versions["r_vout"]`` of the
+    surviving reads, over ``read_atoms``) takes its atom's rank, and
+    init versions and the outputs of versions read more than once —
+    by a second op, by a write, or as a buffer's final version — take
+    fresh slots after the atoms, in version order.  Chains are disjoint
+    paths, so no two live versions ever share a slot.
+    """
+    n = versions["n_virtual"]
+    final = np.array([vid for _, vid in versions["final_versions"]],
+                     dtype=np.int64)
+    reads = np.bincount(np.concatenate((
+        versions["w_vin"][versions["live_w"]], versions["c1_vin"],
+        versions["c1n_vin"], versions["c2_pin"], versions["c2_sin"],
+        final)), minlength=n)
+    parent = np.arange(n, dtype=np.int64)
+    outputs = []
+    for vin, vout in (("c1_vin", "c1_vout"), ("c1n_vin", "c1n_vout"),
+                      ("c2_pin", "c2_pout"), ("c2_sin", "c2_sout")):
+        vi, vo = versions[vin], versions[vout]
+        handed = reads[vi] == 1
+        parent[vo[handed]] = vi[handed]
+        outputs.append(vo)
+    while True:
+        hop = parent[parent]
+        if np.array_equal(hop, parent):
+            break
+        parent = hop
+
+    first_reads = versions["r_vout"][versions["live_r"]]
+    slot = np.full(n, -1, dtype=np.int64)
+    slot[first_reads[np.argsort(read_atoms, kind="stable")]] = np.arange(
+        len(first_reads))
+    rooted = np.zeros(n, dtype=np.bool_)
+    rooted[np.concatenate(outputs + [np.array(
+        [vid for _, vid in versions["init_versions"]], dtype=np.int64)])] = True
+    rooted &= (parent == np.arange(n)) & (slot < 0)
+    slot[rooted] = len(first_reads) + np.arange(int(rooted.sum()))
+    return slot[parent], len(first_reads) + int(rooted.sum())
+
+
+def _run_view(slots) -> Optional[Tuple[int, int]]:
+    """``(start, stop)`` when ``slots`` is the run ``start, start + 1,
+    …, stop - 1``, else None."""
+    start = int(slots[0])
+    if not np.array_equal(slots, np.arange(start, start + len(slots))):
+        return None
+    return start, start + len(slots)
+
+
+def _pair_view(pins, sins) -> Optional[Tuple[int, int, int, int, int]]:
+    """The C2 view ``(start, stop, blocks, half, swap)`` when, in member
+    order, ``pins`` and ``sins`` walk the two halves of ``blocks``
+    consecutive blocks of ``2 * half`` slots from ``start`` — P in the
+    lower half, or in the upper one with ``swap`` — else None."""
+    k = len(pins)
+    half = abs(int(sins[0]) - int(pins[0]))
+    if half == 0 or k % half:
+        return None
+    swap = int(pins[0] > sins[0])
+    start = min(int(pins[0]), int(sins[0]))
+    j = np.arange(k)
+    lower = start + (j // half) * (2 * half) + j % half
+    if not (np.array_equal(pins, lower + swap * half)
+            and np.array_equal(sins, lower + (1 - swap) * half)):
+        return None
+    return start, start + 2 * k, k // half, half, swap
+
+
 _KIND_READ, _KIND_WRITE, _KIND_C1, _KIND_C2, _KIND_C1N, _KIND_PARAM = range(6)
 
 
@@ -548,38 +634,61 @@ def _atom_plan(ir: StreamIR, arch: ArchParams, stats: dict):
     omega0s = ir.omega0s
     r_omegas = ir.r_omegas
     zetas = ir.zetas
+    cpr = arch.columns_per_row
+    slot, n_slots = _allocate_slots(versions,
+                                    rows[live_r] * cpr + cols[live_r])
 
     def members_tuple(table, members):
         return tuple(map(table.__getitem__, members.tolist()))
 
-    def vids(name, cpos):
-        return versions[name][cpos].astype(np.intp)
+    def by_slot(idx, name, members):
+        """The members ordered by the slot of their ``name`` version,
+        with their positions in ``idx``."""
+        cpos = np.searchsorted(idx, members)
+        order = np.argsort(slot[versions[name][cpos]], kind="stable")
+        return members[order], cpos[order]
+
+    def slots(name, cpos):
+        return slot[versions[name][cpos]].astype(np.intp)
+
+    def memory_op(op_kind, idx, name, members):
+        members, cpos = by_slot(idx, name, members)
+        op_rows, op_cols = rows[members], cols[members]
+        op_slots = slots(name, cpos)
+        atoms, run = _run_view(op_rows * cpr + op_cols), _run_view(op_slots)
+        view = (atoms[0], run[0], len(members)) if atoms and run else None
+        return (op_kind, op_rows.astype(np.intp), op_cols.astype(np.intp),
+                op_slots, view)
+
+    def in_place_view(vins, vouts):
+        return _run_view(vins) if np.array_equal(vins, vouts) else None
 
     ops = []
     for kind, extra, members, _ in _assemble_groups(rel, depth, kinds,
                                                     extras):
         if kind == _KIND_READ:
-            cpos = np.searchsorted(idx_r, members)
-            ops.append(("read", rows[members].astype(np.intp),
-                        cols[members].astype(np.intp), vids("r_vout", cpos)))
+            ops.append(memory_op("read", idx_r, "r_vout", members))
         elif kind == _KIND_WRITE:
-            cpos = np.searchsorted(idx_w, members)
-            ops.append(("write", rows[members].astype(np.intp),
-                        cols[members].astype(np.intp), vids("w_vin", cpos)))
+            ops.append(memory_op("write", idx_w, "w_vin", members))
         elif kind == _KIND_C1:
-            cpos = np.searchsorted(idx_c1, members)
-            ops.append(("c1", vids("c1_vin", cpos), vids("c1_vout", cpos),
-                        members_tuple(omega0s, members)))
+            members, cpos = by_slot(idx_c1, "c1_vin", members)
+            vins, vouts = slots("c1_vin", cpos), slots("c1_vout", cpos)
+            ops.append(("c1", vins, vouts, members_tuple(omega0s, members),
+                        in_place_view(vins, vouts)))
         elif kind == _KIND_C2:
-            cpos = np.searchsorted(idx_c2, members)
-            ops.append(("c2", vids("c2_pin", cpos), vids("c2_sin", cpos),
-                        vids("c2_pout", cpos), vids("c2_sout", cpos),
+            members, cpos = by_slot(idx_c2, "c2_pin", members)
+            pins, sins = slots("c2_pin", cpos), slots("c2_sin", cpos)
+            pouts, souts = slots("c2_pout", cpos), slots("c2_sout", cpos)
+            view = (_pair_view(pins, sins) if np.array_equal(pins, pouts)
+                    and np.array_equal(sins, souts) else None)
+            ops.append(("c2", pins, sins, pouts, souts,
                         members_tuple(omega0s, members),
-                        members_tuple(r_omegas, members), bool(extra)))
+                        members_tuple(r_omegas, members), bool(extra), view))
         elif kind == _KIND_C1N:
-            cpos = np.searchsorted(idx_c1n, members)
-            ops.append(("c1n", vids("c1n_vin", cpos), vids("c1n_vout", cpos),
-                        members_tuple(zetas, members), bool(extra)))
+            members, cpos = by_slot(idx_c1n, "c1n_vin", members)
+            vins, vouts = slots("c1n_vin", cpos), slots("c1n_vout", cpos)
+            ops.append(("c1n", vins, vouts, members_tuple(zetas, members),
+                        bool(extra), in_place_view(vins, vouts)))
         else:  # param
             ops.append(("param", int(members[0])))
 
@@ -587,11 +696,15 @@ def _atom_plan(ir: StreamIR, arch: ArchParams, stats: dict):
     stats["groups"] = len(ops)
     stats["depth"] = int(depth.max()) + 1 if len(depth) else 0
     stats["n_virtual"] = versions["n_virtual"]
+    stats["slots"] = n_slots
     plan = FunctionalPlan(
         ops=ops,
         n_virtual=versions["n_virtual"],
-        init_versions=versions["init_versions"],
-        final_versions=versions["final_versions"],
+        n_slots=n_slots,
+        init_versions=[(buf, int(slot[vid]))
+                       for buf, vid in versions["init_versions"]],
+        final_versions=[(buf, int(slot[vid]))
+                        for buf, vid in versions["final_versions"]],
         has_param=bool(len(idx_p)),
         max_buffer=versions["max_buffer"],
         mode="atom",

@@ -48,14 +48,21 @@ def touched_rows(stream: CommandStream) -> range:
 def _window_ops(stream: CommandStream, row0: int, columns: int) -> tuple:
     """The atom plan's ops with each read/write's ``(rows, cols)`` pair
     folded into one atom index of a cell window that starts at bank row
-    ``row0`` — one gather per group instead of two (memoized per
-    stream)."""
+    ``row0`` — one gather per group instead of two — and a matched
+    view's first atom moved into the window (memoized per stream)."""
     key = ("ops", row0)
     ops = stream.fuse_cache.get(key)
     if ops is None:
-        ops = stream.fuse_cache[key] = tuple(
-            (op[0], (op[1] - row0) * columns + op[2], op[3])
-            if op[0] in ("read", "write") else op for op in stream.plan.ops)
+        ops = []
+        for op in stream.plan.ops:
+            if op[0] in ("read", "write"):
+                kind, rows, cols, slots, view = op
+                atoms = (rows - row0) * columns + cols
+                if view is not None:
+                    view = (int(atoms[0]),) + view[1:]
+                op = (kind, atoms, slots, view)
+            ops.append(op)
+        ops = stream.fuse_cache[key] = tuple(ops)
     return ops
 
 
@@ -209,10 +216,13 @@ class PimBank:
         :class:`~repro.pim.cu.ComputeUnit` call (division-free Shoup
         lanes below ``2**32``, twiddles and their companions cached in
         ``stream.fuse_cache`` per modulus), over every bank of a stack
-        at once.  An atom plan touches the cells twice: one
-        fancy-indexed gather of the atoms the program reads before
-        writing them, and one scatter of each atom's last write; every
-        stage in between stays in the version pool (store forwarding).
+        at once.  An atom plan touches the cells twice: one gather of
+        the atoms the program reads before writing them, and one
+        scatter of each atom's last write; every stage in between stays
+        in the value pool (store forwarding) and, its slots allocated by
+        liveness, updates the pool in place through the views the
+        compiler matched (a Table III plan slices the cells and the pool
+        everywhere and gathers nothing by index).
         Nb=1 scalar-µ-op programs run their LOAD/BU/STORE runs as
         stacked lane butterflies.  Data results, CU µ-op counters and
         raised errors are identical to :meth:`run` on
@@ -234,10 +244,12 @@ class PimBank:
             self.run(stream.commands)
 
     def _run_atom_plan(self, stream: CommandStream) -> None:
-        """Atom-mode plan: all virtual buffer versions live in one
-        ``(*stack, n_virtual, Na)`` pool, so group results scatter
-        straight into it — no per-row ``np.stack`` — and every op
-        broadcasts over the bank axis."""
+        """Atom-mode plan over one ``(*stack, n_slots, Na)`` pool, every
+        op broadcasting over the bank axis.  An op with a view slices
+        the pool (and, for a read or write, the cells) and updates it in
+        place; one without gathers its slots with ``take`` and scatters
+        its results by fancy index.  C1 and C1N groups run lane-major:
+        one transpose in, whole-row stages, one transpose out."""
         plan = stream.plan
         storage = self.storage
         cells = storage.atoms_view()
@@ -246,58 +258,77 @@ class PimBank:
         cu = self.cu
         fuse_cache = stream.fuse_cache
         na = self.arch.words_per_atom
+        lead = cells.shape[:-3]
         take = np.take
-        pool = np.empty(cells.shape[:-3] + (plan.n_virtual, na),
-                        dtype=np.uint64)
-        for buf, vid in plan.init_versions:
-            pool[..., vid, :] = buffers.peek_array(buf)
+        pool = np.empty(lead + (plan.n_slots, na), dtype=np.uint64)
+        for buf, slot in plan.init_versions:
+            pool[..., slot, :] = buffers.peek_array(buf)
 
         ops = _window_ops(stream, storage.rows.start, cells.shape[-2])
         for index, op in enumerate(ops):
             kind = op[0]
-            if kind == "read":
-                _, atoms_a, vouts = op
-                pool[..., vouts, :] = take(atoms, atoms_a, axis=-2)
-            elif kind == "write":
-                _, atoms_a, vins = op
-                atoms[..., atoms_a, :] = take(pool, vins, axis=-2)
-            elif kind == "c2":
-                _, pins, sins, pouts, souts, omega0s, r_omegas, gs = op
+            if kind == "c2":
+                _, pins, sins, pouts, souts, omega0s, r_omegas, gs, view = op
                 cache_key = (index, cu._require_modulus())
                 w2d = fuse_cache.get(cache_key)
                 if w2d is None:
                     w2d = fuse_cache[cache_key] = vector.c2_stack_wpack(
-                        cache_key[1], omega0s, r_omegas, na)
-                p_out, s_out = cu.execute_c2_stack(
-                    take(pool, pins, axis=-2), take(pool, sins, axis=-2),
-                    w2d, gs=gs)
-                pool[..., pouts, :] = p_out
-                pool[..., souts, :] = s_out
-            elif kind == "c1":
-                _, vins, vouts, omegas = op
+                        cache_key[1], omega0s, r_omegas, na,
+                        shape=None if view is None else view[2:4] + (na,))
+                if view is None:
+                    p_out, s_out = cu.execute_c2_stack(
+                        take(pool, pins, axis=-2), take(pool, sins, axis=-2),
+                        w2d, gs=gs)
+                    pool[..., pouts, :] = p_out
+                    pool[..., souts, :] = s_out
+                else:
+                    start, stop, blocks, half, swap = view
+                    pair = pool[..., start:stop, :].reshape(
+                        lead + (blocks, 2, half, na))
+                    p, s = pair[..., swap, :, :], pair[..., 1 - swap, :, :]
+                    p[...], s[...] = cu.execute_c2_stack(p, s, w2d, gs=gs)
+            elif kind == "c1" or kind == "c1n":
+                vins, vouts, view = op[1], op[2], op[-1]
                 cache_key = (index, cu._require_modulus())
-                wpack = fuse_cache.get(cache_key)
-                if wpack is None:
-                    wpack = fuse_cache[cache_key] = vector.c1_stack_wpack(
-                        cache_key[1], omegas, na)
-                pool[..., vouts, :] = cu.execute_c1_stack(
-                    take(pool, vins, axis=-2), wpack)
-            elif kind == "c1n":
-                _, vins, vouts, zetas_rows, gs = op
-                cache_key = (index, cu._require_modulus())
-                z2d = fuse_cache.get(cache_key)
-                if z2d is None:
-                    z2d = fuse_cache[cache_key] = vector.c1n_stack_zpack(
-                        cache_key[1], zetas_rows)
-                pool[..., vouts, :] = cu.execute_c1n_stack(
-                    take(pool, vins, axis=-2), z2d, gs=gs)
+                pack = fuse_cache.get(cache_key)
+                if pack is None:
+                    pack = fuse_cache[cache_key] = (
+                        vector.c1_lanes_wpack(cache_key[1], op[3], na)
+                        if kind == "c1"
+                        else vector.c1n_lanes_zpack(cache_key[1], op[3]))
+                x = (take(pool, vins, axis=-2) if view is None
+                     else pool[..., view[0]:view[1], :])
+                xt = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+                xt3 = xt.reshape(na, -1, x.shape[-2])
+                if kind == "c1":
+                    cu.execute_c1_lanes(xt3, pack)
+                else:
+                    cu.execute_c1n_lanes(xt3, pack, gs=op[4])
+                if view is None:
+                    pool[..., vouts, :] = np.moveaxis(xt, 0, -1)
+                else:
+                    x[...] = np.moveaxis(xt, 0, -1)
+            elif kind == "read":
+                _, atoms_a, slots, view = op
+                if view is None:
+                    pool[..., slots, :] = take(atoms, atoms_a, axis=-2)
+                else:
+                    atom, slot, k = view
+                    pool[..., slot:slot + k, :] = atoms[..., atom:atom + k, :]
+            elif kind == "write":
+                _, atoms_a, slots, view = op
+                if view is None:
+                    atoms[..., atoms_a, :] = take(pool, slots, axis=-2)
+                else:
+                    atom, slot, k = view
+                    atoms[..., atom:atom + k, :] = pool[..., slot:slot + k, :]
             else:  # param
                 if self.pending_q is None:
                     raise MappingError("PARAM_WRITE with no staged parameters")
                 cu.set_modulus(self.pending_q)
 
-        for buf, vid in plan.final_versions:
-            buffers.write_array(buf, pool[..., vid, :].copy())
+        for buf, slot in plan.final_versions:
+            buffers.write_array(buf, pool[..., slot, :].copy())
 
     def _run_lane_plan(self, stream: CommandStream) -> None:
         """Lane-mode plan (Nb=1 scalar-µ-op programs): versions are

@@ -200,17 +200,32 @@ class ComputeUnit:
     # Callers (PimBank.run_stream) only take these paths when the lane
     # kernels cover the loaded modulus.
 
-    def execute_c1_stack(self, x2d, wpack):
-        """``k`` fused C1 commands; ``wpack`` from
-        :func:`repro.arith.vector.c1_stack_wpack`."""
+    def _count_atom_stages(self, words: int, twiddles_per_atom: int) -> int:
+        """Advance the counters by ``words / Na`` intra-atom transforms
+        (C1 or C1N) and return the modulus they run under."""
         q = self._require_modulus()
-        k = x2d.size // self.atom_words
+        k = words // self.atom_words
         flies = (self.atom_words // 2) * self.log_atom_words * k
         self.bu_ops += flies
         self.load_uops += 2 * flies
         self.store_uops += 2 * flies
-        self.twiddles_generated += flies
+        self.twiddles_generated += twiddles_per_atom * k
+        return q
+
+    def execute_c1_stack(self, x2d, wpack):
+        """``k`` fused C1 commands; ``wpack`` from
+        :func:`repro.arith.vector.c1_stack_wpack`."""
+        q = self._count_atom_stages(
+            x2d.size, (self.atom_words // 2) * self.log_atom_words)
         return vector.c1_stack_arr(x2d, q, wpack)
+
+    def execute_c1_lanes(self, xt, wpack):
+        """:meth:`execute_c1_stack` on a lane-major ``(Na, L, k)``
+        operand (``L`` banks), in place; ``wpack`` from
+        :func:`repro.arith.vector.c1_lanes_wpack`."""
+        q = self._count_atom_stages(
+            xt.size, (self.atom_words // 2) * self.log_atom_words)
+        return vector.c1_lanes_arr(xt, q, wpack)
 
     def execute_c2_stack(self, p2d, s2d, w2d, gs: bool = False):
         """``k`` fused C2 commands; ``w2d`` from
@@ -226,14 +241,15 @@ class ComputeUnit:
     def execute_c1n_stack(self, x2d, z2d, gs: bool = False):
         """``k`` fused C1N commands; ``z2d`` from
         :func:`repro.arith.vector.c1n_stack_zpack`."""
-        q = self._require_modulus()
-        k = x2d.size // self.atom_words
-        flies = (self.atom_words // 2) * self.log_atom_words * k
-        self.bu_ops += flies
-        self.load_uops += 2 * flies
-        self.store_uops += 2 * flies
-        self.twiddles_generated += (self.atom_words - 1) * k
+        q = self._count_atom_stages(x2d.size, self.atom_words - 1)
         return vector.c1n_stack_arr(x2d, q, z2d, gs=gs)
+
+    def execute_c1n_lanes(self, xt, zt, gs: bool = False):
+        """:meth:`execute_c1n_stack` on a lane-major ``(Na, L, k)``
+        operand (``L`` banks), in place; ``zt`` from
+        :func:`repro.arith.vector.c1n_lanes_zpack`."""
+        q = self._count_atom_stages(xt.size, self.atom_words - 1)
+        return vector.c1n_lanes_arr(xt, q, zt, gs=gs)
 
     def execute_bu_stack(self, a_arr, b_arr, w2d):
         """``k`` fused BU_SCALAR commands: lane-wise

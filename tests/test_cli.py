@@ -54,6 +54,7 @@ class TestCliUsageErrors:
         (["run", "--nb", "0"], "primary buffer"),
         (["run", "--freq", "0"], "frequency must be positive"),
         (["run", "batch", "--count", "0"], "at least one polynomial"),
+        (["trace", "-n", "256", "--head", "-1"], "--head must be >= 0"),
     ])
     def test_bad_flag_value_is_a_usage_error(self, capsys, argv, message):
         assert main(argv) == 2

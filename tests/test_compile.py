@@ -2,6 +2,7 @@
 per-command engine, the merge passes against the legacy mergers, Nb=1
 lane fusion, and the public ``repro.compile`` API surface."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -33,14 +34,18 @@ from repro.dram import (
     cached_stream,
     compile_stream,
 )
-from repro.errors import RequestValidationError
+from repro.errors import FunctionalMismatch, RequestValidationError
 from repro.mapping.mapper import MapperOptions
-from repro.mapping.program_cache import cyclic_program, negacyclic_program
+from repro.mapping.program_cache import (
+    CachedProgram,
+    cyclic_program,
+    negacyclic_program,
+)
 from repro.ntt import NegacyclicParams
-from repro.pim.bank_pim import PimBank
+from repro.pim.bank_pim import PimBank, touched_rows
 from repro.pim.params import PimParams
 from repro.sim.batch import concat_programs
-from repro.sim.driver import SimConfig, compile_dispatch
+from repro.sim.driver import SimConfig, _run_dispatch, compile_dispatch
 from repro.sim.multibank import TransformSpec, interleave_programs
 
 
@@ -150,6 +155,133 @@ class TestStoreForwarding:
             states.append(_bank_state(bank, 0, 256))
         assert states[0] == states[1]
         assert states[0]["buffers"][0] == states[0]["buffers"][1]
+
+
+def _fused_equals_per_command(commands, q, banks=2, seed=0):
+    """Run ``commands`` fused over a stack of ``banks`` banks of random
+    reduced cells and per command on one full bank per stack row: the
+    cells, buffers and summed µ-op counters must agree.  Returns the
+    stream."""
+    stream = compile_stream(commands, HBM2E_ARCH)
+    window = touched_rows(stream)
+    words = len(window) * HBM2E_ARCH.words_per_row
+    cells = np.random.default_rng(seed).integers(0, q, size=(banks, words),
+                                                 dtype=np.uint64)
+    stack = PimBank(HBM2E_ARCH, PimParams(), stack=(banks,), rows=window)
+    stack.set_parameters(q)
+    assert stack.runs_atom_plan(stream), stream.fallback_reason
+    stack.load_polynomial(window.start, cells)
+    stack.run_stream(stream)
+    after = stack.read_polynomial(window.start, words)
+
+    def counters(bank):
+        cu = bank.cu
+        return np.array([cu.bu_ops, cu.load_uops, cu.store_uops,
+                         cu.twiddles_generated])
+
+    summed = 0
+    for k in range(banks):
+        bank = PimBank(HBM2E_ARCH, PimParams())
+        bank.set_parameters(q)
+        bank.load_polynomial(window.start, cells[k].tolist())
+        bank.run(commands)
+        assert after[k].tolist() == bank.read_polynomial(window.start, words)
+        for buf in range(bank.buffers.count):
+            assert (np.broadcast_to(stack.buffers.peek_array(buf),
+                                    (banks, HBM2E_ARCH.words_per_atom))[k]
+                    .tolist() == bank.buffers.read(buf))
+        summed = summed + counters(bank)
+    assert counters(stack).tolist() == summed.tolist()
+    return stream
+
+
+class TestSlotsAndViews:
+    """Liveness-allocated pool slots and view-addressed groups: an
+    in-place plan's pool is one image of its atoms and every group
+    slices it; a group that matches no view keeps index arrays; and a
+    view never stands in for the pairing the program asked for."""
+
+    @staticmethod
+    def _plan(spec, nb):
+        config = SimConfig(pim=PimParams(nb_buffers=nb))
+        return compile_stream(spec.program(config, 0).commands,
+                              config.arch).plan
+
+    @pytest.mark.parametrize("kind,n,nb", [("ntt", n, nb) for n, nb in TABLE3]
+                             + [("forward", 512, 2), ("inverse", 512, 2)])
+    def test_pool_is_one_atom_image_and_every_group_views_it(self, kind, n,
+                                                             nb):
+        if kind == "ntt":
+            spec = TransformSpec(params=NttParams(n, find_ntt_prime(n, 32)))
+        else:
+            ring = NegacyclicParams(n, find_ntt_prime(n, 32, negacyclic=True))
+            spec = TransformSpec(kind="negacyclic", ring=ring,
+                                 inverse=kind == "inverse")
+        plan = self._plan(spec, nb)
+        assert plan.n_slots == n // HBM2E_ARCH.words_per_atom
+        groups = [op for op in plan.ops if op[0] != "param"]
+        assert {op[0] for op in groups} >= {"read", "write", "c2"}
+        assert [op[0] for op in groups if op[-1] is None] == []
+
+    @pytest.mark.parametrize("pairs,singles", [
+        (((0, 3), (1, 2)), ()),
+        # The P legs walk a view's lower halves; the S legs do not.
+        (((0, 2), (1, 5)), (3, 4)),
+    ])
+    def test_unmatched_c2_group_takes_the_index_path(self, pairs, singles):
+        # No (reshape, slice) view walks these pairs, so the C2 group
+        # gathers and scatters by index.
+        q = find_ntt_prime(64, 32)
+        c2 = dict(omega0=3, r_omega=5)
+        commands = [Command(CommandType.PARAM_WRITE, payload_words=6),
+                    Command(CommandType.ACT, row=0)]
+        for col in singles:
+            commands += [Command(CommandType.CU_READ, row=0, col=col, buf=0),
+                         Command(CommandType.C1, buf=0, omega0=3),
+                         Command(CommandType.CU_WRITE, row=0, col=col, buf=0)]
+        for p_col, s_col in pairs:
+            commands += [
+                Command(CommandType.CU_READ, row=0, col=p_col, buf=0),
+                Command(CommandType.CU_READ, row=0, col=s_col, buf=1),
+                Command(CommandType.C2, buf=0, buf2=1, **c2),
+                Command(CommandType.CU_WRITE, row=0, col=p_col, buf=0),
+                Command(CommandType.CU_WRITE, row=0, col=s_col, buf=1)]
+        commands.append(Command(CommandType.PRE))
+        stream = _fused_equals_per_command(commands, q)
+        (c2_op,) = [op for op in stream.plan.ops if op[0] == "c2"]
+        assert c2_op[-1] is None and len(c2_op[1]) == len(pairs)
+        assert stream.plan.n_slots == 2 * len(pairs) + len(singles)
+
+    def test_a_perturbed_pairing_is_run_as_written(self, monkeypatch):
+        """Swap the P and S buffers of one C2 in a real N=256 program:
+        the plan runs exactly the perturbed commands, and a dispatch of
+        the perturbed program fails its online check."""
+        n = 256
+        spec = TransformSpec(params=NttParams(n, find_ntt_prime(n, 32)))
+        config = SimConfig()
+        real_program = TransformSpec.program
+
+        def perturbed(self, config, bank, slot=0):
+            program = real_program(self, config, bank, slot)
+            commands = list(program.commands)
+            i = next(i for i, cmd in enumerate(commands)
+                     if cmd.ctype is CommandType.C2)
+            commands[i] = dataclasses.replace(
+                commands[i], buf=commands[i].buf2, buf2=commands[i].buf)
+            return CachedProgram(
+                ir=StreamIR.from_commands(commands),
+                base_row=program.base_row,
+                result_base_row=program.result_base_row,
+                key=("perturbed C2 pairing", program.key))
+
+        _fused_equals_per_command(
+            list(perturbed(spec, config, 0).commands), spec.q)
+        monkeypatch.setattr(TransformSpec, "program", perturbed)
+        rng = random.Random(n)
+        inputs = [[[rng.randrange(spec.q) for _ in range(n)]]
+                  for _ in range(2)]
+        with pytest.raises(FunctionalMismatch):
+            _run_dispatch(inputs, [spec] * 2, config)
 
 
 class TestLaneFusion:

@@ -357,6 +357,70 @@ class TestShoupBoundaries:
         assert _counters(cu_stack) == _counters(cu_scalar)
 
 
+class TestLaneMajorKernels:
+    """The atom plan runs C1 and C1N groups lane-major, on ``(Na, L, k)``
+    transposes: each kernel equals its stacked form on the same atoms,
+    raw words ``>= q`` (entry reduction) included, and counts the same
+    µ-ops."""
+
+    NA = 8
+
+    @pytest.mark.parametrize("q", [Q_SMALL, Q_32, Q_WIDE, Q_EDGE])
+    @pytest.mark.parametrize("kernel", ["c1", "c1-rows", "c1n", "c1n-gs"])
+    def test_lane_major_equals_stacked(self, kernel, q):
+        na, k = self.NA, 5
+        rng = random.Random(f"{kernel}-{q}")
+        for lead in [(), (3,)]:
+            x = np.array([rng.randrange(2**64) if rng.random() < 0.2
+                          else rng.randrange(q)
+                          for _ in range(int(np.prod(lead, dtype=int)) * k
+                                         * na)],
+                         dtype=np.uint64).reshape(lead + (k, na))
+            omegas = ([rng.randrange(1, q)] * k if kernel == "c1"
+                      else [rng.randrange(1, q) for _ in range(k)])
+            zetas = [tuple(rng.randrange(1, q) for _ in range(na - 1))
+                     for _ in range(k)]
+            gs = kernel.endswith("-gs")
+            cu_stack, cu_lanes = ComputeUnit(na), ComputeUnit(na)
+            cu_stack.set_modulus(q)
+            cu_lanes.set_modulus(q)
+            xt = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+            if kernel.startswith("c1n"):
+                want = cu_stack.execute_c1n_stack(
+                    x, vector.c1n_stack_zpack(q, zetas), gs=gs)
+                cu_lanes.execute_c1n_lanes(
+                    xt.reshape(na, -1, k), vector.c1n_lanes_zpack(q, zetas),
+                    gs=gs)
+            else:
+                want = cu_stack.execute_c1_stack(
+                    x, vector.c1_stack_wpack(q, omegas, na))
+                cu_lanes.execute_c1_lanes(xt.reshape(na, -1, k),
+                                          vector.c1_lanes_wpack(q, omegas, na))
+            assert np.moveaxis(xt, 0, -1).tolist() == want.tolist(), lead
+            assert _counters(cu_lanes) == _counters(cu_stack), lead
+
+
+@pytest.mark.parametrize("bits", [32, 40, 60])
+def test_c2_twiddle_pack_equals_per_row_runs(bits):
+    """The C2 pack steps every row's ``omega0 * r_omega^j`` lanes at
+    once; each row must equal the memoized per-row run, and the pack is
+    the same rows laid out for a view."""
+    q = find_ntt_prime(64, bits)
+    rng = random.Random(bits)
+    k, na = 12, 8
+    omega0s = [rng.randrange(q) for _ in range(k - 2)] + [0, q + 5]
+    r_omegas = [rng.randrange(q) for _ in range(k - 2)] + [2**64 + 3, 1]
+    want = np.stack([vector._geom_run_arr(w, r, na, q)
+                     for w, r in zip(omega0s, r_omegas)])
+    got = vector.c2_stack_wpack(q, omega0s, r_omegas, na)
+    shaped = vector.c2_stack_wpack(q, omega0s, r_omegas, na,
+                                   shape=(3, 4, na))
+    if bits == 32:
+        got, shaped = got.w, shaped.w
+    assert got.tolist() == want.tolist()
+    assert shaped.tolist() == want.reshape(3, 4, na).tolist()
+
+
 @pytest.mark.parametrize("kind", ["ntt", "negacyclic"])
 def test_per_command_bank_uses_no_lane_kernel(monkeypatch, kind):
     """``PimBank.run`` is the scalar ground truth on the numpy backend
