@@ -9,7 +9,8 @@ cold map (program-cache miss to IR) and stream compile costs and the
 functional bank speedup of the fused compiled plan over the per-command
 bank (``PimBank.run``, the scalar ground truth; its time is recorded
 as ``bank_legacy_s``), plus the functional data plane's rate
-on warm 8-bank dispatches (ns per butterfly µ-op), plus each Table III
+on warm 8-bank dispatches (ns per butterfly µ-op, and the share spent
+outside the bank run), plus each Table III
 plan's cell traffic (read/write ops, atoms moved, and the most times
 any one atom is read or written), plus the load generator's cost per
 request on the skewed serving mix — and merges the
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import random
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -53,10 +55,11 @@ from repro.dram import (
     compile_stream,
 )
 from repro.mapping import clear_program_cache
-from repro.pim.bank_pim import PimBank
+from repro.pim.bank_pim import PimBank, touched_rows
 from repro.pim.params import PimParams
 from repro.serve import LoadGenerator, make_scenario
-from repro.sim.driver import SimConfig, TransformSpec, _run_dispatch
+from repro.sim.driver import SimConfig, TransformSpec, _run_dispatch, \
+    compile_dispatch
 
 DEFAULT_OUT = REPO_ROOT / "BENCH_kernels.json"
 TABLE3_NS = (256, 512, 1024, 2048, 4096)
@@ -151,6 +154,20 @@ def run(ns=(1024, 4096), repeats: int = 5,
     return results
 
 
+def _best_of_each(fns, repeats: int):
+    """The best of ``repeats`` wall times of each of ``fns``, taken in
+    turn round by round (after one warm-up round), so that the bests of
+    a ratio see the same host conditions."""
+    best = [float("inf")] * len(fns)
+    for round_ in range(repeats + 1):
+        for i, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            if round_:
+                best[i] = min(best[i], time.perf_counter() - start)
+    return best
+
+
 def _bench_dataplane(n: int, banks: int = 8) -> dict:
     """Warm same-spec ``banks``-bank dispatches through
     ``_run_dispatch`` — the functional data plane a served dispatch
@@ -158,9 +175,12 @@ def _bench_dataplane(n: int, banks: int = 8) -> dict:
     executed butterfly µ-op, with the host slowdown probed around the
     timing; plus the time of the online check alone (``check_s``:
     ``TransformSpec.check`` on the same ``(banks, 1, N)`` input and
-    output stacks the dispatch checks), which prices it.  Each bank's
-    input is a read-only uint64 row, as a served dispatch receives it
-    from the load generator's requests."""
+    output stacks the dispatch checks), which prices it; plus the bank
+    run alone (``bank_s``: the bank stack's set-up, its loads and
+    ``PimBank.run_stream`` on the same stacks), whose complement
+    ``host_share`` is the fraction of the dispatch spent around the
+    banks.  Each bank's input is a read-only uint64 row, as a served
+    dispatch receives it from the load generator's requests."""
     spec = TransformSpec(params=NttParams(n, find_ntt_prime(n, 32)))
     config = SimConfig()
     rng = random.Random(n)
@@ -171,9 +191,21 @@ def _bench_dataplane(n: int, banks: int = 8) -> dict:
     values = vector.uint64_lanes(inputs, spec.q)
     outputs = np.array(result.outputs, dtype=np.uint64).reshape(values.shape)
     assert spec.check(values, outputs)
+    (programs,), stream, _ = compile_dispatch([spec], 1, config)
+    layout = spec.load_layout(values)
+
+    def bank_run():
+        bank = PimBank(config.arch, config.pim, stack=values.shape[:-2],
+                       rows=touched_rows(stream))
+        bank.set_parameters(spec.q)
+        for slot, program in enumerate(programs):
+            bank.load_polynomial(program.base_row, layout[..., slot, :])
+        bank.run_stream(stream)
+
     slowdown = perf_clock.slowdown()
-    dispatch_s = _best_of(lambda: _run_dispatch(inputs, specs, config),
-                          DATAPLANE_REPEATS)
+    dispatch_s, bank_s = _best_of_each(
+        (lambda: _run_dispatch(inputs, specs, config), bank_run),
+        DATAPLANE_REPEATS)
     slowdown = (slowdown + perf_clock.slowdown()) / 2
     check_s = _best_of(lambda: spec.check(values, outputs), DATAPLANE_REPEATS)
     return {
@@ -182,6 +214,8 @@ def _bench_dataplane(n: int, banks: int = 8) -> dict:
         "bu_ops": result.bu_ops,
         "dispatch_s": dispatch_s,
         "check_s": check_s,
+        "bank_s": bank_s,
+        "host_share": 1 - bank_s / dispatch_s,
         "ns_per_bu": dispatch_s / result.bu_ops * 1e9,
         "slowdown": slowdown,
     }
@@ -344,7 +378,9 @@ def _format(results: dict) -> str:
             f"{entry['dispatch_s'] * 1e3:6.2f} ms "
             f"({entry['ns_per_bu']:.1f} ns/bu, host slowdown "
             f"{entry['slowdown']:.2f}x), check alone "
-            f"{entry['check_s'] * 1e3:6.3f} ms")
+            f"{entry['check_s'] * 1e3:6.3f} ms, bank run alone "
+            f"{entry['bank_s'] * 1e3:6.3f} ms (host share "
+            f"{entry['host_share']:.2f})")
     loadgen = results["loadgen"]
     lines.append(
         f"load generator: {loadgen['requests']} {loadgen['scenario']} "
@@ -393,6 +429,8 @@ def test_stream_engine_smoke(show, tmp_path):
     assert results["mapper"]["nb1"]["slowdown"] > 0
     assert results["dataplane"]["256"]["ns_per_bu"] > 0
     assert results["dataplane"]["256"]["check_s"] > 0
+    assert 0 < results["dataplane"]["256"]["bank_s"] < results[
+        "dataplane"]["256"]["dispatch_s"]
     loadgen = results["loadgen"]
     assert loadgen["requests"] == LOADGEN_REQUESTS
     assert loadgen["us_per_req"] > 0 and loadgen["slowdown"] > 0

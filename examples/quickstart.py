@@ -64,9 +64,10 @@ def main() -> None:
     assert inverse.values == values
     print("inverse NTT on PIM round-trips the data: ok")
 
-    # 5. A repeated run hits the program AND schedule caches.
+    # 5. A repeated run finds its whole dispatch shape (program, stream,
+    #    schedule) in one memo lookup.
     again = simulator.run(NttRequest(params=params, values=values))
-    assert again.cache["schedule"]["hits"] >= 1
+    assert again.cache["dispatch"]["hits"] == 1
     print(f"repeat run cache hits: {again.cache} "
           f"({again.wall_time_s * 1e3:.1f} ms)")
 

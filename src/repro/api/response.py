@@ -53,8 +53,13 @@ class SimResponse:
     counters: Dict[str, int] = field(default_factory=dict)
     #: Workload-specific scalar metrics (``speedup``, ``amortization``, ...).
     metrics: Dict[str, float] = field(default_factory=dict)
-    #: Cache-hit provenance: ``{"program": {hits, misses, entries},
-    #: "schedule": {...}}`` — hits/misses are deltas over this run.
+    #: Cache-hit provenance, one entry per cache
+    #: :meth:`~repro.api.Simulator.cache_info` lists: ``{"program":
+    #: {hits, misses, entries}, "stream": {...}, "schedule": {...},
+    #: "dispatch": {...}}`` — hits/misses are deltas over this run.  A
+    #: warm transform dispatch shows one dispatch hit and no other
+    #: lookup: its memoized shape skips the program, stream and
+    #: schedule caches.
     cache: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: Host wall-clock seconds the simulation took.
     wall_time_s: float = 0.0

@@ -12,10 +12,14 @@ typed requests through the workload registry::
     print(response.summary())
 
 Every run is memoized end to end: command programs through
-:mod:`repro.mapping.program_cache` and engine schedules through the
-structurally keyed cache in :mod:`repro.sim.driver` — shared by single,
-batch and multi-bank paths alike.  The response's ``cache`` field
-reports the hit/miss deltas of the run.
+:mod:`repro.mapping.program_cache`, compiled streams through
+:mod:`repro.dram.stream` and engine schedules through the structurally
+keyed cache in :mod:`repro.sim.driver` — shared by single, batch and
+multi-bank paths alike — and each dispatch's whole shape (programs,
+schedule, bank groups) through the driver's dispatch memo, so a warm
+repeat makes one dispatch lookup and none of the other three.
+:meth:`Simulator.cache_info` lists the four caches; the response's
+``cache`` field reports each one's hit/miss deltas over the run.
 
 :meth:`Simulator.merge_requests` folds same-shape transforms into one
 :class:`MultiBankRequest` (the Sec. VI.A deployment, one request per
@@ -35,7 +39,9 @@ from ..mapping.program_cache import (
 )
 from ..sim.driver import (
     SimConfig,
+    clear_dispatch_cache,
     clear_schedule_cache,
+    dispatch_cache_info,
     schedule_cache_info,
 )
 from .registry import get_workload
@@ -89,17 +95,12 @@ class Simulator:
         provenance, wall clock)."""
         request.admit()
         handler = get_workload(request.workload)
-        prog_before = program_cache_info()
-        stream_before = stream_cache_info()
-        sched_before = schedule_cache_info()
+        before = self.cache_info()
         start = time.perf_counter()
         response = handler(self.config, request)
         response.wall_time_s = time.perf_counter() - start
-        response.cache = {
-            "program": _delta(prog_before, program_cache_info()),
-            "stream": _delta(stream_before, stream_cache_info()),
-            "schedule": _delta(sched_before, schedule_cache_info()),
-        }
+        response.cache = {name: _delta(before[name], stats)
+                          for name, stats in self.cache_info().items()}
         response.request = request
         return response
 
@@ -126,52 +127,62 @@ class Simulator:
         return merged
 
     @staticmethod
-    def _split_group(grouped: SimResponse, request: SimRequest,
-                     slot: int, banks: int) -> SimResponse:
-        """Per-request view of one bank-parallel group response.
+    def _split_group(grouped: SimResponse,
+                     requests: List[SimRequest]) -> List[SimResponse]:
+        """Per-request views of one bank-parallel group response, one
+        per bank: ``requests[k]`` ran on bank ``k``.
 
-        Cycles/latency are the group's (the request completed when the
+        Cycles/latency are the group's (each request completed when the
         shared-bus schedule did); energy and command/µ-op counters are
         divided by the bank count — the per-bank programs are identical
         (same transform shape), so the even split is exact — to keep
-        sums over many responses from overcounting the group.  Its
-        ``values`` is the group's output list for ``slot``, shared, not
-        copied.
+        sums over many responses from overcounting the group.  The
+        division runs once per group; every response gets its own
+        counters, metrics and cache dicts.  Response ``k``'s ``values``
+        is the group's output list for bank ``k``, shared, not copied.
         """
-        values = grouped.outputs[slot] if slot < len(grouped.outputs) else []
+        banks = len(requests)
+        outputs = grouped.outputs
+        energy_nj = grouped.energy_nj / banks
+        command_count = grouped.command_count // banks
+        counters = {k: v // banks for k, v in grouped.counters.items()}
         # Only the grouping facts — the group-level speedup/efficiency
         # metrics stay on `raw`, so a grouped single-NTT response reads
         # like an ungrouped one.
-        metrics = {"bank": slot, "group_banks": banks}
-        return SimResponse(
+        return [SimResponse(
             workload=request.workload,
-            values=values,
+            values=outputs[slot] if slot < len(outputs) else [],
             cycles=grouped.cycles,
             latency_us=grouped.latency_us,
-            energy_nj=grouped.energy_nj / banks,
+            energy_nj=energy_nj,
             verified=grouped.verified,
-            command_count=grouped.command_count // banks,
-            counters={k: v // banks for k, v in grouped.counters.items()},
-            metrics=metrics,
+            command_count=command_count,
+            counters=dict(counters),
+            metrics={"bank": slot, "group_banks": banks},
             cache={k: dict(v) for k, v in grouped.cache.items()},
             wall_time_s=grouped.wall_time_s,
             raw=grouped.raw,
             request=request,
-        )
+        ) for slot, request in enumerate(requests)]
 
     # -- introspection ----------------------------------------------------------
-    def cache_info(self) -> Dict[str, object]:
-        """Program, stream and schedule cache statistics — what
-        ``python -m repro run --cache-info`` prints."""
+    def cache_info(self) -> Dict[str, Dict[str, int]]:
+        """Statistics of every simulator cache — program, stream,
+        schedule and dispatch — by name: the one list that
+        :meth:`run`'s deltas, ``python -m repro run --cache-info`` and
+        the serving session's rollup iterate."""
         return {
             "program": program_cache_info(),
             "stream": stream_cache_info(),
             "schedule": schedule_cache_info(),
+            "dispatch": dispatch_cache_info(),
         }
 
     @staticmethod
     def clear_caches() -> None:
-        """Empty the program, stream and schedule caches (test isolation)."""
+        """Empty every cache :meth:`cache_info` lists (test isolation,
+        and what makes the next run of any shape cold)."""
         clear_program_cache()
         clear_stream_cache()
         clear_schedule_cache()
+        clear_dispatch_cache()

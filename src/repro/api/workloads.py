@@ -50,12 +50,16 @@ def dispatch_of(request) -> Tuple[List[TransformSpec], list]:
     per bank and the natural-order inputs ``[bank][slot]``.  A lone
     :class:`NttRequest` or :class:`NegacyclicRequest` is 1x1
     (``values=None`` runs on zeros), a :class:`BatchRequest` 1xk and a
-    :class:`MultiBankRequest` kx1."""
+    :class:`MultiBankRequest` kx1.  A homogeneous multi-bank request
+    (no ``specs``) lowers to one spec object that every bank shares;
+    one that lists a :class:`BankSpec` per bank lowers each of them."""
     if type(request) is BatchRequest:
         return [TransformSpec(params=request.params)], [request.inputs]
     if type(request) is MultiBankRequest:
-        return ([transform_spec(spec) for spec in request.bank_specs()],
-                [[row] for row in request.inputs])
+        rows = [[row] for row in request.inputs]
+        if request.specs is None:
+            return [transform_spec(request)] * len(rows), rows
+        return [transform_spec(spec) for spec in request.specs], rows
     spec = transform_spec(request)
     values = request.values if request.values is not None else (0,) * spec.n
     return [spec], [[values]]

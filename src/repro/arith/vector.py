@@ -84,6 +84,7 @@ __all__ = [
     "c1_stack_arr",
     "c2_stack_wpack",
     "c2_stack_arr",
+    "c2_reduced_arr",
     "c1n_stack_zpack",
     "c1n_stack_arr",
     "c1_lanes_wpack",
@@ -702,8 +703,14 @@ def c2_stack_arr(p, s, q: int, w, gs: bool = False):
     dividing) — the P legs, S legs and lane twiddles of ``k`` fused C2
     commands (leading axes broadcast)."""
     q_u64 = _u64(q)
-    p = _reduced(p, q_u64)
-    s = _reduced(s, q_u64)
+    return c2_reduced_arr(_reduced(p, q_u64), _reduced(s, q_u64), q, w,
+                          gs=gs)
+
+
+def c2_reduced_arr(p, s, q: int, w, gs: bool = False):
+    """:func:`c2_stack_arr` for operands whose every word is below
+    ``q`` already — outputs of earlier kernels under the same modulus —
+    so no scan."""
     if gs:
         return (mod_add_arr(p, s, q),
                 mod_mul_arr(mod_sub_arr(p, s, q), w, q))
@@ -752,15 +759,17 @@ def c1_lanes_wpack(q: int, omegas: Sequence[int], na: int):
     return tuple(map(_words_outer, c1_stack_wpack(q, omegas, na)))
 
 
-def c1_lanes_arr(xt, q: int, wpack):
+def c1_lanes_arr(xt, q: int, wpack, reduced: bool = False):
     """:func:`c1_stack_arr` run lane-major, in place: ``xt`` is a
     C-contiguous ``(Na, L, k)`` array holding word ``i`` of ``k`` atoms
     in each of ``L`` banks on ``xt[i]``, so every stage is a few
     operations over whole contiguous runs of ``L * k`` words; ``wpack``
-    comes from :func:`c1_lanes_wpack`."""
+    comes from :func:`c1_lanes_wpack`.  With ``reduced`` the caller
+    promises every word is below ``q`` already, and the scan for words
+    that are not is skipped."""
     na = xt.shape[0]
     q_u64 = _u64(q)
-    if xt.max(initial=0) >= q_u64:
+    if not reduced and xt.max(initial=0) >= q_u64:
         np.remainder(xt, q_u64, out=xt)
     for s, w in enumerate(wpack):
         m = 1 << s
@@ -776,13 +785,13 @@ def c1n_lanes_zpack(q: int, zetas_rows: Sequence[Sequence[int]]):
     return _words_outer(c1n_stack_zpack(q, zetas_rows))
 
 
-def c1n_lanes_arr(xt, q: int, zt, gs: bool = False):
+def c1n_lanes_arr(xt, q: int, zt, gs: bool = False, reduced: bool = False):
     """:func:`c1n_stack_arr` run lane-major, in place, on a C-contiguous
-    ``(Na, L, k)`` array (see :func:`c1_lanes_arr`); ``zt`` comes from
-    :func:`c1n_lanes_zpack`."""
+    ``(Na, L, k)`` array (see :func:`c1_lanes_arr`, ``reduced`` too);
+    ``zt`` comes from :func:`c1n_lanes_zpack`."""
     na = xt.shape[0]
     q_u64 = _u64(q)
-    if xt.max(initial=0) >= q_u64:
+    if not reduced and xt.max(initial=0) >= q_u64:
         np.remainder(xt, q_u64, out=xt)
     log_na = na.bit_length() - 1
     lengths = ([na >> s for s in range(1, log_na + 1)] if not gs

@@ -104,9 +104,7 @@ def _build_request(args):
 
 
 def _print_cache_info(simulator: Simulator) -> None:
-    info = simulator.cache_info()
-    for cache in ("program", "stream", "schedule"):
-        stats = info[cache]
+    for cache, stats in simulator.cache_info().items():
         print(f"{cache + ' cache':<15}: entries={stats['entries']} "
               f"hits={stats['hits']} misses={stats['misses']}")
 
@@ -122,9 +120,8 @@ def _cmd_run(args) -> int:
     response = simulator.run(_build_request(args))
     print(response.summary())
     if args.cache_info:
-        print(f"run caches     : program {response.cache['program']}, "
-              f"stream {response.cache['stream']}, "
-              f"schedule {response.cache['schedule']}")
+        print("run caches     : " + ", ".join(
+            f"{cache} {stats}" for cache, stats in response.cache.items()))
         print(f"wall time      : {response.wall_time_s * 1e3:.2f} ms")
         _print_cache_info(simulator)
     return 0

@@ -41,6 +41,13 @@ loop with NumPy computations over the SoA columns:
   C2 group over the two halves of ``blocks`` blocks, stores its view on
   the op.  A group that matches none keeps its ``np.intp`` slot arrays,
   which the executor gathers with ``take`` and scatters by fancy index.
+* **reduced inputs** — a compute group whose every input version a
+  C1/C1N/C2 op wrote after the program's first PARAM_WRITE (anywhere,
+  in a program with none) is marked: those words are already below the
+  modulus the group runs under, so the executor skips the kernels'
+  scan for words ``>= q``.  Groups fed by reads, by the buffers' prior
+  contents or by compute ops under a modulus the program replaces keep
+  it.
 
 The plan executes bit-identically to the legacy engine — the levels
 need not match the historical depth assignment command for command,
@@ -77,6 +84,9 @@ _CODE_BU = CTYPE_CODES[CommandType.BU_SCALAR]
 _CODE_STORE = CTYPE_CODES[CommandType.STORE_SCALAR]
 
 _IS_COLUMN = np.array([ct.is_column for ct in CODE_CTYPES], dtype=np.bool_)
+_IS_ATOM_COMPUTE = np.array([ct in (CommandType.C1, CommandType.C2,
+                                    CommandType.C1N)
+                             for ct in CODE_CTYPES], dtype=np.bool_)
 _IS_SCALAR = np.array([ct in (CommandType.LOAD_SCALAR,
                               CommandType.BU_SCALAR,
                               CommandType.STORE_SCALAR)
@@ -447,6 +457,17 @@ def _atom_edges_and_versions(ir, arch, idx_r, idx_w, idx_c1, idx_c2,
     # consumer from the command that produced the version it reads.
     vid_cmd = np.empty(n_write_vids, dtype=np.int64)
     vid_cmd[t_vid[t_write]] = t_cmd[t_write]
+
+    # Reduced versions: a compute op's output holds words below the
+    # modulus it ran under, and every compute op after the program's
+    # first PARAM_WRITE (every one, in a program with none) runs under
+    # the same modulus, so a consumer there need not reduce them again.
+    # Reads (raw cells), init versions (the buffers' prior contents) and
+    # outputs of compute ops under a modulus the program then replaces
+    # stay unproven.
+    reduced = np.zeros(n_virtual, dtype=np.bool_)
+    reduced[:n_write_vids] = (_IS_ATOM_COMPUTE[ir.codes[vid_cmd]]
+                              & (vid_cmd > (idx_p[0] if len(idx_p) else -1)))
     consumer = t_read & (t_vin < n_write_vids)
     consumer[nr:nr + nw] &= live_w
     raw_src = vid_cmd[t_vin[consumer]]
@@ -472,6 +493,7 @@ def _atom_edges_and_versions(ir, arch, idx_r, idx_w, idx_c1, idx_c2,
         "min_buffer": int(t_buf.min()) if T else 0,
         "live_r": live_r,
         "live_w": live_w,
+        "reduced": reduced,
         "computes_before_param": _computes_before_param(idx_q, idx_p),
     }
     q_src, q_dst = _modulus_edges(idx_q, idx_p)
@@ -663,6 +685,10 @@ def _atom_plan(ir: StreamIR, arch: ArchParams, stats: dict):
     def in_place_view(vins, vouts):
         return _run_view(vins) if np.array_equal(vins, vouts) else None
 
+    def reduced_inputs(cpos, *names):
+        return all(bool(versions["reduced"][versions[name][cpos]].all())
+                   for name in names)
+
     ops = []
     for kind, extra, members, _ in _assemble_groups(rel, depth, kinds,
                                                     extras):
@@ -674,6 +700,7 @@ def _atom_plan(ir: StreamIR, arch: ArchParams, stats: dict):
             members, cpos = by_slot(idx_c1, "c1_vin", members)
             vins, vouts = slots("c1_vin", cpos), slots("c1_vout", cpos)
             ops.append(("c1", vins, vouts, members_tuple(omega0s, members),
+                        reduced_inputs(cpos, "c1_vin"),
                         in_place_view(vins, vouts)))
         elif kind == _KIND_C2:
             members, cpos = by_slot(idx_c2, "c2_pin", members)
@@ -683,12 +710,15 @@ def _atom_plan(ir: StreamIR, arch: ArchParams, stats: dict):
                     and np.array_equal(sins, souts) else None)
             ops.append(("c2", pins, sins, pouts, souts,
                         members_tuple(omega0s, members),
-                        members_tuple(r_omegas, members), bool(extra), view))
+                        members_tuple(r_omegas, members), bool(extra),
+                        reduced_inputs(cpos, "c2_pin", "c2_sin"),
+                        view))
         elif kind == _KIND_C1N:
             members, cpos = by_slot(idx_c1n, "c1n_vin", members)
             vins, vouts = slots("c1n_vin", cpos), slots("c1n_vout", cpos)
             ops.append(("c1n", vins, vouts, members_tuple(zetas, members),
-                        bool(extra), in_place_view(vins, vouts)))
+                        bool(extra), reduced_inputs(cpos, "c1n_vin"),
+                        in_place_view(vins, vouts)))
         else:  # param
             ops.append(("param", int(members[0])))
 

@@ -49,9 +49,17 @@ class FunctionalPlan:
     * ``("write", rows, cols, slots, view)`` — scatter ``k`` slots back.
       Only an atom's last CU_WRITE stores (dead-store elimination);
       nothing observes a cell in the middle of a plan.
-    * ``("c1", vins, vouts, omegas, view)`` — one stacked intra-atom NTT.
-    * ``("c2", pins, sins, pouts, souts, omega0s, r_omegas, gs, view)``.
-    * ``("c1n", vins, vouts, zetas_rows, gs, view)``.
+    * ``("c1", vins, vouts, omegas, reduced, view)`` — one stacked
+      intra-atom NTT.
+    * ``("c2", pins, sins, pouts, souts, omega0s, r_omegas, gs, reduced,
+      view)``.
+    * ``("c1n", vins, vouts, zetas_rows, gs, reduced, view)``.
+
+    ``reduced`` is True when the compiler proved every input word below
+    the modulus the group runs under (each input version is the output
+    of a C1/C1N/C2 op after the program's first PARAM_WRITE, or of any
+    one in a program with none); the executor then skips the kernels'
+    scan for words ``>= q``.
 
     ``view`` is None when the group matched no view, else: for a read or
     write, ``(atom, slot, k)`` — atoms ``atom …`` (``row * columns +

@@ -249,7 +249,9 @@ class PimBank:
         the pool (and, for a read or write, the cells) and updates it in
         place; one without gathers its slots with ``take`` and scatters
         its results by fancy index.  C1 and C1N groups run lane-major:
-        one transpose in, whole-row stages, one transpose out."""
+        one transpose in, whole-row stages, one transpose out.  A group
+        the compiler marked ``reduced`` skips its kernel's scan for
+        words ``>= q``."""
         plan = stream.plan
         storage = self.storage
         cells = storage.atoms_view()
@@ -264,11 +266,17 @@ class PimBank:
         for buf, slot in plan.init_versions:
             pool[..., slot, :] = buffers.peek_array(buf)
 
+        # Axis orders between a (*stack, k, Na) operand and its
+        # lane-major (Na, *stack, k) transpose.
+        ndim = len(lead) + 2
+        to_lanes = (ndim - 1,) + tuple(range(ndim - 1))
+        from_lanes = tuple(range(1, ndim)) + (0,)
         ops = _window_ops(stream, storage.rows.start, cells.shape[-2])
         for index, op in enumerate(ops):
             kind = op[0]
             if kind == "c2":
-                _, pins, sins, pouts, souts, omega0s, r_omegas, gs, view = op
+                (_, pins, sins, pouts, souts, omega0s, r_omegas, gs, reduced,
+                 view) = op
                 cache_key = (index, cu._require_modulus())
                 w2d = fuse_cache.get(cache_key)
                 if w2d is None:
@@ -278,7 +286,7 @@ class PimBank:
                 if view is None:
                     p_out, s_out = cu.execute_c2_stack(
                         take(pool, pins, axis=-2), take(pool, sins, axis=-2),
-                        w2d, gs=gs)
+                        w2d, gs=gs, reduced=reduced)
                     pool[..., pouts, :] = p_out
                     pool[..., souts, :] = s_out
                 else:
@@ -286,9 +294,10 @@ class PimBank:
                     pair = pool[..., start:stop, :].reshape(
                         lead + (blocks, 2, half, na))
                     p, s = pair[..., swap, :, :], pair[..., 1 - swap, :, :]
-                    p[...], s[...] = cu.execute_c2_stack(p, s, w2d, gs=gs)
+                    p[...], s[...] = cu.execute_c2_stack(p, s, w2d, gs=gs,
+                                                         reduced=reduced)
             elif kind == "c1" or kind == "c1n":
-                vins, vouts, view = op[1], op[2], op[-1]
+                vins, vouts, reduced, view = op[1], op[2], op[-2], op[-1]
                 cache_key = (index, cu._require_modulus())
                 pack = fuse_cache.get(cache_key)
                 if pack is None:
@@ -298,16 +307,16 @@ class PimBank:
                         else vector.c1n_lanes_zpack(cache_key[1], op[3]))
                 x = (take(pool, vins, axis=-2) if view is None
                      else pool[..., view[0]:view[1], :])
-                xt = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+                xt = np.ascontiguousarray(x.transpose(to_lanes))
                 xt3 = xt.reshape(na, -1, x.shape[-2])
                 if kind == "c1":
-                    cu.execute_c1_lanes(xt3, pack)
+                    cu.execute_c1_lanes(xt3, pack, reduced=reduced)
                 else:
-                    cu.execute_c1n_lanes(xt3, pack, gs=op[4])
+                    cu.execute_c1n_lanes(xt3, pack, gs=op[4], reduced=reduced)
                 if view is None:
-                    pool[..., vouts, :] = np.moveaxis(xt, 0, -1)
+                    pool[..., vouts, :] = xt.transpose(from_lanes)
                 else:
-                    x[...] = np.moveaxis(xt, 0, -1)
+                    x[...] = xt.transpose(from_lanes)
             elif kind == "read":
                 _, atoms_a, slots, view = op
                 if view is None:

@@ -219,23 +219,29 @@ class ComputeUnit:
             x2d.size, (self.atom_words // 2) * self.log_atom_words)
         return vector.c1_stack_arr(x2d, q, wpack)
 
-    def execute_c1_lanes(self, xt, wpack):
+    def execute_c1_lanes(self, xt, wpack, reduced: bool = False):
         """:meth:`execute_c1_stack` on a lane-major ``(Na, L, k)``
         operand (``L`` banks), in place; ``wpack`` from
-        :func:`repro.arith.vector.c1_lanes_wpack`."""
+        :func:`repro.arith.vector.c1_lanes_wpack`.  ``reduced`` promises
+        every word is below q already (no scan)."""
         q = self._count_atom_stages(
             xt.size, (self.atom_words // 2) * self.log_atom_words)
-        return vector.c1_lanes_arr(xt, q, wpack)
+        return vector.c1_lanes_arr(xt, q, wpack, reduced=reduced)
 
-    def execute_c2_stack(self, p2d, s2d, w2d, gs: bool = False):
+    def execute_c2_stack(self, p2d, s2d, w2d, gs: bool = False,
+                         reduced: bool = False):
         """``k`` fused C2 commands; ``w2d`` from
-        :func:`repro.arith.vector.c2_stack_wpack`."""
+        :func:`repro.arith.vector.c2_stack_wpack`.  ``reduced`` promises
+        every operand word is below q already: the butterflies then run
+        without :func:`~repro.arith.vector.c2_stack_arr`'s scan."""
         q = self._require_modulus()
         lanes = p2d.size
         self.bu_ops += lanes
         self.load_uops += 2 * lanes
         self.store_uops += 2 * lanes
         self.twiddles_generated += lanes
+        if reduced:
+            return vector.c2_reduced_arr(p2d, s2d, q, w2d, gs=gs)
         return vector.c2_stack_arr(p2d, s2d, q, w2d, gs=gs)
 
     def execute_c1n_stack(self, x2d, z2d, gs: bool = False):
@@ -244,12 +250,14 @@ class ComputeUnit:
         q = self._count_atom_stages(x2d.size, self.atom_words - 1)
         return vector.c1n_stack_arr(x2d, q, z2d, gs=gs)
 
-    def execute_c1n_lanes(self, xt, zt, gs: bool = False):
+    def execute_c1n_lanes(self, xt, zt, gs: bool = False,
+                          reduced: bool = False):
         """:meth:`execute_c1n_stack` on a lane-major ``(Na, L, k)``
         operand (``L`` banks), in place; ``zt`` from
-        :func:`repro.arith.vector.c1n_lanes_zpack`."""
+        :func:`repro.arith.vector.c1n_lanes_zpack`.  ``reduced`` as for
+        :meth:`execute_c1_lanes`."""
         q = self._count_atom_stages(xt.size, self.atom_words - 1)
-        return vector.c1n_lanes_arr(xt, q, zt, gs=gs)
+        return vector.c1n_lanes_arr(xt, q, zt, gs=gs, reduced=reduced)
 
     def execute_bu_stack(self, a_arr, b_arr, w2d):
         """``k`` fused BU_SCALAR commands: lane-wise

@@ -678,13 +678,12 @@ class SimServer:
         # onto the running totals (entries is a point-in-time gauge).
         cache_after = Simulator(self.config).cache_info()
         rollup = self.telemetry.cache
-        for name in ("program", "stream", "schedule"):
+        for name, after in cache_after.items():
+            before = session.cache_before[name]
             entry = rollup.setdefault(name, {"hits": 0, "misses": 0})
-            entry["hits"] += (cache_after[name]["hits"]
-                              - session.cache_before[name]["hits"])
-            entry["misses"] += (cache_after[name]["misses"]
-                                - session.cache_before[name]["misses"])
-            entry["entries"] = cache_after[name]["entries"]
+            entry["hits"] += after["hits"] - before["hits"]
+            entry["misses"] += after["misses"] - before["misses"]
+            entry["entries"] = after["entries"]
 
     # -- execution ---------------------------------------------------------------
     def _execute(self, unit: DispatchUnit):
@@ -863,7 +862,11 @@ class SimServer:
         its bank's share of ``grouped``, or failed with ``error`` when
         ``grouped`` is ``None``."""
         banks = unit.banks
-        for slot, member in enumerate(unit.members):
+        responses = ([None] * banks if grouped is None
+                     else [grouped] if banks == 1
+                     else Simulator._split_group(
+                         grouped, [m.request for m in unit.members]))
+        for member, response in zip(unit.members, responses):
             record = RequestRecord(
                 request_id=member.request_id,
                 workload=member.request.workload,
@@ -882,13 +885,9 @@ class SimServer:
                 bus_wait_us=bus_wait_us,
                 attempts=attempts,
                 error=error)
-            response = None
             if grouped is not None:
                 record.cycles = grouped.cycles // banks
                 record.energy_nj = grouped.energy_nj / banks
-                response = (grouped if banks == 1 else
-                            Simulator._split_group(grouped, member.request,
-                                                   slot, banks))
             self._record(session, record, response)
 
     def _record(self, session: _Session, record: RequestRecord,

@@ -181,8 +181,10 @@ class Telemetry:
         #: Simulated time the shared command bus was occupied (stays 0
         #: under the independent-channel model).
         self.bus_busy_us: float = 0.0
-        #: ``{"program": {...}, "stream": {...}, "schedule": {...}}``
-        #: hit/miss deltas over the session (set by the server).
+        #: Hit/miss deltas over the session of every cache
+        #: :meth:`repro.api.Simulator.cache_info` lists — ``{"program":
+        #: {...}, "stream": {...}, "schedule": {...}, "dispatch": {...}}``
+        #: (set by the server; a warm dispatch looks up only the last).
         self.cache: Dict[str, Dict[str, int]] = {}
         #: Resilience counters: :data:`RESILIENCE_EVENTS` by name, and
         #: injected faults by kind.

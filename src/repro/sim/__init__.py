@@ -7,8 +7,10 @@ from .driver import (
     SimConfig,
     TransformSpec,
     cached_schedule,
+    clear_dispatch_cache,
     clear_schedule_cache,
     compile_dispatch,
+    dispatch_cache_info,
     schedule_cache_info,
 )
 from .multibank import interleave_programs
@@ -19,8 +21,10 @@ __all__ = [
     "concat_programs",
     "SimConfig",
     "cached_schedule",
+    "clear_dispatch_cache",
     "clear_schedule_cache",
     "compile_dispatch",
+    "dispatch_cache_info",
     "schedule_cache_info",
     "TransformSpec",
     "interleave_programs",

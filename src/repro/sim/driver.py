@@ -22,8 +22,11 @@ dispatch kx1 (one bank each on the shared command bus).
 :func:`_run_dispatch` times it, runs it through :func:`_run_bank` — the
 one functional checker, which the lockstep banks of one spec pass
 through as one stacked pass with one check — and returns one
-:class:`~repro.sim.results.DispatchResult`.  The supported entry point
-is :meth:`repro.api.Simulator.run`.
+:class:`~repro.sim.results.DispatchResult`.  Everything a dispatch
+derives from its shape alone is memoized per ``(specs, slots, config)``
+as a :class:`DispatchShape`, so a warm dispatch makes one lookup before
+its banks run.  The supported entry point is
+:meth:`repro.api.Simulator.run`.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from ..arith.modmath import mod_mul_vec, mod_scale_vec
 from ..arith.roots import NttParams
 from ..compile.lower import concat_irs, interleave_irs
 from ..dram.energy import EnergyParams, HBM2E_ENERGY
-from ..dram.engine import TimingEngine
+from ..dram.engine import ScheduleResult, TimingEngine
 from ..dram.stream import CommandStream, cached_stream
 from ..dram.timing import HBM2E_ARCH, HBM2E_TIMING, ArchParams, TimingParams
 from ..errors import FunctionalMismatch
@@ -61,7 +64,8 @@ from .results import DispatchResult
 
 __all__ = ["SimConfig", "TransformSpec", "cached_schedule",
            "schedule_cache_info", "clear_schedule_cache",
-           "compile_dispatch"]
+           "compile_dispatch", "dispatch_cache_info",
+           "clear_dispatch_cache"]
 
 
 # -- schedule cache ------------------------------------------------------------
@@ -381,6 +385,88 @@ def compile_dispatch(specs: Sequence[TransformSpec], slots: int,
     return programs, stream, key
 
 
+# -- dispatch memo -------------------------------------------------------------
+# A dispatch's shape — its specs, slot count and config — determines
+# everything but its data: the programs, the merged stream and schedule,
+# the single-program cycles and the per-spec bank groups with their
+# one-spec streams.  The memo keeps those per shape, so a warm dispatch
+# makes one lookup instead of re-deriving them through the program,
+# stream and schedule caches; a miss derives them exactly as a cold run
+# always has (same lookups, same order).  Specs hold their parameter
+# objects, which compare by identity, so a hit needs the very
+# NttParams/NegacyclicParams objects of the first run — as a served
+# shape's requests share them.  Entries are shared between runs: treat
+# them as immutable.
+_MAX_DISPATCHES = 64
+_dispatch_cache = ArtifactCache(_MAX_DISPATCHES)
+
+
+@dataclass(frozen=True)
+class BankGroup:
+    """The banks of one dispatch that run the same spec: ``members``
+    (bank indices, ascending), the slot programs and the compiled
+    stream of one bank, which the stack replays for all of them."""
+
+    spec: TransformSpec
+    members: Tuple[int, ...]
+    programs: Tuple[CachedProgram, ...]
+    stream: CommandStream
+
+
+@dataclass(frozen=True)
+class DispatchShape:
+    """What a dispatch derives from ``(specs, slots, config)`` alone:
+    the merged schedule, the cycles of bank 0's first transform run
+    alone, and — for a functional config — the bank groups, one per
+    distinct spec in first-bank order."""
+
+    schedule: ScheduleResult
+    single_cycles: int
+    groups: Tuple[BankGroup, ...]
+
+
+def _derive_shape(specs: Sequence[TransformSpec], slots: int,
+                  config: SimConfig) -> DispatchShape:
+    """A :class:`DispatchShape` derived anew through the program, stream
+    and schedule caches."""
+    programs, stream, key = compile_dispatch(specs, slots, config)
+    compute = config.pim.compute_timing()
+    schedule = cached_schedule(stream, config.timing, config.arch, compute,
+                               config.energy, key=key)
+    first = programs[0][0]
+    single = schedule if len(specs) * slots == 1 else cached_schedule(
+        first.ir, config.timing, config.arch, compute, config.energy,
+        key=first.key)
+    groups = []
+    if config.functional:
+        # The banks of one spec run programs that differ only in their
+        # bank index, so a group replays bank 0's compiled stream once
+        # over a bank stack, equivalent to replaying the round-robin
+        # merge command by command.  One bank checks on its own stream.
+        members_of = {}
+        for bank, spec in enumerate(specs):
+            members_of.setdefault(spec, []).append(bank)
+        for spec, members in members_of.items():
+            if len(specs) == 1:
+                group_programs, group_stream = programs[0], stream
+            else:
+                (group_programs,), group_stream, _ = compile_dispatch(
+                    [spec], slots, config)
+            groups.append(BankGroup(spec, tuple(members),
+                                    tuple(group_programs), group_stream))
+    return DispatchShape(schedule, single.total_cycles, tuple(groups))
+
+
+def dispatch_cache_info() -> dict:
+    """Dispatch-memo statistics (mirrors :func:`schedule_cache_info`)."""
+    return _dispatch_cache.info()
+
+
+def clear_dispatch_cache() -> None:
+    """Empty the dispatch memo and reset statistics (test isolation)."""
+    _dispatch_cache.clear()
+
+
 def _run_dispatch(inputs, specs: Sequence[TransformSpec],
                   config: SimConfig) -> DispatchResult:
     """Simulate one dispatch: ``inputs[bank][slot]`` (natural order) runs
@@ -396,42 +482,25 @@ def _run_dispatch(inputs, specs: Sequence[TransformSpec],
     if len(specs) != banks:
         raise ValueError(f"got {len(specs)} per-bank specs for {banks} banks")
     slots = len(inputs[0]) if inputs else 0
-    programs, stream, key = compile_dispatch(specs, slots, config)
-    compute = config.pim.compute_timing()
-    schedule = cached_schedule(stream, config.timing, config.arch, compute,
-                               config.energy, key=key)
-    first = programs[0][0]
-    single = schedule if banks * slots == 1 else cached_schedule(
-        first.ir, config.timing, config.arch, compute, config.energy,
-        key=first.key)
+    specs = tuple(specs)
+    shape = _dispatch_cache.get_or_create(
+        (specs, slots, config), lambda: _derive_shape(specs, slots, config))
 
     outputs: List[List[int]] = []
     bu_ops = 0
     if config.functional:
-        # Banks are functionally independent and the banks of one spec
-        # run programs that differ only in their bank index, so a
-        # multi-bank spec group replays bank 0's compiled stream once
-        # over a bank stack, equivalent to replaying the round-robin
-        # merge command by command.  One bank checks on its own stream.
-        groups = {}
-        for bank, spec in enumerate(specs):
-            groups.setdefault(spec, []).append(bank)
         per_bank = [None] * banks
-        for spec, members in groups.items():
-            if banks == 1:
-                group_programs, group_stream = programs[0], stream
-            else:
-                (group_programs,), group_stream, _ = compile_dispatch(
-                    [spec], slots, config)
-            group, ops = _run_bank(spec, [inputs[b] for b in members],
-                                   config, group_programs, group_stream)
-            for bank, bank_outputs in zip(members, group):
+        for group in shape.groups:
+            rows, ops = _run_bank(group.spec,
+                                  [inputs[b] for b in group.members],
+                                  config, group.programs, group.stream)
+            for bank, bank_outputs in zip(group.members, rows):
                 per_bank[bank] = bank_outputs
             bu_ops += ops
         outputs = [output for bank_outputs in per_bank
                    for output in bank_outputs]
     return DispatchResult(
-        banks=banks, slots=slots, schedule=schedule,
-        single_cycles=single.total_cycles,
+        banks=banks, slots=slots, schedule=shape.schedule,
+        single_cycles=shape.single_cycles,
         verified=config.functional,
         outputs=outputs, bu_ops=bu_ops)

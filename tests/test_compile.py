@@ -47,6 +47,7 @@ from repro.pim.params import PimParams
 from repro.sim.batch import concat_programs
 from repro.sim.driver import SimConfig, _run_dispatch, compile_dispatch
 from repro.sim.multibank import TransformSpec, interleave_programs
+from test_bank_stack import _fuzz_cells, _stack_matches_per_command
 
 
 def _bank_state(bank, base_row, n):
@@ -282,6 +283,83 @@ class TestSlotsAndViews:
                   for _ in range(2)]
         with pytest.raises(FunctionalMismatch):
             _run_dispatch(inputs, [spec] * 2, config)
+
+
+def _compute_flags(plan):
+    """``(kind, reduced)`` of every compute group, in plan order."""
+    return [(op[0], op[-2]) for op in plan.ops
+            if op[0] in ("c1", "c2", "c1n")]
+
+
+_C2 = dict(omega0=3, r_omega=5)
+_ZETAS = (2, 3, 4, 5, 6, 7, 8)
+#: Read two atoms, run a C2 on them, a GS C2 on its outputs, then a C1
+#: and a C1N on those: only the first C2 is fed by reads.
+_C2_FIRST = [
+    Command(CommandType.ACT, row=0),
+    Command(CommandType.CU_READ, row=0, col=0, buf=0),
+    Command(CommandType.CU_READ, row=0, col=1, buf=1),
+    Command(CommandType.C2, buf=0, buf2=1, **_C2),
+    Command(CommandType.C2, buf=0, buf2=1, gs=True, **_C2),
+    Command(CommandType.C1, buf=0, omega0=3),
+    Command(CommandType.C1N, buf=1, zetas=_ZETAS),
+    Command(CommandType.CU_WRITE, row=0, col=0, buf=0),
+    Command(CommandType.CU_WRITE, row=0, col=1, buf=1),
+    Command(CommandType.PRE),
+]
+_PARAM = Command(CommandType.PARAM_WRITE, payload_words=6)
+
+
+class TestReducedInputs:
+    """The compiler marks a compute group ``reduced`` only when every
+    input version is the output of a compute op under the modulus the
+    group runs under; the executor then skips the scan for words >= q."""
+
+    @pytest.mark.parametrize("kind,n,nb", [("ntt", n, nb) for n, nb in TABLE3]
+                             + [("forward", 512, 2), ("inverse", 512, 2)])
+    def test_every_group_but_the_one_fed_by_the_read_skips_the_scan(
+            self, kind, n, nb):
+        if kind == "ntt":
+            spec = TransformSpec(params=NttParams(n, find_ntt_prime(n, 32)))
+        else:
+            ring = NegacyclicParams(n, find_ntt_prime(n, 32, negacyclic=True))
+            spec = TransformSpec(kind="negacyclic", ring=ring,
+                                 inverse=kind == "inverse")
+        plan = TestSlotsAndViews._plan(spec, nb)
+        stages = (n // HBM2E_ARCH.words_per_atom).bit_length() - 1
+        expected = {
+            "ntt": [("c1", False)] + [("c2", True)] * stages,
+            "forward": ([("c2", False)] + [("c2", True)] * (stages - 1)
+                        + [("c1n", True)]),
+            "inverse": [("c1n", False)] + [("c2", True)] * stages,
+        }[kind]
+        assert _compute_flags(plan) == expected
+
+    @pytest.mark.parametrize("commands,q,loaded_q,flags", [
+        # The PARAM_WRITE comes first: only the C2 fed by reads scans.
+        ([_PARAM] + _C2_FIRST, find_ntt_prime(64, 32), None,
+         [("c2", False), ("c2", True), ("c1", True), ("c1n", True)]),
+        # No PARAM_WRITE: every compute op runs under the loaded modulus.
+        (_C2_FIRST, 97, find_ntt_prime(64, 32),
+         [("c2", False), ("c2", True), ("c1", True), ("c1n", True)]),
+        # A mid-program PARAM_WRITE to a smaller modulus: outputs of the
+        # compute ops before it do not count, those after it do.
+        (_C2_FIRST[:4] + [Command(CommandType.C1, buf=0, omega0=3), _PARAM,
+                          Command(CommandType.C2, buf=0, buf2=1, gs=True,
+                                  **_C2),
+                          Command(CommandType.C1N, buf=1, zetas=_ZETAS)]
+         + _C2_FIRST[-3:], 97, find_ntt_prime(64, 40),
+         [("c2", False), ("c1", False), ("c2", False), ("c1n", True)]),
+    ])
+    @pytest.mark.parametrize("banks", [1, 3])
+    def test_raw_words_take_the_scan_and_equal_the_per_command_run(
+            self, commands, q, loaded_q, flags, banks):
+        # The cells hold raw words anywhere below 2**64, nearly all
+        # above either modulus.
+        cells = _fuzz_cells(banks, banks, range(1))
+        stream = _stack_matches_per_command(commands, cells, q,
+                                            loaded_q=loaded_q)
+        assert _compute_flags(stream.plan) == flags
 
 
 class TestLaneFusion:

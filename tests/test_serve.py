@@ -311,7 +311,7 @@ class TestSimServer:
         server.serve([ntt_request(21)])  # same shape: pure cache hits
         cache = server.telemetry.cache
         assert cache["program"]["misses"] >= 1   # first call compiled
-        assert cache["program"]["hits"] >= 1     # second call reused
+        assert cache["dispatch"]["hits"] >= 1    # second call reused
         assert server.telemetry.snapshot()["cache_hit_rate"] > 0
 
     def test_single_routing_does_not_grow_scheduler_state(self):
