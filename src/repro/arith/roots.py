@@ -92,6 +92,9 @@ class NttParams:
     (Sec. IV.A); this class is the software-side representation, including
     the derived inverse parameters for the inverse transform.  ``q`` must
     be prime: without a field the Cooley-Tukey network is not the DFT.
+    Two bundles of the same ``(n, q, omega)`` are equal and hash alike,
+    so requests and specs built from separately constructed parameters
+    share caches and merge into one bank group.
     """
 
     def __init__(self, n: int, q: int, omega: int | None = None):
@@ -110,6 +113,7 @@ class NttParams:
         self.omega_inv = mod_inverse(self.omega, q)
         self.n_inv = mod_inverse(n, q)
         self._inverse: NttParams | None = None
+        self._hash = hash((n, q, self.omega))
 
     def inverse(self) -> "NttParams":
         """Parameters of the inverse transform (twiddles inverted),
@@ -117,6 +121,14 @@ class NttParams:
         if self._inverse is None:
             self._inverse = NttParams(self.n, self.q, self.omega_inv)
         return self._inverse
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not NttParams:
+            return NotImplemented
+        return (self.n, self.q, self.omega) == (other.n, other.q, other.omega)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"NttParams(n={self.n}, q={self.q}, omega={self.omega})"

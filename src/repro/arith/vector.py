@@ -47,7 +47,9 @@ entry.  The stacked PIM kernels take pool values that are usually
 reduced already, but not always: raw 64-bit cells (a program request
 with no modulus), and words reduced under the modulus a PARAM_WRITE
 replaced.  They scan each operand once and run ``%`` only when some
-word is ``>= q``.
+word is ``>= q`` — unless the caller passes ``reduced=True``, as a
+compiled plan does for a group whose every input is the output of an
+earlier kernel under the same modulus; then there is no scan.
 """
 
 from __future__ import annotations
@@ -80,13 +82,8 @@ __all__ = [
     "merged_negacyclic_forward",
     "merged_negacyclic_inverse",
     "is_array",
-    "c1_stack_wpack",
-    "c1_stack_arr",
     "c2_stack_wpack",
     "c2_stack_arr",
-    "c2_reduced_arr",
-    "c1n_stack_zpack",
-    "c1n_stack_arr",
     "c1_lanes_wpack",
     "c1_lanes_arr",
     "c1n_lanes_zpack",
@@ -585,13 +582,15 @@ def freivalds_check(label: str, n: int, q: int,
 
 # -- stacked PIM kernels (fused macro-ops of the compiled command stream) ------
 #
-# The ``*_stack_arr`` kernels run one whole fused group of same-type
-# compute commands — e.g. every C1 of a butterfly-stage pass — as a
-# single vectorized call on a ``(k, Na)`` array of atom rows.  Row ``j``
-# computes exactly what the scalar ``ComputeUnit.execute_c1`` /
-# ``execute_c2`` / ``execute_c1n`` computes for the ``j``-th command,
-# so the stacked path is bit-identical to ``k`` separate calls.  The
-# ``*_wpack``/``*_zpack`` helpers prebuild the per-row twiddle material
+# One kernel per compute command type runs a whole fused group of ``k``
+# same-type commands — e.g. every C2 of a butterfly stage — as a few
+# NumPy operations over every bank of a stack at once.  C2 runs on
+# ``(..., k, Na)`` operand views; C1 and C1N run lane-major, on a
+# ``(Na, L, k)`` transpose holding word ``i`` of all ``L * k`` atoms on
+# row ``i``, so each stage is an op over whole contiguous rows.  Atom
+# ``j`` computes exactly what the scalar ``ComputeUnit.execute_c1`` /
+# ``execute_c2`` / ``execute_c1n`` computes for the ``j``-th command.
+# The ``*_wpack``/``*_zpack`` helpers prebuild the twiddle operands
 # through :func:`lane_twiddles` (Shoup pairs below 2**32), cached per
 # compiled stream and modulus by the executor.
 
@@ -612,43 +611,6 @@ def _c1_stage_steps(q: int, omega0: int, log_na: int):
     for s in range(log_na - 1, 0, -1):
         steps[s] = (steps[s + 1] * steps[s + 1]) % q
     return tuple(steps)
-
-
-def c1_stack_wpack(q: int, omegas: Sequence[int], na: int):
-    """Per-stage twiddles for a fused C1 group: one ``(k, 1, m)`` lane
-    operand per stage (``(1, 1, m)`` when every row shares the same
-    generator — the common case of a whole stage pass)."""
-    log_na = na.bit_length() - 1
-    rows = [_c1_stage_steps(q, omega0, log_na) for omega0 in omegas]
-    uniform = all(r == rows[0] for r in rows)
-    pack = []
-    for s in range(1, log_na + 1):
-        m = 1 << (s - 1)
-        if uniform:
-            w = _geom_run_arr(1, rows[0][s], m, q)[None, :]
-        else:
-            w = np.stack([_geom_run_arr(1, r[s], m, q) for r in rows])
-        pack.append(lane_twiddles(w[:, None, :], q))
-    return tuple(pack)
-
-
-def c1_stack_arr(x, q: int, wpack):
-    """Stacked form of :meth:`repro.pim.cu.ComputeUnit.execute_c1`:
-    ``x`` is ``(..., k, Na)``, one atom per row of the last two axes
-    (leading axes — the bank stack — broadcast); ``wpack`` comes from
-    :func:`c1_stack_wpack`.  Returns a fresh array."""
-    lead = x.shape[:-1]
-    x = _reduced(x, _u64(q))
-    for s, w in enumerate(wpack):
-        m = 1 << s
-        xr = x.reshape(lead + (-1, 2 * m))
-        a = xr[..., :m]
-        t = mod_mul_arr(xr[..., m:], w, q)
-        out = np.empty_like(xr)
-        out[..., :m] = mod_add_arr(a, t, q)
-        out[..., m:] = mod_sub_arr(a, t, q)
-        x = out.reshape(x.shape)
-    return x
 
 
 def _geom_rows(firsts: Sequence[int], steps: Sequence[int], count: int,
@@ -696,51 +658,22 @@ def c2_stack_wpack(q: int, omega0s: Sequence[int], r_omegas: Sequence[int],
     return w if shape is None else _shaped(w, shape)
 
 
-def c2_stack_arr(p, s, q: int, w, gs: bool = False):
+def c2_stack_arr(p, s, q: int, w, gs: bool = False, reduced: bool = False):
     """Stacked form of :meth:`repro.pim.cu.ComputeUnit.execute_c2`:
     ``p``/``s`` are ``(..., k, Na)`` and ``w`` is ``(k, Na)`` (a plain
     reduced array, or its :func:`lane_twiddles` to multiply without
     dividing) — the P legs, S legs and lane twiddles of ``k`` fused C2
-    commands (leading axes broadcast)."""
-    q_u64 = _u64(q)
-    return c2_reduced_arr(_reduced(p, q_u64), _reduced(s, q_u64), q, w,
-                          gs=gs)
-
-
-def c2_reduced_arr(p, s, q: int, w, gs: bool = False):
-    """:func:`c2_stack_arr` for operands whose every word is below
-    ``q`` already — outputs of earlier kernels under the same modulus —
-    so no scan."""
+    commands (leading axes broadcast).  With ``reduced`` the caller
+    promises every operand word is below ``q`` already, and the scan for
+    words that are not is skipped."""
+    if not reduced:
+        q_u64 = _u64(q)
+        p, s = _reduced(p, q_u64), _reduced(s, q_u64)
     if gs:
         return (mod_add_arr(p, s, q),
                 mod_mul_arr(mod_sub_arr(p, s, q), w, q))
     t = mod_mul_arr(s, w, q)
     return mod_add_arr(p, t, q), mod_sub_arr(p, t, q)
-
-
-def c1n_stack_zpack(q: int, zetas_rows: Sequence[Sequence[int]]):
-    """``(k, Na-1)`` reduced block-zeta operand for a fused C1N group."""
-    return lane_twiddles(np.array([[z % q for z in zs]
-                                   for zs in zetas_rows], dtype=np.uint64), q)
-
-
-def _block_twiddles(z, lo: int, hi: int):
-    """Columns ``lo:hi`` of a ``(k, Na-1)`` zeta operand (plain or a
-    Shoup pair), shaped ``(k, hi - lo, 1)`` to broadcast over a block."""
-    if type(z) is ShoupPair:
-        return ShoupPair(*(half[:, lo:hi, None] for half in z))
-    return z[:, lo:hi, None]
-
-
-def _words_outer(w):
-    """A ``(k, …, m)`` twiddle operand (plain or a Shoup pair) as the
-    contiguous ``(m, 1, k)`` operand of the lane-major kernels."""
-    def flip(a):
-        return np.ascontiguousarray(a.reshape(a.shape[0], a.shape[-1]).T)[
-            :, None, :]
-    if type(w) is ShoupPair:
-        return ShoupPair(*map(flip, w))
-    return flip(w)
 
 
 def _butterflies(a, b, t, q_u64):
@@ -754,19 +687,31 @@ def _butterflies(a, b, t, q_u64):
 
 
 def c1_lanes_wpack(q: int, omegas: Sequence[int], na: int):
-    """:func:`c1_stack_wpack` for :func:`c1_lanes_arr`: one ``(m, 1, 1)``
-    operand per stage (``(m, 1, k)`` when rows differ)."""
-    return tuple(map(_words_outer, c1_stack_wpack(q, omegas, na)))
+    """Per-stage twiddles of a fused C1 group for :func:`c1_lanes_arr`:
+    stage ``s`` multiplies word ``m + j`` of each ``2m``-word block of
+    atom ``i`` by ``g_i^(j Na / 2m)``, with ``m = 2^(s-1)`` and ``g_i``
+    row ``i``'s generator, as one ``(m, 1, k)`` operand (``(m, 1, 1)``
+    when every row shares its generator — the common case of a whole
+    stage pass)."""
+    log_na = na.bit_length() - 1
+    rows = [_c1_stage_steps(q, omega0, log_na) for omega0 in omegas]
+    if all(r == rows[0] for r in rows):
+        rows = rows[:1]
+    return tuple(
+        lane_twiddles(np.stack([_geom_run_arr(1, r[s], 1 << (s - 1), q)
+                                for r in rows], axis=-1)[:, None, :], q)
+        for s in range(1, log_na + 1))
 
 
 def c1_lanes_arr(xt, q: int, wpack, reduced: bool = False):
-    """:func:`c1_stack_arr` run lane-major, in place: ``xt`` is a
-    C-contiguous ``(Na, L, k)`` array holding word ``i`` of ``k`` atoms
-    in each of ``L`` banks on ``xt[i]``, so every stage is a few
-    operations over whole contiguous runs of ``L * k`` words; ``wpack``
-    comes from :func:`c1_lanes_wpack`.  With ``reduced`` the caller
-    promises every word is below ``q`` already, and the scan for words
-    that are not is skipped."""
+    """Stacked form of :meth:`repro.pim.cu.ComputeUnit.execute_c1`, run
+    lane-major and in place: ``xt`` is a C-contiguous ``(Na, L, k)``
+    array holding word ``i`` of ``k`` atoms in each of ``L`` banks on
+    ``xt[i]``, so every stage is a few operations over whole contiguous
+    runs of ``L * k`` words; ``wpack`` comes from
+    :func:`c1_lanes_wpack`.  With ``reduced`` the caller promises every
+    word is below ``q`` already, and the scan for words that are not is
+    skipped."""
     na = xt.shape[0]
     q_u64 = _u64(q)
     if not reduced and xt.max(initial=0) >= q_u64:
@@ -780,15 +725,19 @@ def c1_lanes_arr(xt, q: int, wpack, reduced: bool = False):
 
 
 def c1n_lanes_zpack(q: int, zetas_rows: Sequence[Sequence[int]]):
-    """:func:`c1n_stack_zpack` for :func:`c1n_lanes_arr`: the
-    ``(Na-1, 1, k)`` transpose."""
-    return _words_outer(c1n_stack_zpack(q, zetas_rows))
+    """``(Na-1, 1, k)`` reduced block-zeta operand of a fused C1N group
+    for :func:`c1n_lanes_arr`: zeta ``i`` of row ``j`` at ``[i, 0, j]``."""
+    return lane_twiddles(np.array([[z % q for z in zetas]
+                                   for zetas in zip(*zetas_rows)],
+                                  dtype=np.uint64)[:, None, :], q)
 
 
 def c1n_lanes_arr(xt, q: int, zt, gs: bool = False, reduced: bool = False):
-    """:func:`c1n_stack_arr` run lane-major, in place, on a C-contiguous
-    ``(Na, L, k)`` array (see :func:`c1_lanes_arr`, ``reduced`` too);
-    ``zt`` comes from :func:`c1n_lanes_zpack`."""
+    """Stacked form of :meth:`repro.pim.cu.ComputeUnit.execute_c1n`, run
+    lane-major and in place on a C-contiguous ``(Na, L, k)`` array (see
+    :func:`c1_lanes_arr`, ``reduced`` too); ``zt`` comes from
+    :func:`c1n_lanes_zpack`, and each atom consumes its zetas in the
+    scalar method's order."""
     na = xt.shape[0]
     q_u64 = _u64(q)
     if not reduced and xt.max(initial=0) >= q_u64:
@@ -812,35 +761,3 @@ def c1n_lanes_arr(xt, q: int, zt, gs: bool = False, reduced: bool = False):
         else:
             _butterflies(a, b, mod_mul_arr(b, z, q), q_u64)
     return xt
-
-
-def c1n_stack_arr(x, q: int, z2d, gs: bool = False):
-    """Stacked form of :meth:`repro.pim.cu.ComputeUnit.execute_c1n`:
-    ``x`` is ``(..., k, Na)`` (leading axes broadcast), ``z2d`` the
-    matching ``(k, Na-1)`` zeta operand from :func:`c1n_stack_zpack`.
-    Each row consumes its zetas in the scalar method's order.  Returns
-    a fresh array."""
-    lead = x.shape[:-1]
-    na = x.shape[-1]
-    x = _reduced(x, _u64(q))
-    log_na = na.bit_length() - 1
-    lengths = ([na >> s for s in range(1, log_na + 1)] if not gs
-               else [1 << s for s in range(log_na)])
-    idx = 0
-    for length in lengths:
-        blocks = na // (2 * length)
-        z = _block_twiddles(z2d, idx, idx + blocks)
-        idx += blocks
-        xr = x.reshape(lead + (blocks, 2 * length))
-        a = xr[..., :length]
-        b = xr[..., length:]
-        out = np.empty_like(xr)
-        if gs:
-            out[..., :length] = mod_add_arr(a, b, q)
-            out[..., length:] = mod_mul_arr(mod_sub_arr(a, b, q), z, q)
-        else:
-            t = mod_mul_arr(b, z, q)
-            out[..., :length] = mod_add_arr(a, t, q)
-            out[..., length:] = mod_sub_arr(a, t, q)
-        x = out.reshape(x.shape)
-    return x

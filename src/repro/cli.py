@@ -4,8 +4,8 @@ Subcommands::
 
     run [workload]   one workload through the repro.api facade
                      (ntt | negacyclic | batch | multibank | fhe;
-                     --cache-info prints program/stream/schedule
-                     cache statistics)
+                     --cache-info prints program/stream/schedule/
+                     dispatch cache statistics)
     compile          compile one workload through the repro.compile
                      pass pipeline without running it (prints the SoA
                      IR summary and the fused plan or fallback reason)
@@ -319,7 +319,8 @@ def main(argv=None) -> int:
                             f"{', '.join(CLI_WORKLOADS)})")
     _add_run_args(run_p)
     run_p.add_argument("--cache-info", action="store_true",
-                       help="print program/stream/schedule cache statistics")
+                       help="print program/stream/schedule/dispatch cache "
+                            "statistics")
     run_p.add_argument("--count", type=int, default=4,
                        help="polynomials for batch/multibank (default 4)")
     run_p.add_argument("--native", action="store_true",

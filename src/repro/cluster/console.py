@@ -101,8 +101,11 @@ def watch(frontend: ClusterFrontend,
 
     Frames go through ``emit``; ``max_frames`` caps emitted frames so
     long runs don't flood a log — the loop itself always runs to
-    completion.
+    completion.  ``every_us`` must be positive (a zero or NaN cadence
+    never reaches an arrival): anything else raises ``ValueError``.
     """
+    if not every_us > 0:
+        raise ValueError(f"watch cadence must be > 0 us, got {every_us}")
     pending = sorted(requests, key=lambda s: (s.arrival_us, s.request_id))
     cursor = 0
     tick = 0

@@ -71,25 +71,18 @@ class Replica:
         # Every record this replica ever produces carries its id, so
         # merged cluster telemetry keeps per-replica attribution.
         self.server.telemetry.replica = replica_id
-        self._handlers = {
-            Submit: self._submit,
-            Poll: self._poll,
-            Advance: self._advance,
-            Drain: self._drain,
-            Heartbeat: self._heartbeat,
-        }
 
     # -- the protocol ------------------------------------------------------------
     def send(self, message):
         """Dispatch one typed message and return its typed reply."""
-        handler = self._handlers.get(type(message))
+        handler = _HANDLERS.get(type(message))
         if handler is None:
             raise ClusterError(
                 f"replica {self.replica_id} has no handler for "
                 f"{type(message).__name__!r}; the protocol accepts "
                 f"Submit, Poll, Advance, Drain, Heartbeat",
                 replica=self.replica_id)
-        return handler(message)
+        return handler(self, message)
 
     # -- handlers ----------------------------------------------------------------
     def _to_relative(self, absolute_us: float) -> float:
@@ -137,3 +130,15 @@ class Replica:
             num_shards=int(stats["num_shards"]),
             breakers=breakers, up=dark < int(stats["num_shards"]),
             snapshot=snapshot)
+
+
+# The protocol's handlers, called as ``handler(replica, message)``.
+# Unbound, so a replica holds no bound methods that point back at it and
+# a dropped replica is freed at once with its server and telemetry.
+_HANDLERS = {
+    Submit: Replica._submit,
+    Poll: Replica._poll,
+    Advance: Replica._advance,
+    Drain: Replica._drain,
+    Heartbeat: Replica._heartbeat,
+}

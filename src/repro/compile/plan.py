@@ -49,8 +49,8 @@ class FunctionalPlan:
     * ``("write", rows, cols, slots, view)`` — scatter ``k`` slots back.
       Only an atom's last CU_WRITE stores (dead-store elimination);
       nothing observes a cell in the middle of a plan.
-    * ``("c1", vins, vouts, omegas, reduced, view)`` — one stacked
-      intra-atom NTT.
+    * ``("c1", vins, vouts, omegas, reduced, view)`` — ``k`` intra-atom
+      NTTs, run as one lane-major kernel call.
     * ``("c2", pins, sins, pouts, souts, omega0s, r_omegas, gs, reduced,
       view)``.
     * ``("c1n", vins, vouts, zetas_rows, gs, reduced, view)``.
@@ -74,7 +74,8 @@ class FunctionalPlan:
     * ``("lread", rows, cols, vouts2d)`` / ``("lwrite", rows, cols,
       vins2d)`` — ``(k, Na)`` whole-atom gathers/scatters through
       per-lane versions.
-    * ``("lc1", vins2d, vouts2d, omegas)`` — stacked intra-atom NTTs.
+    * ``("lc1", vins2d, vouts2d, omegas)`` — ``k`` intra-atom NTTs,
+      run as one lane-major kernel call on their ``(Na, k)`` transpose.
     * ``("load", lane_vins, reg_vouts)`` — ``k`` LOAD_SCALARs: register
       versions receive ``lane % q``.
     * ``("bu", reg_vins, lane_vins, reg_vouts, lane_vouts, omegas)`` —

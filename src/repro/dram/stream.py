@@ -18,9 +18,12 @@ lane-fusion and pooling passes -> this class):
   depth, and the pooling pass lowers each level to macro-ops over one
   shared value pool.  All C1 commands of one butterfly-stage pass land
   in a single group and execute as **one** stacked
-  :mod:`repro.arith.vector` call on a ``(k, Na)`` array; likewise
-  C2/C1N stages and CU_READ/CU_WRITE bursts (fancy-indexed
-  gathers/scatters straight against the cell array).  ACT/PRE pairs are
+  :mod:`repro.arith.vector` call, lane-major on an ``(Na, banks, k)``
+  transpose (C1N groups too); likewise C2 stages, and CU_READ/CU_WRITE
+  bursts against the cell array.  Pool slots are allocated by
+  liveness, so a group whose members form a (reshape, slice) view of
+  the pool or the cells updates them in place through it; a group that
+  matches none gathers and scatters by index.  ACT/PRE pairs are
   validated symbolically at compile time and disappear from the plan
   entirely.  Nb=1 scalar-µ-op programs fuse too, through the
   lane-granular renaming pass.

@@ -31,7 +31,8 @@ __all__ = [
 
 class NegacyclicParams:
     """(N, q, psi) with ``psi`` a primitive 2N-th root; ``omega = psi^2``;
-    ``q`` prime, as for :class:`~repro.arith.roots.NttParams`."""
+    ``q`` prime, as for :class:`~repro.arith.roots.NttParams`, and equal
+    and hashed by ``(n, q, psi)`` the same way."""
 
     def __init__(self, n: int, q: int, psi: int | None = None):
         if (q - 1) % (2 * n) != 0:
@@ -45,6 +46,15 @@ class NegacyclicParams:
             raise ValueError(f"psi={psi} is not a primitive {2 * n}-th root mod {q}")
         self.psi_inv = mod_inverse(self.psi, q)
         self.cyclic = NttParams(n, q, mod_pow(self.psi, 2, q))
+        self._hash = hash((n, q, self.psi))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not NegacyclicParams:
+            return NotImplemented
+        return (self.n, self.q, self.psi) == (other.n, other.q, other.psi)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"NegacyclicParams(n={self.n}, q={self.q}, psi={self.psi})"

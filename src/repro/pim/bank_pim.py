@@ -85,23 +85,6 @@ class PimBank:
         self.buffers = AtomBufferFile(pim.nb_buffers, arch.words_per_atom)
         self.cu = ComputeUnit(arch.words_per_atom)
         self.pending_q: int | None = None
-        # Per-type handlers: run() looks one up per command, and a dict
-        # dispatch beats re-evaluating an if-chain of enum membership tests.
-        self._dispatch = {
-            CommandType.ACT: self._exec_act,
-            CommandType.PRE: self._exec_pre,
-            CommandType.RD: self._exec_rd,
-            CommandType.CU_READ: self._exec_cu_read,
-            CommandType.WR: self._exec_wr,
-            CommandType.CU_WRITE: self._exec_cu_write,
-            CommandType.C1: self._exec_c1,
-            CommandType.C2: self._exec_c2,
-            CommandType.C1N: self._exec_c1n,
-            CommandType.PARAM_WRITE: self._exec_param_write,
-            CommandType.LOAD_SCALAR: self._exec_load_scalar,
-            CommandType.BU_SCALAR: self._exec_bu_scalar,
-            CommandType.STORE_SCALAR: self._exec_store_scalar,
-        }
 
     def set_parameters(self, q: int) -> None:
         """Stage the modulus the next PARAM_WRITE command will latch."""
@@ -167,9 +150,9 @@ class PimBank:
         ground-truth path.  Its compute commands run the scalar
         :class:`~repro.pim.cu.ComputeUnit` methods for every modulus;
         NumPy enters only through :meth:`run_stream`'s compiled plans."""
-        dispatch = self._dispatch
+        handlers = _HANDLERS
         for cmd in commands:
-            dispatch[cmd.ctype](cmd)
+            handlers[cmd.ctype](self, cmd)
 
     # -- compiled-stream execution --------------------------------------------
     def _stream_fusable(self, stream: CommandStream) -> bool:
@@ -392,9 +375,13 @@ class PimBank:
                 cache_key = (index, cu._require_modulus())
                 wpack = fuse_cache.get(cache_key)
                 if wpack is None:
-                    wpack = fuse_cache[cache_key] = vector.c1_stack_wpack(
+                    wpack = fuse_cache[cache_key] = vector.c1_lanes_wpack(
                         cache_key[1], omegas, na)
-                pool[vouts2d] = cu.execute_c1_stack(pool[vins2d], wpack)
+                # The lane-major kernel updates a C-contiguous (Na, 1, k)
+                # transpose of the gathered (k, Na) atoms in place.
+                xt = np.ascontiguousarray(pool[vins2d].T)
+                cu.execute_c1_lanes(xt[:, None, :], wpack)
+                pool[vouts2d] = xt.T
             else:  # param
                 if self.pending_q is None:
                     raise MappingError("PARAM_WRITE with no staged parameters")
@@ -416,3 +403,25 @@ class PimBank:
         """Host reads the NTT result back: a list of ints from one bank,
         an ``(*stack, length)`` uint64 array from a stack."""
         return self.storage.host_read_polynomial(base_row, length)
+
+
+# Per-type handlers, called as ``handler(bank, cmd)``: run() looks one
+# up per command, and a dict dispatch beats re-evaluating an if-chain of
+# enum membership tests.  The functions are unbound, so a bank holds no
+# bound methods that point back at it: a dropped bank (or bank stack) is
+# freed at once, not left in a cycle for the cyclic collector.
+_HANDLERS = {
+    CommandType.ACT: PimBank._exec_act,
+    CommandType.PRE: PimBank._exec_pre,
+    CommandType.RD: PimBank._exec_rd,
+    CommandType.CU_READ: PimBank._exec_cu_read,
+    CommandType.WR: PimBank._exec_wr,
+    CommandType.CU_WRITE: PimBank._exec_cu_write,
+    CommandType.C1: PimBank._exec_c1,
+    CommandType.C2: PimBank._exec_c2,
+    CommandType.C1N: PimBank._exec_c1n,
+    CommandType.PARAM_WRITE: PimBank._exec_param_write,
+    CommandType.LOAD_SCALAR: PimBank._exec_load_scalar,
+    CommandType.BU_SCALAR: PimBank._exec_bu_scalar,
+    CommandType.STORE_SCALAR: PimBank._exec_store_scalar,
+}

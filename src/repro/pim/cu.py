@@ -10,10 +10,12 @@ differential testing.
 Two tiers execute it.  The scalar methods (``execute_c1``,
 ``execute_c2``, ``execute_c1n``, the Nb=1 µ-ops) walk the lanes one
 butterfly at a time for any modulus: they are the per-command ground
-truth that :meth:`repro.pim.bank_pim.PimBank.run` drives.  The
-``execute_*_stack`` methods run a compiled plan's fused command groups
-as NumPy lane kernels; tests hold them equal to the scalar methods
-kernel by kernel — values and µ-op counters.
+truth that :meth:`repro.pim.bank_pim.PimBank.run` drives.  The stacked
+methods (``execute_c1_lanes``, ``execute_c2_stack``,
+``execute_c1n_lanes``, ``execute_bu_stack``) run a compiled plan's
+fused command groups as NumPy lane kernels, one kernel per command
+type; tests hold each equal to its scalar method — values and µ-op
+counters.
 
 State registers:
 
@@ -191,14 +193,14 @@ class ComputeUnit:
 
     # -- stacked execution (fused compiled-stream macro-ops) -------------------
     #
-    # One call runs a whole fused group of k same-type commands on
-    # (..., k, Na) arrays via the stacked repro.arith.vector kernels —
-    # bit-identical to k scalar execute_c1/c2/c1n calls per bank of the
-    # leading (bank stack) axes.  The µ-op counters advance by the
-    # per-command amounts times the number of atoms (``size / Na``), so
-    # a stack of B lockstep banks counts exactly B single banks.
-    # Callers (PimBank.run_stream) only take these paths when the lane
-    # kernels cover the loaded modulus.
+    # One call runs a whole fused group of k same-type commands via the
+    # stacked repro.arith.vector kernels — C2 on (..., k, Na) arrays, C1
+    # and C1N on lane-major (Na, L, k) ones — bit-identical to k scalar
+    # execute_c1/c2/c1n calls per bank of the stack.  The µ-op counters
+    # advance by the per-command amounts times the number of atoms
+    # (``size / Na``), so a stack of B lockstep banks counts exactly B
+    # single banks.  Callers (PimBank.run_stream) only take these paths
+    # when the lane kernels cover the loaded modulus.
 
     def _count_atom_stages(self, words: int, twiddles_per_atom: int) -> int:
         """Advance the counters by ``words / Na`` intra-atom transforms
@@ -212,15 +214,8 @@ class ComputeUnit:
         self.twiddles_generated += twiddles_per_atom * k
         return q
 
-    def execute_c1_stack(self, x2d, wpack):
-        """``k`` fused C1 commands; ``wpack`` from
-        :func:`repro.arith.vector.c1_stack_wpack`."""
-        q = self._count_atom_stages(
-            x2d.size, (self.atom_words // 2) * self.log_atom_words)
-        return vector.c1_stack_arr(x2d, q, wpack)
-
     def execute_c1_lanes(self, xt, wpack, reduced: bool = False):
-        """:meth:`execute_c1_stack` on a lane-major ``(Na, L, k)``
+        """``k`` fused C1 commands on a lane-major ``(Na, L, k)``
         operand (``L`` banks), in place; ``wpack`` from
         :func:`repro.arith.vector.c1_lanes_wpack`.  ``reduced`` promises
         every word is below q already (no scan)."""
@@ -231,28 +226,19 @@ class ComputeUnit:
     def execute_c2_stack(self, p2d, s2d, w2d, gs: bool = False,
                          reduced: bool = False):
         """``k`` fused C2 commands; ``w2d`` from
-        :func:`repro.arith.vector.c2_stack_wpack`.  ``reduced`` promises
-        every operand word is below q already: the butterflies then run
-        without :func:`~repro.arith.vector.c2_stack_arr`'s scan."""
+        :func:`repro.arith.vector.c2_stack_wpack`.  ``reduced`` as for
+        :meth:`execute_c1_lanes`."""
         q = self._require_modulus()
         lanes = p2d.size
         self.bu_ops += lanes
         self.load_uops += 2 * lanes
         self.store_uops += 2 * lanes
         self.twiddles_generated += lanes
-        if reduced:
-            return vector.c2_reduced_arr(p2d, s2d, q, w2d, gs=gs)
-        return vector.c2_stack_arr(p2d, s2d, q, w2d, gs=gs)
-
-    def execute_c1n_stack(self, x2d, z2d, gs: bool = False):
-        """``k`` fused C1N commands; ``z2d`` from
-        :func:`repro.arith.vector.c1n_stack_zpack`."""
-        q = self._count_atom_stages(x2d.size, self.atom_words - 1)
-        return vector.c1n_stack_arr(x2d, q, z2d, gs=gs)
+        return vector.c2_stack_arr(p2d, s2d, q, w2d, gs=gs, reduced=reduced)
 
     def execute_c1n_lanes(self, xt, zt, gs: bool = False,
                           reduced: bool = False):
-        """:meth:`execute_c1n_stack` on a lane-major ``(Na, L, k)``
+        """``k`` fused C1N commands on a lane-major ``(Na, L, k)``
         operand (``L`` banks), in place; ``zt`` from
         :func:`repro.arith.vector.c1n_lanes_zpack`.  ``reduced`` as for
         :meth:`execute_c1_lanes`."""

@@ -392,10 +392,9 @@ def compile_dispatch(specs: Sequence[TransformSpec], slots: int,
 # one-spec streams.  The memo keeps those per shape, so a warm dispatch
 # makes one lookup instead of re-deriving them through the program,
 # stream and schedule caches; a miss derives them exactly as a cold run
-# always has (same lookups, same order).  Specs hold their parameter
-# objects, which compare by identity, so a hit needs the very
-# NttParams/NegacyclicParams objects of the first run — as a served
-# shape's requests share them.  Entries are shared between runs: treat
+# always has (same lookups, same order).  Specs compare by value, their
+# parameter objects by ``(n, q, root)``, so equal transforms hit however
+# their parameters were built.  Entries are shared between runs: treat
 # them as immutable.
 _MAX_DISPATCHES = 64
 _dispatch_cache = ArtifactCache(_MAX_DISPATCHES)

@@ -27,7 +27,7 @@ from repro.arith import NttParams, find_ntt_prime, vector
 from repro.errors import FunctionalMismatch
 from repro.ntt import NegacyclicParams
 from repro.sim.driver import SimConfig, TransformSpec
-from test_freivalds import _c2_through_mod_mul, _plus_one
+from test_freivalds import _plus_one
 
 N = 256
 PARAMS = NttParams(N, find_ntt_prime(N, 32))
@@ -98,14 +98,13 @@ def test_program_runs_are_never_verified():
 @pytest.fixture
 def broken_lane_multiply(monkeypatch):
     """``tests/test_freivalds.py``'s mutation — ``(a·b + 1) mod q`` in
-    every lane multiply, ``c2_stack_arr``'s inline one included — with
+    every lane multiply, which every stacked kernel calls — with
     the checks' vectors and every cached artifact built under it, and
     all of them dropped afterwards."""
     Simulator.clear_caches()
     vector.clear_caches()
     monkeypatch.setattr(vector, "mod_mul_arr",
                         _plus_one(vector.mod_mul_arr))
-    monkeypatch.setattr(vector, "c2_stack_arr", _c2_through_mod_mul)
     yield
     monkeypatch.undo()
     Simulator.clear_caches()

@@ -6,7 +6,9 @@ replaced, kept in this file as the reference: one full single
 :class:`PimBank` per bank, running that bank's own program.
 """
 
+import gc
 import random
+import weakref
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -414,3 +416,32 @@ def test_unfusable_programs_raise_like_per_command_run(seed, length,
                        _counters(bank)))
     assert errors[0] == errors[1]
     assert states[0] == states[1]
+
+
+def test_a_dispatch_frees_its_bank_stack_without_the_cyclic_collector(
+        monkeypatch):
+    """A bank stack holds no reference cycle: with the cyclic collector
+    off, each stack an 8-bank dispatch builds and runs is gone as soon
+    as the dispatch returns."""
+    spec = _spec("ntt", False, 512, 32)
+    rng = random.Random(512)
+    inputs = [[[rng.randrange(spec.q) for _ in range(512)]]
+              for _ in range(8)]
+    stacks = []
+    real = PimBank.run_stream
+
+    def spy(self, stream):
+        stacks.append(weakref.ref(self))
+        return real(self, stream)
+
+    monkeypatch.setattr(PimBank, "run_stream", spy)
+    gc.disable()
+    try:
+        assert _run_dispatch(inputs, [spec] * 8, SimConfig()).verified
+        assert stacks and all(stack() is None for stack in stacks)
+        bank = PimBank(HBM2E_ARCH, PimParams())
+        dropped = weakref.ref(bank)
+        del bank
+        assert dropped() is None
+    finally:
+        gc.enable()

@@ -55,6 +55,11 @@ class TestCliUsageErrors:
         (["run", "--freq", "0"], "frequency must be positive"),
         (["run", "batch", "--count", "0"], "at least one polynomial"),
         (["trace", "-n", "256", "--head", "-1"], "--head must be >= 0"),
+        # A cadence that never advances would spin forever, not exit.
+        (["serve", "--cluster", "1", "--watch", "--watch-every-us", "0",
+          "--requests", "5"], "watch cadence must be > 0"),
+        (["serve", "--cluster", "1", "--watch", "--watch-every-us", "nan",
+          "--requests", "5"], "watch cadence must be > 0"),
     ])
     def test_bad_flag_value_is_a_usage_error(self, capsys, argv, message):
         assert main(argv) == 2

@@ -8,7 +8,10 @@ included — replays bit-for-bit from its seeds.
 """
 
 import dataclasses
+import gc
+import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +38,7 @@ from repro.cluster import (
     render_plain,
     watch,
 )
-from repro.cluster.messages import Heartbeat, Submit
+from repro.cluster.messages import Drain, Heartbeat, Submit
 from repro.errors import ClusterError
 from repro.serve import LoadGenerator, SimServer, make_scenario
 from repro.serve.faults import make_fault_plan
@@ -488,6 +491,23 @@ class TestFailureHandling:
         hb = replica.send(Heartbeat(now_us=123.0))
         assert hb.replica == 0 and hb.outstanding == 1
 
+    def test_a_dropped_replica_is_freed_without_the_cyclic_collector(self):
+        """A replica, its server and its telemetry hold no reference
+        cycle: with the cyclic collector off, dropping the last
+        reference to a replica that served requests frees all three."""
+        gc.disable()
+        try:
+            replica = Replica(0, CONFIG)
+            for sreq in _stream(count=4):
+                replica.send(Submit(sreq=sreq))
+            replica.send(Drain())
+            dropped = [weakref.ref(obj) for obj in (
+                replica, replica.server, replica.server.telemetry)]
+            del replica
+            assert [ref() for ref in dropped] == [None] * 3
+        finally:
+            gc.enable()
+
     def test_poll_unknown_id_returns_none(self):
         fe = ClusterFrontend(2, CONFIG)
         assert fe.poll(999) is None
@@ -538,6 +558,16 @@ class TestConsole:
         # max_frames caps the stream (plus the one post-drain frame).
         assert len(frames) == 3
         assert all("replica" in f for f in frames)
+
+    @pytest.mark.parametrize("every_us", [0.0, -200.0, math.nan])
+    def test_watch_rejects_a_cadence_that_never_advances(self, every_us):
+        """A zero, negative or NaN cadence never reaches an arrival, so
+        the loop would spin forever: it raises before the first tick."""
+        frames = []
+        with pytest.raises(ValueError, match="cadence"):
+            watch(ClusterFrontend(1, CONFIG), _stream(count=3),
+                  every_us=every_us, emit=frames.append)
+        assert frames == []
 
 
 class TestClusterTelemetry:

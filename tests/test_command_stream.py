@@ -326,7 +326,11 @@ class TestFacadeIntegration:
         response = sim.run(NttRequest(params=NttParams(n, q)))
         assert response.verified
         assert response.cache["stream"]["misses"] >= 1
-        again = sim.run(NttRequest(params=NttParams(n, q)))
+        # The same transform at another clock: a new dispatch shape, but
+        # the same command program, so the same compiled stream.
+        again = Simulator(SimConfig().at_frequency(600)).run(
+            NttRequest(params=NttParams(n, q)))
+        assert again.cache["dispatch"]["misses"] == 1
         assert again.cache["stream"]["misses"] == 0
         info = sim.cache_info()
         assert info["stream"]["entries"] >= 1

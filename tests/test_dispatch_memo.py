@@ -12,6 +12,7 @@ from repro.api import (
     BankSpec,
     BatchRequest,
     MultiBankRequest,
+    NegacyclicRequest,
     NttRequest,
     Simulator,
 )
@@ -22,6 +23,7 @@ from repro.dram import CommandType
 from repro.errors import FunctionalMismatch
 from repro.mapping.program_cache import CachedProgram
 from repro.ntt import NegacyclicParams
+from repro.pim.bank_pim import PimBank
 from repro.pim.params import PimParams
 from repro.sim.driver import (
     SimConfig,
@@ -150,3 +152,46 @@ def test_a_warm_hit_still_runs_and_checks_the_banks(monkeypatch):
     after = dispatch_cache_info()
     assert after["misses"] - before["misses"] == 1
     assert after["hits"] - before["hits"] == 1
+
+
+def test_requests_of_equal_params_built_apart_are_equal():
+    """Transform parameters compare and hash by value — ``(n, q, omega)``
+    and ``(n, q, psi)`` — so requests built from separately constructed
+    parameters of one transform are equal, and others are not."""
+    for make in (lambda: NttRequest(params=NttParams(N, PARAMS.q)),
+                 lambda: NegacyclicRequest(ring=NegacyclicParams(N, RING.q))):
+        a, b = make(), make()
+        assert a == b and hash(a) == hash(b)
+    other_root = NttParams(N, PARAMS.q, pow(PARAMS.omega, 3, PARAMS.q))
+    assert other_root != PARAMS and hash(other_root) != hash(PARAMS)
+    assert RING != RING.cyclic
+
+
+def test_bank_specs_of_equal_params_built_apart_share_a_group_and_entry(
+        monkeypatch):
+    """A 2-bank request whose bank specs each build their own
+    ``NttParams`` of one transform runs as one bank group, and a second
+    such request hits the first one's memo entry."""
+    def request():
+        return MultiBankRequest(
+            specs=tuple(BankSpec(params=NttParams(N, PARAMS.q))
+                        for _ in range(2)),
+            inputs=X[:2])
+
+    groups = []
+    real = PimBank.run_stream
+
+    def spy(self, stream):
+        groups.append(self.storage.stack)
+        return real(self, stream)
+
+    monkeypatch.setattr(PimBank, "run_stream", spy)
+    Simulator.clear_caches()
+    first = Simulator().run(request())
+    second = Simulator().run(request())
+    assert first.verified and second.verified
+    assert groups == [(2,), (2,)]
+    assert second.cache["dispatch"] == {"hits": 1, "misses": 0,
+                                        "entries": 1}
+    assert second.values == first.values
+    Simulator.clear_caches()

@@ -139,17 +139,6 @@ def _plus_one(real):
     return mod_mul_arr
 
 
-def _c2_through_mod_mul(p, s, q, w, gs=False):
-    """``c2_stack_arr`` with its inline ``q < 2**32`` multiply routed
-    through ``mod_mul_arr``, so the mutation reaches it too."""
-    p, s = p % np.uint64(q), s % np.uint64(q)
-    if gs:
-        return (vector.mod_add_arr(p, s, q),
-                vector.mod_mul_arr(vector.mod_sub_arr(p, s, q), w, q))
-    t = vector.mod_mul_arr(w, s, q)
-    return vector.mod_add_arr(p, t, q), vector.mod_sub_arr(p, t, q)
-
-
 @pytest.mark.parametrize("bits", [32, 40])
 @pytest.mark.parametrize("kind,inverse", KINDS)
 def test_a_broken_lane_multiply_is_caught(kind, inverse, bits, monkeypatch,
@@ -168,7 +157,6 @@ def test_a_broken_lane_multiply_is_caught(kind, inverse, bits, monkeypatch,
                                inverse=inverse))
     monkeypatch.setattr(vector, "mod_mul_arr",
                         _plus_one(vector.mod_mul_arr))
-    monkeypatch.setattr(vector, "c2_stack_arr", _c2_through_mod_mul)
     with pytest.raises(FunctionalMismatch):
         Simulator().run(request)
 

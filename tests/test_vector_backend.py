@@ -3,6 +3,7 @@ pure-Python scalar references bit for bit, across the whole stack
 (element-wise ops, golden NTTs, merged negacyclic transforms, the PIM
 compute unit, the driver)."""
 
+import itertools
 import random
 
 import numpy as np
@@ -232,10 +233,19 @@ def _counters(cu):
     return (cu.bu_ops, cu.load_uops, cu.store_uops, cu.twiddles_generated)
 
 
+def _lanes(x):
+    """A ``(*lead, k, Na)`` atom stack as the C-contiguous ``(Na, L, k)``
+    operand of the lane-major C1/C1N kernels."""
+    return np.ascontiguousarray(np.moveaxis(x, -1, 0)).reshape(
+        x.shape[-1], -1, x.shape[-2])
+
+
 class TestStackedKernelsMatchScalar:
     """Each stacked lane kernel a compiled plan runs equals ``k`` scalar
     ComputeUnit calls per bank: every row's values and, summed over the
-    stack, all four µ-op counters."""
+    stack, all four µ-op counters.  Operands are raw words, about one in
+    five ``>= q`` (entry reduction), or words below ``q`` passed with
+    ``reduced=True``, which skips the kernels' scan."""
 
     NA = 8
 
@@ -243,42 +253,58 @@ class TestStackedKernelsMatchScalar:
     @pytest.mark.parametrize("kernel", ["c1", "c2", "c2-gs", "c1n",
                                         "c1n-gs", "bu"])
     def test_kernel_matches_scalar_calls(self, kernel, q):
-        import numpy as np
-
         na, gs = self.NA, kernel.endswith("-gs")
         rng = random.Random(f"{kernel}-{q}")
-        # (bank axis, k): one command, a fused group, a group per bank.
-        for lead, k in [((), 1), ((), 3), ((2,), 3)]:
+
+        def draw():
+            return rng.randrange(1, q)
+
+        # (bank axis, k): one command, a fused group, a group per bank;
+        # rows with their own twiddles or one shared set; raw or
+        # reduced words (BU_SCALAR takes no reduced flag).
+        for (lead, k), shared, reduced in itertools.product(
+                [((), 1), ((), 3), ((2,), 3)], (False, True),
+                (False,) if kernel == "bu" else (False, True)):
             rows = 2 * k if lead else k
-            x, y = (np.array([rng.randrange(q) for _ in range(rows * na)],
+            x, y = (np.array([rng.randrange(2**64)
+                              if not reduced and rng.random() < 0.2
+                              else rng.randrange(q)
+                              for _ in range(rows * na)],
                              dtype=np.uint64).reshape(lead + (k, na))
                     for _ in range(2))
             xr, yr = x.reshape(rows, na).tolist(), y.reshape(rows, na).tolist()
-            w0 = [rng.randrange(1, q) for _ in range(k)]
-            w1 = [rng.randrange(1, q) for _ in range(k)]
-            zetas = [tuple(rng.randrange(1, q) for _ in range(na - 1))
-                     for _ in range(k)]
+
+            def per_row(make):
+                return [make()] * k if shared else [make() for _ in range(k)]
+
+            w0, w1 = per_row(draw), per_row(draw)
+            zetas = per_row(lambda: tuple(draw() for _ in range(na - 1)))
             # stacked(cu) -> output legs shaped (*lead, k, ...);
             # scalar(cu, row, j) -> the same legs of one command j.
             if kernel == "c1":
                 def stacked(cu):
-                    return [cu.execute_c1_stack(
-                        x, vector.c1_stack_wpack(q, w0, na))]
+                    xt = _lanes(x)
+                    cu.execute_c1_lanes(xt, vector.c1_lanes_wpack(q, w0, na),
+                                        reduced=reduced)
+                    return [xt.transpose(1, 2, 0)]
 
                 def scalar(cu, r, j):
                     return [cu.execute_c1(xr[r], w0[j], 0)]
             elif kernel.startswith("c2"):
                 def stacked(cu):
                     return cu.execute_c2_stack(
-                        x, y, vector.c2_stack_wpack(q, w0, w1, na), gs=gs)
+                        x, y, vector.c2_stack_wpack(q, w0, w1, na), gs=gs,
+                        reduced=reduced)
 
                 def scalar(cu, r, j):
                     return list(cu.execute_c2(xr[r], yr[r], w0[j], w1[j],
                                               gs=gs))
             elif kernel.startswith("c1n"):
                 def stacked(cu):
-                    return [cu.execute_c1n_stack(
-                        x, vector.c1n_stack_zpack(q, zetas), gs=gs)]
+                    xt = _lanes(x)
+                    cu.execute_c1n_lanes(xt, vector.c1n_lanes_zpack(q, zetas),
+                                         gs=gs, reduced=reduced)
+                    return [xt.transpose(1, 2, 0)]
 
                 def scalar(cu, r, j):
                     return [cu.execute_c1n(xr[r], zetas[j], gs=gs)]
@@ -298,8 +324,9 @@ class TestStackedKernelsMatchScalar:
             got = [list(legs) for legs in zip(*(
                 leg.reshape(rows, -1).tolist() for leg in stacked(cu_stack)))]
             want = [scalar(cu_scalar, r, r % k) for r in range(rows)]
-            assert got == want, (lead, k)
-            assert _counters(cu_stack) == _counters(cu_scalar), (lead, k)
+            case = (lead, k, shared, reduced)
+            assert got == want, case
+            assert _counters(cu_stack) == _counters(cu_scalar), case
 
 
 class TestShoupBoundaries:
@@ -330,8 +357,10 @@ class TestShoupBoundaries:
         cu_stack.set_modulus(q)
         cu_scalar.set_modulus(q)
         if kernel == "c1":
-            got = [cu_stack.execute_c1_stack(
-                x, vector.c1_stack_wpack(q, [w] * k, na))]
+            xt = _lanes(x)
+            cu_stack.execute_c1_lanes(xt, vector.c1_lanes_wpack(q, [w] * k,
+                                                                na))
+            got = [xt.transpose(1, 2, 0)]
             want = [[cu_scalar.execute_c1(row, w, 0)] for row in xr]
         elif kernel.startswith("c2"):
             got = cu_stack.execute_c2_stack(
@@ -339,8 +368,10 @@ class TestShoupBoundaries:
             want = [list(cu_scalar.execute_c2(p, s, w, w, gs=gs))
                     for p, s in zip(xr, yr)]
         elif kernel.startswith("c1n"):
-            got = [cu_stack.execute_c1n_stack(
-                x, vector.c1n_stack_zpack(q, [(w,) * (na - 1)] * k), gs=gs)]
+            xt = _lanes(x)
+            cu_stack.execute_c1n_lanes(
+                xt, vector.c1n_lanes_zpack(q, [(w,) * (na - 1)] * k), gs=gs)
+            got = [xt.transpose(1, 2, 0)]
             want = [[cu_scalar.execute_c1n(row, (w,) * (na - 1), gs=gs)]
                     for row in xr]
         else:  # bu: lane 0 of x is reg_a, lane 0 of y the buffer lane
@@ -357,47 +388,65 @@ class TestShoupBoundaries:
         assert _counters(cu_stack) == _counters(cu_scalar)
 
 
+def _pack_arrays(pack):
+    """The arrays of a lane-kernel twiddle pack (a plain array, a Shoup
+    pair, or a tuple of either per stage)."""
+    if isinstance(pack, np.ndarray):
+        return [pack]
+    return [a for part in pack for a in _pack_arrays(part)]
+
+
 class TestLaneMajorKernels:
-    """The atom plan runs C1 and C1N groups lane-major, on ``(Na, L, k)``
-    transposes: each kernel equals its stacked form on the same atoms,
-    raw words ``>= q`` (entry reduction) included, and counts the same
-    µ-ops."""
+    """A plan runs a C1 or C1N group lane-major on an ``(Na, L, k)``
+    stack of ``L`` banks (the atom plan) or on one bank's ``(Na, 1, k)``
+    transpose of its ``(k, Na)`` gather (the Nb=1 lane plan's ``lc1``).
+    On raw words, ``>= q`` (entry reduction) included, the stacked call
+    equals ``L`` one-bank calls in values and summed µ-op counters, and
+    leaves its twiddle pack, which a warm plan caches and reuses, as it
+    found it."""
 
     NA = 8
 
     @pytest.mark.parametrize("q", [Q_SMALL, Q_32, Q_WIDE, Q_EDGE])
     @pytest.mark.parametrize("kernel", ["c1", "c1-rows", "c1n", "c1n-gs"])
     def test_lane_major_equals_stacked(self, kernel, q):
-        na, k = self.NA, 5
+        na, k, banks = self.NA, 5, 3
         rng = random.Random(f"{kernel}-{q}")
-        for lead in [(), (3,)]:
-            x = np.array([rng.randrange(2**64) if rng.random() < 0.2
-                          else rng.randrange(q)
-                          for _ in range(int(np.prod(lead, dtype=int)) * k
-                                         * na)],
-                         dtype=np.uint64).reshape(lead + (k, na))
+        x = np.array([rng.randrange(2**64) if rng.random() < 0.2
+                      else rng.randrange(q) for _ in range(banks * k * na)],
+                     dtype=np.uint64).reshape(banks, k, na)
+        gs = kernel.endswith("-gs")
+        if kernel.startswith("c1n"):
+            pack = vector.c1n_lanes_zpack(
+                q, [tuple(rng.randrange(1, q) for _ in range(na - 1))
+                    for _ in range(k)])
+        else:
             omegas = ([rng.randrange(1, q)] * k if kernel == "c1"
                       else [rng.randrange(1, q) for _ in range(k)])
-            zetas = [tuple(rng.randrange(1, q) for _ in range(na - 1))
-                     for _ in range(k)]
-            gs = kernel.endswith("-gs")
-            cu_stack, cu_lanes = ComputeUnit(na), ComputeUnit(na)
-            cu_stack.set_modulus(q)
-            cu_lanes.set_modulus(q)
-            xt = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+            pack = vector.c1_lanes_wpack(q, omegas, na)
+        before = [a.copy() for a in _pack_arrays(pack)]
+
+        def run(cu, xt):
             if kernel.startswith("c1n"):
-                want = cu_stack.execute_c1n_stack(
-                    x, vector.c1n_stack_zpack(q, zetas), gs=gs)
-                cu_lanes.execute_c1n_lanes(
-                    xt.reshape(na, -1, k), vector.c1n_lanes_zpack(q, zetas),
-                    gs=gs)
+                cu.execute_c1n_lanes(xt, pack, gs=gs)
             else:
-                want = cu_stack.execute_c1_stack(
-                    x, vector.c1_stack_wpack(q, omegas, na))
-                cu_lanes.execute_c1_lanes(xt.reshape(na, -1, k),
-                                          vector.c1_lanes_wpack(q, omegas, na))
-            assert np.moveaxis(xt, 0, -1).tolist() == want.tolist(), lead
-            assert _counters(cu_lanes) == _counters(cu_stack), lead
+                cu.execute_c1_lanes(xt, pack)
+
+        cu_stack, cu_banks = ComputeUnit(na), ComputeUnit(na)
+        cu_stack.set_modulus(q)
+        cu_banks.set_modulus(q)
+        stacked = _lanes(x)
+        run(cu_stack, stacked)
+        per_bank = []
+        for bank in x:
+            xt = np.ascontiguousarray(bank.T)
+            run(cu_banks, xt[:, None, :])
+            per_bank.append(xt.T.tolist())
+        assert stacked.transpose(1, 2, 0).tolist() == per_bank
+        assert _counters(cu_stack) == _counters(cu_banks)
+        after = _pack_arrays(pack)
+        assert len(after) == len(before)
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
 
 @pytest.mark.parametrize("bits", [32, 40, 60])
@@ -503,7 +552,7 @@ def test_scalar_path_runs_no_lane_kernel(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the scalar path reached a lane kernel")
 
-    for name in ("c1_stack_arr", "c2_stack_arr", "c1n_stack_arr",
+    for name in ("c1_lanes_arr", "c2_stack_arr", "c1n_lanes_arr",
                  "ntt_dit_bitrev"):
         monkeypatch.setattr(vector, name, forbidden)
     per_command = []
