@@ -85,12 +85,16 @@ BANK_SPEEDUP_FLOOR = 1.0
 #: file without the key counts as 1.0), so a slow shared machine does
 #: not read as a compiler regression.
 COMPILE_US_PER_CMD_CEILING = 2.3
-#: The mappers emit IR columns straight from the closed-form schedule;
-#: a cold map (program-cache miss to IR) measures 0.4-0.65 us/command
-#: at reference speed (N=4096 / N=1024 and Nb=1 N=256), against ~9
-#: us/command when every command was built as a validated ``Command``.
-#: Same slowdown scaling and ~2x headroom as the compile ceiling.
-MAP_US_PER_CMD_CEILING = 1.3
+#: The mappers emit IR columns straight from the closed-form schedule,
+#: twiddles as indices into one power table and dependencies as one
+#: two-wide column: a cold map (program-cache miss to IR) measures
+#: 0.32-0.43 us/command at reference speed (N=4096 / N=1024, six
+#: reruns; Nb=1 N=256 0.13-0.33), against 0.45-0.64 when it also built
+#: per-command twiddle tuples and a CSR dependency triple (same host,
+#: same reruns) and ~9 us/command when every command was built as a
+#: validated ``Command``.  Same slowdown scaling and ~2x headroom as
+#: the compile ceiling.
+MAP_US_PER_CMD_CEILING = 0.9
 #: A warm same-spec 8-bank dispatch runs its banks as one stacked pass
 #: with one check, division-free Shoup lanes, store-to-load forwarding,
 #: in-place, view-addressed stages (pool slots allocated by liveness,
@@ -135,13 +139,16 @@ DATAPLANE_VERIFY_RATIO_CEILING = 1.3
 #: A ratio of two timings taken together, so no slowdown scaling.
 DATAPLANE_HOST_SHARE_CEILING = 0.55
 #: The stream replay builds its loop inputs from the stream's int64
-#: columns on every call (no list mirrors, no per-command timing
-#: tuples) and measures ~0.40-0.45 us/command at reference speed at
-#: N=1024 and N=4096, against ~0.5-0.6 when it walked list mirrors
-#: built (and paid for) at lowering and returned one ``CommandTiming``
-#: per command.  Same slowdown scaling and ~2x headroom as the map
-#: ceiling.
-TIMING_US_PER_CMD_CEILING = 0.9
+#: columns on every call (no list mirrors, no per-command timing or
+#: dependency tuples: the dependency column's entries and one kind
+#: column are iterated directly) and measures 0.24-0.37 us/command at
+#: reference speed at N=1024 and N=4096 (six reruns), against
+#: 0.34-0.49 when it re-padded a CSR dependency triple into
+#: per-command tuples on every call (same host, same reruns) and
+#: ~0.5-0.6 when it walked list mirrors built (and paid for) at
+#: lowering and returned one ``CommandTiming`` per command.  Same
+#: slowdown scaling and ~2x headroom as the map ceiling.
+TIMING_US_PER_CMD_CEILING = 0.75
 #: The load generator draws each request's coefficients in bulk
 #: (``random_residues``: one 32-bit word per value still needed,
 #: through ``np.frombuffer``) and measures 17-21 us per skewed-mix

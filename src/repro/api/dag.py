@@ -198,7 +198,7 @@ class DagRequest(SimRequest):
         request = self.node(name)
         if not functional:
             return request
-        changes: Dict[str, tuple] = {}
+        changes: Dict[str, Sequence[int]] = {}
         for edge in self.edges:
             if edge.child != name:
                 continue
@@ -207,7 +207,7 @@ class DagRequest(SimRequest):
                 raise RequestValidationError(
                     f"dag stage {name!r}: parent {edge.parent!r} "
                     f"produced no output values to bind")
-            changes[edge.field] = tuple(values)
+            changes[edge.field] = values
         if not changes:
             return request
         try:

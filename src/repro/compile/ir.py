@@ -2,21 +2,25 @@
 
 A :class:`StreamIR` is the columnar form of one command program: every
 per-command integer field becomes one int64 NumPy column (``-1`` encodes
-"field unused by this command"), the twiddle payloads stay Python-object
-side tables (twiddles of moduli above 2**63 overflow int64), and
-dependencies flatten into a CSR-style
-``dep_start/dep_end/dep_flat`` triple.  Every pass in
+"field unused by this command"); twiddles are index columns into one
+``twiddles`` table per program (Python ints: twiddles of moduli above
+2**63 overflow int64) and C1N zetas into one ``zeta_rows`` table; and
+dependencies are one fixed-width ``(n, k)`` column ``deps``, row ``i``
+holding ``dep_counts[i]`` entries, then ``-1`` padding (the counts say
+which are real, so negative, forward and duplicate dependencies of a
+hand-built program round-trip exactly).  Every pass in
 :mod:`repro.compile.passes` is a vectorized computation over these
 columns — the per-command Python loop of the old monolithic compile
 survives only as the ground-truth executor.
 
 The mappers emit their programs as StreamIRs directly
 (:func:`repro.mapping.program.assemble`), and the merge passes
-(interleave / concat) build merged IRs from those columns.  Neither
-builds :class:`~repro.dram.commands.Command` objects: they materialize
+(interleave / concat) build merged IRs from those columns and tables.
+None builds a per-command Python value: ``Command`` objects materialize
 from the columns only when a per-command reference asks for them
-(:meth:`StreamIR.materialize_commands`, or a :class:`CommandView`).
-An IR built by :meth:`StreamIR.from_commands` keeps its source tuple.
+(:meth:`StreamIR.materialize_commands`, or a :class:`CommandView`).  An
+IR built by :meth:`StreamIR.from_commands` tabulates the commands'
+values and keeps its source tuple.
 """
 
 from __future__ import annotations
@@ -40,19 +44,26 @@ def _optional(column: np.ndarray) -> list:
     return [None if v < 0 else v for v in column.tolist()]
 
 
+def _tabulate(values: list, present: list, base: int = 0):
+    """The present values in order, and each one's index plus ``base``
+    (-1 where absent)."""
+    mask = np.array(present, dtype=np.bool_)
+    return (tuple(itertools.compress(values, present)),
+            np.where(mask, np.cumsum(mask) - 1 + base, -1))
+
+
 class StreamIR:
-    """SoA columns + side tables for one command program."""
+    """SoA columns + the twiddle and zeta tables of one command program."""
 
     __slots__ = (
         "n", "codes", "banks", "rows", "cols", "bufs", "buf2s", "lanes",
-        "payloads", "gs", "dep_start", "dep_end", "dep_flat", "omega0s",
-        "r_omegas", "zetas", "has_omega0", "has_r_omega", "zeta_lens",
-        "meta", "_commands",
+        "payloads", "gs", "omega0_idx", "r_omega_idx", "zeta_idx",
+        "twiddles", "zeta_rows", "deps", "dep_counts", "meta", "_commands",
     )
 
     def __init__(self, *, n, codes, banks, rows, cols, bufs, buf2s, lanes,
-                 payloads, gs, dep_start, dep_end, dep_flat, omega0s,
-                 r_omegas, zetas, has_omega0, has_r_omega, zeta_lens,
+                 payloads, gs, omega0_idx, r_omega_idx, zeta_idx, twiddles,
+                 zeta_rows, deps, dep_counts,
                  commands: Optional[Tuple[Command, ...]] = None):
         self.n = n
         self.codes = codes
@@ -64,15 +75,13 @@ class StreamIR:
         self.lanes = lanes
         self.payloads = payloads
         self.gs = gs
-        self.dep_start = dep_start
-        self.dep_end = dep_end
-        self.dep_flat = dep_flat
-        self.omega0s = omega0s
-        self.r_omegas = r_omegas
-        self.zetas = zetas
-        self.has_omega0 = has_omega0
-        self.has_r_omega = has_r_omega
-        self.zeta_lens = zeta_lens
+        self.omega0_idx = omega0_idx
+        self.r_omega_idx = r_omega_idx
+        self.zeta_idx = zeta_idx
+        self.twiddles = twiddles
+        self.zeta_rows = zeta_rows
+        self.deps = deps
+        self.dep_counts = dep_counts
         self.meta: dict = {}
         self._commands = commands
 
@@ -84,29 +93,31 @@ class StreamIR:
         commands = tuple(commands)
         n = len(commands)
         (codes, banks, rows, cols, bufs, buf2s, lanes, payloads, gs,
-         has_omega0, has_r_omega, zeta_lens) = np.ascontiguousarray(np.array(
+         dep_counts) = np.ascontiguousarray(np.array(
             [(CTYPE_CODES[c.ctype], c.bank, _field(c.row), _field(c.col),
               _field(c.buf), _field(c.buf2), _field(c.lane), c.payload_words,
-              c.gs, c.omega0 is not None, c.r_omega is not None,
-              len(c.zetas)) for c in commands],
-            dtype=np.int64).reshape(n, 12).T)
-        deps = [c.deps for c in commands]
-        dep_lens = np.fromiter(map(len, deps), dtype=np.int64, count=n)
-        dep_end = np.cumsum(dep_lens, dtype=np.int64)
+              c.gs, len(c.deps)) for c in commands],
+            dtype=np.int64).reshape(n, 10).T)
+        omega0s = [c.omega0 for c in commands]
+        r_omegas = [c.r_omega for c in commands]
+        zetas = [c.zetas for c in commands]
+        omega0_table, omega0_idx = _tabulate(
+            omega0s, [v is not None for v in omega0s])
+        r_omega_table, r_omega_idx = _tabulate(
+            r_omegas, [v is not None for v in r_omegas], len(omega0_table))
+        zeta_rows, zeta_idx = _tabulate(zetas, list(map(bool, zetas)))
+        k = int(dep_counts.max()) if n else 0
+        deps = np.full((n, k), -1, dtype=np.int64)
+        deps[np.arange(k) < dep_counts[:, None]] = np.fromiter(
+            itertools.chain.from_iterable(c.deps for c in commands),
+            dtype=np.int64)
         return cls(
             n=n, codes=codes, banks=banks, rows=rows, cols=cols, bufs=bufs,
             buf2s=buf2s, lanes=lanes, payloads=payloads,
             gs=gs.astype(np.bool_),
-            dep_start=dep_end - dep_lens,
-            dep_end=dep_end,
-            dep_flat=np.fromiter(itertools.chain.from_iterable(deps),
-                                 dtype=np.int64),
-            omega0s=tuple(c.omega0 for c in commands),
-            r_omegas=tuple(c.r_omega for c in commands),
-            zetas=tuple(c.zetas for c in commands),
-            has_omega0=has_omega0.astype(np.bool_),
-            has_r_omega=has_r_omega.astype(np.bool_),
-            zeta_lens=zeta_lens,
+            omega0_idx=omega0_idx, r_omega_idx=r_omega_idx,
+            zeta_idx=zeta_idx, twiddles=omega0_table + r_omega_table,
+            zeta_rows=zeta_rows, deps=deps, dep_counts=dep_counts,
             commands=commands,
         )
 
@@ -116,23 +127,23 @@ class StreamIR:
         once and kept (only the per-command reference paths ever ask —
         the fused executor and the timing engine run on the columns)."""
         if self._commands is None:
+            # Index -1 picks the appended "absent" entry.
+            twiddles = self.twiddles + (None,)
+            zeta_rows = self.zeta_rows + ((),)
+            deps = [tuple(row[:count]) for row, count
+                    in zip(self.deps.tolist(), self.dep_counts.tolist())]
             self._commands = tuple(itertools.starmap(Command, zip(
                 map(CODE_CTYPES.__getitem__, self.codes.tolist()),
                 self.banks.tolist(),
                 _optional(self.rows), _optional(self.cols),
                 _optional(self.bufs), _optional(self.buf2s),
                 _optional(self.lanes),
-                self.omega0s, self.r_omegas, self.payloads.tolist(),
-                self.gs.tolist(), self.zetas, self.deps_list())))
+                map(twiddles.__getitem__, self.omega0_idx.tolist()),
+                map(twiddles.__getitem__, self.r_omega_idx.tolist()),
+                self.payloads.tolist(), self.gs.tolist(),
+                map(zeta_rows.__getitem__, self.zeta_idx.tolist()),
+                deps)))
         return self._commands
-
-    def deps_list(self):
-        """Per-command dependency tuples, for materialized :class:`Command`
-        objects (the timing engine reads the flat columns directly)."""
-        starts = self.dep_start.tolist()
-        ends = self.dep_end.tolist()
-        flat = self.dep_flat.tolist()
-        return [tuple(flat[s:e]) for s, e in zip(starts, ends)]
 
     # -- introspection --------------------------------------------------------
     def counts_by_type(self) -> dict:
@@ -148,7 +159,7 @@ class StreamIR:
         for name, count in sorted(self.counts_by_type().items(),
                                   key=lambda kv: -kv[1]):
             lines.append(f"  {name:<12} {count}")
-        lines.append(f"  deps (flat)  {len(self.dep_flat)}")
+        lines.append(f"  deps (flat)  {int(self.dep_counts.sum())}")
         if self.meta:
             for key, value in sorted(self.meta.items()):
                 lines.append(f"  meta {key} = {value}")

@@ -14,15 +14,16 @@ reimplemented as index permutations over the concatenated columns (the
 per-command list merges
 :func:`repro.sim.multibank.interleave_programs` and
 :func:`repro.sim.batch.concat_programs` remain as the test
-references).  Merged IRs, like the mappers' IRs they merge, hold no
-``Command`` objects; only the per-command reference paths materialize
-them from the columns.
+references).  The programs' twiddle and zeta tables concatenate, the
+index and dependency columns shift and remap, so merged IRs, like the
+mappers' IRs they merge, hold no per-command Python value; only the
+per-command reference paths materialize ``Command`` objects.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -47,69 +48,59 @@ def compile_ir(ir: StreamIR, arch: ArchParams) -> CommandStream:
 
 # -- merge passes --------------------------------------------------------------
 
-def _ragged_take(starts, counts):
-    """Flat indices gathering ``counts[i]`` elements from ``starts[i]``
-    onward, for every row in order."""
-    total = int(counts.sum())
-    shift = np.cumsum(counts) - counts
-    return np.repeat(starts - shift, counts) + np.arange(total,
-                                                         dtype=np.int64)
-
-
-def _gather_side(tables: Sequence[tuple], order_list) -> tuple:
-    pool: list = []
-    for table in tables:
-        pool.extend(table)
-    return tuple(map(pool.__getitem__, order_list))
-
-
-def interleave_irs(programs) -> StreamIR:
-    """Round-robin merge of per-bank programs onto the shared bus.
-
-    The command content (and thus every cache key downstream) is
-    bit-identical to :func:`repro.sim.multibank.interleave_programs`;
-    the merge itself is an index permutation over the concatenated
-    columns, with dependencies remapped through the same permutation.
-    Round-robin models an MC draining per-bank queues fairly, which is
-    what gives each bank steady command-bus share.
-    """
-    irs = [as_ir(p) for p in programs]
-    if len(irs) == 1:
-        return irs[0]
-    lens = np.array([ir.n for ir in irs], dtype=np.int64)
-    total = int(lens.sum())
-    cmd_off = np.concatenate(([0], np.cumsum(lens)))[:-1]
-    prog = np.repeat(np.arange(len(irs), dtype=np.int64), lens)
-    pos = np.concatenate([np.arange(l, dtype=np.int64)
-                          for l in lens.tolist()]) if total else \
-        np.zeros(0, dtype=np.int64)
-    # Round-robin: all position-0 commands (program order), then all
-    # position-1, ... — exactly the legacy cursor sweep.
-    order = np.lexsort((prog, pos))
-    new_of_old = np.empty(total, dtype=np.int64)
-    new_of_old[order] = np.arange(total, dtype=np.int64)
+def _merged(irs, order, new_of_old, kind) -> StreamIR:
+    """The IR of ``irs`` concatenated and gathered at ``order``, each
+    dependency remapped through ``new_of_old`` (old global id -> merged
+    id, -1 if dropped).  A dependency that does not point back into its
+    own program raises ``KeyError`` in an interleave, as in
+    :func:`repro.sim.multibank.interleave_programs`; in a concat it
+    drops, as does one that lands on a dropped command, and its row
+    compacts, as in :func:`repro.sim.batch.concat_programs`."""
+    lens = [ir.n for ir in irs]
+    starts = np.repeat(np.cumsum([0] + lens[:-1]), lens)
 
     def col(name):
         return np.concatenate([getattr(ir, name) for ir in irs])[order]
 
-    # Dependencies: concatenate per-program flats shifted to old-global
-    # command ids, gather them in merged-row order, then remap ids
-    # through the permutation.
-    flat_off = np.concatenate(
-        ([0], np.cumsum([len(ir.dep_flat) for ir in irs])))[:-1]
-    flat_global = np.concatenate(
-        [ir.dep_flat + off for ir, off in zip(irs, cmd_off.tolist())])
-    counts = np.concatenate([ir.dep_end - ir.dep_start for ir in irs])
-    starts = np.concatenate(
-        [ir.dep_start + off for ir, off in zip(irs, flat_off.tolist())])
-    take = _ragged_take(starts[order], counts[order])
-    dep_flat = new_of_old[flat_global[take]]
-    dep_end = np.cumsum(counts[order], dtype=np.int64)
-    dep_start = dep_end - counts[order]
+    def shifted(name, sizes):
+        """An index column, each program's entries offset by the sum of
+        ``sizes`` over the programs before it."""
+        offset = np.repeat(np.cumsum([0] + sizes[:-1]), lens)[order]
+        column = col(name)
+        return np.where(column >= 0, column + offset, -1)
 
-    order_list = order.tolist()
+    # Dependencies: widen every program's column to the widest, keep the
+    # entries that point back into their own program, remap them.
+    width = max(ir.deps.shape[1] for ir in irs)
+    deps = np.full((len(starts), width), -1, dtype=np.int64)
+    row = 0
+    for ir in irs:
+        deps[row:row + ir.n, :ir.deps.shape[1]] = ir.deps
+        row += ir.n
+    deps, start = deps[order], starts[order, None]
+    local = np.arange(len(starts), dtype=np.int64)[order, None] - start
+    slot = np.arange(width)
+    counted = slot < col("dep_counts")[:, None]
+    used = counted & (deps >= 0) & (deps < local)
+    if kind == "interleave" and (used != counted).any():
+        # The reference's lookup fails at the first such entry in
+        # merged order.
+        i, j = np.argwhere(used != counted)[0]
+        raise KeyError(int(deps[i, j]))
+    deps = np.where(used, new_of_old[np.where(used, deps + start, 0)], -1)
+    used &= deps >= 0
+    # Column by column: NumPy reduces a narrow last axis row by row.
+    dep_counts = np.zeros(len(order), dtype=np.int64)
+    for j in range(width):
+        dep_counts += used[:, j]
+    gaps = used != (slot < dep_counts[:, None])
+    if gaps.any():
+        ragged = np.unique(np.nonzero(gaps)[0])
+        front = np.argsort(~used[ragged], axis=1, kind="stable")
+        deps[ragged] = np.take_along_axis(deps[ragged], front, axis=1)
+
     merged = StreamIR(
-        n=total,
+        n=len(order),
         codes=col("codes"),
         banks=col("banks"),
         rows=col("rows"),
@@ -119,19 +110,44 @@ def interleave_irs(programs) -> StreamIR:
         lanes=col("lanes"),
         payloads=col("payloads"),
         gs=col("gs"),
-        dep_start=dep_start,
-        dep_end=dep_end,
-        dep_flat=dep_flat,
-        omega0s=_gather_side([ir.omega0s for ir in irs], order_list),
-        r_omegas=_gather_side([ir.r_omegas for ir in irs], order_list),
-        zetas=_gather_side([ir.zetas for ir in irs], order_list),
-        has_omega0=col("has_omega0"),
-        has_r_omega=col("has_r_omega"),
-        zeta_lens=col("zeta_lens"),
+        omega0_idx=shifted("omega0_idx", [len(ir.twiddles) for ir in irs]),
+        r_omega_idx=shifted("r_omega_idx", [len(ir.twiddles) for ir in irs]),
+        zeta_idx=shifted("zeta_idx", [len(ir.zeta_rows) for ir in irs]),
+        twiddles=tuple(chain.from_iterable(ir.twiddles for ir in irs)),
+        zeta_rows=tuple(chain.from_iterable(ir.zeta_rows for ir in irs)),
+        deps=deps,
+        dep_counts=dep_counts,
     )
-    merged.meta["merge"] = "interleave"
+    merged.meta["merge"] = kind
     merged.meta["programs"] = len(irs)
     return merged
+
+
+def interleave_irs(programs) -> StreamIR:
+    """Round-robin merge of per-bank programs onto the shared bus.
+
+    The command content (and thus every cache key downstream) is
+    bit-identical to :func:`repro.sim.multibank.interleave_programs`;
+    the merge itself is an index permutation over the concatenated
+    columns, with dependencies remapped through the same permutation.
+    Like the reference, it raises ``KeyError`` for a dependency that
+    does not name an earlier command of its own program (one program
+    comes back as it is).
+    Round-robin models an MC draining per-bank queues fairly, which is
+    what gives each bank steady command-bus share.
+    """
+    irs = [as_ir(p) for p in programs]
+    if len(irs) == 1:
+        return irs[0]
+    lens = [ir.n for ir in irs]
+    total = sum(lens)
+    # Round-robin: all position-0 commands (program order), then all
+    # position-1, ... — exactly the legacy cursor sweep.
+    pos = np.concatenate([np.arange(n, dtype=np.int64) for n in lens])
+    order = np.argsort(pos, kind="stable")
+    new_of_old = np.empty(total, dtype=np.int64)
+    new_of_old[order] = np.arange(total, dtype=np.int64)
+    return _merged(irs, order, new_of_old, "interleave")
 
 
 def concat_irs(programs, skip_leading_param: bool = True) -> StreamIR:
@@ -145,60 +161,12 @@ def concat_irs(programs, skip_leading_param: bool = True) -> StreamIR:
     irs = [as_ir(p) for p in programs]
     if len(irs) == 1:
         return irs[0]
-    lens = np.array([ir.n for ir in irs], dtype=np.int64)
-    total = int(lens.sum())
-    cmd_off = np.concatenate(([0], np.cumsum(lens)))[:-1]
-    keep = np.ones(total, dtype=np.bool_)
+    starts = np.cumsum([0] + [ir.n for ir in irs])
+    keep = np.ones(starts[-1], dtype=np.bool_)
     if skip_leading_param:
-        for j, ir in enumerate(irs):
-            if j and ir.n and ir.codes[0] == _CODE_PARAM:
-                keep[cmd_off[j]] = False
-    new_of_old = np.cumsum(keep, dtype=np.int64) - 1
+        for start, ir in zip(starts[1:].tolist(), irs[1:]):
+            if ir.n and ir.codes[0] == _CODE_PARAM:
+                keep[start] = False
+    new_of_old = np.where(keep, np.cumsum(keep, dtype=np.int64) - 1, -1)
     kept = np.nonzero(keep)[0]
-
-    def col(name):
-        return np.concatenate([getattr(ir, name) for ir in irs])[kept]
-
-    # Dependencies on dropped commands are filtered out, exactly as the
-    # legacy merge's offset-map lookup does.  (A dropped leading
-    # PARAM_WRITE has no deps itself, so dropped rows contribute no
-    # slice of their own.)
-    flat_global = np.concatenate(
-        [ir.dep_flat + off for ir, off in zip(irs, cmd_off.tolist())])
-    dep_keep = keep[flat_global]
-    csum = np.concatenate(([0], np.cumsum(dep_keep, dtype=np.int64)))
-    flat_off = np.concatenate(
-        ([0], np.cumsum([len(ir.dep_flat) for ir in irs])))[:-1]
-    starts = np.concatenate(
-        [ir.dep_start + off for ir, off in zip(irs, flat_off.tolist())])
-    ends = np.concatenate(
-        [ir.dep_end + off for ir, off in zip(irs, flat_off.tolist())])
-    counts = (csum[ends] - csum[starts])[kept]
-    dep_flat = new_of_old[flat_global[dep_keep]]
-    dep_end = np.cumsum(counts, dtype=np.int64)
-
-    kept_list = kept.tolist()
-    merged = StreamIR(
-        n=len(kept_list),
-        codes=col("codes"),
-        banks=col("banks"),
-        rows=col("rows"),
-        cols=col("cols"),
-        bufs=col("bufs"),
-        buf2s=col("buf2s"),
-        lanes=col("lanes"),
-        payloads=col("payloads"),
-        gs=col("gs"),
-        dep_start=dep_end - counts,
-        dep_end=dep_end,
-        dep_flat=dep_flat,
-        omega0s=_gather_side([ir.omega0s for ir in irs], kept_list),
-        r_omegas=_gather_side([ir.r_omegas for ir in irs], kept_list),
-        zetas=_gather_side([ir.zetas for ir in irs], kept_list),
-        has_omega0=col("has_omega0"),
-        has_r_omega=col("has_r_omega"),
-        zeta_lens=col("zeta_lens"),
-    )
-    merged.meta["merge"] = "concat"
-    merged.meta["programs"] = len(irs)
-    return merged
+    return _merged(irs, kept, new_of_old, "concat")

@@ -119,6 +119,11 @@ def _next_write(is_write: np.ndarray, seg: np.ndarray) -> np.ndarray:
     return np.where(rev >= 0, k - 1 - rev, -1)
 
 
+def _values(table: tuple, index: np.ndarray, members: np.ndarray) -> tuple:
+    """The ``table`` entries an index column names for ``members``."""
+    return tuple(map(table.__getitem__, index[members].tolist()))
+
+
 def _atom_chains(ir, arch, idx_r, idx_w):
     """The CU_READs (``idx_r``) and CU_WRITEs (``idx_w``) sorted by
     (row, col) atom, then program order, as ``(order, cmd, atom,
@@ -319,13 +324,15 @@ def _validate(ir: StreamIR, arch: ArchParams):
     rule(codes == _CODE_WR, 4,
          lambda i: f"cmd {i}: WR with host data is unmapped")
 
-    rule((codes == _CODE_C1) & ~ir.has_omega0, 2,
+    rule((codes == _CODE_C1) & (ir.omega0_idx < 0), 2,
          lambda i: f"cmd {i}: C1 without omega0")
-    rule((codes == _CODE_C2) & ~(ir.has_omega0 & ir.has_r_omega), 2,
-         lambda i: f"cmd {i}: C2 without its twiddle pair")
+    rule((codes == _CODE_C2) & ((ir.omega0_idx < 0) | (ir.r_omega_idx < 0)),
+         2, lambda i: f"cmd {i}: C2 without its twiddle pair")
     zetas_per_atom = arch.words_per_atom - 1
-    rule((codes == _CODE_C1N) & (ir.zeta_lens != zetas_per_atom), 2,
-         lambda i: (f"cmd {i}: C1N carries {ir.zeta_lens[i]} zetas, "
+    zeta_counts = np.fromiter(map(len, ir.zeta_rows + ((),)),  # -1: ()
+                              dtype=np.int64)[ir.zeta_idx]
+    rule((codes == _CODE_C1N) & (zeta_counts != zetas_per_atom), 2,
+         lambda i: (f"cmd {i}: C1N carries {zeta_counts[i]} zetas, "
                     f"needs {zetas_per_atom}"))
 
     if has_scalar:
@@ -653,15 +660,9 @@ def _atom_plan(ir: StreamIR, arch: ArchParams, stats: dict):
 
     rows = ir.rows
     cols = ir.cols
-    omega0s = ir.omega0s
-    r_omegas = ir.r_omegas
-    zetas = ir.zetas
     cpr = arch.columns_per_row
     slot, n_slots = _allocate_slots(versions,
                                     rows[live_r] * cpr + cols[live_r])
-
-    def members_tuple(table, members):
-        return tuple(map(table.__getitem__, members.tolist()))
 
     def by_slot(idx, name, members):
         """The members ordered by the slot of their ``name`` version,
@@ -699,7 +700,8 @@ def _atom_plan(ir: StreamIR, arch: ArchParams, stats: dict):
         elif kind == _KIND_C1:
             members, cpos = by_slot(idx_c1, "c1_vin", members)
             vins, vouts = slots("c1_vin", cpos), slots("c1_vout", cpos)
-            ops.append(("c1", vins, vouts, members_tuple(omega0s, members),
+            ops.append(("c1", vins, vouts,
+                        _values(ir.twiddles, ir.omega0_idx, members),
                         reduced_inputs(cpos, "c1_vin"),
                         in_place_view(vins, vouts)))
         elif kind == _KIND_C2:
@@ -709,14 +711,16 @@ def _atom_plan(ir: StreamIR, arch: ArchParams, stats: dict):
             view = (_pair_view(pins, sins) if np.array_equal(pins, pouts)
                     and np.array_equal(sins, souts) else None)
             ops.append(("c2", pins, sins, pouts, souts,
-                        members_tuple(omega0s, members),
-                        members_tuple(r_omegas, members), bool(extra),
+                        _values(ir.twiddles, ir.omega0_idx, members),
+                        _values(ir.twiddles, ir.r_omega_idx, members),
+                        bool(extra),
                         reduced_inputs(cpos, "c2_pin", "c2_sin"),
                         view))
         elif kind == _KIND_C1N:
             members, cpos = by_slot(idx_c1n, "c1n_vin", members)
             vins, vouts = slots("c1n_vin", cpos), slots("c1n_vout", cpos)
-            ops.append(("c1n", vins, vouts, members_tuple(zetas, members),
+            ops.append(("c1n", vins, vouts,
+                        _values(ir.zeta_rows, ir.zeta_idx, members),
                         bool(extra), reduced_inputs(cpos, "c1n_vin"),
                         in_place_view(vins, vouts)))
         else:  # param
@@ -926,8 +930,7 @@ def _lane_plan(ir: StreamIR, arch: ArchParams, stats: dict):
     o += ns
     st_reg_vin = t_vin[o:o + ns].astype(np.intp)
 
-    omega0s = ir.omega0s
-
+    twiddles = ir.twiddles + (None,)  # an unchecked BU_SCALAR's -1: None
     ops = []
     for kind, _extra, members, _ in _assemble_groups(rel, depth, kinds,
                                                      extras):
@@ -942,7 +945,7 @@ def _lane_plan(ir: StreamIR, arch: ArchParams, stats: dict):
         elif kind == K_LC1:
             cpos = np.searchsorted(idx_c1, members)
             ops.append(("lc1", c1_vin2d[cpos], c1_vout2d[cpos],
-                        tuple(map(omega0s.__getitem__, members.tolist()))))
+                        _values(twiddles, ir.omega0_idx, members)))
         elif kind == K_LOAD:
             cpos = np.searchsorted(idx_ld, members)
             ops.append(("load", ld_lane_vin[cpos], ld_reg_vout[cpos]))
@@ -950,7 +953,7 @@ def _lane_plan(ir: StreamIR, arch: ArchParams, stats: dict):
             cpos = np.searchsorted(idx_bu, members)
             ops.append(("bu", bu_reg_vin[cpos], bu_lane_vin[cpos],
                         bu_reg_vout[cpos], bu_lane_vout[cpos],
-                        tuple(map(omega0s.__getitem__, members.tolist()))))
+                        _values(twiddles, ir.omega0_idx, members)))
         elif kind == K_STORE:
             cpos = np.searchsorted(idx_st, members)
             ops.append(("store", st_reg_vin[cpos], st_lane_vout[cpos]))

@@ -241,11 +241,12 @@ class TimingEngine:
 
         Bit-identical to :meth:`simulate` on the stream's commands (the
         same timings, stats, energy, and :class:`MappingError` at the
-        same command), but the loop's inputs are built from the IR's
-        int64 columns at call time: category, write-like flag and
-        compute latency by one ``np.take`` each over ``codes``, compact
-        bank ids by ``np.unique``, dependencies by
-        :func:`_dependencies`.  Stats and energy come from an
+        same command), but the loop iterates the IR's integer columns:
+        one kind column folding category and write-like flag, compute
+        latency, row, compact bank id (by ``np.unique``) and the
+        ``deps`` column's first two entries, whose -1 padding reads the
+        spare, always-0 last slot of ``completes`` (see
+        :func:`_dependency_columns`).  Stats and energy come from an
         ``np.bincount`` over ``codes``.  The recurrence stays serial:
         almost every command issues later than ``previous + 1``.
         """
@@ -253,20 +254,18 @@ class TimingEngine:
         ir = stream.ir
         n = ir.n
         codes = ir.codes
-        cats = np.take(_CAT_BY_CODE, codes).tolist()
-        write_like = np.take(_WRITE_LIKE_BY_CODE, codes).tolist()
+        kinds = np.take(_KIND_BY_CODE, codes).tolist()
         latency_by_code = np.array(self.compute.code_latencies())
         latencies = np.take(latency_by_code, codes).tolist()
         rows = ir.rows.tolist()
         bank_ids, bank_index = np.unique(ir.banks, return_inverse=True)
-        banks = bank_index.tolist()
-        deps, stop, bad_dep = _dependencies(ir)
+        nb, banks = len(bank_ids), bank_index.tolist()
+        dep0, dep1, more, stop, bad_dep = _dependency_columns(ir)
 
         # Per-bank integer state, indexed by compact bank ids.  The
         # closed-row sentinel is None (not -1): row numbers are not
         # validated here, so any int — negative included — must behave
         # exactly as in the legacy loop.
-        nb = len(bank_ids)
         open_row = [None] * nb
         next_act = [0] * nb
         next_col = [0] * nb
@@ -291,14 +290,22 @@ class TimingEngine:
         read_done = timing.read_to_data
         write_done = timing.write_to_data
 
-        for i, b, cat, ds in zip(range(stop), banks, cats, deps):
+        for i, b, kind, d0, d1, extra in zip(range(stop), banks, kinds,
+                                             dep0, dep1, more):
             earliest = bus_free
-            for d in ds:
-                c = completes[d]
-                if c > earliest:
-                    earliest = c
+            c = completes[d0]
+            if c > earliest:
+                earliest = c
+            c = completes[d1]
+            if c > earliest:
+                earliest = c
+            if extra is not None:
+                for d in extra:
+                    c = completes[d]
+                    if c > earliest:
+                        earliest = c
 
-            if cat == 2:  # column command
+            if kind < 2:  # column command; kind 1 is write-like
                 row = rows[i]
                 if open_row[b] != row:
                     name = _CODE_NAMES[codes[i]]
@@ -312,7 +319,7 @@ class TimingEngine:
                 if earliest > t:
                     t = earliest
                 next_col[b] = t + tccd
-                if write_like[i]:
+                if kind:
                     complete = t + write_done
                     guard = complete + twr
                     if guard > next_pre[b]:
@@ -320,7 +327,7 @@ class TimingEngine:
                 else:
                     complete = t + read_done
 
-            elif cat == 3:  # compute / PARAM_WRITE
+            elif kind == 2:  # compute / PARAM_WRITE
                 latency = latencies[i]
                 t = cu_free[b]
                 if earliest > t:
@@ -328,7 +335,7 @@ class TimingEngine:
                 cu_free[b] = t + latency
                 complete = t + latency
 
-            elif cat == 0:  # ACT
+            elif kind == 3:  # ACT
                 if open_row[b] is not None:
                     raise MappingError(
                         f"cmd {i}: ACT row {rows[i]} while row "
@@ -389,40 +396,40 @@ class TimingEngine:
                               energy_nj=energy_nj)
 
 
-def _dependencies(ir):
-    """``(deps, stop, bad_dep)`` for the stream loop.
-
-    ``deps`` yields each command's dependencies as a tuple of the ``k``
-    index columns (``k`` = the widest dependency list), padded with the
-    sentinel ``n`` and zipped lazily at C speed.  ``stop`` is the first
-    command with an invalid (forward or negative) dependency, else
-    ``n``; ``bad_dep`` is its first one, as :meth:`TimingEngine.simulate`
-    reports it.
-    """
+def _dependency_columns(ir):
+    """``(dep0, dep1, more, stop, bad_dep)`` for the stream loop: the
+    ``deps`` column's first two entries (-1 padded), the tuple of any
+    further ones (only hand-built programs have them) or None, the first
+    command with an invalid (negative, self or forward) dependency (else
+    ``n``) and that first dependency, as :meth:`TimingEngine.simulate`
+    reports it."""
     n = ir.n
-    counts = ir.dep_end - ir.dep_start
-    k = int(counts.max()) if n else 0
-    if not k:
-        return itertools.repeat(()), n, None
-    slot = np.arange(k)
-    used = slot < counts[:, None]
-    padded = np.where(used, np.take(ir.dep_flat, ir.dep_start[:, None] + slot,
-                                    mode="clip"), n)
-    bad = used & ((padded < 0) | (padded >= np.arange(n)[:, None]))
+    deps = ir.deps
+    counts = ir.dep_counts
+    k = deps.shape[1]
+    used = np.arange(k) < counts[:, None]
+    bad = used & ((deps < 0) | (deps >= np.arange(n)[:, None]))
     stop, bad_dep = n, None
     if bad.any():
         stop = int(bad.any(axis=1).argmax())
-        bad_dep = int(padded[stop, bad[stop].argmax()])
-    return zip(*padded.T.tolist()), stop, bad_dep
+        bad_dep = int(deps[stop, bad[stop].argmax()])
+    pad = itertools.repeat(-1)
+    dep0 = deps[:, 0].tolist() if k > 0 else pad
+    dep1 = deps[:, 1].tolist() if k > 1 else pad
+    more = itertools.repeat(None)
+    if k > 2:
+        more = [tuple(row[2:count]) if count > 2 else None
+                for row, count in zip(deps.tolist(), counts.tolist())]
+    return dep0, dep1, more, stop, bad_dep
 
 
 # Derived views of the canonical command encoding (commands.CODE_CTYPES)
 # — the codes column the compiler populates indexes these tables.
 _CODE_NAMES = tuple(ct.value for ct in CODE_CTYPES)
-_CAT_BY_CODE = np.array(
-    [0 if ct is CommandType.ACT else
-     1 if ct is CommandType.PRE else
-     2 if ct.is_column else
-     3 for ct in CODE_CTYPES], dtype=np.int64)
-_WRITE_LIKE_BY_CODE = np.array([ct.is_write_like for ct in CODE_CTYPES],
-                               dtype=np.bool_)
+#: The stream loop's command kinds: 0 column read, 1 column write
+#: (write-like), 2 compute or PARAM_WRITE, 3 ACT, 4 PRE.
+_KIND_BY_CODE = np.array(
+    [(1 if ct.is_write_like else 0) if ct.is_column else
+     3 if ct is CommandType.ACT else
+     4 if ct is CommandType.PRE else
+     2 for ct in CODE_CTYPES], dtype=np.int64)

@@ -6,12 +6,12 @@ the pass-based IR compiler in :mod:`repro.compile` (program ->
 lane-fusion and pooling passes -> this class):
 
 * **Its IR** — the :class:`~repro.compile.ir.StreamIR`'s NumPy int64
-  columns (ctype code, bank, row, col, buf/buf2/lane, flat dependency
-  ranges) plus side tables for the omega/zeta payloads.  These columns
-  are the whole contract with the timing engine: its stream loop
-  (:meth:`repro.dram.engine.TimingEngine.simulate_stream`) builds its
-  inputs from them at call time, so a stream carries no copy or
-  Python-list mirror of any column.
+  columns (ctype code, bank, row, col, buf/buf2/lane, fixed-width
+  dependencies, twiddle/zeta indices into the program's tables).  These
+  columns are the whole contract with the timing engine: its stream
+  loop (:meth:`repro.dram.engine.TimingEngine.simulate_stream`) builds
+  its inputs from them at call time, so a stream carries no copy or
+  Python-list mirror of any column, and no per-command value.
 * **A functional execution plan** — the renaming pass gives every
   buffer write a fresh virtual version (like register renaming in an
   OoO core), the grouping pass levels the hazard graph by longest-path
@@ -66,8 +66,8 @@ class CommandStream:
     def __init__(self, ir, plan, fallback_reason, pass_stats=None):
         self.n = ir.n
         # The source IR: int64 columns (-1 encodes "field unused by this
-        # command") and payload side tables, read directly by the timing
-        # engine and the bank's row window.
+        # command") and the twiddle/zeta tables they index, read directly
+        # by the timing engine and the bank's row window.
         self.ir = ir
         # Functional plan (None: execute via the legacy per-command loop).
         self.plan: Optional[FunctionalPlan] = plan

@@ -4,16 +4,17 @@ A mapper describes its program as an *op table*: one int64 row per
 column or compute command (:data:`FIELDS` columns, ``-1`` = unused),
 built with :func:`ops` and :func:`grouped` from ``arange``-style index
 arithmetic.  :func:`assemble` turns the table into the
-:class:`~repro.compile.ir.StreamIR` the compiler consumes:
+:class:`~repro.compile.ir.StreamIR` the compiler consumes, column for
+column:
 
 * the opening PARAM_WRITE and, at every change of the row the column
   ops address, a PRE (if a row is open) and an ACT, plus the closing
   PRE;
-* the twiddle and C1N zeta side tables, looked up in one table of
-  twiddle values per program (the ops carry indices into it);
+* one ``twiddles`` table, the powers of the root, which the ops'
+  twiddle exponents index as they stand (C1N zeta rows too);
 * every dependency, from per-buffer scans: a CU_READ waits on the last
   command that used its buffer (WAR), every other buffer op on the last
-  command that produced the buffer's contents.
+  command that produced the buffer's contents (at most two per op).
 """
 
 from __future__ import annotations
@@ -132,22 +133,23 @@ def assemble(body: np.ndarray, bank: int, root: int, q: int,
     running = np.roll(np.maximum.accumulate(tagged), 1)
     last_producer = np.where(first, -1, running - ev_buf * stride - 1)
     dep = np.where(codes[ev_op] == _CU_READ, last_use, last_producer)
-    legs = np.full((n_ops, 2), -1, dtype=np.int64)
-    legs[ev_op, ev_leg] = np.where(dep >= 0, pos[dep], -1)
-    legs.sort(axis=1)
-    legs[legs[:, 0] == legs[:, 1], 1] = -1
+    legs = np.full((2, n_ops), -1, dtype=np.int64)
+    legs[ev_leg, ev_op] = np.where(dep >= 0, pos[dep], -1)
+    # Each op's distinct dependencies, ascending, then the -1 padding.
+    lo, hi = np.minimum(legs[0], legs[1]), np.maximum(legs[0], legs[1])
+    dep0 = np.where(lo < 0, hi, lo)
+    dep1 = np.where((lo >= 0) & (hi != lo), hi, -1)
+    deps = np.full((total, 2), -1, dtype=np.int64)
+    deps[pos, 0] = dep0
+    deps[pos, 1] = dep1
     dep_counts = np.zeros(total, dtype=np.int64)
-    dep_counts[pos] = (legs >= 0).sum(axis=1)
-    dep_end = np.cumsum(dep_counts)
+    dep_counts[pos] = (dep0 >= 0).astype(np.int64) + (dep1 >= 0)
 
     # One power table per program, by running products.
     twiddles = [1 % q]
     for _ in range(max(int(body[:, OMEGA0:R_OMEGA + 1].max()),
                        -1 if zetas is None else int(zetas.max()))):
         twiddles.append(twiddles[-1] * root % q)
-    pool = (None, *twiddles)
-    zeta_pool = ((),) if zetas is None else ((),) + tuple(
-        tuple(map(twiddles.__getitem__, row)) for row in zetas.tolist())
     codes, rows, cols, bufs, buf2s, lanes, gs, omega0, r_omega, zeta = (
         np.ascontiguousarray(table.T))
     payloads = np.zeros(total, dtype=np.int64)
@@ -156,11 +158,9 @@ def assemble(body: np.ndarray, bank: int, root: int, q: int,
         n=total, codes=codes, banks=np.full(total, bank, dtype=np.int64),
         rows=rows, cols=cols, bufs=bufs, buf2s=buf2s, lanes=lanes,
         payloads=payloads, gs=gs.astype(np.bool_),
-        dep_start=dep_end - dep_counts, dep_end=dep_end,
-        dep_flat=legs[legs >= 0],
-        omega0s=tuple(map(pool.__getitem__, (omega0 + 1).tolist())),
-        r_omegas=tuple(map(pool.__getitem__, (r_omega + 1).tolist())),
-        zetas=tuple(map(zeta_pool.__getitem__, (zeta + 1).tolist())),
-        has_omega0=omega0 >= 0, has_r_omega=r_omega >= 0,
-        zeta_lens=np.array([len(z) for z in zeta_pool])[zeta + 1],
+        omega0_idx=omega0, r_omega_idx=r_omega, zeta_idx=zeta,
+        twiddles=tuple(twiddles),
+        zeta_rows=() if zetas is None else tuple(
+            tuple(map(twiddles.__getitem__, row)) for row in zetas.tolist()),
+        deps=deps, dep_counts=dep_counts,
     )

@@ -52,12 +52,14 @@ class TestCompilation:
             assert ir.codes[i] == list(CommandType).index(cmd.ctype)
             assert ir.rows[i] == (-1 if cmd.row is None else cmd.row)
             assert ir.cols[i] == (-1 if cmd.col is None else cmd.col)
-            lo, hi = int(ir.dep_start[i]), int(ir.dep_end[i])
-            assert tuple(ir.dep_flat[lo:hi].tolist()) == cmd.deps
-        # Flat dependency ranges reconstruct every command's deps.
+            count = int(ir.dep_counts[i])
+            assert tuple(ir.deps[i, :count].tolist()) == cmd.deps
+        # The fixed-width dependency column reconstructs every command's
+        # deps: its first dep_counts[i] entries, then -1 padding.
         for i, cmd in enumerate(cmds):
-            lo, hi = int(ir.dep_start[i]), int(ir.dep_end[i])
-            assert tuple(ir.dep_flat[lo:hi]) == cmd.deps
+            count = int(ir.dep_counts[i])
+            assert tuple(ir.deps[i, :count]) == cmd.deps
+            assert (ir.deps[i, count:] == -1).all()
 
     def test_mapper_program_gets_fused_plan(self):
         n = 1024

@@ -410,6 +410,55 @@ class TestMergePasses:
         ir = concat_irs([StreamIR.from_commands(program.commands)] * 3)
         assert ir.materialize_commands() == tuple(merged_legacy)
 
+    @staticmethod
+    def _mapper_programs(n=256, slots=1):
+        """Slot programs of a cyclic bank 0 and a negacyclic bank 1: two
+        moduli, two twiddle tables, zeta rows on one side only."""
+        config = SimConfig()
+        specs = [TransformSpec(kind="ntt",
+                               params=NttParams(n, find_ntt_prime(n, 32))),
+                 TransformSpec(kind="negacyclic",
+                               ring=NegacyclicParams(
+                                   n, find_ntt_prime(n, 32, negacyclic=True)))]
+        return [[spec.program(config, bank, slot) for slot in range(slots)]
+                for bank, spec in enumerate(specs)]
+
+    def test_interleave_of_mapper_irs_matches_legacy(self):
+        cyclic, negacyclic = (row[0] for row in self._mapper_programs())
+        assert cyclic.ir.twiddles != negacyclic.ir.twiddles
+        assert not cyclic.ir.zeta_rows and negacyclic.ir.zeta_rows
+        ir = interleave_irs([cyclic.ir, negacyclic.ir])
+        assert_columns_only(ir)
+        assert ir.materialize_commands() == tuple(interleave_programs(
+            [list(cyclic.commands), list(negacyclic.commands)]))
+
+    def test_three_slot_concat_of_mapper_irs_matches_legacy(self):
+        for row in self._mapper_programs(n=128, slots=3):
+            ir = concat_irs([p.ir for p in row])
+            assert_columns_only(ir)
+            assert ir.materialize_commands() == tuple(concat_programs(
+                [list(p.commands) for p in row]))
+
+    def test_a_dispatch_merge_of_mapper_irs_matches_legacy(self):
+        rows = self._mapper_programs(n=128, slots=2)
+        ir = interleave_irs([concat_irs([p.ir for p in row])
+                             for row in rows])
+        assert_columns_only(ir)
+        assert ir.materialize_commands() == tuple(interleave_programs(
+            [concat_programs([list(p.commands) for p in row])
+             for row in rows]))
+
+    def test_mapper_and_hand_built_irs_merge(self):
+        cyclic, negacyclic = (row[0] for row in self._mapper_programs())
+        hand_built = StreamIR.from_commands(negacyclic.commands)
+        commands = [list(cyclic.commands), list(negacyclic.commands)]
+        merged = interleave_irs([cyclic.ir, hand_built])
+        assert merged.materialize_commands() == tuple(
+            interleave_programs(commands))
+        merged = concat_irs([hand_built, cyclic.ir, hand_built])
+        assert merged.materialize_commands() == tuple(concat_programs(
+            [commands[1], commands[0], commands[1]]))
+
     def test_mixed_kind_interleave_matches_two_separate_runs(self):
         n = 256
         q_c = find_ntt_prime(n, 32)
@@ -567,14 +616,39 @@ class TestBankSpec:
         assert list(response.outputs[1]) == list(data)
 
 
+def assert_columns_only(ir):
+    """A mapper- or merge-built IR holds no per-command Python object:
+    every attribute as long as the program is an ndarray (the twiddle
+    and zeta tables are per program) and no Command was built."""
+    tables = {"twiddles", "zeta_rows"}
+    for name in StreamIR.__slots__:
+        value = getattr(ir, name)
+        if name not in tables and hasattr(value, "__len__") \
+                and len(value) == ir.n:
+            assert isinstance(value, np.ndarray), name
+    assert ir._commands is None, "a Command was materialized"
+    assert isinstance(ir.twiddles, tuple)
+    assert isinstance(ir.zeta_rows, tuple)
+
+
+def _resolved(ir):
+    """Per command, the twiddles, zetas and dependencies an IR names."""
+    twiddles, zeta_rows = ir.twiddles + (None,), ir.zeta_rows + ((),)
+    return {
+        "omega0": [twiddles[i] for i in ir.omega0_idx.tolist()],
+        "r_omega": [twiddles[i] for i in ir.r_omega_idx.tolist()],
+        "zetas": [zeta_rows[i] for i in ir.zeta_idx.tolist()],
+        "deps": [tuple(row[:count]) for row, count
+                 in zip(ir.deps.tolist(), ir.dep_counts.tolist())],
+    }
+
+
 class TestIrConstruction:
     """The mappers emit StreamIR columns directly; Command objects are a
     lazily materialized reference view of them."""
 
     COLUMNS = ("codes", "banks", "rows", "cols", "bufs", "buf2s", "lanes",
-               "payloads", "gs", "dep_start", "dep_end", "dep_flat",
-               "has_omega0", "has_r_omega", "zeta_lens")
-    SIDE_TABLES = ("omega0s", "r_omegas", "zetas")
+               "payloads", "gs", "dep_counts")
 
     @settings(max_examples=30, deadline=None)
     @given(kind=st.sampled_from(["ntt", "negacyclic", "inverse negacyclic"]),
@@ -606,7 +680,7 @@ class TestIrConstruction:
         assert cached_stream(program.commands, HBM2E_ARCH,
                              key=program.key).ir is ir
         assert interleave_irs([ir, ir]).n == concat_irs([ir, ir]).n + 1
-        assert ir._commands is None, "a Command was materialized"
+        assert_columns_only(ir)
 
         commands = list(program.commands)
         assert len(commands) == ir.n
@@ -616,8 +690,9 @@ class TestIrConstruction:
             ours, theirs = getattr(ir, name), getattr(rebuilt, name)
             assert ours.dtype == theirs.dtype, name
             assert np.array_equal(ours, theirs), name
-        for name in self.SIDE_TABLES:
-            assert getattr(ir, name) == getattr(rebuilt, name), name
+        # Mapper and from_commands tables index differently: compare the
+        # values and dependencies the index columns resolve to.
+        assert _resolved(ir) == _resolved(rebuilt)
 
         engine = TimingEngine(HBM2E_TIMING, HBM2E_ARCH,
                               compute=pim.compute_timing())

@@ -15,6 +15,7 @@ The load-bearing properties:
   once.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -129,6 +130,34 @@ class TestGoldenModel:
             edges=(DagEdge("fwd", "inv", "values"),))
         response = Simulator(CONFIG).run(dag)
         assert list(response.values) == list(values)
+
+
+class TestBinding:
+    """A parent's output binds into its child as given; the child's
+    ``__post_init__`` freezes it, and validation names what cannot
+    feed a bank word."""
+
+    def test_bound_child_holds_a_frozen_copy_of_the_output(self):
+        dag = _chain(seed=4, stages=2)
+        values = list(Simulator(CONFIG).run(dag.node("stage0")).values)
+        bound = dag.bound_request("stage1", {"stage0": values})
+        twin = dataclasses.replace(dag.node("stage1"), values=tuple(values))
+        assert bound.values == twin.values == tuple(values)
+        assert bound == twin and hash(bound) == hash(twin)
+        values[0] ^= 1
+        assert bound.values == twin.values
+
+    @pytest.mark.parametrize("values, match", [
+        ([-1] + [0] * (N - 1), "must lie in"),
+        ([2**64] + [0] * (N - 1), "must lie in"),
+        ([0.5] * N, "must be integers")])
+    def test_outputs_that_fit_no_bank_word_fail_validation(self, values,
+                                                           match):
+        dag = _chain(seed=4, stages=2)
+        with pytest.raises(RequestValidationError,
+                           match=f"stage 'stage1': binding values failed"
+                                 f".*{match}"):
+            dag.bound_request("stage1", {"stage0": values})
 
 
 class TestTimingOnlyDags:
