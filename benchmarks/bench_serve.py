@@ -40,11 +40,13 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.api import Simulator
 from repro.dag import ntt_pipeline
 from repro.serve import LoadGenerator, Scenario, SimServer, make_scenario
+from repro.sim import driver
 from repro.sim.driver import SimConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -154,6 +156,26 @@ def _load(rate: float, scenario: str = SCENARIO,
           count: int = COUNT) -> LoadGenerator:
     return LoadGenerator(make_scenario(scenario), rate_rps=rate,
                          count=count, seed=SEED)
+
+
+@contextmanager
+def _counting_bank_runs():
+    """Count the stacked bank runs (``driver._run_bank`` calls) inside
+    the block: a serving session stacks the banks of its dispatches per
+    transform shape, so it makes fewer bank runs than dispatches unless
+    the stacked path silently fell back to one run per dispatch."""
+    runs = [0]
+    real = driver._run_bank
+
+    def counted(*args):
+        runs[0] += 1
+        return real(*args)
+
+    driver._run_bank = counted
+    try:
+        yield runs
+    finally:
+        driver._run_bank = real
 
 
 def _serve(scheduler: str, rate: float, scenario: str = SCENARIO,
@@ -290,7 +312,8 @@ def run(out_path: Path = DEFAULT_OUT) -> dict:
     for rate in RATES:
         entry: dict = {}
         for scheduler in ("sequential", "batching"):
-            server, _, wall_s = _serve(scheduler, rate)
+            with _counting_bank_runs() as bank_runs:
+                server, _, wall_s = _serve(scheduler, rate)
             snap = server.telemetry.snapshot()
             entry[scheduler] = {
                 "throughput_rps": snap["throughput_rps"],
@@ -299,6 +322,11 @@ def run(out_path: Path = DEFAULT_OUT) -> dict:
                 "mean_batch_occupancy": snap["mean_batch_occupancy"],
                 "wall_s": wall_s,
             }
+            if scheduler == "batching" and rate == RATES[-1]:
+                # The stacking gate: check_trajectory fails unless the
+                # session ran fewer bank stacks than dispatches.
+                entry[scheduler]["bank_runs"] = bank_runs[0]
+                entry[scheduler]["dispatches"] = snap["dispatches"]
         entry["throughput_speedup"] = (
             entry["batching"]["throughput_rps"]
             / entry["sequential"]["throughput_rps"])

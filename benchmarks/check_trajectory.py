@@ -5,7 +5,11 @@ Reads the freshly (re)generated ``BENCH_kernels.json`` and
 committed floor:
 
 * serving: batching must sustain >= 2x the naive sequential throughput
-  at the overloaded top rate (measured ~3.3x);
+  at the overloaded top rate (measured ~3.3x), and that session must
+  run fewer stacked bank runs than dispatches (``bank_runs`` <
+  ``dispatches``) — a settle pass stacks its dispatches' banks per
+  transform shape, and only the count shows a stacked path that
+  silently fell back to one bank run per dispatch;
 * stream engine: the compiled-stream timing loop and the fused
   functional bank must not be slower than the legacy per-command loops
   (measured ~6x / ~36-57x; the floor is 1.0 with headroom for CI noise),
@@ -198,6 +202,18 @@ def check(kernels_path: Path = REPO_ROOT / "BENCH_kernels.json",
         failures.append(
             f"batching speedup {speedup:.2f}x fell below the committed "
             f"{SERVE_SPEEDUP_FLOOR}x floor")
+    batching = serve["rates"][top_rate]["batching"]
+    bank_runs = batching.get("bank_runs")
+    dispatches = batching.get("dispatches")
+    print(f"serve: {bank_runs} stacked bank runs for {dispatches} "
+          f"dispatches at {top_rate} req/s")
+    if bank_runs is None or dispatches is None:
+        failures.append("BENCH_serve.json records no bank_runs/dispatches "
+                        "for the top-rate batching session")
+    elif bank_runs >= dispatches:
+        failures.append(
+            f"{bank_runs} bank runs for {dispatches} dispatches: a settle "
+            f"pass no longer stacks its dispatches' banks")
 
     shards = serve.get("shards", {})
     for count, entry in shards.get("shared", {}).items():

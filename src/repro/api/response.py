@@ -59,9 +59,15 @@ class SimResponse:
     #: "dispatch": {...}}`` — hits/misses are deltas over this run.  A
     #: warm transform dispatch shows one dispatch hit and no other
     #: lookup: its memoized shape skips the program, stream and
-    #: schedule caches.
+    #: schedule caches.  A run whose banks share a stack with other
+    #: announced requests (:meth:`~repro.api.Simulator.expect`) counts
+    #: its own lookup all the same: stacking looks nothing up.
     cache: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: Host wall-clock seconds the simulation took.
+    #: Host wall-clock seconds the simulation took.  Among announced
+    #: requests (:meth:`~repro.api.Simulator.expect`), the first run of
+    #: a transform shape also runs the other announced dispatches'
+    #: banks of that shape, and their runs then take less; the sum over
+    #: the runs is the host time they took together.
     wall_time_s: float = 0.0
     #: Engine-room result object (DispatchResult / PimTransformStats /
     #: ScheduleResult / ...) for drill-down.

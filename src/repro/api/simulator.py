@@ -21,6 +21,14 @@ repeat makes one dispatch lookup and none of the other three.
 :meth:`Simulator.cache_info` lists the four caches; the response's
 ``cache`` field reports each one's hit/miss deltas over the run.
 
+:meth:`Simulator.expect` announces the requests that the next
+:meth:`Simulator.run` calls will make: the banks of all of them that
+replay one compiled stream then run as one stack, at the first run that
+needs it (:class:`repro.sim.driver.BankStacks`).  Each request is still
+its own dispatch with its own response; only the host-side bank work is
+shared.  :meth:`Simulator.run_each` is the list form of ``run`` built
+on it, and each serving settle pass announces its backlog with it.
+
 :meth:`Simulator.merge_requests` folds same-shape transforms into one
 :class:`MultiBankRequest` (the Sec. VI.A deployment, one request per
 bank); the serving layer's batching scheduler groups a request stream
@@ -30,7 +38,7 @@ with it.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from ..dram.stream import clear_stream_cache, stream_cache_info
 from ..mapping.program_cache import (
@@ -38,6 +46,7 @@ from ..mapping.program_cache import (
     program_cache_info,
 )
 from ..sim.driver import (
+    BankStacks,
     SimConfig,
     clear_dispatch_cache,
     clear_schedule_cache,
@@ -52,6 +61,7 @@ from .requests import (
     SimRequest,
 )
 from .response import SimResponse
+from .workloads import dispatch_of, run_transform_workload
 
 __all__ = ["Simulator", "merge_key"]
 
@@ -87,22 +97,60 @@ class Simulator:
 
     def __init__(self, config: Optional[SimConfig] = None):
         self.config = config or SimConfig()
+        #: The bank stacks of the requests :meth:`expect` announced.
+        self._stacks = BankStacks()
 
-    # -- single request ---------------------------------------------------------
+    # -- running requests -------------------------------------------------------
     def run(self, request: SimRequest) -> SimResponse:
         """Validate ``request``, dispatch it through the workload
         registry, and stamp the uniform envelope metadata (cache
-        provenance, wall clock)."""
+        provenance, wall clock).  A transform request announced by
+        :meth:`expect` takes its banks' rows from their shared stack."""
         request.admit()
         handler = get_workload(request.workload)
         before = self.cache_info()
         start = time.perf_counter()
-        response = handler(self.config, request)
+        if handler is run_transform_workload:
+            response = handler(self.config, request, self._stacks)
+        else:
+            response = handler(self.config, request)
         response.wall_time_s = time.perf_counter() - start
         response.cache = {name: _delta(before[name], stats)
                           for name, stats in self.cache_info().items()}
         response.request = request
         return response
+
+    def expect(self, requests: Iterable[SimRequest]) -> None:
+        """Announce the requests that the next :meth:`run` calls will
+        make, in place of any earlier announcement.
+
+        The banks of every announced transform request (``ntt``,
+        ``negacyclic``, ``batch``, ``multibank``) that replay one
+        compiled stream run as one stack, at the first run that needs
+        it (:class:`~repro.sim.driver.BankStacks`); the others' runs
+        then take their rows.  Each request stays its own dispatch, run
+        in whatever order its caller picks, and every response equals
+        its run alone.  Announcing looks nothing up: each run still
+        makes its own shape lookup.  A request that fails validation is
+        not announced; its run raises."""
+        announced = []
+        for request in requests:
+            try:
+                request.admit()
+                if get_workload(request.workload) is run_transform_workload:
+                    announced.append((request, dispatch_of(request)))
+            except Exception:
+                continue  # its run raises what it raises
+        self._stacks.announce(announced, self.config)
+
+    def run_each(self, requests: Iterable[SimRequest]) -> List[SimResponse]:
+        """``[self.run(r) for r in requests]`` with the requests announced
+        first (:meth:`expect`): the banks of its transform requests run
+        as one stack per transform shape.  It returns and raises exactly
+        what that loop does."""
+        requests = list(requests)
+        self.expect(requests)
+        return [self.run(request) for request in requests]
 
     # -- grouping ---------------------------------------------------------------
     @staticmethod

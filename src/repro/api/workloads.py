@@ -12,13 +12,13 @@ generic ``run <workload>`` subcommand accepts.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ..arith.vector import is_array
 from ..dram.engine import ScheduleResult
 from ..dram.stream import cached_stream
-from ..sim.driver import SimConfig, TransformSpec, _run_dispatch, \
-    cached_schedule
+from ..sim.driver import BankStacks, SimConfig, TransformSpec, \
+    cached_schedule, lookup_dispatch
 from .registry import register_workload
 from .requests import (
     BatchRequest,
@@ -90,14 +90,19 @@ def response_from_schedule(workload: str, schedule: ScheduleResult,
 @register_workload("batch")
 @register_workload("negacyclic")
 @register_workload("ntt")
-def run_transform_workload(config: SimConfig, request) -> SimResponse:
+def run_transform_workload(config: SimConfig, request,
+                           stacks: Optional[BankStacks] = None
+                           ) -> SimResponse:
     """One dispatch of transforms (Sec. VI.A): a lone cyclic (I)NTT
     (Sec. IV.A protocol, the Fig. 7/8 run shape) or native merged
     negacyclic transform (C1N mapping extension), back-to-back NTTs in
     one bank (``batch``), or one transform per bank on the shared bus
-    (``multibank``)."""
+    (``multibank``).  Its banks join the stacks of ``stacks`` when the
+    request was announced there (the facade passes its own), else they
+    run alone."""
     specs, inputs = dispatch_of(request)
-    result = _run_dispatch(inputs, specs, config)
+    result = (BankStacks() if stacks is None else stacks).run(
+        request, lookup_dispatch(inputs, specs, config), config)
     response = response_from_schedule(request.workload, result.schedule,
                                       raw=result)
     if result.bu_ops:

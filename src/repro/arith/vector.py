@@ -89,6 +89,7 @@ __all__ = [
     "c1n_lanes_zpack",
     "c1n_lanes_arr",
     "omega_power_array",
+    "power_table",
     "FreivaldsCheck",
     "freivalds_check",
     "clear_caches",
@@ -352,16 +353,34 @@ def scale_list(xs: Sequence[int], c: int, q: int) -> List[int]:
 
 # -- cached twiddle material ---------------------------------------------------
 
+def power_table(base: int, count: int, q: int) -> List[int]:
+    """``[base**i % q for i in range(count)]`` as Python ints.
+
+    Below ``2**32`` the table doubles in uint64 lanes — ``powers[k:2k]
+    = powers[:k] · base^k mod q``, every product below ``2**64`` — in
+    ``log2(count)`` steps; from ``2**32`` up, where those products
+    overflow a lane, it runs the products in Python ints."""
+    if q >= _DIRECT_LIMIT:
+        powers = [1 % q]
+        for _ in range(count - 1):
+            powers.append(powers[-1] * base % q)
+        return powers[:count]
+    powers = np.empty(count, dtype=np.uint64)
+    powers[:1] = 1 % q
+    k, step, lane_q = 1, base % q, np.uint64(q)
+    while k < count:
+        m = min(k, count - k)
+        powers[k:k + m] = powers[:m] * np.uint64(step) % lane_q
+        k += m
+        step = step * step % q
+    return powers.tolist()
+
+
 @lru_cache(maxsize=64)
 def omega_power_array(n: int, q: int, omega: int):
     """uint64 array of ``omega^i mod q`` for ``i in [0, n)`` — the full
     twiddle table of one ``(n, q, omega)`` transform, computed once."""
-    powers = np.empty(n, dtype=np.uint64)
-    acc = 1
-    for i in range(n):
-        powers[i] = acc
-        acc = (acc * omega) % q
-    return powers
+    return np.array(power_table(omega, n, q), dtype=np.uint64)
 
 
 @lru_cache(maxsize=64)

@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..arith.vector import power_table
 from ..compile.ir import StreamIR
 from ..dram.commands import CTYPE_CODES, CommandType
 
@@ -145,11 +146,10 @@ def assemble(body: np.ndarray, bank: int, root: int, q: int,
     dep_counts = np.zeros(total, dtype=np.int64)
     dep_counts[pos] = (dep0 >= 0).astype(np.int64) + (dep1 >= 0)
 
-    # One power table per program, by running products.
-    twiddles = [1 % q]
-    for _ in range(max(int(body[:, OMEGA0:R_OMEGA + 1].max()),
-                       -1 if zetas is None else int(zetas.max()))):
-        twiddles.append(twiddles[-1] * root % q)
+    # One power table per program, up to the largest exponent used.
+    twiddles = power_table(root, 1 + max(
+        int(body[:, OMEGA0:R_OMEGA + 1].max()),
+        0 if zetas is None else int(zetas.max()), 0), q)
     codes, rows, cols, bufs, buf2s, lanes, gs, omega0, r_omega, zeta = (
         np.ascontiguousarray(table.T))
     payloads = np.zeros(total, dtype=np.int64)

@@ -40,9 +40,11 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from ..api.simulator import merge_key
+from ..api.requests import SimRequest
+from ..api.simulator import Simulator, merge_key
 from .faults import ResiliencePolicy
 from .queueing import RequestQueue, ServeRequest
 from .telemetry import (
@@ -74,6 +76,16 @@ class DispatchUnit:
     @property
     def banks(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def request(self) -> SimRequest:
+        """The facade request the unit runs as — its lone member's, or
+        the members merged into one multi-bank request — built once, so
+        that every attempt runs the object its settle pass announced
+        (:meth:`~repro.api.Simulator.expect`)."""
+        if len(self.members) == 1:
+            return self.members[0].request
+        return Simulator.merge_requests([m.request for m in self.members])
 
 
 @dataclass

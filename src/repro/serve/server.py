@@ -12,8 +12,15 @@ everything a client would measure: arrivals, batching windows, shard
 backlogs, bus contention, latencies, throughput — a deterministic
 discrete-event model whose service times are the timing engine's
 schedule latencies.  *Host* wall-clock time is how long the functional
-simulation takes to chew through the plan, one dispatch at a time on
-the calling thread.
+simulation takes to chew through the plan, on the calling thread.  Each
+settle pass announces the backlog it can reach to the server's
+:class:`~repro.api.Simulator` (:meth:`~repro.api.Simulator.expect`),
+and the virtual-time walk runs each dispatch through it in its own
+order: the first run of a transform shape runs the banks of all the
+announced dispatches of that shape as one host-side stack, and the
+later runs take their rows.  Stacking changes only host time: every
+dispatch keeps its own run, response, schedule, record and place in
+virtual time.
 
 Planning (group membership, dispatch times, drops) depends only on
 arrivals and the window — never on service times — so the plan is fixed
@@ -221,7 +228,11 @@ class SimServer:
     naive baseline: no coalescing) or a :class:`BatchingScheduler`
     instance.  ``bus`` picks the cross-shard contention model
     (``"shared"`` — the default, realistic one — or ``"independent"``).
-    Dispatches execute inline, one at a time on the calling thread.
+    Dispatches execute inline on the calling thread, each through
+    :meth:`~repro.api.Simulator.run` of the server's simulator, to
+    which every settle pass first announces its backlog so that their
+    banks run stacked per transform shape
+    (:meth:`~repro.api.Simulator.expect`).
 
     ``faults`` turns on deterministic fault injection: a profile name
     (``"transient"``/``"degraded"``/``"chaos"``), a ``"rate:<r>"``
@@ -274,6 +285,8 @@ class SimServer:
         self._clock_us = 0.0
         #: The open live (submit/poll) session, if any.
         self._live: Optional[_Session] = None
+        #: Runs every dispatch; each settle pass announces its backlog.
+        self._simulator = Simulator(self.config)
 
     # -- offline entry points ----------------------------------------------------
     def serve(self, requests: Iterable[Union[ServeRequest, SimRequest]]
@@ -687,10 +700,7 @@ class SimServer:
 
     # -- execution ---------------------------------------------------------------
     def _execute(self, unit: DispatchUnit):
-        head = unit.members[0]
-        request = (head.request if unit.banks == 1 else
-                   Simulator.merge_requests([m.request for m in unit.members]))
-        return Simulator(self.config).run(request)
+        return self._simulator.run(unit.request)
 
     def _settle(self, session: _Session,
                 horizon_us: Optional[float]) -> None:
@@ -717,8 +727,19 @@ class SimServer:
         An open circuit breaker floors its shard's decision point at
         the cooldown expiry, and :meth:`_route_around` detours queued
         work to healthy shards first.
+
+        The pass first announces to the server's simulator the units it
+        can reach (ready before the horizon), so that their banks run
+        stacked per transform shape as the walk runs each unit
+        (:meth:`~repro.api.Simulator.expect`).  The next pass's
+        announcement replaces it, so no stacked row outlives its pass.
         """
         shards = session.shards
+        self._simulator.expect(unit.request for unit in sorted(
+            (attempt.unit for state in shards.values()
+             for attempt in state.backlog
+             if horizon_us is None or attempt.ready_us < horizon_us),
+            key=lambda unit: unit.seq))
         while True:
             self._route_around(session)
             chosen = None

@@ -18,21 +18,28 @@ input layout, host-side 1/N epilogue and golden model.  Every run is
 one dispatch of ``banks x slots`` transforms: a lone transform is 1x1,
 a one-bank batch 1xk (slots back to back in one bank), a multi-bank
 dispatch kx1 (one bank each on the shared command bus).
-:func:`compile_dispatch` builds its one merged stream and
-:func:`_run_dispatch` times it, runs it through :func:`_run_bank` — the
-one functional checker, which the lockstep banks of one spec pass
-through as one stacked pass with one check — and returns one
-:class:`~repro.sim.results.DispatchResult`.  Everything a dispatch
-derives from its shape alone is memoized per ``(specs, slots, config)``
-as a :class:`DispatchShape`, so a warm dispatch makes one lookup before
-its banks run.  The supported entry point is
-:meth:`repro.api.Simulator.run`.
+:func:`compile_dispatch` builds its one merged stream.  Everything a
+dispatch derives from its shape alone is memoized per ``(specs, slots,
+config)`` as a :class:`DispatchShape`, so a warm dispatch makes one
+lookup (:func:`lookup_dispatch`) before its banks run.
+
+:class:`BankStacks` is the one functional path: it runs a looked-up
+dispatch's bank groups through :func:`_run_bank` — the one functional
+checker — and, for the dispatches a caller announced, stacks banks
+*across* dispatches: every bank of every announced dispatch that
+replays one compiled stream (one spec, one slot count) joins one
+lockstep stack with one load, one plan pass and one check, split at
+:data:`STACK_WORD_BUDGET` words.  Each dispatch still gets its own
+:class:`~repro.sim.results.DispatchResult`, equal to its run alone;
+:func:`_run_dispatch` runs one dispatch alone.  The supported entry
+point is :meth:`repro.api.Simulator.run` (with
+:meth:`~repro.api.Simulator.expect` announcing what it will run).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,7 +72,8 @@ from .results import DispatchResult
 __all__ = ["SimConfig", "TransformSpec", "cached_schedule",
            "schedule_cache_info", "clear_schedule_cache",
            "compile_dispatch", "dispatch_cache_info",
-           "clear_dispatch_cache"]
+           "clear_dispatch_cache", "Dispatch", "lookup_dispatch",
+           "BankStacks", "STACK_WORD_BUDGET"]
 
 
 # -- schedule cache ------------------------------------------------------------
@@ -294,15 +302,16 @@ def _run_bank(spec: TransformSpec, inputs, config: SimConfig,
     """The one functional checker: ``banks x slots`` ``spec`` transforms.
 
     ``inputs`` holds natural-order polynomials shaped ``(banks, slots,
-    N)``: lockstep banks that all replay ``stream``, the compiled
-    program of one bank whose slot ``s`` lives at ``programs[s]``'s
-    rows.  Steps: one uint64 stack of the inputs (C speed when the rows
-    are arrays, as the requests' array operands are) plus the cyclic
-    layout's bit-reversal gather; one load per slot into a bank stack holding
-    only the rows ``stream`` touches; one pass of the atom plan over
-    the bank axis; one slice read per slot and the inverse 1/N scale on
-    the array; one :meth:`TransformSpec.check` of the whole stack; one
-    conversion to Python ints, whose lists the responses share.
+    N)``: lockstep banks — of one dispatch or of many — that all replay
+    ``stream``, the compiled program of one bank whose slot ``s`` lives
+    at ``programs[s]``'s rows.  Steps: one uint64 stack of the inputs
+    (C speed when the rows are arrays, as the requests' array operands
+    are) plus the cyclic layout's bit-reversal gather; one load per
+    slot into a bank stack holding only the rows ``stream`` touches;
+    one pass of the atom plan over the bank axis; one slice read per
+    slot and the inverse 1/N scale on the array; one
+    :meth:`TransformSpec.check` of the whole stack; one conversion to
+    Python ints, whose lists the responses share.
 
     Streams a stack cannot run — Nb=1 lane plans, moduli without lane
     support, programs with no plan — run bank by bank on full single
@@ -424,6 +433,15 @@ class DispatchShape:
     groups: Tuple[BankGroup, ...]
 
 
+def _spec_groups(specs: Sequence[TransformSpec]) -> Dict[TransformSpec,
+                                                        List[int]]:
+    """The banks of each distinct spec, in first-bank order."""
+    members_of: Dict[TransformSpec, List[int]] = {}
+    for bank, spec in enumerate(specs):
+        members_of.setdefault(spec, []).append(bank)
+    return members_of
+
+
 def _derive_shape(specs: Sequence[TransformSpec], slots: int,
                   config: SimConfig) -> DispatchShape:
     """A :class:`DispatchShape` derived anew through the program, stream
@@ -442,10 +460,7 @@ def _derive_shape(specs: Sequence[TransformSpec], slots: int,
         # bank index, so a group replays bank 0's compiled stream once
         # over a bank stack, equivalent to replaying the round-robin
         # merge command by command.  One bank checks on its own stream.
-        members_of = {}
-        for bank, spec in enumerate(specs):
-            members_of.setdefault(spec, []).append(bank)
-        for spec, members in members_of.items():
+        for spec, members in _spec_groups(specs).items():
             if len(specs) == 1:
                 group_programs, group_stream = programs[0], stream
             else:
@@ -466,17 +481,25 @@ def clear_dispatch_cache() -> None:
     _dispatch_cache.clear()
 
 
-def _run_dispatch(inputs, specs: Sequence[TransformSpec],
-                  config: SimConfig) -> DispatchResult:
-    """Simulate one dispatch: ``inputs[bank][slot]`` (natural order) runs
-    through ``specs[bank]``'s transform.
+@dataclass(frozen=True)
+class Dispatch:
+    """One dispatch bound to its memoized shape: ``inputs[bank][slot]``
+    (natural order) runs through the transform of bank ``bank``'s spec
+    (from :func:`lookup_dispatch`)."""
 
-    Returns timing, energy and the finalized outputs (bank-major); every
-    output stays bit-identical to its standalone run.  A functional run
-    checks every output with :meth:`TransformSpec.check` and raises
-    :class:`FunctionalMismatch` on a failure; a timing-only run
-    (``config.functional`` off) has no outputs and stays unverified.
-    """
+    inputs: Sequence
+    banks: int
+    slots: int
+    shape: DispatchShape
+
+
+def lookup_dispatch(inputs, specs: Sequence[TransformSpec],
+                    config: SimConfig) -> Dispatch:
+    """Bind ``inputs[bank][slot]`` to the memoized shape of its
+    dispatch, ``specs[bank]`` per bank: one dispatch-memo lookup, which
+    derives the shape on a miss (raises :class:`ValueError` for a
+    dispatch with no bank or no slot, or a spec count that does not
+    match the banks)."""
     banks = len(inputs)
     if len(specs) != banks:
         raise ValueError(f"got {len(specs)} per-bank specs for {banks} banks")
@@ -484,22 +507,139 @@ def _run_dispatch(inputs, specs: Sequence[TransformSpec],
     specs = tuple(specs)
     shape = _dispatch_cache.get_or_create(
         (specs, slots, config), lambda: _derive_shape(specs, slots, config))
+    return Dispatch(inputs, banks, slots, shape)
 
-    outputs: List[List[int]] = []
-    bu_ops = 0
-    if config.functional:
-        per_bank = [None] * banks
-        for group in shape.groups:
-            rows, ops = _run_bank(group.spec,
-                                  [inputs[b] for b in group.members],
-                                  config, group.programs, group.stream)
-            for bank, bank_outputs in zip(group.members, rows):
-                per_bank[bank] = bank_outputs
+
+#: Words (banks x slots x N) one stack of :class:`BankStacks` holds at
+#: most: a longer run of same-stream bank groups splits between groups
+#: at this budget, so a long offline session never builds one multi-GB
+#: transient stack (a single group above it still runs whole, as it
+#: would alone).  From a sweep of stack widths (CHANGES.md): the cost
+#: per bank falls with width to its minimum near 2^15 words and climbs
+#: past 2^16, where the stack outgrows the cache (at 2^17 words an
+#: N=512 bank costs twice what it does at 2^15).  2^16 keeps every
+#: stack of the serving benchmarks whole, where a split would leave a
+#: narrow, call-bound remainder.
+STACK_WORD_BUDGET = 1 << 16
+
+
+def _budget_chunks(entries: list, bank_words: int):
+    """``(token, bank inputs)`` entries split into consecutive runs of
+    at most :data:`STACK_WORD_BUDGET` words (a larger entry alone)."""
+    chunk, words = [], 0
+    for entry in entries:
+        size = len(entry[1]) * bank_words
+        if chunk and words + size > STACK_WORD_BUDGET:
+            yield chunk
+            chunk, words = [], 0
+        chunk.append(entry)
+        words += size
+    yield chunk
+
+
+class BankStacks:
+    """Bank runs shared by the dispatches a caller announces.
+
+    :meth:`announce` names the dispatches that later :meth:`run` calls
+    will make, each under a token (any object, told apart by identity:
+    requests hash by content).  The first run that needs one
+    compiled stream — one spec, one slot count — runs the banks of
+    every announced dispatch that replays it through :func:`_run_bank`
+    as one stack per :data:`STACK_WORD_BUDGET` words: one load, one plan
+    pass, one check and one conversion to Python ints.  The other
+    dispatches' rows wait, with their banks' share of the butterfly
+    count (exact: every bank of a stack runs the same plan), until
+    their own runs take them.  A stack that raises keeps nothing: its
+    dispatches run alone, each raising what it raises alone.  A
+    dispatch run without an announcement, or run again, runs alone.
+    """
+
+    def __init__(self):
+        #: The config the announced dispatches run under.
+        self._config: Optional[SimConfig] = None
+        #: Announced banks not yet stacked: ``(spec, slots) ->
+        #: {id(token): (token, [bank inputs])}``.  Each entry holds its
+        #: token, so no other object can take its id meanwhile.
+        self._pending: Dict[tuple, Dict[int, tuple]] = {}
+        #: Stacked rows not yet taken: ``(id(token), spec) -> (token,
+        #: rows, bu_ops)``.
+        self._ready: Dict[tuple, tuple] = {}
+
+    def announce(self, dispatches: Sequence[tuple],
+                 config: SimConfig) -> None:
+        """Announce ``(token, (specs, inputs))`` pairs — ``inputs[bank]
+        [slot]`` through ``specs[bank]``, as :func:`lookup_dispatch`
+        takes them — to run under ``config``, in place of any earlier
+        announcement, whose untaken rows go."""
+        self._config, self._pending, self._ready = config, {}, {}
+        for token, (specs, inputs) in dispatches:
+            slots = len(inputs[0]) if inputs else 0
+            for spec, members in _spec_groups(specs).items():
+                self._pending.setdefault((spec, slots), {})[id(token)] = (
+                    token, [inputs[bank] for bank in members])
+
+    def run(self, token, dispatch: Dispatch,
+            config: SimConfig) -> DispatchResult:
+        """Simulate one looked-up dispatch (:func:`lookup_dispatch`),
+        announced under ``token`` or not.
+
+        Returns its timing, energy and finalized outputs (bank-major),
+        bit-identical to its run alone.  A functional run checks every
+        output with :meth:`TransformSpec.check` and raises
+        :class:`FunctionalMismatch` on a failure; a timing-only run
+        (``config.functional`` off) has no outputs and stays
+        unverified.  Only a run under the announced config (the same
+        object) stacks."""
+        functional = config.functional
+        rows = [None] * dispatch.banks if functional else []
+        bu_ops = 0
+        stacked = config is self._config and (self._pending or self._ready)
+        for group in dispatch.shape.groups:
+            taken = (self._take(token, group, dispatch.slots, config)
+                     if stacked else None)
+            outputs, ops = taken or _run_bank(
+                group.spec, [dispatch.inputs[bank] for bank in group.members],
+                config, group.programs, group.stream)
+            for bank, output in zip(group.members, outputs):
+                rows[bank] = output
             bu_ops += ops
-        outputs = [output for bank_outputs in per_bank
-                   for output in bank_outputs]
-    return DispatchResult(
-        banks=banks, slots=slots, schedule=shape.schedule,
-        single_cycles=shape.single_cycles,
-        verified=config.functional,
-        outputs=outputs, bu_ops=bu_ops)
+        return DispatchResult(
+            banks=dispatch.banks, slots=dispatch.slots,
+            schedule=dispatch.shape.schedule,
+            single_cycles=dispatch.shape.single_cycles,
+            verified=functional,
+            outputs=[output for bank_outputs in rows
+                     for output in bank_outputs],
+            bu_ops=bu_ops)
+
+    def _take(self, token, group: BankGroup, slots: int,
+              config: SimConfig) -> Optional[Tuple[list, int]]:
+        """``token``'s stacked rows of ``group``, stacking the group's
+        stream first if ``token`` waits on it; ``None`` if there are
+        none (the group then runs alone)."""
+        spec, key = group.spec, (group.spec, slots)
+        if id(token) in self._pending.get(key, ()):
+            entries = list(self._pending.pop(key).values())
+            for chunk in _budget_chunks(entries, slots * spec.n):
+                try:
+                    outputs, ops = _run_bank(
+                        spec, [row for _, banks in chunk for row in banks],
+                        config, group.programs, group.stream)
+                except Exception:
+                    continue  # these dispatches run alone
+                per_bank = ops // len(outputs)
+                rows = iter(outputs)
+                for other, banks in chunk:
+                    self._ready[(id(other), spec)] = (
+                        other, [next(rows) for _ in banks],
+                        per_bank * len(banks))
+        taken = self._ready.pop((id(token), spec), None)
+        return None if taken is None else taken[1:]
+
+
+def _run_dispatch(inputs, specs: Sequence[TransformSpec],
+                  config: SimConfig) -> DispatchResult:
+    """Simulate one dispatch alone: ``inputs[bank][slot]`` (natural
+    order) runs through ``specs[bank]``'s transform."""
+    return BankStacks().run(None, lookup_dispatch(inputs, specs, config),
+                            config)

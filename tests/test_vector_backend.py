@@ -598,3 +598,22 @@ def test_scalar_fallback_takes_uint64_arrays(name):
     x = [rng.randrange(Q_NO_LANES) for _ in range(16)]
     fn = _SCALAR_ONLY[name]
     assert [int(v) for v in fn(np.array(x, dtype=np.uint64))] == fn(x)
+
+
+@pytest.mark.parametrize("q", [find_ntt_prime(1024, 32),
+                               find_ntt_prime(1024, 40)])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 2049])
+def test_power_table_matches_running_products(q, count):
+    """The doubling build below 2^32 and the Python-int one above it
+    both equal the running products they replace."""
+    root = NttParams(1024, q).omega
+    running = []
+    acc = 1 % q
+    for _ in range(count):
+        running.append(acc)
+        acc = acc * root % q
+    table = vector.power_table(root, count, q)
+    assert table == running
+    assert all(type(power) is int for power in table)
+    if count:
+        assert vector.omega_power_array(count, q, root).tolist() == running
