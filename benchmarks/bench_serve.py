@@ -43,8 +43,11 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+
 from repro.api import Simulator
 from repro.dag import ntt_pipeline
+from repro.dram.stream import cached_streams
 from repro.serve import LoadGenerator, Scenario, SimServer, make_scenario
 from repro.sim import driver
 from repro.sim.driver import SimConfig
@@ -176,6 +179,16 @@ def _counting_bank_runs():
         yield runs
     finally:
         driver._run_bank = real
+
+
+def _stream_cache_spread() -> dict:
+    """How many streams the stream cache holds and the most banks any
+    of them spans: only what a bank runs compiles, so every cached
+    stream spans one bank (a merged multi-bank stream is never kept)."""
+    streams = cached_streams()
+    return {"stream_entries": len(streams),
+            "stream_max_banks": max((len(np.unique(stream.ir.banks))
+                                     for stream in streams), default=0)}
 
 
 def _serve(scheduler: str, rate: float, scenario: str = SCENARIO,
@@ -327,6 +340,9 @@ def run(out_path: Path = DEFAULT_OUT) -> dict:
                 # session ran fewer bank stacks than dispatches.
                 entry[scheduler]["bank_runs"] = bank_runs[0]
                 entry[scheduler]["dispatches"] = snap["dispatches"]
+                # The stream-cache gate: it fails if a cached stream
+                # spans more than one bank.
+                entry[scheduler].update(_stream_cache_spread())
         entry["throughput_speedup"] = (
             entry["batching"]["throughput_rps"]
             / entry["sequential"]["throughput_rps"])
@@ -732,6 +748,8 @@ def test_bench_serve_writes_json(show, tmp_path):
     assert set(written["serve"]["rates"]) == {str(r) for r in RATES}
     top = written["serve"]["rates"][str(RATES[-1])]
     assert top["throughput_speedup"] >= 2.0
+    assert top["batching"]["stream_entries"] > 0
+    assert top["batching"]["stream_max_banks"] == 1
     shards = written["serve"]["shards"]
     # The shared bus reports real utilization and can only be slower
     # than (or equal to) independent channels at every shard count.

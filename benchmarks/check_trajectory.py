@@ -9,7 +9,10 @@ committed floor:
   run fewer stacked bank runs than dispatches (``bank_runs`` <
   ``dispatches``) — a settle pass stacks its dispatches' banks per
   transform shape, and only the count shows a stacked path that
-  silently fell back to one bank run per dispatch;
+  silently fell back to one bank run per dispatch — and after it no
+  cached stream may span more than one bank (``stream_max_banks``):
+  only what a bank runs compiles, and a merged multi-bank stream kept
+  in the cache is memory no warm dispatch reads;
 * stream engine: the compiled-stream timing loop and the fused
   functional bank must not be slower than the legacy per-command loops
   (measured ~6x / ~36-57x; the floor is 1.0 with headroom for CI noise),
@@ -214,6 +217,17 @@ def check(kernels_path: Path = REPO_ROOT / "BENCH_kernels.json",
         failures.append(
             f"{bank_runs} bank runs for {dispatches} dispatches: a settle "
             f"pass no longer stacks its dispatches' banks")
+    entries = batching.get("stream_entries")
+    max_banks = batching.get("stream_max_banks")
+    print(f"serve: {entries} cached streams after that session, spanning "
+          f"at most {max_banks} bank(s)")
+    if entries is None or max_banks is None:
+        failures.append("BENCH_serve.json records no stream_entries/"
+                        "stream_max_banks for the top-rate batching session")
+    elif max_banks > 1:
+        failures.append(
+            f"a cached stream spans {max_banks} banks: a merged multi-bank "
+            f"stream is compiled into the stream cache again")
 
     shards = serve.get("shards", {})
     for count, entry in shards.get("shared", {}).items():

@@ -74,6 +74,11 @@ class ArtifactCache:
             return hit
         return self.publish(key, factory())
 
+    def values(self) -> list:
+        """The cached artifacts, oldest first (a snapshot; uncounted)."""
+        with self._lock:
+            return list(self._data.values())
+
     def info(self) -> Dict[str, int]:
         """Statistics in the shape every ``*_cache_info`` reports."""
         with self._lock:

@@ -50,6 +50,8 @@ class SimResponse:
     command_count: int = 0
     #: µ-op / command counters: per-CommandType issue counts (``"ACT"``,
     #: ``"C2"``, ...) plus ``"bu_ops"`` — executed butterfly operations.
+    #: The members of a served group share one dict (their bank's share
+    #: of the group's counts): treat it as read-only.
     counters: Dict[str, int] = field(default_factory=dict)
     #: Workload-specific scalar metrics (``speedup``, ``amortization``, ...).
     metrics: Dict[str, float] = field(default_factory=dict)
@@ -59,9 +61,15 @@ class SimResponse:
     #: "dispatch": {...}}`` — hits/misses are deltas over this run.  A
     #: warm transform dispatch shows one dispatch hit and no other
     #: lookup: its memoized shape skips the program, stream and
-    #: schedule caches.  A run whose banks share a stack with other
-    #: announced requests (:meth:`~repro.api.Simulator.expect`) counts
-    #: its own lookup all the same: stacking looks nothing up.
+    #: schedule caches.  A cold one looks up its programs and schedules,
+    #: and a stream only for what its banks run: one per distinct spec
+    #: (its one-bank stream), none for a merged multi-bank program,
+    #: and none at all on a timing-only config, which replays IR
+    #: columns and compiles nothing.  A run whose banks share a stack
+    #: with other announced requests
+    #: (:meth:`~repro.api.Simulator.expect`) counts its own lookup all
+    #: the same: stacking looks nothing up.  The members of a served
+    #: group share the group's dicts: treat them as read-only.
     cache: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: Host wall-clock seconds the simulation took.  Among announced
     #: requests (:meth:`~repro.api.Simulator.expect`), the first run of

@@ -12,12 +12,14 @@ typed requests through the workload registry::
     print(response.summary())
 
 Every run is memoized end to end: command programs through
-:mod:`repro.mapping.program_cache`, compiled streams through
-:mod:`repro.dram.stream` and engine schedules through the structurally
-keyed cache in :mod:`repro.sim.driver` — shared by single, batch and
-multi-bank paths alike — and each dispatch's whole shape (programs,
-schedule, bank groups) through the driver's dispatch memo, so a warm
-repeat makes one dispatch lookup and none of the other three.
+:mod:`repro.mapping.program_cache`, the one-bank streams its banks run
+through :mod:`repro.dram.stream` (a timing-only run compiles none, and
+no run compiles a merged multi-bank stream) and engine schedules —
+replays of IR columns — through the structurally keyed cache in
+:mod:`repro.sim.driver`, shared by single, batch and multi-bank paths
+alike, and each dispatch's whole shape (schedule, single cycles, bank
+groups) through the driver's dispatch memo, so a warm repeat makes one
+dispatch lookup and none of the other three.
 :meth:`Simulator.cache_info` lists the four caches; the response's
 ``cache`` field reports each one's hit/miss deltas over the run.
 
@@ -185,9 +187,11 @@ class Simulator:
         divided by the bank count — the per-bank programs are identical
         (same transform shape), so the even split is exact — to keep
         sums over many responses from overcounting the group.  The
-        division runs once per group; every response gets its own
-        counters, metrics and cache dicts.  Response ``k``'s ``values``
-        is the group's output list for bank ``k``, shared, not copied.
+        division runs once per group, and the members share its one
+        ``counters`` dict and the group's ``cache`` dicts, read-only as
+        ``values`` is: response ``k``'s ``values`` is the group's output
+        list for bank ``k``, shared, not copied.  Each response has its
+        own ``metrics``.
         """
         banks = len(requests)
         outputs = grouped.outputs
@@ -205,9 +209,9 @@ class Simulator:
             energy_nj=energy_nj,
             verified=grouped.verified,
             command_count=command_count,
-            counters=dict(counters),
+            counters=counters,
             metrics={"bank": slot, "group_banks": banks},
-            cache={k: dict(v) for k, v in grouped.cache.items()},
+            cache=grouped.cache,
             wall_time_s=grouped.wall_time_s,
             raw=grouped.raw,
             request=request,

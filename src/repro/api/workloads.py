@@ -230,12 +230,18 @@ def run_program_workload(config: SimConfig,
 
     Timing always; with ``request.functional=True`` (and the config's
     ``functional`` switch on) the program also executes on the bank
-    model and the ``read_rows`` window comes back in ``values``.
+    model and the ``read_rows`` window comes back in ``values``.  Only
+    that bank run compiles the program (and the timing replays the
+    compiled stream's IR); a timing-only run replays the program's
+    columns and compiles nothing.
     """
-    schedule = cached_schedule(request.commands, config.timing, config.arch,
+    functional = request.functional and config.functional
+    program = (cached_stream(request.commands, config.arch) if functional
+               else request.commands)
+    schedule = cached_schedule(program, config.timing, config.arch,
                                config.pim.compute_timing(), config.energy)
     response = response_from_schedule("program", schedule)
-    if request.functional and config.functional:
+    if functional:
         # Lazy import for the same one-way reason as the FHE handler.
         from ..pim.bank_pim import PimBank
 
@@ -244,7 +250,7 @@ def run_program_workload(config: SimConfig,
             bank.set_parameters(request.modulus)
         for base_row, words in request.memory:
             bank.load_polynomial(base_row, list(words))
-        bank.run_stream(cached_stream(request.commands, config.arch))
+        bank.run_stream(program)
         if request.read_rows is not None:
             base, length = request.read_rows
             response.values = bank.read_polynomial(base, length)

@@ -25,12 +25,13 @@ __all__ = ["CompiledProgram", "compile_request"]
 class CompiledProgram:
     """One compiled facade request.
 
-    ``stream`` is the merged, executable program (for batch/multi-bank
-    requests: the concatenated or bus-interleaved stream the timing
-    engine runs); ``parts`` holds a transform request's source
-    programs, bank-major (one for a lone transform; empty for raw
-    program requests).  ``key`` is the structural cache key the stream
-    is memoized under.
+    ``stream`` is the merged program compiled (for batch/multi-bank
+    requests: the concatenated or bus-interleaved program whose IR the
+    timing engine replays); ``parts`` holds a transform request's
+    source programs, bank-major (one for a lone transform; empty for
+    raw program requests).  ``key`` is the structural key of the merged
+    program: the stream cache's key for a one-bank stream, the schedule
+    cache's for any.
     """
 
     request: object
@@ -77,8 +78,13 @@ def compile_request(request, config=None) -> CompiledProgram:
     (``ntt``, ``negacyclic``, ``batch``, ``multibank``, ``program``);
     ``config`` defaults to ``SimConfig()``.
 
-    All compile artifacts land in the shared program/stream caches, so
-    a subsequent ``Simulator.run`` of the same request is a cache hit.
+    The programs land in the shared program cache, and a one-bank
+    stream (a lone transform, a batch, a program request) in the stream
+    cache, so a later functional ``Simulator.run`` of the same request
+    finds them there.  A multi-bank stream spans its banks and has no
+    plan: it compiles here for inspection and is kept nowhere (its
+    banks run their own one-bank streams, and its timing replays the
+    merged IR, which the simulator builds from the recipe).
     """
     # Engine-room imports stay lazy: this module is part of the public
     # repro.compile package, which repro.dram.stream imports from.

@@ -2,9 +2,13 @@
 
 A :class:`StreamIR` is the columnar form of one command program: every
 per-command integer field becomes one int64 NumPy column (``-1`` encodes
-"field unused by this command"); twiddles are index columns into one
-``twiddles`` table per program (Python ints: twiddles of moduli above
-2**63 overflow int64) and C1N zetas into one ``zeta_rows`` table; and
+"field unused by this command" — except in a field the command's type
+requires, :data:`~repro.dram.commands.REQUIRED_FIELDS`, where every
+value is its own, so ``Command(ACT, row=-1)`` round-trips; a negative
+value in a field the type does not carry reads back as ``None``);
+twiddles are index columns into one ``twiddles`` table per program
+(Python ints: twiddles of moduli above 2**63 overflow int64) and C1N
+zetas into one ``zeta_rows`` table; and
 dependencies are one fixed-width ``(n, k)`` column ``deps``, row ``i``
 holding ``dep_counts[i]`` entries, then ``-1`` padding (the counts say
 which are real, so negative, forward and duplicate dependencies of a
@@ -31,17 +35,28 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..dram.commands import CODE_CTYPES, CTYPE_CODES, Command
+from ..dram.commands import CODE_CTYPES, CTYPE_CODES, REQUIRED_FIELDS, \
+    Command
 
-__all__ = ["StreamIR", "CommandView", "as_ir"]
+__all__ = ["StreamIR", "CommandView", "as_ir", "program_key"]
 
 
 def _field(value: Optional[int]) -> int:
     return -1 if value is None else value
 
 
-def _optional(column: np.ndarray) -> list:
-    return [None if v < 0 else v for v in column.tolist()]
+#: Per ctype code, whether its type requires each optional field.
+_REQUIRED_BY_CODE = {
+    name: np.array([ctype in types for ctype in CODE_CTYPES], dtype=np.bool_)
+    for name, types in REQUIRED_FIELDS.items()}
+
+
+def _optional(column: np.ndarray, codes: np.ndarray, name: str) -> list:
+    """A field column as command values: ``None`` for a negative entry
+    of a command whose type does not require the field (the "unused"
+    encoding), the entry itself otherwise."""
+    present = ((column >= 0) | _REQUIRED_BY_CODE[name][codes]).tolist()
+    return [v if p else None for v, p in zip(column.tolist(), present)]
 
 
 def _tabulate(values: list, present: list, base: int = 0):
@@ -135,9 +150,11 @@ class StreamIR:
             self._commands = tuple(itertools.starmap(Command, zip(
                 map(CODE_CTYPES.__getitem__, self.codes.tolist()),
                 self.banks.tolist(),
-                _optional(self.rows), _optional(self.cols),
-                _optional(self.bufs), _optional(self.buf2s),
-                _optional(self.lanes),
+                _optional(self.rows, self.codes, "row"),
+                _optional(self.cols, self.codes, "col"),
+                _optional(self.bufs, self.codes, "buf"),
+                _optional(self.buf2s, self.codes, "buf2"),
+                _optional(self.lanes, self.codes, "lane"),
                 map(twiddles.__getitem__, self.omega0_idx.tolist()),
                 map(twiddles.__getitem__, self.r_omega_idx.tolist()),
                 self.payloads.tolist(), self.gs.tolist(),
@@ -184,9 +201,18 @@ class CommandView(SequenceABC):
 
 def as_ir(program) -> StreamIR:
     """The IR of a command program: a :class:`StreamIR` itself, the IR
-    behind a :class:`CommandView`, or a columnarized command sequence."""
-    if isinstance(program, StreamIR):
-        return program
-    if isinstance(program, CommandView):
-        return program.ir
-    return StreamIR.from_commands(program)
+    behind a :class:`CommandView` or a compiled
+    :class:`~repro.dram.stream.CommandStream` (its ``ir``), or a
+    columnarized command sequence."""
+    ir = getattr(program, "ir", program)
+    return ir if isinstance(ir, StreamIR) else StreamIR.from_commands(program)
+
+
+def program_key(program) -> Tuple[Command, ...]:
+    """The command tuple of a program :func:`as_ir` takes: the exact
+    content key of the stream and schedule caches for a caller with no
+    structural key (an IR materializes its commands for it)."""
+    ir = getattr(program, "ir", program)
+    if isinstance(ir, StreamIR):
+        return ir.materialize_commands()
+    return tuple(program)

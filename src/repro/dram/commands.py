@@ -24,7 +24,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-__all__ = ["CommandType", "Command", "CODE_CTYPES", "CTYPE_CODES"]
+__all__ = ["CommandType", "Command", "CODE_CTYPES", "CTYPE_CODES",
+           "REQUIRED_FIELDS"]
 
 
 class CommandType(enum.Enum):
@@ -79,6 +80,17 @@ _BUF_TYPES = frozenset((CommandType.CU_READ, CommandType.CU_WRITE,
                         CommandType.C1, CommandType.C1N))
 _SCALAR_TYPES = frozenset((CommandType.LOAD_SCALAR, CommandType.BU_SCALAR,
                            CommandType.STORE_SCALAR))
+#: The optional integer fields each command type requires — the rules
+#: :meth:`Command.__post_init__` enforces.  The IR's columns encode an
+#: absent field as -1, so they read -1 as absent only in a field the
+#: command's type does not require (:mod:`repro.compile.ir`).
+REQUIRED_FIELDS = {
+    "row": _ROW_TYPES,
+    "col": _COLUMN_TYPES,
+    "buf": _BUF_TYPES | {CommandType.C2} | _SCALAR_TYPES,
+    "buf2": frozenset((CommandType.C2,)),
+    "lane": _SCALAR_TYPES,
+}
 
 #: Canonical integer encoding of the command vocabulary — the single
 #: source of truth shared by the compiled stream's SoA ctype column,

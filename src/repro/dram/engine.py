@@ -22,7 +22,9 @@ every timing run doubles as a protocol check of the mapping algorithm.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import numbers
+from array import array
+from dataclasses import dataclass, fields
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -57,6 +59,11 @@ class ComputeTiming:
     c1n_cycles: int = 22
 
     def __post_init__(self):
+        for item in fields(self):
+            # Schedules store their cycle times as int64.
+            if not isinstance(getattr(self, item.name), numbers.Integral):
+                raise TypeError(
+                    f"{item.name} must be a whole number of cycles")
         # latency() sits on the per-command hot path of the engine;
         # precompute the lookup table once instead of rebuilding a dict
         # for every command.  (Frozen dataclass, hence object.__setattr__.)
@@ -93,10 +100,16 @@ class CommandTiming(NamedTuple):
 @dataclass
 class ScheduleResult:
     """Timing outcome of one command program: command ``i`` issued at
-    cycle ``issues[i]`` and completed at ``completes[i]``."""
+    cycle ``issues[i]`` and completed at ``completes[i]``.
 
-    issues: List[int]
-    completes: List[int]
+    Both are ``array('q')``, 16 bytes per command, whose items read back
+    as Python ints: :attr:`timings` and ``==`` between schedules compare
+    values.  Cached schedules are shared between runs: treat them as
+    immutable.
+    """
+
+    issues: array
+    completes: array
     stats: SimStats
     timing_params: TimingParams
     energy_nj: float = 0.0
@@ -231,27 +244,35 @@ class TimingEngine:
 
         stats.total_cycles = end
         energy_nj = self.energy.total_nj(stats.command_counts, end, timing)
-        return ScheduleResult(issues=[t.issue for t in timings],
-                              completes=[t.complete for t in timings],
+        return ScheduleResult(issues=array("q", [t.issue for t in timings]),
+                              completes=array("q",
+                                              [t.complete for t in timings]),
                               stats=stats, timing_params=timing,
                               energy_nj=energy_nj)
 
     def simulate_stream(self, stream) -> ScheduleResult:
-        """Simulate a compiled :class:`~repro.dram.stream.CommandStream`.
+        """Replay a program's IR columns: a compiled
+        :class:`~repro.dram.stream.CommandStream` or its
+        :class:`~repro.compile.ir.StreamIR` itself (a replay reads no
+        plan, so nothing has to compile).
 
-        Bit-identical to :meth:`simulate` on the stream's commands (the
+        Bit-identical to :meth:`simulate` on the program's commands (the
         same timings, stats, energy, and :class:`MappingError` at the
         same command), but the loop iterates the IR's integer columns:
         one kind column folding category and write-like flag, compute
         latency, row, compact bank id (by ``np.unique``) and the
         ``deps`` column's first two entries, whose -1 padding reads the
         spare, always-0 last slot of ``completes`` (see
-        :func:`_dependency_columns`).  Stats and energy come from an
+        :func:`_dependency_columns`).  The loop stores completion times
+        only; each issue time is its completion less the fixed offset
+        of its command's kind (:func:`_issue_offsets`), and the last
+        completion is the schedule's end, both taken after the loop in
+        array operations.  Stats and energy come from an
         ``np.bincount`` over ``codes``.  The recurrence stays serial:
         almost every command issues later than ``previous + 1``.
         """
         timing = self.timing
-        ir = stream.ir
+        ir = getattr(stream, "ir", stream)
         n = ir.n
         codes = ir.codes
         kinds = np.take(_KIND_BY_CODE, codes).tolist()
@@ -271,12 +292,10 @@ class TimingEngine:
         next_col = [0] * nb
         next_pre = [0] * nb
         cu_free = [0] * nb
-        issues = [0] * n
         # One extra slot: the padding sentinel's dependency target, a
         # completion of 0 that never delays anything.
         completes = [0] * (n + 1)
         bus_free = 0
-        end = 0
         last_act = -10**9
         act_history: List[int] = []
 
@@ -372,14 +391,14 @@ class TimingEngine:
                 complete = t
 
             bus_free = t + 1
-            issues[i] = t
             completes[i] = complete
-            if complete > end:
-                end = complete
         if stop < n:
             raise MappingError(
                 f"command {stop} has invalid dependency {bad_dep}")
-        del completes[n]
+        done = np.fromiter(completes, dtype=np.int64, count=n)
+        issues = done - np.take(
+            _issue_offsets(timing, latency_by_code), codes)
+        end = int(done.max()) if n else 0
 
         counts = np.bincount(codes, minlength=len(_CODE_NAMES))
         command_counts = {name: count for name, count
@@ -391,9 +410,29 @@ class TimingEngine:
             cu_busy_cycles=int(counts @ latency_by_code),
         )
         energy_nj = self.energy.total_nj(command_counts, end, timing)
-        return ScheduleResult(issues=issues, completes=completes,
+        return ScheduleResult(issues=_int64_array(issues),
+                              completes=_int64_array(done),
                               stats=stats, timing_params=timing,
                               energy_nj=energy_nj)
+
+
+def _int64_array(values: np.ndarray) -> array:
+    """``values`` as an exactly sized ``array('q')`` (built from bytes,
+    an array over-allocates by about 1/16)."""
+    out = array("q", [0]) * len(values)
+    np.frombuffer(out, dtype=np.int64)[:] = values
+    return out
+
+
+def _issue_offsets(timing: TimingParams,
+                   latency_by_code: np.ndarray) -> np.ndarray:
+    """Cycles from issue to completion per ctype code, fixed by the
+    command's kind: ``read_to_data`` for a column read,
+    ``write_to_data`` for a column write, the compute latency for a
+    compute command or PARAM_WRITE, ``trcd`` for ACT and 0 for PRE."""
+    return np.choose(_KIND_BY_CODE, (timing.read_to_data,
+                                     timing.write_to_data, latency_by_code,
+                                     timing.trcd, 0))
 
 
 def _dependency_columns(ir):

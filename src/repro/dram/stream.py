@@ -34,9 +34,16 @@ commands on more than one bank) compile with ``plan = None`` and
 execute through the legacy per-command loop — the ground-truth path —
 raising the same errors at the same commands.
 
-Streams are cached under the same structural keys as the schedule cache
-(program-cache keys or merge recipes over them) plus the geometry, so
-merged batch/multibank programs compile once per shape.
+Streams are what a bank runs, and only bank runs compile them: a
+dispatch's one-bank streams (:func:`repro.sim.driver.compile_dispatch`,
+the bank groups of :func:`repro.sim.driver.lookup_dispatch`) and
+functional ``program`` runs.  They are cached under structural keys
+(program-cache keys or merge recipes over them) plus the geometry, so a
+batch's concatenated program compiles once per shape.  The timing
+replay reads IR columns only (:func:`repro.sim.driver.cached_schedule`),
+so a timing-only run compiles nothing, and a merged multi-bank program —
+which has no plan: a plan models one bank — is never compiled into this
+cache.
 """
 
 from __future__ import annotations
@@ -49,7 +56,8 @@ from .commands import Command
 from .timing import ArchParams
 
 __all__ = ["CommandStream", "FunctionalPlan", "compile_stream",
-           "cached_stream", "stream_cache_info", "clear_stream_cache"]
+           "cached_stream", "cached_streams", "stream_cache_info",
+           "clear_stream_cache"]
 
 
 class CommandStream:
@@ -101,10 +109,10 @@ def compile_stream(commands, arch: ArchParams) -> CommandStream:
 
 
 # -- stream cache --------------------------------------------------------------
-# Keyed exactly like the driver's schedule cache: a compact structural
-# key (program-cache key or a merge recipe over such keys) when the
-# caller has one, else the command tuple itself — plus the geometry the
-# plan was validated against.  Thread-safe via the shared ArtifactCache
+# Keyed like the driver's schedule cache: a compact structural key
+# (program-cache key or a merge recipe over such keys) when the caller
+# has one, else the command tuple itself — plus the geometry the plan
+# was validated against.  Thread-safe via the shared ArtifactCache
 # (locked lookup/stats/eviction, compilation outside the lock, one
 # canonical stream per key).
 
@@ -116,28 +124,31 @@ def cached_stream(commands, arch: ArchParams, key=None) -> CommandStream:
     """Memoized :func:`compile_stream`.
 
     ``key`` is an exact stand-in for the command content (see
-    :func:`repro.sim.driver.cached_schedule`); merged batch/multibank
-    programs hit the same entries via their merge-recipe keys.
+    :func:`repro.sim.driver.cached_schedule`); a batch's concatenated
+    program hits the same entry via its merge-recipe key.
 
     ``commands`` may be anything :func:`compile_stream` takes, or a
     zero-argument callable producing one.  With a callable *and* a
-    ``key``, a cache hit never builds the program at all — the
-    batch/multi-bank mergers pass their merge as the callable, so warm
-    shapes skip the merge work entirely.
+    ``key``, a cache hit never builds the program at all — the batch
+    merger passes its concat as the callable, so warm shapes skip the
+    merge work entirely.
     """
     if callable(commands) and key is None:
         commands = commands()
     if key is not None:
         content_key = key
     else:
-        from ..compile.ir import StreamIR
-        content_key = (tuple(commands.materialize_commands())
-                       if isinstance(commands, StreamIR)
-                       else tuple(commands))
+        from ..compile.ir import program_key
+        content_key = program_key(commands)
     return _stream_cache.get_or_create(
         (content_key, arch),
         lambda: compile_stream(commands() if callable(commands)
                                else commands, arch))
+
+
+def cached_streams() -> Tuple[CommandStream, ...]:
+    """The streams the cache holds now (a snapshot, oldest first)."""
+    return tuple(_stream_cache.values())
 
 
 def stream_cache_info() -> Dict[str, int]:

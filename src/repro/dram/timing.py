@@ -15,6 +15,7 @@ Two parameter bundles:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 __all__ = ["ArchParams", "TimingParams", "HBM2E_TIMING", "HBM2E_ARCH"]
@@ -84,7 +85,11 @@ class TimingParams:
     def __post_init__(self):
         for name in ("cl", "tccd", "trp", "tras", "trcd", "twr", "burst",
                      "trrd", "tfaw"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            # Schedules store their cycle times as int64.
+            if not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be a whole number of cycles")
+            if value < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.freq_mhz <= 0:
             raise ValueError("frequency must be positive")

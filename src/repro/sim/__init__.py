@@ -11,6 +11,7 @@ from .driver import (
     clear_schedule_cache,
     compile_dispatch,
     dispatch_cache_info,
+    dispatch_recipe,
     schedule_cache_info,
 )
 from .multibank import interleave_programs
@@ -25,6 +26,7 @@ __all__ = [
     "clear_schedule_cache",
     "compile_dispatch",
     "dispatch_cache_info",
+    "dispatch_recipe",
     "schedule_cache_info",
     "TransformSpec",
     "interleave_programs",

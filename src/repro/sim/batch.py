@@ -5,7 +5,7 @@ banks, a single bank can run them back to back.  That amortizes the
 parameter write and lets the MC overlap the tail of one transform with
 the head of the next (the final PRE of polynomial *i* and the first
 reads of polynomial *i+1* pipeline on the bus).  A batch is the 1xk
-shape of one dispatch (:func:`repro.sim.driver.compile_dispatch`), whose
+shape of one dispatch (:func:`repro.sim.driver.dispatch_recipe`), whose
 vectorized concat (:func:`repro.compile.concat_irs`) is bit-identical to
 :func:`concat_programs`, the per-command reference kept here.
 """

@@ -18,7 +18,12 @@ input layout, host-side 1/N epilogue and golden model.  Every run is
 one dispatch of ``banks x slots`` transforms: a lone transform is 1x1,
 a one-bank batch 1xk (slots back to back in one bank), a multi-bank
 dispatch kx1 (one bank each on the shared command bus).
-:func:`compile_dispatch` builds its one merged stream.  Everything a
+Its timing is one replay of its merged program's IR columns
+(:func:`cached_schedule`): the merge recipe builds the IR on a schedule
+miss, and the replay drops it, so no merged multi-bank program is
+compiled or kept.  Only what a bank runs compiles — each spec's
+one-bank stream (:func:`compile_dispatch`) — and only for a functional
+config, so a timing-only dispatch builds no plan.  Everything a
 dispatch derives from its shape alone is memoized per ``(specs, slots,
 config)`` as a :class:`DispatchShape`, so a warm dispatch makes one
 lookup (:func:`lookup_dispatch`) before its banks run.
@@ -48,10 +53,11 @@ from ..arith import vector
 from ..arith.bitrev import bit_reverse_permute
 from ..arith.modmath import mod_mul_vec, mod_scale_vec
 from ..arith.roots import NttParams
+from ..compile.ir import StreamIR, as_ir, program_key
 from ..compile.lower import concat_irs, interleave_irs
 from ..dram.energy import EnergyParams, HBM2E_ENERGY
 from ..dram.engine import ScheduleResult, TimingEngine
-from ..dram.stream import CommandStream, cached_stream
+from ..dram.stream import CommandStream, cached_stream, compile_stream
 from ..dram.timing import HBM2E_ARCH, HBM2E_TIMING, ArchParams, TimingParams
 from ..errors import FunctionalMismatch
 from ..mapping.mapper import MapperOptions
@@ -71,7 +77,7 @@ from .results import DispatchResult
 
 __all__ = ["SimConfig", "TransformSpec", "cached_schedule",
            "schedule_cache_info", "clear_schedule_cache",
-           "compile_dispatch", "dispatch_cache_info",
+           "dispatch_recipe", "compile_dispatch", "dispatch_cache_info",
            "clear_dispatch_cache", "Dispatch", "lookup_dispatch",
            "BankStacks", "STACK_WORD_BUDGET"]
 
@@ -85,7 +91,7 @@ __all__ = ["SimConfig", "TransformSpec", "cached_schedule",
 # key of a memoized program, which determines the command content
 # exactly (that determinism is the premise of the program cache).  A
 # merged dispatch hits the same entries on every call via the merge
-# recipe over its components' keys (:func:`compile_dispatch`).
+# recipe over its components' keys (:func:`dispatch_recipe`).
 # Cached ScheduleResults are shared between runs — treat them as
 # immutable.  Thread-safe via the shared ArtifactCache (locked
 # lookup/stats/eviction, simulation outside the lock, one canonical
@@ -94,36 +100,33 @@ _MAX_SCHEDULES = 128
 _schedule_cache = ArtifactCache(_MAX_SCHEDULES)
 
 
-def cached_schedule(commands, timing, arch, compute, energy, key=None):
-    """Memoized stream-compiled ``TimingEngine`` simulation.
+def cached_schedule(program, timing, arch, compute, energy, key=None):
+    """Memoized timing replay of one command program's IR columns.
 
-    ``commands`` is a command program or an already-compiled
-    :class:`~repro.dram.stream.CommandStream`.  Cold lookups compile the
-    program (via the shared stream cache) and run the engine's
-    vectorized stream loop — bit-identical to ``simulate(commands)``.
+    ``program`` is a command program — a command sequence or view, a
+    :class:`~repro.compile.ir.StreamIR`, or a compiled
+    :class:`~repro.dram.stream.CommandStream` (its IR) — or, with a
+    ``key``, a zero-argument callable building one.  A hit builds
+    nothing; a miss builds the program, replays its columns through
+    the engine's stream loop (bit-identical to ``simulate(commands)``)
+    and keeps only the schedule.  Nothing compiles: the replay reads no
+    plan, so a timing-only run builds none, and a merged multi-bank
+    program built here is dropped after its replay.
 
     ``key`` is an exact stand-in for the command content (e.g. a
     :class:`~repro.mapping.program_cache.CachedProgram` key, or a merge
     recipe over such keys) that avoids hashing thousands of commands per
     lookup; when ``None``, the command tuple itself is the key.
     """
-    if isinstance(commands, CommandStream):
-        stream = commands
-        # Only materialize Command objects when no structural key exists
-        # (IR-built streams are lazy; the timing loop never needs them).
-        content_key = key if key is not None else tuple(commands.commands)
-    else:
-        stream = None
-        content_key = key if key is not None else tuple(commands)
-    cache_key = (content_key, timing, arch, compute, energy)
+    content_key = key if key is not None else program_key(program)
 
     def simulate():
-        compiled = (stream if stream is not None
-                    else cached_stream(commands, arch, key=key))
+        ir = as_ir(program() if callable(program) else program)
         return TimingEngine(timing, arch, compute=compute,
-                            energy=energy).simulate_stream(compiled)
+                            energy=energy).simulate_stream(ir)
 
-    return _schedule_cache.get_or_create(cache_key, simulate)
+    return _schedule_cache.get_or_create(
+        (content_key, timing, arch, compute, energy), simulate)
 
 
 def schedule_cache_info() -> dict:
@@ -361,23 +364,25 @@ def _run_bank_by_bank(spec: TransformSpec, values: np.ndarray,
     return banks, bu_ops
 
 
-def compile_dispatch(specs: Sequence[TransformSpec], slots: int,
-                     config: SimConfig):
-    """Compile one dispatch: ``slots`` back-to-back transforms in each of
-    ``len(specs)`` banks, bank ``k`` running ``specs[k]`` (kinds and
-    directions may mix across banks).
+def dispatch_recipe(specs: Sequence[TransformSpec], slots: int,
+                    config: SimConfig):
+    """The merge recipe of one dispatch: ``slots`` back-to-back
+    transforms in each of ``len(specs)`` banks, bank ``k`` running
+    ``specs[k]`` (kinds and directions may mix across banks).
 
-    Returns ``(programs, stream, key)``: the per-bank slot programs
-    (``programs[bank][slot]``), the merged stream and the structural key
-    it is memoized under.  Each bank's slots concatenate, dropping every
-    PARAM_WRITE after the first; the banks then interleave round-robin
-    on the shared bus.  Both merges run vectorized over IR columns,
-    bit-identical to the per-command :func:`~repro.sim.batch.concat_programs`
-    and :func:`~repro.sim.multibank.interleave_programs` references, and
-    lazily: the merged content is a pure function of the component
-    programs, so the merge recipe over their keys is an exact cache key,
-    and warm shapes skip the merge work entirely.  A lone program is
-    keyed by its own key.
+    Returns ``(programs, key, build)``: the per-bank slot programs
+    (``programs[bank][slot]``, through the program cache), the
+    structural key of the merged program and ``build``, a zero-argument
+    callable that builds its :class:`~repro.compile.ir.StreamIR`.  Each
+    bank's slots concatenate, dropping every PARAM_WRITE after the
+    first; the banks then interleave round-robin on the shared bus.
+    Both merges run vectorized over IR columns, bit-identical to the
+    per-command :func:`~repro.sim.batch.concat_programs` and
+    :func:`~repro.sim.multibank.interleave_programs` references.  The
+    merged content is a pure function of the component programs, so
+    the recipe over their keys is an exact cache key, and a cache hit
+    never calls ``build``.  A lone program is keyed by its own key, and
+    ``build`` returns its IR.
     """
     if not specs or slots < 1:
         raise ValueError("a dispatch needs at least one bank and one slot")
@@ -387,24 +392,44 @@ def compile_dispatch(specs: Sequence[TransformSpec], slots: int,
             else programs_recipe_key("concat", row, True)
             for row in programs]
     key = keys[0] if len(keys) == 1 else ("interleave", tuple(keys))
-    stream = cached_stream(
-        lambda: interleave_irs([concat_irs([p.ir for p in row])
-                                for row in programs]),
-        config.arch, key=key)
+
+    def build() -> StreamIR:
+        return interleave_irs([concat_irs([p.ir for p in row])
+                               for row in programs])
+
+    return programs, key, build
+
+
+def compile_dispatch(specs: Sequence[TransformSpec], slots: int,
+                     config: SimConfig):
+    """Compile one dispatch (see :func:`dispatch_recipe`).
+
+    Returns ``(programs, stream, key)``: the per-bank slot programs, the
+    merged stream and its structural key.  A one-bank dispatch's stream
+    is what its bank runs, compiled once into the stream cache.  A
+    multi-bank stream spans its banks, so it gets no plan (each bank
+    runs its own one-bank stream); it compiles on each call and is kept
+    nowhere — only the compile surface
+    (:func:`repro.compile.compile_request`) asks for one.
+    """
+    programs, key, build = dispatch_recipe(specs, slots, config)
+    if len(specs) == 1:
+        stream = cached_stream(build, config.arch, key=key)
+    else:
+        stream = compile_stream(build(), config.arch)
     return programs, stream, key
 
 
 # -- dispatch memo -------------------------------------------------------------
 # A dispatch's shape — its specs, slot count and config — determines
-# everything but its data: the programs, the merged stream and schedule,
-# the single-program cycles and the per-spec bank groups with their
-# one-spec streams.  The memo keeps those per shape, so a warm dispatch
-# makes one lookup instead of re-deriving them through the program,
-# stream and schedule caches; a miss derives them exactly as a cold run
-# always has (same lookups, same order).  Specs compare by value, their
-# parameter objects by ``(n, q, root)``, so equal transforms hit however
-# their parameters were built.  Entries are shared between runs: treat
-# them as immutable.
+# everything but its data: the merged schedule, the single-program
+# cycles and the per-spec bank groups with their one-spec streams.  The
+# memo keeps those per shape, so a warm dispatch makes one lookup
+# instead of re-deriving them through the program, stream and schedule
+# caches; a miss derives them through those caches (:func:`_derive_shape`).
+# Specs compare by value, their parameter objects by ``(n, q, root)``,
+# so equal transforms hit however their parameters were built.  Entries
+# are shared between runs: treat them as immutable.
 _MAX_DISPATCHES = 64
 _dispatch_cache = ArtifactCache(_MAX_DISPATCHES)
 
@@ -426,7 +451,8 @@ class DispatchShape:
     """What a dispatch derives from ``(specs, slots, config)`` alone:
     the merged schedule, the cycles of bank 0's first transform run
     alone, and — for a functional config — the bank groups, one per
-    distinct spec in first-bank order."""
+    distinct spec in first-bank order, each holding the one-bank stream
+    its banks replay (a timing-only shape holds no stream)."""
 
     schedule: ScheduleResult
     single_cycles: int
@@ -445,29 +471,40 @@ def _spec_groups(specs: Sequence[TransformSpec]) -> Dict[TransformSpec,
 def _derive_shape(specs: Sequence[TransformSpec], slots: int,
                   config: SimConfig) -> DispatchShape:
     """A :class:`DispatchShape` derived anew through the program, stream
-    and schedule caches."""
-    programs, stream, key = compile_dispatch(specs, slots, config)
-    compute = config.pim.compute_timing()
-    schedule = cached_schedule(stream, config.timing, config.arch, compute,
-                               config.energy, key=key)
-    first = programs[0][0]
-    single = schedule if len(specs) * slots == 1 else cached_schedule(
-        first.ir, config.timing, config.arch, compute, config.energy,
-        key=first.key)
-    groups = []
+    and schedule caches.
+
+    The schedules replay IR columns: the merged program's, built from
+    its recipe on a schedule miss and dropped after the replay, and
+    bank 0's first program's.  Only a functional config compiles, and
+    only what its banks run: each bank group's one-bank stream."""
+    programs, key, build = dispatch_recipe(specs, slots, config)
+    # What the schedule replays: the merged IR, built on a miss — or the
+    # dispatch's own stream when its one bank compiles it, so a batch's
+    # concat is built once.
+    source, groups = build, []
     if config.functional:
         # The banks of one spec run programs that differ only in their
         # bank index, so a group replays bank 0's compiled stream once
         # over a bank stack, equivalent to replaying the round-robin
-        # merge command by command.  One bank checks on its own stream.
+        # merge command by command.  One bank runs the dispatch's own
+        # stream.
         for spec, members in _spec_groups(specs).items():
             if len(specs) == 1:
-                group_programs, group_stream = programs[0], stream
+                group_programs = programs[0]
+                group_stream = source = cached_stream(build, config.arch,
+                                                      key=key)
             else:
                 (group_programs,), group_stream, _ = compile_dispatch(
                     [spec], slots, config)
             groups.append(BankGroup(spec, tuple(members),
                                     tuple(group_programs), group_stream))
+    compute = config.pim.compute_timing()
+    schedule = cached_schedule(source, config.timing, config.arch, compute,
+                               config.energy, key=key)
+    first = programs[0][0]
+    single = schedule if len(specs) * slots == 1 else cached_schedule(
+        first.ir, config.timing, config.arch, compute, config.energy,
+        key=first.key)
     return DispatchShape(schedule, single.total_cycles, tuple(groups))
 
 

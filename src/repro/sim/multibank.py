@@ -6,7 +6,7 @@ polynomial); the paper's architecture runs one per bank.  All banks
 share the command bus (one command per cycle) while row/column timing
 and the CUs are per-bank, so speedup is near-linear until the command
 bus saturates.  A multi-bank dispatch is the kx1 shape of one dispatch
-(:func:`repro.sim.driver.compile_dispatch`): any mix of
+(:func:`repro.sim.driver.dispatch_recipe`): any mix of
 :class:`~repro.sim.driver.TransformSpec` kinds, one per bank, whose
 vectorized round-robin merge (:func:`repro.compile.interleave_irs`) is
 bit-identical to :func:`interleave_programs`, the per-command reference

@@ -2,6 +2,7 @@
 validation, response-envelope equality with the engine-room entry
 points, shared schedule caching and same-shape merging."""
 
+import functools
 import hashlib
 import random
 import re
@@ -543,17 +544,22 @@ class TestResponseEnvelope:
 
 
 class TestPinnedEnvelopes:
-    """Every transform request kind's response envelope, pinned by digest.
+    """Every transform request kind's response envelope, pinned by two
+    digests over the cold-then-warm runs of lone, batched and
+    multi-bank transforms under four configs.
 
-    Values, outputs, cycles, latency, energy, verified, command count,
-    counters, metrics and the cold-then-warm cache deltas of lone,
-    batched and multi-bank transforms under four configs; a change to
-    any simulated number, response field or cache lookup changes the
-    digest.  Both compute paths must produce the same one.
+    The simulated-fields digest covers workload, values, outputs,
+    cycles, latency, energy, verified, command count, counters and
+    metrics: a change to any simulated number or response field changes
+    it.  The cache-provenance digest covers each run's cache deltas: a
+    change to what a run looks up changes it.  Both compute paths must
+    produce the same two.
     """
 
-    DIGEST = ("d6e448b1ef0ac780f69ba2be2176e19d"
-              "e9751ff17901d1f7e71ec470776309e7")
+    SIMULATED_DIGEST = ("31141468c43e4d906b46954269394d9f"
+                        "ca9acb6d09d5580eb524c51da9af72cb")
+    CACHE_DIGEST = ("9af887a13429d79118e752f0a500aed4"
+                    "4e4d9f8b3d40a793bebe08c72a623978")
 
     CONFIGS = (
         SimConfig(),
@@ -585,31 +591,47 @@ class TestPinnedEnvelopes:
             inputs=(x[0], y[0], x[1], y[1]))
 
     @staticmethod
-    def _envelope(response: SimResponse) -> bytes:
+    def _simulated(response: SimResponse) -> bytes:
         return repr((
             response.workload, response.values, response.outputs,
             response.cycles, response.latency_us, response.energy_nj,
             response.verified, response.command_count,
             sorted(response.counters.items()),
             sorted(response.metrics.items()),
-            sorted((k, sorted(v.items())) for k, v in response.cache.items()),
         )).encode()
 
-    @pytest.mark.parametrize("path", ["numpy", "python"])
-    def test_envelope_digest(self, path):
-        h = hashlib.sha256()
+    @staticmethod
+    def _provenance(response: SimResponse) -> bytes:
+        return repr(sorted((k, sorted(v.items()))
+                           for k, v in response.cache.items())).encode()
+
+    @classmethod
+    @functools.cache
+    def _digests(cls, path: str) -> tuple:
+        """``(simulated, provenance)`` hex digests on one compute path."""
+        simulated, provenance = hashlib.sha256(), hashlib.sha256()
         count = 0
         with on_path(path):
-            for config in self.CONFIGS:
+            for config in cls.CONFIGS:
                 simulator = Simulator(config)
-                for request in self._requests(config.pim.nb_buffers == 1):
+                for request in cls._requests(config.pim.nb_buffers == 1):
                     Simulator.clear_caches()
                     for _ in ("cold", "warm"):
-                        h.update(self._envelope(simulator.run(request)))
+                        response = simulator.run(request)
+                        simulated.update(cls._simulated(response))
+                        provenance.update(cls._provenance(response))
                         count += 1
         Simulator.clear_caches()
         assert count == 56
-        assert h.hexdigest() == self.DIGEST
+        return simulated.hexdigest(), provenance.hexdigest()
+
+    @pytest.mark.parametrize("path", ["numpy", "python"])
+    def test_envelope_digest(self, path):
+        assert self._digests(path)[0] == self.SIMULATED_DIGEST
+
+    @pytest.mark.parametrize("path", ["numpy", "python"])
+    def test_cache_provenance_digest(self, path):
+        assert self._digests(path)[1] == self.CACHE_DIGEST
 
 
 class TestProgramFunctional:

@@ -4,10 +4,13 @@
 values and packs its dependencies into one fixed-width column.  Drawn
 programs carry what no mapper emits — 0–6 dependencies per command,
 negative, self, forward and duplicate ones among them, twiddles of 2**64
-and more, C1N zeta rows of the wrong length — and must come back out of
-the columns unchanged, compile to the same fallback reasons, replay to
-the per-command engine's result or its error, and merge like the
-per-command references.
+and more, C1N zeta rows of the wrong length, negative rows, columns,
+buffers and lanes in the fields a command's type requires — and must
+come back out of the columns unchanged, compile to the same fallback
+reasons, replay to the per-command engine's result or its error, and
+merge like the per-command references.  The columns encode an absent
+field as -1, so a negative value in a field the command's type does not
+carry still reads back as ``None``; the draws keep those non-negative.
 """
 
 from dataclasses import replace
@@ -27,6 +30,7 @@ from repro.dram import (
     TimingEngine,
     compile_stream,
 )
+from repro.dram.commands import REQUIRED_FIELDS
 from repro.errors import MappingError
 from repro.sim.batch import concat_programs
 from repro.sim.multibank import interleave_programs
@@ -38,13 +42,21 @@ _COMPUTE = (CT.C1, CT.C2, CT.C1N, CT.PARAM_WRITE, CT.LOAD_SCALAR,
 _WORDS = st.one_of(st.integers(0, 2**16), st.integers(2**64, 2**70))
 
 
+def _field(draw, ctype, name: str, top: int) -> int:
+    """A field value up to ``top``: down to -2 in a field ``ctype``
+    requires, where the columns keep every value, else non-negative
+    (a negative value there reads back as ``None``)."""
+    low = -2 if ctype in REQUIRED_FIELDS[name] else 0
+    return draw(st.integers(low, top))
+
+
 @st.composite
 def programs(draw, max_len=24):
     """A hand-built program: protocol-legal but for at most one command
     of any type with any row (so the engines get past the first few
     commands), every field its type needs, 0–6 backward dependencies
-    per command and at most one invalid one.  Its integer fields are
-    non-negative: ``-1`` encodes "unused" in the IR's columns."""
+    per command and at most one invalid one.  A field the command's
+    type requires may be negative (:func:`_field`)."""
     cmds = []
     open_row = None
     length = draw(st.integers(0, max_len))
@@ -56,10 +68,11 @@ def programs(draw, max_len=24):
             ctype = (CT.ACT if open_row is None
                      else draw(st.sampled_from(_COLUMN + _COMPUTE
                                                + (CT.PRE,))))
-            row = open_row if ctype in _COLUMN else draw(st.integers(0, 7))
+            row = (open_row if ctype in _COLUMN
+                   else _field(draw, ctype, "row", 7))
         else:
             ctype = draw(st.sampled_from(list(CT)))
-            row = draw(st.integers(0, 7))
+            row = _field(draw, ctype, "row", 7)
         zetas = ()
         if ctype is CT.C1N or not draw(st.integers(0, 7)):
             zetas = tuple(draw(st.lists(_WORDS, min_size=1, max_size=9)))
@@ -68,9 +81,10 @@ def programs(draw, max_len=24):
             bad = draw(st.sampled_from([-2, -1, i, i + 1, i + 7]))
             deps.insert(draw(st.integers(0, len(deps))), bad)
         cmds.append(Command(
-            ctype, bank=0, row=row, col=draw(st.integers(0, 31)),
-            buf=draw(st.integers(0, 3)), buf2=draw(st.integers(0, 3)),
-            lane=draw(st.integers(0, 9)),
+            ctype, bank=0, row=row, col=_field(draw, ctype, "col", 31),
+            buf=_field(draw, ctype, "buf", 3),
+            buf2=_field(draw, ctype, "buf2", 3),
+            lane=_field(draw, ctype, "lane", 9),
             omega0=draw(st.one_of(st.none(), _WORDS)),
             r_omega=draw(st.one_of(st.none(), _WORDS)),
             payload_words=draw(st.integers(0, 6)),
@@ -152,14 +166,18 @@ def test_merges_match_the_per_command_references(first, second):
         assert expected.startswith("KeyError")
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError,
-                   reason="-1 encodes 'unused' in the IR's integer columns, "
-                          "so a row of -1 materializes as None")
 def test_a_negative_row_survives_a_merge():
     cmds = [Command(CT.ACT, row=-1)]
     merged = concat_irs([_from_columns(cmds), _from_columns(cmds)])
     assert merged.materialize_commands() == tuple(
         concat_programs([cmds, cmds]))
+
+
+def test_a_negative_field_the_type_does_not_carry_reads_back_as_none():
+    """The residual of the -1 encoding: PRE carries no row, so its -1
+    is "absent"."""
+    ir = _from_columns([Command(CT.PRE, row=-1, buf=-3)])
+    assert ir.materialize_commands() == (Command(CT.PRE),)
 
 
 def _legal_prefix():
