@@ -48,6 +48,7 @@ import numpy as np
 from repro.api import Simulator
 from repro.dag import ntt_pipeline
 from repro.dram.stream import cached_streams
+from repro.mapping.program_cache import cached_programs
 from repro.serve import LoadGenerator, Scenario, SimServer, make_scenario
 from repro.sim import driver
 from repro.sim.driver import SimConfig
@@ -189,6 +190,17 @@ def _stream_cache_spread() -> dict:
     return {"stream_entries": len(streams),
             "stream_max_banks": max((len(np.unique(stream.ir.banks))
                                      for stream in streams), default=0)}
+
+
+def _program_cache_spread() -> dict:
+    """How many programs the program cache holds and the highest bank
+    any of them names: programs are bank-relative (the bus interleave
+    assigns banks), so every cached program sits on bank 0 and one
+    serves every bank of its transform."""
+    programs = cached_programs()
+    return {"program_entries": len(programs),
+            "program_max_bank": max((int(program.ir.banks.max(initial=0))
+                                     for program in programs), default=0)}
 
 
 def _serve(scheduler: str, rate: float, scenario: str = SCENARIO,
@@ -340,9 +352,11 @@ def run(out_path: Path = DEFAULT_OUT) -> dict:
                 # session ran fewer bank stacks than dispatches.
                 entry[scheduler]["bank_runs"] = bank_runs[0]
                 entry[scheduler]["dispatches"] = snap["dispatches"]
-                # The stream-cache gate: it fails if a cached stream
-                # spans more than one bank.
+                # The stream- and program-cache gates: they fail if a
+                # cached stream spans more than one bank or a cached
+                # program names a bank other than 0.
                 entry[scheduler].update(_stream_cache_spread())
+                entry[scheduler].update(_program_cache_spread())
         entry["throughput_speedup"] = (
             entry["batching"]["throughput_rps"]
             / entry["sequential"]["throughput_rps"])
@@ -750,6 +764,8 @@ def test_bench_serve_writes_json(show, tmp_path):
     assert top["throughput_speedup"] >= 2.0
     assert top["batching"]["stream_entries"] > 0
     assert top["batching"]["stream_max_banks"] == 1
+    assert top["batching"]["program_entries"] > 0
+    assert top["batching"]["program_max_bank"] == 0
     shards = written["serve"]["shards"]
     # The shared bus reports real utilization and can only be slower
     # than (or equal to) independent channels at every shard count.

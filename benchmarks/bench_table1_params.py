@@ -20,7 +20,6 @@ def test_table1_parameters(benchmark, show):
     assert a.atom_bytes == 32
     assert a.columns_per_row == 32
     assert a.rows_per_bank == 32768
-    assert (a.ranks, a.banks) == (1, 1)
     assert (t.cl, t.tccd, t.trp, t.tras, t.trcd, t.twr) == (
         14, 2, 14, 34, 14, 16)
     show(format_table(

@@ -81,7 +81,7 @@ def run(ns=(1024, 4096), repeats: int = 5,
         q = find_ntt_prime(n, 32)
         params = NttParams(n, q)
         config = SimConfig()
-        commands = TransformSpec(params=params).program(config, 0).commands
+        commands = TransformSpec(params=params).program(config).commands
         engine = TimingEngine(HBM2E_TIMING, HBM2E_ARCH,
                               compute=config.pim.compute_timing())
 
@@ -249,7 +249,7 @@ def _plan_traffic(n: int, nb: int) -> dict:
     address a view of it and how many fall back to index arrays."""
     config = SimConfig(pim=PimParams(nb_buffers=nb))
     spec = TransformSpec(params=NttParams(n, find_ntt_prime(n, 32)))
-    plan = compile_stream(spec.program(config, 0).commands,
+    plan = compile_stream(spec.program(config).commands,
                           config.arch).plan
     entry = {"n": n, "nb": nb, "atoms": n // config.arch.words_per_atom}
     for kind, moved in (("read", "read"), ("write", "written")):
@@ -276,7 +276,7 @@ def _bench_map(n: int, nb: int, repeats: int) -> dict:
 
     def cold_map():
         clear_program_cache()
-        return spec.program(config, 0)
+        return spec.program(config)
 
     slowdown = perf_clock.slowdown()
     map_s = _best_of(cold_map, repeats)
@@ -299,7 +299,7 @@ def _bench_nb1(repeats: int, n: int = 256) -> dict:
     q = find_ntt_prime(n, 32)
     config = SimConfig(pim=PimParams(nb_buffers=1))
     spec = TransformSpec(params=NttParams(n, q))
-    commands = spec.program(config, 0).commands
+    commands = spec.program(config).commands
     fused = compile_stream(commands, HBM2E_ARCH)
     assert fused.plan is not None and fused.plan.mode == "lane"
     rng = random.Random(n)
@@ -398,7 +398,7 @@ def test_stream_engine_smoke(show, tmp_path):
     q = find_ntt_prime(n, 32)
     config = SimConfig()
     spec = TransformSpec(params=NttParams(n, q))
-    commands = spec.program(config, 0).commands
+    commands = spec.program(config).commands
     engine = TimingEngine(HBM2E_TIMING, HBM2E_ARCH,
                           compute=config.pim.compute_timing())
     stream = compile_stream(commands, HBM2E_ARCH)

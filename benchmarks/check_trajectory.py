@@ -12,7 +12,10 @@ committed floor:
   silently fell back to one bank run per dispatch — and after it no
   cached stream may span more than one bank (``stream_max_banks``):
   only what a bank runs compiles, and a merged multi-bank stream kept
-  in the cache is memory no warm dispatch reads;
+  in the cache is memory no warm dispatch reads; nor may a cached
+  program name a bank other than 0 (``program_max_bank``): programs
+  are bank-relative and the bus interleave assigns their banks, so a
+  per-bank copy of a program only mirrors bank 0's;
 * stream engine: the compiled-stream timing loop and the fused
   functional bank must not be slower than the legacy per-command loops
   (measured ~6x / ~36-57x; the floor is 1.0 with headroom for CI noise),
@@ -228,6 +231,17 @@ def check(kernels_path: Path = REPO_ROOT / "BENCH_kernels.json",
         failures.append(
             f"a cached stream spans {max_banks} banks: a merged multi-bank "
             f"stream is compiled into the stream cache again")
+    programs = batching.get("program_entries")
+    max_bank = batching.get("program_max_bank")
+    print(f"serve: {programs} cached programs after that session, naming "
+          f"at most bank {max_bank}")
+    if programs is None or max_bank is None:
+        failures.append("BENCH_serve.json records no program_entries/"
+                        "program_max_bank for the top-rate batching session")
+    elif max_bank != 0:
+        failures.append(
+            f"a cached program names bank {max_bank}: the program cache "
+            f"holds per-bank copies of a bank-relative program again")
 
     shards = serve.get("shards", {})
     for count, entry in shards.get("shared", {}).items():

@@ -21,7 +21,7 @@ def regime_window(n: int, nb: int, start: int, end: int, title: str) -> None:
     q = find_ntt_prime(n, 32)
     config = SimConfig(pim=PimParams(nb_buffers=nb), functional=False)
     spec = TransformSpec(params=NttParams(n, q))
-    commands = spec.program(config, 0).commands
+    commands = spec.program(config).commands
     response = Simulator(config).run(ProgramRequest(commands=commands,
                                                     label=title))
     print(f"\n--- {title} (N={n}, Nb={nb}) ---")

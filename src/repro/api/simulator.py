@@ -184,8 +184,8 @@ class Simulator:
 
         Cycles/latency are the group's (each request completed when the
         shared-bus schedule did); energy and command/µ-op counters are
-        divided by the bank count — the per-bank programs are identical
-        (same transform shape), so the even split is exact — to keep
+        divided by the bank count — every bank runs the one program its
+        transform shape maps to, so the even split is exact — to keep
         sums over many responses from overcounting the group.  The
         division runs once per group, and the members share its one
         ``counters`` dict and the group's ``cache`` dicts, read-only as

@@ -277,7 +277,7 @@ def _cmd_trace(args) -> int:
         raise ValueError(f"--head must be >= 0, got {args.head}")
     q = find_ntt_prime(args.n, 32)
     spec = TransformSpec(params=NttParams(args.n, q))
-    commands = spec.program(_make_config(args), 0).commands
+    commands = spec.program(_make_config(args)).commands
     print(trace_summary(commands))
     print(format_trace(commands[:args.head]))
     if len(commands) > args.head:

@@ -51,11 +51,12 @@ def compile_ir(ir: StreamIR, arch: ArchParams) -> CommandStream:
 def _merged(irs, order, new_of_old, kind) -> StreamIR:
     """The IR of ``irs`` concatenated and gathered at ``order``, each
     dependency remapped through ``new_of_old`` (old global id -> merged
-    id, -1 if dropped).  A dependency that does not point back into its
-    own program raises ``KeyError`` in an interleave, as in
-    :func:`repro.sim.multibank.interleave_programs`; in a concat it
-    drops, as does one that lands on a dropped command, and its row
-    compacts, as in :func:`repro.sim.batch.concat_programs`."""
+    id, -1 if dropped).  An interleave runs program ``k`` on bank ``k``;
+    a concat keeps each command's bank.  A dependency that does not
+    point back into its own program raises ``KeyError`` in an
+    interleave, as in :func:`repro.sim.multibank.interleave_programs`;
+    in a concat it drops, as does one that lands on a dropped command,
+    and its row compacts, as in :func:`repro.sim.batch.concat_programs`."""
     lens = [ir.n for ir in irs]
     starts = np.repeat(np.cumsum([0] + lens[:-1]), lens)
 
@@ -102,7 +103,8 @@ def _merged(irs, order, new_of_old, kind) -> StreamIR:
     merged = StreamIR(
         n=len(order),
         codes=col("codes"),
-        banks=col("banks"),
+        banks=(np.repeat(np.arange(len(irs), dtype=np.int64), lens)[order]
+               if kind == "interleave" else col("banks")),
         rows=col("rows"),
         cols=col("cols"),
         bufs=col("bufs"),
@@ -124,21 +126,20 @@ def _merged(irs, order, new_of_old, kind) -> StreamIR:
 
 
 def interleave_irs(programs) -> StreamIR:
-    """Round-robin merge of per-bank programs onto the shared bus.
+    """Round-robin merge of per-bank programs onto the shared bus,
+    program ``k`` on bank ``k`` (a lone program on bank 0), whatever
+    bank its commands named.
 
     The command content (and thus every cache key downstream) is
     bit-identical to :func:`repro.sim.multibank.interleave_programs`;
     the merge itself is an index permutation over the concatenated
     columns, with dependencies remapped through the same permutation.
     Like the reference, it raises ``KeyError`` for a dependency that
-    does not name an earlier command of its own program (one program
-    comes back as it is).
+    does not name an earlier command of its own program.
     Round-robin models an MC draining per-bank queues fairly, which is
     what gives each bank steady command-bus share.
     """
     irs = [as_ir(p) for p in programs]
-    if len(irs) == 1:
-        return irs[0]
     lens = [ir.n for ir in irs]
     total = sum(lens)
     # Round-robin: all position-0 commands (program order), then all

@@ -2,8 +2,8 @@
 
 Two parameter bundles:
 
-* :class:`ArchParams` — geometry: atom size, columns per row, rows per
-  bank, banks/ranks.  Derived quantities (``words_per_atom`` = Na,
+* :class:`ArchParams` — geometry of one bank: atom size, columns per
+  row, rows per bank.  Derived quantities (``words_per_atom`` = Na,
   ``words_per_row`` = R) drive the mapping regimes.
 * :class:`TimingParams` — the cycle-level constraints the timing engine
   enforces, plus the clock.  :meth:`TimingParams.retimed` implements the
@@ -29,14 +29,12 @@ class ArchParams:
     word_bytes: int = 4
     columns_per_row: int = 32
     rows_per_bank: int = 32768
-    banks: int = 1
-    ranks: int = 1
 
     def __post_init__(self):
         if self.atom_bytes % self.word_bytes:
             raise ValueError("atom size must be a whole number of words")
         for name in ("atom_bytes", "word_bytes", "columns_per_row",
-                     "rows_per_bank", "banks", "ranks"):
+                     "rows_per_bank"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 

@@ -71,7 +71,7 @@ CU_READ, CU_WRITE = CommandType.CU_READ, CommandType.CU_WRITE
 def _simulate(body: np.ndarray, nb: int):
     simulator = Simulator(SimConfig(pim=PimParams(nb_buffers=max(nb, 1)),
                                     functional=False))
-    program = assemble(body, 0, _ROOT, _Q).materialize_commands()
+    program = assemble(body, _ROOT, _Q).materialize_commands()
     response = simulator.run(ProgramRequest(commands=program))
     return response.raw  # the ScheduleResult of the micro-study window
 

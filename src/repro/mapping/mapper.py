@@ -9,6 +9,9 @@ The schedule is closed-form, so each phase is emitted as whole NumPy
 columns (:mod:`repro.mapping.program`) straight into the compiler's
 :class:`~repro.compile.ir.StreamIR`; ``generate()`` materializes the
 equivalent :class:`~repro.dram.commands.Command` list for reference.
+Programs are bank-relative (every command on bank 0): one serves every
+bank of a dispatch, and the bus interleave puts program ``k`` on bank
+``k`` (:func:`repro.compile.lower.interleave_irs`).
 
 Structure (Sec. IV.B):
 
@@ -113,8 +116,7 @@ class _RowCentricSchedule:
     _zetas = None
 
     def __init__(self, n: int, q: int, root: int, arch: ArchParams,
-                 pim: PimParams, base_row: int, bank: int,
-                 options: MapperOptions):
+                 pim: PimParams, base_row: int, options: MapperOptions):
         if pim.nb_buffers < 2:
             raise MappingError(
                 "the row-centric mapping, and with it the merged "
@@ -135,7 +137,6 @@ class _RowCentricSchedule:
         self.arch = arch
         self.pim = pim
         self.base_row = base_row
-        self.bank = bank
         self.rows_used = rows_needed
         self.options = options
         #: Where the natural-order result lands (differs from base_row
@@ -163,8 +164,7 @@ class _RowCentricSchedule:
             body = self._inter_row_stages(inter_row[::-1]) + [self._row_blocks()]
         else:
             body = [self._row_blocks()] + self._inter_row_stages(inter_row)
-        return assemble(np.concatenate(body), self.bank, self.root, self.q,
-                        self._zetas)
+        return assemble(np.concatenate(body), self.root, self.q, self._zetas)
 
     def generate(self) -> List[Command]:
         """The program as :class:`Command` objects (the reference form)."""
@@ -276,9 +276,8 @@ class NttMapper(_RowCentricSchedule):
     """Generates the command program for one cyclic NTT on one bank."""
 
     def __init__(self, ntt: NttParams, arch: ArchParams, pim: PimParams,
-                 base_row: int = 0, bank: int = 0,
-                 options: MapperOptions = MapperOptions()):
-        super().__init__(ntt.n, ntt.q, ntt.omega, arch, pim, base_row, bank,
+                 base_row: int = 0, options: MapperOptions = MapperOptions()):
+        super().__init__(ntt.n, ntt.q, ntt.omega, arch, pim, base_row,
                          options)
         self.ntt = ntt
 
@@ -299,11 +298,10 @@ class NegacyclicNttMapper(_RowCentricSchedule):
     """Command generation for the merged negacyclic transform."""
 
     def __init__(self, ring: NegacyclicParams, arch: ArchParams,
-                 pim: PimParams, base_row: int = 0, bank: int = 0,
-                 inverse: bool = False):
+                 pim: PimParams, base_row: int = 0, inverse: bool = False):
         # Twiddle base: psi forward, psi^-1 inverse.
         super().__init__(ring.n, ring.q, ring.psi_inv if inverse else ring.psi,
-                         arch, pim, base_row, bank, MapperOptions())
+                         arch, pim, base_row, MapperOptions())
         self.ring = ring
         self.gs = inverse
         self.reverse = not inverse

@@ -5,7 +5,8 @@ column or compute command (:data:`FIELDS` columns, ``-1`` = unused),
 built with :func:`ops` and :func:`grouped` from ``arange``-style index
 arithmetic.  :func:`assemble` turns the table into the
 :class:`~repro.compile.ir.StreamIR` the compiler consumes, column for
-column:
+column, on bank 0 (a program is bank-relative: the bus interleave,
+:func:`repro.compile.lower.interleave_irs`, places it on its bank):
 
 * the opening PARAM_WRITE and, at every change of the row the column
   ops address, a PRE (if a row is open) and an ACT, plus the closing
@@ -87,10 +88,10 @@ def grouped(phases: Sequence, size: int) -> np.ndarray:
     return np.concatenate(parts, axis=-2)
 
 
-def assemble(body: np.ndarray, bank: int, root: int, q: int,
+def assemble(body: np.ndarray, root: int, q: int,
              zetas: Optional[np.ndarray] = None) -> StreamIR:
     """The full program of an op table (which must address at least one
-    row), PARAM_WRITE through final PRE.
+    row), PARAM_WRITE through final PRE, on bank 0.
 
     Twiddle index ``e`` (OMEGA0/R_OMEGA, and the entries of row ``z`` of
     ``zetas``: the zetas of the ZETA = ``z`` C1N, in consumption order)
@@ -155,7 +156,7 @@ def assemble(body: np.ndarray, bank: int, root: int, q: int,
     payloads = np.zeros(total, dtype=np.int64)
     payloads[0] = PARAM_WORDS
     return StreamIR(
-        n=total, codes=codes, banks=np.full(total, bank, dtype=np.int64),
+        n=total, codes=codes, banks=np.zeros(total, dtype=np.int64),
         rows=rows, cols=cols, bufs=bufs, buf2s=buf2s, lanes=lanes,
         payloads=payloads, gs=gs.astype(np.bool_),
         omega0_idx=omega0, r_omega_idx=r_omega, zeta_idx=zeta,

@@ -1,11 +1,12 @@
 """Memoized command-program generation.
 
 A mapper's output is a deterministic artifact of ``(transform
-parameters, geometry, PIM config, placement)``: running the same NTT
-shape twice — every repetition of a batch, every bank of a multi-bank
-round, every point of an experiment sweep that revisits a size —
-regenerates an identical command list.  This module caches those
-programs.
+parameters, geometry, PIM config, base row)``, the key this module
+caches programs under: every repetition of a batch, every point of an
+experiment sweep that revisits a size reuses one.  No key names a bank:
+one program (every command on bank 0) serves every bank of a dispatch,
+and the bus interleave (:func:`repro.compile.lower.interleave_irs`)
+puts program ``k`` of a merge on bank ``k``.
 
 Cached programs are the :class:`~repro.compile.ir.StreamIR` columns the
 mapper emitted, shared between consumers: nothing mutates an IR after
@@ -22,7 +23,7 @@ statistics or race the eviction scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from .._cache import ArtifactCache
 
@@ -35,8 +36,7 @@ from .mapper import MapperOptions, NegacyclicNttMapper, NttMapper
 from .single_buffer import SingleBufferMapper
 
 __all__ = ["CachedProgram", "cyclic_program", "negacyclic_program",
-           "programs_recipe_key", "program_cache_info",
-           "clear_program_cache"]
+           "cached_programs", "program_cache_info", "clear_program_cache"]
 
 _MAX_ENTRIES = 512
 
@@ -71,36 +71,18 @@ class CachedProgram:
 _cache = ArtifactCache(_MAX_ENTRIES)
 
 
-def programs_recipe_key(tag: str, programs, *extra) -> Optional[tuple]:
-    """A merge-recipe cache key over component :class:`CachedProgram` keys.
-
-    A merged command list (batch concat, multi-bank interleave) is a pure
-    function of its component programs plus the merge rule, so
-    ``(tag, component keys, rule parameters)`` is an exact — and cheap —
-    stand-in for the merged content in the stream/schedule caches.
-    ``None`` when any component lacks a compact key (consumers fall back
-    to structural keying).
-    """
-    keys = tuple(p.key for p in programs)
-    if any(k is None for k in keys):
-        return None
-    return (tag, keys) + extra
-
-
 def cyclic_program(ntt: NttParams, arch: ArchParams, pim: PimParams,
-                   base_row: int = 0, bank: int = 0,
+                   base_row: int = 0,
                    options: MapperOptions = MapperOptions()) -> CachedProgram:
     """The command program of one cyclic NTT (Nb >= 2 row-centric mapping,
     or the Nb = 1 single-buffer mapping), memoized."""
-    key = ("cyclic", ntt.n, ntt.q, ntt.omega, arch, pim, base_row, bank,
-           options)
+    key = ("cyclic", ntt.n, ntt.q, ntt.omega, arch, pim, base_row, options)
 
     def generate() -> CachedProgram:
         if pim.nb_buffers == 1:
-            mapper = SingleBufferMapper(ntt, arch, pim, base_row, bank)
+            mapper = SingleBufferMapper(ntt, arch, pim, base_row)
         else:
-            mapper = NttMapper(ntt, arch, pim, base_row, bank,
-                               options=options)
+            mapper = NttMapper(ntt, arch, pim, base_row, options=options)
         return CachedProgram(mapper.build(), base_row,
                              mapper.result_base_row, key)
 
@@ -108,19 +90,24 @@ def cyclic_program(ntt: NttParams, arch: ArchParams, pim: PimParams,
 
 
 def negacyclic_program(ring: NegacyclicParams, arch: ArchParams,
-                       pim: PimParams, base_row: int = 0, bank: int = 0,
+                       pim: PimParams, base_row: int = 0,
                        inverse: bool = False) -> CachedProgram:
     """The command program of one merged negacyclic transform, memoized."""
-    key = ("negacyclic", ring.n, ring.q, ring.psi, arch, pim, base_row, bank,
+    key = ("negacyclic", ring.n, ring.q, ring.psi, arch, pim, base_row,
            inverse)
 
     def generate() -> CachedProgram:
-        mapper = NegacyclicNttMapper(ring, arch, pim, base_row, bank,
+        mapper = NegacyclicNttMapper(ring, arch, pim, base_row,
                                      inverse=inverse)
         return CachedProgram(mapper.build(), base_row,
                              mapper.result_base_row, key)
 
     return _cache.get_or_create(key, generate)
+
+
+def cached_programs() -> Tuple[CachedProgram, ...]:
+    """The programs the cache holds now (a snapshot, oldest first)."""
+    return tuple(_cache.values())
 
 
 def program_cache_info() -> Dict[str, int]:

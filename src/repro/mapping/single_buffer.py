@@ -39,7 +39,7 @@ class SingleBufferMapper:
     """Command generation when only the primary buffer exists."""
 
     def __init__(self, ntt: NttParams, arch: ArchParams, pim: PimParams,
-                 base_row: int = 0, bank: int = 0):
+                 base_row: int = 0):
         if pim.nb_buffers != 1:
             raise MappingError("SingleBufferMapper is exactly the Nb=1 case")
         if ntt.n < arch.words_per_atom:
@@ -51,7 +51,6 @@ class SingleBufferMapper:
         self.arch = arch
         self.pim = pim
         self.base_row = base_row
-        self.bank = bank
         self.rows_used = rows_needed
         self.result_base_row = base_row  # Nb=1 always computes in place
 
@@ -60,8 +59,7 @@ class SingleBufferMapper:
         stages = range(self.arch.log_words_per_atom + 1, self.ntt.log_n + 1)
         body = [self._intra_atom_phase()] + [
             self._inter_atom_stage(stage) for stage in stages]
-        return assemble(np.concatenate(body), self.bank, self.ntt.omega,
-                        self.ntt.q)
+        return assemble(np.concatenate(body), self.ntt.omega, self.ntt.q)
 
     def generate(self) -> List[Command]:
         """The program as :class:`Command` objects (the reference form)."""

@@ -22,7 +22,7 @@ Its timing is one replay of its merged program's IR columns
 (:func:`cached_schedule`): the merge recipe builds the IR on a schedule
 miss, and the replay drops it, so no merged multi-bank program is
 compiled or kept.  Only what a bank runs compiles — each spec's
-one-bank stream (:func:`compile_dispatch`) — and only for a functional
+one-bank stream, which all its banks share — and only for a functional
 config, so a timing-only dispatch builds no plan.  Everything a
 dispatch derives from its shape alone is memoized per ``(specs, slots,
 config)`` as a :class:`DispatchShape`, so a warm dispatch makes one
@@ -65,7 +65,6 @@ from ..mapping.program_cache import (
     CachedProgram,
     cyclic_program,
     negacyclic_program,
-    programs_recipe_key,
 )
 from ..ntt.merged import merged_negacyclic_intt, merged_negacyclic_ntt
 from ..ntt.negacyclic import NegacyclicParams, psi_power_table
@@ -182,9 +181,9 @@ class TransformSpec:
         return self.ring.q if self.kind == "negacyclic" else self.params.q
 
     # -- per-bank artifacts ------------------------------------------------------
-    def program(self, config: SimConfig, bank: int,
-                slot: int = 0) -> CachedProgram:
-        """The (memoized) command program of one bank's slot ``slot``.
+    def program(self, config: SimConfig, slot: int = 0) -> CachedProgram:
+        """The (memoized) command program of slot ``slot``, on bank 0:
+        every bank running this spec shares it.
 
         Each slot owns its rows plus, under the out-of-place ablation,
         the mirror region its inter-row stages ping-pong through, so
@@ -195,9 +194,9 @@ class TransformSpec:
             1, self.n // config.arch.words_per_row)
         if self.kind == "negacyclic":
             return negacyclic_program(self.ring, config.arch, config.pim,
-                                      base_row, bank, inverse=self.inverse)
+                                      base_row, inverse=self.inverse)
         ntt = self.params.inverse() if self.inverse else self.params
-        return cyclic_program(ntt, config.arch, config.pim, base_row, bank,
+        return cyclic_program(ntt, config.arch, config.pim, base_row,
                               config.mapper_options)
 
     def load_layout(self, values: np.ndarray) -> np.ndarray:
@@ -364,38 +363,54 @@ def _run_bank_by_bank(spec: TransformSpec, values: np.ndarray,
     return banks, bu_ops
 
 
+def _slots_key(row: Sequence[CachedProgram]) -> Optional[tuple]:
+    """The structural key of one bank's slot programs back to back
+    (``None`` if one has no key: consumers then key by content)."""
+    if len(row) == 1:
+        return row[0].key
+    keys = tuple(p.key for p in row)
+    return None if None in keys else ("concat", keys, True)
+
+
+def _bank_stream(row: Sequence[CachedProgram],
+                 arch: ArchParams) -> CommandStream:
+    """The cached stream of one bank's slot programs back to back."""
+    return cached_stream(lambda: concat_irs([p.ir for p in row]), arch,
+                         key=_slots_key(row))
+
+
 def dispatch_recipe(specs: Sequence[TransformSpec], slots: int,
                     config: SimConfig):
     """The merge recipe of one dispatch: ``slots`` back-to-back
     transforms in each of ``len(specs)`` banks, bank ``k`` running
     ``specs[k]`` (kinds and directions may mix across banks).
 
-    Returns ``(programs, key, build)``: the per-bank slot programs
-    (``programs[bank][slot]``, through the program cache), the
-    structural key of the merged program and ``build``, a zero-argument
-    callable that builds its :class:`~repro.compile.ir.StreamIR`.  Each
-    bank's slots concatenate, dropping every PARAM_WRITE after the
-    first; the banks then interleave round-robin on the shared bus.
-    Both merges run vectorized over IR columns, bit-identical to the
-    per-command :func:`~repro.sim.batch.concat_programs` and
+    Returns ``(programs, key, build)``: the slot programs
+    ``programs[bank][slot]`` — each distinct spec looked up once per
+    slot, and its one row shared by all its banks — the structural key
+    of the merged program and ``build``, a zero-argument callable that
+    builds its :class:`~repro.compile.ir.StreamIR`.  Each bank's slots
+    concatenate, dropping every PARAM_WRITE after the first; the rows
+    then interleave round-robin on the shared bus, row ``k`` on bank
+    ``k``.  Both merges run vectorized over IR columns, bit-identical to
+    the per-command :func:`~repro.sim.batch.concat_programs` and
     :func:`~repro.sim.multibank.interleave_programs` references.  The
-    merged content is a pure function of the component programs, so
-    the recipe over their keys is an exact cache key, and a cache hit
-    never calls ``build``.  A lone program is keyed by its own key, and
-    ``build`` returns its IR.
+    merged content is a pure function of the rows in bank order, so the
+    recipe over their keys is an exact cache key (a one-bank dispatch's
+    is its row's), and a cache hit never calls ``build``.
     """
     if not specs or slots < 1:
         raise ValueError("a dispatch needs at least one bank and one slot")
-    programs = [[spec.program(config, bank, slot) for slot in range(slots)]
-                for bank, spec in enumerate(specs)]
-    keys = [row[0].key if slots == 1
-            else programs_recipe_key("concat", row, True)
-            for row in programs]
-    key = keys[0] if len(keys) == 1 else ("interleave", tuple(keys))
+    rows = {spec: [spec.program(config, slot) for slot in range(slots)]
+            for spec in dict.fromkeys(specs)}
+    programs = [rows[spec] for spec in specs]
+    key = (_slots_key(programs[0]) if len(specs) == 1
+           else ("interleave", tuple(map(_slots_key, programs))))
 
     def build() -> StreamIR:
-        return interleave_irs([concat_irs([p.ir for p in row])
-                               for row in programs])
+        irs = [concat_irs([p.ir for p in row]) for row in programs]
+        # One bank's row is already on bank 0: an interleave would copy it.
+        return irs[0] if len(irs) == 1 else interleave_irs(irs)
 
     return programs, key, build
 
@@ -414,7 +429,7 @@ def compile_dispatch(specs: Sequence[TransformSpec], slots: int,
     """
     programs, key, build = dispatch_recipe(specs, slots, config)
     if len(specs) == 1:
-        stream = cached_stream(build, config.arch, key=key)
+        stream = _bank_stream(programs[0], config.arch)
     else:
         stream = compile_stream(build(), config.arch)
     return programs, stream, key
@@ -437,8 +452,8 @@ _dispatch_cache = ArtifactCache(_MAX_DISPATCHES)
 @dataclass(frozen=True)
 class BankGroup:
     """The banks of one dispatch that run the same spec: ``members``
-    (bank indices, ascending), the slot programs and the compiled
-    stream of one bank, which the stack replays for all of them."""
+    (bank indices, ascending), the one row of slot programs they share
+    and its compiled stream, which the stack replays for all of them."""
 
     spec: TransformSpec
     members: Tuple[int, ...]
@@ -478,26 +493,17 @@ def _derive_shape(specs: Sequence[TransformSpec], slots: int,
     bank 0's first program's.  Only a functional config compiles, and
     only what its banks run: each bank group's one-bank stream."""
     programs, key, build = dispatch_recipe(specs, slots, config)
-    # What the schedule replays: the merged IR, built on a miss — or the
-    # dispatch's own stream when its one bank compiles it, so a batch's
-    # concat is built once.
-    source, groups = build, []
+    groups = []
     if config.functional:
-        # The banks of one spec run programs that differ only in their
-        # bank index, so a group replays bank 0's compiled stream once
-        # over a bank stack, equivalent to replaying the round-robin
-        # merge command by command.  One bank runs the dispatch's own
-        # stream.
+        # A group replays its spec's one stream over a bank stack, which
+        # equals replaying the round-robin merge command by command.
         for spec, members in _spec_groups(specs).items():
-            if len(specs) == 1:
-                group_programs = programs[0]
-                group_stream = source = cached_stream(build, config.arch,
-                                                      key=key)
-            else:
-                (group_programs,), group_stream, _ = compile_dispatch(
-                    [spec], slots, config)
-            groups.append(BankGroup(spec, tuple(members),
-                                    tuple(group_programs), group_stream))
+            row = programs[members[0]]
+            groups.append(BankGroup(spec, tuple(members), tuple(row),
+                                    _bank_stream(row, config.arch)))
+    # The schedule replays the merged IR, built on a miss, or a one-bank
+    # dispatch's group stream, so a batch's concat is built once.
+    source = groups[0].stream if groups and len(specs) == 1 else build
     compute = config.pim.compute_timing()
     schedule = cached_schedule(source, config.timing, config.arch, compute,
                                config.energy, key=key)

@@ -10,9 +10,10 @@ bus saturates.  A multi-bank dispatch is the kx1 shape of one dispatch
 :class:`~repro.sim.driver.TransformSpec` kinds, one per bank, whose
 vectorized round-robin merge (:func:`repro.compile.interleave_irs`) is
 bit-identical to :func:`interleave_programs`, the per-command reference
-kept here.  Functionally, the banks of one spec step through the same
-program in lockstep, so each spec group runs as one stacked pass of the
-one checker (:func:`~repro.sim.driver._run_bank`) with one check.
+kept here; both put program ``k`` on bank ``k``.  The banks of one
+spec share one program and step through it in lockstep, so each spec
+group runs as one stacked pass of the one checker
+(:func:`~repro.sim.driver._run_bank`) with one check.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ __all__ = ["TransformSpec", "interleave_programs"]
 
 
 def interleave_programs(programs: Sequence[List[Command]]) -> List[Command]:
-    """Round-robin merge of per-bank programs onto the shared bus.
+    """Round-robin merge of per-bank programs onto the shared bus,
+    program ``k`` on bank ``k``.
 
     Dependency indices are rewritten from per-program to merged
     positions.  Round-robin models an MC draining per-bank queues
@@ -47,7 +49,8 @@ def interleave_programs(programs: Sequence[List[Command]]) -> List[Command]:
                 continue
             cmd = program[cur]
             new_deps = tuple(index_maps[bank_idx][d] for d in cmd.deps)
-            merged.append(dataclasses.replace(cmd, deps=new_deps))
+            merged.append(dataclasses.replace(cmd, bank=bank_idx,
+                                              deps=new_deps))
             index_maps[bank_idx][cur] = len(merged) - 1
             cursors[bank_idx] = cur + 1
             remaining -= 1

@@ -84,7 +84,7 @@ def test_functional_runs_are_verified_and_timing_only_runs_are_not(
 
 
 def test_program_runs_are_never_verified():
-    program = TransformSpec(params=PARAMS).program(SimConfig(), 0)
+    program = TransformSpec(params=PARAMS).program(SimConfig())
     timing = ProgramRequest(commands=program.commands)
     functional = ProgramRequest(
         commands=program.commands, functional=True, modulus=PARAMS.q,

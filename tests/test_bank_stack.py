@@ -1,9 +1,9 @@
 """The bank-axis data plane: the lockstep banks of a dispatch run as one
-stacked pass of bank 0's compiled plan with one golden check.
+stacked pass of their spec's one compiled plan with one golden check.
 
 Every test here compares the stack against the per-bank loop it
 replaced, kept in this file as the reference: one full single
-:class:`PimBank` per bank, running that bank's own program.
+:class:`PimBank` per bank, running its spec's program.
 """
 
 import gc
@@ -17,18 +17,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import BankSpec, MultiBankRequest, Simulator
 from repro.arith import NttParams, find_ntt_prime
 from repro.arith.bitrev import bit_reverse_permute
 from repro.arith.modmath import mod_scale_vec
+from repro.compile.ir import StreamIR
 from repro.dram import Command, CommandType, HBM2E_ARCH, cached_stream, \
     compile_stream
 from repro.errors import FunctionalMismatch, MappingError
 from repro.mapping.mapper import MapperOptions
+from repro.mapping.program_cache import cached_programs
 from repro.ntt import NegacyclicParams
 from repro.pim.bank_pim import PimBank, touched_rows
 from repro.pim.params import PimParams
 from repro.sim.driver import SimConfig, TransformSpec, _run_dispatch, \
-    compile_dispatch
+    compile_dispatch, dispatch_recipe
 from test_engine_fuzz import _random_legal_program
 
 OPTIONS = [MapperOptions(in_place_update=a, group_same_row=b)
@@ -92,10 +95,10 @@ def _reference_bank(spec, slots, config, programs, stream):
 
 
 def _reference_multibank(inputs, specs, config):
-    """Every bank on its own program (bank index ``k``), one at a time."""
+    """Every bank on its own full single bank, one at a time."""
     outputs, banks = [], []
-    for k, (values, spec) in enumerate(zip(inputs, specs)):
-        program = spec.program(config, k)
+    for values, spec in zip(inputs, specs):
+        program = spec.program(config)
         stream = cached_stream(program.ir, config.arch, key=program.key)
         (output,), bank = _reference_bank(spec, [values], config, [program],
                                           stream)
@@ -188,26 +191,123 @@ def _plan_signature(plan) -> tuple:
             tuple(tuple(map(value, op)) for op in plan.ops))
 
 
+def _bank_slice(ir: StreamIR, bank: int) -> StreamIR:
+    """The commands a merged IR runs on ``bank``, in bus order, as a
+    one-bank program on bank 0.  Its twiddle and zeta tables are the
+    merged IR's, so its indices need no shift; every dependency maps
+    back to a position in the slice and must not leave it."""
+    rows = np.flatnonzero(ir.banks == bank)
+    local = np.full(ir.n, -1, dtype=np.int64)
+    local[rows] = np.arange(len(rows))
+    deps = ir.deps[rows]
+    deps = np.where(deps >= 0, local[deps], -1)
+    counted = np.arange(deps.shape[1]) < ir.dep_counts[rows, None]
+    assert (deps[counted] >= 0).all()
+    return StreamIR(
+        n=len(rows), codes=ir.codes[rows],
+        banks=np.zeros(len(rows), dtype=np.int64), rows=ir.rows[rows],
+        cols=ir.cols[rows], bufs=ir.bufs[rows], buf2s=ir.buf2s[rows],
+        lanes=ir.lanes[rows], payloads=ir.payloads[rows], gs=ir.gs[rows],
+        omega0_idx=ir.omega0_idx[rows], r_omega_idx=ir.r_omega_idx[rows],
+        zeta_idx=ir.zeta_idx[rows], twiddles=ir.twiddles,
+        zeta_rows=ir.zeta_rows, deps=deps, dep_counts=ir.dep_counts[rows])
+
+
 TABLE3 = [(n, nb) for nb in (2, 4, 6) for n in (256, 512, 1024, 2048, 4096)]
 
 
 @pytest.mark.parametrize("n,nb", TABLE3 + [("negacyclic", 4),
                                            ("negacyclic-inverse", 4)])
 def test_every_bank_compiles_bank_zeros_plan(n, nb):
-    """The stack replays bank 0's plan for every bank of a group, so the
-    compiled plan of every bank index must equal bank 0's."""
+    """The stack replays its spec's one plan for every bank of a group,
+    while the timing engine replays the merged stream, program ``k`` on
+    bank ``k``: every bank's slice of an 8-bank dispatch's merged IR
+    must compile to the plan of the spec's program."""
     if isinstance(n, str):
         spec = _spec("negacyclic", n.endswith("inverse"), 512, 32)
     else:
         spec = _spec("ntt", False, n, 32)
     config = SimConfig(pim=PimParams(nb_buffers=nb))
-    signatures = []
+    programs, _, build = dispatch_recipe([spec] * 8, 1, config)
+    (program,) = programs[0]
+    stream = cached_stream(program.ir, config.arch, key=program.key)
+    assert stream.plan is not None, stream.fallback_reason
+    expected = _plan_signature(stream.plan)
+    merged = build()
+    assert merged.n == 8 * program.ir.n
     for bank in range(8):
-        program = spec.program(config, bank)
-        stream = cached_stream(program.ir, config.arch, key=program.key)
-        assert stream.plan is not None, stream.fallback_reason
-        signatures.append(_plan_signature(stream.plan))
-    assert all(sig == signatures[0] for sig in signatures[1:])
+        sliced = compile_stream(_bank_slice(merged, bank), config.arch)
+        assert sliced.plan is not None, sliced.fallback_reason
+        assert _plan_signature(sliced.plan) == expected
+
+
+def _cold_run(request, functional):
+    """The program-cache deltas of one cold run of ``request`` and the
+    programs it left cached."""
+    Simulator.clear_caches()
+    response = Simulator(SimConfig(functional=functional)).run(request)
+    assert response.verified == functional
+    programs = cached_programs()
+    Simulator.clear_caches()
+    return response.cache["program"], programs
+
+
+def _rows(spec, count, seed):
+    rng = random.Random(seed)
+    return tuple(tuple(rng.randrange(spec.q) for _ in range(spec.n))
+                 for _ in range(count))
+
+
+@pytest.mark.parametrize("functional", [False, True],
+                         ids=["timing-only", "functional"])
+def test_a_cold_homogeneous_dispatch_maps_one_program(functional):
+    """Programs are bank-relative: a cold 8-bank N=512 dispatch looks
+    its one program up once and leaves it, on bank 0, as the only
+    cached program."""
+    spec = _spec("ntt", False, 512, 32)
+    deltas, programs = _cold_run(MultiBankRequest(
+        params=spec.params, inputs=_rows(spec, 8, 8)), functional)
+    assert deltas == {"hits": 0, "misses": 1, "entries": 1}
+    (program,) = programs
+    assert not program.ir.banks.any()
+
+
+@pytest.mark.parametrize("functional", [False, True],
+                         ids=["timing-only", "functional"])
+def test_a_cold_mixed_dispatch_maps_one_program_per_spec(functional):
+    """A cold (ntt, ntt, negacyclic, negacyclic) dispatch maps its two
+    specs once each, functional runs included: a bank group compiles
+    the row of programs the recipe mapped, not a second recipe."""
+    cyclic = _spec("ntt", False, 256, 32)
+    negacyclic = _spec("negacyclic", False, 256, 32)
+    request = MultiBankRequest(
+        specs=(BankSpec(params=cyclic.params),) * 2
+        + (BankSpec(ring=negacyclic.ring),) * 2,
+        inputs=_rows(cyclic, 2, 1) + _rows(negacyclic, 2, 2))
+    deltas, programs = _cold_run(request, functional)
+    assert deltas == {"hits": 0, "misses": 2, "entries": 2}
+    assert len(programs) == 2
+
+
+def test_the_recipe_hands_every_bank_of_a_spec_one_program():
+    """``dispatch_recipe`` looks each distinct spec up once per slot and
+    gives every bank of the spec those same program objects; the merge
+    places bank ``k``'s row on bank ``k``."""
+    cyclic = _spec("ntt", False, 256, 32)
+    negacyclic = _spec("negacyclic", True, 256, 32)
+    specs = [cyclic, negacyclic, cyclic, cyclic, negacyclic]
+    config = SimConfig()
+    programs, _, build = dispatch_recipe(specs, 2, config)
+    for bank, spec in enumerate(specs):
+        first = programs[specs.index(spec)]
+        assert all(program is first[slot] is spec.program(config, slot)
+                   for slot, program in enumerate(programs[bank]))
+    assert programs[0][0] is not programs[0][1]
+    assert programs[0][0] is not programs[1][0]
+    merged = build()
+    assert np.unique(merged.banks).tolist() == list(range(len(specs)))
+    assert np.bincount(merged.banks).tolist() == [
+        sum(program.ir.n for program in row) - 1 for row in programs]
 
 
 @pytest.mark.parametrize("flipped", range(8))

@@ -109,7 +109,7 @@ TABLE3 = [(n, nb) for n in (256, 512, 1024, 2048, 4096) for nb in (2, 4, 6)]
 
 def _plan_memory_ops(spec, nb):
     config = SimConfig(pim=PimParams(nb_buffers=nb))
-    plan = compile_stream(spec.program(config, 0).commands, config.arch).plan
+    plan = compile_stream(spec.program(config).commands, config.arch).plan
     return [(op[0], len(op[1])) for op in plan.ops
             if op[0] in ("read", "write")]
 
@@ -205,7 +205,7 @@ class TestSlotsAndViews:
     @staticmethod
     def _plan(spec, nb):
         config = SimConfig(pim=PimParams(nb_buffers=nb))
-        return compile_stream(spec.program(config, 0).commands,
+        return compile_stream(spec.program(config).commands,
                               config.arch).plan
 
     @pytest.mark.parametrize("kind,n,nb", [("ntt", n, nb) for n, nb in TABLE3]
@@ -262,8 +262,8 @@ class TestSlotsAndViews:
         config = SimConfig()
         real_program = TransformSpec.program
 
-        def perturbed(self, config, bank, slot=0):
-            program = real_program(self, config, bank, slot)
+        def perturbed(self, config, slot=0):
+            program = real_program(self, config, slot)
             commands = list(program.commands)
             i = next(i for i, cmd in enumerate(commands)
                      if cmd.ctype is CommandType.C2)
@@ -276,7 +276,7 @@ class TestSlotsAndViews:
                 key=("perturbed C2 pairing", program.key))
 
         _fused_equals_per_command(
-            list(perturbed(spec, config, 0).commands), spec.q)
+            list(perturbed(spec, config).commands), spec.q)
         monkeypatch.setattr(TransformSpec, "program", perturbed)
         rng = random.Random(n)
         inputs = [[[rng.randrange(spec.q) for _ in range(n)]]
@@ -395,7 +395,7 @@ class TestMergePasses:
                  TransformSpec(kind="negacyclic",
                                ring=NegacyclicParams(
                                    n, find_ntt_prime(n, 32, negacyclic=True)))]
-        programs = [s.program(config, k) for k, s in enumerate(specs)]
+        programs = [s.program(config) for s in specs]
         merged_legacy = interleave_programs([p.commands for p in programs])
         ir = interleave_irs([StreamIR.from_commands(p.commands)
                              for p in programs])
@@ -412,16 +412,16 @@ class TestMergePasses:
 
     @staticmethod
     def _mapper_programs(n=256, slots=1):
-        """Slot programs of a cyclic bank 0 and a negacyclic bank 1: two
-        moduli, two twiddle tables, zeta rows on one side only."""
+        """Slot programs of a cyclic and a negacyclic bank: two moduli,
+        two twiddle tables, zeta rows on one side only."""
         config = SimConfig()
         specs = [TransformSpec(kind="ntt",
                                params=NttParams(n, find_ntt_prime(n, 32))),
                  TransformSpec(kind="negacyclic",
                                ring=NegacyclicParams(
                                    n, find_ntt_prime(n, 32, negacyclic=True)))]
-        return [[spec.program(config, bank, slot) for slot in range(slots)]
-                for bank, spec in enumerate(specs)]
+        return [[spec.program(config, slot) for slot in range(slots)]
+                for spec in specs]
 
     def test_interleave_of_mapper_irs_matches_legacy(self):
         cyclic, negacyclic = (row[0] for row in self._mapper_programs())
@@ -493,8 +493,8 @@ class TestPerBankPlans:
         assert stream.plan is None
         assert stream.fallback_reason == (
             f"stream spans {banks} banks; plans are per bank")
-        # The merged program is legal, and each bank's own stream (on
-        # its own bank id) still fuses.
+        # The merged program is legal, and each bank's own one-bank
+        # stream still fuses.
         engine = TimingEngine(HBM2E_TIMING, HBM2E_ARCH)
         assert engine.simulate_stream(stream).total_cycles > 0
         for row in programs:
@@ -655,22 +655,21 @@ class TestIrConstruction:
            log_n=st.integers(min_value=3, max_value=9),
            nb=st.sampled_from([1, 2, 3, 4, 5, 6, 8]),
            in_place=st.booleans(), group=st.booleans(),
-           base_row=st.integers(min_value=0, max_value=40),
-           bank=st.integers(min_value=0, max_value=7))
+           base_row=st.integers(min_value=0, max_value=40))
     def test_mapper_ir_round_trips(self, kind, log_n, nb, in_place, group,
-                                   base_row, bank):
+                                   base_row):
         n = 1 << log_n
         pim = PimParams(nb_buffers=nb)
         Simulator.clear_caches()
         if kind == "ntt":
             program = cyclic_program(
                 NttParams(n, find_ntt_prime(n, 32)), HBM2E_ARCH, pim,
-                base_row, bank, MapperOptions(in_place, group))
+                base_row, MapperOptions(in_place, group))
         else:
             assume(nb >= 2)
             program = negacyclic_program(
                 NegacyclicParams(n, find_ntt_prime(n, 32, negacyclic=True)),
-                HBM2E_ARCH, pim, base_row, bank,
+                HBM2E_ARCH, pim, base_row,
                 inverse=kind.startswith("inverse"))
         ir = program.ir
 

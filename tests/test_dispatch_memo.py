@@ -122,8 +122,8 @@ def test_a_homogeneous_multibank_request_lowers_to_one_spec():
 def _swap_first_c2(real_program):
     """``TransformSpec.program`` with the P and S buffers of its first C2
     swapped (``tests/test_compile.py``'s perturbed pairing)."""
-    def perturbed(self, config, bank, slot=0):
-        program = real_program(self, config, bank, slot)
+    def perturbed(self, config, slot=0):
+        program = real_program(self, config, slot)
         commands = list(program.commands)
         i = next(i for i, cmd in enumerate(commands)
                  if cmd.ctype is CommandType.C2)

@@ -10,8 +10,6 @@ class TestArchParams:
         assert HBM2E_ARCH.atom_bytes == 32
         assert HBM2E_ARCH.columns_per_row == 32
         assert HBM2E_ARCH.rows_per_bank == 32768
-        assert HBM2E_ARCH.banks == 1
-        assert HBM2E_ARCH.ranks == 1
 
     def test_derived_quantities(self):
         assert HBM2E_ARCH.words_per_atom == 8      # Na

@@ -93,7 +93,7 @@ class TestSchedulePropertiesAcrossConfigs:
         """Protocol invariant re-checked structurally on the command list."""
         config = SimConfig(functional=False)
         cmds = TransformSpec(params=NttParams(2048, Q32)).program(
-            config, 0).commands
+            config).commands
         open_row = None
         for c in cmds:
             if c.ctype is CommandType.ACT:

@@ -51,12 +51,13 @@ def _field(draw, ctype, name: str, top: int) -> int:
 
 
 @st.composite
-def programs(draw, max_len=24):
-    """A hand-built program: protocol-legal but for at most one command
-    of any type with any row (so the engines get past the first few
-    commands), every field its type needs, 0–6 backward dependencies
-    per command and at most one invalid one.  A field the command's
-    type requires may be negative (:func:`_field`)."""
+def programs(draw, max_len=24, banks=st.just(0)):
+    """A hand-built program: protocol-legal as one bank's program but for
+    at most one command of any type with any row (so the engines get
+    past the first few commands), every field its type needs, 0–6
+    backward dependencies per command and at most one invalid one.  A
+    field the command's type requires may be negative (:func:`_field`).
+    Each command's bank is drawn from ``banks``."""
     cmds = []
     open_row = None
     length = draw(st.integers(0, max_len))
@@ -81,7 +82,8 @@ def programs(draw, max_len=24):
             bad = draw(st.sampled_from([-2, -1, i, i + 1, i + 7]))
             deps.insert(draw(st.integers(0, len(deps))), bad)
         cmds.append(Command(
-            ctype, bank=0, row=row, col=_field(draw, ctype, "col", 31),
+            ctype, bank=draw(banks), row=row,
+            col=_field(draw, ctype, "col", 31),
             buf=_field(draw, ctype, "buf", 3),
             buf2=_field(draw, ctype, "buf2", 3),
             lane=_field(draw, ctype, "lane", 9),
@@ -138,13 +140,19 @@ def test_stream_replay_matches_the_per_command_engine(cmds):
     assert _outcome(lambda: engine.simulate_stream(stream)) == expected
 
 
+_ANY_BANK = st.integers(0, 7)
+
+
 @settings(max_examples=50, deadline=None)
-@given(first=programs(max_len=12), second=programs(max_len=12))
+@given(first=programs(max_len=12, banks=_ANY_BANK),
+       second=programs(max_len=12, banks=_ANY_BANK))
 def test_merges_match_the_per_command_references(first, second):
-    """A concat drops every dependency that does not point back into
-    its own program, or that lands on a dropped PARAM_WRITE, and
-    compacts the row; an interleave raises the reference's KeyError
-    for such a dependency, at the same one."""
+    """A concat keeps each command's bank, drops every dependency that
+    does not point back into its own program, or that lands on a
+    dropped PARAM_WRITE, and compacts the row; an interleave, a lone
+    program's included, runs program ``k`` on bank ``k`` whatever bank
+    its commands named, and raises the reference's KeyError for such a
+    dependency, at the same one."""
     # Open `second` with a PARAM_WRITE that every command depends on
     # first: the concat drops it, so every row of `second` compacts.
     second = [Command(CT.PARAM_WRITE, payload_words=6)] + [
@@ -157,11 +165,16 @@ def test_merges_match_the_per_command_references(first, second):
     slots = [first, second, third]
     merged = concat_irs([_from_columns(p) for p in slots])
     assert merged.materialize_commands() == tuple(concat_programs(slots))
-    for slots in ([first, second, first], [second, third]):
+    for slots in ([first], [first, second, first], [second, third]):
         expected = _merge_outcome(lambda: tuple(interleave_programs(slots)))
         assert _merge_outcome(lambda: interleave_irs(
             [_from_columns(p) for p in slots]).materialize_commands()
         ) == expected
+        if not isinstance(expected, str):
+            # Round-robin: position p of every program long enough.
+            owners = [k for p in range(max(map(len, slots)))
+                      for k, program in enumerate(slots) if p < len(program)]
+            assert [c.bank for c in expected] == owners
     if third:
         assert expected.startswith("KeyError")
 

@@ -243,8 +243,8 @@ class TestPinnedPrograms:
     A deliberate change to the mapping updates ``DIGEST`` with it.
     """
 
-    DIGEST = ("61e134d3add3324a542120f13d8a9464"
-              "c5a8c52255ba45a8f01f09c8ca0d33a3")
+    DIGEST = ("3314a964cac39c0745cf8df0bd9d2228"
+              "4f0e9225d2807c9d2d281860dc8cd57e")
 
     @staticmethod
     def _programs():
@@ -257,11 +257,10 @@ class TestPinnedPrograms:
                 pim = PimParams(nb_buffers=nb)
                 for opts in options:
                     yield NttMapper(NttParams(n, Q), HBM2E_ARCH, pim,
-                                    base_row=7, bank=3, options=opts)
+                                    base_row=7, options=opts)
                 for inverse in (False, True):
                     yield NegacyclicNttMapper(ring, HBM2E_ARCH, pim,
-                                              base_row=7, bank=3,
-                                              inverse=inverse)
+                                              base_row=7, inverse=inverse)
 
     def test_program_digest(self):
         h = hashlib.sha256()
@@ -282,17 +281,17 @@ class TestPinnedSingleBufferPrograms:
     """The Nb=1 single-buffer programs (LOAD/BU/STORE µ-ops), pinned by
     digest the same way as :class:`TestPinnedPrograms`."""
 
-    DIGEST = ("c35a2cc1ffb5ee7082dd37da470799eb"
-              "cacc2520e17353ba2e411173cd31dc28")
+    DIGEST = ("0712adcda73d83a2bfda45a91a68a918"
+              "296cca561443c5c253b908be7bb688a4")
 
     def test_program_digest(self):
         pim = PimParams(nb_buffers=1)
         h = hashlib.sha256()
         count = 0
         for n in (64, 256, 1024):
-            for base_row, bank in ((0, 0), (7, 3)):
+            for base_row in (0, 7):
                 mapper = SingleBufferMapper(NttParams(n, Q), HBM2E_ARCH, pim,
-                                            base_row=base_row, bank=bank)
+                                            base_row=base_row)
                 for c in mapper.generate():
                     h.update(repr((c.ctype.value, c.bank, c.row, c.col,
                                    c.buf, c.buf2, c.lane, c.omega0,

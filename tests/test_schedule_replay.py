@@ -65,7 +65,7 @@ NO_LOOKUP = {"hits": 0, "misses": 0, "entries": 0}
 
 
 def _program():
-    return TransformSpec(params=PARAMS).program(SimConfig(), 0)
+    return TransformSpec(params=PARAMS).program(SimConfig())
 
 
 def _banks_spanned(stream) -> int:

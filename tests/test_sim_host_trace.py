@@ -18,7 +18,7 @@ Q = find_ntt_prime(1024, 32)
 class TestTrace:
     def _program(self):
         return TransformSpec(params=NttParams(256, Q)).program(
-            SimConfig(), 0).commands
+            SimConfig()).commands
 
     def test_format_untimed(self):
         cmds = self._program()

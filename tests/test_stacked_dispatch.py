@@ -92,7 +92,7 @@ def _request(kind: str, n: int, inverse: bool, seed: int):
                             b=_poly(seed + 1, ring.q, n)
                             if op == "multiply" else None,
                             native=inverse)
-    program = TransformSpec(params=params).program(SimConfig(), 0)
+    program = TransformSpec(params=params).program(SimConfig())
     return ProgramRequest(
         commands=program.commands, functional=True, modulus=params.q,
         memory=((program.base_row, tuple(_poly(2 * seed, params.q, n))),),

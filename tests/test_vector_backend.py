@@ -483,7 +483,7 @@ def test_per_command_bank_uses_no_lane_kernel(monkeypatch, kind):
     spec = (TransformSpec(params=NttParams(n, q)) if kind == "ntt" else
             TransformSpec(kind="negacyclic", ring=NegacyclicParams(n, q)))
     config = SimConfig()
-    program = spec.program(config, 0)
+    program = spec.program(config)
     commands = list(program.commands)
     rng = random.Random(n)
     x = [rng.randrange(q) for _ in range(n)]
