@@ -1,8 +1,10 @@
 """The pass-based IR compiler: pipeline bit-identity against the legacy
 per-command engine, the merge passes against the legacy mergers, Nb=1
-lane fusion, and the public ``repro.compile`` API surface."""
+lane fusion, the public ``repro.compile`` API surface, the pinned plans
+and the grouping pass's leveling."""
 
 import dataclasses
+import hashlib
 import random
 
 import numpy as np
@@ -23,8 +25,10 @@ from repro.api import (
 )
 from repro.arith import NttParams, find_ntt_prime
 from repro.arith.bitrev import bit_reverse_permute
+from repro.compile import passes
 from repro.compile.ir import StreamIR
 from repro.compile.lower import concat_irs, interleave_irs
+from repro.compile.passes import build_plan
 from repro.dram import (
     Command,
     CommandType,
@@ -697,3 +701,106 @@ class TestIrConstruction:
                               compute=pim.compute_timing())
         assert (engine.simulate(program.commands)
                 == engine.simulate_stream(compile_stream(ir, HBM2E_ARCH)))
+
+
+def _feed(h, value):
+    """Hash ``value`` into ``h`` exactly: arrays by dtype, shape and
+    bytes; tuples and lists element by element; scalars by type and
+    ``repr`` (so a NumPy scalar never passes for a Python int)."""
+    if isinstance(value, np.ndarray):
+        h.update(f"a{value.dtype.str}{value.shape}".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    elif isinstance(value, (tuple, list)):
+        h.update(f"{type(value).__name__}{len(value)}(".encode())
+        for item in value:
+            _feed(h, item)
+        h.update(b")")
+    else:
+        h.update(f"{type(value).__name__}:{value!r};".encode())
+
+
+def _pinned_irs():
+    """The programs whose plans are pinned: the 15 Table III programs,
+    N=512 negacyclic forward and inverse, N=1024 Nb=4 with each mapper
+    switch off, a 3-slot N=256 batch concat and the Nb=1 N=256 lane
+    program."""
+    def config(nb, options=MapperOptions()):
+        return SimConfig(pim=PimParams(nb_buffers=nb), mapper_options=options)
+
+    def cyclic(n):
+        return TransformSpec(params=NttParams(n, find_ntt_prime(n, 32)))
+
+    irs = [cyclic(n).program(config(nb)).ir for n, nb in TABLE3]
+    ring = NegacyclicParams(512, find_ntt_prime(512, 32, negacyclic=True))
+    irs += [TransformSpec(kind="negacyclic", ring=ring, inverse=inverse)
+            .program(config(2)).ir for inverse in (False, True)]
+    irs += [cyclic(1024).program(config(4, options)).ir
+            for options in (MapperOptions(in_place_update=False),
+                            MapperOptions(group_same_row=False))]
+    irs.append(concat_irs([cyclic(256).program(config(2), slot).ir
+                           for slot in range(3)]))
+    irs.append(cyclic(256).program(config(1)).ir)
+    return irs
+
+
+class TestPinnedPlans:
+    """The plans themselves, not only their outputs: a regrouped or
+    re-slotted plan can run every fuzz correctly and still slow the warm
+    bank stacks, so one digest pins every field of every plan."""
+
+    DIGEST = ("5ccba75840790085f592d4f0065edb0e"
+              "6b03dad6416812cbd62b19f7e0227ddf")
+
+    def test_plans_match_the_pinned_digest(self):
+        Simulator.clear_caches()
+        h = hashlib.sha256()
+        for ir in _pinned_irs():
+            plan, reason, _ = build_plan(ir, HBM2E_ARCH)
+            assert reason is None
+            for field in dataclasses.fields(plan):
+                h.update(field.name.encode())
+                _feed(h, getattr(plan, field.name))
+        assert h.hexdigest() == self.DIGEST
+
+
+def _levels_by_dp(n, edges):
+    """Longest-path depth per node, by a plain-Python DP in topological
+    order (Kahn's queue)."""
+    succs = [[] for _ in range(n)]
+    indeg = [0] * n
+    for u, v in edges:
+        succs[u].append(v)
+        indeg[v] += 1
+    depth = [0] * n
+    ready = [v for v in range(n) if indeg[v] == 0]
+    while ready:
+        u = ready.pop()
+        for v in succs[u]:
+            depth[v] = max(depth[v], depth[u] + 1)
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                ready.append(v)
+    return depth
+
+
+class TestLeveling:
+    """The grouping pass's leveling is the longest-path depth of every
+    node, whatever the node numbering."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(min_value=0, max_value=300))
+    def test_levels_equal_the_longest_path_dp(self, data, n):
+        # Edges run forward in a random topological order, so they need
+        # not point forward in node numbering; repeats are parallel
+        # edges, and nodes no pair names stay isolated.
+        order = data.draw(st.permutations(range(n))) if n else []
+        pairs = data.draw(st.lists(
+            st.tuples(st.integers(0, max(n - 1, 0)),
+                      st.integers(0, max(n - 1, 0))),
+            max_size=3 * n))
+        edges = [(order[min(a, b)], order[max(a, b)])
+                 for a, b in pairs if a != b]
+        src = np.array([u for u, _ in edges], dtype=np.int64)
+        dst = np.array([v for _, v in edges], dtype=np.int64)
+        levels = passes._longest_path_levels(n, src, dst)
+        assert levels.tolist() == _levels_by_dp(n, edges)
