@@ -6,14 +6,11 @@ the construction of a full simulation stack on those parameters.
 
 from repro.dram import HBM2E_ARCH, HBM2E_TIMING, TimingEngine
 from repro.experiments.report import format_table
-from repro.pim import PimParams
 
 
 def test_table1_parameters(benchmark, show):
     def build():
-        engine = TimingEngine(HBM2E_TIMING, HBM2E_ARCH,
-                              compute=PimParams().compute_timing())
-        return engine
+        return TimingEngine(HBM2E_TIMING, HBM2E_ARCH)
 
     engine = benchmark(build)
     a, t = engine.arch, engine.timing

@@ -82,8 +82,7 @@ def run(ns=(1024, 4096), repeats: int = 5,
         params = NttParams(n, q)
         config = SimConfig()
         commands = TransformSpec(params=params).program(config).commands
-        engine = TimingEngine(HBM2E_TIMING, HBM2E_ARCH,
-                              compute=config.pim.compute_timing())
+        engine = TimingEngine(HBM2E_TIMING, HBM2E_ARCH)
 
         # Cold compile = full IR pipeline every call (compile_stream
         # never caches); warm = structural stream-cache hit.  The host
@@ -399,8 +398,7 @@ def test_stream_engine_smoke(show, tmp_path):
     config = SimConfig()
     spec = TransformSpec(params=NttParams(n, q))
     commands = spec.program(config).commands
-    engine = TimingEngine(HBM2E_TIMING, HBM2E_ARCH,
-                          compute=config.pim.compute_timing())
+    engine = TimingEngine(HBM2E_TIMING, HBM2E_ARCH)
     stream = compile_stream(commands, HBM2E_ARCH)
     legacy = engine.simulate(commands)
     streamed = engine.simulate_stream(stream)

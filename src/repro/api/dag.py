@@ -288,17 +288,14 @@ def run_dag_workload(config: SimConfig, request: DagRequest) -> SimResponse:
 
     sim = Simulator(config)
     responses: Dict[str, SimResponse] = {}
-    finish: Dict[str, float] = {}
     order = request.topological_order()
     for name in order:
         bound = request.bound_request(
             name, {p: responses[p].values for p in request.parents(name)},
             functional=config.functional)
-        response = sim.run(bound)
-        responses[name] = response
-        finish[name] = response.latency_us + max(
-            (finish[p] for p in request.parents(name)), default=0.0)
-    critical_path_us = max(finish.values())
+        responses[name] = sim.run(bound)
+    critical_path_us = request.critical_path_us(
+        {name: response.latency_us for name, response in responses.items()})
     total_latency_us = sum(r.latency_us for r in responses.values())
     metrics: Dict[str, object] = {
         "stages": len(order),

@@ -313,14 +313,6 @@ class MultiBankRequest(SimRequest):
         """Per-bank polynomial length (homogeneous form only)."""
         return self.ring.n if self.ring is not None else self.params.n
 
-    def bank_specs(self) -> Tuple["BankSpec", ...]:
-        """One :class:`BankSpec` per bank, whichever form was used."""
-        if self.specs is not None:
-            return self.specs
-        return tuple(BankSpec(params=self.params, ring=self.ring,
-                              inverse=self.inverse)
-                     for _ in self.inputs)
-
     def validate(self) -> None:
         if len(self.inputs) < 1:
             raise RequestValidationError("need at least one bank's input")
@@ -441,66 +433,22 @@ class KyberKemRequest(SimRequest):
 
 @dataclass(frozen=True)
 class ProgramRequest(SimRequest):
-    """Run a raw command program (the Fig. 5/6 micro-study windows).
+    """Time a raw command program (the Fig. 5/6 micro-study windows).
 
-    By default the program runs through the timing engine only; buffer
-    depth and clocking come from the simulator's
-    :class:`~repro.sim.driver.SimConfig`.
-
-    With ``functional=True`` the program also executes on the
-    functional bank model: ``memory`` rows are host-written first
-    (``(base_row, words)`` pairs, exactly as the Sec. IV.A protocol
-    leaves the input "already in memory"), ``modulus`` (odd, in
-    ``[3, 2**64)``) is staged for the program's PARAM_WRITE, and after
-    execution the bank-resident ``read_rows`` window
-    (``(base_row, length)``) is read back into ``SimResponse.values`` —
-    the same envelope shape every other workload returns.
+    The program runs through the timing engine only: buffer depth and
+    clocking come from the simulator's
+    :class:`~repro.sim.driver.SimConfig`, and the response carries
+    cycles, energy and command counts but no values.
     """
 
     workload: ClassVar[str] = "program"
 
     commands: Tuple[Command, ...] = ()
     label: str = ""
-    functional: bool = False
-    modulus: Optional[int] = None
-    #: Host-preloaded bank rows: ``(base_row, words)`` pairs.
-    memory: Tuple[Tuple[int, Tuple[int, ...]], ...] = ()
-    #: Result window to read back: ``(base_row, length)``.
-    read_rows: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "commands", tuple(self.commands))
-        object.__setattr__(
-            self, "memory",
-            tuple((int(row), tuple(words)) for row, words in self.memory))
-        if self.read_rows is not None:
-            object.__setattr__(self, "read_rows", tuple(self.read_rows))
 
     def validate(self) -> None:
         if len(self.commands) < 1:
             raise RequestValidationError("need at least one command")
-        if not self.functional:
-            if self.modulus is not None or self.memory or self.read_rows:
-                raise RequestValidationError(
-                    "modulus/memory/read_rows require functional=True")
-            return
-        if self.modulus is not None and not (
-                3 <= self.modulus < _BANK_WORD_LIMIT and self.modulus % 2):
-            # The Montgomery BU's range (arith/montgomery.py): odd, > 2,
-            # and every residue must fit a bank word.
-            raise RequestValidationError(
-                f"modulus must be odd and in [3, 2**64), got {self.modulus}")
-        for row, words in self.memory:
-            if row < 0:
-                raise RequestValidationError("memory base_row must be >= 0")
-            if not words:
-                raise RequestValidationError(
-                    f"memory row {row}: need at least one word")
-            # Without a modulus the words are raw 64-bit bank words.
-            _check_values(f"memory row {row}", words, None,
-                          self.modulus or _BANK_WORD_LIMIT)
-        if self.read_rows is not None:
-            base, length = self.read_rows
-            if base < 0 or length < 1:
-                raise RequestValidationError(
-                    "read_rows must be a (base_row >= 0, length >= 1) pair")

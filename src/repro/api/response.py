@@ -39,9 +39,10 @@ class SimResponse:
     #: passed its online check (:meth:`repro.sim.driver.TransformSpec.check`,
     #: Freivalds' dot products against the golden transform's
     #: transpose; a failure raises :class:`~repro.errors.FunctionalMismatch`
-    #: instead).  Timing-only and ``program`` runs are never verified.  For
-    #: prime ``q`` a wrong output passes with probability at most
-    #: ``(q-1)^-K <= 2^-60`` and one wrong word never passes; the check's
+    #: instead).  Timing-only runs and ``program`` windows (which return
+    #: no values) are never verified.  For prime ``q`` a wrong output
+    #: passes with probability at most ``(q-1)^-K <= 2^-60`` and one
+    #: wrong word never passes; the check's
     #: rows are fixed per transform, so the bound does not hold against
     #: adversarially chosen outputs.
     verified: bool = False

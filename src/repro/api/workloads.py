@@ -16,7 +16,6 @@ from typing import List, Optional, Tuple
 
 from ..arith.vector import is_array
 from ..dram.engine import ScheduleResult
-from ..dram.stream import cached_stream
 from ..sim.driver import BankStacks, SimConfig, TransformSpec, \
     cached_schedule, lookup_dispatch
 from .registry import register_workload
@@ -226,36 +225,13 @@ def run_kyber_kem_workload(config: SimConfig,
 @register_workload("program")
 def run_program_workload(config: SimConfig,
                          request: ProgramRequest) -> SimResponse:
-    """Raw command-window run (the Fig. 5/6 micro-studies).
-
-    Timing always; with ``request.functional=True`` (and the config's
-    ``functional`` switch on) the program also executes on the bank
-    model and the ``read_rows`` window comes back in ``values``.  Only
-    that bank run compiles the program (and the timing replays the
-    compiled stream's IR); a timing-only run replays the program's
-    columns and compiles nothing.
-    """
-    functional = request.functional and config.functional
-    program = (cached_stream(request.commands, config.arch) if functional
-               else request.commands)
-    schedule = cached_schedule(program, config.timing, config.arch,
-                               config.pim.compute_timing(), config.energy)
+    """Raw command-window run (the Fig. 5/6 micro-studies): the timing
+    replay of the program's IR columns, which compiles nothing.  A
+    window returns no values, so every functional response the facade
+    returns comes from a verified transform."""
+    schedule = cached_schedule(request.commands, config.timing,
+                               config.arch, config.energy)
     response = response_from_schedule("program", schedule)
-    if functional:
-        # Lazy import for the same one-way reason as the FHE handler.
-        from ..pim.bank_pim import PimBank
-
-        bank = PimBank(config.arch, config.pim)
-        if request.modulus is not None:
-            bank.set_parameters(request.modulus)
-        for base_row, words in request.memory:
-            bank.load_polynomial(base_row, list(words))
-        bank.run_stream(program)
-        if request.read_rows is not None:
-            base, length = request.read_rows
-            response.values = bank.read_polynomial(base, length)
-        if bank.cu.bu_ops:
-            response.counters["bu_ops"] = bank.cu.bu_ops
     if request.label:
         response.metrics["label"] = request.label
     return response

@@ -5,7 +5,6 @@ Public surface re-exported for convenience::
     from repro.arith import mod_mul, MontgomeryContext, find_ntt_prime, NttParams
 """
 
-from .barrett import BarrettContext, barrett_reduce
 from .bitrev import (
     bit_reverse,
     bit_reverse_indices,
@@ -45,8 +44,6 @@ from .roots import (
 )
 
 __all__ = [
-    "BarrettContext",
-    "barrett_reduce",
     "bit_reverse",
     "bit_reverse_indices",
     "bit_reverse_permute",

@@ -52,8 +52,7 @@ def _rows(frontend: ClusterFrontend) -> List[List[str]]:
             str(sum(1 for state, _ in hb.breakers.values()
                     if state == "open")),
             str(snap.get("completed", 0)),
-            str(snap.get("failed", 0) + snap.get("expired", 0)
-                + snap.get("shed", 0)),
+            str(snap.get("failed", 0) + snap.get("expired", 0)),
             f"{snap.get('latency_p50_us', 0.0):.1f}",
             f"{snap.get('latency_p99_us', 0.0):.1f}",
             f"{snap.get('goodput_rps', 0.0):.0f}",

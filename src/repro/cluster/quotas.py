@@ -11,9 +11,7 @@ its own goodput, not the cluster's.
 Degradation is priority-aware rather than all-or-nothing: a quota may
 grant an *overdraft* (extra tokens below zero) that only requests at or
 above ``min_priority`` may spend.  Under pressure a tenant's urgent
-traffic keeps landing while its bulk traffic sheds first — the same
-shed-lowest-priority-first posture the in-replica scheduler takes when
-a queue overflows.
+traffic keeps landing while its bulk traffic is throttled first.
 
 Everything runs on the deterministic virtual clock (token refill is a
 pure function of elapsed virtual time), so admission decisions replay

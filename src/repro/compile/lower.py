@@ -151,12 +151,11 @@ def interleave_irs(programs) -> StreamIR:
     return _merged(irs, order, new_of_old, "interleave")
 
 
-def concat_irs(programs, skip_leading_param: bool = True) -> StreamIR:
+def concat_irs(programs) -> StreamIR:
     """Back-to-back merge of per-polynomial programs in one bank.
 
-    With ``skip_leading_param`` the PARAM_WRITE opening every program
-    after the first is dropped (the modulus registers are already
-    loaded) — bit-identical to
+    The PARAM_WRITE opening every program after the first is dropped
+    (the modulus registers are already loaded) — bit-identical to
     :func:`repro.sim.batch.concat_programs`.
     """
     irs = [as_ir(p) for p in programs]
@@ -164,10 +163,9 @@ def concat_irs(programs, skip_leading_param: bool = True) -> StreamIR:
         return irs[0]
     starts = np.cumsum([0] + [ir.n for ir in irs])
     keep = np.ones(starts[-1], dtype=np.bool_)
-    if skip_leading_param:
-        for start, ir in zip(starts[1:].tolist(), irs[1:]):
-            if ir.n and ir.codes[0] == _CODE_PARAM:
-                keep[start] = False
+    for start, ir in zip(starts[1:].tolist(), irs[1:]):
+        if ir.n and ir.codes[0] == _CODE_PARAM:
+            keep[start] = False
     new_of_old = np.where(keep, np.cumsum(keep, dtype=np.int64) - 1, -1)
     kept = np.nonzero(keep)[0]
     return _merged(irs, kept, new_of_old, "concat")

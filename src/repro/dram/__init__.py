@@ -1,7 +1,6 @@
 """DRAM substrate: geometry/timing parameters, storage, timing engine,
 energy accounting."""
 
-from .addressing import AddressMap, WordLocation
 from .bank import BankStorage
 from .commands import Command, CommandType
 from .energy import EnergyParams, HBM2E_ENERGY
@@ -19,8 +18,6 @@ from .stream import (
 from .timing import HBM2E_ARCH, HBM2E_TIMING, ArchParams, TimingParams
 
 __all__ = [
-    "AddressMap",
-    "WordLocation",
     "BankStorage",
     "Command",
     "CommandType",

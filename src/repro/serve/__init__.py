@@ -31,7 +31,7 @@ Pieces (each its own module):
 * :mod:`~repro.serve.faults` — seeded virtual-time fault injection
   (:class:`FaultPlan`) and the :class:`ResiliencePolicy` recovery
   knobs: retries with backoff, timeouts, circuit breakers, online
-  detection, load shedding; plus the replica-scoped
+  detection; plus the replica-scoped
   crash/hang/partition timelines (:class:`ReplicaFaultPlan`) the
   cluster watchdog heals around.
 * :mod:`~repro.serve.server` — :class:`SimServer`, the loop tying them
@@ -79,7 +79,6 @@ from .telemetry import (
     STATUS_OK,
     STATUS_ORPHANED,
     STATUS_REJECTED,
-    STATUS_SHED,
     STATUS_THROTTLED,
     RequestRecord,
     Telemetry,
@@ -103,7 +102,6 @@ __all__ = [
     "STATUS_REJECTED",
     "STATUS_EXPIRED",
     "STATUS_FAILED",
-    "STATUS_SHED",
     "STATUS_THROTTLED",
     "STATUS_ORPHANED",
     "FaultProfile",

@@ -17,17 +17,15 @@ recovery machinery is measured against:
   (new attempt) draws a fresh decision — exactly how a transient fault
   behaves.  A zero-rate plan never draws at all
   (:attr:`FaultPlan.active` is false), so it is provably identical to
-  serving with no plan.
-* :class:`ResiliencePolicy` — the recovery knobs the server/scheduler
-  grow on top: per-request retry with capped exponential backoff in
-  virtual time and a global retry budget, per-dispatch timeout with
+  serving with no plan, and :func:`make_fault_plan` builds none.
+* :class:`ResiliencePolicy` — the recovery knobs the server grows on
+  top: per-request retry with capped exponential backoff in virtual
+  time and a global retry budget, per-dispatch timeout with
   re-dispatch, a per-shard circuit breaker (K consecutive failures
   open it; traffic routes around; a half-open probe closes it after a
   cooldown), online golden-model detection of corrupted outputs
   (served values re-checked by the same Freivalds check a verified
-  run passes, ``TransformSpec.check``), and
-  graceful degradation under overload (priority-aware load shedding
-  and window shrinking at queue-depth thresholds).
+  run passes, ``TransformSpec.check``).  Planning reads no policy.
 
 * :class:`ReplicaFaultPlan` — the fault domain one level up: whole
   replicas **crash** (state lost), **hang** (dark link, state held) or
@@ -44,7 +42,7 @@ goodput gap in ``BENCH_serve.json``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 __all__ = ["FaultProfile", "FaultDecision", "FaultPlan", "NO_FAULT",
@@ -203,8 +201,8 @@ class FaultPlan:
 @dataclass(frozen=True)
 class ResiliencePolicy:
     """Recovery knobs of the serving stack.  The default is fully
-    neutral: no retries, no timeout, no breaker, no detection, no
-    shedding — bit-identical serving to a policy-less server.
+    neutral: no retries, no timeout, no breaker, no detection —
+    bit-identical serving to a policy-less server.
 
     All times/backoffs are simulated microseconds; retries happen in
     *virtual* time (a retried dispatch re-enters its shard's backlog at
@@ -234,31 +232,18 @@ class ResiliencePolicy:
     #: by their transforms' Freivalds check; mismatches (e.g. injected
     #: corruption) surface as FunctionalMismatch and retry.
     detect: bool = False
-    #: Load shedding: when queue depth reaches ``shed_depth``, arrivals
-    #: with priority < ``shed_min_priority`` are dropped at admission
-    #: (``None`` disables).  Priority-aware: urgent traffic still lands.
-    shed_depth: Optional[int] = None
-    shed_min_priority: int = 1
-    #: Window shrinking: at queue depth >= ``shrink_depth`` new batching
-    #: windows close after ``window * shrink_factor`` instead — trading
-    #: batch occupancy for latency under overload (``None`` disables).
-    shrink_depth: Optional[int] = None
-    shrink_factor: float = 0.25
 
     def __post_init__(self):
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.retry_backoff_us < 0 or self.retry_backoff_cap_us < 0:
             raise ValueError("retry backoff times must be >= 0")
-        if not 0.0 < self.shrink_factor <= 1.0:
-            raise ValueError("shrink_factor must be in (0, 1]")
 
     @property
     def neutral(self) -> bool:
         """True when no knob can ever change serving behavior."""
         return (self.max_retries == 0 and self.timeout_us is None
-                and self.breaker_threshold == 0 and not self.detect
-                and self.shed_depth is None and self.shrink_depth is None)
+                and self.breaker_threshold == 0 and not self.detect)
 
     def backoff_us(self, attempt: int) -> float:
         """Virtual-time backoff before retry number ``attempt`` (1-based)."""
@@ -267,8 +252,7 @@ class ResiliencePolicy:
 
 
 #: Named policies of the ``repro serve --policy`` CLI.  ``standard`` is
-#: the measured-in-BENCH_serve recovery stack; degradation thresholds
-#: stay opt-in because they depend on the deployment's queue sizing.
+#: the measured-in-BENCH_serve recovery stack.
 POLICIES: Dict[str, ResiliencePolicy] = {
     "none": ResiliencePolicy(name="none"),
     "standard": ResiliencePolicy(
@@ -281,24 +265,26 @@ POLICIES: Dict[str, ResiliencePolicy] = {
 
 def make_fault_plan(spec: Union[None, str, FaultProfile, FaultPlan],
                     seed: int = 0) -> Optional[FaultPlan]:
-    """Normalize the server/CLI fault spec: ``None``/``"none"`` -> no
-    plan, a profile name or ``"rate:<r>"`` -> a seeded plan, and
-    profile/plan instances pass through (a plan keeps its own seed)."""
-    if spec is None or isinstance(spec, FaultPlan):
-        return spec
-    if isinstance(spec, FaultProfile):
-        return FaultPlan(spec, seed) if spec.active else None
-    if spec == "none":
+    """Normalize the server/CLI fault spec: ``None``/``"none"``/zero-rate
+    -> no plan (a zero-rate plan never draws, so the fault path is
+    literally plan-less), a profile name or ``"rate:<r>"`` -> a seeded
+    plan, and profile/plan instances pass through (a plan keeps its own
+    seed)."""
+    if spec is None or spec == "none":
         return None
-    if spec.startswith("rate:"):
-        return FaultPlan(FaultProfile.scaled(float(spec[5:])), seed)
-    return FaultPlan(_named_profile(spec), seed)
+    if isinstance(spec, FaultPlan):
+        plan = spec
+    elif isinstance(spec, FaultProfile):
+        plan = FaultPlan(spec, seed)
+    elif spec.startswith("rate:"):
+        plan = FaultPlan(FaultProfile.scaled(float(spec[5:])), seed)
+    else:
+        plan = FaultPlan(_named_profile(spec), seed)
+    return plan if plan.active else None
 
 
-def make_policy(spec: Union[str, ResiliencePolicy],
-                **overrides) -> ResiliencePolicy:
-    """Resolve a policy name (or pass an instance through), optionally
-    overriding individual knobs (the CLI's ``--shed-depth`` etc.)."""
+def make_policy(spec: Union[str, ResiliencePolicy]) -> ResiliencePolicy:
+    """Resolve a policy name, or pass an instance through."""
     if isinstance(spec, str):
         try:
             spec = POLICIES[spec]
@@ -306,7 +292,7 @@ def make_policy(spec: Union[str, ResiliencePolicy],
             known = ", ".join(sorted(POLICIES))
             raise ValueError(f"unknown policy {spec!r}; known: {known}") \
                 from None
-    return replace(spec, **overrides) if overrides else spec
+    return spec
 
 
 def _named_profile(name: str) -> FaultProfile:

@@ -30,8 +30,8 @@ of request shapes:
 
 Arrival rates can *step* over virtual time (``rate_profile``): a burst
 or ramp overload — e.g. :meth:`LoadGenerator.burst_profile` — drives
-the graceful-degradation policies (load shedding, window shrinking)
-past their thresholds deterministically.
+queue depth, admission rejections and deadline expiries
+deterministically.
 
 Everything is deterministic given ``seed``: the same scenario, rate and
 count replay the same requests with the same arrival times, priorities
@@ -286,7 +286,7 @@ class LoadGenerator:
                       ) -> Tuple[Tuple[float, float], ...]:
         """A step overload: ``base_rps`` until ``start_us``, then
         ``peak_rps`` for ``duration_us``, then back — the arrival shape
-        the graceful-degradation experiments drive."""
+        of the ``repro serve --burst`` overload drill."""
         return ((0.0, base_rps), (start_us, peak_rps),
                 (start_us + duration_us, base_rps))
 

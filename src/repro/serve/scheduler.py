@@ -45,13 +45,11 @@ from typing import Dict, List, Optional, Tuple
 
 from ..api.requests import SimRequest
 from ..api.simulator import Simulator, merge_key
-from .faults import ResiliencePolicy
 from .queueing import RequestQueue, ServeRequest
 from .telemetry import (
     RequestRecord,
     STATUS_EXPIRED,
     STATUS_REJECTED,
-    STATUS_SHED,
     Telemetry,
 )
 
@@ -107,14 +105,10 @@ class PlanSession:
     """
 
     def __init__(self, scheduler: "BatchingScheduler", queue: RequestQueue,
-                 telemetry: Optional[Telemetry] = None,
-                 policy: Optional[ResiliencePolicy] = None):
+                 telemetry: Optional[Telemetry] = None):
         self.scheduler = scheduler
         self.queue = queue
         self.telemetry = telemetry
-        #: Degradation knobs (load shedding, window shrinking); ``None``
-        #: or a neutral policy leaves planning byte-identical.
-        self.policy = policy
         self.units: List[DispatchUnit] = []
         self.dropped: List[RequestRecord] = []
         #: Virtual time of the last processed event — arrivals must not
@@ -142,7 +136,7 @@ class PlanSession:
             else:
                 live.append(member)
         if self.telemetry is not None:
-            self.telemetry.sample_depth(now_us, self.queue.depth())
+            self.telemetry.sample_depth(self.queue.depth())
         if not live:
             return
         self.units.append(DispatchUnit(
@@ -198,22 +192,15 @@ class PlanSession:
         """Admission control at ``sreq.arrival_us``, then window
         coalescing — or immediate dispatch for unbatchable requests."""
         now_us = sreq.arrival_us
-        policy = self.policy
-        if (policy is not None and policy.shed_depth is not None
-                and self.queue.depth() >= policy.shed_depth
-                and sreq.priority < policy.shed_min_priority):
-            # Graceful degradation: past the shedding threshold the
-            # queue's remaining headroom is reserved for urgent traffic;
-            # best-effort arrivals are turned away *before* admission.
-            self._drop(sreq, STATUS_SHED)
-            if self.telemetry is not None:
-                self.telemetry.note("shed")
-            return
         if not self.queue.offer(sreq):
-            self._drop(sreq, STATUS_REJECTED)
+            self.dropped.append(RequestRecord(
+                request_id=sreq.request_id, workload=sreq.request.workload,
+                status=STATUS_REJECTED, priority=sreq.priority,
+                arrival_us=now_us, deadline_us=sreq.deadline_us,
+                tenant=sreq.tenant))
             return
         if self.telemetry is not None:
-            self.telemetry.sample_depth(now_us, self.queue.depth())
+            self.telemetry.sample_depth(self.queue.depth())
         shape = merge_key(sreq.request)
         if shape is None or self.scheduler.max_banks == 1:
             # Unbatchable (or batching disabled): dispatch alone,
@@ -225,19 +212,12 @@ class PlanSession:
                 priority=sreq.priority))
             if self.telemetry is not None:
                 self.telemetry.note_group(1)
-                self.telemetry.sample_depth(now_us, self.queue.depth())
+                self.telemetry.sample_depth(self.queue.depth())
             return
         group = self._open.get(shape)
         if group is None:
-            window_us = self.scheduler.window_us
-            if (policy is not None and policy.shrink_depth is not None
-                    and self.queue.depth() >= policy.shrink_depth):
-                # Overloaded: close new windows sooner — trade batch
-                # occupancy for queue drain and latency.
-                window_us *= policy.shrink_factor
-                if self.telemetry is not None:
-                    self.telemetry.note("shrunk_windows")
-            group = _OpenGroup(shape=shape, close_at=now_us + window_us)
+            group = _OpenGroup(shape=shape,
+                               close_at=now_us + self.scheduler.window_us)
             self._open[shape] = group
         group.members.append(sreq)
         if len(group.members) >= self.scheduler.max_banks:
@@ -247,14 +227,6 @@ class PlanSession:
             # members that arrived after it.
             self._close_group(group, max(m.arrival_us
                                          for m in group.members))
-
-    def _drop(self, sreq: ServeRequest, status: str) -> None:
-        """Turn ``sreq`` away at its arrival (``shed`` or ``rejected``)."""
-        self.dropped.append(RequestRecord(
-            request_id=sreq.request_id, workload=sreq.request.workload,
-            status=status, priority=sreq.priority,
-            arrival_us=sreq.arrival_us, deadline_us=sreq.deadline_us,
-            tenant=sreq.tenant))
 
     def flush(self) -> None:
         """End of stream: close every remaining window at its close
@@ -302,14 +274,12 @@ class BatchingScheduler:
 
     # -- planning ---------------------------------------------------------------
     def begin(self, queue: RequestQueue,
-              telemetry: Optional[Telemetry] = None,
-              policy: Optional[ResiliencePolicy] = None) -> PlanSession:
+              telemetry: Optional[Telemetry] = None) -> PlanSession:
         """Start an incremental planning walk (the live-server entry)."""
-        return PlanSession(self, queue, telemetry, policy)
+        return PlanSession(self, queue, telemetry)
 
     def plan(self, arrivals: List[ServeRequest], queue: RequestQueue,
-             telemetry: Optional[Telemetry] = None,
-             policy: Optional[ResiliencePolicy] = None
+             telemetry: Optional[Telemetry] = None
              ) -> Tuple[List[DispatchUnit], List[RequestRecord]]:
         """Deterministic discrete-event walk over the arrival stream.
 
@@ -318,7 +288,7 @@ class BatchingScheduler:
         queued-past-deadline expiries).  ``arrivals`` must be sorted by
         ``(arrival_us, request_id)``.
         """
-        session = self.begin(queue, telemetry, policy)
+        session = self.begin(queue, telemetry)
         for sreq in arrivals:
             session.offer(sreq)
         session.flush()

@@ -52,11 +52,10 @@ slowdowns, flipped output words — and a
 :class:`~repro.serve.ResiliencePolicy` (``policy=``) recovers: retries
 with capped exponential backoff under a global budget, per-dispatch
 timeouts, per-shard circuit breakers that route traffic around a
-failing channel, online golden-model detection of corrupted outputs,
-and priority-aware load shedding / window shrinking under overload.
-With no plan (or a zero-rate one) and a neutral policy every code path
-below is byte-for-byte today's behavior — asserted in
-``tests/test_serve_faults.py`` and the chaos-smoke CI job.
+failing channel, and online golden-model detection of corrupted
+outputs.  A zero-rate fault spec builds no plan, and with no plan and
+a neutral policy every code path below is byte-for-byte the plan-less
+one — asserted in ``tests/test_serve_faults.py``.
 """
 
 from __future__ import annotations
@@ -188,7 +187,7 @@ class _Session(SessionBook):
     def __init__(self, server: "SimServer"):
         super().__init__(server._clock_us, server.queue.next_id)
         self.planner: PlanSession = server.scheduler.begin(
-            server.queue, server.telemetry, server.policy)
+            server.queue, server.telemetry)
         self.cache_before = Simulator(server.config).cache_info()
         self.shards: Dict[int, _ShardState] = {}
         #: Virtual time the shared command bus frees up.
@@ -237,7 +236,8 @@ class SimServer:
     ``faults`` turns on deterministic fault injection: a profile name
     (``"transient"``/``"degraded"``/``"chaos"``), a ``"rate:<r>"``
     sweep spec, a :class:`~repro.serve.FaultProfile` or a prebuilt
-    :class:`~repro.serve.FaultPlan`; ``fault_seed`` seeds the plan.
+    :class:`~repro.serve.FaultPlan`; ``fault_seed`` seeds the plan, and
+    a zero-rate spec leaves :attr:`fault_plan` ``None``.
     ``policy`` picks the :class:`~repro.serve.ResiliencePolicy`
     (``"none"``/``"standard"`` or an instance).  The defaults — no
     faults, neutral policy — leave every serving path byte-identical
@@ -271,10 +271,6 @@ class SimServer:
             raise ValueError(f"unknown bus model {bus!r}; "
                              f"choose from {BUS_MODELS}")
         self.fault_plan = make_fault_plan(faults, fault_seed)
-        if self.fault_plan is not None and not self.fault_plan.active:
-            # A zero-rate plan never draws; drop it so the execution
-            # path below is *literally* the plan-less one.
-            self.fault_plan = None
         self.policy = make_policy(policy)
         self.queue = RequestQueue(max_depth=max_depth)
         self.telemetry = Telemetry()

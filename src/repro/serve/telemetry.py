@@ -3,8 +3,9 @@
 Every request that passes through :class:`repro.serve.server.SimServer`
 leaves a :class:`RequestRecord` — arrival/dispatch/start/completion
 virtual times, queue wait, batch occupancy, shard, simulated
-cycles/energy share — and the server samples queue depth at every
-arrival/dispatch event.  :meth:`Telemetry.snapshot` rolls those up into
+cycles/energy share — and the planner keeps running aggregates of the
+queue depth at every arrival/dispatch event and of the dispatched
+group sizes.  :meth:`Telemetry.snapshot` rolls those up into
 the numbers a serving dashboard would plot: throughput (requests per
 simulated second), p50/p99 latency, mean batch occupancy, admission
 and deadline counts, cycle/energy totals and cache hit rates.
@@ -24,15 +25,13 @@ from typing import Dict, Iterable, List, Optional
 __all__ = ["RequestRecord", "Telemetry", "percentile", "merge_snapshots",
            "RESILIENCE_EVENTS",
            "STATUS_OK", "STATUS_REJECTED", "STATUS_EXPIRED",
-           "STATUS_FAILED", "STATUS_SHED", "STATUS_THROTTLED",
-           "STATUS_ORPHANED"]
+           "STATUS_FAILED", "STATUS_THROTTLED", "STATUS_ORPHANED"]
 
 #: Terminal states of a served request.
 STATUS_OK = "ok"
 STATUS_REJECTED = "rejected"   # admission control turned it away
 STATUS_EXPIRED = "expired"     # deadline passed while still queued
 STATUS_FAILED = "failed"       # dispatch failed past the retry policy
-STATUS_SHED = "shed"           # dropped by overload load shedding
 STATUS_THROTTLED = "throttled"  # per-tenant quota turned it away
 #: Duplicate attempt of a failed-over request: another replica's result
 #: was accepted, so this record is an orphan — kept for attribution but
@@ -41,12 +40,11 @@ STATUS_THROTTLED = "throttled"  # per-tenant quota turned it away
 STATUS_ORPHANED = "orphaned"
 
 #: Resilience events a session counts, in snapshot order: retries,
-#: timeouts, breaker trips, dispatches rerouted around an open breaker,
-#: corrupted responses the online check caught, shed arrivals and
-#: shrunk batching windows.  All zero on a fault-free, policy-neutral
-#: session.
+#: timeouts, breaker trips, dispatches rerouted around an open breaker
+#: and corrupted responses the online check caught.  All zero on a
+#: fault-free, policy-neutral session.
 RESILIENCE_EVENTS = ("retries", "timeouts", "breaker_trips", "reroutes",
-                     "detected_mismatches", "shed", "shrunk_windows")
+                     "detected_mismatches")
 
 
 def percentile(values: List[float], p: float) -> float:
@@ -165,7 +163,8 @@ def _dag_rollup(records: List["RequestRecord"],
 
 
 class Telemetry:
-    """Accumulates records and event samples for one serving session."""
+    """Accumulates records and running aggregates for one serving
+    session."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -174,10 +173,11 @@ class Telemetry:
         #: rollups keep per-replica attribution).
         self.replica = 0
         self.records: List[RequestRecord] = []
-        #: ``(virtual_time_us, queue_depth)`` at every queue event.
-        self.depth_samples: List[tuple] = []
-        #: Dispatch-group sizes, one entry per dispatched group.
-        self.occupancies: List[int] = []
+        #: Deepest queue seen at any queue event.
+        self.max_queue_depth = 0
+        #: Dispatched groups, and the sum of their sizes (banks).
+        self.dispatches = 0
+        self.dispatched_banks = 0
         #: Simulated time the shared command bus was occupied (stays 0
         #: under the independent-channel model).
         self.bus_busy_us: float = 0.0
@@ -210,13 +210,15 @@ class Telemetry:
         with self._lock:
             self.faults_injected[kind] += 1
 
-    def sample_depth(self, now_us: float, depth: int) -> None:
+    def sample_depth(self, depth: int) -> None:
         with self._lock:
-            self.depth_samples.append((now_us, depth))
+            if depth > self.max_queue_depth:
+                self.max_queue_depth = depth
 
     def note_group(self, banks: int) -> None:
         with self._lock:
-            self.occupancies.append(banks)
+            self.dispatches += 1
+            self.dispatched_banks += banks
 
     def note_bus(self, occupancy_us: float) -> None:
         """Charge one dispatch's command-bus occupancy (shared-bus
@@ -227,8 +229,9 @@ class Telemetry:
     def reset(self) -> None:
         with self._lock:
             self.records.clear()
-            self.depth_samples.clear()
-            self.occupancies.clear()
+            self.max_queue_depth = 0
+            self.dispatches = 0
+            self.dispatched_banks = 0
             self.bus_busy_us = 0.0
             self.cache = {}
             self.events.clear()
@@ -243,8 +246,8 @@ class Telemetry:
         :func:`merge_snapshots`).
 
         Records keep their ``replica`` stamps, so per-replica
-        attribution survives the merge; event streams are re-sorted by
-        virtual time so depth samples read as one session.  Cache
+        attribution survives the merge; the deepest queue is the
+        deepest of any part, and dispatch counts and sizes add.  Cache
         hit/miss deltas are summed (replica sessions share the
         process-wide compile caches, so overlapping sessions may double
         count a shared warm-up — the per-cache ``entries`` gauge takes
@@ -254,8 +257,10 @@ class Telemetry:
         for part in parts:
             with part._lock:
                 merged.records.extend(part.records)
-                merged.depth_samples.extend(part.depth_samples)
-                merged.occupancies.extend(part.occupancies)
+                merged.max_queue_depth = max(merged.max_queue_depth,
+                                             part.max_queue_depth)
+                merged.dispatches += part.dispatches
+                merged.dispatched_banks += part.dispatched_banks
                 merged.bus_busy_us += part.bus_busy_us
                 merged.events.update(part.events)
                 merged.faults_injected.update(part.faults_injected)
@@ -266,9 +271,8 @@ class Telemetry:
                     entry["misses"] += stats.get("misses", 0)
                     entry["entries"] = max(entry["entries"],
                                            stats.get("entries", 0))
-        # Records stay in part order (a single part merges to itself,
-        # bit-for-bit); only the event stream re-sorts by virtual time.
-        merged.depth_samples.sort(key=lambda s: s[0])
+        # Records stay in part order: a single part merges to itself,
+        # bit-for-bit.
         return merged
 
     # -- rollups -----------------------------------------------------------------
@@ -276,8 +280,9 @@ class Telemetry:
         """The session rollup (all times in simulated microseconds)."""
         with self._lock:
             records = list(self.records)
-            depth_samples = list(self.depth_samples)
-            occupancies = list(self.occupancies)
+            max_queue_depth = self.max_queue_depth
+            dispatches = self.dispatches
+            dispatched_banks = self.dispatched_banks
             bus_busy_us = self.bus_busy_us
             cache = {k: dict(v) for k, v in self.cache.items()}
             resilience = _resilience(self.faults_injected, self.events)
@@ -304,7 +309,6 @@ class Telemetry:
             "rejected": sum(r.status == STATUS_REJECTED for r in records),
             "expired": sum(r.status == STATUS_EXPIRED for r in records),
             "failed": sum(r.status == STATUS_FAILED for r in records),
-            "shed": sum(r.status == STATUS_SHED for r in records),
             "throttled": sum(r.status == STATUS_THROTTLED for r in records),
             "deadline_missed": sum(r.deadline_missed for r in done),
             "makespan_us": makespan_us,
@@ -324,10 +328,10 @@ class Telemetry:
                                 if latencies else 0.0),
             "queue_wait_p50_us": percentile(waits, 50.0),
             "queue_wait_p99_us": percentile(waits, 99.0),
-            "max_queue_depth": max((d for _, d in depth_samples), default=0),
-            "dispatches": len(occupancies),
-            "mean_batch_occupancy": (sum(occupancies) / len(occupancies)
-                                     if occupancies else 0.0),
+            "max_queue_depth": max_queue_depth,
+            "dispatches": dispatches,
+            "mean_batch_occupancy": (dispatched_banks / dispatches
+                                     if dispatches else 0.0),
             "total_cycles": sum(r.cycles for r in done),
             "total_energy_nj": sum(r.energy_nj for r in done),
             "bus_busy_us": bus_busy_us,
@@ -352,7 +356,7 @@ class Telemetry:
             f"requests       : {s['requests']} "
             f"(completed={s['completed']} rejected={s['rejected']} "
             f"expired={s['expired']} failed={s['failed']} "
-            f"shed={s['shed']} throttled={s['throttled']} "
+            f"throttled={s['throttled']} "
             f"deadline_missed={s['deadline_missed']}"
             + (f" orphaned={s['orphaned']}" if s.get("orphaned") else "")
             + ")",
@@ -395,8 +399,7 @@ class Telemetry:
                 f"detected={res['detected_mismatches']}")
             lines.append(
                 f"                 breaker trips={res['breaker_trips']} "
-                f"reroutes={res['reroutes']} shed={res['shed']} "
-                f"shrunk windows={res['shrunk_windows']}; "
+                f"reroutes={res['reroutes']}; "
                 f"availability={s['availability'] * 100:.1f}% "
                 f"goodput={s['goodput_rps']:.0f} req/s")
         if "cache_hit_rate" in s:
@@ -417,7 +420,7 @@ def _resilience(faults, events) -> Dict[str, object]:
 #: too, but are already excluded from each part's ``requests`` count,
 #: so a failed-over request is counted exactly once cluster-wide.
 _ADDITIVE_KEYS = ("requests", "completed", "rejected", "expired", "failed",
-                  "shed", "throttled", "orphaned", "deadline_missed",
+                  "throttled", "orphaned", "deadline_missed",
                   "dispatches", "total_cycles", "total_energy_nj",
                   "bus_busy_us")
 #: Snapshot keys combined as completion-weighted means.

@@ -16,7 +16,7 @@ from .driver import (
 )
 from .multibank import interleave_programs
 from .results import DispatchResult
-from .trace import format_trace, parse_trace_line, trace_summary
+from .trace import format_trace, trace_summary
 
 __all__ = [
     "concat_programs",
@@ -32,6 +32,5 @@ __all__ = [
     "interleave_programs",
     "DispatchResult",
     "format_trace",
-    "parse_trace_line",
     "trace_summary",
 ]

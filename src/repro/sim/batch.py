@@ -20,18 +20,17 @@ from ..dram.commands import Command, CommandType
 __all__ = ["concat_programs"]
 
 
-def concat_programs(programs: Sequence[List[Command]],
-                    skip_leading_param: bool = True) -> List[Command]:
+def concat_programs(programs: Sequence[List[Command]]) -> List[Command]:
     """Concatenate per-polynomial programs with dependency re-indexing.
 
-    With ``skip_leading_param`` the PARAM_WRITE of every program after
-    the first is dropped — the modulus registers are already loaded.
+    The PARAM_WRITE opening every program after the first is dropped —
+    the modulus registers are already loaded.
     """
     merged: List[Command] = []
     for prog_index, program in enumerate(programs):
         offset_map = {}
         for i, cmd in enumerate(program):
-            if (skip_leading_param and prog_index > 0 and i == 0
+            if (prog_index > 0 and i == 0
                     and cmd.ctype is CommandType.PARAM_WRITE):
                 continue
             new_deps = tuple(offset_map[d] for d in cmd.deps

@@ -83,7 +83,7 @@ __all__ = ["SimConfig", "TransformSpec", "cached_schedule",
 
 # -- schedule cache ------------------------------------------------------------
 # The timing engine is deterministic: the same command sequence under the
-# same (timing, arch, compute, energy) parameters always produces the
+# same (timing, arch, energy) parameters always produces the
 # same schedule.  Keys are *structural*, never identity-based: either
 # the command tuple's own content (commands are frozen dataclasses that
 # hash and compare by value), or — cheaper — the generating-parameter
@@ -99,7 +99,7 @@ _MAX_SCHEDULES = 128
 _schedule_cache = ArtifactCache(_MAX_SCHEDULES)
 
 
-def cached_schedule(program, timing, arch, compute, energy, key=None):
+def cached_schedule(program, timing, arch, energy, key=None):
     """Memoized timing replay of one command program's IR columns.
 
     ``program`` is a command program — a command sequence or view, a
@@ -108,9 +108,11 @@ def cached_schedule(program, timing, arch, compute, energy, key=None):
     ``key``, a zero-argument callable building one.  A hit builds
     nothing; a miss builds the program, replays its columns through
     the engine's stream loop (bit-identical to ``simulate(commands)``)
-    and keeps only the schedule.  Nothing compiles: the replay reads no
-    plan, so a timing-only run builds none, and a merged multi-bank
-    program built here is dropped after its replay.
+    and keeps only the schedule.  The compute commands take the
+    engine's default latencies (:class:`~repro.dram.engine.ComputeTiming`,
+    the synthesized Sec. VI.B values).  Nothing compiles: the replay
+    reads no plan, so a timing-only run builds none, and a merged
+    multi-bank program built here is dropped after its replay.
 
     ``key`` is an exact stand-in for the command content (e.g. a
     :class:`~repro.mapping.program_cache.CachedProgram` key, or a merge
@@ -121,11 +123,10 @@ def cached_schedule(program, timing, arch, compute, energy, key=None):
 
     def simulate():
         ir = as_ir(program() if callable(program) else program)
-        return TimingEngine(timing, arch, compute=compute,
-                            energy=energy).simulate_stream(ir)
+        return TimingEngine(timing, arch, energy=energy).simulate_stream(ir)
 
     return _schedule_cache.get_or_create(
-        (content_key, timing, arch, compute, energy), simulate)
+        (content_key, timing, arch, energy), simulate)
 
 
 def schedule_cache_info() -> dict:
@@ -504,13 +505,11 @@ def _derive_shape(specs: Sequence[TransformSpec], slots: int,
     # The schedule replays the merged IR, built on a miss, or a one-bank
     # dispatch's group stream, so a batch's concat is built once.
     source = groups[0].stream if groups and len(specs) == 1 else build
-    compute = config.pim.compute_timing()
-    schedule = cached_schedule(source, config.timing, config.arch, compute,
+    schedule = cached_schedule(source, config.timing, config.arch,
                                config.energy, key=key)
     first = programs[0][0]
     single = schedule if len(specs) * slots == 1 else cached_schedule(
-        first.ir, config.timing, config.arch, compute, config.energy,
-        key=first.key)
+        first.ir, config.timing, config.arch, config.energy, key=first.key)
     return DispatchShape(schedule, single.total_cycles, tuple(groups))
 
 

@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 from ..dram.commands import Command
 from ..dram.engine import CommandTiming
 
-__all__ = ["format_trace", "parse_trace_line", "trace_summary"]
+__all__ = ["format_trace", "trace_summary"]
 
 
 def format_trace(commands: Sequence[Command],
@@ -31,31 +31,6 @@ def format_trace(commands: Sequence[Command],
                          for cmd in commands)
     return "\n".join(f"{t.issue:>10}  bank{cmd.bank}  {cmd.describe()}"
                      for cmd, t in zip(commands, timings))
-
-
-def parse_trace_line(line: str) -> dict:
-    """Parse one (untimed or timed) trace line back into fields."""
-    parts = line.split()
-    if not parts:
-        raise ValueError("empty trace line")
-    cursor = 0
-    issue = None
-    if parts[0].isdigit():
-        issue = int(parts[0])
-        cursor = 1
-    if not parts[cursor].startswith("bank"):
-        raise ValueError(f"malformed trace line: {line!r}")
-    bank = int(parts[cursor][4:])
-    op = parts[cursor + 1]
-    fields = {"issue": issue, "bank": bank, "op": op}
-    for token in parts[cursor + 2:]:
-        if token.startswith("r") and token[1:].isdigit():
-            fields["row"] = int(token[1:])
-        elif token.startswith("c") and token[1:].isdigit():
-            fields["col"] = int(token[1:])
-        elif token.startswith("b") and token[1:].replace(",", "").isdigit():
-            fields.setdefault("bufs", []).append(token)
-    return fields
 
 
 def trace_summary(commands: Iterable[Command]) -> str:

@@ -22,6 +22,7 @@ from repro.api import (
     NttRequest,
     ProgramRequest,
     Simulator,
+    workload_names,
 )
 from repro.arith import NttParams, find_ntt_prime, vector
 from repro.errors import FunctionalMismatch
@@ -83,16 +84,21 @@ def test_functional_runs_are_verified_and_timing_only_runs_are_not(
     assert not timing_only.run(sim_request).verified
 
 
-def test_program_runs_are_never_verified():
+def test_the_requests_cover_every_registered_workload():
+    """A new workload joins the checks above: every registered name is
+    one of these requests' or the program window's, which returns no
+    values."""
+    covered = {request.workload for _, request in _requests()}
+    assert covered | {ProgramRequest.workload} == set(workload_names())
+
+
+def test_a_program_window_returns_no_values_under_a_functional_config():
     program = TransformSpec(params=PARAMS).program(SimConfig())
-    timing = ProgramRequest(commands=program.commands)
-    functional = ProgramRequest(
-        commands=program.commands, functional=True, modulus=PARAMS.q,
-        memory=((program.base_row, _poly(13)),),
-        read_rows=(program.result_base_row, N))
-    assert len(Simulator().run(functional).values) == N
-    for request in (timing, functional):
-        assert not Simulator().run(request).verified
+    response = Simulator().run(ProgramRequest(commands=program.commands))
+    assert response.cycles > 0
+    assert response.values == [] and response.outputs == []
+    assert "bu_ops" not in response.counters
+    assert not response.verified
 
 
 @pytest.fixture

@@ -211,9 +211,6 @@ class TestCoefficientRange:
             FheOpRequest(ring=RING, op="multiply", a=_data(q=QN),
                          b=row(QN)),
             KyberKemRequest(a=row(3329), b=_data(q=3329), q=3329),
-            ProgramRequest(commands=TransformSpec(params=PARAMS).program(
-                SimConfig()).commands, functional=True, modulus=Q,
-                memory=[(0, row())]),
         ]
 
     @pytest.mark.parametrize("path", ["numpy", "python"])
@@ -253,14 +250,6 @@ class TestCoefficientRange:
             plain = Simulator().run(NttRequest(params=PARAMS, values=values))
             mixed = Simulator().run(NttRequest(params=PARAMS, values=typed))
         assert mixed.verified and mixed.values == plain.values
-
-    def test_raw_program_words_bounded_by_bank_width(self):
-        request = ProgramRequest(
-            commands=TransformSpec(params=PARAMS).program(
-                SimConfig()).commands,
-            functional=True, memory=[(0, [0, 2**64])])
-        with pytest.raises(RequestValidationError, match="memory row 0"):
-            request.validate()
 
     @pytest.mark.parametrize("path", ["numpy", "python"])
     def test_range_edges_accepted(self, path):
@@ -320,23 +309,6 @@ class TestModulusWidth:
             timing = Simulator(SimConfig(functional=False)).run(
                 NttRequest(params=RING65.cyclic))
         assert timing.cycles > 0
-
-    @pytest.mark.parametrize("path", ["numpy", "python"])
-    @pytest.mark.parametrize("modulus", [Q + 1, 2, 2**70 + 1, 2**64 + 1],
-                             ids=["even", "two", "2**70+1", "2**64+1"])
-    def test_program_modulus_must_suit_the_montgomery_bu(self, path,
-                                                         modulus):
-        """An even, too-small or too-wide functional modulus fails one
-        way: the Montgomery BU takes odd moduli in [3, 2**64)."""
-        request = ProgramRequest(
-            commands=TransformSpec(params=PARAMS).program(
-                SimConfig()).commands,
-            functional=True, modulus=modulus, memory=[(0, [1] * N)],
-            read_rows=(0, N))
-        with on_path(path):
-            with pytest.raises(RequestValidationError,
-                               match=r"odd and in \[3, 2\*\*64\)"):
-                Simulator().run(request)
 
 
 class TestLegacyEquivalence:
@@ -634,62 +606,64 @@ class TestPinnedEnvelopes:
         assert self._digests(path)[1] == self.CACHE_DIGEST
 
 
-class TestProgramFunctional:
-    def _program(self):
-        return TransformSpec(params=PARAMS).program(SimConfig())
+Q_1024 = find_ntt_prime(1024, 32)
+PARAMS_1024 = NttParams(1024, Q_1024)
+#: Transform shapes a window can replay: ``(spec, request, nb)`` — the
+#: request runs the same transform as the spec's program.
+WINDOW_SHAPES = {
+    "ntt-nb1": (TransformSpec(params=PARAMS),
+                NttRequest(params=PARAMS, values=_data(90)), 1),
+    "ntt-nb2": (TransformSpec(params=PARAMS),
+                NttRequest(params=PARAMS, values=_data(91)), 2),
+    "ntt-nb4": (TransformSpec(params=PARAMS),
+                NttRequest(params=PARAMS, values=_data(92)), 4),
+    "intt-nb2": (TransformSpec(params=PARAMS, inverse=True),
+                 NttRequest(params=PARAMS, values=_data(93), inverse=True),
+                 2),
+    "negacyclic-nb2": (TransformSpec(kind="negacyclic", ring=RING),
+                       NegacyclicRequest(ring=RING, values=_data(94, QN)),
+                       2),
+    "negacyclic-nb4": (TransformSpec(kind="negacyclic", ring=RING),
+                       NegacyclicRequest(ring=RING, values=_data(95, QN)),
+                       4),
+    "ntt-1024-nb2": (TransformSpec(params=PARAMS_1024),
+                     NttRequest(params=PARAMS_1024,
+                                values=_data(96, Q_1024, 1024)), 2),
+}
 
-    def test_functional_program_transforms_bank_data(self):
-        from repro.arith import bit_reverse_permute
-        from repro.ntt import ntt as reference_ntt
-        prog = self._program()
-        values = _data(80)
-        request = ProgramRequest(
-            commands=prog.commands, functional=True, modulus=Q,
-            memory=((0, tuple(bit_reverse_permute(values))),),
-            read_rows=(prog.result_base_row, N), label="fn-window")
-        response = Simulator().run(request)
-        assert response.values == reference_ntt(values, PARAMS)
-        assert response.counters.get("bu_ops", 0) > 0
-        assert response.metrics["label"] == "fn-window"
-        assert response.cycles > 0  # timing still reported
 
-    def test_timing_only_default_unchanged(self):
-        response = Simulator().run(
-            ProgramRequest(commands=self._program().commands))
-        assert response.values == []
-        assert "bu_ops" not in response.counters
+class TestProgramWindow:
+    def test_a_window_reports_its_label(self):
+        response = Simulator().run(ProgramRequest(
+            commands=TransformSpec(params=PARAMS).program(
+                SimConfig()).commands, label="window"))
+        assert response.metrics == {"label": "window"}
 
-    def test_functional_fields_require_functional_flag(self):
-        commands = self._program().commands
-        for bad in (dict(modulus=Q), dict(read_rows=(0, N)),
-                    dict(memory=((0, (1, 2)),))):
-            with pytest.raises(RequestValidationError,
-                               match="functional=True"):
-                Simulator().run(ProgramRequest(commands=commands, **bad))
+    @pytest.mark.parametrize("field, value", [
+        ("functional", True), ("modulus", Q), ("memory", ((0, (1, 2)),)),
+        ("read_rows", (0, N))], ids=["functional", "modulus", "memory",
+                                     "read_rows"])
+    def test_the_functional_window_inputs_are_gone(self, field, value):
+        """A caller that still loads bank rows or asks for values back
+        fails at construction, not with a silently value-less run."""
+        commands = TransformSpec(params=PARAMS).program(SimConfig()).commands
+        with pytest.raises(TypeError, match=field):
+            ProgramRequest(commands=commands, **{field: value})
 
-    def test_functional_validation(self):
-        commands = self._program().commands
-        with pytest.raises(RequestValidationError, match="modulus"):
-            Simulator().run(ProgramRequest(commands=commands,
-                                           functional=True, modulus=1))
-        with pytest.raises(RequestValidationError, match="read_rows"):
-            Simulator().run(ProgramRequest(commands=commands,
-                                           functional=True,
-                                           read_rows=(0, 0)))
-        with pytest.raises(RequestValidationError, match="base_row"):
-            Simulator().run(ProgramRequest(commands=commands,
-                                           functional=True,
-                                           memory=((-1, (1,)),)))
-
-    def test_config_functional_switch_gates_execution(self):
-        """SimConfig(functional=False) keeps a functional request
-        timing-only (the sweep idiom wins)."""
-        prog = self._program()
-        request = ProgramRequest(
-            commands=prog.commands, functional=True, modulus=Q,
-            memory=((0, tuple(_data(81))),), read_rows=(prog.result_base_row, N))
-        response = Simulator(SimConfig(functional=False)).run(request)
-        assert response.values == []
+    @pytest.mark.parametrize("shape", sorted(WINDOW_SHAPES))
+    def test_a_window_times_its_program_like_the_transform_run(self, shape):
+        """One latency table: the window's replay on the engine's
+        default CU latencies prices the program exactly as the verified
+        transform run of the same shape does."""
+        spec, request, nb = WINDOW_SHAPES[shape]
+        config = SimConfig(pim=PimParams(nb_buffers=nb))
+        transform = Simulator(config).run(request)
+        window = Simulator(config).run(
+            ProgramRequest(commands=spec.program(config).commands))
+        assert transform.verified and not window.verified
+        assert window.values == []
+        assert (window.cycles, window.latency_us, window.energy_nj) == (
+            transform.cycles, transform.latency_us, transform.energy_nj)
 
 
 KYBER_Q = 3329

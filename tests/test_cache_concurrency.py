@@ -112,13 +112,12 @@ class TestStreamCacheConcurrency:
 class TestScheduleCacheConcurrency:
     def test_counters_and_bit_identical_schedules(self):
         programs = [cyclic_program(p, HBM2E_ARCH, PIM) for p in SHAPES]
-        compute = PIM.compute_timing()
         clear_schedule_cache()
 
         def schedule_one(params):
             prog = programs[SHAPES.index(params)]
             return cached_schedule(prog.commands, HBM2E_TIMING, HBM2E_ARCH,
-                                   compute, HBM2E_ENERGY, key=prog.key)
+                                   HBM2E_ENERGY, key=prog.key)
 
         per_thread = _hammer(schedule_one)
         info = schedule_cache_info()
@@ -129,7 +128,7 @@ class TestScheduleCacheConcurrency:
         clear_schedule_cache()
         for s, prog in enumerate(programs):
             reference = cached_schedule(prog.commands, HBM2E_TIMING,
-                                        HBM2E_ARCH, compute, HBM2E_ENERGY,
+                                        HBM2E_ARCH, HBM2E_ENERGY,
                                         key=prog.key)
             for result in per_thread:
                 for sched in result[s]:

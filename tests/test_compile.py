@@ -99,8 +99,7 @@ class TestPipelineBitIdentity:
                             program.result_base_row, n)
         assert fused == legacy
         # ... and the timing engine sees the same schedule either way.
-        engine = TimingEngine(HBM2E_TIMING, HBM2E_ARCH,
-                              compute=config.pim.compute_timing())
+        engine = TimingEngine(HBM2E_TIMING, HBM2E_ARCH)
         by_cmd = engine.simulate(program.commands)
         by_stream = engine.simulate_stream(stream)
         assert by_stream.total_cycles == by_cmd.total_cycles
@@ -563,16 +562,6 @@ class TestCompileRequestApi:
 
 
 class TestBankSpec:
-    def test_homogeneous_requests_still_work(self):
-        n = 256
-        q = find_ntt_prime(n, 32)
-        req = MultiBankRequest(params=NttParams(n, q),
-                               inputs=((1,) * n, (2,) * n))
-        req.validate()
-        specs = req.bank_specs()
-        assert len(specs) == 2
-        assert all(s.params.n == n and s.params.q == q for s in specs)
-
     def test_specs_and_params_are_exclusive(self):
         n = 256
         q = find_ntt_prime(n, 32)
@@ -697,8 +686,7 @@ class TestIrConstruction:
         # values and dependencies the index columns resolve to.
         assert _resolved(ir) == _resolved(rebuilt)
 
-        engine = TimingEngine(HBM2E_TIMING, HBM2E_ARCH,
-                              compute=pim.compute_timing())
+        engine = TimingEngine(HBM2E_TIMING, HBM2E_ARCH)
         assert (engine.simulate(program.commands)
                 == engine.simulate_stream(compile_stream(ir, HBM2E_ARCH)))
 

@@ -20,12 +20,12 @@ import random
 
 import pytest
 
-from repro.api import DagEdge, DagRequest, KyberKemRequest, NttRequest, \
-    Simulator, workload_names
+from repro.api import DagEdge, DagRequest, FheOpRequest, KyberKemRequest, \
+    NttRequest, Simulator, workload_names
 from repro.arith import NttParams, find_ntt_prime
 from repro.dag import ckks_mul_chain, kem_batch, ntt_pipeline
 from repro.errors import RequestValidationError
-from repro.ntt import naive_negacyclic_convolution
+from repro.ntt import NegacyclicParams, naive_negacyclic_convolution
 from repro.serve import ServeRequest, SimServer
 from repro.sim.driver import SimConfig
 
@@ -42,6 +42,48 @@ def _poly(seed: int, n: int = N, q: int = Q):
 
 def _chain(*, seed: int = 0, stages: int = 3, n: int = N) -> DagRequest:
     return ntt_pipeline(n, stages=stages, seed=seed)
+
+
+def _join() -> DagRequest:
+    """Two roots meet in a ring multiply, one of them behind a second
+    stage, and a third root stands alone."""
+    ring = NegacyclicParams(N, find_ntt_prime(N, 32, negacyclic=True))
+    zeros = (0,) * N
+    nodes = (
+        ("left", FheOpRequest(ring=ring, op="multiply", a=_poly(1, q=ring.q),
+                              b=_poly(2, q=ring.q))),
+        ("left_inv", FheOpRequest(ring=ring, op="inverse", a=zeros)),
+        ("right", FheOpRequest(ring=ring, op="forward", a=_poly(3, q=ring.q))),
+        ("join", FheOpRequest(ring=ring, op="multiply", a=zeros, b=zeros)),
+        ("alone", NttRequest(params=PARAMS, values=_poly(4))),
+    )
+    edges = (DagEdge("left", "left_inv", "a"),
+             DagEdge("left_inv", "join", "a"),
+             DagEdge("right", "join", "b"))
+    return DagRequest(nodes=nodes, edges=edges)
+
+
+def _chains(dag: DagRequest):
+    """Every dependency chain of ``dag``, from a root to each node."""
+    def ending_at(name):
+        parents = dag.parents(name)
+        if not parents:
+            yield (name,)
+        for parent in parents:
+            for chain in ending_at(parent):
+                yield chain + (name,)
+    for name, _ in dag.nodes:
+        yield from ending_at(name)
+
+
+#: Graph shapes for the critical-path check: a chain, roots only,
+#: independent multi-stage chains, and a join.
+CRITICAL_PATH_SHAPES = {
+    "pipeline": lambda: _chain(seed=5, stages=4),
+    "kem_batch": lambda: kem_batch(3, seed=2),
+    "ckks": lambda: ckks_mul_chain(N, limbs=2, depth=2, seed=1),
+    "join": _join,
+}
 
 
 class TestDagRequestConstruction:
@@ -121,6 +163,22 @@ class TestGoldenModel:
         dag = kem_batch(4, seed=1)
         response = Simulator(CONFIG).run(dag)
         assert response.metrics["parallelism"] == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("shape", sorted(CRITICAL_PATH_SHAPES))
+    def test_critical_path_is_the_heaviest_chain(self, shape):
+        """The golden run's latency is the graph's critical path under
+        its stages' latencies — the heaviest chain of all of them."""
+        dag = CRITICAL_PATH_SHAPES[shape]()
+        response = Simulator(CONFIG).run(dag)
+        latencies = {name: stage.latency_us
+                     for name, stage in response.raw["responses"].items()}
+        assert response.latency_us == response.metrics["critical_path_us"] \
+            == dag.critical_path_us(latencies)
+        assert response.latency_us == pytest.approx(
+            max(sum(latencies[name] for name in chain)
+                for chain in _chains(dag)), rel=1e-12)
+        assert response.metrics["total_latency_us"] == pytest.approx(
+            sum(latencies.values()), rel=1e-12)
 
     def test_forward_inverse_roundtrip(self):
         values = _poly(7)

@@ -1,61 +1,9 @@
-"""Tests for bank storage semantics and address mapping."""
+"""Tests for bank storage semantics."""
 
 import pytest
 
-from repro.dram import AddressMap, BankStorage, HBM2E_ARCH
+from repro.dram import BankStorage, HBM2E_ARCH
 from repro.errors import MappingError
-
-
-class TestAddressMap:
-    def test_first_words(self):
-        am = AddressMap(HBM2E_ARCH, base_row=0, length=1024)
-        loc = am.locate(0)
-        assert (loc.row, loc.atom, loc.lane) == (0, 0, 0)
-        loc = am.locate(9)
-        assert (loc.row, loc.atom, loc.lane) == (0, 1, 1)
-
-    def test_row_crossing(self):
-        am = AddressMap(HBM2E_ARCH, base_row=5, length=1024)
-        loc = am.locate(256)  # first word of second row
-        assert (loc.row, loc.atom, loc.lane) == (6, 0, 0)
-
-    def test_roundtrip(self):
-        am = AddressMap(HBM2E_ARCH, base_row=3, length=2048)
-        for w in (0, 1, 7, 8, 255, 256, 2047):
-            assert am.word_of(am.locate(w)) == w
-
-    def test_atom_of(self):
-        am = AddressMap(HBM2E_ARCH, length=512)
-        assert am.atom_of(0) == 0
-        assert am.atom_of(8) == 1
-        assert am.atom_of(511) == 63
-
-    def test_atom_location(self):
-        am = AddressMap(HBM2E_ARCH, length=512)
-        loc = am.atom_location(33)  # second row, atom 1
-        assert (loc.row, loc.atom, loc.lane) == (1, 1, 0)
-        assert loc.col == 1
-
-    def test_rows_used(self):
-        am = AddressMap(HBM2E_ARCH)
-        assert am.rows_used(256) == 1
-        assert am.rows_used(257) == 2
-        assert am.rows_used(8192) == 32
-
-    def test_out_of_range(self):
-        am = AddressMap(HBM2E_ARCH, length=256)
-        with pytest.raises(ValueError):
-            am.locate(256)
-        with pytest.raises(ValueError):
-            am.locate(-1)
-
-    def test_base_row_outside_bank(self):
-        with pytest.raises(ValueError):
-            AddressMap(HBM2E_ARCH, base_row=40000)
-
-    def test_does_not_fit(self):
-        with pytest.raises(ValueError):
-            AddressMap(HBM2E_ARCH, base_row=32767, length=1024)
 
 
 class TestBankStorage:

@@ -119,6 +119,31 @@ class TestComputeCommands:
         durations = [t.complete - t.issue for t in res.timings]
         assert durations == [2, 10, 2]
 
+    def test_param_write_latency(self):
+        res = engine().simulate(
+            [Command(CommandType.PARAM_WRITE, payload_words=6)])
+        t = res.timings[0]
+        assert t.complete - t.issue == 4
+
+    def test_the_default_engine_prices_compute_at_the_synthesized_values(
+            self):
+        """The engine's own table is the one set of CU latencies: the
+        bank parameters carry the buffer count only."""
+        from dataclasses import fields
+
+        from repro.pim import PimParams
+        assert [item.name for item in fields(PimParams)] == ["nb_buffers"]
+        program = [Command(CommandType.PARAM_WRITE, payload_words=6),
+                   Command(C1, buf=0, omega0=1),
+                   Command(C2, buf=0, buf2=1, omega0=1, r_omega=1),
+                   Command(CommandType.LOAD_SCALAR, buf=0, lane=0),
+                   Command(CommandType.BU_SCALAR, buf=0, lane=0, omega0=1),
+                   Command(CommandType.STORE_SCALAR, buf=0, lane=0)]
+        default = TimingEngine(HBM2E_TIMING, HBM2E_ARCH).simulate(program)
+        assert [t.complete - t.issue for t in default.timings] == \
+            [4, 15, 10, 2, 10, 2]
+        assert default == engine().simulate(program)
+
 
 class TestValidation:
     def test_column_without_act(self):

@@ -285,25 +285,21 @@ def test_property_stream_roundtrips_through_schedule_cache(seed):
     cmds = _random_legal_program(seed, 90, banks=2, with_deps=True)
     clear_schedule_cache()
     clear_stream_cache()
-    compute = ComputeTiming()
     from repro.dram.energy import HBM2E_ENERGY
-    first = cached_schedule(cmds, HBM2E_TIMING, HBM2E_ARCH, compute,
-                            HBM2E_ENERGY)
+    first = cached_schedule(cmds, HBM2E_TIMING, HBM2E_ARCH, HBM2E_ENERGY)
     assert schedule_cache_info()["misses"] == 1
-    again = cached_schedule(cmds, HBM2E_TIMING, HBM2E_ARCH, compute,
-                            HBM2E_ENERGY)
+    again = cached_schedule(cmds, HBM2E_TIMING, HBM2E_ARCH, HBM2E_ENERGY)
     assert again is first  # schedule cache hit, no recompute
     assert schedule_cache_info()["hits"] == 1
     # A second miss replays the columns again, still without a stream.
     clear_schedule_cache()
-    assert cached_schedule(cmds, HBM2E_TIMING, HBM2E_ARCH, compute,
+    assert cached_schedule(cmds, HBM2E_TIMING, HBM2E_ARCH,
                            HBM2E_ENERGY) == first
     assert stream_cache_info() == {"entries": 0, "hits": 0, "misses": 0}
     stream = cached_stream(cmds, HBM2E_ARCH)
     assert stream_cache_info()["misses"] == 1
     assert stream.commands == tuple(cmds)
-    legacy = TimingEngine(HBM2E_TIMING, HBM2E_ARCH,
-                          compute=compute).simulate(cmds)
+    legacy = TimingEngine(HBM2E_TIMING, HBM2E_ARCH).simulate(cmds)
     assert first.timings == legacy.timings
     assert first.stats == legacy.stats
     assert first.energy_nj == legacy.energy_nj

@@ -7,6 +7,7 @@ import pytest
 
 from repro.api import BatchRequest, NttRequest, Simulator
 from repro.arith import NttParams, find_ntt_prime
+from repro.compile.lower import concat_irs
 from repro.dram import Command, CommandType, HBM2E_ARCH, HBM2E_TIMING, TimingEngine
 from repro.experiments.dse import run_atom_size_sweep, run_row_size_sweep
 from repro.fhe import RlweParams, RlweScheme
@@ -103,10 +104,21 @@ class TestBatch:
         # the duplicate PARAM_WRITE was dropped, shifting it down).
         assert merged[-1].deps == (3,)
 
-    def test_concat_keeps_params_when_asked(self):
-        prog = [Command(CommandType.PARAM_WRITE, payload_words=6)]
-        merged = concat_programs([prog, prog], skip_leading_param=False)
-        assert len(merged) == 2
+    @pytest.mark.parametrize("count", [1, 2, 3, 5])
+    def test_every_program_after_the_first_drops_its_param_write(self,
+                                                                 count):
+        """Both concats, the per-command reference and the IR merge,
+        load the modulus registers once however many transforms one
+        bank runs back to back."""
+        program = TransformSpec(params=NttParams(256, Q)).program(
+            SimConfig())
+        merged = concat_programs([list(program.commands)] * count)
+        kinds = [c.ctype for c in merged]
+        assert kinds[0] is CommandType.PARAM_WRITE
+        assert kinds.count(CommandType.PARAM_WRITE) == 1
+        assert len(merged) == count * len(program.commands) - (count - 1)
+        assert concat_irs([program.ir] * count).materialize_commands() == \
+            tuple(merged)
 
 
 class TestBfvMultiply:

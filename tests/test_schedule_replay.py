@@ -3,9 +3,9 @@
 A dispatch's timing replays its merged program's IR columns
 (``cached_schedule``): the merge recipe builds the IR on a schedule
 miss and the replay drops it.  Only what a bank runs compiles — each
-spec's one-bank stream, and a functional ``program`` run's stream — so
-a merged multi-bank stream is never compiled or kept, and a timing-only
-run builds no plan.  Schedules store their per-command times as
+spec's one-bank stream — so a merged multi-bank stream is never
+compiled or kept, and a timing-only run or a ``program`` window builds
+no plan.  Schedules store their per-command times as
 ``array('q')`` in both engines.
 """
 
@@ -24,7 +24,7 @@ from repro.api import (
     ProgramRequest,
     Simulator,
 )
-from repro.arith import NttParams, bit_reverse_permute, find_ntt_prime
+from repro.arith import NttParams, find_ntt_prime
 from repro.compile import compile_request, lower
 from repro.dram import (
     ComputeTiming,
@@ -130,36 +130,18 @@ def test_a_timing_only_transform_builds_no_plan(kind, monkeypatch):
 
 def test_a_timing_only_program_builds_no_plan(monkeypatch):
     program = _program()
-    data = tuple(bit_reverse_permute(list(X[0])))
-    reference = TimingEngine(
-        HBM2E_TIMING, HBM2E_ARCH,
-        compute=SimConfig().pim.compute_timing()).simulate(program.commands)
+    reference = TimingEngine(HBM2E_TIMING, HBM2E_ARCH).simulate(
+        program.commands)
     _forbid_plans(monkeypatch)
-    timed = [
-        # A timing-only request on a functional machine ...
-        Simulator().run(ProgramRequest(commands=program.commands)),
-        # ... and a functional request on a timing-only one.
-        Simulator(SimConfig(functional=False)).run(ProgramRequest(
-            commands=program.commands, functional=True, modulus=PARAMS.q,
-            memory=((0, data),), read_rows=(program.result_base_row, N))),
-    ]
+    # A window on a functional machine and on a timing-only one.
+    timed = [Simulator(config).run(ProgramRequest(commands=program.commands))
+             for config in (SimConfig(), SimConfig(functional=False))]
     for response in timed:
         assert response.cache["stream"] == NO_LOOKUP
         assert response.cycles == reference.total_cycles
         assert response.energy_nj == reference.energy_nj
         assert response.counters == reference.stats.command_counts
         assert response.values == []
-
-
-def test_a_functional_program_run_compiles_its_stream():
-    program = _program()
-    response = Simulator().run(ProgramRequest(
-        commands=program.commands, functional=True, modulus=PARAMS.q,
-        memory=((0, tuple(bit_reverse_permute(list(X[0])))),),
-        read_rows=(program.result_base_row, N)))
-    assert response.cache["stream"]["misses"] == 1
-    (stream,) = cached_streams()
-    assert stream.plan is not None
 
 
 def test_a_schedule_hit_builds_nothing():
@@ -171,23 +153,20 @@ def test_a_schedule_hit_builds_nothing():
         built.append(1)
         return build()
 
-    compute = SimConfig().pim.compute_timing()
-    first = cached_schedule(counted, HBM2E_TIMING, HBM2E_ARCH, compute,
-                            HBM2E_ENERGY, key=key)
-    again = cached_schedule(counted, HBM2E_TIMING, HBM2E_ARCH, compute,
-                            HBM2E_ENERGY, key=key)
+    first = cached_schedule(counted, HBM2E_TIMING, HBM2E_ARCH, HBM2E_ENERGY,
+                            key=key)
+    again = cached_schedule(counted, HBM2E_TIMING, HBM2E_ARCH, HBM2E_ENERGY,
+                            key=key)
     assert again is first and len(built) == 1
     assert schedule_cache_info()["hits"] == 1
     assert cached_streams() == ()
-    assert first == TimingEngine(HBM2E_TIMING, HBM2E_ARCH,
-                                 compute=compute).simulate(
+    assert first == TimingEngine(HBM2E_TIMING, HBM2E_ARCH).simulate(
         build().materialize_commands())
 
 
 def test_both_engines_store_times_as_int64_arrays():
     program = _program()
-    engine = TimingEngine(HBM2E_TIMING, HBM2E_ARCH,
-                          compute=SimConfig().pim.compute_timing())
+    engine = TimingEngine(HBM2E_TIMING, HBM2E_ARCH)
     legacy = engine.simulate(program.commands)
     replayed = engine.simulate_stream(program.ir)
     compiled = engine.simulate_stream(compile_stream(program.ir, HBM2E_ARCH))

@@ -10,6 +10,8 @@ import random
 
 import pytest
 from compute_paths import on_path
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     FheOpRequest,
@@ -33,7 +35,6 @@ from repro.serve import (
     percentile,
     sequential_policy,
 )
-from repro.serve.faults import ResiliencePolicy
 from repro.serve.telemetry import RequestRecord
 from repro.sim.driver import SimConfig
 
@@ -795,21 +796,6 @@ class TestPlanSessionRelease:
                 for r in session.dropped] == [(2, "rejected", 10.0)]
         assert session.now_us == 20.0
 
-    def test_past_release_past_shed_depth_is_shed(self):
-        telemetry = Telemetry()
-        policy = ResiliencePolicy(shed_depth=1, shed_min_priority=1)
-        session = BatchingScheduler(window_us=100.0, max_banks=8) \
-            .begin(RequestQueue(), telemetry, policy)
-        session.offer(self._sreq(0, 0.0))
-        session.advance(20.0)
-        session.release(self._sreq(1, 10.0))
-        session.release(self._sreq(2, 12.0, priority=1))
-        assert [(r.request_id, r.status, r.arrival_us)
-                for r in session.dropped] == [(2, "shed", 10.0)]
-        session.flush()
-        assert self._units(session) == [(100.0, [1, 3], 0)]
-        assert telemetry.snapshot()["resilience"]["shed"] == 1
-
 
 class TestLoadGenerator:
     def test_deterministic_given_seed(self):
@@ -916,12 +902,47 @@ class TestTelemetry:
         assert snapshot["throughput_rps"] == 0.0
         assert snapshot["resilience"] == {
             "faults_injected": {}, "retries": 0, "timeouts": 0,
-            "breaker_trips": 0, "reroutes": 0, "detected_mismatches": 0,
-            "shed": 0, "shrunk_windows": 0}
+            "breaker_trips": 0, "reroutes": 0, "detected_mismatches": 0}
 
     def test_unknown_resilience_event_rejected(self):
         with pytest.raises(ValueError, match="unknown resilience event"):
             Telemetry().note("retry")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.lists(st.integers(0, 300), max_size=20),
+                              st.lists(st.integers(1, 8), max_size=20)),
+                    min_size=1, max_size=4))
+    def test_running_aggregates_match_the_event_stream(self, sessions):
+        """Per session and across a merge, the depth and occupancy
+        numbers equal the reductions of every event the sessions saw."""
+        parts = []
+        for depths, groups in sessions:
+            telemetry = Telemetry()
+            for depth in depths:
+                telemetry.sample_depth(depth)
+            for banks in groups:
+                telemetry.note_group(banks)
+            parts.append(telemetry)
+        depths = [d for part_depths, _ in sessions for d in part_depths]
+        groups = [b for _, part_groups in sessions for b in part_groups]
+        snapshot = Telemetry.merge(parts).snapshot()
+        assert snapshot["max_queue_depth"] == max(depths, default=0)
+        assert snapshot["dispatches"] == len(groups)
+        assert snapshot["mean_batch_occupancy"] == (
+            sum(groups) / len(groups) if groups else 0.0)
+
+    def test_reset_clears_the_running_aggregates(self):
+        server = SimServer(window_us=50.0)
+        server.serve(LoadGenerator(make_scenario("skewed"),
+                                   rate_rps=200_000.0, count=12,
+                                   seed=4).requests())
+        telemetry = server.telemetry
+        before = telemetry.snapshot()
+        assert before["max_queue_depth"] > 0 and before["dispatches"] > 0
+        telemetry.reset()
+        after = telemetry.snapshot()
+        assert (after["max_queue_depth"], after["dispatches"],
+                after["mean_batch_occupancy"]) == (0, 0, 0.0)
 
     @staticmethod
     def _part(replica, latencies, start_us=0.0):
@@ -955,6 +976,31 @@ class TestTelemetry:
         assert merged.faults_injected == {"fail": 4}
         # Exact percentile over all four latencies.
         assert merged.snapshot()["latency_p50_us"] == pytest.approx(25.0)
+
+    def test_merge_of_served_sessions_rolls_up_depth_and_dispatches(self):
+        # Three sessions of different shapes: the merge reports the
+        # deepest queue of any, the sum of their dispatches and the
+        # dispatch-weighted mean occupancy.
+        parts = []
+        for window_us, count, seed in ((400.0, 24, 1), (50.0, 12, 2),
+                                       (0.0, 6, 3)):
+            server = SimServer(window_us=window_us)
+            server.serve(LoadGenerator(make_scenario("skewed"),
+                                       rate_rps=200_000.0, count=count,
+                                       seed=seed).requests())
+            parts.append(server.telemetry)
+        snaps = [part.snapshot() for part in parts]
+        merged = Telemetry.merge(parts).snapshot()
+        depths = [snap["max_queue_depth"] for snap in snaps]
+        dispatches = [snap["dispatches"] for snap in snaps]
+        assert len(set(depths)) > 1 and len(set(dispatches)) > 1
+        assert merged["max_queue_depth"] == max(depths)
+        assert merged["dispatches"] == sum(dispatches)
+        assert merged["mean_batch_occupancy"] == pytest.approx(
+            sum(snap["mean_batch_occupancy"] * snap["dispatches"]
+                for snap in snaps) / sum(dispatches))
+        assert merged["mean_batch_occupancy"] == pytest.approx(
+            merge_snapshots(snaps)["mean_batch_occupancy"])
 
     def test_merge_snapshots_weighted_combining(self):
         # Two replicas, equal completed counts: percentile means are

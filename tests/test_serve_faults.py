@@ -8,8 +8,8 @@ The contract under test, in order of importance:
 2. *Determinism*: the same fault seed replays the same faults, records
    and counters regardless of entry style.
 3. *Recovery*: each policy knob (retry/backoff/budget, timeout,
-   breaker + reroute, detection, shedding, window shrinking) does what
-   it says on a scripted or seeded fault schedule.
+   breaker + reroute, detection) does what it says on a scripted or
+   seeded fault schedule.
 """
 
 import random
@@ -23,17 +23,19 @@ from repro.serve import (
     FAULT_PROFILES,
     POLICIES,
     STATUS_FAILED,
-    STATUS_SHED,
     FaultDecision,
     FaultPlan,
     FaultProfile,
     LoadGenerator,
+    ReplicaFaultPlan,
+    ReplicaFaultProfile,
     RequestQueue,
     ResiliencePolicy,
     ServeRequest,
     SimServer,
     make_fault_plan,
     make_policy,
+    make_replica_fault_plan,
     make_scenario,
 )
 from repro.sim.driver import SimConfig
@@ -120,19 +122,21 @@ class TestFaultPlan:
     def test_make_fault_plan_specs(self):
         assert make_fault_plan(None) is None
         assert make_fault_plan("none") is None
-        assert make_fault_plan(FaultProfile()) is None  # zero-rate
+        # Every zero-rate spec builds no plan: a profile, a rate, a plan.
+        assert make_fault_plan(FaultProfile()) is None
+        assert make_fault_plan("rate:0") is None
+        assert make_fault_plan(FaultPlan(FaultProfile(), seed=3)) is None
         plan = make_fault_plan("rate:0.25", seed=9)
         assert plan.profile.fail_rate == 0.25 and plan.seed == 9
         assert make_fault_plan(plan, seed=4) is plan  # keeps its seed
         with pytest.raises(ValueError, match="unknown fault profile"):
             make_fault_plan("catastrophic")
 
-    def test_make_policy_specs_and_overrides(self):
+    def test_make_policy_specs(self):
         assert make_policy("none").neutral
         standard = make_policy("standard")
         assert standard.max_retries == 3 and standard.detect
-        tweaked = make_policy("standard", shed_depth=8)
-        assert tweaked.shed_depth == 8 and standard.shed_depth is None
+        assert make_policy(standard) is standard
         with pytest.raises(ValueError, match="unknown policy"):
             make_policy("heroic")
 
@@ -178,6 +182,29 @@ class TestZeroRateInertness:
                 server.poll(1)
             outcomes.append(self._snapshot(server, server.drain()))
         assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("spec", [
+        None, "none", "rate:0", "rate:0.0", FaultProfile(),
+        FAULT_PROFILES["none"], FaultPlan(FaultProfile(), seed=3)],
+        ids=["None", "none", "rate:0", "rate:0.0", "profile",
+             "named-none-profile", "plan"])
+    def test_every_zero_rate_spec_serves_plan_less(self, spec):
+        """One rule for inert specs, whatever their form: no plan, and
+        the same records and values as a server given no spec."""
+        assert make_fault_plan(spec, seed=5) is None
+        arrivals = chaos_load(count=8).requests()
+        plain = SimServer(CONFIG, num_shards=2)
+        inert = SimServer(CONFIG, num_shards=2, faults=spec, fault_seed=5)
+        assert inert.fault_plan is None
+        assert self._snapshot(plain, plain.serve(arrivals)) == \
+            self._snapshot(inert, inert.serve(arrivals))
+
+    @pytest.mark.parametrize("spec", [
+        None, "none", "rate:0", ReplicaFaultProfile(),
+        ReplicaFaultPlan(ReplicaFaultProfile(), seed=3)],
+        ids=["None", "none", "rate:0", "profile", "plan"])
+    def test_every_zero_rate_replica_spec_builds_no_plan(self, spec):
+        assert make_replica_fault_plan(spec, seed=5) is None
 
     def test_zero_resilience_counters_without_faults(self):
         server = SimServer(CONFIG)
@@ -434,40 +461,6 @@ class TestCorruptionDetection:
 
 
 # ---------------------------------------------------------------------------
-# Graceful degradation
-# ---------------------------------------------------------------------------
-class TestDegradation:
-    def test_priority_aware_load_shedding(self):
-        policy = ResiliencePolicy(shed_depth=2, shed_min_priority=1)
-        server = SimServer(CONFIG, window_us=500.0, policy=policy)
-        arrivals = [ServeRequest(request=ntt_request(i), arrival_us=0.0,
-                                 priority=(1 if i == 5 else 0))
-                    for i in range(6)]
-        results = server.serve(arrivals)
-        shed = [r for r in results if r.record.status == STATUS_SHED]
-        assert len(shed) == 3  # depth hits 2 after two admissions
-        assert all(r.record.priority == 0 for r in shed)
-        assert results[5].ok  # urgent traffic landed past the threshold
-        assert server.telemetry.events["shed"] == 3
-
-    def test_window_shrinking_under_depth(self):
-        arrivals = [ServeRequest(request=ntt_request(i),
-                                 arrival_us=float(i))
-                    for i in range(4)]
-        relaxed = SimServer(CONFIG, window_us=400.0)
-        shrunk = SimServer(CONFIG, window_us=400.0,
-                           policy=ResiliencePolicy(shrink_depth=1,
-                                                   shrink_factor=0.25))
-        slow = relaxed.serve(list(arrivals))
-        fast = shrunk.serve(list(arrivals))
-        assert shrunk.telemetry.events["shrunk_windows"] > 0
-        assert fast[0].record.dispatch_us < slow[0].record.dispatch_us
-        # Same responses, earlier service: degradation trades occupancy.
-        assert [r.response.values for r in fast] == \
-            [r.response.values for r in slow]
-
-
-# ---------------------------------------------------------------------------
 # Burst / ramp load profiles
 # ---------------------------------------------------------------------------
 class TestBurstLoad:
@@ -500,20 +493,20 @@ class TestBurstLoad:
             LoadGenerator(make_scenario("uniform"), rate_rps=1.0, count=1,
                           rate_profile=((0.0, -1.0),))
 
-    def test_burst_drives_shedding(self):
-        # A flat rate admits everything; the same stream with a burst
-        # overload pushes queue depth past the shedding threshold.
-        policy = ResiliencePolicy(shed_depth=6, shed_min_priority=1)
+    def test_burst_drives_queue_depth(self):
+        # The same stream with a burst overload queues deeper than at a
+        # flat rate.
         profile = LoadGenerator.burst_profile(
             30_000.0, 2_000_000.0, start_us=200.0, duration_us=1500.0)
-        flat = SimServer(CONFIG, window_us=100.0, policy=policy)
+        flat = SimServer(CONFIG, window_us=100.0)
         flat.serve(LoadGenerator(make_scenario("skewed"), rate_rps=30_000.0,
                                  count=60, seed=2).requests())
-        bursty = SimServer(CONFIG, window_us=100.0, policy=policy)
+        bursty = SimServer(CONFIG, window_us=100.0)
         bursty.serve(LoadGenerator(make_scenario("skewed"),
                                    rate_rps=30_000.0, count=60, seed=2,
                                    rate_profile=profile).requests())
-        assert bursty.telemetry.events["shed"] > flat.telemetry.events["shed"]
+        assert (bursty.telemetry.snapshot()["max_queue_depth"]
+                > flat.telemetry.snapshot()["max_queue_depth"])
 
 
 # ---------------------------------------------------------------------------
