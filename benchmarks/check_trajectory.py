@@ -98,15 +98,18 @@ BANK_SPEEDUP_FLOOR = 1.0
 #: regression.
 COMPILE_US_PER_CMD_CEILING = 0.65
 #: The mappers emit IR columns straight from the closed-form schedule,
-#: twiddles as indices into one power table and dependencies as one
-#: two-wide column: a cold map (program-cache miss to IR) measures
-#: 0.35-0.37 us/command at reference speed at N=1024 and 0.15-0.18 at
-#: N=4096 (six reruns; Nb=1 N=256 0.13-0.33), against 0.45-0.64 when it
-#: also built per-command twiddle tuples and a CSR dependency triple
-#: and ~9 us/command when every command was built as a validated
-#: ``Command``.  Same slowdown scaling and rule as the compile ceiling:
-#: about twice the N=1024 reading.
-MAP_US_PER_CMD_CEILING = 0.75
+#: each regime as one op table with the butterfly stride on a leading
+#: axis, and ``assemble`` fills the columns column-major: a cold map
+#: (program-cache miss to IR) measures 0.19-0.27 us/command at
+#: reference speed at N=1024 (median 0.25) and 0.12-0.25 at N=4096
+#: (median 0.14; six reruns, best of 5 each; Nb=1 N=256 0.25-0.37),
+#: against 0.32-0.56 / 0.29-0.34 with one op table per stride and a
+#: row-major table transposed into columns (same host, same reruns),
+#: 0.45-0.64 when it also built per-command twiddle tuples and a CSR
+#: dependency triple, and ~9 us/command when every command was built
+#: as a validated ``Command``.  Same slowdown scaling and rule as the
+#: compile ceiling: about twice the N=1024 median.
+MAP_US_PER_CMD_CEILING = 0.5
 #: A warm same-spec 8-bank dispatch runs its banks as one stacked pass
 #: with one check, division-free Shoup lanes, store-to-load forwarding,
 #: in-place, view-addressed stages (pool slots allocated by liveness,
@@ -151,16 +154,19 @@ DATAPLANE_VERIFY_RATIO_CEILING = 1.3
 #: A ratio of two timings taken together, so no slowdown scaling.
 DATAPLANE_HOST_SHARE_CEILING = 0.55
 #: The stream replay builds its loop inputs from the stream's int64
-#: columns on every call (no list mirrors, no per-command timing or
-#: dependency tuples: the dependency column's entries and one kind
-#: column are iterated directly) and measures 0.24-0.37 us/command at
-#: reference speed at N=1024 and N=4096 (six reruns), against
-#: 0.34-0.49 when it re-padded a CSR dependency triple into
-#: per-command tuples on every call (same host, same reruns) and
-#: ~0.5-0.6 when it walked list mirrors built (and paid for) at
-#: lowering and returned one ``CommandTiming`` per command.  Same
-#: slowdown scaling and ~2x headroom as the map ceiling.
-TIMING_US_PER_CMD_CEILING = 0.75
+#: columns on every call and its loop carries only timing state (one
+#: step column folding kind and compute latency, dependencies shifted
+#: onto a sentinel completion, appended completions, a four-slot tFAW
+#: ring): it measures 0.27-0.31 us/command at reference speed at
+#: N=1024 (median 0.28) and 0.22-0.33 at N=4096 (median 0.27; six
+#: reruns, best of 5 each), against 0.29-0.44 / 0.29-0.44 with a kind
+#: column, a latency column and per-command index reads (same host,
+#: same reruns), 0.34-0.49 when it re-padded a CSR dependency triple
+#: into per-command tuples on every call and ~0.5-0.6 when it walked
+#: list mirrors built (and paid for) at lowering and returned one
+#: ``CommandTiming`` per command.  Same slowdown scaling and rule as
+#: the map ceiling: about twice the N=1024 median.
+TIMING_US_PER_CMD_CEILING = 0.55
 #: The load generator draws each request's coefficients in bulk
 #: (``random_residues``: one 32-bit word per value still needed,
 #: through ``np.frombuffer``) and measures 17-21 us per skewed-mix

@@ -10,7 +10,24 @@ submit-before-advance order inside a frame is what preserves that
 bit-identity: advancing first would clamp same-frame arrivals forward.
 
 Each frame renders through :func:`render_plain`, a fixed-width table
-any terminal (and the CI log) can show.
+any terminal (and the CI log) can show, one row per replica slot:
+
+* ``replica`` — the slot (``r0``, ``r1``, ...);
+* ``state`` — the watchdog's lifecycle verdict when it is not ``up``
+  (``DOWN`` and ``SUSPECT`` uppercase), else ``up``, or ``DOWN`` while
+  no shard of the replica can serve;
+* ``queue`` — requests waiting in the replica's admission queue;
+* ``live`` — requests submitted to its live session and not yet
+  settled;
+* ``backlog`` — dispatch attempts waiting on its shard backlogs;
+* ``brk`` — its open circuit breakers;
+* ``done`` — requests it completed;
+* ``thr`` — requests it dropped: rejected at a full queue, failed, or
+  expired past their deadline;
+* ``p50_us`` / ``p99_us`` — latency of its completed requests,
+  simulated µs;
+* ``goodput`` — its completions inside their deadline per simulated
+  second.
 """
 
 from __future__ import annotations
@@ -52,7 +69,8 @@ def _rows(frontend: ClusterFrontend) -> List[List[str]]:
             str(sum(1 for state, _ in hb.breakers.values()
                     if state == "open")),
             str(snap.get("completed", 0)),
-            str(snap.get("failed", 0) + snap.get("expired", 0)),
+            str(snap.get("rejected", 0) + snap.get("failed", 0)
+                + snap.get("expired", 0)),
             f"{snap.get('latency_p50_us', 0.0):.1f}",
             f"{snap.get('latency_p99_us', 0.0):.1f}",
             f"{snap.get('goodput_rps', 0.0):.0f}",

@@ -60,10 +60,15 @@ class ComputeTiming:
 
     def __post_init__(self):
         for item in fields(self):
+            value = getattr(self, item.name)
             # Schedules store their cycle times as int64.
-            if not isinstance(getattr(self, item.name), numbers.Integral):
+            if not isinstance(value, numbers.Integral):
                 raise TypeError(
                     f"{item.name} must be a whole number of cycles")
+            # The stream loop tells compute steps (their latency) from
+            # the other kinds (negative codes) by sign.
+            if value < 0:
+                raise ValueError(f"{item.name} must be >= 0 cycles")
         # latency() sits on the per-command hot path of the engine;
         # precompute the lookup table once instead of rebuilding a dict
         # for every command.  (Frozen dataclass, hence object.__setattr__.)
@@ -258,30 +263,42 @@ class TimingEngine:
 
         Bit-identical to :meth:`simulate` on the program's commands (the
         same timings, stats, energy, and :class:`MappingError` at the
-        same command), but the loop iterates the IR's integer columns:
-        one kind column folding category and write-like flag, compute
-        latency, row, compact bank id (by ``np.unique``) and the
-        ``deps`` column's first two entries, whose -1 padding reads the
-        spare, always-0 last slot of ``completes`` (see
-        :func:`_dependency_columns`).  The loop stores completion times
-        only; each issue time is its completion less the fixed offset
-        of its command's kind (:func:`_issue_offsets`), and the last
-        completion is the schedule's end, both taken after the loop in
-        array operations.  Stats and energy come from an
-        ``np.bincount`` over ``codes``.  The recurrence stays serial:
-        almost every command issues later than ``previous + 1``.
+        same command), but the loop carries only timing state and
+        iterates the IR's integer columns: one step column folding the
+        command's kind and compute latency (the latency itself, ``>= 0``,
+        for a compute command or PARAM_WRITE; :data:`_ACT`, :data:`_PRE`,
+        :data:`_READ` or :data:`_WRITE` otherwise), row, compact bank id
+        (0 for a one-bank program, else by ``np.unique``) and the
+        ``deps`` column's first two entries shifted by one (see
+        :func:`_dependency_columns`).  Completions are appended to a
+        list whose slot 0 is a sentinel completion of 0, the target of
+        every -1 padding entry, so command ``i`` completes in slot
+        ``i + 1`` and a protocol fault names command
+        ``len(completes) - 1``.  The step column is cut at the first
+        command with an invalid dependency, which raises once the loop
+        reaches it.  The tFAW window is a ring of the last four ACTs.
+        Each issue time is its completion less the fixed offset of its
+        command's kind (:func:`_issue_offsets`), and the last completion
+        is the schedule's end, both taken after the loop in array
+        operations.  Stats and energy come from an ``np.bincount`` over
+        ``codes``.  The recurrence stays serial: almost every command
+        issues later than ``previous + 1``.
         """
         timing = self.timing
         ir = getattr(stream, "ir", stream)
         n = ir.n
         codes = ir.codes
-        kinds = np.take(_KIND_BY_CODE, codes).tolist()
         latency_by_code = np.array(self.compute.code_latencies())
-        latencies = np.take(latency_by_code, codes).tolist()
-        rows = ir.rows.tolist()
-        bank_ids, bank_index = np.unique(ir.banks, return_inverse=True)
-        nb, banks = len(bank_ids), bank_index.tolist()
         dep0, dep1, more, stop, bad_dep = _dependency_columns(ir)
+        steps = np.take(np.where(_KIND_BY_CODE == _COMPUTE, latency_by_code,
+                                 _STEP_BY_KIND[_KIND_BY_CODE]),
+                        codes[:stop]).tolist()
+        rows = ir.rows[:stop].tolist()
+        if n and ir.banks.min() == ir.banks.max():
+            nb, banks = 1, itertools.repeat(0)
+        else:
+            bank_ids, bank_index = np.unique(ir.banks, return_inverse=True)
+            nb, banks = len(bank_ids), bank_index[:stop].tolist()
 
         # Per-bank integer state, indexed by compact bank ids.  The
         # closed-row sentinel is None (not -1): row numbers are not
@@ -292,12 +309,16 @@ class TimingEngine:
         next_col = [0] * nb
         next_pre = [0] * nb
         cu_free = [0] * nb
-        # One extra slot: the padding sentinel's dependency target, a
-        # completion of 0 that never delays anything.
-        completes = [0] * (n + 1)
+        # Slot 0: the padding sentinel's dependency target, a completion
+        # of 0 that never delays anything.
+        completes = [0]
+        append = completes.append
         bus_free = 0
         last_act = -10**9
-        act_history: List[int] = []
+        # The last four ACTs, oldest at ``slot``: tFAW binds from the
+        # fourth ACT on, and the -10**9 fill never does.
+        window = [-10**9] * 4
+        slot = 0
 
         trrd = timing.trrd
         tfaw = timing.tfaw
@@ -308,9 +329,10 @@ class TimingEngine:
         twr = timing.twr
         read_done = timing.read_to_data
         write_done = timing.write_to_data
+        act, pre, write = _ACT, _PRE, _WRITE
 
-        for i, b, kind, d0, d1, extra in zip(range(stop), banks, kinds,
-                                             dep0, dep1, more):
+        for step, b, row, d0, d1, extra in zip(steps, banks, rows, dep0,
+                                               dep1, more):
             earliest = bus_free
             c = completes[d0]
             if c > earliest:
@@ -324,9 +346,9 @@ class TimingEngine:
                     if c > earliest:
                         earliest = c
 
-            if kind < 2:  # column command; kind 1 is write-like
-                row = rows[i]
+            if step < pre:  # column command
                 if open_row[b] != row:
+                    i = len(completes) - 1
                     name = _CODE_NAMES[codes[i]]
                     if open_row[b] is None:
                         raise MappingError(
@@ -338,7 +360,7 @@ class TimingEngine:
                 if earliest > t:
                     t = earliest
                 next_col[b] = t + tccd
-                if kind:
+                if step == write:
                     complete = t + write_done
                     guard = complete + twr
                     if guard > next_pre[b]:
@@ -346,41 +368,36 @@ class TimingEngine:
                 else:
                     complete = t + read_done
 
-            elif kind == 2:  # compute / PARAM_WRITE
-                latency = latencies[i]
+            elif step >= 0:  # compute / PARAM_WRITE: its latency
                 t = cu_free[b]
                 if earliest > t:
                     t = earliest
-                cu_free[b] = t + latency
-                complete = t + latency
+                complete = cu_free[b] = t + step
 
-            elif kind == 3:  # ACT
+            elif step == act:
                 if open_row[b] is not None:
                     raise MappingError(
-                        f"cmd {i}: ACT row {rows[i]} while row "
-                        f"{open_row[b]} is open")
+                        f"cmd {len(completes) - 1}: ACT row {row} while "
+                        f"row {open_row[b]} is open")
                 t = next_act[b]
                 if earliest > t:
                     t = earliest
                 guard = last_act + trrd
                 if guard > t:
                     t = guard
-                if len(act_history) >= 4:
-                    guard = act_history[-4] + tfaw
-                    if guard > t:
-                        t = guard
-                last_act = t
-                act_history.append(t)
-                if len(act_history) > 8:
-                    del act_history[:-4]
-                open_row[b] = rows[i]
-                next_col[b] = t + trcd
+                guard = window[slot] + tfaw
+                if guard > t:
+                    t = guard
+                last_act = window[slot] = t
+                slot = (slot + 1) & 3
+                open_row[b] = row
+                next_col[b] = complete = t + trcd
                 next_pre[b] = t + tras
-                complete = t + trcd
 
             else:  # PRE
                 if open_row[b] is None:
-                    raise MappingError(f"cmd {i}: PRE with no open row")
+                    raise MappingError(
+                        f"cmd {len(completes) - 1}: PRE with no open row")
                 t = next_pre[b]
                 if earliest > t:
                     t = earliest
@@ -391,11 +408,11 @@ class TimingEngine:
                 complete = t
 
             bus_free = t + 1
-            completes[i] = complete
+            append(complete)
         if stop < n:
             raise MappingError(
                 f"command {stop} has invalid dependency {bad_dep}")
-        done = np.fromiter(completes, dtype=np.int64, count=n)
+        done = np.array(completes, dtype=np.int64)[1:]
         issues = done - np.take(
             _issue_offsets(timing, latency_by_code), codes)
         end = int(done.max()) if n else 0
@@ -437,38 +454,53 @@ def _issue_offsets(timing: TimingParams,
 
 def _dependency_columns(ir):
     """``(dep0, dep1, more, stop, bad_dep)`` for the stream loop: the
-    ``deps`` column's first two entries (-1 padded), the tuple of any
-    further ones (only hand-built programs have them) or None, the first
-    command with an invalid (negative, self or forward) dependency (else
-    ``n``) and that first dependency, as :meth:`TimingEngine.simulate`
-    reports it."""
+    ``deps`` column's first two entries shifted by one, so the -1
+    padding reads the loop's sentinel completion in slot 0 and
+    dependency ``d`` reads command ``d``'s completion in slot ``d + 1``;
+    the tuple of any further ones, shifted the same way (only
+    hand-built programs have them), or None; the first command with an
+    invalid (negative, self or forward) dependency (else ``n``), where
+    the loop's step column is cut; and that first dependency, as
+    :meth:`TimingEngine.simulate` reports it."""
     n = ir.n
     deps = ir.deps
     counts = ir.dep_counts
     k = deps.shape[1]
-    used = np.arange(k) < counts[:, None]
-    bad = used & ((deps < 0) | (deps >= np.arange(n)[:, None]))
     stop, bad_dep = n, None
-    if bad.any():
-        stop = int(bad.any(axis=1).argmax())
-        bad_dep = int(deps[stop, bad[stop].argmax()])
-    pad = itertools.repeat(-1)
-    dep0 = deps[:, 0].tolist() if k > 0 else pad
-    dep1 = deps[:, 1].tolist() if k > 1 else pad
+    # The padding is -1: a program none of whose entries reaches its own
+    # command, and whose non-negative entries number sum(counts), has no
+    # invalid one.  Only a program failing that scans the used mask.
+    if k and (np.count_nonzero(deps >= 0) != counts.sum()
+              or (deps >= np.arange(n)[:, None]).any()):
+        used = np.arange(k) < counts[:, None]
+        bad = used & ((deps < 0) | (deps >= np.arange(n)[:, None]))
+        if bad.any():
+            stop = int(bad.any(axis=1).argmax())
+            bad_dep = int(deps[stop, bad[stop].argmax()])
+    columns = (deps[:stop, :2] + 1).T.tolist()
+    columns += [itertools.repeat(0)] * (2 - len(columns))
+    dep0, dep1 = columns
     more = itertools.repeat(None)
     if k > 2:
         more = [tuple(row[2:count]) if count > 2 else None
-                for row, count in zip(deps.tolist(), counts.tolist())]
+                for row, count in zip((deps[:stop] + 1).tolist(),
+                                      counts[:stop].tolist())]
     return dep0, dep1, more, stop, bad_dep
 
 
 # Derived views of the canonical command encoding (commands.CODE_CTYPES)
 # — the codes column the compiler populates indexes these tables.
 _CODE_NAMES = tuple(ct.value for ct in CODE_CTYPES)
-#: The stream loop's command kinds: 0 column read, 1 column write
+#: Command kinds by ctype code: 0 column read, 1 column write
 #: (write-like), 2 compute or PARAM_WRITE, 3 ACT, 4 PRE.
+_COMPUTE = 2
 _KIND_BY_CODE = np.array(
     [(1 if ct.is_write_like else 0) if ct.is_column else
      3 if ct is CommandType.ACT else
      4 if ct is CommandType.PRE else
-     2 for ct in CODE_CTYPES], dtype=np.int64)
+     _COMPUTE for ct in CODE_CTYPES], dtype=np.int64)
+#: The stream loop's step codes for the kinds that carry no latency
+#: (a compute step is its latency, ``>= 0``): the two column kinds sort
+#: below the rest, so one comparison picks them out.
+_ACT, _PRE, _READ, _WRITE = -1, -2, -3, -4
+_STEP_BY_KIND = np.array([_READ, _WRITE, 0, _ACT, _PRE], dtype=np.int64)

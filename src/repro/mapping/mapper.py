@@ -5,8 +5,12 @@ requiring at least one auxiliary buffer (Nb >= 2; for Nb = 1 see
 :mod:`repro.mapping.single_buffer`).  :class:`NttMapper` runs it for the
 paper's cyclic NTT and :class:`NegacyclicNttMapper` for the merged
 negacyclic extension; they differ only in twiddles and stage order.
-The schedule is closed-form, so each phase is emitted as whole NumPy
-columns (:mod:`repro.mapping.program`) straight into the compiler's
+The schedule is closed-form, so each regime is emitted as one op table
+(:mod:`repro.mapping.program`) with the butterfly stride on a leading
+axis — every intra-row stride has the same pairs per row and every
+inter-row stride the same ``rows / 2`` row pairs, so all of a regime's
+strides broadcast together — and :func:`~repro.mapping.program.assemble`
+turns the tables straight into the compiler's
 :class:`~repro.compile.ir.StreamIR`; ``generate()`` materializes the
 equivalent :class:`~repro.dram.commands.Command` list for reference.
 Programs are bank-relative (every command on bank 0): one serves every
@@ -103,11 +107,12 @@ class _RowCentricSchedule:
 
     Stages are indexed by butterfly stride ``length`` (DIT stage ``s``
     has ``length = 1 << (s - 1)``); op-table fields are index arithmetic
-    over rows, atoms and pairs, twiddles are exponents of ``root``.
-    Subclasses supply the intra-atom ops (:meth:`_atom_ops`) and the C2
-    twiddle exponents (:meth:`_c2_twiddles`), and set ``gs``
-    (Gentleman-Sande butterflies) and ``reverse`` (largest stride
-    first, inter-row stages before the row blocks).
+    over strides, rows, atoms and pairs, twiddles are exponents of
+    ``root``.  Subclasses supply the intra-atom ops (:meth:`_atom_ops`)
+    and the C2 twiddle exponents (:meth:`_c2_twiddles`, broadcast over
+    a stride array), and set ``gs`` (Gentleman-Sande butterflies) and
+    ``reverse`` (largest stride first, inter-row stages before the row
+    blocks).
     """
 
     gs = False
@@ -150,25 +155,32 @@ class _RowCentricSchedule:
     def _atom_ops(self, bufs: np.ndarray, atoms: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _c2_twiddles(self, length: int, word_a: np.ndarray):
+    def _c2_twiddles(self, length: np.ndarray, word_a: np.ndarray):
+        """``(omega0, r_omega)`` exponents of the C2 whose '+'-leg atom
+        starts at word ``word_a`` at stride ``length`` (arrays that
+        broadcast together)."""
         raise NotImplementedError
 
     # -- public API -------------------------------------------------------------
     def build(self) -> StreamIR:
         """The full program, PARAM_WRITE through final PRE, as IR."""
-        inter_row = [1 << s for s in range(self.arch.log_words_per_row,
-                                           self.log_n)]
+        body = [self._row_blocks()]
+        if self.inter_row_stages:
+            body.append(self._inter_row_stages())
         if self.reverse:
             # Only the forward negacyclic transform runs reversed, and it
             # always maps in place, so its row blocks stay at base_row.
-            body = self._inter_row_stages(inter_row[::-1]) + [self._row_blocks()]
-        else:
-            body = [self._row_blocks()] + self._inter_row_stages(inter_row)
+            body.reverse()
         return assemble(np.concatenate(body), self.root, self.q, self._zetas)
 
     def generate(self) -> List[Command]:
         """The program as :class:`Command` objects (the reference form)."""
         return list(self.build().materialize_commands())
+
+    def _strides(self, lo: int, hi: int) -> np.ndarray:
+        """The butterfly strides ``2**lo .. 2**(hi-1)`` in run order."""
+        lengths = 1 << np.arange(lo, hi)
+        return lengths[::-1] if self.reverse else lengths
 
     # -- phase A: the row-sized vertical blocks -----------------------------------
     def _row_blocks(self) -> np.ndarray:
@@ -177,13 +189,16 @@ class _RowCentricSchedule:
         arch = self.arch
         blocks = np.arange(self.rows_used)[:, None]
         atoms = min(self.n, arch.words_per_row) // arch.words_per_atom
-        stages = [self._intra_atom(blocks, atoms)] + [
-            self._intra_row_stage(blocks, atoms, 1 << s)
-            for s in range(arch.log_words_per_atom,
-                           min(self.log_n, arch.log_words_per_row))]
+        stages = [self._intra_atom(blocks, atoms)]
+        lengths = self._strides(arch.log_words_per_atom,
+                                min(self.log_n, arch.log_words_per_row))
+        if len(lengths):
+            stages.append(self._intra_row_stages(
+                blocks[:, :, None], atoms, lengths[:, None]).reshape(
+                    self.rows_used, -1, FIELDS))
         if self.reverse:
             stages.reverse()
-        return np.concatenate(stages, axis=-2).reshape(-1, FIELDS)
+        return np.concatenate(stages, axis=1).reshape(-1, FIELDS)
 
     def _intra_atom(self, blocks: np.ndarray, atoms: int) -> np.ndarray:
         """One intra-atom op per atom, group-pipelined over the whole
@@ -198,18 +213,20 @@ class _RowCentricSchedule:
         write = ops(CU_WRITE, row=row, col=col, buf=buf)
         return grouped([read, compute, write], self.pim.nb_buffers)
 
-    def _intra_row_stage(self, blocks: np.ndarray, atoms: int,
-                         length: int) -> np.ndarray:
-        """C2 per atom pair inside one open row (all buffer hits)."""
+    def _intra_row_stages(self, blocks: np.ndarray, atoms: int,
+                          lengths: np.ndarray) -> np.ndarray:
+        """C2 per atom pair inside one open row (all buffer hits), every
+        stride at once: ``blocks`` is ``(blocks, 1, 1)``, ``lengths``
+        ``(strides, 1)``, the table ``(blocks, strides, ops, FIELDS)``."""
         na = self.arch.words_per_atom
-        stride = length // na
+        stride = lengths // na
         pair = np.arange(atoms // 2)
         col_a = pair // stride * 2 * stride + pair % stride
         col_b = col_a + stride
         buf = 2 * (pair % self.pim.pair_slots)
         row = self.base_row + blocks
         omega0, r_omega = self._c2_twiddles(
-            length, blocks * self.arch.words_per_row + col_a * na)
+            lengths, blocks * self.arch.words_per_row + col_a * na)
         return grouped([
             (ops(CU_READ, row=row, col=col_a, buf=buf),
              ops(CU_READ, row=row, col=col_b, buf=buf + 1)),
@@ -220,47 +237,39 @@ class _RowCentricSchedule:
             self.pim.pair_slots)
 
     # -- phase B: the inter-row stages ---------------------------------------------
-    def _inter_row_stages(self, lengths: List[int]) -> List[np.ndarray]:
-        """Run each stride in turn; with ``in_place_update`` off, every
-        stage writes the other of two ping-pong regions."""
-        stages = []
-        src_base = self.base_row
-        for length in lengths:
-            if self.options.in_place_update:
-                dst_base = src_base
-            else:
-                dst_base = (self.base_row + self.rows_used
-                            if src_base == self.base_row else self.base_row)
-            stages.append(self._inter_row_stage(length, src_base, dst_base))
-            src_base = dst_base
-        return stages
-
-    def _inter_row_stage(self, length: int, src_base: int,
-                         dst_base: int) -> np.ndarray:
-        """C2 per atom pair straddling two rows, group-batched so a group
-        shares one (ACT A, ACT B, ACT A) sweep — the pipelining payoff.
+    def _inter_row_stages(self) -> np.ndarray:
+        """C2 per atom pair straddling two rows, every stride at once,
+        group-batched so a group shares one (ACT A, ACT B, ACT A) sweep —
+        the pipelining payoff.
 
         Each group reads all its '+'-legs from row A and all its
         '-'-legs from row B, runs its butterflies, then writes the
         '-'-legs to ``out_b`` and the '+'-legs to ``out_a``.  In place,
         the '-'-leg writes hit the still-open row B (the paper's in-place
         update) and one activation back to row A serves the '+'-leg
-        writes and the next group's reads.  With ``dst_base`` at the
-        mirror region, both writes open an *additional* row.
+        writes and the next group's reads.  With ``in_place_update``
+        off, stage ``j`` writes the other of two ping-pong regions, so
+        both writes open an *additional* row.
         """
         arch = self.arch
         r_words = arch.words_per_row
-        row_dist = length // r_words
-        if row_dist < 1:
-            raise MappingError(f"stride {length} is not inter-row")
+        # Leading axes (stride, '+'-leg row): every stride has rows_used/2
+        # '+'-leg rows, each handling its '-'-leg partner row_dist on.
+        lengths = self._strides(arch.log_words_per_row,
+                                self.log_n)[:, None, None]
+        row_dist = lengths // r_words
+        half = np.arange(self.rows_used // 2)[:, None]
+        rel = half // row_dist * 2 * row_dist + half % row_dist
         group_size = self.pim.pair_slots if self.options.group_same_row else 1
-        rel = np.arange(self.rows_used)
-        # '+'-leg rows only; each handles its '-'-leg partner row_dist on.
-        rel = rel[rel * r_words % (2 * length) < length][:, None]
         col = np.arange(arch.columns_per_row)
         buf = 2 * (col % group_size)
         omega0, r_omega = self._c2_twiddles(
-            length, rel * r_words + col * arch.words_per_atom)
+            lengths, rel * r_words + col * arch.words_per_atom)
+        src_base = dst_base = self.base_row
+        if not self.options.in_place_update:
+            flip = np.arange(len(lengths))[:, None, None] % 2 * self.rows_used
+            src_base = self.base_row + flip
+            dst_base = self.base_row + self.rows_used - flip
         out_a = dst_base + rel
         stage = grouped([
             ops(CU_READ, row=src_base + rel, col=col, buf=buf),
@@ -308,7 +317,7 @@ class NegacyclicNttMapper(_RowCentricSchedule):
         self._zetas = self._zeta_exponents(
             np.arange(ring.n // arch.words_per_atom))
 
-    def _zeta_exponent(self, length: int, word) -> np.ndarray:
+    def _zeta_exponent(self, length, word) -> np.ndarray:
         """block_zeta_exponent of the block holding ``word`` at stride
         ``length``: brev(N/2L + word // 2L) over log N bits."""
         return _bit_reverse(self.n // (2 * length) + word // (2 * length),

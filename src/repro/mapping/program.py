@@ -110,33 +110,41 @@ def assemble(body: np.ndarray, root: int, q: int,
     pos = 1 + np.arange(n_ops) + np.cumsum(extra)
     total = 2 + n_ops + int(extra.sum())
 
-    table = np.full((total, FIELDS), -1, dtype=np.int64)
-    table[:, GS] = 0
-    table[0, CODE] = CTYPE_CODES[CommandType.PARAM_WRITE]
-    table[pos] = body
+    # The command columns, one row per field: the ops land at ``pos``,
+    # the ACT/PRE pairs in the gaps between them.
+    table = np.full((FIELDS, total), -1, dtype=np.int64)
+    table[GS] = 0
+    table[:, pos] = body.T
+    table[CODE, 0] = CTYPE_CODES[CommandType.PARAM_WRITE]
     act_at = pos[column[opens]] - 1
-    table[act_at, CODE] = CTYPE_CODES[CommandType.ACT]
-    table[act_at, ROW] = col_rows[opens]
-    table[act_at[1:] - 1, CODE] = _PRE
-    table[-1, CODE] = _PRE
+    table[CODE, act_at] = CTYPE_CODES[CommandType.ACT]
+    table[ROW, act_at] = col_rows[opens]
+    table[CODE, act_at[1:] - 1] = _PRE
+    table[CODE, -1] = _PRE
 
-    # Hazards: every (buffer, op) touch in program order per buffer.
+    # Hazards: every (buffer, op) touch, sorted stably by buffer, so
+    # each buffer's touches stay in program order (np.nonzero lists
+    # them by op, then leg).
     ev_op, ev_leg = np.nonzero(body[:, BUF:BUF2 + 1] >= 0)
     ev_buf = body[ev_op, BUF + ev_leg]
-    order = np.lexsort((ev_op, ev_buf))
+    order = np.argsort(ev_buf, kind="stable")
     ev_op, ev_buf, ev_leg = ev_op[order], ev_buf[order], ev_leg[order]
-    first = np.ones(len(ev_op), dtype=np.bool_)
-    first[1:] = ev_buf[1:] != ev_buf[:-1]
-    last_use = np.where(first, -1, np.roll(ev_op, 1))
+    ev_code = codes[ev_op]
     # Running max of producer ids; the buffer * stride offset keeps one
     # buffer's scan from leaking into the next.
-    stride = n_ops + 1
-    tagged = ev_buf * stride + np.where(_PRODUCES[codes[ev_op]], ev_op + 1, 0)
-    running = np.roll(np.maximum.accumulate(tagged), 1)
-    last_producer = np.where(first, -1, running - ev_buf * stride - 1)
-    dep = np.where(codes[ev_op] == _CU_READ, last_use, last_producer)
+    offset = ev_buf * (n_ops + 1)
+    running = np.maximum.accumulate(
+        offset + np.where(_PRODUCES[ev_code], ev_op + 1, 0))
+    # A CU_READ waits on the buffer's previous touch, any other op on
+    # its last producer; a buffer's first touch waits on nothing.
+    dep = np.full(len(ev_op), -1, dtype=np.int64)
+    dep[1:] = np.where(
+        ev_buf[1:] != ev_buf[:-1], -1,
+        np.where(ev_code[1:] == _CU_READ, ev_op[:-1],
+                 running[:-1] - offset[1:] - 1))
     legs = np.full((2, n_ops), -1, dtype=np.int64)
-    legs[ev_leg, ev_op] = np.where(dep >= 0, pos[dep], -1)
+    # pos plus a -1 sentinel, so dep -1 maps to no command.
+    legs[ev_leg, ev_op] = np.append(pos, -1)[dep]
     # Each op's distinct dependencies, ascending, then the -1 padding.
     lo, hi = np.minimum(legs[0], legs[1]), np.maximum(legs[0], legs[1])
     dep0 = np.where(lo < 0, hi, lo)
@@ -151,8 +159,7 @@ def assemble(body: np.ndarray, root: int, q: int,
     twiddles = power_table(root, 1 + max(
         int(body[:, OMEGA0:R_OMEGA + 1].max()),
         0 if zetas is None else int(zetas.max()), 0), q)
-    codes, rows, cols, bufs, buf2s, lanes, gs, omega0, r_omega, zeta = (
-        np.ascontiguousarray(table.T))
+    codes, rows, cols, bufs, buf2s, lanes, gs, omega0, r_omega, zeta = table
     payloads = np.zeros(total, dtype=np.int64)
     payloads[0] = PARAM_WORDS
     return StreamIR(

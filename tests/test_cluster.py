@@ -559,6 +559,26 @@ class TestConsole:
         assert len(frames) == 3
         assert all("replica" in f for f in frames)
 
+    def test_drop_column_counts_rejections(self):
+        """Each replica row's ``thr`` cell counts every request the
+        replica dropped: an overloaded 2-replica cluster with 2-deep
+        queues (``repro serve --cluster 2 --depth 2 --rate 3000000
+        --requests 60 --watch``) turns most arrivals away at admission,
+        and each cell equals its snapshot's rejected + failed +
+        expired."""
+        load = LoadGenerator(make_scenario("skewed"), rate_rps=3_000_000,
+                             count=60, seed=0)
+        fe = ClusterFrontend(2, CONFIG, max_depth=2)
+        frames = []
+        watch(fe, load.requests(), emit=frames.append)
+        lines = frames[-1].splitlines()
+        column = lines[1].split().index("thr")
+        snaps = [hb.snapshot for hb in fe.heartbeats(want_snapshot=True)]
+        cells = [int(line.split()[column]) for line in lines[3:5]]
+        assert cells == [s["rejected"] + s["failed"] + s["expired"]
+                         for s in snaps]
+        assert sum(s["rejected"] for s in snaps) == 56
+
     @pytest.mark.parametrize("every_us", [0.0, -200.0, math.nan])
     def test_watch_rejects_a_cadence_that_never_advances(self, every_us):
         """A zero, negative or NaN cadence never reaches an arrival, so

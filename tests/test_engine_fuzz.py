@@ -246,8 +246,10 @@ def test_stream_engine_invalid_dependency_parity(site, expected, offset):
 @settings(max_examples=60, deadline=None)
 def test_property_invalid_dependency_parity(seed, length, banks, data):
     """Random legal programs with an invalid dependency and, optionally,
-    a protocol fault (an ACT on an open bank, or a PRE on a closed one)
-    anywhere: both engines raise the same first fault."""
+    a protocol fault anywhere — an ACT on an open bank, a PRE on a
+    closed one, or a CU_READ/CU_WRITE on a closed bank or on a row
+    other than the open one: both engines raise the same first
+    fault."""
     cmds = _random_legal_program(seed, length, banks=banks,
                                  with_deps=True, max_deps=4)
     n = len(cmds)
@@ -265,13 +267,42 @@ def test_property_invalid_dependency_parity(seed, length, banks, data):
             elif cmd.ctype is CommandType.PRE:
                 open_rows.pop(cmd.bank, None)
         bank = cmds[fault].bank
-        illegal = (Command(CommandType.ACT, bank=bank, row=99)
-                   if bank in open_rows else
-                   Command(CommandType.PRE, bank=bank))
+        column = data.draw(st.sampled_from(
+            (None, CommandType.CU_READ, CommandType.CU_WRITE)),
+            label="column fault")
+        if column is not None:
+            # Row 0 on a closed bank; on an open one, a row that is not
+            # the open one.
+            illegal = Command(column, bank=bank,
+                              row=open_rows.get(bank, -1) + 1, col=0, buf=0)
+        elif bank in open_rows:
+            illegal = Command(CommandType.ACT, bank=bank, row=99)
+        else:
+            illegal = Command(CommandType.PRE, bank=bank)
         cmds[fault] = replace(illegal, deps=cmds[fault].deps)
     engine = TimingEngine(HBM2E_TIMING, HBM2E_ARCH, compute=ComputeTiming())
     assert (_first_fault(engine, cmds, streamed=True)
             == _first_fault(engine, cmds, streamed=False))
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31),
+       length=st.integers(min_value=1, max_value=120),
+       bank=st.integers(min_value=1, max_value=15))
+@settings(max_examples=30, deadline=None)
+def test_property_one_bank_program_on_any_bank(seed, length, bank):
+    """A one-bank program replays the same on any bank: moved off bank
+    0, every command's timing, the stats and the energy equal those of
+    the program on bank 0 and of the reference loop on the moved
+    program."""
+    cmds = _random_legal_program(seed, length, with_deps=True)
+    moved = [replace(cmd, bank=bank) for cmd in cmds]
+    engine = TimingEngine(HBM2E_TIMING, HBM2E_ARCH, compute=ComputeTiming())
+    home = engine.simulate_stream(compile_stream(cmds, HBM2E_ARCH))
+    away = engine.simulate_stream(compile_stream(moved, HBM2E_ARCH))
+    legacy = engine.simulate(moved)
+    assert away.timings == home.timings == legacy.timings
+    assert away.stats == home.stats == legacy.stats
+    assert away.energy_nj == home.energy_nj == legacy.energy_nj
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31))

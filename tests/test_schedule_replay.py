@@ -27,6 +27,7 @@ from repro.api import (
 from repro.arith import NttParams, find_ntt_prime
 from repro.compile import compile_request, lower
 from repro.dram import (
+    CommandType,
     ComputeTiming,
     HBM2E_ARCH,
     HBM2E_TIMING,
@@ -201,3 +202,12 @@ def test_a_fractional_cycle_count_is_rejected(build):
     truncated: the parameters refuse it."""
     with pytest.raises(TypeError, match="whole number of cycles"):
         build()
+
+
+def test_a_negative_latency_is_rejected():
+    """The stream replay tells a compute command (its latency as the
+    step) from the other kinds (negative step codes) by sign, so a
+    negative latency is refused."""
+    with pytest.raises(ValueError, match="c2_cycles must be >= 0"):
+        ComputeTiming(c2_cycles=-1)
+    assert ComputeTiming(c2_cycles=0).latency(CommandType.C2) == 0
